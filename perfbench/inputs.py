@@ -5,7 +5,12 @@ Every generated input is a plain case-config dict in the corpus format
 generated inputs and the benchmark never reaches into its internals to
 build them.  Draws are made from ``random.Random`` seeded by the caller;
 no draw is ever dropped, re-seeded or resized because the program fails
-on it, so crashes show up in the failure count.
+on it, so crashes show up in the failure count.  Which draws crash is
+known in advance: power laws drawn in the crash stratum (see
+``_smooth_model``) have a derivative that is undefined at 0, inside K,
+and the program raises on them.  The benchmark counts a crash on any
+other input, or a crash stratum draw that completes, as an output
+mismatch.
 """
 
 from __future__ import annotations
@@ -24,7 +29,10 @@ SCAN_Q = (1.0, 1.5, 2.0, 3.0)
 SCAN_STEPS = 81
 # the scan pool is fixed, so its results can be checked against digests
 SCAN_POOL_SEED = 20130315
-SCAN_POOL_SIZE = 2 * len(FAMILIES)
+# one model per family, all in the crash stratum
+SCAN_POOL_SIZE = len(FAMILIES)
+# the stratum whose power-law draws have df undefined at a point of K
+CRASH_STRATUM = 0
 
 
 def _num(x: float) -> str:
@@ -41,7 +49,7 @@ def _interval(rng: random.Random, lo: float, span_lo: float, span_hi: float):
     return [lo, hi], a, b
 
 
-def _smooth_model(rng: random.Random, family: str) -> dict:
+def _smooth_model(rng: random.Random, family: str, stratum: int) -> dict:
     """f, df, F and d4sup for one draw of a smooth family, plus K, a, b."""
     if family == "poly":
         n = rng.randint(2, 5)
@@ -67,11 +75,17 @@ def _smooth_model(rng: random.Random, family: str) -> dict:
                     F=f"(x+{_num(s)})*log(x+{_num(s)})-x", d4sup=6.0 / (K[0] + s) ** 4,
                     K=K, a=a, b=b)
     if family == "power":
-        # the corpus runs power laws on K = [0, 1] and on K = [1, 4]; an
-        # exponent below 1 on a K that starts at 0 makes df undefined at 0
-        p = round(rng.uniform(0.3, 2.7), 3)
+        # the corpus runs power laws on K = [0, 1] and on K = [1, 4].  In
+        # the crash stratum the exponent is below 1 on a K that starts at
+        # 0, so df is undefined at 0; the next stratum starts K at 0 with
+        # an exponent of at least 1, and the others start K above 0
         c = round(rng.uniform(0.5, 2.0), 3)
-        lo = 0.0 if rng.random() < 0.5 else round(rng.uniform(0.5, 2.0), 3)
+        if stratum == CRASH_STRATUM:
+            p, lo = round(rng.uniform(0.3, 0.95), 3), 0.0
+        elif stratum == CRASH_STRATUM + 1:
+            p, lo = round(rng.uniform(1.05, 2.7), 3), 0.0
+        else:
+            p, lo = round(rng.uniform(0.3, 2.7), 3), round(rng.uniform(0.5, 2.0), 3)
         K, a, b = _interval(rng, lo, 0.5, 3.0)
         return dict(f=f"{_num(c)}*x^{_num(p)}", df=f"{_num(c * p)}*x^{_num(round(p - 1.0, 3))}",
                     F=f"{_num(c / (p + 1.0))}*x^{_num(round(p + 1.0, 3))}", d4sup=None,
@@ -84,6 +98,16 @@ def _smooth_model(rng: random.Random, family: str) -> dict:
         return dict(f=f"sin({arg})", df=f"{_num(w)}*cos({arg})",
                     F=f"{_num(-1.0 / w)}*cos({arg})", d4sup=w ** 4, K=K, a=a, b=b)
     raise ValueError(f"unknown smooth family {family!r}")
+
+
+def stratum_of(index: int) -> int:
+    """Generated case ``index`` is in stratum 0, 1, 2 or 3."""
+    return index // len(FAMILIES) % 4
+
+
+def expect_raise(cfg: dict, index: int) -> bool:
+    """Whether the program is expected to raise on generated case ``index``."""
+    return cfg["name"].endswith("_power") and stratum_of(index) == CRASH_STRATUM
 
 
 def generate_case(rng: random.Random, index: int, name_prefix: str,
@@ -104,12 +128,12 @@ def generate_case(rng: random.Random, index: int, name_prefix: str,
                  F=f"if(x<0, {half}*x^2, -{half}*x^2)", d4sup=0.0, K=K, a=a, b=b)
         eta = {"kind": "abs_example"}
     elif family == "eta_expr":
-        m = _smooth_model(rng, rng.choice(("poly", "exp")))
+        m = _smooth_model(rng, rng.choice(("poly", "exp")), stratum_of(index))
         c = round(rng.uniform(0.5, 1.0), 3)
         eta = {"kind": "expression",
                "value": rng.choice((f"{_num(c)}*(v-u)", f"(v-u)/(1+{_num(c)}*abs(v-u))"))}
     else:
-        m = _smooth_model(rng, family)
+        m = _smooth_model(rng, family, stratum_of(index))
         if family == "sin":
             theorems.append("C4.2")
     if m["d4sup"] is not None:
@@ -132,28 +156,33 @@ def generate_case(rng: random.Random, index: int, name_prefix: str,
     return cfg
 
 
-def fresh_cases(seed: int, batch: int, size: int) -> list:
-    """Batch ``batch`` of distinct generated cases for a run with ``seed``.
+def fresh_cases(seed: int, batch: int, size: int):
+    """Batch ``batch`` of distinct generated cases for a run with ``seed``,
+    and the names of those the program is expected to raise on.
 
     Each case has its own K, a and b.  Cases are stratified: every run of
-    4 * len(FAMILIES) cases holds each family four times, twice with an
-    antiderivative, and once with the two exponents [1, q2] rather than
-    [1].  So the mix, and the work per case, does not drift with the
-    seed, and the median case time does not fall in the gap between the
-    one-exponent and the slower two-exponent cases.
+    4 * len(FAMILIES) cases holds each family four times, once in each
+    stratum, twice with an antiderivative, and once with the two
+    exponents [1, q2] rather than [1].  So the mix, the work per case and
+    the number of crashing draws do not drift with the seed, and the
+    median case time does not fall in the gap between the one-exponent
+    and the slower two-exponent cases.
     """
     rng = random.Random(f"fresh_cases/{seed}/{batch}")
-    out = []
+    configs, raising = [], []
     for i in range(batch * size, (batch + 1) * size):
-        stratum = i // len(FAMILIES) % 4
-        q_list = [1.0, round(rng.uniform(1.1, 4.0), 2)] if stratum == 3 else [1.0]
-        with_F = stratum % 2 == 1
-        out.append(generate_case(rng, i, f"fresh_{seed}", with_F, q_list))
-    return out
+        q_list = [1.0, round(rng.uniform(1.1, 4.0), 2)] if stratum_of(i) == 3 else [1.0]
+        with_F = stratum_of(i) % 2 == 1
+        cfg = generate_case(rng, i, f"fresh_{seed}", with_F, q_list)
+        configs.append(cfg)
+        if expect_raise(cfg, i):
+            raising.append(cfg["name"])
+    return configs, raising
 
 
 def scan_pool() -> list:
-    """The fixed pool of scan models: generated cases without F."""
+    """The fixed pool of scan models: generated cases without F.  Which
+    of them the program raises on is recorded with their digests."""
     rng = random.Random(SCAN_POOL_SEED)
     return [generate_case(rng, i, "scan", False, SCAN_Q) for i in range(SCAN_POOL_SIZE)]
 

@@ -1,8 +1,8 @@
 """Canonical output bytes, and the recorder of their reference digests.
 
 ``digests.json`` holds the sha256 of the corpus report, of each corpus
-case and of each scan in the scan pool, as produced by the commit that
-introduced the benchmark.  Re-record only when a change is meant to
+case and of each scan in the scan pool, and the scan models the program
+raises on, as produced by the commit that introduced the benchmark.  Re-record only when a change is meant to
 alter outputs:
 
     PYTHONPATH=src python3 perfbench/record.py
@@ -38,6 +38,7 @@ def main():
         "corpus_report": digest(runner.RunReport(results, 0.0).to_json()),
         "corpus_cases": {r.name: digest(case_bytes(r)) for r in results},
         "scan": {},
+        "scan_raises": {},
     }
     for cfg in inputs.scan_pool():
         case = runner.load_case(cfg)
@@ -45,6 +46,7 @@ def main():
             scans = runner.tightness_scan(case.model, case.eta, case.model.domain,
                                           *inputs.scan_args(cfg))
         except Exception as exc:  # recorded as raising: no digest
+            out["scan_raises"][cfg["name"]] = type(exc).__name__
             print(f"{cfg['name']}: tightness_scan raised {type(exc).__name__}: {exc}")
             continue
         out["scan"][cfg["name"]] = digest(scan_bytes(scans))

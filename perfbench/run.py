@@ -18,37 +18,42 @@ Workloads (see inputs.py for the generators):
                are kept and counted as failures.
   scan         tightness_scan with q in {1, 1.5, 2, 3} and every theorem
                on an 81 x 81 (a, b) grid, over a fixed pool of generated
-               models without F (two per family, in an order the seed
+               models without F (one per family, in an order the seed
                rotates): quadrature and bound evaluation dominate.
 
 Each pass of a workload runs in a fresh single-threaded worker process
 (worker.py), one at a time, so every pass pays the real set-up and starts
-with empty program caches.  Passes repeat until ``--seconds`` have gone
-by; a scan run repeats whole rounds of the pool so every run covers the
-same models.  Outputs are checked against recorded digests (corpus, scan)
-or by rerunning and by the paper's invariants (fresh_cases); an exception
-or a mismatch counts as a failed operation and never aborts the run.
+with empty program caches.  A run does a fixed number of rounds of
+passes, so every run of a workload does the same work: a round is one
+pass for corpus and fresh_cases and one pass per pool model for scan,
+and the count is --seconds over the time a round takes on the baseline
+machine (ROUND_S; a traced run does every pass twice, so half as many
+rounds).  If a pass outlives DEADLINE_S, it is stopped and the run
+reports the passes that completed.  Outputs are checked against
+recorded digests (corpus, scan) or by rerunning and by the paper's
+invariants (fresh_cases), and the program must raise on exactly the
+inputs expected to raise (see inputs.py); an exception or a mismatch
+counts as a failed operation and never aborts the run.
 
 Every workload reports every end-to-end metric.  An operation is one
 run_case (corpus, fresh_cases) or one tightness_scan (scan): cases_per_s
 and case_ms_p50/p90 count and time those, with the report's to_json in
 the rate; scan_cells_per_s counts TightnessResult.cells on scan and the
-bound values a case evaluates elsewhere.  success_rate is 1 - fail_rate,
-since a metric must never read 0; the exact counts are the result's
-attempted and failed.
+bound values a case evaluates elsewhere, so on every workload the two
+rates differ by an almost fixed factor and move together.  success_rate
+is 1 - fail_rate, since a metric must never read 0; the exact counts are
+the result's attempted and failed.
 
 Times in the end-to-end metrics are wall-clock times scaled to a fixed
-reference speed.  The machine's speed drifts by a quarter and more over
-tens of seconds, so the worker runs a small calibration loop of its own
-before and after every timed operation, and a pass's times are multiplied
-by its speed factor: the loop's reference time over its mean time in the
-pass.  The unscaled figures are printed too.  Per-layer times are
-unscaled, and per-layer windows leave the calibration time out.
+reference speed.  The machine's speed drifts by a quarter and more within
+a second, so a plain worker samples it all through the pass with a small
+probe of its own and scales each timed interval by the speed the probe
+saw around it (worker.py).  Per-layer times are unscaled.
 
 With ``--trace 1`` each pass runs twice, once traced (spans.py) and once
 not, alternating which goes first; per-layer metrics come from the traced
 process and trace.overhead compares the two.  Per-layer values are per
-input (a case, or a scan), so runs of different lengths compare.
+input (a case, or a scan), so traced and plain runs compare.
 
 The last line of stdout is one JSON object: correct, attempted, failed
 and the metrics.  The lines before it print every metric with its unit,
@@ -73,7 +78,9 @@ import inputs  # noqa: E402
 
 WORKLOADS = ("corpus", "fresh_cases", "scan")
 FRESH_BATCH = 28          # cases per fresh_cases pass: 4 of each family
-DEADLINE_S = 170.0        # a run never outlives this, whatever --seconds says
+# seconds one round takes on the baseline machine, checks included
+ROUND_S = {"corpus": 2.8, "fresh_cases": 5.2, "scan": 13.0}
+DEADLINE_S = 165.0        # no pass runs past this, whatever --seconds says
 
 END_TO_END = {
     "setup_s": "s",
@@ -120,6 +127,10 @@ class BenchError(Exception):
     """The benchmark itself cannot run; no result is printed."""
 
 
+class OutOfTime(Exception):
+    """A pass did not end by the run's deadline."""
+
+
 def pass_specs(workload: str, seed: int):
     """Endless rounds of worker specs; a round is the unit a run repeats."""
     if workload == "corpus":
@@ -128,8 +139,9 @@ def pass_specs(workload: str, seed: int):
     elif workload == "fresh_cases":
         batch = 0
         while True:
-            configs = inputs.fresh_cases(seed, batch, FRESH_BATCH)
-            yield [{"workload": "fresh_cases", "digests": DIGESTS, "configs": configs}]
+            configs, raising = inputs.fresh_cases(seed, batch, FRESH_BATCH)
+            yield [{"workload": "fresh_cases", "digests": DIGESTS, "configs": configs,
+                    "expect_raise": raising}]
             batch += 1
     elif workload == "scan":
         pool = inputs.scan_pool()
@@ -148,69 +160,69 @@ def run_worker(spec: dict, trace: bool, deadline: float) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     timeout = deadline - time.monotonic()
     if timeout <= 0:
-        raise BenchError("out of time before a pass could start")
+        raise OutOfTime("out of time before a pass could start")
     try:
         proc = subprocess.run([sys.executable, str(HERE / "worker.py")], input=json.dumps(spec),
                               capture_output=True, text=True, env=env, cwd=str(ROOT),
                               timeout=timeout)
     except subprocess.TimeoutExpired as exc:
-        raise BenchError(f"a {spec['workload']} pass did not end in time") from exc
+        raise OutOfTime(f"a {spec['workload']} pass did not end by the deadline") from exc
     if proc.returncode != 0:
         raise BenchError(f"worker exited with {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def measure(rounds, seconds: float, trace: bool, max_rounds=None):
-    """Run whole rounds of passes until ``seconds`` have gone by.
+def rounds_for(workload: str, seconds: float, trace: bool) -> int:
+    """How many rounds make a run of about ``seconds`` on the baseline machine."""
+    return max(1, round(seconds / (ROUND_S[workload] * (2 if trace else 1))))
 
-    A traced run does every pass twice, so it may stop inside a round;
-    its per-layer values are per input and do not need whole rounds.
-    Returns (plain worker outputs, traced worker outputs, input configs).
+
+def measure(rounds, count: int, trace: bool):
+    """Run ``count`` rounds of passes; a traced run does each pass twice,
+    once traced and once not, alternating which goes first.
+
+    Returns (plain worker outputs, traced worker outputs, input configs,
+    a note if the deadline stopped the run).
     """
-    start = time.monotonic()
-    deadline = start + DEADLINE_S
+    deadline = time.monotonic() + DEADLINE_S
     plain, traced, configs = [], [], []
-    for n, specs in enumerate(rounds):
-        if n > 0 and (n == max_rounds or time.monotonic() - start >= seconds):
-            break
-        for k, spec in enumerate(specs):
-            if trace and k > 0 and time.monotonic() - start >= seconds:
-                break
-            configs.extend(spec.get("configs", []))
-            if not trace:
-                plain.append(run_worker(spec, False, deadline))
-            elif (n + k) % 2 == 0:
-                traced.append(run_worker(spec, True, deadline))
-                plain.append(run_worker(spec, False, deadline))
-            else:
-                plain.append(run_worker(spec, False, deadline))
-                traced.append(run_worker(spec, True, deadline))
-    return plain, traced, configs
+    try:
+        for n, specs in zip(range(count), rounds):
+            for k, spec in enumerate(specs):
+                if not trace:
+                    plain.append(run_worker(spec, False, deadline))
+                elif (n + k) % 2 == 0:
+                    traced.append(run_worker(spec, True, deadline))
+                    plain.append(run_worker(spec, False, deadline))
+                else:
+                    plain.append(run_worker(spec, False, deadline))
+                    traced.append(run_worker(spec, True, deadline))
+                configs.extend(spec.get("configs", []))
+    except OutOfTime as exc:
+        if trace:  # keep traced and plain passes paired
+            del plain[len(traced):], traced[len(plain):]
+        return plain, traced, configs, f"stopped: {exc}"
+    return plain, traced, configs, None
 
 
 def percentile(values, pct: int) -> float:
+    if len(values) == 1:
+        return values[0]
     return statistics.quantiles(values, n=100, method="inclusive")[pct - 1]
 
 
-def end_to_end(outs, scaled=True) -> dict:
-    """End-to-end metrics over the plain passes of a run.
-
-    With ``scaled``, every time of a pass is multiplied by the pass's
-    speed factor (worker.py's calibration), which reports it at the
-    reference machine speed.  Rates and latencies pool every completed
-    operation of the run.
-    """
-    def speed(o):
-        return o["speed"] if scaled else 1.0
-
-    op_ms = [ms * speed(o) for o in outs for ms in o["op_ms"]]
-    work_s = sum(o["work_s"] * speed(o) for o in outs)
-    if len(op_ms) < 2:
-        raise BenchError("fewer than two operations completed; nothing to measure")
+def end_to_end(outs) -> dict:
+    """End-to-end metrics over the plain passes of a run, from the times
+    at the reference speed.  Rates and latencies pool every completed
+    operation of the run."""
+    op_ms = [ms for o in outs for ms in o["op_ref_ms"]]
+    work_s = sum(o["work_ref_s"] for o in outs)
+    if not op_ms:
+        raise BenchError("no operation completed; nothing to measure")
     attempted = sum(o["attempted"] for o in outs)
     failed = sum(o["failed"] for o in outs)
     return {
-        "setup_s": statistics.median(o["setup_s"] * speed(o) for o in outs),
+        "setup_s": statistics.median(o["setup_ref_s"] for o in outs),
         "cases_per_s": sum(o["done"] for o in outs) / work_s,
         "case_ms_p50": percentile(op_ms, 50),
         "case_ms_p90": percentile(op_ms, 90),
@@ -246,7 +258,7 @@ def per_layer(traced, plain) -> dict:
     return {name: out[name] for name in PER_LAYER}
 
 
-def report(workload, plain, traced, configs, trace) -> dict:
+def report(workload, plain, traced, configs, trace, note=None) -> dict:
     """Print the human-readable lines and return the result object."""
     outs = plain + traced
     attempted = sum(o["attempted"] for o in outs)
@@ -254,22 +266,23 @@ def report(workload, plain, traced, configs, trace) -> dict:
     checks = sum(o["checks"] for o in outs)
     mismatches = sum(o["mismatches"] for o in outs)
     if trace:
+        if not traced:
+            raise BenchError("no traced pass completed")
         values, units = per_layer(traced, plain), PER_LAYER
     else:
         values, units = end_to_end(plain), END_TO_END
     samples = sum(len(o["op_ms"]) for o in plain)
     print(f"workload {workload}: {len(plain)} plain and {len(traced)} traced passes, "
           f"{samples} timed operations in plain passes")
-    unscaled = {} if trace else end_to_end(plain, scaled=False)
+    if note:
+        print(f"  {note}")
     for name, value in values.items():
-        line = f"  {name:30s} {value:.6g} {units[name]}"
-        if unscaled.get(name, value) != value:
-            line += f"  (unscaled {unscaled[name]:.6g})"
-        print(line)
+        print(f"  {name:30s} {value:.6g} {units[name]}")
     if not trace:
-        speeds = [o["speed"] for o in plain]
+        speeds = [o["work_ref_s"] / o["work_s"] for o in plain if o["work_s"]]
         print(f"  speed factor median {statistics.median(speeds):.4g}, "
-              f"range {min(speeds):.4g} to {max(speeds):.4g}")
+              f"range {min(speeds):.4g} to {max(speeds):.4g} over passes, "
+              f"{sum(o['probes'] for o in plain)} probes")
     print(f"  fail_rate {failed}/{attempted} = {failed / attempted:.4g}; "
           f"{checks} output checks, {mismatches} mismatches")
     failing = {}
@@ -298,9 +311,10 @@ def self_test() -> int:
     slices = {
         "corpus": [[{"workload": "corpus", "digests": DIGESTS,
                      "names": ["poly_x2", "sin_midpoint", "abs_branch_neg"]}]],
-        "fresh_cases": [[{"workload": "fresh_cases", "digests": DIGESTS,
-                          "configs": inputs.fresh_cases(0, 0, len(inputs.FAMILIES))}]],
     }
+    configs, raising = inputs.fresh_cases(0, 0, len(inputs.FAMILIES))
+    slices["fresh_cases"] = [[{"workload": "fresh_cases", "digests": DIGESTS,
+                               "configs": configs, "expect_raise": raising}]]
     pool = inputs.scan_pool()
     cheap = [cfg for cfg in pool if cfg["name"].endswith(("abs", "eta_expr"))]
     slices["scan"] = [[{"workload": "scan", "digests": DIGESTS,
@@ -314,8 +328,8 @@ def self_test() -> int:
                 problems.append(f"BENCHMARK.json {key} differs from the metrics run.py emits")
     for workload, rounds in slices.items():
         for trace in (False, True):
-            plain, traced, configs = measure(iter(rounds), 0.0, trace, max_rounds=1)
-            result = report(workload, plain, traced, configs, trace)
+            plain, traced, configs, note = measure(iter(rounds), 1, trace)
+            result = report(workload, plain, traced, configs, trace, note)
             names = PER_LAYER if trace else END_TO_END
             for name, unit in names.items():
                 got = result["metrics"].get(name)
@@ -351,9 +365,10 @@ def main(argv=None) -> int:
             return self_test()
         if args.workload is None:
             parser.error("--workload is required")
-        plain, traced, configs = measure(pass_specs(args.workload, args.seed), args.seconds,
-                                         bool(args.trace))
-        result = report(args.workload, plain, traced, configs, bool(args.trace))
+        count = rounds_for(args.workload, args.seconds, bool(args.trace))
+        plain, traced, configs, note = measure(pass_specs(args.workload, args.seed), count,
+                                               bool(args.trace))
+        result = report(args.workload, plain, traced, configs, bool(args.trace), note)
     except BenchError as exc:
         print(f"benchmark error: {exc}", file=sys.stderr)
         return 1

@@ -12,14 +12,75 @@ import time
 
 T0 = time.perf_counter()
 
+import gc  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
+import signal  # noqa: E402
 import sys  # noqa: E402
 from fractions import Fraction  # noqa: E402
 
+SPEC = json.loads(sys.stdin.read())
+
+# The speed of the machine drifts by a quarter and more within a second,
+# whatever runs on it.  In a plain pass a timer interrupts the work every
+# PROBE_INTERVAL_S to run a small fixed probe of the benchmark's own
+# (with the garbage collector off, so the program's heap does not slow
+# it).  Each timed interval is also reported at the reference speed: its
+# time multiplied by the mean of PROBE_REF_S over the times of the probes
+# run from SPEED_WINDOW_S before it to SPEED_WINDOW_S after it.  The
+# constant is the probe's typical time on the baseline machine.  The
+# probes' own time is taken out of every time the pass reports.
+PROBE_INTERVAL_S = 0.05
+PROBE_REF_S = 0.0008
+SPEED_WINDOW_S = 0.25
+PROBES = []               # (clock() when the probe ran, its speed)
+PROBE_S = 0.0
+
+
+def _square_plus_one(x):
+    return x * x + 1.0
+
+
+def _probe(signum, frame):
+    """Float arithmetic through Python calls, dict stores and exact
+    rational arithmetic, a mix like the program's own work."""
+    global PROBE_S
+    entered = time.perf_counter()
+    collecting = gc.isenabled()
+    gc.disable()
+    start = time.perf_counter()
+    acc = 0.0
+    seen = {}
+    for i in range(1600):
+        acc += _square_plus_one(i * 1e-6)
+        seen[i & 63] = (acc, i)
+    for i in range(1, 240):
+        acc += float(Fraction(1 + 2 ** (i % 9 + 2), 6 ** (i % 9 + 2) * (i % 9 + 2)))
+    PROBES.append((start - PROBE_S, PROBE_REF_S / (time.perf_counter() - start)))
+    if collecting:
+        gc.enable()
+    PROBE_S += time.perf_counter() - entered
+
+
+def clock() -> float:
+    """Wall-clock time less the probes' time."""
+    return time.perf_counter() - PROBE_S
+
+
+def at_ref_speed(start: float, end: float) -> float:
+    """The time from ``start`` to ``end`` at the reference speed; as
+    measured if no probe ran near it (a traced pass runs none)."""
+    speeds = [sp for at, sp in PROBES
+              if start - SPEED_WINDOW_S <= at <= end + SPEED_WINDOW_S]
+    return (end - start) * (sum(speeds) / len(speeds) if speeds else 1.0)
+
+
+if not SPEC["trace"]:
+    signal.signal(signal.SIGALRM, _probe)
+    signal.setitimer(signal.ITIMER_REAL, PROBE_INTERVAL_S, PROBE_INTERVAL_S)
+
 from record import case_bytes, digest, scan_bytes  # noqa: E402
 
-SPEC = json.loads(sys.stdin.read())
 if SPEC["trace"]:
     import spans  # noqa: E402  (imports simpvex)
 from simpvex import runner  # noqa: E402
@@ -28,42 +89,14 @@ from simpvex import runner  # noqa: E402
 # tolerance for float rounding between the two formulas
 REL_TOL = 1e-12
 
-# The speed of the machine drifts by a quarter and more over tens of
-# seconds, whatever runs on it.  A fixed calibration loop, owned by the
-# benchmark and run before and after every timed operation, tracks that
-# drift; run.py scales a pass's times by CALIBRATION_REF_S over the
-# loop's mean time in the pass, which reports them at the reference
-# speed.  The constant is the loop's typical time on the baseline machine.
-CALIBRATION_REF_S = 0.002
-CALIBRATIONS = []
-
-
-def _square_plus_one(x):
-    return x * x + 1.0
-
-
-def calibrate(reps: int):
-    """Float arithmetic through Python calls, dict stores and exact
-    rational arithmetic, a mix like the program's own work."""
-    for _ in range(reps):
-        start = time.perf_counter()
-        acc = 0.0
-        seen = {}
-        for i in range(4000):
-            acc += _square_plus_one(i * 1e-6)
-            seen[i & 255] = (acc, i)
-        for i in range(1, 600):
-            acc += float(Fraction(1 + 2 ** (i % 9 + 2), 6 ** (i % 9 + 2) * (i % 9 + 2)))
-        CALIBRATIONS.append(time.perf_counter() - start)
-
 
 class Pass:
     """Timings, counts and check outcomes of one pass."""
 
     def __init__(self):
         self.inputs = 0          # cases or scans given to this pass
-        self.op_ms = []          # one entry per completed case or scan
-        self.work_s = 0.0        # time in run_case/tightness_scan and to_json
+        self.ops = []            # (start, end) of each completed case or scan
+        self.reports = []        # (start, end) of each to_json
         self.done = 0            # cases or scans completed
         self.cells = 0
         self.attempted = 0
@@ -71,6 +104,8 @@ class Pass:
         self.mismatches = 0
         self.checks = 0
         self.report_bytes = 0
+        self.expect_raise = set()  # inputs the program is expected to raise on
+        self.raised = set()
 
     def fail(self, name, reason, mismatch=False):
         self.failures.append([name, reason])
@@ -81,16 +116,25 @@ class Pass:
         if not ok:
             self.fail(name, reason, mismatch=True)
 
+    def crash(self, name, what, exc):
+        """The program raised on an input: a failed operation, and an
+        output mismatch unless the input is expected to raise."""
+        self.raised.add(name)
+        reason = f"{what} raised {type(exc).__name__}: {exc}"
+        self.fail(name, reason)
+        self.check(name in self.expect_raise, name, "unexpected crash: " + reason)
 
-def timed(fn, *args, reps=1):
-    """Call fn(*args), returning its result and wall time; the
-    calibration loop runs ``reps`` times before and after."""
-    calibrate(reps)
-    start = time.perf_counter()
+    def check_raised(self, names):
+        """Every input of ``names`` expected to raise did raise."""
+        for name in sorted(self.expect_raise & set(names)):
+            self.check(name in self.raised, name, "expected to raise, but completed")
+
+
+def timed(fn, *args):
+    """Call fn(*args), returning its result and its (start, end)."""
+    start = clock()
     out = fn(*args)
-    elapsed = time.perf_counter() - start
-    calibrate(reps)
-    return out, elapsed
+    return out, (start, clock())
 
 
 def run_cases(p: Pass, cases, texts=None):
@@ -101,23 +145,22 @@ def run_cases(p: Pass, cases, texts=None):
     for case in cases:
         p.attempted += 1
         try:
-            result, dt = timed(runner.run_case, case)
+            result, span = timed(runner.run_case, case)
         except Exception as exc:  # a crash is this input's outcome, not the run's
-            p.fail(case.name, f"run_case raised {type(exc).__name__}: {exc}")
+            p.crash(case.name, "run_case", exc)
             continue
-        p.op_ms.append(1000.0 * dt)
-        p.work_s += dt
+        p.ops.append(span)
         p.done += 1
         p.cells += len(result.bounds)
         results.append(result)
     results.sort(key=lambda r: r.name)
     p.attempted += 1
     try:
-        text, dt = timed(runner.RunReport(results, 0.0).to_json)
+        text, span = timed(runner.RunReport(results, 0.0).to_json)
     except Exception as exc:
-        p.fail("<report>", f"to_json raised {type(exc).__name__}: {exc}")
+        p.crash("<report>", "to_json", exc)
         return results
-    p.work_s += dt
+    p.reports.append(span)
     p.report_bytes += len(text.encode("utf-8"))
     if texts is not None:
         texts.append(text)
@@ -131,7 +174,7 @@ def load_configs(p: Pass, configs):
             cases.append(runner.load_case(cfg))
         except Exception as exc:
             p.attempted += 1
-            p.fail(cfg["name"], f"load_case raised {type(exc).__name__}: {exc}")
+            p.crash(cfg["name"], "load_case", exc)
     return cases
 
 
@@ -154,12 +197,12 @@ def corpus(p: Pass, digests):
     cases = runner.load_corpus()
     if SPEC.get("names"):
         cases = [c for c in cases if c.name in SPEC["names"]]
-    t_loaded = time.perf_counter()
+    t_loaded = clock()
     p.inputs = len(cases)
     full = len(cases) == len(digests["corpus_cases"])
     texts = []
     results = run_cases(p, cases, texts)
-    t_done = time.perf_counter()
+    t_done = clock()
 
     def check():
         if full and texts:
@@ -173,13 +216,15 @@ def corpus(p: Pass, digests):
 
 
 def fresh_cases(p: Pass, digests):
+    p.expect_raise = set(SPEC["expect_raise"])
     cases = load_configs(p, SPEC["configs"])
-    t_loaded = time.perf_counter()
+    t_loaded = clock()
     p.inputs = len(SPEC["configs"])
     results = run_cases(p, cases)
-    t_done = time.perf_counter()
+    t_done = clock()
 
     def check():
+        p.check_raised(cfg["name"] for cfg in SPEC["configs"])
         by_name = {c.name: c for c in cases}
         for first in results:
             case = by_name[first.name]
@@ -197,33 +242,32 @@ def fresh_cases(p: Pass, digests):
 
 def scan(p: Pass, digests):
     cfg = SPEC["configs"][0]
+    name = cfg["name"]
+    p.expect_raise = set(digests["scan_raises"])
     cases = load_configs(p, [cfg])
-    t_loaded = time.perf_counter()
+    t_loaded = clock()
     p.inputs = 1
     rows = None
     if cases:
         case = cases[0]
         p.attempted += 1
         try:
-            # a scan is one long call, so it gets more calibration samples
-            results, dt = timed(runner.tightness_scan, case.model, case.eta, case.model.domain,
-                                *SPEC["scan_args"], reps=10)
+            results, span = timed(runner.tightness_scan, case.model, case.eta,
+                                  case.model.domain, *SPEC["scan_args"])
         except Exception as exc:
-            p.fail(cfg["name"], f"tightness_scan raised {type(exc).__name__}: {exc}")
+            p.crash(name, "tightness_scan", exc)
         else:
-            p.op_ms.append(1000.0 * dt)
-            p.work_s += dt
+            p.ops.append(span)
             p.done += 1
             p.cells += sum(r.cells for r in results)
             rows = scan_bytes(results)
             p.report_bytes += len(rows.encode("utf-8"))
-    t_done = time.perf_counter()
+    t_done = clock()
 
     def check():
-        want = digests["scan"].get(cfg["name"])
-        # no recorded digest: the scan raised when the digests were recorded
-        if rows is not None and want is not None:
-            p.check(digest(rows) == want, cfg["name"],
+        p.check_raised([name])
+        if rows is not None and name not in p.expect_raise:
+            p.check(digest(rows) == digests["scan"].get(name), name,
                     "scan results differ from the recorded digest")
 
     return t_loaded, t_done, check
@@ -236,25 +280,29 @@ def main():
     if SPEC["trace"]:
         tracer = spans.Tracer()
         tracer.install()
-    t_traced = time.perf_counter()
+    t_traced = clock()
     p = Pass()
     t_loaded, t_done, check = {"corpus": corpus, "fresh_cases": fresh_cases, "scan": scan}[
         SPEC["workload"]](p, digests)
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    # the calibration loop is the benchmark's own work, not the program's
-    calibration_s = sum(CALIBRATIONS)
     summary = None
     if tracer is not None:
         tracer.uninstall()
-        summary = tracer.summary(t_done - t_traced - calibration_s)
+        summary = tracer.summary(t_done - t_traced)
         if SPEC.get("span_file"):
             tracer.write(SPEC["span_file"])
     check()
+    work = p.ops + p.reports
     out = {
+        # times as measured, and *_ref the same at the reference speed
         "setup_s": t_loaded - T0,
-        "window_s": t_done - T0 - calibration_s,
-        "op_ms": p.op_ms,
-        "work_s": p.work_s,
+        "setup_ref_s": at_ref_speed(T0, t_loaded),
+        "window_s": t_done - T0,
+        "op_ms": [1000.0 * (end - start) for start, end in p.ops],
+        "op_ref_ms": [1000.0 * at_ref_speed(start, end) for start, end in p.ops],
+        "work_s": sum(end - start for start, end in work),
+        "work_ref_s": sum(at_ref_speed(start, end) for start, end in work),
         "done": p.done,
         "cells": p.cells,
         "inputs": p.inputs,
@@ -265,7 +313,7 @@ def main():
         "checks": p.checks,
         "report_bytes": p.report_bytes,
         "peak_rss_mb": peak_rss_mb,
-        "speed": CALIBRATION_REF_S * len(CALIBRATIONS) / sum(CALIBRATIONS),
+        "probes": len(PROBES),
         "trace": summary,
     }
     print(json.dumps(out))
