@@ -20,16 +20,20 @@ inequalities that dominate |defect| under sampled hypotheses on |f'|^q:
     C4.2           midpoint-vs-mean gap when f(a) = f(mid) = f(end)
     CLASSICAL      sup|f''''| eta^4 / 2880
 
-Each BoundValue carries slack = rhs - |defect| - quadrature_error, so a
-negative slack beyond tolerance is a genuine counterexample, never
-quadrature noise.
+Each BoundValue carries slack = rhs - |defect| - quadrature_error.
+Without an antiderivative, quadrature_error is the adaptive quadrature's
+|S2 - S1|/15 panel estimate, a heuristic and not a bound on the true
+error (Gander & Gautschi, "Adaptive quadrature - revisited", BIT 40,
+2000).  The slack accounts for that estimate only, so a negative slack
+beyond tolerance is a counterexample up to the estimate's reliability;
+certified verdicts are an open roadmap item.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from . import expr as expr_mod
@@ -63,6 +67,11 @@ __all__ = [
 ]
 
 _LARGE_EXPONENT = 100.0
+
+# kernel constants, taken once; float(Fraction(n, d)) == n / d exactly
+_M1 = float(kernel.moment_p_exact(1))  # 5/72
+_HALF_NEAR, _HALF_FAR = (float(w) for w in kernel.half_weights())  # 3/8, 1/8
+_W_END, _W_FAR, _, _ = (float(w) for w in kernel.weighted_moments())  # 61/1296, 29/1296
 
 
 @dataclass
@@ -179,6 +188,15 @@ def _require_step(eta_val: float) -> float:
     return eta_val
 
 
+def _mean_of_f(model: FunctionModel, a: float, end: float, eta_val: float,
+               abs_tol: float, max_evals: int = quadrature.DEFAULT_MAX_EVALS):
+    """(mean of f on [a, end], its quadrature error share, evaluations)."""
+    if model.F_fn is not None:
+        return (model.F_fn(end) - model.F_fn(a)) / eta_val, 0.0, 0
+    qr = quadrature.integrate(model.f_fn, a, end, abs_tol, max_evals)
+    return qr.value / eta_val, qr.error_estimate / eta_val, qr.evaluations
+
+
 def simpson_defect(model: FunctionModel, a: float, eta_val: float,
                    abs_tol: float = quadrature.DEFAULT_ABS_TOL,
                    max_evals: int = quadrature.DEFAULT_MAX_EVALS) -> SimpsonDefect:
@@ -193,15 +211,7 @@ def simpson_defect(model: FunctionModel, a: float, eta_val: float,
     end = a + eta_val
     mid = a + 0.5 * eta_val
     simpson_value = (f(a) + 4.0 * f(mid) + f(end)) / 6.0
-    if model.F_fn is not None:
-        mean = (model.F_fn(end) - model.F_fn(a)) / eta_val
-        qerr = 0.0
-        evals = 0
-    else:
-        qr = quadrature.integrate(f, a, end, abs_tol, max_evals)
-        mean = qr.value / eta_val
-        qerr = qr.error_estimate / eta_val
-        evals = qr.evaluations
+    mean, qerr, evals = _mean_of_f(model, a, end, eta_val, abs_tol, max_evals)
     return SimpsonDefect(simpson_value, mean, simpson_value - mean, qerr, evals)
 
 
@@ -244,16 +254,8 @@ def midpoint_gap(model: FunctionModel, a: float, eta_val: float,
     """
     eta_val = _require_step(eta_val)
     EtaPath(a, eta_val, model.domain)
-    end = a + eta_val
-    f = model.f_fn
-    if model.F_fn is not None:
-        mean = (model.F_fn(end) - model.F_fn(a)) / eta_val
-        qerr = 0.0
-    else:
-        qr = quadrature.integrate(f, a, end, abs_tol)
-        mean = qr.value / eta_val
-        qerr = qr.error_estimate / eta_val
-    return f(a + 0.5 * eta_val) - mean, qerr
+    mean, qerr, _ = _mean_of_f(model, a, a + eta_val, eta_val, abs_tol)
+    return model.f_fn(a + 0.5 * eta_val) - mean, qerr
 
 
 def _endpoint_magnitudes(model: FunctionModel, a: float, b: float):
@@ -266,18 +268,15 @@ def _conjugate(q: float) -> float:
     return q / (q - 1.0)
 
 
-def _moment_root(p: float) -> float:
-    """moment_p(p)^(1/p), stable for the huge p that q near 1 produces."""
-    if p > 50.0:
-        return math.exp(kernel.log_moment_p(p) / p)
-    return kernel.moment_p(p) ** (1.0 / p)
+@lru_cache(maxsize=64)
+def _moment_root(p: float, scale: float = 1.0) -> float:
+    """(scale * moment_p(p))^(1/p), stable for the huge p that q near 1 produces.
 
-
-def _doubled_moment_root(p: float) -> float:
-    """(2 moment_p(p))^(1/p) with the same large-p protection."""
+    Cached: a scan evaluates the same few exponents at every grid cell.
+    """
     if p > 50.0:
-        return math.exp((math.log(2.0) + kernel.log_moment_p(p)) / p)
-    return (2.0 * kernel.moment_p(p)) ** (1.0 / p)
+        return math.exp((math.log(scale) + kernel.log_moment_p(p)) / p)
+    return (scale * kernel.moment_p(p)) ** (1.0 / p)
 
 
 def _weighted_q_mean(w1: float, x1: float, w2: float, x2: float, q: float) -> float:
@@ -296,6 +295,12 @@ def _weighted_q_mean(w1: float, x1: float, w2: float, x2: float, q: float) -> fl
     return m * (w1 * (x1 / m) ** q + w2 * (x2 / m) ** q) ** (1.0 / q)
 
 
+def _max_endpoint_rhs(model: FunctionModel, a: float, b: float, eta_val: float) -> float:
+    """(5/36) eta max(|f'(a)|, |f'(b)|), the rhs of T4.1, C4.1 and C4.2."""
+    x1, x2 = _endpoint_magnitudes(model, a, b)
+    return 2.0 * _M1 * eta_val * max(x1, x2)
+
+
 def _slack(rhs: float, defect: Optional[SimpsonDefect]) -> Optional[float]:
     if defect is None:
         return None
@@ -307,7 +312,7 @@ def bound_T3_1(model: FunctionModel, a: float, b: float, eta_val: float,
     """Endpoint-mean bound (5/72) eta (|f'(a)| + |f'(b)|)."""
     eta_val = _require_step(eta_val)
     x1, x2 = _endpoint_magnitudes(model, a, b)
-    rhs = float(kernel.moment_p_exact(1)) * eta_val * (x1 + x2)
+    rhs = _M1 * eta_val * (x1 + x2)
     return BoundValue("T3.1", None, None, rhs, _slack(rhs, defect))
 
 
@@ -317,10 +322,9 @@ def bound_T3_2(model: FunctionModel, a: float, b: float, eta_val: float, q: floa
     eta_val = _require_step(eta_val)
     p = _conjugate(q)
     x1, x2 = _endpoint_magnitudes(model, a, b)
-    w_near, w_far = (float(w) for w in kernel.half_weights())
     rhs = eta_val * _moment_root(p) * (
-        _weighted_q_mean(w_near, x1, w_far, x2, q)
-        + _weighted_q_mean(w_far, x1, w_near, x2, q)
+        _weighted_q_mean(_HALF_NEAR, x1, _HALF_FAR, x2, q)
+        + _weighted_q_mean(_HALF_FAR, x1, _HALF_NEAR, x2, q)
     )
     return BoundValue("T3.2", q, p, rhs, _slack(rhs, defect))
 
@@ -331,7 +335,7 @@ def bound_T3_3(model: FunctionModel, a: float, b: float, eta_val: float, q: floa
     eta_val = _require_step(eta_val)
     p = _conjugate(q)
     x1, x2 = _endpoint_magnitudes(model, a, b)
-    rhs = eta_val * _doubled_moment_root(p) * _weighted_q_mean(0.5, x1, 0.5, x2, q)
+    rhs = eta_val * _moment_root(p, 2.0) * _weighted_q_mean(0.5, x1, 0.5, x2, q)
     return BoundValue("T3.3", q, p, rhs, _slack(rhs, defect))
 
 
@@ -342,11 +346,9 @@ def bound_T3_4(model: FunctionModel, a: float, b: float, eta_val: float, q: floa
     if q < 1.0:
         raise ValueError(f"this bound needs q >= 1, got {q!r}")
     x1, x2 = _endpoint_magnitudes(model, a, b)
-    w_end, w_far, _, _ = (float(w) for w in kernel.weighted_moments())
-    m1 = float(kernel.moment_p_exact(1))
-    rhs = eta_val * m1 ** (1.0 - 1.0 / q) * (
-        _weighted_q_mean(w_end, x1, w_far, x2, q)
-        + _weighted_q_mean(w_far, x1, w_end, x2, q)
+    rhs = eta_val * _M1 ** (1.0 - 1.0 / q) * (
+        _weighted_q_mean(_W_END, x1, _W_FAR, x2, q)
+        + _weighted_q_mean(_W_FAR, x1, _W_END, x2, q)
     )
     return BoundValue("T3.4", q, None, rhs, _slack(rhs, defect))
 
@@ -362,8 +364,7 @@ def bound_T4_1(model: FunctionModel, a: float, b: float, eta_val: float, q: floa
     eta_val = _require_step(eta_val)
     if q < 1.0:
         raise ValueError(f"this bound needs q >= 1, got {q!r}")
-    x1, x2 = _endpoint_magnitudes(model, a, b)
-    rhs = 2.0 * float(kernel.moment_p_exact(1)) * eta_val * max(x1, x2)
+    rhs = _max_endpoint_rhs(model, a, b, eta_val)
     return BoundValue(theorem, q, None, rhs, _slack(rhs, defect))
 
 
@@ -381,14 +382,13 @@ def bound_T4_3(model: FunctionModel, a: float, b: float, eta_val: float, q: floa
                defect: Optional[SimpsonDefect] = None) -> BoundValue:
     """Hoelder variant eta (2 M_p)^(1/p) (max/2)^(1/q), q > 1.
 
-    Never exceeds the T4.2 value: the two differ by the factor
-    2^(1/p + 1/q) / 2 = 1 in exact arithmetic with the split applied
-    once instead of twice, and the single split is the sharper route.
+    Never exceeds the T4.2 value: in exact arithmetic
+    T4.2 / T4.3 = 2 / 2^(1/p) = 2^(1/q), which is > 1 for every q > 1.
     """
     eta_val = _require_step(eta_val)
     p = _conjugate(q)
     x1, x2 = _endpoint_magnitudes(model, a, b)
-    rhs = eta_val * _doubled_moment_root(p) * max(x1, x2) * 0.5 ** (1.0 / q)
+    rhs = eta_val * _moment_root(p, 2.0) * max(x1, x2) * 0.5 ** (1.0 / q)
     return BoundValue("T4.3", q, p, rhs, _slack(rhs, defect))
 
 
@@ -411,8 +411,7 @@ def bound_C4_2_midpoint(model: FunctionModel, a: float, b: float, eta_val: float
             f"midpoint bound needs f(a) = f(mid) = f(end); got "
             f"{fa!r}, {fmid!r}, {fend!r}"
         )
-    x1, x2 = _endpoint_magnitudes(model, a, b)
-    rhs = 2.0 * float(kernel.moment_p_exact(1)) * eta_val * max(x1, x2)
+    rhs = _max_endpoint_rhs(model, a, b, eta_val)
     gap, qerr = midpoint_gap(model, a, eta_val, abs_tol)
     return BoundValue("C4.2", None, None, rhs, rhs - abs(gap) - qerr)
 

@@ -3,7 +3,11 @@
 Adaptive Simpson panels with Richardson extrapolation.  Each panel is
 split until the classical |S2 - S1|/15 estimate fits the panel's share
 of the absolute tolerance, so the accumulated error estimate of a
-successful run never exceeds the requested tolerance.  Panels are
+successful run never exceeds the requested tolerance.  That estimate is
+a heuristic, not a bound: an integrand can fool it, and the true error
+may exceed it (Gander & Gautschi, "Adaptive quadrature - revisited",
+BIT 40, 2000).  Bound slacks account for the estimate; certified
+verdicts are an open roadmap item.  Panels are
 processed strictly left to right, sums are accumulated in that fixed
 order, and the budget is counted in integrand evaluations, which makes
 results bit-for-bit reproducible.

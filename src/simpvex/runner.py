@@ -27,7 +27,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from importlib.resources import files as _resource_files
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import jsonschema
 
@@ -74,20 +74,80 @@ VERDICT_UNMET = "hypothesis_unmet"
 VERDICT_VIOLATION = "violation"
 VERDICT_INPUT_ERROR = "input_error"
 
-# mode is the hypothesis property; policy picks which case exponents apply
-_THEOREMS: Dict[str, Tuple[Optional[str], str]] = {
-    "T3.1": ("preinvex", "fixed1"),
-    "T3.2": ("preinvex", "gt1"),
-    "T3.3": ("preinvex", "gt1"),
-    "T3.4": ("preinvex", "ge1"),
-    "T4.1": ("prequasiinvex", "ge1"),
-    "T4.2": ("prequasiinvex", "gt1"),
-    "T4.3": ("prequasiinvex", "gt1"),
-    "C4.1": ("prequasiinvex", "fixed1"),
-    "C4.2": ("prequasiinvex", "fixed1"),
-    "CLASSICAL": (None, "none"),
+
+class _Theorem(NamedTuple):
+    """One bound of the paper.
+
+    mode: the property |f'|^q must have on samples; None for no hypothesis.
+    exponents: the q values the bound takes from a case's q list.
+    evaluate: (model, a, b, step, q, defect, tol) -> (BoundValue, lhs), where
+        the rhs dominates lhs: |defect|, or the midpoint gap for C4.2.
+        Evaluators look up ``bounds_mod.bound_*`` at call time, so a
+        replaced module attribute (a tracing wrapper, say) is honoured.
+    """
+
+    mode: Optional[str]
+    exponents: Callable[[Sequence[float]], List[Optional[float]]]
+    evaluate: Callable[..., Tuple[bounds_mod.BoundValue, float]]
+
+
+def _q_one(q_list):
+    return [1.0]
+
+
+def _q_above_one(q_list):
+    return [q for q in q_list if q > 1.0]
+
+
+def _q_all(q_list):
+    return list(q_list)
+
+
+def _q_none(q_list):
+    return [None]
+
+
+def _on_defect(bound):
+    """Evaluator for a bound on |defect|; ``bound(model, a, b, step, q, defect)``."""
+    def evaluate(model, a, b, step, q, defect, tol):
+        return bound(model, a, b, step, q, defect), abs(defect.defect)
+    return evaluate
+
+
+def _midpoint(model, a, b, step, q, defect, tol):
+    bv = bounds_mod.bound_C4_2_midpoint(model, a, b, step, tol.oracle)
+    return bv, abs(bounds_mod.midpoint_gap(model, a, step, tol.oracle)[0])
+
+
+_THEOREMS: Dict[str, _Theorem] = {
+    "T3.1": _Theorem("preinvex", _q_one, _on_defect(
+        lambda m, a, b, s, q, d: bounds_mod.bound_T3_1(m, a, b, s, d))),
+    "T3.2": _Theorem("preinvex", _q_above_one, _on_defect(
+        lambda m, a, b, s, q, d: bounds_mod.bound_T3_2(m, a, b, s, q, d))),
+    "T3.3": _Theorem("preinvex", _q_above_one, _on_defect(
+        lambda m, a, b, s, q, d: bounds_mod.bound_T3_3(m, a, b, s, q, d))),
+    "T3.4": _Theorem("preinvex", _q_all, _on_defect(
+        lambda m, a, b, s, q, d: bounds_mod.bound_T3_4(m, a, b, s, q, d))),
+    "T4.1": _Theorem("prequasiinvex", _q_all, _on_defect(
+        lambda m, a, b, s, q, d: bounds_mod.bound_T4_1(m, a, b, s, q, d))),
+    "T4.2": _Theorem("prequasiinvex", _q_above_one, _on_defect(
+        lambda m, a, b, s, q, d: bounds_mod.bound_T4_2(m, a, b, s, q, d))),
+    "T4.3": _Theorem("prequasiinvex", _q_above_one, _on_defect(
+        lambda m, a, b, s, q, d: bounds_mod.bound_T4_3(m, a, b, s, q, d))),
+    "C4.1": _Theorem("prequasiinvex", _q_one, _on_defect(
+        lambda m, a, b, s, q, d: bounds_mod.bound_T4_1(m, a, b, s, q, d, theorem="C4.1"))),
+    "C4.2": _Theorem("prequasiinvex", _q_one, _midpoint),
+    "CLASSICAL": _Theorem(None, _q_none, _on_defect(
+        lambda m, a, b, s, q, d: bounds_mod.bound_classical(m, a, s, d))),
 }
 THEOREM_IDS = tuple(_THEOREMS)
+
+
+def _theorem(theorem: str) -> _Theorem:
+    try:
+        return _THEOREMS[theorem]
+    except KeyError:
+        raise ValueError(f"unknown theorem id {theorem!r}") from None
 
 
 @dataclass(frozen=True)
@@ -220,14 +280,18 @@ class CaseResult:
         }
 
 
-def _theorem_exponents(policy: str, q_list: Sequence[float]) -> List[Optional[float]]:
-    if policy == "fixed1":
-        return [1.0]
-    if policy == "gt1":
-        return [q for q in q_list if q > 1.0]
-    if policy == "ge1":
-        return list(q_list)
-    return [None]
+def _hypotheses(model, eta: EtaMap, K: Domain, grid: SampleGrid, tol: float):
+    """(lookup(mode, q) -> PropertyReport, reports in sweep order), one sweep per q."""
+    reports: Dict[Tuple[str, float], PropertyReport] = {}
+
+    def lookup(mode: str, q: float) -> PropertyReport:
+        if (mode, q) not in reports:
+            pre, quasi = hypothesis_pair(model, eta, K, q, grid, tol)
+            reports[("preinvex", q)] = pre
+            reports[("prequasiinvex", q)] = quasi
+        return reports[(mode, q)]
+
+    return lookup, reports
 
 
 def _fmt(x: float) -> str:
@@ -267,16 +331,7 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
             f"K is not invex for eta on samples (worst excess "
             f"{_fmt(invex_report.worst_violation)} at {invex_report.witness!r})")
 
-    hyp_cache: Dict[Tuple[str, float], PropertyReport] = {}
-
-    def hypothesis(mode: str, q: float) -> PropertyReport:
-        key = (mode, q)
-        if key not in hyp_cache:
-            pre, quasi = hypothesis_pair(model, case.eta, K, q, grid, tol.invexity)
-            hyp_cache[("preinvex", q)] = pre
-            hyp_cache[("prequasiinvex", q)] = quasi
-            result.hypotheses.extend((pre, quasi))
-        return hyp_cache[key]
+    hypothesis, hypothesis_reports = _hypotheses(model, case.eta, K, grid, tol.invexity)
 
     try:
         defect = bounds_mod.simpson_defect(model, case.a, step, tol.oracle)
@@ -297,34 +352,34 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
 
     skipped = False
     for theorem in case.theorems:
-        mode, policy = _THEOREMS[theorem]
-        if theorem == "CLASSICAL":
-            result.bounds.append(bounds_mod.bound_classical(model, case.a, step, defect))
-            continue
-        if invex_report.violated:
+        row = _theorem(theorem)
+        if row.mode is not None and invex_report.violated:
             skipped = True
             result.notes.append(f"skipped {theorem}: K is not invex for eta")
             continue
-        exponents = _theorem_exponents(policy, case.q_list)
+        exponents = row.exponents(case.q_list)
         if not exponents:
             result.notes.append(f"{theorem} needs q > 1 but the case lists none")
             continue
         for q in exponents:
-            report = hypothesis(mode, q)
-            if report.violated:
+            report = hypothesis(row.mode, q) if row.mode is not None else None
+            if report is not None and report.violated:
                 skipped = True
                 result.notes.append(
-                    f"skipped {theorem} at q={q:g}: |f'|^q is not {mode} on samples "
+                    f"skipped {theorem} at q={q:g}: |f'|^q is not {row.mode} on samples "
                     f"(worst excess {_fmt(report.worst_violation)})")
-                if q > 1.0 and not hypothesis(mode, 1.0).violated:
+                if q > 1.0 and not hypothesis(row.mode, 1.0).violated:
                     result.notes.append(
-                        f"note: |f'| is {mode} at q=1 but |f'|^q fails at q={q:g}")
+                        f"note: |f'| is {row.mode} at q=1 but |f'|^q fails at q={q:g}")
                 continue
             try:
-                result.bounds.append(_evaluate_bound(theorem, case, model, step, q, defect, tol))
+                bv, _ = row.evaluate(model, case.a, case.b, step, q, defect, tol)
             except PreconditionUnmet as exc:
                 skipped = True
                 result.notes.append(f"skipped {theorem}: {exc}")
+                continue
+            result.bounds.append(bv)
+    result.hypotheses.extend(hypothesis_reports.values())
 
     _check_golden(case, result)
     slack_violation = any(
@@ -336,30 +391,6 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
     else:
         result.verdict = VERDICT_PASS
     return result
-
-
-def _evaluate_bound(theorem: str, case: CorpusCase, model, step: float,
-                    q: Optional[float], defect, tol: Tolerances) -> bounds_mod.BoundValue:
-    a, b = case.a, case.b
-    if theorem == "T3.1":
-        return bounds_mod.bound_T3_1(model, a, b, step, defect)
-    if theorem == "T3.2":
-        return bounds_mod.bound_T3_2(model, a, b, step, q, defect)
-    if theorem == "T3.3":
-        return bounds_mod.bound_T3_3(model, a, b, step, q, defect)
-    if theorem == "T3.4":
-        return bounds_mod.bound_T3_4(model, a, b, step, q, defect)
-    if theorem == "T4.1":
-        return bounds_mod.bound_T4_1(model, a, b, step, q, defect)
-    if theorem == "T4.2":
-        return bounds_mod.bound_T4_2(model, a, b, step, q, defect)
-    if theorem == "T4.3":
-        return bounds_mod.bound_T4_3(model, a, b, step, q, defect)
-    if theorem == "C4.1":
-        return bounds_mod.bound_T4_1(model, a, b, step, 1.0, defect, theorem="C4.1")
-    if theorem == "C4.2":
-        return bounds_mod.bound_C4_2_midpoint(model, a, b, step, tol.oracle)
-    raise ValueError(f"unknown theorem id {theorem!r}")
 
 
 def _check_golden(case: CorpusCase, result: CaseResult) -> None:
@@ -484,6 +515,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    rows = [(theorem, _theorem(theorem)) for theorem in theorems]
     tol = tolerances
 
     def axis(rng):
@@ -496,20 +528,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     b_vals = axis(b_range)
 
     invex_report = check_invex_set(K, eta, grid, tol.invexity)
-    hyp_cache: Dict[Tuple[str, float], PropertyReport] = {}
-
-    def hypothesis_ok(mode: Optional[str], q: Optional[float]) -> bool:
-        if mode is None:
-            return True
-        if invex_report.violated:
-            return False
-        key = (mode, q)
-        if key not in hyp_cache:
-            pre, quasi = hypothesis_pair(model, eta, K, q, grid, tol.invexity)
-            hyp_cache[("preinvex", q)] = pre
-            hyp_cache[("prequasiinvex", q)] = quasi
-        return not hyp_cache[key].violated
-
+    hypothesis, _ = _hypotheses(model, eta, K, grid, tol.invexity)
     defect_cache: Dict[Tuple[float, float], Optional[bounds_mod.SimpsonDefect]] = {}
 
     def defect_at(a: float, step: float):
@@ -522,20 +541,19 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         return defect_cache[key]
 
     out = []
-    for theorem in theorems:
-        mode, policy = _THEOREMS[theorem]
-        exponents = _theorem_exponents(policy, q_list)
+    for theorem, row in rows:
         best = None  # (ratio, a, b, q)
         cells = 0
         skipped = 0
-        for q in exponents:
-            if not hypothesis_ok(mode, q):
+        for q in row.exponents(q_list):
+            cells += steps * steps
+            unmet = row.mode is not None and (
+                invex_report.violated or hypothesis(row.mode, q).violated)
+            if unmet or (theorem == "CLASSICAL" and model.d4sup is None):
                 skipped += steps * steps
-                cells += steps * steps
                 continue
             for a in a_vals:
                 for b in b_vals:
-                    cells += 1
                     try:
                         step = eta(b, a)
                     except EvalDomainError:
@@ -545,27 +563,19 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                             and K.contains(a + step)):
                         skipped += 1
                         continue
-                    if theorem == "CLASSICAL" and model.d4sup is None:
-                        skipped += 1
-                        continue
                     defect = defect_at(a, step)
                     if defect is None:
                         skipped += 1
                         continue
                     try:
-                        if theorem == "C4.2":
-                            bv = bounds_mod.bound_C4_2_midpoint(model, a, b, step, tol.oracle)
-                            lhs_mag = abs(bounds_mod.midpoint_gap(model, a, step, tol.oracle)[0])
-                        else:
-                            bv = _scan_bound(theorem, model, a, b, step, q)
-                            lhs_mag = abs(defect.defect)
+                        bv, lhs = row.evaluate(model, a, b, step, q, defect, tol)
                     except (PreconditionUnmet, EvalDomainError):
                         skipped += 1
                         continue
                     if bv.rhs == 0.0:
                         skipped += 1
                         continue
-                    ratio = lhs_mag / bv.rhs
+                    ratio = lhs / bv.rhs
                     if best is None or ratio > best[0]:
                         best = (ratio, a, b, q)
         if best is None:
@@ -575,29 +585,6 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             ratio, a, b, q = best
             out.append(TightnessResult(theorem, "ok", ratio, a, b, q, cells, skipped))
     return out
-
-
-def _scan_bound(theorem: str, model, a: float, b: float, step: float,
-                q: Optional[float]) -> bounds_mod.BoundValue:
-    if theorem == "T3.1":
-        return bounds_mod.bound_T3_1(model, a, b, step)
-    if theorem == "T3.2":
-        return bounds_mod.bound_T3_2(model, a, b, step, q)
-    if theorem == "T3.3":
-        return bounds_mod.bound_T3_3(model, a, b, step, q)
-    if theorem == "T3.4":
-        return bounds_mod.bound_T3_4(model, a, b, step, q)
-    if theorem == "T4.1":
-        return bounds_mod.bound_T4_1(model, a, b, step, q)
-    if theorem == "T4.2":
-        return bounds_mod.bound_T4_2(model, a, b, step, q)
-    if theorem == "T4.3":
-        return bounds_mod.bound_T4_3(model, a, b, step, q)
-    if theorem == "C4.1":
-        return bounds_mod.bound_T4_1(model, a, b, step, 1.0, theorem="C4.1")
-    if theorem == "CLASSICAL":
-        return bounds_mod.bound_classical(model, a, step)
-    raise ValueError(f"unknown theorem id {theorem!r}")
 
 
 def aggregate_exit_code(results: Sequence[CaseResult], strict: bool = False) -> int:

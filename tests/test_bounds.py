@@ -199,6 +199,7 @@ def test_single_split_never_beats_double_split():
             tighter = bound_T4_3(stub, 0.0, 1.0, 1.0, q).rhs
             looser = bound_T4_2(stub, 0.0, 1.0, 1.0, q).rhs
             assert tighter <= looser * (1.0 + 1e-14)
+            assert looser / tighter == pytest.approx(2 ** (1 / q), rel=1e-14)
 
 
 def test_hoelder_variants_agree_at_equal_magnitudes():

@@ -1,10 +1,13 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+import simpvex
 from simpvex import runner
 from simpvex.cli import main
 
@@ -185,8 +188,12 @@ def test_scan_rejects_bad_range(capsys):
 
 
 def test_module_invocation():
+    # the child imports the same simpvex as this process, even when pytest's
+    # pythonpath setting (not the environment) is what put it on sys.path
+    package_root = str(pathlib.Path(simpvex.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "simpvex.cli", "moments", "--p", "1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.startswith("p,closed_form")
 

@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from simpvex import runner
+from simpvex import bounds, runner
 from simpvex.bounds import FunctionModel
 from simpvex.errors import CaseConfigError
 from simpvex.invexity import Domain, EtaMap, SampleGrid
@@ -251,6 +251,41 @@ def test_tightness_validates_steps():
     with pytest.raises(ValueError):
         tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.0),
                        (0.0, 0.0), (1.0, 1.0), [1.0], steps=1)
+
+
+def test_tightness_rejects_unknown_theorem_before_sweeping(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before validating theorem ids")
+
+    monkeypatch.setattr(runner, "check_invex_set", no_sweep)
+    monkeypatch.setattr(runner, "hypothesis_pair", no_sweep)
+    model = _model("x^2", "2*x", "(x^3)/3", K=(0.0, 1.0))
+    with pytest.raises(ValueError, match="unknown theorem id 'T9'"):
+        tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.0),
+                       (0.0, 0.0), (1.0, 1.0), [1.0], steps=2, theorems=("T3.1", "T9"))
+
+
+def test_one_cell_scan_matches_run_case(corpus_report):
+    results = {r.name: r for r in corpus_report.results}
+    for case in load_corpus():
+        result = results[case.name]
+        scans = tightness_scan(case.model, case.eta, case.model.domain,
+                               (case.a, case.a), (case.b, case.b), case.q_list, steps=2,
+                               theorems=case.theorems, tolerances=case.tolerances)
+        assert [s.theorem for s in scans] == list(case.theorems)
+        for scan in scans:
+            if scan.theorem == "C4.2":
+                lhs = abs(bounds.midpoint_gap(case.model, case.a, result.eta_step,
+                                              case.tolerances.oracle)[0])
+            else:
+                lhs = abs(result.defect.defect)
+            ratios = [lhs / bv.rhs for bv in result.bounds
+                      if bv.theorem == scan.theorem and bv.rhs != 0.0]
+            if ratios:
+                assert scan.status == "ok", (case.name, scan.theorem)
+                assert scan.ratio == max(ratios), (case.name, scan.theorem)
+            else:
+                assert scan.status == "all_skipped", (case.name, scan.theorem)
 
 
 def test_aggregate_exit_codes():
