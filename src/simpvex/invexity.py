@@ -17,14 +17,27 @@ the exact maximum over the samples, with ties broken by lexicographic
 (u, v, t) order, so re-running a check reproduces it bit for bit.
 Explicit witnesses passed via ``recheck`` are evaluated before the grid,
 which keeps verdicts monotone under grid refinement.
+
+Every check is a view of one ``SamplePlan`` per (K, eta, grid): the
+sample stream and its path points, with eta called once per grid (u, v)
+pair and once per random triple.  The last plan is kept, and it keeps
+the values of the last function swept over it, so a case's invex-set
+check and its hypothesis checks at every q share one plan and f' is
+evaluated once per sample point per case; each further q costs only
+arithmetic on those floats.  The arithmetic is the per-sample formula's,
+so verdicts, worst violations and witnesses are unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import add, sub
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import expr as expr_mod
 from .errors import DomainError
@@ -78,6 +91,13 @@ class SampleGrid:
     nt: int = 21
     random_triples: int = 2000
     seed: int = _RANDOM_SEED
+
+    def __post_init__(self):
+        if min(self.nu, self.nv, self.nt) < 2 or self.random_triples < 0:
+            raise ValueError(
+                f"sample grid needs nu, nv, nt >= 2 and random_triples >= 0, got "
+                f"nu={self.nu!r}, nv={self.nv!r}, nt={self.nt!r}, "
+                f"random_triples={self.random_triples!r}")
 
 
 DEFAULT_GRID = SampleGrid()
@@ -160,7 +180,13 @@ class EtaPath:
 
 
 class _Worst:
-    """Running maximum with deterministic lexicographic tie-breaking."""
+    """Running maximum with deterministic lexicographic tie-breaking.
+
+    Samples are offered in blocks, with the same outcome as one at a
+    time: the largest excess wins and a NaN excess never does; on a tie
+    the lexicographically smallest (u, v, t), the earliest of equal ones,
+    keeps its own excess.  An excess of -inf never gives a witness.
+    """
 
     __slots__ = ("excess", "witness")
 
@@ -168,32 +194,153 @@ class _Worst:
         self.excess = -math.inf
         self.witness = None
 
-    def offer(self, excess: float, u: float, v: float, t: float):
-        if excess > self.excess or (excess == self.excess
-                                    and self.witness is not None
-                                    and (u, v, t) < self.witness):
-            self.excess = excess
-            self.witness = (u, v, t)
+    def offer(self, tops: List[float], row: Callable[[int], Sequence[float]],
+              witness: Callable[[int, int], Tuple[float, float, float]],
+              floor: Tuple[float, ...] = ()):
+        """Offer rows of samples: row(j)[k] is the excess at witness(j, k).
+
+        tops[j] is the largest non-NaN excess of row(j), or NaN; within a
+        row the witnesses ascend with k, and none is below ``floor``.
+        """
+        total = sum(tops)
+        if total != total:  # a NaN top (or tops holding inf and -inf)
+            tops = [t if t == t else max([e for e in row(j) if e == e], default=-math.inf)
+                    for j, t in enumerate(tops)]
+        top = max(tops, default=-math.inf)
+        if top < self.excess or top == -math.inf or (top == self.excess and floor > self.witness):
+            return
+        j, k = min(((j, row(j).index(top)) for j, row_top in enumerate(tops) if row_top == top),
+                   key=lambda jk: witness(*jk))
+        w = witness(j, k)
+        if top > self.excess or w < self.witness:
+            self.excess = row(j)[k]
+            self.witness = w
 
 
-def _triples(K: Domain, grid: SampleGrid, recheck: Iterable[Tuple[float, float, float]]):
-    """Deterministic sample stream: recheck, grid, then seeded random."""
-    for (u, v, t) in recheck:
-        yield float(u), float(v), float(t)
-    us = K.grid(grid.nu)
-    vs = K.grid(grid.nv)
-    ts = [i / (grid.nt - 1) for i in range(grid.nt)]
-    for u in us:
-        for v in vs:
-            for t in ts:
-                yield u, v, t
-    rng = random.Random(grid.seed)
-    span = K.hi - K.lo
-    for _ in range(grid.random_triples):
-        u = K.lo + span * rng.random()
-        v = K.lo + span * rng.random()
-        t = rng.random()
-        yield u, v, t
+class _Layer:
+    """Loose (u, v, t) samples, recheck or random, with their path points."""
+
+    __slots__ = ("u", "v", "t", "x", "at")
+
+    def __init__(self, triples: Iterable[Tuple[float, float, float]], eta: EtaMap, at: int):
+        self.u, self.v, self.t, self.x = array("d"), array("d"), array("d"), array("d")
+        for u, v, t in triples:
+            self.u.append(u)
+            self.v.append(v)
+            self.t.append(t)
+            self.x.append(u + t * eta(v, u))
+        self.at = at  # index of the first triple's g(u) in SamplePlan.values
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def points(self) -> Iterator[float]:
+        return chain.from_iterable(zip(self.u, self.v, self.x))
+
+    def values(self, g: array) -> Iterator[Tuple[float, float, float]]:
+        """(g(u), g(v), g(x)) per triple."""
+        it = iter(g[self.at:self.at + 3 * len(self)])
+        return zip(it, it, it)
+
+    def witness(self, i: int) -> Tuple[float, float, float]:
+        return (self.u[i], self.v[i], self.t[i])
+
+
+class SamplePlan:
+    """The sample stream of one (K, eta, grid, recheck), with its path points.
+
+    Stream order: the recheck triples, the nu x nv x nt grid (u, then v,
+    then t), then the seeded random triples.  eta is called once per
+    recheck triple, grid (u, v) pair and random triple.  Every sampled
+    check is a sweep of ``worst`` over one plan.
+    """
+
+    def __init__(self, K: Domain, eta: EtaMap, grid: SampleGrid,
+                 recheck: Tuple[Tuple[float, float, float], ...] = ()):
+        self.recheck = _Layer(((float(u), float(v), float(t)) for u, v, t in recheck), eta, 0)
+        self.us = K.grid(grid.nu)
+        self.vs = K.grid(grid.nv)
+        self.ts = [i / (grid.nt - 1) for i in range(grid.nt)]
+        self.grid_x = array("d")
+        for u in self.us:
+            for v in self.vs:
+                step = eta(v, u)
+                self.grid_x.extend([u + t * step for t in self.ts])
+        self.u_at = 3 * len(self.recheck)
+        self.x_at = self.u_at + len(self.us) + len(self.vs)
+        rng = random.Random(grid.seed)
+        lo, span = K.lo, K.hi - K.lo
+        draws = ((lo + span * rng.random(), lo + span * rng.random(), rng.random())
+                 for _ in range(grid.random_triples))
+        self.random = _Layer(draws, eta, self.x_at + len(self.grid_x))
+        self.samples = len(self.recheck) + len(self.grid_x) + len(self.random)
+        self._memo = (None, None, None)
+
+    def points(self) -> Iterator[float]:
+        """Every point a sweep reads g at, in the order of ``values``."""
+        return chain(self.recheck.points(), self.us, self.vs, self.grid_x, self.random.points())
+
+    def values(self, fn: Callable[[float], float], absolute: bool = False) -> array:
+        """fn (abs(fn) if ``absolute``) at ``points``, called in that order.
+
+        Layout: g(u), g(v), g(x) of each recheck triple; g at the grid's
+        u values (from ``u_at``); at its v values; at its path points
+        (from ``x_at``); then g(u), g(v), g(x) of each random triple.
+        The values of the last fn are kept, so fn must be pure.
+        """
+        memo_fn, memo_absolute, values = self._memo
+        if memo_fn is not fn or memo_absolute != absolute:
+            calls = map(fn, self.points())
+            values = array("d", map(abs, calls) if absolute else calls)
+            self._memo = (fn, absolute, values)
+        return values
+
+    def block(self, seq: array, i: int, start: int = 0) -> array:
+        """``seq[start:]`` cut to grid block i: the nv*nt samples with u = us[i]."""
+        n = len(self.vs) * len(self.ts)
+        return seq[start + i * n:start + (i + 1) * n]
+
+    def grid_values(self, g: array) -> Tuple[array, array, Callable[[int], array]]:
+        """g at the grid's u values, at its v values, and block i of its path points."""
+        v_at = self.u_at + len(self.us)
+        return (g[self.u_at:v_at], g[v_at:self.x_at],
+                lambda i: self.block(g, i, self.x_at))
+
+    def worst(self, block: Callable[[int], Tuple[List[float], Callable[[int], Sequence[float]]]],
+              triples: Callable[[_Layer], List[float]]) -> _Worst:
+        """Worst sample of the stream.
+
+        ``block(i)`` gives (tops, row) for grid block i as _Worst.offer
+        takes them: row(j)[k] is the excess at (us[i], vs[j], ts[k]).
+        ``triples(layer)`` gives the excesses of the recheck or random
+        layer, one per triple.
+        """
+        worst = _Worst()
+        excesses = triples(self.recheck)
+        worst.offer(excesses, lambda j: (excesses[j],), lambda j, k: self.recheck.witness(j))
+        vs, ts = self.vs, self.ts
+        for i, u in enumerate(self.us):
+            tops, row = block(i)
+            worst.offer(tops, row, lambda j, k: (u, vs[j], ts[k]), (u,))
+        excesses = triples(self.random)
+        worst.offer(excesses, lambda j: (excesses[j],), lambda j, k: self.random.witness(j))
+        return worst
+
+
+@lru_cache(maxsize=1)
+def _cached_plan(K: Domain, eta: EtaMap, grid: SampleGrid) -> SamplePlan:
+    return SamplePlan(K, eta, grid)
+
+
+def _plan(K: Domain, eta: EtaMap, grid: SampleGrid,
+          recheck: Iterable[Tuple[float, float, float]]) -> SamplePlan:
+    """The last plan is kept, so a case's checks at every q share one.
+
+    Plans with recheck witnesses are built afresh: 0.0 and -0.0 compare
+    equal, so a cached plan could hand back the other zero as witness.
+    """
+    recheck = tuple(recheck)
+    return SamplePlan(K, eta, grid, recheck) if recheck else _cached_plan(K, eta, grid)
 
 
 def _report(prop: str, worst: _Worst, samples: int, tol: float,
@@ -211,57 +358,56 @@ def check_invex_set(K: Domain, eta: EtaMap, grid: SampleGrid = DEFAULT_GRID,
     The violation measure is the distance by which the path point leaves
     K (negative when inside).
     """
-    worst = _Worst()
-    samples = 0
+    plan = _plan(K, eta, grid, recheck)
     lo, hi = K.lo, K.hi
-    for u, v, t in _triples(K, grid, recheck):
-        x = u + t * eta(v, u)
-        worst.offer(max(lo - x, x - hi), u, v, t)
-        samples += 1
-    return _report("invex_set", worst, samples, tol)
+    nt = len(plan.ts)
+
+    def excess(xs):  # max(lo - x, x - hi) per point
+        return list(map(max, map(sub, repeat(lo), xs), map(sub, xs, repeat(hi))))
+
+    def block(i):
+        rows = list(zip(*[iter(plan.block(plan.grid_x, i))] * nt))
+        # rounding is monotone, so a row's largest excess is at its smallest or largest x
+        tops = list(map(max, map(sub, repeat(lo), map(min, rows)),
+                        map(sub, map(max, rows), repeat(hi))))
+        return tops, lambda j: excess(rows[j])
+
+    worst = plan.worst(block, lambda layer: excess(layer.x))
+    return _report("invex_set", worst, plan.samples, tol)
 
 
-def _pair_sweep(g: Callable[[float], float], eta: EtaMap, K: Domain,
-                grid: SampleGrid, recheck) -> Tuple[_Worst, _Worst, int]:
-    """One sweep recording preinvex and prequasiinvex excesses together."""
-    worst_pre = _Worst()
-    worst_quasi = _Worst()
-    samples = 0
-    for (u, v, t) in recheck:
-        u, v, t = float(u), float(v), float(t)
-        gu = g(u)
-        gv = g(v)
-        gx = g(u + t * eta(v, u))
-        worst_pre.offer(gx - ((1.0 - t) * gu + t * gv), u, v, t)
-        worst_quasi.offer(gx - max(gu, gv), u, v, t)
-        samples += 1
-    us = K.grid(grid.nu)
-    vs = K.grid(grid.nv)
-    ts = [i / (grid.nt - 1) for i in range(grid.nt)]
-    gus = [g(u) for u in us]
-    gvs = [g(v) for v in vs]
-    for u, gu in zip(us, gus):
-        for v, gv in zip(vs, gvs):
-            step = eta(v, u)
-            hib = max(gu, gv)
-            for t in ts:
-                gx = g(u + t * step)
-                worst_pre.offer(gx - ((1.0 - t) * gu + t * gv), u, v, t)
-                worst_quasi.offer(gx - hib, u, v, t)
-                samples += 1
-    rng = random.Random(grid.seed)
-    span = K.hi - K.lo
-    for _ in range(grid.random_triples):
-        u = K.lo + span * rng.random()
-        v = K.lo + span * rng.random()
-        t = rng.random()
-        gu = g(u)
-        gv = g(v)
-        gx = g(u + t * eta(v, u))
-        worst_pre.offer(gx - ((1.0 - t) * gu + t * gv), u, v, t)
-        worst_quasi.offer(gx - max(gu, gv), u, v, t)
-        samples += 1
-    return worst_pre, worst_quasi, samples
+def _preinvex(plan: SamplePlan, g: array) -> _Worst:
+    """Worst excess g(x) - ((1 - t) g(u) + t g(v)) over values ``g``."""
+    gus, gvs, gxs = plan.grid_values(g)
+    ts, nt = plan.ts, len(plan.ts)
+    omts = [1.0 - t for t in ts]
+    tgvs = [t * gv for gv in gvs for t in ts]
+
+    def block(i):
+        rows = list(zip(*[map(sub, gxs(i), map(add, [a * gus[i] for a in omts] * len(gvs),
+                                                tgvs))] * nt))
+        return list(map(max, rows)), rows.__getitem__
+
+    return plan.worst(block, lambda layer: [gx - ((1.0 - t) * gu + t * gv)
+                                            for (gu, gv, gx), t in zip(layer.values(g), layer.t)])
+
+
+def _prequasiinvex(plan: SamplePlan, g: array) -> _Worst:
+    """Worst excess g(x) - max(g(u), g(v)) over values ``g``."""
+    gus, gvs, gxs = plan.grid_values(g)
+    nt = len(plan.ts)
+
+    def block(i):
+        gx = gxs(i)
+        highs = [max(gus[i], gv) for gv in gvs]
+        # rounding is monotone, so a row's largest excess is its largest g(x) less its high
+        tops = list(map(sub, map(max, zip(*[iter(gx)] * nt)), highs))
+        return tops, lambda j: [x - highs[j] for x in gx[j * nt:(j + 1) * nt]]
+
+    return plan.worst(block, lambda layer: [gx - max(gu, gv) for gu, gv, gx in layer.values(g)])
+
+
+_SWEEPS = {"preinvex": _preinvex, "prequasiinvex": _prequasiinvex}
 
 
 def check_preinvex(g: Callable[[float], float], eta: EtaMap, K: Domain,
@@ -270,25 +416,36 @@ def check_preinvex(g: Callable[[float], float], eta: EtaMap, K: Domain,
     """Sampled preinvexity check of ``g`` on K.
 
     Assumes K is invex for ``eta`` (run check_invex_set first); ``g``
-    must be defined wherever the sampled paths land.
+    must be defined wherever the sampled paths land, and pure: its values
+    are kept for the next check on the same plan.
     """
-    worst_pre, _, samples = _pair_sweep(g, eta, K, grid, tuple(recheck))
-    return _report("preinvex", worst_pre, samples, tol)
+    plan = _plan(K, eta, grid, recheck)
+    return _report("preinvex", _preinvex(plan, plan.values(g)), plan.samples, tol)
 
 
 def check_prequasiinvex(g: Callable[[float], float], eta: EtaMap, K: Domain,
                         grid: SampleGrid = DEFAULT_GRID, tol: float = DEFAULT_TOL,
                         recheck: Iterable[Tuple[float, float, float]] = ()) -> PropertyReport:
     """Sampled prequasiinvexity check of ``g`` on K."""
-    _, worst_quasi, samples = _pair_sweep(g, eta, K, grid, tuple(recheck))
-    return _report("prequasiinvex", worst_quasi, samples, tol)
+    plan = _plan(K, eta, grid, recheck)
+    return _report("prequasiinvex", _prequasiinvex(plan, plan.values(g)), plan.samples, tol)
 
 
-def _derivative_power(model, q: float) -> Callable[[float], float]:
+def _derivative_values(plan: SamplePlan, model, q: float) -> array:
+    """|f'|^q at the plan's points; f' runs once per plan, not once per q."""
     df_fn = model.df_fn
-    if q == 1.0:
-        return lambda x: abs(df_fn(x))
-    return lambda x: abs(df_fn(x)) ** q
+    try:
+        h = plan.values(df_fn, absolute=True)
+    except Exception as exc:
+        if q == 1.0:
+            raise
+        error = exc
+    else:
+        return h if q == 1.0 else array("d", map(pow, h, repeat(q)))
+    # a point-by-point pass may overflow |f'|^q before f' fails: raise what it meets first
+    for x in plan.points():
+        abs(df_fn(x)) ** q
+    raise error
 
 
 def hypothesis_check(model, eta: EtaMap, K: Domain, q: float, mode: str,
@@ -302,26 +459,22 @@ def hypothesis_check(model, eta: EtaMap, K: Domain, q: float, mode: str,
     """
     if q < 1.0:
         raise ValueError("exponent q must be >= 1")
-    g = _derivative_power(model, q)
-    if mode == "preinvex":
-        report = check_preinvex(g, eta, K, grid, tol)
-    elif mode == "prequasiinvex":
-        report = check_prequasiinvex(g, eta, K, grid, tol)
-    else:
+    if mode not in _SWEEPS:
         raise ValueError(f"unknown hypothesis mode {mode!r}")
-    return PropertyReport(report.property, report.verdict, report.worst_violation,
-                          report.witness, report.samples, q)
+    plan = _plan(K, eta, grid, ())
+    g = _derivative_values(plan, model, q)
+    return _report(mode, _SWEEPS[mode](plan, g), plan.samples, tol, q)
 
 
 def hypothesis_pair(model, eta: EtaMap, K: Domain, q: float,
                     grid: SampleGrid = DEFAULT_GRID,
                     tol: float = DEFAULT_TOL) -> Tuple[PropertyReport, PropertyReport]:
-    """Both hypothesis checks for |f'|^q from a single sweep."""
+    """Both hypothesis checks for |f'|^q from one set of values."""
     if q < 1.0:
         raise ValueError("exponent q must be >= 1")
-    g = _derivative_power(model, q)
-    worst_pre, worst_quasi, samples = _pair_sweep(g, eta, K, grid, ())
+    plan = _plan(K, eta, grid, ())
+    g = _derivative_values(plan, model, q)
     return (
-        _report("preinvex", worst_pre, samples, tol, q),
-        _report("prequasiinvex", worst_quasi, samples, tol, q),
+        _report("preinvex", _preinvex(plan, g), plan.samples, tol, q),
+        _report("prequasiinvex", _prequasiinvex(plan, g), plan.samples, tol, q),
     )

@@ -2,11 +2,16 @@ import math
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from simpvex import runner
 from simpvex.bounds import FunctionModel
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+# same examples on every run, and no per-example time limit on a loaded machine
+settings.register_profile("simpvex", derandomize=True, deadline=None)
+settings.load_profile("simpvex")
 
 
 def build_model(f, df, F=None, K=(-10.0, 10.0), d4sup=None, name="model"):

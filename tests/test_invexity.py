@@ -1,7 +1,10 @@
 import math
+import random
 from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from simpvex.errors import DomainError, ParseError
 from simpvex.expr import compile_expr, parse
@@ -40,6 +43,20 @@ def test_domain_basics():
 
 def test_default_grid_shape():
     assert DEFAULT_GRID == SampleGrid(41, 41, 21, 2000, 170167)
+
+
+@pytest.mark.parametrize("bad", [dict(nt=1), dict(nu=1), dict(nv=0), dict(nu=-3),
+                                 dict(random_triples=-5)])
+def test_sample_grid_rejects_degenerate_shapes(bad):
+    with pytest.raises(ValueError, match="sample grid needs"):
+        SampleGrid(**bad)
+
+
+def test_smallest_sample_grid_is_usable():
+    grid = SampleGrid(nu=2, nv=2, nt=2, random_triples=0)
+    report = check_invex_set(Domain(0.0, 1.0), EtaMap.difference(), grid)
+    assert report.verdict == VERIFIED
+    assert report.samples == 8
 
 
 def test_eta_difference():
@@ -209,3 +226,174 @@ def test_property_report_validation():
     ok = PropertyReport("preinvex", VERIFIED, 0.0, None, 10)
     assert not ok.violated
     assert ok.to_dict()["samples"] == 10
+
+
+class _RefWorst:
+    """The per-sample running maximum the plan-based sweeps must agree with."""
+
+    def __init__(self):
+        self.excess = -math.inf
+        self.witness = None
+
+    def offer(self, excess, u, v, t):
+        if excess > self.excess or (excess == self.excess
+                                    and self.witness is not None
+                                    and (u, v, t) < self.witness):
+            self.excess = excess
+            self.witness = (u, v, t)
+
+
+def _ref_triples(K, grid, recheck):
+    for (u, v, t) in recheck:
+        yield float(u), float(v), float(t)
+    us = K.grid(grid.nu)
+    vs = K.grid(grid.nv)
+    ts = [i / (grid.nt - 1) for i in range(grid.nt)]
+    for u in us:
+        for v in vs:
+            for t in ts:
+                yield u, v, t
+    rng = random.Random(grid.seed)
+    span = K.hi - K.lo
+    for _ in range(grid.random_triples):
+        u = K.lo + span * rng.random()
+        v = K.lo + span * rng.random()
+        t = rng.random()
+        yield u, v, t
+
+
+def _ref_report(prop, worst, samples, tol, q=None):
+    if worst.excess > tol:
+        return PropertyReport(prop, VIOLATED, worst.excess, worst.witness, samples, q)
+    return PropertyReport(prop, VERIFIED, worst.excess, None, samples, q)
+
+
+def _ref_invex_set(K, eta, grid, tol, recheck):
+    worst = _RefWorst()
+    samples = 0
+    for u, v, t in _ref_triples(K, grid, recheck):
+        x = u + t * eta(v, u)
+        worst.offer(max(K.lo - x, x - K.hi), u, v, t)
+        samples += 1
+    return _ref_report("invex_set", worst, samples, tol)
+
+
+def _ref_pair(g, eta, K, grid, tol, recheck, q=None):
+    """(preinvex, prequasiinvex) reports from one per-sample sweep."""
+    pre, quasi = _RefWorst(), _RefWorst()
+    samples = 0
+    for u, v, t in _ref_triples(K, grid, recheck):
+        gu, gv, gx = g(u), g(v), g(u + t * eta(v, u))
+        pre.offer(gx - ((1.0 - t) * gu + t * gv), u, v, t)
+        quasi.offer(gx - max(gu, gv), u, v, t)
+        samples += 1
+    return (_ref_report("preinvex", pre, samples, tol, q),
+            _ref_report("prequasiinvex", quasi, samples, tol, q))
+
+
+def _steps(x):
+    # flat pieces: many samples tie at the maximum excess
+    return 1.0 if x < 0.25 else (2.0 if x < 0.75 else 0.5)
+
+
+def _nan_left(x):
+    return math.nan if x < 0.1 else x * x
+
+
+def _inf_right(x):
+    return math.inf if x > 0.9 else -x
+
+
+def _infs(x):
+    return -math.inf if x < -0.5 else (math.inf if x > 1.2 else x)
+
+
+_GS = [fn("x^3"), fn("-(x^2)"), fn("-abs(x)"), fn("0*x"), fn("x^2 - 3*x"), _steps, _nan_left,
+       _inf_right, _infs, lambda x: -0.0]
+_ETAS = [EtaMap.difference(), EtaMap.abs_example(), EtaMap.from_expression("0.5*(v - u)"),
+         EtaMap.from_expression("v - 2*u")]
+
+
+@st.composite
+def _problems(draw):
+    grid = SampleGrid(nu=draw(st.integers(2, 6)), nv=draw(st.integers(2, 6)),
+                      nt=draw(st.integers(2, 5)), random_triples=draw(st.integers(0, 12)),
+                      seed=draw(st.integers(0, 3)))
+    lo = draw(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5]))
+    K = Domain(lo, lo + draw(st.sampled_from([0.5, 1.0, 2.5])))
+    point = st.sampled_from([K.lo, K.hi, 0.0, -0.0, 0.25, 1, 0.5 * (K.lo + K.hi)])
+    recheck = draw(st.lists(st.tuples(point, point, st.sampled_from([0.0, 0.5, 1.0, 0.3])),
+                            max_size=3))
+    return (K, draw(st.sampled_from(_ETAS)), grid, draw(st.sampled_from(_GS)), recheck,
+            draw(st.sampled_from([0.0, 1e-12, 0.5])))
+
+
+@settings(max_examples=150)
+@given(_problems(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_plan_sweeps_match_per_sample_reference(problem, q):
+    K, eta, grid, g, recheck, tol = problem
+    assert repr(check_invex_set(K, eta, grid, tol, recheck)) == \
+        repr(_ref_invex_set(K, eta, grid, tol, recheck))
+    pre, quasi = _ref_pair(g, eta, K, grid, tol, recheck)
+    assert repr(check_preinvex(g, eta, K, grid, tol, recheck)) == repr(pre)
+    assert repr(check_prequasiinvex(g, eta, K, grid, tol, recheck)) == repr(quasi)
+    # the same g again on the same plan reads its kept values
+    assert repr(check_preinvex(g, eta, K, grid, tol, recheck)) == repr(pre)
+
+    model = SimpleNamespace(df_fn=g)
+    h = (lambda x: abs(g(x))) if q == 1.0 else (lambda x: abs(g(x)) ** q)
+    want = _ref_pair(h, eta, K, grid, tol, (), q)
+    assert repr(hypothesis_pair(model, eta, K, q, grid, tol)) == repr(want)
+    assert repr(hypothesis_check(model, eta, K, q, "preinvex", grid, tol)) == repr(want[0])
+
+
+@pytest.mark.parametrize("g, eta", [(fn("x^3"), _ETAS[0]), (fn("sqrt(x + 4)"), _ETAS[1]),
+                                    (_steps, _ETAS[2]), (_nan_left, _ETAS[0])],
+                         ids=["cube", "sqrt-abs_example", "steps-expression", "nan"])
+def test_plan_sweeps_match_reference_on_default_grid(g, eta):
+    K = Domain(-1.0, 1.0)
+    recheck = [(0.0, 0.246, 0.5), (-0.0, 1.0, 0.0)]
+    assert check_invex_set(K, eta) == _ref_invex_set(K, eta, DEFAULT_GRID, 1e-12, ())
+    pre, quasi = _ref_pair(g, eta, K, DEFAULT_GRID, 1e-12, recheck)
+    assert check_preinvex(g, eta, K, recheck=recheck) == pre
+    assert check_prequasiinvex(g, eta, K, recheck=recheck) == quasi
+    model = SimpleNamespace(df_fn=g)
+    for q in (1.0, 2.5):
+        h = (lambda x: abs(g(x)) ** q) if q != 1.0 else (lambda x: abs(g(x)))
+        assert hypothesis_pair(model, eta, K, q) == _ref_pair(h, eta, K, DEFAULT_GRID,
+                                                              1e-12, (), q)
+
+
+def test_derivative_runs_once_per_plan_point_across_exponents():
+    df_calls = [0]
+    eta_calls = [0]
+    square = fn("3*x^2")
+
+    def df(x):
+        df_calls[0] += 1
+        return square(x)
+
+    def step(v, u):
+        eta_calls[0] += 1
+        return v - u
+
+    model = SimpleNamespace(df_fn=df)
+    eta = EtaMap("difference", step, "counted difference")
+    K = Domain(-1.0, 1.0)
+    assert check_invex_set(K, eta).verdict == VERIFIED
+    for q in (1.0, 1.5, 2.0, 3.0):
+        hypothesis_pair(model, eta, K, q)
+    assert df_calls[0] == 41 + 41 + 41 * 41 * 21 + 3 * 2000
+    assert eta_calls[0] == 41 * 41 + 2000
+
+
+def test_first_failure_in_point_order_is_raised():
+    # |1/x|^300 overflows at grid points just left of x = 0, where f' fails
+    model = SimpleNamespace(df_fn=lambda x: 1.0 / x)
+    K = Domain(-1.0, 1.0)
+    with pytest.raises(OverflowError):
+        hypothesis_pair(model, EtaMap.difference(), K, 300.0)
+    with pytest.raises(ZeroDivisionError):
+        hypothesis_pair(model, EtaMap.difference(), K, 1.5)
+    with pytest.raises(OverflowError):
+        hypothesis_pair(model, EtaMap.difference(), K, 300.0)
