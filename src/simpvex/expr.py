@@ -11,12 +11,20 @@ if(cond, then, else) whose condition may combine comparisons with
 The full grammar ships in docs/grammar.ebnf.  Comparisons evaluate to
 1.0/0.0 and "if" treats any non-zero condition as true; only the taken
 branch of a conditional is evaluated, so the untaken branch may be
-outside its domain.  Evaluation is pure and deterministic: the same AST
-evaluated at the same inputs always returns the same bit pattern.
+outside its domain.
+
+``compile_expr`` turns an AST into one Python function, generated as a
+Python ``ast`` tree, so that grid-scale sampling pays one interpreter
+frame per evaluation; a domain error raises EvalDomainError naming the
+failing sub-expression.  Evaluation is pure and deterministic: the same
+AST evaluated at the same inputs returns the same bit pattern, except
+for the sign of a NaN, which CPython's adaptive float arithmetic may
+flip from one call to the next (reports write every NaN as ``NaN``).
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from dataclasses import dataclass
@@ -283,16 +291,8 @@ def pretty(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _guarded_log(x, text):
-    if x <= 0.0:
-        raise EvalDomainError(text, x, "log of non-positive argument")
-    return math.log(x)
-
-
-def _guarded_sqrt(x, text):
-    if x < 0.0:
-        raise EvalDomainError(text, x, "square root of negative argument")
-    return math.sqrt(x)
+def _fail(text, value, reason):
+    raise EvalDomainError(text, value, reason)
 
 
 def _guarded_exp(x, text):
@@ -302,106 +302,177 @@ def _guarded_exp(x, text):
         raise EvalDomainError(text, x, "overflow in exp") from None
 
 
-_CALL_IMPL = {
-    "sin": lambda x, text: math.sin(x),
-    "cos": lambda x, text: math.cos(x),
-    "exp": _guarded_exp,
-    "log": _guarded_log,
-    "abs": lambda x, text: abs(x),
-    "sqrt": _guarded_sqrt,
+def _guarded_pow(base, exponent, text):
+    if base < 0.0 and exponent != math.floor(exponent):
+        raise EvalDomainError(text, base, "fractional power of negative base")
+    if base == 0.0 and exponent < 0.0:
+        raise EvalDomainError(text, base, "zero raised to a negative power")
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise EvalDomainError(text, base, "overflow in power") from None
+
+
+# globals of every compiled function; names start with "_" and never
+# clash with the argument slots (_a<i>) or the temporaries (_t<i>)
+_RUNTIME = {
+    "__builtins__": {},
+    "_fail": _fail,
+    "_pow": _guarded_pow,
+    "_exp_guarded": _guarded_exp,
+    "_exp": math.exp,
+    "_log": math.log,
+    "_sqrt": math.sqrt,
+    "_sin": math.sin,
+    "_cos": math.cos,
+    "_abs": abs,
+}
+_ARITH = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
+_COMPARE = {"<": ast.Lt, "<=": ast.LtE, ">": ast.Gt, ">=": ast.GtE, "==": ast.Eq}
+_LOGIC = {"and": ast.And, "or": ast.Or}
+# function -> (comparison with 0.0 that puts its argument out of domain, reason)
+_DOMAIN = {
+    "log": (ast.LtE, "log of non-positive argument"),
+    "sqrt": (ast.Lt, "square root of negative argument"),
 }
 
 
-def _build(e: Expr, index: Mapping[str, int]) -> Callable:
-    """Compile ``e`` to a closure taking the argument tuple.
+def _node(cls, *fields):
+    # compile() needs a position on every node that can carry one; setting
+    # it here is much cheaper than ast.fix_missing_locations afterwards
+    return cls(*fields, lineno=1, col_offset=0)
 
-    Closure compilation keeps grid-scale sampling fast without giving up
-    scalar semantics (the lazy conditional rules out vectorisation).
+
+def _name(ident):
+    return _node(ast.Name, ident, ast.Load())
+
+
+def _const(value):
+    return _node(ast.Constant, value)
+
+
+def _call(fn, *args):
+    return _node(ast.Call, _name(fn), list(args), [])
+
+
+def _compare(node, op, value):
+    return _node(ast.Compare, node, [op()], [value])
+
+
+def _choose(test, then, other):
+    return _node(ast.IfExp, test, then, other)
+
+
+def _nonzero(node):
+    # exact IEEE test, as "if" and "and"/"or" read their operands
+    return _compare(node, ast.NotEq, _const(0.0))
+
+
+def _indicator(test):
+    return _choose(test, _const(1.0), _const(0.0))
+
+
+def _failure(text, value, reason):
+    return _call("_fail", _const(text), value, _const(reason))
+
+
+class _Compiler:
+    """Turn an AST into one Python expression over argument slots.
+
+    Operands evaluate left to right, except that "/" evaluates and checks
+    its denominator first; only the taken branch of "if", "and" and "or"
+    runs.  Guard failures call ``_fail``, so the generated code stays a
+    single expression and error texts are fixed at compile time.
     """
-    if isinstance(e, Num):
-        v = e.value
-        return lambda a: v
-    if isinstance(e, Var):
-        try:
-            i = index[e.name]
-        except KeyError:
-            raise ValueError(f"unbound variable {e.name!r}") from None
-        return lambda a: a[i]
-    if isinstance(e, Neg):
-        c = _build(e.operand, index)
-        return lambda a: -c(a)
-    if isinstance(e, Bin):
+
+    def __init__(self, index: Mapping[str, int]):
+        self.index = index
+        self.temps = 0
+
+    def guard(self, value, op, limit, unsafe, safe):
+        """``unsafe(x)`` if ``value op limit`` holds, else ``safe(x)``.
+
+        ``value`` is evaluated once, into a fresh local ``x``.
+        """
+        ident = f"_t{self.temps}"
+        self.temps += 1
+        bind = _node(ast.NamedExpr, _node(ast.Name, ident, ast.Store()), value)
+        return _choose(_compare(bind, op, _const(limit)), unsafe(_name(ident)),
+                       safe(_name(ident)))
+
+    def build(self, e):
+        if isinstance(e, Num):
+            return _const(e.value)
+        if isinstance(e, Var):
+            try:
+                return _name(f"_a{self.index[e.name]}")
+            except KeyError:
+                raise ValueError(f"unbound variable {e.name!r}") from None
+        if isinstance(e, Neg):
+            return _node(ast.UnaryOp, ast.USub(), self.build(e.operand))
+        if isinstance(e, Bin):
+            return self.binary(e)
+        if isinstance(e, Call):
+            return self.call(e)
+        if isinstance(e, If):
+            cond = self.build(e.cond)
+            then = self.build(e.then)
+            other = self.build(e.other)
+            return _choose(_nonzero(cond), then, other)
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def binary(self, e):
         op = e.op
-        if op in ("and", "or"):
-            left = _build(e.left, index)
-            right = _build(e.right, index)
-            if op == "and":
-                return lambda a: (1.0 if right(a) != 0.0 else 0.0) if left(a) != 0.0 else 0.0
-            return lambda a: 1.0 if left(a) != 0.0 else (1.0 if right(a) != 0.0 else 0.0)
-        left = _build(e.left, index)
-        right = _build(e.right, index)
-        if op == "+":
-            return lambda a: left(a) + right(a)
-        if op == "-":
-            return lambda a: left(a) - right(a)
-        if op == "*":
-            return lambda a: left(a) * right(a)
+        left = self.build(e.left)
+        right = self.build(e.right)
+        if op in _LOGIC:
+            # Python's and/or short-circuit: the right operand is lazy
+            return _indicator(_node(ast.BoolOp, _LOGIC[op](), [_nonzero(left), _nonzero(right)]))
+        if op in _ARITH:
+            return _node(ast.BinOp, left, _ARITH[op](), right)
+        if op in _COMPARE:
+            return _indicator(_compare(left, _COMPARE[op], right))
         if op == "/":
             text = pretty(e)
-            def _div(a):
-                den = right(a)
-                if den == 0.0:
-                    raise EvalDomainError(text, den, "division by zero")
-                return left(a) / den
-            return _div
+            return self.guard(right, ast.Eq, 0.0,
+                              lambda den: _failure(text, den, "division by zero"),
+                              lambda den: _node(ast.BinOp, left, ast.Div(), den))
         if op == "^":
-            text = pretty(e)
-            def _pow(a):
-                base = left(a)
-                exponent = right(a)
-                if base < 0.0 and exponent != math.floor(exponent):
-                    raise EvalDomainError(text, base, "fractional power of negative base")
-                if base == 0.0 and exponent < 0.0:
-                    raise EvalDomainError(text, base, "zero raised to a negative power")
-                try:
-                    return base ** exponent
-                except OverflowError:
-                    raise EvalDomainError(text, base, "overflow in power") from None
-            return _pow
-        if op == "<":
-            return lambda a: 1.0 if left(a) < right(a) else 0.0
-        if op == "<=":
-            return lambda a: 1.0 if left(a) <= right(a) else 0.0
-        if op == ">":
-            return lambda a: 1.0 if left(a) > right(a) else 0.0
-        if op == ">=":
-            return lambda a: 1.0 if left(a) >= right(a) else 0.0
-        if op == "==":
-            # exact IEEE comparison, by design
-            return lambda a: 1.0 if left(a) == right(a) else 0.0
+            return _call("_pow", left, right, _const(pretty(e)))
         raise ValueError(f"unknown operator {op!r}")
-    if isinstance(e, Call):
-        impl = _CALL_IMPL[e.name]
-        arg = _build(e.arg, index)
+
+    def call(self, e):
+        name = e.name
+        arg = self.build(e.arg)
+        direct = lambda x: _call(f"_{name}", x)
+        if name in ("sin", "cos", "abs"):
+            return direct(arg)
         text = pretty(e)
-        return lambda a: impl(arg(a), text)
-    if isinstance(e, If):
-        cond = _build(e.cond, index)
-        then = _build(e.then, index)
-        other = _build(e.other, index)
-        # only the taken branch is evaluated
-        return lambda a: then(a) if cond(a) != 0.0 else other(a)
-    raise TypeError(f"not an expression node: {e!r}")
+        if name == "exp":
+            # exp(709.0) is finite: at or below it, and at NaN, math.exp
+            # cannot overflow and is called directly
+            return self.guard(arg, ast.Gt, 709.0,
+                              lambda x: _call("_exp_guarded", x, _const(text)), direct)
+        op, reason = _DOMAIN[name]
+        return self.guard(arg, op, 0.0, lambda x: _failure(text, x, reason), direct)
 
 
 @lru_cache(maxsize=None)
 def compile_expr(e: Expr, var_order: Tuple[str, ...]) -> Callable[..., float]:
-    """Compile ``e`` into a positional callable over ``var_order``."""
+    """Compile ``e`` into a positional callable over ``var_order``.
+
+    The AST becomes one Python function, built as a Python ``ast`` tree
+    and passed to ``compile()``: an evaluation runs in a single frame,
+    with helpers called only for "^", for exp above 709 and on a domain
+    error.  Variables bind to argument slots by position, so any
+    declared name is safe.  An unbound variable raises ValueError here.
+    """
     index = {name: i for i, name in enumerate(var_order)}
-    root = _build(e, index)
-    def compiled(*args: float) -> float:
-        return root(args)
-    return compiled
+    body = _Compiler(index).build(e)
+    params = [_node(ast.arg, f"_a{i}") for i in range(len(var_order))]
+    tree = ast.Expression(_node(ast.Lambda,
+                                ast.arguments([], params, None, [], [], None, []), body))
+    return eval(compile(tree, "<simpvex expression>", "eval"), _RUNTIME)
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:

@@ -26,10 +26,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from importlib.resources import files as _resource_files
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import bounds as bounds_mod
 from .errors import (
@@ -176,14 +179,33 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def case_schema() -> dict:
+def _read_schema(name: str) -> dict:
     return json.loads(_resource_files("simpvex").joinpath(
-        "schemas/case_schema.json").read_text(encoding="utf-8"))
+        f"schemas/{name}.json").read_text(encoding="utf-8"))
+
+
+def case_schema() -> dict:
+    return _read_schema("case_schema")
 
 
 def report_schema() -> dict:
-    return json.loads(_resource_files("simpvex").joinpath(
-        "schemas/report_schema.json").read_text(encoding="utf-8"))
+    return _read_schema("report_schema")
+
+
+@lru_cache(maxsize=None)
+def _validator(name: str):
+    """Validator for one bundled schema, read and checked once."""
+    schema = _read_schema(name)
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(instance, name: str) -> None:
+    """Raise the error ``jsonschema.validate`` would raise for ``instance``."""
+    error = best_match(_validator(name).iter_errors(instance))
+    if error is not None:
+        raise error
 
 
 @dataclass
@@ -209,7 +231,7 @@ def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Corp
     without d4sup all raise CaseConfigError here, at load time.
     """
     try:
-        jsonschema.validate(config, case_schema())
+        _validate(config, "case_schema")
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise CaseConfigError(f"case config invalid at {path}: {exc.message}") from exc
@@ -433,7 +455,7 @@ class RunReport:
 
     def to_json(self) -> str:
         doc = self.to_dict()
-        jsonschema.validate(doc, report_schema())
+        _validate(doc, "report_schema")
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:

@@ -1,4 +1,6 @@
 import math
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ import hypothesis.strategies as st
 from simpvex.errors import EvalDomainError, ParseError
 from simpvex.expr import (
     FUNCTIONS,
+    Expr,
     Bin,
     Call,
     If,
@@ -209,3 +212,221 @@ def test_check_derivative_interval_validation():
         check_derivative(parse("x", X), parse("1", X), (1.0, 1.0))
     with pytest.raises(ValueError):
         check_derivative(parse("x", X), parse("1", X), (0.0, 1.0), points=2)
+
+
+# Reference evaluator: the closure tree compile_expr built before it
+# compiled each AST to one Python function.  Kept here, and only here, to
+# pin the compiled code to the same results and the same raises.
+
+def _ref_log(x, text):
+    if x <= 0.0:
+        raise EvalDomainError(text, x, "log of non-positive argument")
+    return math.log(x)
+
+
+def _ref_sqrt(x, text):
+    if x < 0.0:
+        raise EvalDomainError(text, x, "square root of negative argument")
+    return math.sqrt(x)
+
+
+def _ref_exp(x, text):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise EvalDomainError(text, x, "overflow in exp") from None
+
+
+_REF_CALL = {
+    "sin": lambda x, text: math.sin(x),
+    "cos": lambda x, text: math.cos(x),
+    "exp": _ref_exp,
+    "log": _ref_log,
+    "abs": lambda x, text: abs(x),
+    "sqrt": _ref_sqrt,
+}
+
+
+def _build(e: Expr, index):
+    if isinstance(e, Num):
+        v = e.value
+        return lambda a: v
+    if isinstance(e, Var):
+        try:
+            i = index[e.name]
+        except KeyError:
+            raise ValueError(f"unbound variable {e.name!r}") from None
+        return lambda a: a[i]
+    if isinstance(e, Neg):
+        c = _build(e.operand, index)
+        return lambda a: -c(a)
+    if isinstance(e, Bin):
+        op = e.op
+        left = _build(e.left, index)
+        right = _build(e.right, index)
+        if op == "and":
+            return lambda a: (1.0 if right(a) != 0.0 else 0.0) if left(a) != 0.0 else 0.0
+        if op == "or":
+            return lambda a: 1.0 if left(a) != 0.0 else (1.0 if right(a) != 0.0 else 0.0)
+        if op == "+":
+            return lambda a: left(a) + right(a)
+        if op == "-":
+            return lambda a: left(a) - right(a)
+        if op == "*":
+            return lambda a: left(a) * right(a)
+        if op == "/":
+            text = pretty(e)
+            def _div(a):
+                den = right(a)
+                if den == 0.0:
+                    raise EvalDomainError(text, den, "division by zero")
+                return left(a) / den
+            return _div
+        if op == "^":
+            text = pretty(e)
+            def _pow(a):
+                base = left(a)
+                exponent = right(a)
+                if base < 0.0 and exponent != math.floor(exponent):
+                    raise EvalDomainError(text, base, "fractional power of negative base")
+                if base == 0.0 and exponent < 0.0:
+                    raise EvalDomainError(text, base, "zero raised to a negative power")
+                try:
+                    return base ** exponent
+                except OverflowError:
+                    raise EvalDomainError(text, base, "overflow in power") from None
+            return _pow
+        if op == "<":
+            return lambda a: 1.0 if left(a) < right(a) else 0.0
+        if op == "<=":
+            return lambda a: 1.0 if left(a) <= right(a) else 0.0
+        if op == ">":
+            return lambda a: 1.0 if left(a) > right(a) else 0.0
+        if op == ">=":
+            return lambda a: 1.0 if left(a) >= right(a) else 0.0
+        if op == "==":
+            return lambda a: 1.0 if left(a) == right(a) else 0.0
+        raise ValueError(f"unknown operator {op!r}")
+    if isinstance(e, Call):
+        impl = _REF_CALL[e.name]
+        arg = _build(e.arg, index)
+        text = pretty(e)
+        return lambda a: impl(arg(a), text)
+    if isinstance(e, If):
+        cond = _build(e.cond, index)
+        then = _build(e.then, index)
+        other = _build(e.other, index)
+        return lambda a: then(a) if cond(a) != 0.0 else other(a)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _reference(e, var_order):
+    root = _build(e, {name: i for i, name in enumerate(var_order)})
+    return lambda *args: root(args)
+
+
+def _outcome(fn, *args):
+    """Bit pattern of the result (any NaN counts as one), or the raise."""
+    try:
+        r = fn(*args)
+    except Exception as exc:
+        return ("raise", type(exc), str(exc))
+    if r != r:
+        return ("nan",)
+    return ("value", struct.pack("<d", r))
+
+
+_special_inputs = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, -1.0, -0.5, -3.0, 0.5, 2.0])
+_inputs = st.one_of(_special_inputs, st.floats(min_value=-1e3, max_value=1e3))
+_diff_leaves = st.one_of(_leaves, st.sampled_from([0.0, math.inf, 709.0]).map(Num))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_diff_leaves, _extend, max_leaves=25),
+       st.lists(st.tuples(_inputs, _inputs), min_size=8, max_size=8))
+def test_compiled_matches_closure_reference(tree, points):
+    fn = compile_expr(tree, ("x", "y"))
+    ref = _reference(tree, ("x", "y"))
+    for x, y in points:
+        assert _outcome(fn, x, y) == _outcome(ref, x, y), (pretty(tree), x, y)
+
+
+def test_unbound_variable_raises_at_compile_time():
+    tree = Bin("+", Var("x"), Bin("*", Var("z"), Var("w")))
+    with pytest.raises(ValueError) as info:
+        compile_expr(tree, ("x",))
+    assert str(info.value) == "unbound variable 'z'"
+
+
+def test_infinite_literal_compiles():
+    assert ev("1e999", x=0.0) == math.inf
+    assert ev("x - 1e999", x=0.0) == -math.inf
+
+
+def test_division_checks_denominator_before_numerator():
+    with pytest.raises(EvalDomainError) as info:
+        ev("log(x)/(x-x)", x=-1.0)
+    assert info.value.reason == "division by zero"
+    assert str(info.value) == "division by zero in (log(x) / (x - x)) at 0.0"
+
+
+def test_untaken_operands_are_not_evaluated():
+    assert ev("0 and log(x)", x=-1.0) == 0.0
+    assert ev("1 or log(x)", x=-1.0) == 1.0
+    assert ev("if(x>0, log(x), 0)", x=-1.0) == 0.0
+    with pytest.raises(EvalDomainError):
+        ev("1 and log(x)", x=-1.0)
+    with pytest.raises(EvalDomainError):
+        ev("0 or log(x)", x=-1.0)
+
+
+def test_power_checks_and_overflow_keep_their_texts():
+    with pytest.raises(EvalDomainError) as info:
+        ev("x^0.5", x=-4.0)
+    assert str(info.value) == "fractional power of negative base in (x ^ 0.5) at -4.0"
+    with pytest.raises(EvalDomainError) as info:
+        ev("x^2", x=1e200)
+    assert str(info.value) == "overflow in power in (x ^ 2.0) at 1e+200"
+    with pytest.raises(EvalDomainError) as info:
+        ev("exp(x)", x=709.79)
+    assert str(info.value) == "overflow in exp in exp(x) at 709.79"
+    assert ev("exp(x)", x=709.0) == math.exp(709.0)
+
+
+def test_deep_trees_match_reference():
+    total = Var("x")
+    for _ in range(299):
+        total = Bin("+", total, Var("x"))
+    negated = Var("x")
+    for _ in range(300):
+        negated = Neg(negated)
+    for tree, want in ((total, 300 * 0.1), (negated, 0.1)):
+        got = compile_expr(tree, ("x",))(0.1)
+        assert got == _reference(tree, ("x",))(0.1)
+        assert got == pytest.approx(want)
+    assert ev("+".join(["x"] * 300), x=1.0) == 300.0
+
+
+def test_python_keywords_are_legal_variable_names():
+    tree = parse("None - 2*lambda", {"None", "lambda"})
+    assert evaluate(tree, {"None": 1.0, "lambda": 3.0}) == -5.0
+    assert compile_expr(tree, ("lambda", "None"))(3.0, 1.0) == -5.0
+
+
+def test_one_python_call_per_evaluation():
+    fn = compile_expr(parse("6.283185307179586*cos(6.283185307179586*x)", X), ("x",))
+    fn(0.25)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for _ in range(5):
+            fn(0.25)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == 5, calls

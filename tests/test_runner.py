@@ -133,6 +133,37 @@ def test_load_case_schema_rejections():
         load_case(square_case(extra_field=1))
 
 
+def _schema_rejections():
+    missing_df = square_case()
+    del missing_df["df"]
+    return [missing_df, square_case(q=[0.5]), square_case(theorems=["T9.9"]),
+            square_case(eta={"kind": "mystery"}), square_case(extra_field=1)]
+
+
+def test_load_case_schema_messages_match_jsonschema_validate():
+    for bad in _schema_rejections():
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(bad, runner.case_schema())
+        path = "/".join(str(p) for p in want.value.absolute_path) or "<root>"
+        with pytest.raises(CaseConfigError) as got:
+            load_case(bad)
+        assert str(got.value) == f"case config invalid at {path}: {want.value.message}"
+        assert str(got.value.__cause__) == str(want.value)
+
+
+def test_mutating_a_returned_schema_does_not_change_validation():
+    runner.case_schema().clear()
+    schema = runner.case_schema()
+    schema["additionalProperties"] = True
+    schema["required"] = []
+    assert runner.case_schema() != schema
+    with pytest.raises(CaseConfigError):
+        load_case(square_case(extra_field=1))
+    runner.report_schema().clear()
+    with pytest.raises(jsonschema.ValidationError):
+        runner._validate({"cases": []}, "report_schema")
+
+
 def test_load_case_requires_d4sup_for_classical():
     with pytest.raises(CaseConfigError) as info:
         load_case(square_case(theorems=["CLASSICAL"]))
