@@ -295,62 +295,97 @@ def _weighted_q_mean(w1: float, x1: float, w2: float, x2: float, q: float) -> fl
     return m * (w1 * (x1 / m) ** q + w2 * (x2 / m) ** q) ** (1.0 / q)
 
 
-def _max_endpoint_rhs(model: FunctionModel, a: float, b: float, eta_val: float) -> float:
-    """(5/36) eta max(|f'(a)|, |f'(b)|), the rhs of T4.1, C4.1 and C4.2."""
-    x1, x2 = _endpoint_magnitudes(model, a, b)
-    return 2.0 * _M1 * eta_val * max(x1, x2)
-
-
 def _slack(rhs: float, defect: Optional[SimpsonDefect]) -> Optional[float]:
     if defect is None:
         return None
     return rhs - abs(defect.defect) - defect.quadrature_error
 
 
+# Right-hand sides rhs(x1, x2, step, q) over x1 = |f'(a)|, x2 = |f'(b)|.
+# The bound_* wrappers and runner.tightness_scan share them, so each
+# formula exists once.  They do not check q; the wrappers do.
+
+def _rhs_T3_1(x1: float, x2: float, step: float, q) -> float:
+    return _M1 * step * (x1 + x2)
+
+
+def _rhs_T3_2(x1: float, x2: float, step: float, q: float) -> float:
+    return step * _moment_root(_conjugate(q)) * (
+        _weighted_q_mean(_HALF_NEAR, x1, _HALF_FAR, x2, q)
+        + _weighted_q_mean(_HALF_FAR, x1, _HALF_NEAR, x2, q)
+    )
+
+
+def _rhs_T3_3(x1: float, x2: float, step: float, q: float) -> float:
+    return step * _moment_root(_conjugate(q), 2.0) * _weighted_q_mean(0.5, x1, 0.5, x2, q)
+
+
+def _rhs_T3_4(x1: float, x2: float, step: float, q: float) -> float:
+    return step * _M1 ** (1.0 - 1.0 / q) * (
+        _weighted_q_mean(_W_END, x1, _W_FAR, x2, q)
+        + _weighted_q_mean(_W_FAR, x1, _W_END, x2, q)
+    )
+
+
+def _rhs_T4_1(x1: float, x2: float, step: float, q) -> float:
+    """(5/36) eta max(|f'(a)|, |f'(b)|), the rhs of T4.1, C4.1 and C4.2."""
+    return 2.0 * _M1 * step * max(x1, x2)
+
+
+def _rhs_T4_2(x1: float, x2: float, step: float, q: float) -> float:
+    return 2.0 * step * _moment_root(_conjugate(q)) * max(x1, x2) * 0.5 ** (1.0 / q)
+
+
+def _rhs_T4_3(x1: float, x2: float, step: float, q: float) -> float:
+    return step * _moment_root(_conjugate(q), 2.0) * max(x1, x2) * 0.5 ** (1.0 / q)
+
+
+def _rhs_classical(x1, x2, step: float, d4sup: float) -> float:
+    """sup|f''''| eta^4 / 2880: takes d4sup in the place of q, reads no magnitudes."""
+    return d4sup * step ** 4 / 2880.0
+
+
+def _bound(theorem: str, rhs_fn, model: FunctionModel, a: float, b: float,
+           eta_val: float, q: Optional[float], p: Optional[float],
+           defect: Optional[SimpsonDefect]) -> BoundValue:
+    """The BoundValue of ``rhs_fn`` at |f'(a)|, |f'(b)|."""
+    x1, x2 = _endpoint_magnitudes(model, a, b)
+    rhs = rhs_fn(x1, x2, eta_val, q)
+    return BoundValue(theorem, q, p, rhs, _slack(rhs, defect))
+
+
+def _at_least_one(q: float) -> None:
+    if q < 1.0:
+        raise ValueError(f"this bound needs q >= 1, got {q!r}")
+
+
 def bound_T3_1(model: FunctionModel, a: float, b: float, eta_val: float,
                defect: Optional[SimpsonDefect] = None) -> BoundValue:
     """Endpoint-mean bound (5/72) eta (|f'(a)| + |f'(b)|)."""
     eta_val = _require_step(eta_val)
-    x1, x2 = _endpoint_magnitudes(model, a, b)
-    rhs = _M1 * eta_val * (x1 + x2)
-    return BoundValue("T3.1", None, None, rhs, _slack(rhs, defect))
+    return _bound("T3.1", _rhs_T3_1, model, a, b, eta_val, None, None, defect)
 
 
 def bound_T3_2(model: FunctionModel, a: float, b: float, eta_val: float, q: float,
                defect: Optional[SimpsonDefect] = None) -> BoundValue:
     """Half-split Hoelder bound with weights 3/8 and 1/8, q > 1."""
     eta_val = _require_step(eta_val)
-    p = _conjugate(q)
-    x1, x2 = _endpoint_magnitudes(model, a, b)
-    rhs = eta_val * _moment_root(p) * (
-        _weighted_q_mean(_HALF_NEAR, x1, _HALF_FAR, x2, q)
-        + _weighted_q_mean(_HALF_FAR, x1, _HALF_NEAR, x2, q)
-    )
-    return BoundValue("T3.2", q, p, rhs, _slack(rhs, defect))
+    return _bound("T3.2", _rhs_T3_2, model, a, b, eta_val, q, _conjugate(q), defect)
 
 
 def bound_T3_3(model: FunctionModel, a: float, b: float, eta_val: float, q: float,
                defect: Optional[SimpsonDefect] = None) -> BoundValue:
     """Whole-interval Hoelder bound with the plain endpoint mean, q > 1."""
     eta_val = _require_step(eta_val)
-    p = _conjugate(q)
-    x1, x2 = _endpoint_magnitudes(model, a, b)
-    rhs = eta_val * _moment_root(p, 2.0) * _weighted_q_mean(0.5, x1, 0.5, x2, q)
-    return BoundValue("T3.3", q, p, rhs, _slack(rhs, defect))
+    return _bound("T3.3", _rhs_T3_3, model, a, b, eta_val, q, _conjugate(q), defect)
 
 
 def bound_T3_4(model: FunctionModel, a: float, b: float, eta_val: float, q: float,
                defect: Optional[SimpsonDefect] = None) -> BoundValue:
     """Power-mean bound with the 61/1296, 29/1296 weights, q >= 1."""
     eta_val = _require_step(eta_val)
-    if q < 1.0:
-        raise ValueError(f"this bound needs q >= 1, got {q!r}")
-    x1, x2 = _endpoint_magnitudes(model, a, b)
-    rhs = eta_val * _M1 ** (1.0 - 1.0 / q) * (
-        _weighted_q_mean(_W_END, x1, _W_FAR, x2, q)
-        + _weighted_q_mean(_W_FAR, x1, _W_END, x2, q)
-    )
-    return BoundValue("T3.4", q, None, rhs, _slack(rhs, defect))
+    _at_least_one(q)
+    return _bound("T3.4", _rhs_T3_4, model, a, b, eta_val, q, None, defect)
 
 
 def bound_T4_1(model: FunctionModel, a: float, b: float, eta_val: float, q: float,
@@ -362,20 +397,15 @@ def bound_T4_1(model: FunctionModel, a: float, b: float, eta_val: float, q: floa
     C4.1 and may be labelled as such via ``theorem``.
     """
     eta_val = _require_step(eta_val)
-    if q < 1.0:
-        raise ValueError(f"this bound needs q >= 1, got {q!r}")
-    rhs = _max_endpoint_rhs(model, a, b, eta_val)
-    return BoundValue(theorem, q, None, rhs, _slack(rhs, defect))
+    _at_least_one(q)
+    return _bound(theorem, _rhs_T4_1, model, a, b, eta_val, q, None, defect)
 
 
 def bound_T4_2(model: FunctionModel, a: float, b: float, eta_val: float, q: float,
                defect: Optional[SimpsonDefect] = None) -> BoundValue:
     """Hoelder variant 2 eta M_p^(1/p) (max/2)^(1/q), q > 1."""
     eta_val = _require_step(eta_val)
-    p = _conjugate(q)
-    x1, x2 = _endpoint_magnitudes(model, a, b)
-    rhs = 2.0 * eta_val * _moment_root(p) * max(x1, x2) * 0.5 ** (1.0 / q)
-    return BoundValue("T4.2", q, p, rhs, _slack(rhs, defect))
+    return _bound("T4.2", _rhs_T4_2, model, a, b, eta_val, q, _conjugate(q), defect)
 
 
 def bound_T4_3(model: FunctionModel, a: float, b: float, eta_val: float, q: float,
@@ -386,10 +416,7 @@ def bound_T4_3(model: FunctionModel, a: float, b: float, eta_val: float, q: floa
     T4.2 / T4.3 = 2 / 2^(1/p) = 2^(1/q), which is > 1 for every q > 1.
     """
     eta_val = _require_step(eta_val)
-    p = _conjugate(q)
-    x1, x2 = _endpoint_magnitudes(model, a, b)
-    rhs = eta_val * _moment_root(p, 2.0) * max(x1, x2) * 0.5 ** (1.0 / q)
-    return BoundValue("T4.3", q, p, rhs, _slack(rhs, defect))
+    return _bound("T4.3", _rhs_T4_3, model, a, b, eta_val, q, _conjugate(q), defect)
 
 
 def bound_C4_2_midpoint(model: FunctionModel, a: float, b: float, eta_val: float,
@@ -411,7 +438,7 @@ def bound_C4_2_midpoint(model: FunctionModel, a: float, b: float, eta_val: float
             f"midpoint bound needs f(a) = f(mid) = f(end); got "
             f"{fa!r}, {fmid!r}, {fend!r}"
         )
-    rhs = _max_endpoint_rhs(model, a, b, eta_val)
+    rhs = _rhs_T4_1(*_endpoint_magnitudes(model, a, b), eta_val, None)
     gap, qerr = midpoint_gap(model, a, eta_val, abs_tol)
     return BoundValue("C4.2", None, None, rhs, rhs - abs(gap) - qerr)
 
@@ -423,5 +450,5 @@ def bound_classical(model: FunctionModel, a: float, eta_val: float,
     if model.d4sup is None:
         raise MissingFourthDerivative(
             f"model {model.name!r} has no d4sup; the classical bound needs one")
-    rhs = model.d4sup * eta_val ** 4 / 2880.0
+    rhs = _rhs_classical(None, None, eta_val, model.d4sup)
     return BoundValue("CLASSICAL", None, None, rhs, _slack(rhs, defect))

@@ -45,59 +45,67 @@ class QuadratureResult:
     evaluations: int
 
 
-class _Budget:
-    __slots__ = ("used", "limit")
+def _integrate_core(g, lo, hi, abs_tol, used, limit):
+    """(integral, error estimate, evaluations so far) of ``g`` on [lo, hi].
 
-    def __init__(self, limit: int):
-        self.used = 0
-        self.limit = limit
-
-    def call(self, g: Callable[[float], float], x: float) -> float:
-        if self.used >= self.limit:
-            raise BudgetExhausted(self.used)
-        self.used += 1
+    ``used`` evaluations were already spent of the budget ``limit``.  The
+    budget and finiteness checks and the Simpson sums are written out
+    inline, as this loop runs once per two integrand evaluations.
+    """
+    isfinite = math.isfinite
+    m = 0.5 * (lo + hi)
+    fs = []
+    for x in (lo, m, hi):
+        if used >= limit:
+            raise BudgetExhausted(used)
+        used += 1
         y = g(x)
-        if not math.isfinite(y):
+        if not isfinite(y):
             raise NonFiniteIntegrand(x, y)
-        return y
-
-
-def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
-    return width * (fa + 4.0 * fm + fb) / 6.0
-
-
-def _integrate_core(g, lo, hi, abs_tol, budget: _Budget):
-    fa = budget.call(g, lo)
-    mid = 0.5 * (lo + hi)
-    fm = budget.call(g, mid)
-    fb = budget.call(g, hi)
-    whole = _simpson(fa, fm, fb, hi - lo)
+        fs.append(y)
+    a, b = lo, hi
+    fa, fm, fb = fs
+    s_whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
+    tol = abs_tol
     total = 0.0
     total_err = 0.0
-    # right segment pushed first so the left one is processed first:
-    # completion order is ascending in x, making summation deterministic
-    stack = [(lo, mid, hi, fa, fm, fb, whole, abs_tol)]
-    while stack:
-        a, m, b, fa, fm, fb, s_whole, tol = stack.pop()
+    # panels are finished left to right: a split panel goes on with its
+    # left half and stacks its right half, so the sums run in ascending x
+    stack = []
+    while True:
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         if not (a < lm < m and m < rm < b):
             raise QuadratureError(
                 f"cannot refine interval [{a!r}, {b!r}] further; tolerance unreachable"
             )
-        flm = budget.call(g, lm)
-        frm = budget.call(g, rm)
-        s_left = _simpson(fa, flm, fm, m - a)
-        s_right = _simpson(fm, frm, fb, b - m)
+        if used >= limit:
+            raise BudgetExhausted(used)
+        used += 1
+        flm = g(lm)
+        if not isfinite(flm):
+            raise NonFiniteIntegrand(lm, flm)
+        if used >= limit:
+            raise BudgetExhausted(used)
+        used += 1
+        frm = g(rm)
+        if not isfinite(frm):
+            raise NonFiniteIntegrand(rm, frm)
+        s_left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
+        s_right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
         s_halves = s_left + s_right
-        est = abs(s_halves - s_whole) / 15.0
+        diff = s_halves - s_whole
+        est = abs(diff) / 15.0
         if est <= tol:
-            total += s_halves + (s_halves - s_whole) / 15.0
+            total += s_halves + diff / 15.0
             total_err += est
+            if not stack:
+                return total, total_err, used
+            a, m, b, fa, fm, fb, s_whole, tol = stack.pop()
         else:
-            stack.append((m, rm, b, fm, frm, fb, s_right, 0.5 * tol))
-            stack.append((a, lm, m, fa, flm, fm, s_left, 0.5 * tol))
-    return total, total_err
+            tol = 0.5 * tol
+            stack.append((m, rm, b, fm, frm, fb, s_right, tol))
+            m, b, fm, fb, s_whole = lm, m, flm, fm, s_left
 
 
 def integrate(g: Callable[[float], float], lo: float, hi: float,
@@ -115,9 +123,8 @@ def integrate(g: Callable[[float], float], lo: float, hi: float,
         raise ValueError("abs_tol must be positive")
     if lo == hi:
         return QuadratureResult(0.0, 0.0, 0)
-    budget = _Budget(max_evals)
-    value, err = _integrate_core(g, lo, hi, abs_tol, budget)
-    return QuadratureResult(value, err, budget.used)
+    value, err, used = _integrate_core(g, lo, hi, abs_tol, 0, max_evals)
+    return QuadratureResult(value, err, used)
 
 
 def integrate_with_breakpoints(g: Callable[[float], float], lo: float, hi: float,
@@ -144,12 +151,12 @@ def integrate_with_breakpoints(g: Callable[[float], float], lo: float, hi: float
     for left, right in zip(pts, pts[1:]):
         if not left < right:
             raise ValueError(f"breakpoints must be sorted strictly inside ({lo!r}, {hi!r})")
-    budget = _Budget(max_evals)
     piece_tol = abs_tol / (len(pts) - 1)
     total = 0.0
     total_err = 0.0
+    used = 0
     for left, right in zip(pts, pts[1:]):
-        value, err = _integrate_core(g, left, right, piece_tol, budget)
+        value, err, used = _integrate_core(g, left, right, piece_tol, used, max_evals)
         total += value
         total_err += err
-    return QuadratureResult(total, total_err, budget.used)
+    return QuadratureResult(total, total_err, used)

@@ -12,8 +12,8 @@ Verdicts: "pass" (all evaluated bounds dominate the defect),
 sampled hypothesis failed), "violation" (a bound or the defect identity
 failed beyond tolerance after quadrature-error correction) and
 "input_error" (the case itself is unusable, e.g. a non-positive eta
-step).  A violation always wins over other verdicts when aggregating
-exit codes.
+step, or |f'|^q beyond the float range in a hypothesis sweep).  A
+violation always wins over other verdicts when aggregating exit codes.
 
 Reports serialize to JSON deterministically: fixed key order, no
 timestamps and no wall-clock fields, so re-running identical inputs
@@ -24,6 +24,7 @@ schemas/report_schema.json and re-validated on every serialization.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -87,11 +88,16 @@ class _Theorem(NamedTuple):
         the rhs dominates lhs: |defect|, or the midpoint gap for C4.2.
         Evaluators look up ``bounds_mod.bound_*`` at call time, so a
         replaced module attribute (a tracing wrapper, say) is honoured.
+    rhs: the formula ``evaluate`` computes, rhs(|f'(a)|, |f'(b)|, step, q),
+        as plain arithmetic for the tightness scan; CLASSICAL takes d4sup
+        in the place of q and reads no magnitudes.  None for C4.2, whose
+        precondition needs f itself.
     """
 
     mode: Optional[str]
     exponents: Callable[[Sequence[float]], List[Optional[float]]]
     evaluate: Callable[..., Tuple[bounds_mod.BoundValue, float]]
+    rhs: Optional[Callable[[float, float, float, float], float]]
 
 
 def _q_one(q_list):
@@ -124,24 +130,26 @@ def _midpoint(model, a, b, step, q, defect, tol):
 
 _THEOREMS: Dict[str, _Theorem] = {
     "T3.1": _Theorem("preinvex", _q_one, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T3_1(m, a, b, s, d))),
+        lambda m, a, b, s, q, d: bounds_mod.bound_T3_1(m, a, b, s, d)), bounds_mod._rhs_T3_1),
     "T3.2": _Theorem("preinvex", _q_above_one, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T3_2(m, a, b, s, q, d))),
+        lambda m, a, b, s, q, d: bounds_mod.bound_T3_2(m, a, b, s, q, d)), bounds_mod._rhs_T3_2),
     "T3.3": _Theorem("preinvex", _q_above_one, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T3_3(m, a, b, s, q, d))),
+        lambda m, a, b, s, q, d: bounds_mod.bound_T3_3(m, a, b, s, q, d)), bounds_mod._rhs_T3_3),
     "T3.4": _Theorem("preinvex", _q_all, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T3_4(m, a, b, s, q, d))),
+        lambda m, a, b, s, q, d: bounds_mod.bound_T3_4(m, a, b, s, q, d)), bounds_mod._rhs_T3_4),
     "T4.1": _Theorem("prequasiinvex", _q_all, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T4_1(m, a, b, s, q, d))),
+        lambda m, a, b, s, q, d: bounds_mod.bound_T4_1(m, a, b, s, q, d)), bounds_mod._rhs_T4_1),
     "T4.2": _Theorem("prequasiinvex", _q_above_one, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T4_2(m, a, b, s, q, d))),
+        lambda m, a, b, s, q, d: bounds_mod.bound_T4_2(m, a, b, s, q, d)), bounds_mod._rhs_T4_2),
     "T4.3": _Theorem("prequasiinvex", _q_above_one, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T4_3(m, a, b, s, q, d))),
+        lambda m, a, b, s, q, d: bounds_mod.bound_T4_3(m, a, b, s, q, d)), bounds_mod._rhs_T4_3),
     "C4.1": _Theorem("prequasiinvex", _q_one, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T4_1(m, a, b, s, q, d, theorem="C4.1"))),
-    "C4.2": _Theorem("prequasiinvex", _q_one, _midpoint),
+        lambda m, a, b, s, q, d: bounds_mod.bound_T4_1(m, a, b, s, q, d, theorem="C4.1")),
+        bounds_mod._rhs_T4_1),
+    "C4.2": _Theorem("prequasiinvex", _q_one, _midpoint, None),
     "CLASSICAL": _Theorem(None, _q_none, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_classical(m, a, s, d))),
+        lambda m, a, b, s, q, d: bounds_mod.bound_classical(m, a, s, d)),
+        bounds_mod._rhs_classical),
 }
 THEOREM_IDS = tuple(_THEOREMS)
 
@@ -194,11 +202,13 @@ def report_schema() -> dict:
 
 @lru_cache(maxsize=None)
 def _validator(name: str):
-    """Validator for one bundled schema, read and checked once."""
+    """Validator for one bundled schema, read once.
+
+    The bundled schemas are checked against their metaschema by the
+    tests, not on every process start.
+    """
     schema = _read_schema(name)
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return validator_for(schema)(schema)
 
 
 def _validate(instance, name: str) -> None:
@@ -384,7 +394,13 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
             result.notes.append(f"{theorem} needs q > 1 but the case lists none")
             continue
         for q in exponents:
-            report = hypothesis(row.mode, q) if row.mode is not None else None
+            try:
+                report = hypothesis(row.mode, q) if row.mode is not None else None
+            except OverflowError as exc:
+                result.verdict = VERDICT_INPUT_ERROR
+                result.error = f"OverflowError: hypothesis sweep of |f'|^q at q={q!r}: {exc}"
+                result.hypotheses.extend(hypothesis_reports.values())
+                return result
             if report is not None and report.violated:
                 skipped = True
                 result.notes.append(
@@ -522,6 +538,22 @@ class TightnessResult:
     skipped: int
 
 
+class _ScanPair:
+    """One (theorem, q) of a scan, and its best cell so far."""
+
+    __slots__ = ("theorem", "q", "row", "k", "uses_df", "skipped", "ratio", "at")
+
+    def __init__(self, theorem: str, q: Optional[float], row: _Theorem, k):
+        self.theorem = theorem
+        self.q = q
+        self.row = row
+        self.k = k  # the rhs's last argument: q, or d4sup for CLASSICAL
+        self.uses_df = row.mode is not None and row.rhs is not None
+        self.skipped = 0
+        self.ratio = -math.inf
+        self.at = None  # (a, b) of the best ratio; None while no cell counted
+
+
 def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                    a_range: Tuple[float, float], b_range: Tuple[float, float],
                    q_list: Sequence[float], steps: int,
@@ -530,10 +562,15 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                    grid: SampleGrid = DEFAULT_GRID) -> List[TightnessResult]:
     """Maximise |defect| / rhs per theorem over an (a, b, q) grid.
 
-    Cells with a non-positive step, a path leaving K, a failed sampled
-    hypothesis, or rhs == 0 are skipped; a theorem with no usable cell
-    is reported with status "all_skipped".  Ties keep the first cell in
-    (a, b, q) iteration order, so results are deterministic.
+    Cells with a non-positive step, a path leaving K, rhs == 0 or a NaN
+    ratio are skipped, and so is every cell of a q whose sampled
+    hypothesis fails or overflows; a theorem with no usable cell is
+    reported with status "all_skipped".  Ties keep the first cell in
+    (q, a, b) order, so results are deterministic.
+
+    Each (a, b) cell is visited once: its step, containment, defect and
+    |f'(a)|, |f'(b)| serve every (theorem, q) pair, whose rhs is then
+    plain arithmetic (C4.2 goes through its evaluator).
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -548,9 +585,27 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
 
     a_vals = axis(a_range)
     b_vals = axis(b_range)
+    n_cells = steps * steps
 
     invex_report = check_invex_set(K, eta, grid, tol.invexity)
     hypothesis, _ = _hypotheses(model, eta, K, grid, tol.invexity)
+    by_theorem = []
+    active = []
+    for theorem, row in rows:
+        pairs = [_ScanPair(theorem, q, row, model.d4sup if row.mode is None else q)
+                 for q in row.exponents(q_list)]
+        by_theorem.append((theorem, pairs))
+        for pair in pairs:
+            try:
+                usable = (model.d4sup is not None if row.mode is None else not (
+                    invex_report.violated or hypothesis(row.mode, pair.q).violated))
+            except OverflowError:  # |f'|^q overflows on the samples
+                usable = False
+            if usable:
+                active.append(pair)
+            else:
+                pair.skipped = n_cells
+
     defect_cache: Dict[Tuple[float, float], Optional[bounds_mod.SimpsonDefect]] = {}
 
     def defect_at(a: float, step: float):
@@ -562,50 +617,72 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                 defect_cache[key] = None
         return defect_cache[key]
 
-    out = []
-    for theorem, row in rows:
-        best = None  # (ratio, a, b, q)
-        cells = 0
-        skipped = 0
-        for q in row.exponents(q_list):
-            cells += steps * steps
-            unmet = row.mode is not None and (
-                invex_report.violated or hypothesis(row.mode, q).violated)
-            if unmet or (theorem == "CLASSICAL" and model.d4sup is None):
-                skipped += steps * steps
+    df = model.df_fn
+    reads_df = any(pair.uses_df for pair in active)
+    unusable = 0  # cells every active pair skips: no step, path or defect
+    for a in a_vals if active else ():  # with no active pair, no cell is visited
+        for b in b_vals:
+            try:
+                step = eta(b, a)
+            except EvalDomainError:
+                unusable += 1
                 continue
-            for a in a_vals:
-                for b in b_vals:
+            if not (step > 0.0 and K.contains(a) and K.contains(b) and K.contains(a + step)):
+                unusable += 1
+                continue
+            defect = defect_at(a, step)
+            if defect is None:
+                unusable += 1
+                continue
+            x1 = x2 = None  # |f'(a)|, |f'(b)|, once per cell; None where f' fails
+            if reads_df:
+                try:
+                    x1, x2 = abs(df(a)), abs(df(b))
+                except EvalDomainError:
+                    pass
+            for pair in active:
+                if pair.row.rhs is None:
                     try:
-                        step = eta(b, a)
-                    except EvalDomainError:
-                        skipped += 1
-                        continue
-                    if not (step > 0.0 and K.contains(a) and K.contains(b)
-                            and K.contains(a + step)):
-                        skipped += 1
-                        continue
-                    defect = defect_at(a, step)
-                    if defect is None:
-                        skipped += 1
-                        continue
-                    try:
-                        bv, lhs = row.evaluate(model, a, b, step, q, defect, tol)
+                        bv, lhs = pair.row.evaluate(model, a, b, step, pair.q, defect, tol)
                     except (PreconditionUnmet, EvalDomainError):
-                        skipped += 1
+                        pair.skipped += 1
                         continue
-                    if bv.rhs == 0.0:
-                        skipped += 1
-                        continue
-                    ratio = lhs / bv.rhs
-                    if best is None or ratio > best[0]:
-                        best = (ratio, a, b, q)
+                    rhs = bv.rhs
+                elif pair.uses_df and x1 is None:
+                    pair.skipped += 1
+                    continue
+                else:
+                    rhs = pair.row.rhs(x1, x2, step, pair.k)
+                    if not rhs >= 0.0:  # what BoundValue raises
+                        raise ValueError(
+                            f"bound {pair.theorem} produced negative rhs {rhs!r}")
+                    lhs = abs(defect.defect)
+                if rhs == 0.0:
+                    pair.skipped += 1
+                    continue
+                ratio = lhs / rhs
+                if ratio > pair.ratio:
+                    pair.ratio = ratio
+                    pair.at = (a, b)
+                elif ratio != ratio:  # NaN: never a witness, as in invexity's _Worst
+                    pair.skipped += 1
+    for pair in active:
+        pair.skipped += unusable
+
+    out = []
+    for theorem, pairs in by_theorem:
+        best = None
+        for pair in pairs:  # q order: the first of equal ratios wins
+            if pair.at is not None and (best is None or pair.ratio > best.ratio):
+                best = pair
+        cells = n_cells * len(pairs)
+        skipped = sum(pair.skipped for pair in pairs)
         if best is None:
             out.append(TightnessResult(theorem, "all_skipped", None, None, None, None,
                                        cells, skipped))
         else:
-            ratio, a, b, q = best
-            out.append(TightnessResult(theorem, "ok", ratio, a, b, q, cells, skipped))
+            out.append(TightnessResult(theorem, "ok", best.ratio, *best.at, best.q,
+                                       cells, skipped))
     return out
 
 

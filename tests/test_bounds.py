@@ -2,8 +2,11 @@ import math
 import random
 from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from simpvex import bounds
 from simpvex.bounds import (
     BoundValue,
     FunctionModel,
@@ -303,3 +306,57 @@ def test_validate_gates(make_model):
     with pytest.raises(CaseConfigError) as info:
         make_model("x^2", "2*x", "x^3").validate(interval=(0.0, 1.0))
     assert "antiderivative" in str(info.value)
+
+
+# The bound formulas as each bound_* computed them before they moved into
+# the shared rhs functions; the wrappers must give the same floats.
+_REFERENCE_RHS = {
+    "T3.1": lambda x1, x2, e, q: bounds._M1 * e * (x1 + x2),
+    "T3.2": lambda x1, x2, e, q: e * bounds._moment_root(q / (q - 1.0)) * (
+        bounds._weighted_q_mean(bounds._HALF_NEAR, x1, bounds._HALF_FAR, x2, q)
+        + bounds._weighted_q_mean(bounds._HALF_FAR, x1, bounds._HALF_NEAR, x2, q)),
+    "T3.3": lambda x1, x2, e, q: e * bounds._moment_root(q / (q - 1.0), 2.0)
+    * bounds._weighted_q_mean(0.5, x1, 0.5, x2, q),
+    "T3.4": lambda x1, x2, e, q: e * bounds._M1 ** (1.0 - 1.0 / q) * (
+        bounds._weighted_q_mean(bounds._W_END, x1, bounds._W_FAR, x2, q)
+        + bounds._weighted_q_mean(bounds._W_FAR, x1, bounds._W_END, x2, q)),
+    "T4.1": lambda x1, x2, e, q: 2.0 * bounds._M1 * e * max(x1, x2),
+    "T4.2": lambda x1, x2, e, q: 2.0 * e * bounds._moment_root(q / (q - 1.0))
+    * max(x1, x2) * 0.5 ** (1.0 / q),
+    "T4.3": lambda x1, x2, e, q: e * bounds._moment_root(q / (q - 1.0), 2.0)
+    * max(x1, x2) * 0.5 ** (1.0 / q),
+}
+_MAGNITUDES = st.one_of(st.sampled_from((0.0, 5e-324, 1.0, 1e8, 1e150)),
+                        st.floats(0.0, 1e3, allow_nan=False))
+
+
+@given(_MAGNITUDES, _MAGNITUDES, st.floats(1e-6, 10.0),
+       st.one_of(st.sampled_from((1.0, 1.0000001, 1.001, 2.0, 100.0, 100.5, 149.9, 1e4)),
+                 st.floats(1.0, 200.0)))
+@settings(max_examples=300)
+def test_bound_wrappers_keep_the_old_float_operations(x1, x2, eta_val, q):
+    stub = endpoint_stub(x1, x2)
+    got = {
+        "T3.1": lambda: bound_T3_1(stub, 0.0, 1.0, eta_val),
+        "T3.2": lambda: bound_T3_2(stub, 0.0, 1.0, eta_val, q),
+        "T3.3": lambda: bound_T3_3(stub, 0.0, 1.0, eta_val, q),
+        "T3.4": lambda: bound_T3_4(stub, 0.0, 1.0, eta_val, q),
+        "T4.1": lambda: bound_T4_1(stub, 0.0, 1.0, eta_val, q),
+        "T4.2": lambda: bound_T4_2(stub, 0.0, 1.0, eta_val, q),
+        "T4.3": lambda: bound_T4_3(stub, 0.0, 1.0, eta_val, q),
+    }
+    for theorem, want in _REFERENCE_RHS.items():
+        if q == 1.0 and theorem in ("T3.2", "T3.3", "T4.2", "T4.3"):
+            continue
+        try:
+            expected = want(x1, x2, eta_val, q).hex()
+        except OverflowError as exc:
+            expected = repr(exc)
+        try:
+            actual = got[theorem]().rhs.hex()
+        except OverflowError as exc:
+            actual = repr(exc)
+        assert actual == expected, theorem
+    model = SimpleNamespace(d4sup=x1, name="m")
+    assert (bound_classical(model, 0.0, eta_val).rhs.hex()
+            == (x1 * eta_val ** 4 / 2880.0).hex())

@@ -1,8 +1,12 @@
 import math
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from simpvex import quadrature
+from simpvex.bounds import FunctionModel, lemma_rhs
 from simpvex.errors import BudgetExhausted, NonFiniteIntegrand, QuadratureError
 from simpvex.kernel import BREAKPOINTS, eval_m
 from simpvex.quadrature import (
@@ -152,3 +156,145 @@ def test_breakpoints_share_budget():
 
 def test_default_tolerance_is_tight():
     assert DEFAULT_ABS_TOL <= 1e-10
+
+
+# The quadrature loop before it was flattened: a budget object whose call
+# checks the budget and finiteness, and a Simpson helper.  The flat loop
+# must give the same floats, evaluation counts and errors.
+
+class _ReferenceBudget:
+    def __init__(self, limit):
+        self.used = 0
+        self.limit = limit
+
+    def call(self, g, x):
+        if self.used >= self.limit:
+            raise BudgetExhausted(self.used)
+        self.used += 1
+        y = g(x)
+        if not math.isfinite(y):
+            raise NonFiniteIntegrand(x, y)
+        return y
+
+
+def _reference_simpson(fa, fm, fb, width):
+    return width * (fa + 4.0 * fm + fb) / 6.0
+
+
+def _reference_core(g, lo, hi, abs_tol, budget):
+    fa = budget.call(g, lo)
+    mid = 0.5 * (lo + hi)
+    fm = budget.call(g, mid)
+    fb = budget.call(g, hi)
+    whole = _reference_simpson(fa, fm, fb, hi - lo)
+    total = 0.0
+    total_err = 0.0
+    stack = [(lo, mid, hi, fa, fm, fb, whole, abs_tol)]
+    while stack:
+        a, m, b, fa, fm, fb, s_whole, tol = stack.pop()
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        if not (a < lm < m and m < rm < b):
+            raise QuadratureError(
+                f"cannot refine interval [{a!r}, {b!r}] further; tolerance unreachable"
+            )
+        flm = budget.call(g, lm)
+        frm = budget.call(g, rm)
+        s_left = _reference_simpson(fa, flm, fm, m - a)
+        s_right = _reference_simpson(fm, frm, fb, b - m)
+        s_halves = s_left + s_right
+        est = abs(s_halves - s_whole) / 15.0
+        if est <= tol:
+            total += s_halves + (s_halves - s_whole) / 15.0
+            total_err += est
+        else:
+            stack.append((m, rm, b, fm, frm, fb, s_right, 0.5 * tol))
+            stack.append((a, lm, m, fa, flm, fm, s_left, 0.5 * tol))
+    return total, total_err
+
+
+def _reference_integrate_with_breakpoints(g, lo, hi, breakpoints, abs_tol, max_evals):
+    pts = [lo, *breakpoints, hi]
+    if lo == hi:
+        return QuadratureResult(0.0, 0.0, 0)
+    budget = _ReferenceBudget(max_evals)
+    piece_tol = abs_tol / (len(pts) - 1)
+    total = 0.0
+    total_err = 0.0
+    for left, right in zip(pts, pts[1:]):
+        value, err = _reference_core(g, left, right, piece_tol, budget)
+        total += value
+        total_err += err
+    return QuadratureResult(total, total_err, budget.used)
+
+
+def _reference_integrate(g, lo, hi, abs_tol=DEFAULT_ABS_TOL, max_evals=DEFAULT_MAX_EVALS):
+    return _reference_integrate_with_breakpoints(g, lo, hi, [], abs_tol, max_evals)
+
+
+def _outcome(fn, *args):
+    """Bit patterns of a result, or the error's type, text and payload."""
+    try:
+        r = fn(*args)
+    except QuadratureError as exc:
+        payload = [getattr(exc, k, None) for k in ("evaluations", "abscissa", "value")]
+        return type(exc).__name__, str(exc), repr(payload)
+    return r.value.hex(), r.error_estimate.hex(), r.evaluations
+
+
+def _integrand(kind, c):
+    """Smooth, kinked, jumping, non-finite and constant integrands."""
+    if kind == "exp":
+        return lambda x: math.exp(c * x)
+    if kind == "sin":
+        return lambda x: math.sin(7.0 * c * x)
+    if kind == "kink":
+        return lambda x: abs(x - c)
+    if kind == "jump":
+        return lambda x: 0.0 if x < c else 1.0
+    if kind == "nan":
+        return lambda x: math.nan if c < x < c + 0.4 else x * x
+    if kind == "inf":
+        return lambda x: -math.inf if abs(x - c) < 0.1 else 1.0 / (1.0 + x * x)
+    if kind == "sqrt":
+        return lambda x: math.sqrt(abs(x - c))
+    return lambda x: c
+
+
+_INTEGRANDS = st.builds(_integrand, st.sampled_from(
+    ("exp", "sin", "kink", "jump", "nan", "inf", "sqrt", "const")),
+    st.floats(-2.0, 2.0, allow_nan=False))
+_ENDS = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+_TOLS = st.sampled_from((1e-3, 1e-8, 1e-11, 1e-14))
+_BUDGETS = st.one_of(st.integers(0, 60), st.sampled_from((200, 2000, DEFAULT_MAX_EVALS)))
+
+
+@given(_INTEGRANDS, _ENDS, _ENDS, _TOLS, _BUDGETS)
+@settings(max_examples=300)
+def test_flat_loop_matches_budget_reference(g, x, y, tol, max_evals):
+    lo, hi = min(x, y), max(x, y)
+    assert (_outcome(integrate, g, lo, hi, tol, max_evals)
+            == _outcome(_reference_integrate, g, lo, hi, tol, max_evals))
+
+
+@given(_INTEGRANDS, _ENDS, st.lists(st.floats(0.01, 0.99), max_size=3), _TOLS, _BUDGETS)
+@settings(max_examples=200)
+def test_breakpoints_share_budget_like_reference(g, lo, fractions, tol, max_evals):
+    hi = lo + 2.0
+    breakpoints = sorted({lo + 2.0 * u for u in fractions} - {lo, hi})
+    assert (_outcome(integrate_with_breakpoints, g, lo, hi, breakpoints, tol, max_evals)
+            == _outcome(_reference_integrate_with_breakpoints,
+                        g, lo, hi, breakpoints, tol, max_evals))
+
+
+@given(st.sampled_from(("exp(x)", "x^4-2*x^2", "sqrt(x+1.5)", "abs(x-0.3)")),
+       st.floats(-1.0, 0.5), st.floats(0.1, 1.0), _TOLS, st.integers(0, 400))
+@settings(max_examples=150)
+def test_lemma_budget_hand_off_matches_reference(f, a, step, tol, max_evals):
+    # lemma_rhs gives its right half the budget its left half left over
+    model = FunctionModel.from_config({"name": "m", "f": f, "df": f, "K": [-2, 2]})
+    got = _outcome(lemma_rhs, model, a, step, tol, max_evals)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "integrate", _reference_integrate)
+        want = _outcome(lemma_rhs, model, a, step, tol, max_evals)
+    assert got == want

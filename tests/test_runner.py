@@ -1,11 +1,22 @@
+import dataclasses
 import json
+import math
 
+import hypothesis.strategies as st
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from jsonschema.validators import validator_for
 
 from simpvex import bounds, runner
 from simpvex.bounds import FunctionModel
-from simpvex.errors import CaseConfigError
+from simpvex.errors import (
+    CaseConfigError,
+    DomainError,
+    EvalDomainError,
+    PreconditionUnmet,
+    QuadratureError,
+)
 from simpvex.invexity import Domain, EtaMap, SampleGrid
 from simpvex.expr import parse
 from simpvex.runner import (
@@ -347,3 +358,194 @@ def test_run_case_with_custom_grid_is_faster_but_consistent():
     result = run_case(case, grid=small)
     assert result.verdict == "pass"
     assert result.hypotheses[0].samples == 9 * 9 * 5 + 50
+
+
+def test_bundled_schemas_pass_their_metaschema():
+    schema_dir = runner._resource_files("simpvex").joinpath("schemas")
+    names = sorted(e.name for e in schema_dir.iterdir() if e.name.endswith(".json"))
+    assert names == ["case_schema.json", "report_schema.json"]
+    for name in names:
+        schema = json.loads(schema_dir.joinpath(name).read_text(encoding="utf-8"))
+        validator_for(schema).check_schema(schema)
+
+
+STEEP = dict(f="100*x^3", df="300*x^2", F="25*x^4", K=[0, 2], a=0, b=2)
+
+
+def test_run_case_turns_sweep_overflow_into_input_error():
+    # |f'|^149.9 overflows at |f'| > ~113, which 300*x^2 reaches on [0, 2]
+    case = load_case(square_case(**STEEP, q=[149.9, 1], theorems=["T3.1", "T3.2", "T4.1"]))
+    result = run_case(case)
+    assert result.verdict == "input_error"
+    assert result.error == ("OverflowError: hypothesis sweep of |f'|^q at q=149.9: "
+                            "(34, 'Numerical result out of range')")
+    assert [bv.theorem for bv in result.bounds] == ["T3.1"]
+    assert [h.exponent_q for h in result.hypotheses] == [None, 1.0, 1.0]
+
+
+def test_scan_skips_exponents_whose_sweep_overflows():
+    model = _model(STEEP["f"], STEEP["df"], STEEP["F"], K=(0.0, 2.0))
+    results = tightness_scan(model, EtaMap.difference(), Domain(0.0, 2.0),
+                             (0.0, 0.5), (1.5, 2.0), [149.9, 1.0], steps=3,
+                             theorems=("T3.2", "T3.4"))
+    t32, t34 = results
+    assert (t32.status, t32.cells, t32.skipped) == ("all_skipped", 9, 9)
+    assert (t34.status, t34.at_q, t34.cells, t34.skipped) == ("ok", 1.0, 18, 9)
+
+
+def test_scan_nan_ratio_is_skipped_and_never_the_witness(monkeypatch):
+    real = bounds.simpson_defect
+
+    def nan_defect_at_zero(model, a, step, tol):
+        d = real(model, a, step, tol)
+        return dataclasses.replace(d, defect=math.nan) if a == 0.0 else d
+
+    monkeypatch.setattr(bounds, "simpson_defect", nan_defect_at_zero)
+    model = _model("x^4", "4*x^3", "(x^5)/5", K=(0.0, 2.0))
+    (r,) = tightness_scan(model, EtaMap.difference(), Domain(0.0, 2.0),
+                          (0.0, 0.5), (1.5, 2.0), [1.0], steps=2, theorems=("T3.1",))
+    # the two cells at a = 0 come first and give NaN ratios
+    assert (r.status, r.at_a, r.cells, r.skipped) == ("ok", 0.5, 4, 2)
+    assert not math.isnan(r.ratio)
+
+
+def _reference_scan(model, eta, K, a_range, b_range, q_list, steps, theorems,
+                    tolerances=runner.DEFAULT_TOLERANCES, grid=runner.DEFAULT_GRID):
+    """The theorem -> q -> a -> b scan that the cell-major scan replaced.
+
+    Two lines differ from it on purpose, marked below: a q whose sweep
+    overflows is skipped, and a NaN ratio is a skipped cell.
+    """
+    if steps < 2:
+        raise ValueError("steps must be at least 2")
+    rows = [(theorem, runner._theorem(theorem)) for theorem in theorems]
+    tol = tolerances
+
+    def axis(rng):
+        lo, hi = float(rng[0]), float(rng[1])
+        if lo == hi:
+            return [lo] * steps
+        return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+
+    a_vals = axis(a_range)
+    b_vals = axis(b_range)
+    invex_report = runner.check_invex_set(K, eta, grid, tol.invexity)
+    hypothesis, _ = runner._hypotheses(model, eta, K, grid, tol.invexity)
+    defect_cache = {}
+
+    def defect_at(a, step):
+        key = (a, step)
+        if key not in defect_cache:
+            try:
+                defect_cache[key] = bounds.simpson_defect(model, a, step, tol.oracle)
+            except (EvalDomainError, DomainError, QuadratureError):
+                defect_cache[key] = None
+        return defect_cache[key]
+
+    def unmet(row, q):
+        try:
+            return invex_report.violated or hypothesis(row.mode, q).violated
+        except OverflowError:  # changed: an overflowing sweep skips its q
+            return True
+
+    out = []
+    for theorem, row in rows:
+        best = None
+        cells = 0
+        skipped = 0
+        for q in row.exponents(q_list):
+            cells += steps * steps
+            if ((row.mode is not None and unmet(row, q))
+                    or (theorem == "CLASSICAL" and model.d4sup is None)):
+                skipped += steps * steps
+                continue
+            for a in a_vals:
+                for b in b_vals:
+                    try:
+                        step = eta(b, a)
+                    except EvalDomainError:
+                        skipped += 1
+                        continue
+                    if not (step > 0.0 and K.contains(a) and K.contains(b)
+                            and K.contains(a + step)):
+                        skipped += 1
+                        continue
+                    defect = defect_at(a, step)
+                    if defect is None:
+                        skipped += 1
+                        continue
+                    try:
+                        bv, lhs = row.evaluate(model, a, b, step, q, defect, tol)
+                    except (PreconditionUnmet, EvalDomainError):
+                        skipped += 1
+                        continue
+                    if bv.rhs == 0.0:
+                        skipped += 1
+                        continue
+                    ratio = lhs / bv.rhs
+                    if math.isnan(ratio):  # changed: a NaN ratio is skipped
+                        skipped += 1
+                        continue
+                    if best is None or ratio > best[0]:
+                        best = (ratio, a, b, q)
+        if best is None:
+            out.append(runner.TightnessResult(theorem, "all_skipped", None, None, None, None,
+                                              cells, skipped))
+        else:
+            ratio, a, b, q = best
+            out.append(runner.TightnessResult(theorem, "ok", ratio, a, b, q, cells, skipped))
+    return out
+
+
+def _scan_outcome(scan, *args):
+    try:
+        return repr(scan(*args))
+    except Exception as exc:  # the raise itself is compared
+        return f"{type(exc).__name__}: {exc}"
+
+
+# (f, df, F, K): smooth; period-1 sin; flat below x = 1 and |f'|
+# monotone, so C4.2's hypotheses and precondition hold where the path
+# stays below 1 and b does not (eta 0.8*(v-u)); f' that fails at x = 0.3
+# only (no sample point of SMALL_GRID); f' that fails on K; and a line
+# (zero defect, so every ratio ties at 0)
+_SCAN_MODELS = [
+    ("x^4-x", "4*x^3-1", "(x^5)/5-(x^2)/2", (-1.0, 2.0)),
+    ("exp(x)", "exp(x)", None, (-1.0, 2.0)),
+    ("sin(6.283185307179586*x)", "6.283185307179586*cos(6.283185307179586*x)",
+     "-cos(6.283185307179586*x)/6.283185307179586", (-1.0, 2.0)),
+    ("if(x<1, 0, (x-1)^3)", "if(x<1, 0, 3*(x-1)^2)", "if(x<1, 0, ((x-1)^4)/4)", (-1.0, 2.0)),
+    ("x^3", "if(x == 0.3, log(x-x), 3*x^2)", "(x^4)/4", (-1.0, 2.0)),
+    ("sqrt(x)", "0.5/sqrt(x)", None, (0.0, 2.0)),
+    ("2*x+1", "2", "x^2+x", (-1.0, 2.0)),
+]
+_SCAN_ETAS = [EtaMap.difference(), EtaMap.abs_example(),
+              EtaMap.from_expression("(v-u)/(1+0.5*abs(v-u))"),
+              EtaMap.from_expression("0.8*(v-u)")]
+SMALL_GRID = SampleGrid(nu=5, nv=5, nt=3, random_triples=20)
+
+
+@given(st.sampled_from(_SCAN_MODELS), st.booleans(), st.sampled_from((None, 0.0, 30.0)),
+       st.sampled_from(_SCAN_ETAS),
+       st.sampled_from(((0.0, 0.5), (-1.0, 0.0), (0.3, 0.3), (0.5, 0.0), (-0.5, 1.0))),
+       st.sampled_from(((1.0, 1.5), (1.0, 2.0), (0.3, 1.3), (-1.0, 1.0))),
+       st.lists(st.sampled_from((1.0, 1.0000001, 1.5, 2.0, 3.0, 149.9, 150.0)),
+                min_size=1, max_size=4),
+       st.integers(2, 5),
+       st.lists(st.sampled_from(runner.THEOREM_IDS), min_size=1, max_size=10, unique=True))
+@settings(max_examples=150)
+def test_cell_major_scan_matches_theorem_major_reference(
+        spec, with_F, d4sup, eta, a_range, b_range, q_list, steps, theorems):
+    f, df, F, K = spec
+    model = _model(f, df, F if with_F else None, K=K, d4sup=d4sup)
+    args = (model, eta, Domain(*K), a_range, b_range, q_list, steps, theorems,
+            runner.DEFAULT_TOLERANCES, SMALL_GRID)
+    assert _scan_outcome(tightness_scan, *args) == _scan_outcome(_reference_scan, *args)
+
+
+def test_scan_reference_on_the_bundled_corpus():
+    for case in load_corpus():
+        K = case.model.domain
+        args = (case.model, case.eta, K, (K.lo, case.a), (case.b, K.hi), case.q_list, 4,
+                case.theorems, case.tolerances, SMALL_GRID)
+        assert _scan_outcome(tightness_scan, *args) == _scan_outcome(_reference_scan, *args)
