@@ -32,9 +32,9 @@ certified verdicts are an open roadmap item.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import expr as expr_mod
 from . import kernel, quadrature
@@ -52,9 +52,12 @@ __all__ = [
     "FunctionModel",
     "SimpsonDefect",
     "BoundValue",
+    "THEOREMS",
     "simpson_defect",
     "lemma_rhs",
     "midpoint_gap",
+    "midpoint_value",
+    "fourth_derivative_sup",
     "bound_T3_1",
     "bound_T3_2",
     "bound_T3_3",
@@ -120,7 +123,11 @@ class FunctionModel:
             if not (math.isfinite(d4sup) and d4sup >= 0.0):
                 raise CaseConfigError(f"d4sup must be a finite value >= 0, got {d4sup!r}")
         lo, hi = cfg["K"]
-        return cls(cfg["name"], f, df, Domain(float(lo), float(hi)), F, d4sup)
+        try:
+            domain = Domain(float(lo), float(hi))
+        except ValueError as exc:
+            raise CaseConfigError(f"bad K in case {cfg.get('name')!r}: {exc}") from exc
+        return cls(cfg["name"], f, df, domain, F, d4sup)
 
     def validate(self, interval=None, points: int = 33,
                  derivative_tol: float = 1e-4,
@@ -258,8 +265,30 @@ def midpoint_gap(model: FunctionModel, a: float, eta_val: float,
     return model.f_fn(a + 0.5 * eta_val) - mean, qerr
 
 
-def _endpoint_magnitudes(model: FunctionModel, a: float, b: float):
-    return abs(model.df_fn(a)), abs(model.df_fn(b))
+def midpoint_value(model: FunctionModel, a: float, eta_val: float,
+                   precondition_tol: float = 1e-9) -> float:
+    """f(a + eta/2), under C4.2's precondition f(a) = f(a + eta/2) = f(a + eta).
+
+    Raises PreconditionUnmet unless the three agree within ``precondition_tol``.
+    """
+    f = model.f_fn
+    fa = f(a)
+    fmid = f(a + 0.5 * eta_val)
+    fend = f(a + eta_val)
+    if abs(fa - fmid) > precondition_tol or abs(fmid - fend) > precondition_tol:
+        raise PreconditionUnmet(
+            f"midpoint bound needs f(a) = f(mid) = f(end); got "
+            f"{fa!r}, {fmid!r}, {fend!r}"
+        )
+    return fmid
+
+
+def fourth_derivative_sup(model: FunctionModel) -> float:
+    """The model's d4sup, the classical bound's input; MissingFourthDerivative without one."""
+    if model.d4sup is None:
+        raise MissingFourthDerivative(
+            f"model {model.name!r} has no d4sup; the classical bound needs one")
+    return model.d4sup
 
 
 def _conjugate(q: float) -> float:
@@ -302,8 +331,7 @@ def _slack(rhs: float, defect: Optional[SimpsonDefect]) -> Optional[float]:
 
 
 # Right-hand sides rhs(x1, x2, step, q) over x1 = |f'(a)|, x2 = |f'(b)|.
-# The bound_* wrappers and runner.tightness_scan share them, so each
-# formula exists once.  They do not check q; the wrappers do.
+# They do not check q; the (q, p) labels of THEOREMS do.
 
 def _rhs_T3_1(x1: float, x2: float, step: float, q) -> float:
     return _M1 * step * (x1 + x2)
@@ -345,67 +373,119 @@ def _rhs_classical(x1, x2, step: float, d4sup: float) -> float:
     return d4sup * step ** 4 / 2880.0
 
 
-def _bound(theorem: str, rhs_fn, model: FunctionModel, a: float, b: float,
-           eta_val: float, q: Optional[float], p: Optional[float],
-           defect: Optional[SimpsonDefect]) -> BoundValue:
-    """The BoundValue of ``rhs_fn`` at |f'(a)|, |f'(b)|."""
-    x1, x2 = _endpoint_magnitudes(model, a, b)
-    rhs = rhs_fn(x1, x2, eta_val, q)
-    return BoundValue(theorem, q, p, rhs, _slack(rhs, defect))
+def _q_one(q_list):
+    return [1.0]
 
 
-def _at_least_one(q: float) -> None:
+def _q_above_one(q_list):
+    return [q for q in q_list if q > 1.0]
+
+
+def _q_all(q_list):
+    return list(q_list)
+
+
+def _q_none(q_list):
+    return [None]
+
+
+def _no_labels(q):
+    return None, None
+
+
+def _q_and_conjugate(q: float):
+    return q, _conjugate(q)
+
+
+def _q_at_least_one(q: float):
     if q < 1.0:
         raise ValueError(f"this bound needs q >= 1, got {q!r}")
+    return q, None
+
+
+class Theorem(NamedTuple):
+    """One bound of the paper.
+
+    mode: the property |f'|^q must have on samples; None for no hypothesis.
+    exponents: the q values the bound takes from a case's q list.
+    labels: q -> the (q, p) of its BoundValue; ValueError for a q out of range.
+    rhs: rhs(|f'(a)|, |f'(b)|, step, q); CLASSICAL takes d4sup for q.  It
+        dominates |defect|, or |f(a + eta/2) - mean of f| for C4.2.
+    """
+
+    mode: Optional[str]
+    exponents: Callable[[Sequence[float]], List[Optional[float]]]
+    labels: Callable[[Optional[float]], Tuple[Optional[float], Optional[float]]]
+    rhs: Callable[..., float]
+
+
+# The one theorem table: the bound_* wrappers, runner.run_case and
+# runner.tightness_scan all reach each bound through it.
+THEOREMS: Dict[str, Theorem] = {
+    "T3.1": Theorem("preinvex", _q_one, _no_labels, _rhs_T3_1),
+    "T3.2": Theorem("preinvex", _q_above_one, _q_and_conjugate, _rhs_T3_2),
+    "T3.3": Theorem("preinvex", _q_above_one, _q_and_conjugate, _rhs_T3_3),
+    "T3.4": Theorem("preinvex", _q_all, _q_at_least_one, _rhs_T3_4),
+    "T4.1": Theorem("prequasiinvex", _q_all, _q_at_least_one, _rhs_T4_1),
+    "T4.2": Theorem("prequasiinvex", _q_above_one, _q_and_conjugate, _rhs_T4_2),
+    "T4.3": Theorem("prequasiinvex", _q_above_one, _q_and_conjugate, _rhs_T4_3),
+    "C4.1": Theorem("prequasiinvex", _q_one, _q_at_least_one, _rhs_T4_1),
+    "C4.2": Theorem("prequasiinvex", _q_one, _no_labels, _rhs_T4_1),
+    "CLASSICAL": Theorem(None, _q_none, _no_labels, _rhs_classical),
+}
+
+
+def _bound(theorem: str, model: FunctionModel, a: float, b: float, eta_val: float,
+           q: Optional[float], defect: Optional[SimpsonDefect]) -> BoundValue:
+    """The BoundValue of THEOREMS[theorem]; checks the step, then q, then reads f'."""
+    row = THEOREMS[theorem]
+    eta_val = _require_step(eta_val)
+    q_label, p = row.labels(q)
+    x1 = x2 = None  # CLASSICAL reads no f'
+    if row.mode is not None:
+        x1, x2 = abs(model.df_fn(a)), abs(model.df_fn(b))
+    rhs = row.rhs(x1, x2, eta_val, q)
+    return BoundValue(theorem, q_label, p, rhs, _slack(rhs, defect))
 
 
 def bound_T3_1(model: FunctionModel, a: float, b: float, eta_val: float,
                defect: Optional[SimpsonDefect] = None) -> BoundValue:
     """Endpoint-mean bound (5/72) eta (|f'(a)| + |f'(b)|)."""
-    eta_val = _require_step(eta_val)
-    return _bound("T3.1", _rhs_T3_1, model, a, b, eta_val, None, None, defect)
+    return _bound("T3.1", model, a, b, eta_val, None, defect)
 
 
 def bound_T3_2(model: FunctionModel, a: float, b: float, eta_val: float, q: float,
                defect: Optional[SimpsonDefect] = None) -> BoundValue:
     """Half-split Hoelder bound with weights 3/8 and 1/8, q > 1."""
-    eta_val = _require_step(eta_val)
-    return _bound("T3.2", _rhs_T3_2, model, a, b, eta_val, q, _conjugate(q), defect)
+    return _bound("T3.2", model, a, b, eta_val, q, defect)
 
 
 def bound_T3_3(model: FunctionModel, a: float, b: float, eta_val: float, q: float,
                defect: Optional[SimpsonDefect] = None) -> BoundValue:
     """Whole-interval Hoelder bound with the plain endpoint mean, q > 1."""
-    eta_val = _require_step(eta_val)
-    return _bound("T3.3", _rhs_T3_3, model, a, b, eta_val, q, _conjugate(q), defect)
+    return _bound("T3.3", model, a, b, eta_val, q, defect)
 
 
 def bound_T3_4(model: FunctionModel, a: float, b: float, eta_val: float, q: float,
                defect: Optional[SimpsonDefect] = None) -> BoundValue:
     """Power-mean bound with the 61/1296, 29/1296 weights, q >= 1."""
-    eta_val = _require_step(eta_val)
-    _at_least_one(q)
-    return _bound("T3.4", _rhs_T3_4, model, a, b, eta_val, q, None, defect)
+    return _bound("T3.4", model, a, b, eta_val, q, defect)
 
 
 def bound_T4_1(model: FunctionModel, a: float, b: float, eta_val: float, q: float,
-               defect: Optional[SimpsonDefect] = None, theorem: str = "T4.1") -> BoundValue:
+               defect: Optional[SimpsonDefect] = None) -> BoundValue:
     """Max-endpoint bound (5/36) eta max(|f'(a)|^q, |f'(b)|^q)^(1/q).
 
     The q-th root of the max of q-th powers is the max of the
-    magnitudes, so the rhs is computed that way; q = 1 is Corollary
-    C4.1 and may be labelled as such via ``theorem``.
+    magnitudes, so the rhs is computed that way; q = 1 is Corollary C4.1.
     """
-    eta_val = _require_step(eta_val)
-    _at_least_one(q)
-    return _bound(theorem, _rhs_T4_1, model, a, b, eta_val, q, None, defect)
+    return _bound("T4.1", model, a, b, eta_val, q, defect)
 
 
 def bound_T4_2(model: FunctionModel, a: float, b: float, eta_val: float, q: float,
                defect: Optional[SimpsonDefect] = None) -> BoundValue:
     """Hoelder variant 2 eta M_p^(1/p) (max/2)^(1/q), q > 1."""
-    eta_val = _require_step(eta_val)
-    return _bound("T4.2", _rhs_T4_2, model, a, b, eta_val, q, _conjugate(q), defect)
+    return _bound("T4.2", model, a, b, eta_val, q, defect)
 
 
 def bound_T4_3(model: FunctionModel, a: float, b: float, eta_val: float, q: float,
@@ -415,8 +495,7 @@ def bound_T4_3(model: FunctionModel, a: float, b: float, eta_val: float, q: floa
     Never exceeds the T4.2 value: in exact arithmetic
     T4.2 / T4.3 = 2 / 2^(1/p) = 2^(1/q), which is > 1 for every q > 1.
     """
-    eta_val = _require_step(eta_val)
-    return _bound("T4.3", _rhs_T4_3, model, a, b, eta_val, q, _conjugate(q), defect)
+    return _bound("T4.3", model, a, b, eta_val, q, defect)
 
 
 def bound_C4_2_midpoint(model: FunctionModel, a: float, b: float, eta_val: float,
@@ -429,26 +508,14 @@ def bound_C4_2_midpoint(model: FunctionModel, a: float, b: float, eta_val: float
     left-hand side.
     """
     eta_val = _require_step(eta_val)
-    f = model.f_fn
-    fa = f(a)
-    fmid = f(a + 0.5 * eta_val)
-    fend = f(a + eta_val)
-    if abs(fa - fmid) > precondition_tol or abs(fmid - fend) > precondition_tol:
-        raise PreconditionUnmet(
-            f"midpoint bound needs f(a) = f(mid) = f(end); got "
-            f"{fa!r}, {fmid!r}, {fend!r}"
-        )
-    rhs = _rhs_T4_1(*_endpoint_magnitudes(model, a, b), eta_val, None)
+    midpoint_value(model, a, eta_val, precondition_tol)
+    bv = _bound("C4.2", model, a, b, eta_val, None, None)
     gap, qerr = midpoint_gap(model, a, eta_val, abs_tol)
-    return BoundValue("C4.2", None, None, rhs, rhs - abs(gap) - qerr)
+    return replace(bv, slack=bv.rhs - abs(gap) - qerr)
 
 
 def bound_classical(model: FunctionModel, a: float, eta_val: float,
                     defect: Optional[SimpsonDefect] = None) -> BoundValue:
     """Classical Simpson bound sup|f''''| eta^4 / 2880."""
     eta_val = _require_step(eta_val)
-    if model.d4sup is None:
-        raise MissingFourthDerivative(
-            f"model {model.name!r} has no d4sup; the classical bound needs one")
-    rhs = _rhs_classical(None, None, eta_val, model.d4sup)
-    return BoundValue("CLASSICAL", None, None, rhs, _slack(rhs, defect))
+    return _bound("CLASSICAL", model, a, None, eta_val, fourth_derivative_sup(model), defect)

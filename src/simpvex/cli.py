@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
 from . import bounds as bounds_mod
 from . import kernel, quadrature, runner
 from .errors import CaseConfigError, SimpvexError
-from .invexity import Domain, EtaMap
+from .invexity import EtaMap
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -77,6 +78,8 @@ def _parse_floats(text: str, flag: str) -> List[float]:
         raise CaseConfigError(f"{flag} expects comma-separated numbers, got {text!r}")
     if not values:
         raise CaseConfigError(f"{flag} expects at least one number")
+    if not all(math.isfinite(v) for v in values):
+        raise CaseConfigError(f"{flag} expects finite numbers, got {text!r}")
     return values
 
 
@@ -146,13 +149,15 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.steps < 2:
+        raise CaseConfigError(f"--steps must be at least 2, got {args.steps!r}")
+    q_list = _parse_floats(args.q, "--q")
+    for q in q_list:
+        if q < 1.0:
+            raise CaseConfigError(f"exponent q must be >= 1, got {q!r}")
     tol = _tolerances(args)
     eta = _parse_eta(args.eta)
     lo, hi = _parse_pair(args.K, "--K")
-    try:
-        domain = Domain(lo, hi)
-    except ValueError as exc:
-        raise CaseConfigError(str(exc))
     config = {
         "name": args.name,
         "f": args.f,
@@ -168,11 +173,10 @@ def cmd_scan(args) -> int:
         if theorem not in runner.THEOREM_IDS:
             raise CaseConfigError(f"unknown theorem id {theorem!r}")
     results = runner.tightness_scan(
-        model, eta, domain,
+        model, eta, model.domain,
         _parse_pair(args.a_range, "--a-range"),
         _parse_pair(args.b_range, "--b-range"),
-        _parse_floats(args.q, "--q"),
-        args.steps, theorems, tol)
+        q_list, args.steps, theorems, tol)
     rows = ["theorem,status,ratio,a,b,q,cells,skipped"]
     for r in results:
         def cell(x):

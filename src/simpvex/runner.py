@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib.resources import files as _resource_files
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import jsonschema
 from jsonschema.exceptions import best_match
@@ -79,84 +79,12 @@ VERDICT_VIOLATION = "violation"
 VERDICT_INPUT_ERROR = "input_error"
 
 
-class _Theorem(NamedTuple):
-    """One bound of the paper.
-
-    mode: the property |f'|^q must have on samples; None for no hypothesis.
-    exponents: the q values the bound takes from a case's q list.
-    evaluate: (model, a, b, step, q, defect, tol) -> (BoundValue, lhs), where
-        the rhs dominates lhs: |defect|, or the midpoint gap for C4.2.
-        Evaluators look up ``bounds_mod.bound_*`` at call time, so a
-        replaced module attribute (a tracing wrapper, say) is honoured.
-    rhs: the formula ``evaluate`` computes, rhs(|f'(a)|, |f'(b)|, step, q),
-        as plain arithmetic for the tightness scan; CLASSICAL takes d4sup
-        in the place of q and reads no magnitudes.  None for C4.2, whose
-        precondition needs f itself.
-    """
-
-    mode: Optional[str]
-    exponents: Callable[[Sequence[float]], List[Optional[float]]]
-    evaluate: Callable[..., Tuple[bounds_mod.BoundValue, float]]
-    rhs: Optional[Callable[[float, float, float, float], float]]
+THEOREM_IDS = tuple(bounds_mod.THEOREMS)
 
 
-def _q_one(q_list):
-    return [1.0]
-
-
-def _q_above_one(q_list):
-    return [q for q in q_list if q > 1.0]
-
-
-def _q_all(q_list):
-    return list(q_list)
-
-
-def _q_none(q_list):
-    return [None]
-
-
-def _on_defect(bound):
-    """Evaluator for a bound on |defect|; ``bound(model, a, b, step, q, defect)``."""
-    def evaluate(model, a, b, step, q, defect, tol):
-        return bound(model, a, b, step, q, defect), abs(defect.defect)
-    return evaluate
-
-
-def _midpoint(model, a, b, step, q, defect, tol):
-    bv = bounds_mod.bound_C4_2_midpoint(model, a, b, step, tol.oracle)
-    return bv, abs(bounds_mod.midpoint_gap(model, a, step, tol.oracle)[0])
-
-
-_THEOREMS: Dict[str, _Theorem] = {
-    "T3.1": _Theorem("preinvex", _q_one, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T3_1(m, a, b, s, d)), bounds_mod._rhs_T3_1),
-    "T3.2": _Theorem("preinvex", _q_above_one, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T3_2(m, a, b, s, q, d)), bounds_mod._rhs_T3_2),
-    "T3.3": _Theorem("preinvex", _q_above_one, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T3_3(m, a, b, s, q, d)), bounds_mod._rhs_T3_3),
-    "T3.4": _Theorem("preinvex", _q_all, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T3_4(m, a, b, s, q, d)), bounds_mod._rhs_T3_4),
-    "T4.1": _Theorem("prequasiinvex", _q_all, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T4_1(m, a, b, s, q, d)), bounds_mod._rhs_T4_1),
-    "T4.2": _Theorem("prequasiinvex", _q_above_one, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T4_2(m, a, b, s, q, d)), bounds_mod._rhs_T4_2),
-    "T4.3": _Theorem("prequasiinvex", _q_above_one, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T4_3(m, a, b, s, q, d)), bounds_mod._rhs_T4_3),
-    "C4.1": _Theorem("prequasiinvex", _q_one, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_T4_1(m, a, b, s, q, d, theorem="C4.1")),
-        bounds_mod._rhs_T4_1),
-    "C4.2": _Theorem("prequasiinvex", _q_one, _midpoint, None),
-    "CLASSICAL": _Theorem(None, _q_none, _on_defect(
-        lambda m, a, b, s, q, d: bounds_mod.bound_classical(m, a, s, d)),
-        bounds_mod._rhs_classical),
-}
-THEOREM_IDS = tuple(_THEOREMS)
-
-
-def _theorem(theorem: str) -> _Theorem:
+def _theorem(theorem: str) -> bounds_mod.Theorem:
     try:
-        return _THEOREMS[theorem]
+        return bounds_mod.THEOREMS[theorem]
     except KeyError:
         raise ValueError(f"unknown theorem id {theorem!r}") from None
 
@@ -179,9 +107,14 @@ class Tolerances:
     derivative: float = 1e-4
 
     def merged(self, overrides: Optional[dict]) -> "Tolerances":
+        """This set with ``overrides`` applied; CaseConfigError unless each is finite and > 0."""
         if not overrides:
             return self
-        return replace(self, **{k: float(v) for k, v in overrides.items() if v is not None})
+        values = {k: float(v) for k, v in overrides.items() if v is not None}
+        for key, value in values.items():
+            if not (math.isfinite(value) and value > 0.0):
+                raise CaseConfigError(f"tolerance {key} must be finite and > 0, got {value!r}")
+        return replace(self, **values)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -254,6 +187,8 @@ def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Corp
     a = float(config["a"])
     b = float(config["b"])
     q_list = tuple(float(q) for q in config["q"])
+    if not all(math.isfinite(q) for q in q_list):
+        raise CaseConfigError(f"case {name!r}: every q must be finite, got {list(q_list)!r}")
     theorems = tuple(config["theorems"])
     if "CLASSICAL" in theorems and model.d4sup is None:
         raise CaseConfigError(f"case {name!r} requests CLASSICAL but has no d4sup")
@@ -313,17 +248,34 @@ class CaseResult:
 
 
 def _hypotheses(model, eta: EtaMap, K: Domain, grid: SampleGrid, tol: float):
-    """(lookup(mode, q) -> PropertyReport, reports in sweep order), one sweep per q."""
+    """(lookup(mode, q) -> PropertyReport, reports in sweep order), one sweep per q.
+
+    A sweep that overflows is not run again: lookup re-raises its OverflowError.
+    """
     reports: Dict[Tuple[str, float], PropertyReport] = {}
+    overflows: Dict[float, OverflowError] = {}
 
     def lookup(mode: str, q: float) -> PropertyReport:
         if (mode, q) not in reports:
-            pre, quasi = hypothesis_pair(model, eta, K, q, grid, tol)
+            if q in overflows:
+                raise overflows[q]
+            try:
+                pre, quasi = hypothesis_pair(model, eta, K, q, grid, tol)
+            except OverflowError as exc:
+                overflows[q] = exc
+                raise
             reports[("preinvex", q)] = pre
             reports[("prequasiinvex", q)] = quasi
         return reports[(mode, q)]
 
     return lookup, reports
+
+
+def _lhs(theorem: str, model, a: float, step: float, defect) -> float:
+    """What the bound dominates: |f(a + step/2) - mean of f| for C4.2, |defect| otherwise."""
+    if theorem == "C4.2":
+        return abs(bounds_mod.midpoint_value(model, a, step) - defect.mean_integral)
+    return abs(defect.defect)
 
 
 def _fmt(x: float) -> str:
@@ -382,6 +334,7 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
             f"defect identity failed: residual {_fmt(result.identity_residual)} "
             f"exceeds budget {_fmt(identity_budget)}")
 
+    magnitudes = None  # |f'(a)|, |f'(b)|, read at the first bound that needs them
     skipped = False
     for theorem in case.theorems:
         row = _theorem(theorem)
@@ -410,13 +363,21 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
                     result.notes.append(
                         f"note: |f'| is {row.mode} at q=1 but |f'|^q fails at q={q:g}")
                 continue
+            q_label, p = row.labels(q)
             try:
-                bv, _ = row.evaluate(model, case.a, case.b, step, q, defect, tol)
+                lhs = _lhs(theorem, model, case.a, step, defect)
             except PreconditionUnmet as exc:
                 skipped = True
                 result.notes.append(f"skipped {theorem}: {exc}")
                 continue
-            result.bounds.append(bv)
+            if row.mode is None:
+                rhs = row.rhs(None, None, step, bounds_mod.fourth_derivative_sup(model))
+            else:
+                if magnitudes is None:
+                    magnitudes = abs(model.df_fn(case.a)), abs(model.df_fn(case.b))
+                rhs = row.rhs(*magnitudes, step, q)
+            result.bounds.append(bounds_mod.BoundValue(
+                theorem, q_label, p, rhs, rhs - lhs - defect.quadrature_error))
     result.hypotheses.extend(hypothesis_reports.values())
 
     _check_golden(case, result)
@@ -543,12 +504,12 @@ class _ScanPair:
 
     __slots__ = ("theorem", "q", "row", "k", "uses_df", "skipped", "ratio", "at")
 
-    def __init__(self, theorem: str, q: Optional[float], row: _Theorem, k):
+    def __init__(self, theorem: str, q: Optional[float], row: bounds_mod.Theorem, k):
         self.theorem = theorem
         self.q = q
         self.row = row
         self.k = k  # the rhs's last argument: q, or d4sup for CLASSICAL
-        self.uses_df = row.mode is not None and row.rhs is not None
+        self.uses_df = row.mode is not None
         self.skipped = 0
         self.ratio = -math.inf
         self.at = None  # (a, b) of the best ratio; None while no cell counted
@@ -570,7 +531,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
 
     Each (a, b) cell is visited once: its step, containment, defect and
     |f'(a)|, |f'(b)| serve every (theorem, q) pair, whose rhs is then
-    plain arithmetic (C4.2 goes through its evaluator).
+    plain arithmetic, as in ``run_case``.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -606,17 +567,6 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             else:
                 pair.skipped = n_cells
 
-    defect_cache: Dict[Tuple[float, float], Optional[bounds_mod.SimpsonDefect]] = {}
-
-    def defect_at(a: float, step: float):
-        key = (a, step)
-        if key not in defect_cache:
-            try:
-                defect_cache[key] = bounds_mod.simpson_defect(model, a, step, tol.oracle)
-            except (EvalDomainError, DomainError, QuadratureError):
-                defect_cache[key] = None
-        return defect_cache[key]
-
     df = model.df_fn
     reads_df = any(pair.uses_df for pair in active)
     unusable = 0  # cells every active pair skips: no step, path or defect
@@ -630,10 +580,12 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             if not (step > 0.0 and K.contains(a) and K.contains(b) and K.contains(a + step)):
                 unusable += 1
                 continue
-            defect = defect_at(a, step)
-            if defect is None:
+            try:
+                defect = bounds_mod.simpson_defect(model, a, step, tol.oracle)
+            except (EvalDomainError, DomainError, QuadratureError):
                 unusable += 1
                 continue
+            abs_defect = abs(defect.defect)
             x1 = x2 = None  # |f'(a)|, |f'(b)|, once per cell; None where f' fails
             if reads_df:
                 try:
@@ -641,22 +593,19 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                 except EvalDomainError:
                     pass
             for pair in active:
-                if pair.row.rhs is None:
-                    try:
-                        bv, lhs = pair.row.evaluate(model, a, b, step, pair.q, defect, tol)
-                    except (PreconditionUnmet, EvalDomainError):
-                        pair.skipped += 1
-                        continue
-                    rhs = bv.rhs
-                elif pair.uses_df and x1 is None:
+                if pair.uses_df and x1 is None:
                     pair.skipped += 1
                     continue
-                else:
-                    rhs = pair.row.rhs(x1, x2, step, pair.k)
-                    if not rhs >= 0.0:  # what BoundValue raises
-                        raise ValueError(
-                            f"bound {pair.theorem} produced negative rhs {rhs!r}")
-                    lhs = abs(defect.defect)
+                lhs = abs_defect
+                if pair.theorem == "C4.2":
+                    try:
+                        lhs = _lhs(pair.theorem, model, a, step, defect)
+                    except PreconditionUnmet:
+                        pair.skipped += 1
+                        continue
+                rhs = pair.row.rhs(x1, x2, step, pair.k)
+                if not rhs >= 0.0:  # what BoundValue raises
+                    raise ValueError(f"bound {pair.theorem} produced negative rhs {rhs!r}")
                 if rhs == 0.0:
                     pair.skipped += 1
                     continue

@@ -137,8 +137,6 @@ def test_max_endpoint_bound_square(square_model):
     for q in (1.0, 2.0, 7.0):
         bv = bound_T4_1(square_model, 0.0, 1.0, 1.0, q)
         assert bv.rhs == pytest.approx(5.0 / 18.0, rel=1e-15)
-    labelled = bound_T4_1(square_model, 0.0, 1.0, 1.0, 1.0, theorem="C4.1")
-    assert labelled.theorem == "C4.1"
 
 
 def test_hoelder_max_bounds_square(square_model):

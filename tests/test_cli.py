@@ -187,6 +187,24 @@ def test_scan_rejects_bad_range(capsys):
     assert "exactly two numbers" in capsys.readouterr().err
 
 
+SCAN_SQUARE = ["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1",
+               "--a-range", "0,0", "--b-range", "1,1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SCAN_SQUARE + ["--steps", "1"], "--steps must be at least 2, got 1"),
+    (SCAN_SQUARE + ["--q", "0.5"], "exponent q must be >= 1, got 0.5"),
+    (SCAN_SQUARE + ["--q", "1,nan"], "--q expects finite numbers, got '1,nan'"),
+    (["moments", "--p", "nan"], "--p expects finite numbers, got 'nan'"),
+    (["corpus", "--tol-oracle", "nan"], "tolerance oracle must be finite and > 0, got nan"),
+    (["corpus", "--tol-oracle", "-1"], "tolerance oracle must be finite and > 0, got -1.0"),
+    (["corpus", "--tol-slack", "nan"], "tolerance slack must be finite and > 0, got nan"),
+])
+def test_bad_numbers_exit_three_without_a_traceback(argv, message, capsys):
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _child_env():
     # the child imports the same simpvex as this process, even when pytest's
     # pythonpath setting (not the environment) is what put it on sys.path

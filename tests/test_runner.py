@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from jsonschema.validators import validator_for
 
-from simpvex import bounds, runner
+from simpvex import bounds, quadrature, runner
 from simpvex.bounds import FunctionModel
 from simpvex.errors import (
     CaseConfigError,
@@ -16,6 +16,7 @@ from simpvex.errors import (
     EvalDomainError,
     PreconditionUnmet,
     QuadratureError,
+    SimpvexError,
 )
 from simpvex.invexity import Domain, EtaMap, SampleGrid
 from simpvex.expr import parse
@@ -234,6 +235,30 @@ def test_tolerances_merge():
     assert tol.slack == 1e-10
     assert tol.invexity == 1e-12
     assert Tolerances().merged(None) == Tolerances()
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(CaseConfigError, match="tolerance slack must be finite and > 0"):
+            Tolerances().merged({"slack": bad})
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"K": [1, 0]}, "domain needs lo < hi, got [1.0, 0.0]"),
+    ({"K": [0, math.inf]}, "domain needs lo < hi, got [0.0, inf]"),
+    ({"q": [math.nan]}, "every q must be finite, got [nan]"),
+    ({"tolerances": {"oracle": math.nan}}, "tolerance oracle must be finite and > 0, got nan"),
+])
+def test_load_case_turns_bad_numbers_into_config_errors(overrides, message):
+    # json.loads accepts NaN and Infinity, and NaN passes the schema's minimum
+    config = json.loads(json.dumps(square_case(**overrides)))
+    with pytest.raises(CaseConfigError) as info:
+        load_case(config)
+    assert message in str(info.value)
+
+
+def test_theorem_ids_match_the_schema_enums():
+    case_enum = runner.case_schema()["properties"]["theorems"]["items"]["enum"]
+    bounds_entry = runner.report_schema()["$defs"]["case_entry"]["properties"]["bounds"]
+    assert case_enum == list(runner.THEOREM_IDS)
+    assert bounds_entry["items"]["properties"]["theorem"]["enum"] == list(runner.THEOREM_IDS)
 
 
 def _model(f, df, F=None, K=(-1.5, 1.5), d4sup=None):
@@ -307,13 +332,30 @@ def test_tightness_rejects_unknown_theorem_before_sweeping(monkeypatch):
                        (0.0, 0.0), (1.0, 1.0), [1.0], steps=2, theorems=("T3.1", "T9"))
 
 
-def test_one_cell_scan_matches_run_case(corpus_report):
+TWO_PI = "6.283185307179586"
+# f(0) = f(1/2) = f(1) = 0 and the mean of f on [0, 1] is 1/2, so C4.2's
+# precondition holds with a nonzero gap; no corpus case has one.  On this
+# coarse grid C4.2's hypothesis holds too.
+SIN2 = dict(name="sin2_midpoint", f=f"sin({TWO_PI}*x)^2",
+            df=f"2*{TWO_PI}*sin({TWO_PI}*x)*cos({TWO_PI}*x)", F=None,
+            K=[0, 1.5], a=0, b=1, q=[1, 2], theorems=["T3.1", "T4.2", "C4.1", "C4.2"])
+SIN2_GRID = SampleGrid(2, 2, 2, random_triples=0)
+
+
+def _runs(corpus_report):
+    """(case, run_case result, grid) over the corpus and the C4.2 nonzero-gap case."""
     results = {r.name: r for r in corpus_report.results}
-    for case in load_corpus():
-        result = results[case.name]
+    runs = [(case, results[case.name], runner.DEFAULT_GRID) for case in load_corpus()]
+    sin2 = load_case(square_case(**SIN2))
+    runs.append((sin2, run_case(sin2, SIN2_GRID), SIN2_GRID))
+    return runs
+
+
+def test_one_cell_scan_matches_run_case(corpus_report):
+    for case, result, grid in _runs(corpus_report):
         scans = tightness_scan(case.model, case.eta, case.model.domain,
                                (case.a, case.a), (case.b, case.b), case.q_list, steps=2,
-                               theorems=case.theorems, tolerances=case.tolerances)
+                               theorems=case.theorems, tolerances=case.tolerances, grid=grid)
         assert [s.theorem for s in scans] == list(case.theorems)
         for scan in scans:
             if scan.theorem == "C4.2":
@@ -393,6 +435,25 @@ def test_scan_skips_exponents_whose_sweep_overflows():
     assert (t34.status, t34.at_q, t34.cells, t34.skipped) == ("ok", 1.0, 18, 9)
 
 
+def test_an_overflowing_sweep_runs_once(monkeypatch):
+    sweeps = []
+    real = runner.hypothesis_pair
+
+    def counted(model, eta, K, q, grid, tol):
+        sweeps.append(q)
+        return real(model, eta, K, q, grid, tol)
+
+    monkeypatch.setattr(runner, "hypothesis_pair", counted)
+    model = _model(STEEP["f"], STEEP["df"], STEEP["F"], K=(0.0, 2.0))
+    results = tightness_scan(model, EtaMap.difference(), Domain(0.0, 2.0),
+                             (0.0, 0.5), (1.5, 2.0), [149.9, 1.0], steps=3,
+                             theorems=("T3.2", "T3.4", "T4.2", "T4.3"))
+    assert sweeps == [149.9, 1.0]
+    assert [(r.theorem, r.status, r.at_q, r.cells, r.skipped) for r in results] == [
+        ("T3.2", "all_skipped", None, 9, 9), ("T3.4", "ok", 1.0, 18, 9),
+        ("T4.2", "all_skipped", None, 9, 9), ("T4.3", "all_skipped", None, 9, 9)]
+
+
 def test_scan_nan_ratio_is_skipped_and_never_the_witness(monkeypatch):
     real = bounds.simpson_defect
 
@@ -409,6 +470,40 @@ def test_scan_nan_ratio_is_skipped_and_never_the_witness(monkeypatch):
     assert not math.isnan(r.ratio)
 
 
+def _on_defect(bound):
+    def evaluate(model, a, b, step, q, defect, tol):
+        return bound(model, a, b, step, q, defect), abs(defect.defect)
+    return evaluate
+
+
+def _midpoint(model, a, b, step, q, defect, tol):
+    bv = bounds.bound_C4_2_midpoint(model, a, b, step, tol.oracle)
+    return bv, abs(bounds.midpoint_gap(model, a, step, tol.oracle)[0])
+
+
+# Each theorem through the public bound_* wrappers, apart from the runner's
+# table: (mode, exponents, evaluate(model, a, b, step, q, defect, tol) ->
+# (BoundValue, the lhs its rhs dominates)).
+_PUBLIC_BOUNDS = {
+    "T3.1": ("preinvex", lambda qs: [1.0], _on_defect(
+        lambda m, a, b, s, q, d: bounds.bound_T3_1(m, a, b, s, d))),
+    "T3.2": ("preinvex", lambda qs: [q for q in qs if q > 1.0], _on_defect(bounds.bound_T3_2)),
+    "T3.3": ("preinvex", lambda qs: [q for q in qs if q > 1.0], _on_defect(bounds.bound_T3_3)),
+    "T3.4": ("preinvex", list, _on_defect(bounds.bound_T3_4)),
+    "T4.1": ("prequasiinvex", list, _on_defect(bounds.bound_T4_1)),
+    "T4.2": ("prequasiinvex", lambda qs: [q for q in qs if q > 1.0],
+             _on_defect(bounds.bound_T4_2)),
+    "T4.3": ("prequasiinvex", lambda qs: [q for q in qs if q > 1.0],
+             _on_defect(bounds.bound_T4_3)),
+    "C4.1": ("prequasiinvex", lambda qs: [1.0], _on_defect(
+        lambda m, a, b, s, q, d: dataclasses.replace(
+            bounds.bound_T4_1(m, a, b, s, q, d), theorem="C4.1"))),
+    "C4.2": ("prequasiinvex", lambda qs: [1.0], _midpoint),
+    "CLASSICAL": (None, lambda qs: [None], _on_defect(
+        lambda m, a, b, s, q, d: bounds.bound_classical(m, a, s, d))),
+}
+
+
 def _reference_scan(model, eta, K, a_range, b_range, q_list, steps, theorems,
                     tolerances=runner.DEFAULT_TOLERANCES, grid=runner.DEFAULT_GRID):
     """The theorem -> q -> a -> b scan that the cell-major scan replaced.
@@ -418,7 +513,6 @@ def _reference_scan(model, eta, K, a_range, b_range, q_list, steps, theorems,
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    rows = [(theorem, runner._theorem(theorem)) for theorem in theorems]
     tol = tolerances
 
     def axis(rng):
@@ -442,20 +536,21 @@ def _reference_scan(model, eta, K, a_range, b_range, q_list, steps, theorems,
                 defect_cache[key] = None
         return defect_cache[key]
 
-    def unmet(row, q):
+    def unmet(mode, q):
         try:
-            return invex_report.violated or hypothesis(row.mode, q).violated
+            return invex_report.violated or hypothesis(mode, q).violated
         except OverflowError:  # changed: an overflowing sweep skips its q
             return True
 
     out = []
-    for theorem, row in rows:
+    for theorem in theorems:
+        mode, exponents, evaluate = _PUBLIC_BOUNDS[theorem]
         best = None
         cells = 0
         skipped = 0
-        for q in row.exponents(q_list):
+        for q in exponents(q_list):
             cells += steps * steps
-            if ((row.mode is not None and unmet(row, q))
+            if ((mode is not None and unmet(mode, q))
                     or (theorem == "CLASSICAL" and model.d4sup is None)):
                 skipped += steps * steps
                 continue
@@ -475,7 +570,7 @@ def _reference_scan(model, eta, K, a_range, b_range, q_list, steps, theorems,
                         skipped += 1
                         continue
                     try:
-                        bv, lhs = row.evaluate(model, a, b, step, q, defect, tol)
+                        bv, lhs = evaluate(model, a, b, step, q, defect, tol)
                     except (PreconditionUnmet, EvalDomainError):
                         skipped += 1
                         continue
@@ -549,3 +644,56 @@ def test_scan_reference_on_the_bundled_corpus():
         args = (case.model, case.eta, K, (K.lo, case.a), (case.b, K.hi), case.q_list, 4,
                 case.theorems, case.tolerances, SMALL_GRID)
         assert _scan_outcome(tightness_scan, *args) == _scan_outcome(_reference_scan, *args)
+
+
+def test_midpoint_scan_integrates_f_once_per_cell(monkeypatch):
+    calls = []
+    real = quadrature.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counted)
+    model = _model(SIN2["f"], SIN2["df"], K=(0.0, 1.5))
+    (r,) = tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.5), (0.0, 0.5),
+                          (1.0, 1.5), [1.0], steps=9, theorems=("C4.2",), grid=SIN2_GRID)
+    # every cell has a defect, and the 9 with b = a + 1 meet C4.2's precondition
+    assert (r.status, r.cells, r.skipped) == ("ok", 81, 72)
+    assert len(calls) == 81
+
+
+def _assert_bounds_match_public_wrappers(case, result):
+    for bv in result.bounds:
+        evaluate = _PUBLIC_BOUNDS[bv.theorem][2]
+        want, _ = evaluate(case.model, case.a, case.b, result.eta_step, bv.q, result.defect,
+                           case.tolerances)
+        assert repr(bv) == repr(want), case.name
+
+
+def test_run_case_bounds_match_the_public_wrappers(corpus_report):
+    runs = _runs(corpus_report)
+    for case, result, _ in runs:
+        _assert_bounds_match_public_wrappers(case, result)
+    (midpoint,) = [bv for bv in runs[-1][1].bounds if bv.theorem == "C4.2"]
+    assert midpoint.slack == pytest.approx(midpoint.rhs - 0.5, abs=1e-9)
+
+
+@given(st.sampled_from(_SCAN_MODELS + [(SIN2["f"], SIN2["df"], None, (0.0, 1.5))]),
+       st.booleans(), st.sampled_from((None, 0.0, 30.0)), st.sampled_from(_SCAN_ETAS),
+       st.sampled_from((-1.0, 0.0, 0.3, 0.5)), st.sampled_from((0.3, 1.0, 1.5, 2.0)),
+       st.lists(st.sampled_from((1.0, 1.0000001, 1.5, 2.0, 149.9)), min_size=1, max_size=3),
+       st.lists(st.sampled_from(runner.THEOREM_IDS), min_size=1, max_size=10, unique=True),
+       st.sampled_from((SMALL_GRID, SIN2_GRID)))
+@settings(max_examples=100)
+def test_run_case_bounds_match_the_public_wrappers_on_generated_models(
+        spec, with_F, d4sup, eta, a, b, q_list, theorems, grid):
+    f, df, F, K = spec
+    model = _model(f, df, F if with_F else None, K=K, d4sup=d4sup)
+    case = runner.CorpusCase("generated", model, eta, a, b, tuple(q_list), tuple(theorems),
+                             runner.DEFAULT_TOLERANCES)
+    try:
+        result = run_case(case, grid)
+    except (SimpvexError, ValueError):  # raises are compared in the scan tests
+        return
+    _assert_bounds_match_public_wrappers(case, result)
