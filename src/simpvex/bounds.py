@@ -52,6 +52,7 @@ __all__ = [
     "FunctionModel",
     "SimpsonDefect",
     "BoundValue",
+    "Theorem",
     "THEOREMS",
     "simpson_defect",
     "lemma_rhs",
@@ -373,6 +374,17 @@ def _rhs_classical(x1, x2, step: float, d4sup: float) -> float:
     return d4sup * step ** 4 / 2880.0
 
 
+def _defect_lhs(model: FunctionModel, a: float, step: float,
+                defect: SimpsonDefect) -> float:
+    return abs(defect.defect)
+
+
+def _midpoint_lhs(model: FunctionModel, a: float, step: float,
+                  defect: SimpsonDefect) -> float:
+    """|f(a + step/2) - mean of f|, C4.2's left-hand side; PreconditionUnmet as midpoint_value."""
+    return abs(midpoint_value(model, a, step) - defect.mean_integral)
+
+
 def _q_one(q_list):
     return [1.0]
 
@@ -409,14 +421,16 @@ class Theorem(NamedTuple):
     mode: the property |f'|^q must have on samples; None for no hypothesis.
     exponents: the q values the bound takes from a case's q list.
     labels: q -> the (q, p) of its BoundValue; ValueError for a q out of range.
-    rhs: rhs(|f'(a)|, |f'(b)|, step, q); CLASSICAL takes d4sup for q.  It
-        dominates |defect|, or |f(a + eta/2) - mean of f| for C4.2.
+    rhs: rhs(|f'(a)|, |f'(b)|, step, q); CLASSICAL takes d4sup for q.
+    lhs: lhs(model, a, step, defect), what rhs dominates: |defect|, or
+        |f(a + eta/2) - mean of f| for C4.2.
     """
 
     mode: Optional[str]
     exponents: Callable[[Sequence[float]], List[Optional[float]]]
     labels: Callable[[Optional[float]], Tuple[Optional[float], Optional[float]]]
     rhs: Callable[..., float]
+    lhs: Callable[[FunctionModel, float, float, SimpsonDefect], float] = _defect_lhs
 
 
 # The one theorem table: the bound_* wrappers, runner.run_case and
@@ -430,7 +444,7 @@ THEOREMS: Dict[str, Theorem] = {
     "T4.2": Theorem("prequasiinvex", _q_above_one, _q_and_conjugate, _rhs_T4_2),
     "T4.3": Theorem("prequasiinvex", _q_above_one, _q_and_conjugate, _rhs_T4_3),
     "C4.1": Theorem("prequasiinvex", _q_one, _q_at_least_one, _rhs_T4_1),
-    "C4.2": Theorem("prequasiinvex", _q_one, _no_labels, _rhs_T4_1),
+    "C4.2": Theorem("prequasiinvex", _q_one, _no_labels, _rhs_T4_1, _midpoint_lhs),
     "CLASSICAL": Theorem(None, _q_none, _no_labels, _rhs_classical),
 }
 

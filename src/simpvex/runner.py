@@ -248,34 +248,17 @@ class CaseResult:
 
 
 def _hypotheses(model, eta: EtaMap, K: Domain, grid: SampleGrid, tol: float):
-    """(lookup(mode, q) -> PropertyReport, reports in sweep order), one sweep per q.
-
-    A sweep that overflows is not run again: lookup re-raises its OverflowError.
-    """
+    """(lookup(mode, q) -> PropertyReport, reports in sweep order), one sweep per q."""
     reports: Dict[Tuple[str, float], PropertyReport] = {}
-    overflows: Dict[float, OverflowError] = {}
 
     def lookup(mode: str, q: float) -> PropertyReport:
         if (mode, q) not in reports:
-            if q in overflows:
-                raise overflows[q]
-            try:
-                pre, quasi = hypothesis_pair(model, eta, K, q, grid, tol)
-            except OverflowError as exc:
-                overflows[q] = exc
-                raise
+            pre, quasi = hypothesis_pair(model, eta, K, q, grid, tol)
             reports[("preinvex", q)] = pre
             reports[("prequasiinvex", q)] = quasi
         return reports[(mode, q)]
 
     return lookup, reports
-
-
-def _lhs(theorem: str, model, a: float, step: float, defect) -> float:
-    """What the bound dominates: |f(a + step/2) - mean of f| for C4.2, |defect| otherwise."""
-    if theorem == "C4.2":
-        return abs(bounds_mod.midpoint_value(model, a, step) - defect.mean_integral)
-    return abs(defect.defect)
 
 
 def _fmt(x: float) -> str:
@@ -334,7 +317,6 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
             f"defect identity failed: residual {_fmt(result.identity_residual)} "
             f"exceeds budget {_fmt(identity_budget)}")
 
-    magnitudes = None  # |f'(a)|, |f'(b)|, read at the first bound that needs them
     skipped = False
     for theorem in case.theorems:
         row = _theorem(theorem)
@@ -363,21 +345,15 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
                     result.notes.append(
                         f"note: |f'| is {row.mode} at q=1 but |f'|^q fails at q={q:g}")
                 continue
-            q_label, p = row.labels(q)
             try:
-                lhs = _lhs(theorem, model, case.a, step, defect)
+                lhs = row.lhs(model, case.a, step, defect)
             except PreconditionUnmet as exc:
                 skipped = True
                 result.notes.append(f"skipped {theorem}: {exc}")
                 continue
-            if row.mode is None:
-                rhs = row.rhs(None, None, step, bounds_mod.fourth_derivative_sup(model))
-            else:
-                if magnitudes is None:
-                    magnitudes = abs(model.df_fn(case.a)), abs(model.df_fn(case.b))
-                rhs = row.rhs(*magnitudes, step, q)
-            result.bounds.append(bounds_mod.BoundValue(
-                theorem, q_label, p, rhs, rhs - lhs - defect.quadrature_error))
+            k = bounds_mod.fourth_derivative_sup(model) if row.mode is None else q
+            bv = bounds_mod._bound(theorem, model, case.a, case.b, step, k, defect)
+            result.bounds.append(replace(bv, slack=bv.rhs - lhs - defect.quadrature_error))
     result.hypotheses.extend(hypothesis_reports.values())
 
     _check_golden(case, result)
@@ -530,8 +506,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     (q, a, b) order, so results are deterministic.
 
     Each (a, b) cell is visited once: its step, containment, defect and
-    |f'(a)|, |f'(b)| serve every (theorem, q) pair, whose rhs is then
-    plain arithmetic, as in ``run_case``.
+    |f'(a)|, |f'(b)| serve every (theorem, q) pair, whose lhs and rhs
+    come from its ``bounds.THEOREMS`` row, as in ``run_case``.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -585,7 +561,6 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             except (EvalDomainError, DomainError, QuadratureError):
                 unusable += 1
                 continue
-            abs_defect = abs(defect.defect)
             x1 = x2 = None  # |f'(a)|, |f'(b)|, once per cell; None where f' fails
             if reads_df:
                 try:
@@ -596,13 +571,11 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                 if pair.uses_df and x1 is None:
                     pair.skipped += 1
                     continue
-                lhs = abs_defect
-                if pair.theorem == "C4.2":
-                    try:
-                        lhs = _lhs(pair.theorem, model, a, step, defect)
-                    except PreconditionUnmet:
-                        pair.skipped += 1
-                        continue
+                try:
+                    lhs = pair.row.lhs(model, a, step, defect)
+                except PreconditionUnmet:
+                    pair.skipped += 1
+                    continue
                 rhs = pair.row.rhs(x1, x2, step, pair.k)
                 if not rhs >= 0.0:  # what BoundValue raises
                     raise ValueError(f"bound {pair.theorem} produced negative rhs {rhs!r}")

@@ -435,25 +435,6 @@ def test_scan_skips_exponents_whose_sweep_overflows():
     assert (t34.status, t34.at_q, t34.cells, t34.skipped) == ("ok", 1.0, 18, 9)
 
 
-def test_an_overflowing_sweep_runs_once(monkeypatch):
-    sweeps = []
-    real = runner.hypothesis_pair
-
-    def counted(model, eta, K, q, grid, tol):
-        sweeps.append(q)
-        return real(model, eta, K, q, grid, tol)
-
-    monkeypatch.setattr(runner, "hypothesis_pair", counted)
-    model = _model(STEEP["f"], STEEP["df"], STEEP["F"], K=(0.0, 2.0))
-    results = tightness_scan(model, EtaMap.difference(), Domain(0.0, 2.0),
-                             (0.0, 0.5), (1.5, 2.0), [149.9, 1.0], steps=3,
-                             theorems=("T3.2", "T3.4", "T4.2", "T4.3"))
-    assert sweeps == [149.9, 1.0]
-    assert [(r.theorem, r.status, r.at_q, r.cells, r.skipped) for r in results] == [
-        ("T3.2", "all_skipped", None, 9, 9), ("T3.4", "ok", 1.0, 18, 9),
-        ("T4.2", "all_skipped", None, 9, 9), ("T4.3", "all_skipped", None, 9, 9)]
-
-
 def test_scan_nan_ratio_is_skipped_and_never_the_witness(monkeypatch):
     real = bounds.simpson_defect
 
