@@ -19,21 +19,24 @@ Reports serialize to JSON deterministically: fixed key order, no
 timestamps and no wall-clock fields, so re-running identical inputs
 yields identical bytes.  The document shape is pinned by
 schemas/report_schema.json and re-validated on every serialization.
+
+Case configs and reports are accepted or rejected by a small in-repo
+checker of the keywords the two bundled schemas use (draft 2020-12
+semantics).  ``jsonschema`` stays a dependency but is imported only to
+word the error for a rejected document, so loading, running and
+serialising valid documents never import it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib.resources import files as _resource_files
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import jsonschema
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import bounds as bounds_mod
 from .errors import (
@@ -133,20 +136,76 @@ def report_schema() -> dict:
     return _read_schema("report_schema")
 
 
-@lru_cache(maxsize=None)
-def _validator(name: str):
-    """Validator for one bundled schema, read once.
+# each bundled schema, read once; the tests check it against its metaschema
+_schema = lru_cache(maxsize=None)(_read_schema)
 
-    The bundled schemas are checked against their metaschema by the
-    tests, not on every process start.
+
+_TYPES = {
+    "null": lambda x: x is None,
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+    "array": lambda x: isinstance(x, list),
+    "object": lambda x: isinstance(x, dict),
+}
+
+
+def _valid(instance, schema: dict, root: dict) -> bool:
+    """Whether ``instance`` is valid under ``schema``, as jsonschema decides
+    (draft 2020-12) for the keywords the bundled schemas use; a test fails
+    on any other.  ``$ref`` points into the root's ``$defs``."""
+    if "$ref" in schema and not _valid(
+            instance, root["$defs"][schema["$ref"][len("#/$defs/"):]], root):
+        return False
+    types = schema.get("type")
+    if types is not None and not any(
+            _TYPES[t](instance) for t in ([types] if isinstance(types, str) else types)):
+        return False
+    if "enum" in schema and instance not in schema["enum"]:
+        return False
+    if isinstance(instance, dict):
+        if not all(key in instance for key in schema.get("required", ())):
+            return False
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, value in instance.items():
+            sub = properties.get(key, extra)
+            if sub is False or sub is not True and not _valid(value, sub, root):
+                return False
+    elif isinstance(instance, list):
+        if not schema.get("minItems", 0) <= len(instance) <= schema.get("maxItems", math.inf):
+            return False
+        items = schema.get("items")
+        if items is not None and not all(_valid(x, items, root) for x in instance):
+            return False
+    elif isinstance(instance, str):
+        return len(instance) >= schema.get("minLength", 0)
+    elif _TYPES["number"](instance):  # NaN passes both, as in jsonschema
+        if "minimum" in schema and instance < schema["minimum"]:
+            return False
+        if "exclusiveMinimum" in schema and instance <= schema["exclusiveMinimum"]:
+            return False
+    return True
+
+
+def _schema_error(instance, name: str):
+    """The error ``jsonschema.validate`` would raise for ``instance``, or None.
+
+    ``_valid`` decides; jsonschema, imported only to word a rejection,
+    stays the authority: an instance it finds no error in is accepted.
     """
-    schema = _read_schema(name)
-    return validator_for(schema)(schema)
+    schema = _schema(name)
+    if _valid(instance, schema, schema):
+        return None
+    from jsonschema.exceptions import best_match
+    from jsonschema.validators import validator_for
+    return best_match(validator_for(schema)(schema).iter_errors(instance))
 
 
 def _validate(instance, name: str) -> None:
     """Raise the error ``jsonschema.validate`` would raise for ``instance``."""
-    error = best_match(_validator(name).iter_errors(instance))
+    error = _schema_error(instance, name)
     if error is not None:
         raise error
 
@@ -173,11 +232,10 @@ def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Corp
     gate, an inconsistent antiderivative, or a CLASSICAL request
     without d4sup all raise CaseConfigError here, at load time.
     """
-    try:
-        _validate(config, "case_schema")
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise CaseConfigError(f"case config invalid at {path}: {exc.message}") from exc
+    error = _schema_error(config, "case_schema")
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise CaseConfigError(f"case config invalid at {path}: {error.message}") from error
     name = config["name"]
     model = bounds_mod.FunctionModel.from_config(config)
     try:
@@ -271,6 +329,12 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
     model = case.model
     K = model.domain
     result = CaseResult(case.name, VERDICT_PASS)
+    # load_case rejects these; a hand-built case gets a verdict, not a raise
+    if not all(1.0 <= q < math.inf for q in case.q_list):
+        result.verdict = VERDICT_INPUT_ERROR
+        result.error = (f"InvalidExponent: every q must be finite and >= 1, "
+                        f"got {list(case.q_list)!r}")
+        return result
 
     # eta step and interval membership; failures here are input errors
     try:

@@ -244,3 +244,31 @@ def test_console_script_entry_point():
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("p,closed_form"), proc.stderr
+
+
+_NO_SCHEMA_LIBRARY = """\
+import sys
+import simpvex
+from simpvex import runner
+cases = runner.load_corpus()
+runner.RunReport([runner.run_case(cases[0])], 0.0).to_json()
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("jsonschema", "referencing", "rpds", "attrs")))
+"""
+
+
+def test_valid_documents_never_import_jsonschema():
+    proc = subprocess.run([sys.executable, "-c", _NO_SCHEMA_LIBRARY],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_check_schema_invalid_config_exits_three(tmp_path):
+    cfg = json.loads(runner._corpus_dir().joinpath("poly_x2.json").read_text(encoding="utf-8"))
+    cfg["q"] = [0.5]
+    path = write_config(tmp_path / "bad_q.json", cfg)
+    proc = subprocess.run([sys.executable, "-m", "simpvex.cli", "check", path],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 3
+    assert proc.stderr == "error: case config invalid at q/0: 0.5 is less than the minimum of 1\n"

@@ -425,6 +425,17 @@ def test_run_case_turns_sweep_overflow_into_input_error():
     assert [h.exponent_q for h in result.hypotheses] == [None, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("q", [0.5, math.nan, math.inf])
+def test_run_case_turns_a_bad_hand_built_q_into_input_error(q):
+    # load_case rejects these q; a CorpusCase built by hand bypasses it
+    case = dataclasses.replace(load_corpus("poly_x2")[0], q_list=(q,), theorems=("T3.4",))
+    result = run_case(case, grid=SampleGrid(5, 5, 3, 20))
+    assert result.verdict == "input_error"
+    assert result.error == (f"InvalidExponent: every q must be finite and >= 1, "
+                            f"got [{q!r}]")
+    assert result.hypotheses == [] and result.bounds == []
+
+
 def test_scan_skips_exponents_whose_sweep_overflows():
     model = _model(STEEP["f"], STEEP["df"], STEEP["F"], K=(0.0, 2.0))
     results = tightness_scan(model, EtaMap.difference(), Domain(0.0, 2.0),
