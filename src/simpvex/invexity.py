@@ -16,7 +16,12 @@ All checks here are sampling-based: a deterministic grid over K x K x
 the exact maximum over the samples, with ties broken by lexicographic
 (u, v, t) order, so re-running a check reproduces it bit for bit.
 Explicit witnesses passed via ``recheck`` are evaluated before the grid,
-which keeps verdicts monotone under grid refinement.
+which keeps verdicts monotone under grid refinement.  Ties are broken by
+order: the loose layers (recheck, random) are sorted once when the plan
+is built and the grid ascends in (u, v, t), so in each layer and grid
+block the first largest excess is at the smallest witness.  eta and f'
+run in sorted order within a loose layer, so an f' failure that only
+random triples reach is raised at the first of them in sorted order.
 
 Every check is a view of one ``SamplePlan`` per (K, eta, grid): the
 sample stream and its path points, with eta called once per grid (u, v)
@@ -179,52 +184,39 @@ class EtaPath:
         return self.base + t * self.step
 
 
-class _Worst:
-    """Running maximum with deterministic lexicographic tie-breaking.
+_Found = Tuple[float, Optional[Tuple[float, float, float]]]  # (excess, witness)
 
-    Samples are offered in blocks, with the same outcome as one at a
-    time: the largest excess wins and a NaN excess never does; on a tie
-    the lexicographically smallest (u, v, t), the earliest of equal ones,
-    keeps its own excess.  An excess of -inf never gives a witness.
+
+def _first_worst(tops: List[float], row: Callable[[int], Sequence[float]],
+                 witness: Callable[[int, int], Tuple[float, float, float]]) -> Optional[_Found]:
+    """The first largest excess of rows of samples, with its witness.
+
+    row(j)[k] is the excess at witness(j, k).  The witnesses ascend in
+    (j, k), so the first largest excess is at the smallest witness, the
+    earliest of equal ones.  tops[j] is the largest non-NaN excess of
+    row(j), or NaN.  A NaN excess never wins; None if none beats -inf.
     """
-
-    __slots__ = ("excess", "witness")
-
-    def __init__(self):
-        self.excess = -math.inf
-        self.witness = None
-
-    def offer(self, tops: List[float], row: Callable[[int], Sequence[float]],
-              witness: Callable[[int, int], Tuple[float, float, float]],
-              floor: Tuple[float, ...] = ()):
-        """Offer rows of samples: row(j)[k] is the excess at witness(j, k).
-
-        tops[j] is the largest non-NaN excess of row(j), or NaN; within a
-        row the witnesses ascend with k, and none is below ``floor``.
-        """
-        total = sum(tops)
-        if total != total:  # a NaN top (or tops holding inf and -inf)
-            tops = [t if t == t else max([e for e in row(j) if e == e], default=-math.inf)
-                    for j, t in enumerate(tops)]
-        top = max(tops, default=-math.inf)
-        if top < self.excess or top == -math.inf or (top == self.excess and floor > self.witness):
-            return
-        j, k = min(((j, row(j).index(top)) for j, row_top in enumerate(tops) if row_top == top),
-                   key=lambda jk: witness(*jk))
-        w = witness(j, k)
-        if top > self.excess or w < self.witness:
-            self.excess = row(j)[k]
-            self.witness = w
+    total = sum(tops)
+    if total != total:  # a NaN top (or tops holding inf and -inf)
+        tops = [t if t == t else max([e for e in row(j) if e == e], default=-math.inf)
+                for j, t in enumerate(tops)]
+    top = max(tops, default=-math.inf)
+    if top == -math.inf:
+        return None
+    j = tops.index(top)
+    excesses = row(j)
+    k = excesses.index(top)
+    return excesses[k], witness(j, k)
 
 
 class _Layer:
-    """Loose (u, v, t) samples, recheck or random, with their path points."""
+    """Loose (u, v, t) samples, recheck or random, sorted stably, with their path points."""
 
     __slots__ = ("u", "v", "t", "x", "at")
 
     def __init__(self, triples: Iterable[Tuple[float, float, float]], eta: EtaMap, at: int):
         self.u, self.v, self.t, self.x = array("d"), array("d"), array("d"), array("d")
-        for u, v, t in triples:
+        for u, v, t in sorted(triples):
             self.u.append(u)
             self.v.append(v)
             self.t.append(t)
@@ -249,10 +241,10 @@ class _Layer:
 class SamplePlan:
     """The sample stream of one (K, eta, grid, recheck), with its path points.
 
-    Stream order: the recheck triples, the nu x nv x nt grid (u, then v,
-    then t), then the seeded random triples.  eta is called once per
-    recheck triple, grid (u, v) pair and random triple.  Every sampled
-    check is a sweep of ``worst`` over one plan.
+    Stream order: the sorted recheck triples, the nu x nv x nt grid (u,
+    then v, then t), then the sorted seeded random triples.  eta is called
+    once per recheck triple, grid (u, v) pair and random triple.  Every
+    sampled check is a sweep of ``worst`` over one plan.
     """
 
     def __init__(self, K: Domain, eta: EtaMap, grid: SampleGrid,
@@ -307,24 +299,26 @@ class SamplePlan:
                 lambda i: self.block(g, i, self.x_at))
 
     def worst(self, block: Callable[[int], Tuple[List[float], Callable[[int], Sequence[float]]]],
-              triples: Callable[[_Layer], List[float]]) -> _Worst:
-        """Worst sample of the stream.
+              triples: Callable[[_Layer], List[float]]) -> _Found:
+        """(excess, witness) of the worst sample of the stream.
 
-        ``block(i)`` gives (tops, row) for grid block i as _Worst.offer
+        ``block(i)`` gives (tops, row) for grid block i as _first_worst
         takes them: row(j)[k] is the excess at (us[i], vs[j], ts[k]).
         ``triples(layer)`` gives the excesses of the recheck or random
-        layer, one per triple.
+        layer, one per triple.  The largest excess wins, then the smallest
+        witness, then the earliest; (-inf, None) if none beats -inf.
         """
-        worst = _Worst()
-        excesses = triples(self.recheck)
-        worst.offer(excesses, lambda j: (excesses[j],), lambda j, k: self.recheck.witness(j))
+        def loose(layer):  # one row per triple
+            excesses = triples(layer)
+            return _first_worst(excesses, lambda j: (excesses[j],),
+                                lambda j, k: layer.witness(j))
+
         vs, ts = self.vs, self.ts
+        found = [loose(self.recheck)]
         for i, u in enumerate(self.us):
-            tops, row = block(i)
-            worst.offer(tops, row, lambda j, k: (u, vs[j], ts[k]), (u,))
-        excesses = triples(self.random)
-        worst.offer(excesses, lambda j: (excesses[j],), lambda j, k: self.random.witness(j))
-        return worst
+            found.append(_first_worst(*block(i), lambda j, k: (u, vs[j], ts[k])))
+        found.append(loose(self.random))
+        return min(filter(None, found), key=lambda f: (-f[0], f[1]), default=(-math.inf, None))
 
 
 @lru_cache(maxsize=1)
@@ -338,16 +332,20 @@ def _plan(K: Domain, eta: EtaMap, grid: SampleGrid,
 
     Plans with recheck witnesses are built afresh: 0.0 and -0.0 compare
     equal, so a cached plan could hand back the other zero as witness.
+    A NaN has no place in the sorted recheck layer, so it is rejected.
     """
     recheck = tuple(recheck)
+    if any(x != x for triple in recheck for x in triple):
+        raise ValueError(f"recheck triples must not hold NaN, got {list(recheck)!r}")
     return SamplePlan(K, eta, grid, recheck) if recheck else _cached_plan(K, eta, grid)
 
 
-def _report(prop: str, worst: _Worst, samples: int, tol: float,
+def _report(prop: str, worst: _Found, samples: int, tol: float,
             q: Optional[float] = None) -> PropertyReport:
-    if worst.excess > tol:
-        return PropertyReport(prop, VIOLATED, worst.excess, worst.witness, samples, q)
-    return PropertyReport(prop, VERIFIED, worst.excess, None, samples, q)
+    excess, witness = worst
+    if excess > tol:
+        return PropertyReport(prop, VIOLATED, excess, witness, samples, q)
+    return PropertyReport(prop, VERIFIED, excess, None, samples, q)
 
 
 def check_invex_set(K: Domain, eta: EtaMap, grid: SampleGrid = DEFAULT_GRID,
@@ -376,7 +374,7 @@ def check_invex_set(K: Domain, eta: EtaMap, grid: SampleGrid = DEFAULT_GRID,
     return _report("invex_set", worst, plan.samples, tol)
 
 
-def _preinvex(plan: SamplePlan, g: array) -> _Worst:
+def _preinvex(plan: SamplePlan, g: array) -> _Found:
     """Worst excess g(x) - ((1 - t) g(u) + t g(v)) over values ``g``."""
     gus, gvs, gxs = plan.grid_values(g)
     ts, nt = plan.ts, len(plan.ts)
@@ -392,7 +390,7 @@ def _preinvex(plan: SamplePlan, g: array) -> _Worst:
                                             for (gu, gv, gx), t in zip(layer.values(g), layer.t)])
 
 
-def _prequasiinvex(plan: SamplePlan, g: array) -> _Worst:
+def _prequasiinvex(plan: SamplePlan, g: array) -> _Found:
     """Worst excess g(x) - max(g(u), g(v)) over values ``g``."""
     gus, gvs, gxs = plan.grid_values(g)
     nt = len(plan.ts)

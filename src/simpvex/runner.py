@@ -12,8 +12,9 @@ Verdicts: "pass" (all evaluated bounds dominate the defect),
 sampled hypothesis failed), "violation" (a bound or the defect identity
 failed beyond tolerance after quadrature-error correction) and
 "input_error" (the case itself is unusable, e.g. a non-positive eta
-step, or |f'|^q beyond the float range in a hypothesis sweep).  A
-violation always wins over other verdicts when aggregating exit codes.
+step, eta failing on the invex-set samples, or |f'|^q beyond the float
+range in a hypothesis sweep).  A violation always wins over other
+verdicts when aggregating exit codes.
 
 Reports serialize to JSON deterministically: fixed key order, no
 timestamps and no wall-clock fields, so re-running identical inputs
@@ -43,6 +44,7 @@ from .errors import (
     CaseConfigError,
     DomainError,
     EvalDomainError,
+    MissingFourthDerivative,
     ParseError,
     PreconditionUnmet,
     QuadratureError,
@@ -323,6 +325,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _input_error(result: CaseResult, error: str) -> CaseResult:
+    result.verdict = VERDICT_INPUT_ERROR
+    result.error = error
+    return result
+
+
 def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
     """Run the full pipeline for one loaded case."""
     tol = case.tolerances
@@ -331,31 +339,31 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
     result = CaseResult(case.name, VERDICT_PASS)
     # load_case rejects these; a hand-built case gets a verdict, not a raise
     if not all(1.0 <= q < math.inf for q in case.q_list):
-        result.verdict = VERDICT_INPUT_ERROR
-        result.error = (f"InvalidExponent: every q must be finite and >= 1, "
-                        f"got {list(case.q_list)!r}")
-        return result
+        return _input_error(result, f"InvalidExponent: every q must be finite and >= 1, "
+                                    f"got {list(case.q_list)!r}")
+    try:
+        d4sup = bounds_mod.fourth_derivative_sup(model) if "CLASSICAL" in case.theorems else None
+    except MissingFourthDerivative as exc:
+        return _input_error(result, f"MissingFourthDerivative: {exc}")
 
     # eta step and interval membership; failures here are input errors
     try:
         step = case.eta(case.b, case.a)
     except EvalDomainError as exc:
-        result.verdict = VERDICT_INPUT_ERROR
-        result.error = f"EvalDomainError: {exc}"
-        return result
+        return _input_error(result, f"EvalDomainError: {exc}")
     if not step > 0.0:
-        result.verdict = VERDICT_INPUT_ERROR
-        result.error = (f"InvalidEta: eta(b, a) = {step!r} must be positive "
-                        f"for a = {case.a!r}, b = {case.b!r}")
-        return result
+        return _input_error(result, f"InvalidEta: eta(b, a) = {step!r} must be positive "
+                                    f"for a = {case.a!r}, b = {case.b!r}")
     result.eta_step = step
     for label, x in (("a", case.a), ("b", case.b), ("a + eta(b, a)", case.a + step)):
         if not K.contains(x):
-            result.verdict = VERDICT_INPUT_ERROR
-            result.error = f"DomainError: {label} = {x!r} outside K = [{K.lo!r}, {K.hi!r}]"
-            return result
+            return _input_error(
+                result, f"DomainError: {label} = {x!r} outside K = [{K.lo!r}, {K.hi!r}]")
 
-    invex_report = check_invex_set(K, case.eta, grid, tol.invexity)
+    try:
+        invex_report = check_invex_set(K, case.eta, grid, tol.invexity)
+    except EvalDomainError as exc:
+        return _input_error(result, f"EvalDomainError: invex-set check of eta on K: {exc}")
     result.hypotheses.append(invex_report)
     if invex_report.violated:
         result.notes.append(
@@ -368,9 +376,7 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
         defect = bounds_mod.simpson_defect(model, case.a, step, tol.oracle)
         lemma = bounds_mod.lemma_rhs(model, case.a, step, tol.oracle)
     except (EvalDomainError, DomainError, QuadratureError) as exc:
-        result.verdict = VERDICT_INPUT_ERROR
-        result.error = f"{type(exc).__name__}: {exc}"
-        return result
+        return _input_error(result, f"{type(exc).__name__}: {exc}")
     result.defect = defect
     result.lemma = lemma
     result.identity_residual = abs(defect.defect - lemma.value)
@@ -396,10 +402,9 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
             try:
                 report = hypothesis(row.mode, q) if row.mode is not None else None
             except OverflowError as exc:
-                result.verdict = VERDICT_INPUT_ERROR
-                result.error = f"OverflowError: hypothesis sweep of |f'|^q at q={q!r}: {exc}"
                 result.hypotheses.extend(hypothesis_reports.values())
-                return result
+                return _input_error(
+                    result, f"OverflowError: hypothesis sweep of |f'|^q at q={q!r}: {exc}")
             if report is not None and report.violated:
                 skipped = True
                 result.notes.append(
@@ -415,7 +420,7 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
                 skipped = True
                 result.notes.append(f"skipped {theorem}: {exc}")
                 continue
-            k = bounds_mod.fourth_derivative_sup(model) if row.mode is None else q
+            k = d4sup if row.mode is None else q
             bv = bounds_mod._bound(theorem, model, case.a, case.b, step, k, defect)
             result.bounds.append(replace(bv, slack=bv.rhs - lhs - defect.quadrature_error))
     result.hypotheses.extend(hypothesis_reports.values())
@@ -565,9 +570,10 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
 
     Cells with a non-positive step, a path leaving K, rhs == 0 or a NaN
     ratio are skipped, and so is every cell of a q whose sampled
-    hypothesis fails or overflows; a theorem with no usable cell is
-    reported with status "all_skipped".  Ties keep the first cell in
-    (q, a, b) order, so results are deterministic.
+    hypothesis fails or overflows, and of every theorem with a hypothesis
+    when K is not invex for eta (or eta fails on its samples); a theorem
+    with no usable cell is reported with status "all_skipped".  Ties keep
+    the first cell in (q, a, b) order, so results are deterministic.
 
     Each (a, b) cell is visited once: its step, containment, defect and
     |f'(a)|, |f'(b)| serve every (theorem, q) pair, whose lhs and rhs
@@ -588,7 +594,10 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     b_vals = axis(b_range)
     n_cells = steps * steps
 
-    invex_report = check_invex_set(K, eta, grid, tol.invexity)
+    try:
+        invex = not check_invex_set(K, eta, grid, tol.invexity).violated
+    except EvalDomainError:  # eta fails on the samples: K is not invex for it
+        invex = False
     hypothesis, _ = _hypotheses(model, eta, K, grid, tol.invexity)
     by_theorem = []
     active = []
@@ -598,8 +607,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         by_theorem.append((theorem, pairs))
         for pair in pairs:
             try:
-                usable = (model.d4sup is not None if row.mode is None else not (
-                    invex_report.violated or hypothesis(row.mode, pair.q).violated))
+                usable = (model.d4sup is not None if row.mode is None else
+                          invex and not hypothesis(row.mode, pair.q).violated)
             except OverflowError:  # |f'|^q overflows on the samples
                 usable = False
             if usable:
@@ -650,7 +659,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                 if ratio > pair.ratio:
                     pair.ratio = ratio
                     pair.at = (a, b)
-                elif ratio != ratio:  # NaN: never a witness, as in invexity's _Worst
+                elif ratio != ratio:  # NaN: never a witness, as in invexity's sweeps
                     pair.skipped += 1
     for pair in active:
         pair.skipped += unusable

@@ -187,6 +187,15 @@ def test_recheck_witness_keeps_coarse_grid_honest():
     assert informed.witness == (0.0, 0.246, 0.5)
 
 
+def test_recheck_with_nan_is_rejected():
+    # the recheck layer is sorted, and NaN has no place in that order
+    K, eta, recheck = Domain(-1.0, 1.0), EtaMap.difference(), [(0.5, 0.0, 0.5), (0.0, math.nan, 0.5)]
+    with pytest.raises(ValueError, match="must not hold NaN"):
+        check_invex_set(K, eta, recheck=recheck)
+    with pytest.raises(ValueError, match="must not hold NaN"):
+        check_preinvex(fn("x^2"), eta, K, recheck=recheck)
+
+
 def test_checks_are_deterministic():
     a = check_preinvex(fn("x^3"), EtaMap.difference(), Domain(-1.0, 1.0))
     b = check_preinvex(fn("x^3"), EtaMap.difference(), Domain(-1.0, 1.0))

@@ -689,3 +689,85 @@ def test_run_case_bounds_match_the_public_wrappers_on_generated_models(
     except (SimpvexError, ValueError):  # raises are compared in the scan tests
         return
     _assert_bounds_match_public_wrappers(case, result)
+
+
+def test_run_case_turns_a_hand_built_classical_without_d4sup_into_input_error():
+    # load_case rejects this config; a CorpusCase built by hand bypasses it
+    case = dataclasses.replace(load_corpus("frac_power")[0], theorems=("T3.1", "CLASSICAL"))
+    result = run_case(case, grid=SampleGrid(5, 5, 3, 20))
+    assert result.verdict == "input_error"
+    assert result.error == ("MissingFourthDerivative: model 'frac_power' has no d4sup; "
+                            "the classical bound needs one")
+    assert result.hypotheses == [] and result.bounds == []
+
+
+SQRT_ETA = EtaMap.from_expression("sqrt(v-u)")  # fails wherever v < u
+
+
+def test_run_case_turns_an_eta_failing_in_the_invex_set_check_into_input_error(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept after the invex-set check failed")
+
+    monkeypatch.setattr(runner, "hypothesis_pair", no_sweep)
+    monkeypatch.setattr(bounds, "simpson_defect", no_sweep)
+    model = _model("x^2", "2*x", "(x^3)/3", K=(0.0, 1.0))
+    case = runner.CorpusCase("sqrt_eta", model, SQRT_ETA, 0.0, 0.25, (1.0,),
+                             ("T3.1", "T4.1"), runner.DEFAULT_TOLERANCES)
+    result = run_case(case, grid=SampleGrid(5, 5, 3, 20))
+    assert result.verdict == "input_error"
+    assert result.error == ("EvalDomainError: invex-set check of eta on K: square root of "
+                            "negative argument in sqrt((v - u)) at -0.25")
+    assert result.eta_step == 0.5
+    assert result.hypotheses == [] and result.bounds == [] and result.defect is None
+
+
+def test_scan_treats_an_eta_failing_in_the_invex_set_check_as_not_invex():
+    model = _model("x^4", "4*x^3", "(x^5)/5", K=(0.0, 1.0), d4sup=24.0)
+    results = tightness_scan(model, SQRT_ETA, Domain(0.0, 1.0), (0.0, 0.25), (0.25, 0.5),
+                             [1.0, 2.0], steps=3, theorems=("T3.1", "T4.1", "CLASSICAL"),
+                             grid=SMALL_GRID)
+    t31, t41, classical = results
+    assert (t31.status, t31.cells, t31.skipped) == ("all_skipped", 9, 9)
+    assert (t41.status, t41.cells, t41.skipped) == ("all_skipped", 18, 18)
+    # CLASSICAL needs no hypothesis; only the cell a = b = 0.25 (step 0) is skipped
+    assert (classical.status, classical.cells, classical.skipped) == ("ok", 9, 1)
+
+
+_POLY_ETAS = [EtaMap.difference(), EtaMap.abs_example(), EtaMap.from_expression("0.5*(v-u)"),
+              EtaMap.from_expression("v-2*u"), SQRT_ETA]
+_COEFFICIENT = st.sampled_from((-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0))
+
+
+@st.composite
+def _polynomial_cases(draw):
+    """Hand-built cases (no load_case) on polynomial models, whose f' is defined on all of K."""
+    c = draw(st.lists(_COEFFICIENT, min_size=5, max_size=5))
+    f = " + ".join(f"({c[i]})*x^{i}" for i in range(5))
+    df = " + ".join(f"({i * c[i]})*x^{i - 1}" for i in range(1, 5))
+    F = " + ".join(f"({c[i] / (i + 1)})*x^{i + 1}" for i in range(5))
+    K = draw(st.sampled_from(((0.0, 1.0), (-1.0, 1.0), (-2.0, 0.5), (0.5, 2.0))))
+    d4sup = draw(st.sampled_from((None, 0.0, abs(24.0 * c[4]) + 1.0)))
+    model = _model(f, df, F if draw(st.booleans()) else None, K=K, d4sup=d4sup)
+    mid = 0.5 * (K[0] + K[1])
+    a = draw(st.sampled_from((K[0], 0.5 * (K[0] + mid), mid)))
+    b = draw(st.sampled_from((mid, 0.5 * (mid + K[1]), K[1])))
+    q_list = tuple(draw(st.lists(st.sampled_from((1.0, 1.5, 3.0)), min_size=1, max_size=3)))
+    theorems = tuple(draw(st.lists(st.sampled_from(runner.THEOREM_IDS), min_size=1,
+                                   max_size=len(runner.THEOREM_IDS), unique=True)))
+    grid = SampleGrid(nu=draw(st.integers(2, 5)), nv=draw(st.integers(2, 5)),
+                      nt=draw(st.integers(2, 4)), random_triples=draw(st.integers(0, 10)))
+    case = runner.CorpusCase("generated", model, draw(st.sampled_from(_POLY_ETAS)), a, b,
+                             q_list, theorems, runner.DEFAULT_TOLERANCES)
+    return case, grid
+
+
+@given(_polynomial_cases())
+@settings(max_examples=100)
+def test_polynomial_cases_give_verdicts_never_a_traceback(generated):
+    case, grid = generated
+    result = run_case(case, grid)
+    assert result.verdict in ("pass", "hypothesis_unmet", "violation", "input_error")
+    K = case.model.domain
+    results = tightness_scan(case.model, case.eta, K, (K.lo, case.a), (case.b, K.hi),
+                             case.q_list, 3, case.theorems, case.tolerances, grid)
+    assert [r.theorem for r in results] == list(case.theorems)
