@@ -32,7 +32,6 @@ from .invexity import (
     check_invex_set,
     check_preinvex,
     check_prequasiinvex,
-    hypothesis_check,
 )
 from .bounds import (
     BoundValue,

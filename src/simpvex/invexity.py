@@ -10,18 +10,17 @@ and prequasiinvex when the right side is replaced by max(g(u), g(v)).
 With eta(v, u) = v - u these reduce to ordinary convexity and
 quasiconvexity.
 
-All checks here are sampling-based: a deterministic grid over K x K x
-[0, 1] plus a fixed-seed uniform layer.  Verdicts are therefore
-"verified_on_samples", never proofs.  The reported worst violation is
-the exact maximum over the samples, with ties broken by lexicographic
-(u, v, t) order, so re-running a check reproduces it bit for bit.
-Explicit witnesses passed via ``recheck`` are evaluated before the grid,
-which keeps verdicts monotone under grid refinement.  Ties are broken by
-order: the loose layers (recheck, random) are sorted once when the plan
-is built and the grid ascends in (u, v, t), so in each layer and grid
-block the first largest excess is at the smallest witness.  eta and f'
-run in sorted order within a loose layer, so an f' failure that only
-random triples reach is raised at the first of them in sorted order.
+All checks here are sampling-based: one stream of samples, a
+deterministic grid over K x K x [0, 1] and then a fixed-seed uniform
+layer.  Verdicts are therefore "verified_on_samples", never proofs.  The
+reported worst violation is the exact maximum over the samples, with ties
+broken by lexicographic (u, v, t) order, so re-running a check
+reproduces it bit for bit.  Ties are broken by order: the random layer is
+sorted once when the plan is built and the grid ascends in (u, v, t), so
+in the random layer and in each grid block the first largest excess is at
+the smallest witness.  eta and f' run in sorted order within the random
+layer, so an f' failure that only random triples reach is raised at the
+first of them in sorted order.
 
 Every check is a view of one ``SamplePlan`` per (K, eta, grid): the
 sample stream and its path points, with eta called once per grid (u, v)
@@ -58,7 +57,6 @@ __all__ = [
     "check_invex_set",
     "check_preinvex",
     "check_prequasiinvex",
-    "hypothesis_check",
     "hypothesis_pair",
 ]
 
@@ -210,7 +208,7 @@ def _first_worst(tops: List[float], row: Callable[[int], Sequence[float]],
 
 
 class _Layer:
-    """Loose (u, v, t) samples, recheck or random, sorted stably, with their path points."""
+    """The seeded random (u, v, t) samples, sorted, with their path points."""
 
     __slots__ = ("u", "v", "t", "x", "at")
 
@@ -239,17 +237,15 @@ class _Layer:
 
 
 class SamplePlan:
-    """The sample stream of one (K, eta, grid, recheck), with its path points.
+    """The sample stream of one (K, eta, grid), with its path points.
 
-    Stream order: the sorted recheck triples, the nu x nv x nt grid (u,
-    then v, then t), then the sorted seeded random triples.  eta is called
-    once per recheck triple, grid (u, v) pair and random triple.  Every
-    sampled check is a sweep of ``worst`` over one plan.
+    Stream order: the nu x nv x nt grid (u, then v, then t), then the
+    sorted seeded random triples.  eta is called once per grid (u, v)
+    pair and once per random triple.  Every sampled check is a sweep of
+    ``worst`` over one plan.
     """
 
-    def __init__(self, K: Domain, eta: EtaMap, grid: SampleGrid,
-                 recheck: Tuple[Tuple[float, float, float], ...] = ()):
-        self.recheck = _Layer(((float(u), float(v), float(t)) for u, v, t in recheck), eta, 0)
+    def __init__(self, K: Domain, eta: EtaMap, grid: SampleGrid):
         self.us = K.grid(grid.nu)
         self.vs = K.grid(grid.nv)
         self.ts = [i / (grid.nt - 1) for i in range(grid.nt)]
@@ -258,27 +254,25 @@ class SamplePlan:
             for v in self.vs:
                 step = eta(v, u)
                 self.grid_x.extend([u + t * step for t in self.ts])
-        self.u_at = 3 * len(self.recheck)
-        self.x_at = self.u_at + len(self.us) + len(self.vs)
+        self.x_at = len(self.us) + len(self.vs)
         rng = random.Random(grid.seed)
         lo, span = K.lo, K.hi - K.lo
         draws = ((lo + span * rng.random(), lo + span * rng.random(), rng.random())
                  for _ in range(grid.random_triples))
         self.random = _Layer(draws, eta, self.x_at + len(self.grid_x))
-        self.samples = len(self.recheck) + len(self.grid_x) + len(self.random)
+        self.samples = len(self.grid_x) + len(self.random)
         self._memo = (None, None, None)
 
     def points(self) -> Iterator[float]:
         """Every point a sweep reads g at, in the order of ``values``."""
-        return chain(self.recheck.points(), self.us, self.vs, self.grid_x, self.random.points())
+        return chain(self.us, self.vs, self.grid_x, self.random.points())
 
     def values(self, fn: Callable[[float], float], absolute: bool = False) -> array:
         """fn (abs(fn) if ``absolute``) at ``points``, called in that order.
 
-        Layout: g(u), g(v), g(x) of each recheck triple; g at the grid's
-        u values (from ``u_at``); at its v values; at its path points
-        (from ``x_at``); then g(u), g(v), g(x) of each random triple.
-        The values of the last fn are kept, so fn must be pure.
+        Layout: g at the grid's u values; at its v values; at its path
+        points (from ``x_at``); then g(u), g(v), g(x) of each random
+        triple.  The values of the last fn are kept, so fn must be pure.
         """
         memo_fn, memo_absolute, values = self._memo
         if memo_fn is not fn or memo_absolute != absolute:
@@ -294,50 +288,29 @@ class SamplePlan:
 
     def grid_values(self, g: array) -> Tuple[array, array, Callable[[int], array]]:
         """g at the grid's u values, at its v values, and block i of its path points."""
-        v_at = self.u_at + len(self.us)
-        return (g[self.u_at:v_at], g[v_at:self.x_at],
-                lambda i: self.block(g, i, self.x_at))
+        v_at = len(self.us)
+        return g[:v_at], g[v_at:self.x_at], lambda i: self.block(g, i, self.x_at)
 
     def worst(self, block: Callable[[int], Tuple[List[float], Callable[[int], Sequence[float]]]],
-              triples: Callable[[_Layer], List[float]]) -> _Found:
+              excesses: List[float]) -> _Found:
         """(excess, witness) of the worst sample of the stream.
 
         ``block(i)`` gives (tops, row) for grid block i as _first_worst
         takes them: row(j)[k] is the excess at (us[i], vs[j], ts[k]).
-        ``triples(layer)`` gives the excesses of the recheck or random
-        layer, one per triple.  The largest excess wins, then the smallest
-        witness, then the earliest; (-inf, None) if none beats -inf.
+        ``excesses`` holds the random layer's, one per triple.  The
+        largest excess wins, then the smallest witness, then the earliest;
+        (-inf, None) if none beats -inf.
         """
-        def loose(layer):  # one row per triple
-            excesses = triples(layer)
-            return _first_worst(excesses, lambda j: (excesses[j],),
-                                lambda j, k: layer.witness(j))
-
         vs, ts = self.vs, self.ts
-        found = [loose(self.recheck)]
-        for i, u in enumerate(self.us):
-            found.append(_first_worst(*block(i), lambda j, k: (u, vs[j], ts[k])))
-        found.append(loose(self.random))
+        found = [_first_worst(*block(i), lambda j, k: (u, vs[j], ts[k]))
+                 for i, u in enumerate(self.us)]
+        found.append(_first_worst(excesses, lambda j: (excesses[j],),
+                                  lambda j, k: self.random.witness(j)))
         return min(filter(None, found), key=lambda f: (-f[0], f[1]), default=(-math.inf, None))
 
 
-@lru_cache(maxsize=1)
-def _cached_plan(K: Domain, eta: EtaMap, grid: SampleGrid) -> SamplePlan:
-    return SamplePlan(K, eta, grid)
-
-
-def _plan(K: Domain, eta: EtaMap, grid: SampleGrid,
-          recheck: Iterable[Tuple[float, float, float]]) -> SamplePlan:
-    """The last plan is kept, so a case's checks at every q share one.
-
-    Plans with recheck witnesses are built afresh: 0.0 and -0.0 compare
-    equal, so a cached plan could hand back the other zero as witness.
-    A NaN has no place in the sorted recheck layer, so it is rejected.
-    """
-    recheck = tuple(recheck)
-    if any(x != x for triple in recheck for x in triple):
-        raise ValueError(f"recheck triples must not hold NaN, got {list(recheck)!r}")
-    return SamplePlan(K, eta, grid, recheck) if recheck else _cached_plan(K, eta, grid)
+# the last plan is kept, so a case's checks at every q share one
+_plan = lru_cache(maxsize=1)(SamplePlan)
 
 
 def _report(prop: str, worst: _Found, samples: int, tol: float,
@@ -349,14 +322,13 @@ def _report(prop: str, worst: _Found, samples: int, tol: float,
 
 
 def check_invex_set(K: Domain, eta: EtaMap, grid: SampleGrid = DEFAULT_GRID,
-                    tol: float = DEFAULT_TOL,
-                    recheck: Iterable[Tuple[float, float, float]] = ()) -> PropertyReport:
+                    tol: float = DEFAULT_TOL) -> PropertyReport:
     """Check that u + t*eta(v, u) stays in K on all samples.
 
     The violation measure is the distance by which the path point leaves
     K (negative when inside).
     """
-    plan = _plan(K, eta, grid, recheck)
+    plan = _plan(K, eta, grid)
     lo, hi = K.lo, K.hi
     nt = len(plan.ts)
 
@@ -370,7 +342,7 @@ def check_invex_set(K: Domain, eta: EtaMap, grid: SampleGrid = DEFAULT_GRID,
                         map(sub, map(max, rows), repeat(hi))))
         return tops, lambda j: excess(rows[j])
 
-    worst = plan.worst(block, lambda layer: excess(layer.x))
+    worst = plan.worst(block, excess(plan.random.x))
     return _report("invex_set", worst, plan.samples, tol)
 
 
@@ -386,8 +358,9 @@ def _preinvex(plan: SamplePlan, g: array) -> _Found:
                                                 tgvs))] * nt))
         return list(map(max, rows)), rows.__getitem__
 
-    return plan.worst(block, lambda layer: [gx - ((1.0 - t) * gu + t * gv)
-                                            for (gu, gv, gx), t in zip(layer.values(g), layer.t)])
+    layer = plan.random
+    return plan.worst(block, [gx - ((1.0 - t) * gu + t * gv)
+                              for (gu, gv, gx), t in zip(layer.values(g), layer.t)])
 
 
 def _prequasiinvex(plan: SamplePlan, g: array) -> _Found:
@@ -402,30 +375,26 @@ def _prequasiinvex(plan: SamplePlan, g: array) -> _Found:
         tops = list(map(sub, map(max, zip(*[iter(gx)] * nt)), highs))
         return tops, lambda j: [x - highs[j] for x in gx[j * nt:(j + 1) * nt]]
 
-    return plan.worst(block, lambda layer: [gx - max(gu, gv) for gu, gv, gx in layer.values(g)])
-
-
-_SWEEPS = {"preinvex": _preinvex, "prequasiinvex": _prequasiinvex}
+    return plan.worst(block, [gx - max(gu, gv) for gu, gv, gx in plan.random.values(g)])
 
 
 def check_preinvex(g: Callable[[float], float], eta: EtaMap, K: Domain,
-                   grid: SampleGrid = DEFAULT_GRID, tol: float = DEFAULT_TOL,
-                   recheck: Iterable[Tuple[float, float, float]] = ()) -> PropertyReport:
+                   grid: SampleGrid = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> PropertyReport:
     """Sampled preinvexity check of ``g`` on K.
 
     Assumes K is invex for ``eta`` (run check_invex_set first); ``g``
     must be defined wherever the sampled paths land, and pure: its values
     are kept for the next check on the same plan.
     """
-    plan = _plan(K, eta, grid, recheck)
+    plan = _plan(K, eta, grid)
     return _report("preinvex", _preinvex(plan, plan.values(g)), plan.samples, tol)
 
 
 def check_prequasiinvex(g: Callable[[float], float], eta: EtaMap, K: Domain,
-                        grid: SampleGrid = DEFAULT_GRID, tol: float = DEFAULT_TOL,
-                        recheck: Iterable[Tuple[float, float, float]] = ()) -> PropertyReport:
+                        grid: SampleGrid = DEFAULT_GRID,
+                        tol: float = DEFAULT_TOL) -> PropertyReport:
     """Sampled prequasiinvexity check of ``g`` on K."""
-    plan = _plan(K, eta, grid, recheck)
+    plan = _plan(K, eta, grid)
     return _report("prequasiinvex", _prequasiinvex(plan, plan.values(g)), plan.samples, tol)
 
 
@@ -446,31 +415,17 @@ def _derivative_values(plan: SamplePlan, model, q: float) -> array:
     raise error
 
 
-def hypothesis_check(model, eta: EtaMap, K: Domain, q: float, mode: str,
-                     grid: SampleGrid = DEFAULT_GRID,
-                     tol: float = DEFAULT_TOL) -> PropertyReport:
-    """Check |f'|^q for the property named by ``mode`` on K.
-
-    ``model`` is any object exposing a compiled derivative ``df_fn``;
-    the absolute value is applied before the exponent.  ``mode`` is
-    "preinvex" or "prequasiinvex".
-    """
-    if q < 1.0:
-        raise ValueError("exponent q must be >= 1")
-    if mode not in _SWEEPS:
-        raise ValueError(f"unknown hypothesis mode {mode!r}")
-    plan = _plan(K, eta, grid, ())
-    g = _derivative_values(plan, model, q)
-    return _report(mode, _SWEEPS[mode](plan, g), plan.samples, tol, q)
-
-
 def hypothesis_pair(model, eta: EtaMap, K: Domain, q: float,
                     grid: SampleGrid = DEFAULT_GRID,
                     tol: float = DEFAULT_TOL) -> Tuple[PropertyReport, PropertyReport]:
-    """Both hypothesis checks for |f'|^q from one set of values."""
-    if q < 1.0:
-        raise ValueError("exponent q must be >= 1")
-    plan = _plan(K, eta, grid, ())
+    """Check |f'|^q for preinvexity and for prequasiinvexity on K, from one set of values.
+
+    ``model`` is any object exposing a compiled derivative ``df_fn``;
+    the absolute value is applied before the exponent.
+    """
+    if not 1.0 <= q < math.inf:
+        raise ValueError(f"exponent q must be finite and >= 1, got {q!r}")
+    plan = _plan(K, eta, grid)
     g = _derivative_values(plan, model, q)
     return (
         _report("preinvex", _preinvex(plan, g), plan.samples, tol, q),

@@ -253,9 +253,12 @@ def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Corp
     if "CLASSICAL" in theorems and model.d4sup is None:
         raise CaseConfigError(f"case {name!r} requests CLASSICAL but has no d4sup")
     tol = tolerances.merged(config.get("tolerances"))
-    expected = {}
-    for key, entry in (config.get("expected") or {}).items():
-        expected[key] = (float(entry["rhs"]), float(entry["tolerance"]))
+    expected = {key: (float(entry["rhs"]), float(entry["tolerance"]))
+                for key, entry in (config.get("expected") or {}).items()}
+    try:
+        _golden(expected)
+    except ValueError as exc:
+        raise CaseConfigError(f"case {name!r}: {exc}") from None
     # the F gate uses the case interval when the step is usable
     f_interval = None
     try:
@@ -342,6 +345,10 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
         return _input_error(result, f"InvalidExponent: every q must be finite and >= 1, "
                                     f"got {list(case.q_list)!r}")
     try:
+        golden = _golden(case.expected)
+    except ValueError as exc:
+        return _input_error(result, f"InvalidExpected: {exc}")
+    try:
         d4sup = bounds_mod.fourth_derivative_sup(model) if "CLASSICAL" in case.theorems else None
     except MissingFourthDerivative as exc:
         return _input_error(result, f"MissingFourthDerivative: {exc}")
@@ -425,7 +432,7 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
             result.bounds.append(replace(bv, slack=bv.rhs - lhs - defect.quadrature_error))
     result.hypotheses.extend(hypothesis_reports.values())
 
-    _check_golden(case, result)
+    _check_golden(golden, result)
     slack_violation = any(
         bv.slack is not None and bv.slack < -tol.slack for bv in result.bounds)
     if slack_violation or not identity_ok:
@@ -437,10 +444,35 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
     return result
 
 
-def _check_golden(case: CorpusCase, result: CaseResult) -> None:
-    for key, (want, tolerance) in sorted(case.expected.items()):
-        theorem, _, q_text = key.partition("@")
-        q_want = float(q_text) if q_text else None
+_Golden = Tuple[str, str, Optional[float], float, float]
+
+
+def _golden(expected: Dict[str, Tuple[float, float]]) -> List[_Golden]:
+    """(key, theorem, q or None, rhs, tolerance) per ``expected`` entry, in key order.
+
+    A key is a theorem id, optionally followed by "@q" with q finite;
+    ValueError unless every key is one, every rhs is finite and every
+    tolerance is finite and > 0.
+    """
+    entries = []
+    for key, (rhs, tolerance) in sorted(expected.items()):
+        theorem, at, q_text = key.partition("@")
+        try:
+            q = float(q_text) if at else None
+        except ValueError:
+            q = math.nan  # rejected with the key below
+        if theorem not in bounds_mod.THEOREMS or q is not None and not math.isfinite(q):
+            raise ValueError(f"expected key {key!r} is not a theorem id with an optional "
+                             f"'@q' for a finite q")
+        if not (math.isfinite(rhs) and math.isfinite(tolerance) and tolerance > 0.0):
+            raise ValueError(f"expected {key!r} needs a finite rhs and a finite tolerance > 0, "
+                             f"got rhs {rhs!r}, tolerance {tolerance!r}")
+        entries.append((key, theorem, q, rhs, tolerance))
+    return entries
+
+
+def _check_golden(golden: List[_Golden], result: CaseResult) -> None:
+    for key, theorem, q_want, want, tolerance in golden:
         match = None
         for bv in result.bounds:
             if bv.theorem == theorem and (q_want is None or bv.q == q_want):
@@ -577,10 +609,13 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
 
     Each (a, b) cell is visited once: its step, containment, defect and
     |f'(a)|, |f'(b)| serve every (theorem, q) pair, whose lhs and rhs
-    come from its ``bounds.THEOREMS`` row, as in ``run_case``.
+    come from its ``bounds.THEOREMS`` row, as in ``run_case``.  ValueError,
+    before any sweep, for steps < 2 or a q that is not finite or is below 1.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    if not all(1.0 <= q < math.inf for q in q_list):
+        raise ValueError(f"every q must be finite and >= 1, got {list(q_list)!r}")
     rows = [(theorem, _theorem(theorem)) for theorem in theorems]
     tol = tolerances
 

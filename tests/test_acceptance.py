@@ -5,9 +5,11 @@ Each test is one acceptance criterion and prints a single summary line:
 per criterion, and ``-s`` additionally shows the printed summaries.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -148,3 +150,12 @@ def test_criterion_8_reports_are_reproducible(corpus_report):
     again = runner.run_corpus()
     assert corpus_report.to_json() == again.to_json()
     announce(8, "two corpus runs serialize to byte-identical JSON")
+
+
+def test_criterion_8_corpus_report_matches_its_recorded_digest(corpus_report):
+    # the benchmark checks every corpus run against this digest; pin it here too
+    recorded = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+    want = json.loads(recorded.read_text(encoding="utf-8"))["corpus_report"]
+    got = hashlib.sha256(corpus_report.to_json().encode("utf-8")).hexdigest()
+    assert got == want
+    announce(8, f"the corpus report's sha256 is the recorded {want[:8]}...")

@@ -128,6 +128,21 @@ def test_check_malformed_json(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, entry, message", [
+    ("T3.2@x", {"rhs": 0.2, "tolerance": 1e-9}, "expected key 'T3.2@x' is not a theorem id"),
+    ("T3.1", {"rhs": 123.0, "tolerance": float("nan")},
+     "expected 'T3.1' needs a finite rhs and a finite tolerance > 0"),
+])
+def test_check_bad_expected_entry_exits_three(tmp_path, capsys, key, entry, message):
+    corpus = pathlib.Path(simpvex.__file__).parent / "corpus"
+    cfg = json.loads((corpus / "poly_x2.json").read_text(encoding="utf-8"))
+    cfg["expected"][key] = entry
+    assert main(["check", write_config(tmp_path / "case.json", cfg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: case 'poly_x2': {message}")
+
+
 def test_corpus_csv_filtered(capsys):
     assert main(["corpus", "--filter", "poly_x2", "--format", "csv"]) == 0
     captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -17,7 +18,6 @@ from simpvex.invexity import (
     check_invex_set,
     check_preinvex,
     check_prequasiinvex,
-    hypothesis_check,
     hypothesis_pair,
 )
 from simpvex.reports import VERIFIED, VIOLATED, PropertyReport
@@ -171,60 +171,49 @@ def test_convex_square_passes_both_checks():
     assert quasi.verdict == VERIFIED
 
 
-def test_recheck_witness_keeps_coarse_grid_honest():
-    # a narrow spike the 5x5x3 grid cannot see
-    def spike(x):
-        return max(0.0, 1.0 - 200.0 * abs(x - 0.123))
-
-    coarse = SampleGrid(nu=5, nv=5, nt=3, random_triples=0)
-    K = Domain(-1.0, 1.0)
-    blind = check_preinvex(spike, EtaMap.difference(), K, coarse)
-    assert blind.verdict == VERIFIED
-    informed = check_preinvex(spike, EtaMap.difference(), K, coarse,
-                              recheck=[(0.0, 0.246, 0.5)])
-    assert informed.verdict == VIOLATED
-    assert informed.worst_violation == 1.0
-    assert informed.witness == (0.0, 0.246, 0.5)
-
-
-def test_recheck_with_nan_is_rejected():
-    # the recheck layer is sorted, and NaN has no place in that order
-    K, eta, recheck = Domain(-1.0, 1.0), EtaMap.difference(), [(0.5, 0.0, 0.5), (0.0, math.nan, 0.5)]
-    with pytest.raises(ValueError, match="must not hold NaN"):
-        check_invex_set(K, eta, recheck=recheck)
-    with pytest.raises(ValueError, match="must not hold NaN"):
-        check_preinvex(fn("x^2"), eta, K, recheck=recheck)
-
-
 def test_checks_are_deterministic():
     a = check_preinvex(fn("x^3"), EtaMap.difference(), Domain(-1.0, 1.0))
     b = check_preinvex(fn("x^3"), EtaMap.difference(), Domain(-1.0, 1.0))
     assert a == b
 
 
-def test_hypothesis_check_uses_derivative_magnitude():
-    model = SimpleNamespace(df_fn=lambda x: x)
-    report = hypothesis_check(model, EtaMap.difference(), Domain(-1.0, 1.0), 2.0,
-                              "preinvex")
-    assert report.verdict == VERIFIED
-    assert report.exponent_q == 2.0
-    assert report.property == "preinvex"
+def test_hypothesis_pair_uses_derivative_magnitude():
+    # -x^2 is neither preinvex nor prequasiinvex on [-1, 1]; |-x^2|^2 = x^4 is both
+    model = SimpleNamespace(df_fn=fn("-(x^2)"))
+    pre, quasi = hypothesis_pair(model, EtaMap.difference(), Domain(-1.0, 1.0), 2.0)
+    assert (pre.property, pre.verdict, pre.exponent_q) == ("preinvex", VERIFIED, 2.0)
+    assert (quasi.property, quasi.verdict, quasi.exponent_q) == ("prequasiinvex", VERIFIED, 2.0)
 
 
-def test_hypothesis_check_validates_arguments():
+def test_hypothesis_pair_validates_arguments():
     model = SimpleNamespace(df_fn=lambda x: x)
-    with pytest.raises(ValueError):
-        hypothesis_check(model, EtaMap.difference(), Domain(-1.0, 1.0), 0.5, "preinvex")
-    with pytest.raises(ValueError):
-        hypothesis_check(model, EtaMap.difference(), Domain(-1.0, 1.0), 1.0, "convex")
+    for q in (0.5, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"exponent q must be finite and >= 1, got {q!r}"):
+            hypothesis_pair(model, EtaMap.difference(), Domain(-1.0, 1.0), q)
 
 
 def test_hypothesis_pair_matches_single_checks():
-    model = SimpleNamespace(df_fn=fn("3*x^2"))
+    df = fn("3*x^2")
     K = Domain(-1.0, 1.0)
-    pre, quasi = hypothesis_pair(model, EtaMap.difference(), K, 1.0)
-    assert pre == hypothesis_check(model, EtaMap.difference(), K, 1.0, "preinvex")
-    assert quasi == hypothesis_check(model, EtaMap.difference(), K, 1.0, "prequasiinvex")
+    pre, quasi = hypothesis_pair(SimpleNamespace(df_fn=df), EtaMap.difference(), K, 1.0)
+
+    def g(x):
+        return abs(df(x))
+
+    assert pre == replace(check_preinvex(g, EtaMap.difference(), K), exponent_q=1.0)
+    assert quasi == replace(check_prequasiinvex(g, EtaMap.difference(), K), exponent_q=1.0)
+
+
+def test_random_layer_ties_go_to_the_smallest_triple():
+    # the 2x2x2 grid's path points are 0 and 1, off the bump, so only random
+    # triples see it: 19 of them tie at excess 1.0
+    grid = SampleGrid(2, 2, 2, random_triples=200, seed=5)
+    K, eta = Domain(0.0, 1.0), EtaMap.difference()
+    smallest = (0.04855216354845626, 0.9866991087842674, 0.5335307413608343)
+    for check in (check_preinvex, check_prequasiinvex):
+        report = check(_bump, eta, K, grid)
+        assert (report.verdict, report.worst_violation) == (VIOLATED, 1.0)
+        assert report.witness == smallest
 
 
 def test_property_report_validation():
@@ -252,9 +241,7 @@ class _RefWorst:
             self.witness = (u, v, t)
 
 
-def _ref_triples(K, grid, recheck):
-    for (u, v, t) in recheck:
-        yield float(u), float(v), float(t)
+def _ref_triples(K, grid):
     us = K.grid(grid.nu)
     vs = K.grid(grid.nv)
     ts = [i / (grid.nt - 1) for i in range(grid.nt)]
@@ -277,21 +264,21 @@ def _ref_report(prop, worst, samples, tol, q=None):
     return PropertyReport(prop, VERIFIED, worst.excess, None, samples, q)
 
 
-def _ref_invex_set(K, eta, grid, tol, recheck):
+def _ref_invex_set(K, eta, grid, tol):
     worst = _RefWorst()
     samples = 0
-    for u, v, t in _ref_triples(K, grid, recheck):
+    for u, v, t in _ref_triples(K, grid):
         x = u + t * eta(v, u)
         worst.offer(max(K.lo - x, x - K.hi), u, v, t)
         samples += 1
     return _ref_report("invex_set", worst, samples, tol)
 
 
-def _ref_pair(g, eta, K, grid, tol, recheck, q=None):
+def _ref_pair(g, eta, K, grid, tol, q=None):
     """(preinvex, prequasiinvex) reports from one per-sample sweep."""
     pre, quasi = _RefWorst(), _RefWorst()
     samples = 0
-    for u, v, t in _ref_triples(K, grid, recheck):
+    for u, v, t in _ref_triples(K, grid):
         gu, gv, gx = g(u), g(v), g(u + t * eta(v, u))
         pre.offer(gx - ((1.0 - t) * gu + t * gv), u, v, t)
         quasi.offer(gx - max(gu, gv), u, v, t)
@@ -317,8 +304,13 @@ def _infs(x):
     return -math.inf if x < -0.5 else (math.inf if x > 1.2 else x)
 
 
+def _bump(x):
+    # flat with a step up and down: random triples tie at the maximum excess
+    return 1.0 if 0.4 < x < 0.6 else 0.0
+
+
 _GS = [fn("x^3"), fn("-(x^2)"), fn("-abs(x)"), fn("0*x"), fn("x^2 - 3*x"), _steps, _nan_left,
-       _inf_right, _infs, lambda x: -0.0]
+       _inf_right, _infs, lambda x: -0.0, _bump]
 _ETAS = [EtaMap.difference(), EtaMap.abs_example(), EtaMap.from_expression("0.5*(v - u)"),
          EtaMap.from_expression("v - 2*u")]
 
@@ -330,30 +322,25 @@ def _problems(draw):
                       seed=draw(st.integers(0, 3)))
     lo = draw(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5]))
     K = Domain(lo, lo + draw(st.sampled_from([0.5, 1.0, 2.5])))
-    point = st.sampled_from([K.lo, K.hi, 0.0, -0.0, 0.25, 1, 0.5 * (K.lo + K.hi)])
-    recheck = draw(st.lists(st.tuples(point, point, st.sampled_from([0.0, 0.5, 1.0, 0.3])),
-                            max_size=3))
-    return (K, draw(st.sampled_from(_ETAS)), grid, draw(st.sampled_from(_GS)), recheck,
+    return (K, draw(st.sampled_from(_ETAS)), grid, draw(st.sampled_from(_GS)),
             draw(st.sampled_from([0.0, 1e-12, 0.5])))
 
 
 @settings(max_examples=150)
 @given(_problems(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 def test_plan_sweeps_match_per_sample_reference(problem, q):
-    K, eta, grid, g, recheck, tol = problem
-    assert repr(check_invex_set(K, eta, grid, tol, recheck)) == \
-        repr(_ref_invex_set(K, eta, grid, tol, recheck))
-    pre, quasi = _ref_pair(g, eta, K, grid, tol, recheck)
-    assert repr(check_preinvex(g, eta, K, grid, tol, recheck)) == repr(pre)
-    assert repr(check_prequasiinvex(g, eta, K, grid, tol, recheck)) == repr(quasi)
+    K, eta, grid, g, tol = problem
+    assert repr(check_invex_set(K, eta, grid, tol)) == repr(_ref_invex_set(K, eta, grid, tol))
+    pre, quasi = _ref_pair(g, eta, K, grid, tol)
+    assert repr(check_preinvex(g, eta, K, grid, tol)) == repr(pre)
+    assert repr(check_prequasiinvex(g, eta, K, grid, tol)) == repr(quasi)
     # the same g again on the same plan reads its kept values
-    assert repr(check_preinvex(g, eta, K, grid, tol, recheck)) == repr(pre)
+    assert repr(check_preinvex(g, eta, K, grid, tol)) == repr(pre)
 
     model = SimpleNamespace(df_fn=g)
     h = (lambda x: abs(g(x))) if q == 1.0 else (lambda x: abs(g(x)) ** q)
-    want = _ref_pair(h, eta, K, grid, tol, (), q)
+    want = _ref_pair(h, eta, K, grid, tol, q)
     assert repr(hypothesis_pair(model, eta, K, q, grid, tol)) == repr(want)
-    assert repr(hypothesis_check(model, eta, K, q, "preinvex", grid, tol)) == repr(want[0])
 
 
 @pytest.mark.parametrize("g, eta", [(fn("x^3"), _ETAS[0]), (fn("sqrt(x + 4)"), _ETAS[1]),
@@ -361,16 +348,14 @@ def test_plan_sweeps_match_per_sample_reference(problem, q):
                          ids=["cube", "sqrt-abs_example", "steps-expression", "nan"])
 def test_plan_sweeps_match_reference_on_default_grid(g, eta):
     K = Domain(-1.0, 1.0)
-    recheck = [(0.0, 0.246, 0.5), (-0.0, 1.0, 0.0)]
-    assert check_invex_set(K, eta) == _ref_invex_set(K, eta, DEFAULT_GRID, 1e-12, ())
-    pre, quasi = _ref_pair(g, eta, K, DEFAULT_GRID, 1e-12, recheck)
-    assert check_preinvex(g, eta, K, recheck=recheck) == pre
-    assert check_prequasiinvex(g, eta, K, recheck=recheck) == quasi
+    assert check_invex_set(K, eta) == _ref_invex_set(K, eta, DEFAULT_GRID, 1e-12)
+    pre, quasi = _ref_pair(g, eta, K, DEFAULT_GRID, 1e-12)
+    assert check_preinvex(g, eta, K) == pre
+    assert check_prequasiinvex(g, eta, K) == quasi
     model = SimpleNamespace(df_fn=g)
     for q in (1.0, 2.5):
         h = (lambda x: abs(g(x)) ** q) if q != 1.0 else (lambda x: abs(g(x)))
-        assert hypothesis_pair(model, eta, K, q) == _ref_pair(h, eta, K, DEFAULT_GRID,
-                                                              1e-12, (), q)
+        assert hypothesis_pair(model, eta, K, q) == _ref_pair(h, eta, K, DEFAULT_GRID, 1e-12, q)
 
 
 def test_derivative_runs_once_per_plan_point_across_exponents():

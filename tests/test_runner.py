@@ -221,6 +221,33 @@ def test_golden_missing_bound_is_reported():
     assert result.golden_failures == ["T3.3@2: bound was not evaluated"]
 
 
+NEEDS_FINITE = "expected 'T3.1' needs a finite rhs and a finite tolerance > 0, "
+
+
+@pytest.mark.parametrize("key, entry, message", [
+    ("T3.2@x", {"rhs": 0.2, "tolerance": 1e-9},
+     "expected key 'T3.2@x' is not a theorem id with an optional '@q' for a finite q"),
+    ("T3.2@", {"rhs": 0.2, "tolerance": 1e-9}, "expected key 'T3.2@' is not a theorem id"),
+    ("T3.2@inf", {"rhs": 0.2, "tolerance": 1e-9}, "expected key 'T3.2@inf' is not a theorem id"),
+    ("T9@2", {"rhs": 0.2, "tolerance": 1e-9}, "expected key 'T9@2' is not a theorem id"),
+    ("T3.1", {"rhs": 123.0, "tolerance": math.nan}, NEEDS_FINITE + "got rhs 123.0, tolerance nan"),
+    ("T3.1", {"rhs": math.inf, "tolerance": 1e-9}, NEEDS_FINITE + "got rhs inf, tolerance 1e-09"),
+    ("T3.1", {"rhs": 0.2, "tolerance": math.inf}, NEEDS_FINITE + "got rhs 0.2, tolerance inf"),
+])
+def test_bad_expected_entries_are_config_errors(key, entry, message):
+    # json.loads accepts NaN and Infinity, and NaN passes the schema's exclusiveMinimum
+    config = json.loads(json.dumps(square_case(expected={key: entry})))
+    with pytest.raises(CaseConfigError) as info:
+        load_case(config)
+    assert f"case 'unit_square': {message}" in str(info.value)
+    # a hand-built case gets a verdict, not a raise
+    case = dataclasses.replace(load_case(square_case()),
+                               expected={key: (entry["rhs"], entry["tolerance"])})
+    result = run_case(case)
+    assert result.verdict == "input_error"
+    assert result.error.startswith(f"InvalidExpected: {message}")
+
+
 def test_unmet_verdict_when_invex_set_fails():
     cfg = square_case(eta={"kind": "abs_example"}, K=[-1, 1], a=0, b=1,
                       theorems=["T3.1"])
@@ -318,6 +345,19 @@ def test_tightness_validates_steps():
     with pytest.raises(ValueError):
         tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.0),
                        (0.0, 0.0), (1.0, 1.0), [1.0], steps=1)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, 0.5])
+def test_tightness_rejects_bad_exponents_before_sweeping(q, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before validating the exponents")
+
+    monkeypatch.setattr(runner, "check_invex_set", no_sweep)
+    monkeypatch.setattr(runner, "hypothesis_pair", no_sweep)
+    model = _model("x^2", "2*x", "(x^3)/3", K=(0.0, 1.0))
+    with pytest.raises(ValueError, match=r"every q must be finite and >= 1, got \[1.0, "):
+        tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.0),
+                       (0.0, 0.0), (1.0, 1.0), [1.0, q], steps=2, theorems=("T4.1",))
 
 
 def test_tightness_rejects_unknown_theorem_before_sweeping(monkeypatch):
