@@ -27,7 +27,6 @@ from .reports import PropertyReport
 from .invexity import (
     Domain,
     EtaMap,
-    EtaPath,
     SampleGrid,
     check_invex_set,
     check_preinvex,

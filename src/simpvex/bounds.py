@@ -45,7 +45,7 @@ from .errors import (
     MissingFourthDerivative,
     PreconditionUnmet,
 )
-from .invexity import Domain, EtaPath
+from .invexity import Domain
 from .quadrature import QuadratureResult
 
 __all__ = [
@@ -71,6 +71,7 @@ __all__ = [
 ]
 
 _LARGE_EXPONENT = 100.0
+_PRECONDITION_TOL = 1e-9  # C4.2's f(a) = f(a + eta/2) = f(a + eta), to within this
 
 # kernel constants, taken once; float(Fraction(n, d)) == n / d exactly
 _M1 = float(kernel.moment_p_exact(1))  # 5/72
@@ -130,18 +131,15 @@ class FunctionModel:
             raise CaseConfigError(f"bad K in case {cfg.get('name')!r}: {exc}") from exc
         return cls(cfg["name"], f, df, domain, F, d4sup)
 
-    def validate(self, interval=None, points: int = 33,
-                 derivative_tol: float = 1e-4,
-                 consistency_tol: float = 1e-9,
-                 quad_tol: float = quadrature.DEFAULT_ABS_TOL) -> None:
+    def validate(self, interval=None, quad_tol: float = quadrature.DEFAULT_ABS_TOL) -> None:
         """Run the load-time gates; raises CaseConfigError on failure.
 
-        The derivative gate always samples the whole domain; the
-        antiderivative gate uses ``interval`` (the case interval) when
-        given, the domain otherwise.
+        The derivative gate samples 33 points of the whole domain (mismatch
+        1e-4); the antiderivative gate integrates f to ``quad_tol`` over
+        ``interval`` (the case interval) when given, the domain otherwise (1e-9).
         """
         gate = expr_mod.check_derivative(
-            self.f, self.df, (self.domain.lo, self.domain.hi), points, derivative_tol)
+            self.f, self.df, (self.domain.lo, self.domain.hi), 33, 1e-4)
         if gate.violated:
             x, want, got = gate.witness
             raise CaseConfigError(
@@ -152,7 +150,7 @@ class FunctionModel:
             lo, hi = interval if interval is not None else (self.domain.lo, self.domain.hi)
             qr = quadrature.integrate(self.f_fn, lo, hi, quad_tol)
             direct = self.F_fn(hi) - self.F_fn(lo)
-            if abs(direct - qr.value) > consistency_tol:
+            if abs(direct - qr.value) > 1e-9:
                 raise CaseConfigError(
                     f"model {self.name!r}: antiderivative F disagrees with quadrature "
                     f"on [{lo!r}, {hi!r}]: {direct!r} vs {qr.value!r}"
@@ -196,6 +194,16 @@ def _require_step(eta_val: float) -> float:
     return eta_val
 
 
+def _require_path(a: float, eta_val: float, domain: Domain) -> float:
+    """The checked step; DomainError unless a and a + step lie in ``domain``."""
+    eta_val = _require_step(eta_val)
+    for endpoint in (a, a + eta_val):
+        if not domain.contains(endpoint):
+            raise DomainError(
+                f"path endpoint {endpoint!r} outside [{domain.lo!r}, {domain.hi!r}]")
+    return eta_val
+
+
 def _mean_of_f(model: FunctionModel, a: float, end: float, eta_val: float,
                abs_tol: float, max_evals: int = quadrature.DEFAULT_MAX_EVALS):
     """(mean of f on [a, end], its quadrature error share, evaluations)."""
@@ -213,8 +221,7 @@ def simpson_defect(model: FunctionModel, a: float, eta_val: float,
     Uses the supplied antiderivative for the mean when available (then
     quadrature_error is 0), numeric integration otherwise.
     """
-    eta_val = _require_step(eta_val)
-    EtaPath(a, eta_val, model.domain)
+    eta_val = _require_path(a, eta_val, model.domain)
     f = model.f_fn
     end = a + eta_val
     mid = a + 0.5 * eta_val
@@ -234,8 +241,7 @@ def lemma_rhs(model: FunctionModel, a: float, eta_val: float,
     would feed the quadrature a spurious endpoint discontinuity.  The
     value equals the signed defect up to the reported error estimate.
     """
-    eta_val = _require_step(eta_val)
-    EtaPath(a, eta_val, model.domain)
+    eta_val = _require_path(a, eta_val, model.domain)
     df = model.df_fn
 
     def left(t: float) -> float:
@@ -260,14 +266,13 @@ def midpoint_gap(model: FunctionModel, a: float, eta_val: float,
 
     Returns (gap, quadrature_error).
     """
-    eta_val = _require_step(eta_val)
-    EtaPath(a, eta_val, model.domain)
+    eta_val = _require_path(a, eta_val, model.domain)
     mean, qerr, _ = _mean_of_f(model, a, a + eta_val, eta_val, abs_tol)
     return model.f_fn(a + 0.5 * eta_val) - mean, qerr
 
 
 def midpoint_value(model: FunctionModel, a: float, eta_val: float,
-                   precondition_tol: float = 1e-9) -> float:
+                   precondition_tol: float = _PRECONDITION_TOL) -> float:
     """f(a + eta/2), under C4.2's precondition f(a) = f(a + eta/2) = f(a + eta).
 
     Raises PreconditionUnmet unless the three agree within ``precondition_tol``.
@@ -514,7 +519,7 @@ def bound_T4_3(model: FunctionModel, a: float, b: float, eta_val: float, q: floa
 
 def bound_C4_2_midpoint(model: FunctionModel, a: float, b: float, eta_val: float,
                         abs_tol: float = quadrature.DEFAULT_ABS_TOL,
-                        precondition_tol: float = 1e-9) -> BoundValue:
+                        precondition_tol: float = _PRECONDITION_TOL) -> BoundValue:
     """Midpoint-vs-mean bound under f(a) = f(a + eta/2) = f(a + eta).
 
     Raises PreconditionUnmet unless the three values agree within

@@ -53,9 +53,15 @@ def _write_output(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+# the tolerances the --tol-* flags set, with their help text
+_TOLERANCE_FLAGS = {"oracle": "quadrature oracle tolerance",
+                    "slack": "slack tolerance for violations",
+                    "invexity": "sampled-property tolerance"}
+
+
 def _tolerances(args) -> runner.Tolerances:
     overrides = {}
-    for key in ("oracle", "slack", "invexity"):
+    for key in _TOLERANCE_FLAGS:
         value = getattr(args, f"tol_{key}", None)
         if value is not None:
             overrides[key] = value
@@ -63,12 +69,9 @@ def _tolerances(args) -> runner.Tolerances:
 
 
 def _add_tolerance_flags(sub) -> None:
-    sub.add_argument("--tol-oracle", dest="tol_oracle", type=float, default=None,
-                     help="quadrature oracle tolerance (default 1e-11)")
-    sub.add_argument("--tol-slack", dest="tol_slack", type=float, default=None,
-                     help="slack tolerance for violations (default 1e-12)")
-    sub.add_argument("--tol-invexity", dest="tol_invexity", type=float, default=None,
-                     help="sampled-property tolerance (default 1e-12)")
+    for key, text in _TOLERANCE_FLAGS.items():
+        default = getattr(runner.DEFAULT_TOLERANCES, key)
+        sub.add_argument(f"--tol-{key}", type=float, help=f"{text} (default {default!r})")
 
 
 def _parse_floats(text: str, flag: str) -> List[float]:
@@ -136,7 +139,7 @@ def cmd_corpus(args) -> int:
     tol = _tolerances(args)
     cases = runner.load_corpus(args.filter, tol)
     _info(args, f"loaded {len(cases)} corpus case(s)")
-    report = runner.run_corpus(cases=cases, tolerances=tol)
+    report = runner.run_corpus(cases=cases)
     if args.format == "csv":
         _write_output(report.to_csv(), args.out)
     else:
@@ -167,7 +170,7 @@ def cmd_scan(args) -> int:
         "K": [lo, hi],
     }
     model = bounds_mod.FunctionModel.from_config(config)
-    model.validate()
+    model.validate(quad_tol=tol.oracle)
     theorems = args.theorems.split(",") if args.theorems else list(runner.THEOREM_IDS)
     for theorem in theorems:
         if theorem not in runner.THEOREM_IDS:
@@ -178,9 +181,8 @@ def cmd_scan(args) -> int:
         _parse_pair(args.b_range, "--b-range"),
         q_list, args.steps, theorems, tol)
     rows = ["theorem,status,ratio,a,b,q,cells,skipped"]
+    cell = runner._csv_cell
     for r in results:
-        def cell(x):
-            return "" if x is None else repr(x) if isinstance(x, float) else str(x)
         rows.append(",".join([r.theorem, r.status, cell(r.ratio), cell(r.at_a),
                               cell(r.at_b), cell(r.at_q), str(r.cells), str(r.skipped)]))
     _write_output("\n".join(rows) + "\n", args.out)

@@ -26,7 +26,8 @@ Every check is a view of one ``SamplePlan`` per (K, eta, grid): the
 sample stream and its path points, with eta called once per grid (u, v)
 pair and once per random triple.  The last plan is kept, and it keeps
 the values of the last function swept over it, so a case's invex-set
-check and its hypothesis checks at every q share one plan and f' is
+check and its hypothesis checks at every q share one plan (as do
+consecutive cases on the same K and built-in eta) and f' is
 evaluated once per sample point per case; each further q costs only
 arithmetic on those floats.  The arithmetic is the per-sample formula's,
 so verdicts, worst violations and witnesses are unchanged.
@@ -44,7 +45,6 @@ from operator import add, sub
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import expr as expr_mod
-from .errors import DomainError
 from .reports import VERIFIED, VIOLATED, PropertyReport
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "DEFAULT_GRID",
     "DEFAULT_TOL",
     "EtaMap",
-    "EtaPath",
     "check_invex_set",
     "check_preinvex",
     "check_prequasiinvex",
@@ -75,8 +74,9 @@ class Domain:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError(f"domain needs lo < hi, got [{self.lo!r}, {self.hi!r}]")
 
-    def contains(self, x: float, tol: float = DEFAULT_TOL) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
+    def contains(self, x: float) -> bool:
+        """Whether x lies in [lo, hi], widened by DEFAULT_TOL at each end."""
+        return self.lo - DEFAULT_TOL <= x <= self.hi + DEFAULT_TOL
 
     def grid(self, n: int) -> List[float]:
         if n < 2:
@@ -114,6 +114,8 @@ class EtaMap:
       * "abs_example": v - u when u, v share a sign (zero counts as
         both), u - v otherwise; the map under which -|u| is preinvex
       * "expression":  any parsed expression over the variables {v, u}
+
+    ``difference()`` and ``abs_example()`` each return one shared value.
     """
 
     def __init__(self, kind: str, fn: Callable[[float, float], float],
@@ -131,15 +133,11 @@ class EtaMap:
 
     @classmethod
     def difference(cls) -> "EtaMap":
-        return cls("difference", lambda v, u: v - u, "difference")
+        return _DIFFERENCE
 
     @classmethod
     def abs_example(cls) -> "EtaMap":
-        def fn(v, u):
-            if (v <= 0.0 and u <= 0.0) or (v >= 0.0 and u >= 0.0):
-                return v - u
-            return u - v
-        return cls("abs_example", fn, "abs_example")
+        return _ABS_EXAMPLE
 
     @classmethod
     def from_expression(cls, source: str) -> "EtaMap":
@@ -162,24 +160,14 @@ class EtaMap:
         raise ValueError(f"unknown eta kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class EtaPath:
-    """Segment t -> base + t*step, checked to stay inside ``domain``."""
+def _abs_example(v: float, u: float) -> float:
+    if (v <= 0.0 and u <= 0.0) or (v >= 0.0 and u >= 0.0):
+        return v - u
+    return u - v
 
-    base: float
-    step: float
-    domain: Domain
 
-    def __post_init__(self):
-        for endpoint in (self.base, self.base + self.step):
-            if not self.domain.contains(endpoint):
-                raise DomainError(
-                    f"path endpoint {endpoint!r} outside "
-                    f"[{self.domain.lo!r}, {self.domain.hi!r}]"
-                )
-
-    def point(self, t: float) -> float:
-        return self.base + t * self.step
+_DIFFERENCE = EtaMap("difference", sub, "difference")
+_ABS_EXAMPLE = EtaMap("abs_example", _abs_example, "abs_example")
 
 
 _Found = Tuple[float, Optional[Tuple[float, float, float]]]  # (excess, witness)

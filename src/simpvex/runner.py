@@ -51,13 +51,14 @@ from .errors import (
 )
 from .invexity import (
     DEFAULT_GRID,
+    DEFAULT_TOL,
     Domain,
     EtaMap,
     SampleGrid,
     check_invex_set,
     hypothesis_pair,
 )
-from .quadrature import QuadratureResult
+from .quadrature import DEFAULT_ABS_TOL, QuadratureResult
 from .reports import PropertyReport
 
 __all__ = [
@@ -102,14 +103,12 @@ class Tolerances:
     slack: a bound counts as violated only below -slack.
     invexity: sampled property checks flag excesses above this.
     identity: defect-vs-kernel-integral budget before quadrature errors.
-    derivative: relative mismatch allowed in the finite-difference gate.
     """
 
-    oracle: float = 1e-11
+    oracle: float = DEFAULT_ABS_TOL
     slack: float = 1e-12
-    invexity: float = 1e-12
+    invexity: float = DEFAULT_TOL
     identity: float = 1e-9
-    derivative: float = 1e-4
 
     def merged(self, overrides: Optional[dict]) -> "Tolerances":
         """This set with ``overrides`` applied; CaseConfigError unless each is finite and > 0."""
@@ -267,8 +266,7 @@ def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Corp
             f_interval = (a, a + step)
     except EvalDomainError:
         pass
-    model.validate(interval=f_interval, derivative_tol=tol.derivative,
-                   quad_tol=tol.oracle)
+    model.validate(interval=f_interval, quad_tol=tol.oracle)
     return CorpusCase(name, model, eta, a, b, q_list, theorems, tol, expected)
 
 
@@ -328,6 +326,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_cell(x) -> str:
+    """A CSV field: empty for None, repr for a float, str otherwise."""
+    return "" if x is None else repr(x) if isinstance(x, float) else str(x)
+
+
 def _input_error(result: CaseResult, error: str) -> CaseResult:
     result.verdict = VERDICT_INPUT_ERROR
     result.error = error
@@ -341,9 +344,16 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
     K = model.domain
     result = CaseResult(case.name, VERDICT_PASS)
     # load_case rejects these; a hand-built case gets a verdict, not a raise
+    if not case.q_list:
+        return _input_error(result, "InvalidExponent: the case lists no q")
     if not all(1.0 <= q < math.inf for q in case.q_list):
         return _input_error(result, f"InvalidExponent: every q must be finite and >= 1, "
                                     f"got {list(case.q_list)!r}")
+    if not case.theorems:
+        return _input_error(result, "InvalidTheorem: the case lists no theorem")
+    for theorem in case.theorems:
+        if theorem not in bounds_mod.THEOREMS:
+            return _input_error(result, f"InvalidTheorem: unknown theorem id {theorem!r}")
     try:
         golden = _golden(case.expected)
     except ValueError as exc:
@@ -396,7 +406,7 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
 
     skipped = False
     for theorem in case.theorems:
-        row = _theorem(theorem)
+        row = bounds_mod.THEOREMS[theorem]
         if row.mode is not None and invex_report.violated:
             skipped = True
             result.notes.append(f"skipped {theorem}: K is not invex for eta")
@@ -428,7 +438,12 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
                 result.notes.append(f"skipped {theorem}: {exc}")
                 continue
             k = d4sup if row.mode is None else q
-            bv = bounds_mod._bound(theorem, model, case.a, case.b, step, k, defect)
+            try:
+                bv = bounds_mod._bound(theorem, model, case.a, case.b, step, k, defect)
+            except EvalDomainError as exc:  # f'(b): the sweeps and the path may miss b
+                result.hypotheses.extend(hypothesis_reports.values())
+                return _input_error(
+                    result, f"EvalDomainError: {theorem} needs |f'(a)| and |f'(b)|: {exc}")
             result.bounds.append(replace(bv, slack=bv.rhs - lhs - defect.quadrature_error))
     result.hypotheses.extend(hypothesis_reports.values())
 
@@ -514,18 +529,16 @@ class RunReport:
 
     def to_csv(self) -> str:
         lines = ["case,verdict,theorem,q,p,rhs,slack,defect,quadrature_error,identity_residual"]
-        def cell(x):
-            return "" if x is None else repr(x) if isinstance(x, float) else str(x)
         for r in self.results:
             d = r.defect
             common = [r.name, r.verdict]
-            tail = [cell(d.defect if d else None),
-                    cell(d.quadrature_error if d else None),
-                    cell(r.identity_residual)]
+            tail = [_csv_cell(d.defect if d else None),
+                    _csv_cell(d.quadrature_error if d else None),
+                    _csv_cell(r.identity_residual)]
             if r.bounds:
                 for bv in r.bounds:
-                    lines.append(",".join(common + [bv.theorem, cell(bv.q), cell(bv.p),
-                                                    cell(bv.rhs), cell(bv.slack)] + tail))
+                    cells = [_csv_cell(x) for x in (bv.q, bv.p, bv.rhs, bv.slack)]
+                    lines.append(",".join(common + [bv.theorem] + cells + tail))
             else:
                 lines.append(",".join(common + ["", "", "", "", ""] + tail))
         return "\n".join(lines) + "\n"

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 import simpvex
-from simpvex import runner
+from simpvex import quadrature, runner
 from simpvex.cli import main
 
 TWO_PI = "6.283185307179586"
@@ -180,6 +180,22 @@ def test_scan_square(capsys):
     assert lines[0] == "theorem,status,ratio,a,b,q,cells,skipped"
     # the quadratic has zero defect, so the ratio is exactly zero
     assert lines[1].startswith("T3.1,ok,0.0,")
+
+
+def test_scan_antiderivative_gate_uses_tol_oracle(monkeypatch, capsys):
+    seen = []
+    integrate = quadrature.integrate
+
+    def recording(fn, lo, hi, abs_tol=quadrature.DEFAULT_ABS_TOL, *args):
+        seen.append(abs_tol)
+        return integrate(fn, lo, hi, abs_tol, *args)
+
+    monkeypatch.setattr(quadrature, "integrate", recording)
+    # with F supplied the scan's defects need no quadrature, so the F gate is the only call
+    assert main(["scan", "--f", "x^2", "--df", "2*x", "--F", "(x^3)/3", "--K", "0,1",
+                 "--a-range", "0,0", "--b-range", "1,1", "--q", "1", "--steps", "2",
+                 "--theorems", "T3.1", "--tol-oracle", "1e-9"]) == 0
+    assert seen == [1e-9]
 
 
 def test_scan_rejects_unknown_theorem(capsys):

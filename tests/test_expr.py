@@ -1,3 +1,4 @@
+import doctest
 import math
 import struct
 import sys
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import simpvex.expr
 from simpvex.errors import EvalDomainError, ParseError
 from simpvex.expr import (
     FUNCTIONS,
@@ -430,3 +432,9 @@ def test_one_python_call_per_evaluation():
     finally:
         sys.setprofile(None)
     assert len(calls) == 5, calls
+
+
+def test_module_doctests_pass():
+    results = doctest.testmod(simpvex.expr)
+    assert results.attempted >= 2
+    assert results.failed == 0

@@ -7,13 +7,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from simpvex.errors import DomainError, ParseError
+from simpvex.errors import ParseError
 from simpvex.expr import compile_expr, parse
 from simpvex.invexity import (
     DEFAULT_GRID,
     Domain,
     EtaMap,
-    EtaPath,
     SampleGrid,
     check_invex_set,
     check_preinvex,
@@ -95,14 +94,10 @@ def test_eta_from_config_errors():
     assert EtaMap.from_config({"kind": "expression", "value": "v-u"})(3.0, 1.0) == 2.0
 
 
-def test_eta_path_domain_guard():
-    path = EtaPath(0.25, 0.5, Domain(0.0, 1.0))
-    assert path.point(0.0) == 0.25
-    assert path.point(1.0) == 0.75
-    with pytest.raises(DomainError):
-        EtaPath(0.5, 1.0, Domain(0.0, 1.0))
-    with pytest.raises(DomainError):
-        EtaPath(-0.1, 0.5, Domain(0.0, 1.0))
+def test_builtin_eta_maps_are_shared_values():
+    # one instance per built-in kind, so the kept sample plan serves every case on its K
+    assert EtaMap.from_config({"kind": "difference"}) is EtaMap.difference()
+    assert EtaMap.from_config({"kind": "abs_example"}) is EtaMap.abs_example()
 
 
 def test_invex_set_difference_always_holds():

@@ -18,7 +18,7 @@ from simpvex.errors import (
     QuadratureError,
     SimpvexError,
 )
-from simpvex.invexity import Domain, EtaMap, SampleGrid
+from simpvex.invexity import Domain, EtaMap, SampleGrid, _plan
 from simpvex.expr import parse
 from simpvex.runner import (
     CaseResult,
@@ -729,6 +729,42 @@ def test_run_case_bounds_match_the_public_wrappers_on_generated_models(
     except (SimpvexError, ValueError):  # raises are compared in the scan tests
         return
     _assert_bounds_match_public_wrappers(case, result)
+
+
+@pytest.mark.parametrize("change, error", [
+    (dict(theorems=("T3.1", "T9.9")), "InvalidTheorem: unknown theorem id 'T9.9'"),
+    (dict(theorems=()), "InvalidTheorem: the case lists no theorem"),
+    (dict(q_list=()), "InvalidExponent: the case lists no q"),
+], ids=["unknown_theorem", "no_theorem", "no_q"])
+def test_run_case_turns_hand_built_lists_the_schema_rejects_into_input_error(change, error):
+    # load_case rejects these lists; a CorpusCase built by hand bypasses it
+    case = dataclasses.replace(load_corpus("poly_x2")[0], **change)
+    result = run_case(case, grid=SampleGrid(5, 5, 3, 20))
+    assert result.verdict == "input_error"
+    assert result.error == error
+    assert result.hypotheses == [] and result.bounds == []
+
+
+def test_run_case_turns_f_prime_failing_at_b_into_input_error():
+    # the sweeps and the lemma path (which ends at a + eta = b / 2) never reach b
+    cfg = square_case(f="x", df="if(x == 0.7123456789, 1/(x-0.7123456789), 1)", F=None,
+                      eta={"kind": "expression", "value": "0.5*(v-u)"}, b=0.7123456789,
+                      q=[1], theorems=["T3.1", "T4.1"])
+    result = run_case(load_case(cfg))
+    assert result.verdict == "input_error"
+    assert result.error == ("EvalDomainError: T3.1 needs |f'(a)| and |f'(b)|: division by "
+                            "zero in (1.0 / (x - 0.7123456789)) at 0.0")
+    assert result.bounds == []
+    assert [h.verdict for h in result.hypotheses] == ["verified_on_samples"] * 3
+
+
+def test_consecutive_cases_on_one_K_and_eta_share_a_plan():
+    x2, x3 = load_corpus("poly_x2")[0], load_corpus("poly_x3")[0]
+    assert (x2.model.domain, x2.eta) == (x3.model.domain, x3.eta)
+    _plan.cache_clear()
+    run_case(x2)
+    run_case(x3)
+    assert _plan.cache_info().misses == 1
 
 
 def test_run_case_turns_a_hand_built_classical_without_d4sup_into_input_error():
