@@ -175,6 +175,9 @@ def cmd_scan(args) -> int:
     for theorem in theorems:
         if theorem not in runner.THEOREM_IDS:
             raise CaseConfigError(f"unknown theorem id {theorem!r}")
+    repeat = runner._repeat(q_list, theorems)
+    if repeat is not None:
+        raise CaseConfigError(repeat[1])
     results = runner.tightness_scan(
         model, eta, model.domain,
         _parse_pair(args.a_range, "--a-range"),

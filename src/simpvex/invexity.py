@@ -24,13 +24,17 @@ first of them in sorted order.
 
 Every check is a view of one ``SamplePlan`` per (K, eta, grid): the
 sample stream and its path points, with eta called once per grid (u, v)
-pair and once per random triple.  The last plan is kept, and it keeps
-the values of the last function swept over it, so a case's invex-set
-check and its hypothesis checks at every q share one plan (as do
-consecutive cases on the same K and built-in eta) and f' is
-evaluated once per sample point per case; each further q costs only
-arithmetic on those floats.  The arithmetic is the per-sample formula's,
-so verdicts, worst violations and witnesses are unchanged.
+pair and once per random triple.  The last plan is kept, so a case's
+invex-set check and its hypothesis checks at every q share one plan, as
+do consecutive cases on the same K and built-in eta.  The plan keeps its
+invex-set report and the values of the last function swept over it.  It
+evaluates its first function once per sample point; from its second
+function on (a further case on the same plan) it evaluates each once per
+distinct point, the grid's points merged by bit pattern, and spreads the
+values back to the stream.  Each further q costs only arithmetic, once
+per value (once per distinct value on a reused plan).  The arithmetic is
+the per-sample formula's, so verdicts, worst violations and witnesses
+are unchanged.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import add, sub
+from itertools import chain, count, repeat
+from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import expr as expr_mod
@@ -230,7 +234,10 @@ class SamplePlan:
     Stream order: the nu x nv x nt grid (u, then v, then t), then the
     sorted seeded random triples.  eta is called once per grid (u, v)
     pair and once per random triple.  Every sampled check is a sweep of
-    ``worst`` over one plan.
+    ``worst`` over one plan.  The plan keeps the invex-set reports made
+    on it (``invex_set``) and the values of the last function swept over
+    it; the first function runs once per sample point, each later one
+    once per distinct point (see ``values``).
     """
 
     def __init__(self, K: Domain, eta: EtaMap, grid: SampleGrid):
@@ -249,25 +256,74 @@ class SamplePlan:
                  for _ in range(grid.random_triples))
         self.random = _Layer(draws, eta, self.x_at + len(self.grid_x))
         self.samples = len(self.grid_x) + len(self.random)
-        self._memo = (None, None, None)
+        self.invex_set = {}  # check_invex_set's reports, by the bit pattern of (K, tol)
+        self._memo = (None, None, None, None)
+        self._distinct = None
 
     def points(self) -> Iterator[float]:
         """Every point a sweep reads g at, in the order of ``values``."""
         return chain(self.us, self.vs, self.grid_x, self.random.points())
 
+    def _distinct_points(self) -> Tuple[array, Callable[[list], tuple]]:
+        """The distinct points of ``points`` and the gather that spreads values back.
+
+        The grid's u values, v values and path points are merged by bit
+        pattern, in first-occurrence order; the random layer's points
+        follow unmerged.  gather(values at the distinct points) gives the
+        values at ``points``.
+        """
+        if self._distinct is None:
+            # each temporary is dropped once used: this build sets a corpus run's peak memory
+            keys = array("Q", (array("d", self.us + self.vs) + self.grid_x).tobytes())
+            first = {}  # key -> the position of its first occurrence
+            at = list(map(first.setdefault, keys, count()))
+            del keys
+            slot = dict(zip(first.values(), count()))
+            distinct = array("d", array("Q", first).tobytes())
+            del first
+            slots = list(map(slot.__getitem__, at))
+            del at, slot
+            slots.extend(range(len(distinct), len(distinct) + 3 * len(self.random)))
+            distinct.extend(self.random.points())
+            self._distinct = (distinct, itemgetter(*slots))
+        return self._distinct
+
     def values(self, fn: Callable[[float], float], absolute: bool = False) -> array:
-        """fn (abs(fn) if ``absolute``) at ``points``, called in that order.
+        """fn (abs(fn) if ``absolute``) at ``points``.
 
         Layout: g at the grid's u values; at its v values; at its path
         points (from ``x_at``); then g(u), g(v), g(x) of each random
-        triple.  The values of the last fn are kept, so fn must be pure.
+        triple.  The plan's first fn is called at ``points`` in order;
+        each later one once per distinct point, in first-occurrence
+        order, so either way the first point where fn fails is the first
+        in stream order.  The values of the last fn are kept, so fn must
+        be pure.
         """
-        memo_fn, memo_absolute, values = self._memo
+        memo_fn, memo_absolute, values, _ = self._memo
         if memo_fn is not fn or memo_absolute != absolute:
-            calls = map(fn, self.points())
-            values = array("d", map(abs, calls) if absolute else calls)
-            self._memo = (fn, absolute, values)
+            if memo_fn is None:
+                calls = map(fn, self.points())
+                values = array("d", map(abs, calls) if absolute else calls)
+                distinct = None
+            else:
+                points, gather = self._distinct_points()
+                calls = map(fn, points)
+                # floats, as the array of the point-by-point pass holds them
+                distinct = array("d", map(abs, calls) if absolute else calls).tolist()
+                values = array("d", gather(distinct))
+            self._memo = (fn, absolute, values, distinct)
         return values
+
+    def power(self, q: float) -> array:
+        """The values last returned by ``values``, each raised to q.
+
+        pow runs once per distinct point when ``values`` ran fn so.
+        """
+        _, _, values, distinct = self._memo
+        if distinct is None:
+            return array("d", map(pow, values, repeat(q)))
+        gather = self._distinct_points()[1]
+        return array("d", gather(list(map(pow, distinct, repeat(q)))))
 
     def block(self, seq: array, i: int, start: int = 0) -> array:
         """``seq[start:]`` cut to grid block i: the nv*nt samples with u = us[i]."""
@@ -314,9 +370,19 @@ def check_invex_set(K: Domain, eta: EtaMap, grid: SampleGrid = DEFAULT_GRID,
     """Check that u + t*eta(v, u) stays in K on all samples.
 
     The violation measure is the distance by which the path point leaves
-    K (negative when inside).
+    K (negative when inside).  The report is kept on the plan, so a
+    further case on the same plan and tol reads it.
     """
     plan = _plan(K, eta, grid)
+    # a plan serves every K equal to its own, and -0.0 == 0.0 moves an excess's sign
+    key = array("d", (K.lo, K.hi, tol)).tobytes()
+    if key not in plan.invex_set:
+        plan.invex_set[key] = _report("invex_set", _invex_set_worst(plan, K), plan.samples, tol)
+    return plan.invex_set[key]
+
+
+def _invex_set_worst(plan: SamplePlan, K: Domain) -> _Found:
+    """Worst distance by which a path point of ``plan`` leaves K."""
     lo, hi = K.lo, K.hi
     nt = len(plan.ts)
 
@@ -330,8 +396,7 @@ def check_invex_set(K: Domain, eta: EtaMap, grid: SampleGrid = DEFAULT_GRID,
                         map(sub, map(max, rows), repeat(hi))))
         return tops, lambda j: excess(rows[j])
 
-    worst = plan.worst(block, excess(plan.random.x))
-    return _report("invex_set", worst, plan.samples, tol)
+    return plan.worst(block, excess(plan.random.x))
 
 
 def _preinvex(plan: SamplePlan, g: array) -> _Found:
@@ -387,7 +452,11 @@ def check_prequasiinvex(g: Callable[[float], float], eta: EtaMap, K: Domain,
 
 
 def _derivative_values(plan: SamplePlan, model, q: float) -> array:
-    """|f'|^q at the plan's points; f' runs once per plan, not once per q."""
+    """|f'|^q at the plan's points.
+
+    f' runs once per case, not once per q: once per sample point on the
+    plan's first case, once per distinct point on each later one.
+    """
     df_fn = model.df_fn
     try:
         h = plan.values(df_fn, absolute=True)
@@ -396,7 +465,7 @@ def _derivative_values(plan: SamplePlan, model, q: float) -> array:
             raise
         error = exc
     else:
-        return h if q == 1.0 else array("d", map(pow, h, repeat(q)))
+        return h if q == 1.0 else plan.power(q)
     # a point-by-point pass may overflow |f'|^q before f' fails: raise what it meets first
     for x in plan.points():
         abs(df_fn(x)) ** q

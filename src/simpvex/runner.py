@@ -95,6 +95,19 @@ def _theorem(theorem: str) -> bounds_mod.Theorem:
         raise ValueError(f"unknown theorem id {theorem!r}") from None
 
 
+def _repeat(q_list: Sequence[float], theorems: Sequence[str]) -> Optional[Tuple[str, str]]:
+    """(error kind, message) for the first repeated theorem id, else the first repeated q.
+
+    A repeat would sweep and report the same bound again; None if neither list repeats.
+    """
+    for kind, label, values in (("InvalidTheorem", "theorem", theorems),
+                                ("InvalidExponent", "q", q_list)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                return kind, f"{label} {value!r} is listed more than once"
+    return None
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numeric tolerances used across the pipeline.
@@ -230,8 +243,9 @@ def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Corp
     """Validate a raw case dict and build a CorpusCase.
 
     Schema violations, unparsable expressions, a failing derivative
-    gate, an inconsistent antiderivative, or a CLASSICAL request
-    without d4sup all raise CaseConfigError here, at load time.
+    gate, an inconsistent antiderivative, a theorem id or q listed more
+    than once, or a CLASSICAL request without d4sup all raise
+    CaseConfigError here, at load time.
     """
     error = _schema_error(config, "case_schema")
     if error is not None:
@@ -249,6 +263,9 @@ def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Corp
     if not all(math.isfinite(q) for q in q_list):
         raise CaseConfigError(f"case {name!r}: every q must be finite, got {list(q_list)!r}")
     theorems = tuple(config["theorems"])
+    repeat = _repeat(q_list, theorems)
+    if repeat is not None:
+        raise CaseConfigError(f"case {name!r}: {repeat[1]}")
     if "CLASSICAL" in theorems and model.d4sup is None:
         raise CaseConfigError(f"case {name!r} requests CLASSICAL but has no d4sup")
     tol = tolerances.merged(config.get("tolerances"))
@@ -354,6 +371,9 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
     for theorem in case.theorems:
         if theorem not in bounds_mod.THEOREMS:
             return _input_error(result, f"InvalidTheorem: unknown theorem id {theorem!r}")
+    repeat = _repeat(case.q_list, case.theorems)
+    if repeat is not None:
+        return _input_error(result, f"{repeat[0]}: {repeat[1]}")
     try:
         golden = _golden(case.expected)
     except ValueError as exc:
@@ -623,13 +643,17 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     Each (a, b) cell is visited once: its step, containment, defect and
     |f'(a)|, |f'(b)| serve every (theorem, q) pair, whose lhs and rhs
     come from its ``bounds.THEOREMS`` row, as in ``run_case``.  ValueError,
-    before any sweep, for steps < 2 or a q that is not finite or is below 1.
+    before any sweep, for steps < 2, a q that is not finite or is below 1,
+    an unknown theorem id, or a theorem id or q listed more than once.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if not all(1.0 <= q < math.inf for q in q_list):
         raise ValueError(f"every q must be finite and >= 1, got {list(q_list)!r}")
     rows = [(theorem, _theorem(theorem)) for theorem in theorems]
+    repeat = _repeat(q_list, theorems)
+    if repeat is not None:
+        raise ValueError(repeat[1])
     tol = tolerances
 
     def axis(rng):

@@ -230,6 +230,8 @@ SCAN_SQUARE = ["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1",
     (["corpus", "--tol-oracle", "nan"], "tolerance oracle must be finite and > 0, got nan"),
     (["corpus", "--tol-oracle", "-1"], "tolerance oracle must be finite and > 0, got -1.0"),
     (["corpus", "--tol-slack", "nan"], "tolerance slack must be finite and > 0, got nan"),
+    (SCAN_SQUARE + ["--q", "2,2"], "q 2.0 is listed more than once"),
+    (SCAN_SQUARE + ["--theorems", "T3.2,T4.1,T3.2"], "theorem 'T3.2' is listed more than once"),
 ])
 def test_bad_numbers_exit_three_without_a_traceback(argv, message, capsys):
     assert main(argv) == 3

@@ -1,6 +1,9 @@
 import math
 import random
+import struct
 from dataclasses import replace
+from itertools import chain
+from operator import sub
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -14,6 +17,7 @@ from simpvex.invexity import (
     Domain,
     EtaMap,
     SampleGrid,
+    _plan,
     check_invex_set,
     check_preinvex,
     check_prequasiinvex,
@@ -376,13 +380,81 @@ def test_derivative_runs_once_per_plan_point_across_exponents():
     assert eta_calls[0] == 41 * 41 + 2000
 
 
+def _raised(model, eta, K, q):
+    with pytest.raises((OverflowError, ZeroDivisionError)) as info:
+        hypothesis_pair(model, eta, K, q)
+    return type(info.value), info.value.args
+
+
 def test_first_failure_in_point_order_is_raised():
     # |1/x|^300 overflows at grid points just left of x = 0, where f' fails
     model = SimpleNamespace(df_fn=lambda x: 1.0 / x)
-    K = Domain(-1.0, 1.0)
+    eta, K = EtaMap.difference(), Domain(-1.0, 1.0)
+    _plan.cache_clear()
     with pytest.raises(OverflowError):
-        hypothesis_pair(model, EtaMap.difference(), K, 300.0)
+        hypothesis_pair(model, eta, K, 300.0)
     with pytest.raises(ZeroDivisionError):
-        hypothesis_pair(model, EtaMap.difference(), K, 1.5)
+        hypothesis_pair(model, eta, K, 1.5)
     with pytest.raises(OverflowError):
-        hypothesis_pair(model, EtaMap.difference(), K, 300.0)
+        hypothesis_pair(model, eta, K, 300.0)
+    assert _plan(K, eta, DEFAULT_GRID)._distinct is None
+    raised = [_raised(model, eta, K, q) for q in (1.0, 1.5, 300.0)]
+    assert [r[0] for r in raised] == [ZeroDivisionError, ZeroDivisionError, OverflowError]
+
+    # as the plan's second function, 1/x runs once per distinct point: the same errors
+    hypothesis_pair(SimpleNamespace(df_fn=fn("x")), eta, K, 1.0)
+    assert [_raised(model, eta, K, q) for q in (1.0, 1.5, 300.0)] == raised
+    assert _plan(K, eta, DEFAULT_GRID)._distinct is not None
+
+
+def _counting(g, calls):
+    def df(x):
+        calls[0] += 1
+        return g(x)
+
+    return SimpleNamespace(df_fn=df)
+
+
+def test_a_reused_plan_runs_a_later_function_once_per_distinct_point():
+    first_calls, second_calls = [0], [0]
+    eta = EtaMap("difference", sub, "unshared difference")  # a plan of its own
+    K = Domain(0.0, 1.0)
+    first, second = _counting(fn("3*x^2"), first_calls), _counting(fn("2*x - 1"), second_calls)
+    for model in (first, second):
+        for q in (1.0, 1.5, 2.0, 3.0):
+            hypothesis_pair(model, eta, K, q)
+    plan = _plan(K, eta, DEFAULT_GRID)
+    distinct = {struct.pack("<d", x) for x in chain(plan.us, plan.vs, plan.grid_x)}
+    assert first_calls[0] == 41 + 41 + 41 * 41 * 21 + 3 * 2000
+    assert second_calls[0] == len(distinct) + 3 * 2000 == 8110
+
+
+@pytest.mark.parametrize("g, eta, K", [
+    (fn("x^3 - x"), EtaMap.difference(), Domain(0.0, 1.0)),
+    (fn("sqrt(x + 4) - 2*x"), EtaMap.abs_example(), Domain(-1.0, 1.0)),
+    (_steps, EtaMap.from_expression("0.5*(v - u)"), Domain(0.0, 1.0)),
+], ids=["difference", "abs_example", "expression"])
+def test_a_reused_plans_later_function_matches_the_reference(g, eta, K):
+    _plan.cache_clear()
+    hypothesis_pair(SimpleNamespace(df_fn=fn("x")), eta, K, 1.0)  # the plan's first function
+    model = SimpleNamespace(df_fn=g)
+    for q in (1.0, 1.5, 2.5):
+        h = (lambda x: abs(g(x)) ** q) if q != 1.0 else (lambda x: abs(g(x)))
+        want = _ref_pair(h, eta, K, DEFAULT_GRID, 1e-12, q)
+        assert repr(hypothesis_pair(model, eta, K, q)) == repr(want)
+    assert _plan(K, eta, DEFAULT_GRID)._distinct is not None
+
+
+def test_a_plan_keeps_its_invex_set_reports_per_K_and_tol():
+    eta = EtaMap("difference", sub, "unshared difference")
+    grid = SampleGrid(5, 5, 3, 20)
+    K = Domain(0.0, 1.0)
+    report = check_invex_set(K, eta, grid)
+    assert check_invex_set(K, eta, grid) is report
+    assert check_invex_set(K, eta, grid, tol=0.5) is not report
+    # K = [-0.0, 1] equals K and is served by its plan, but its excess at 0 is -0.0
+    signed = Domain(-0.0, 1.0)
+    assert repr(check_invex_set(signed, eta, grid)) == repr(
+        _ref_invex_set(signed, eta, grid, 1e-12))
+    assert repr(report) != repr(check_invex_set(signed, eta, grid))
+    assert len(_plan(K, eta, grid).invex_set) == 3

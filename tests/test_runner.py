@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import jsonschema
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from jsonschema.validators import validator_for
 
-from simpvex import bounds, quadrature, runner
+from simpvex import bounds, invexity, quadrature, runner
 from simpvex.bounds import FunctionModel
 from simpvex.errors import (
     CaseConfigError,
@@ -18,7 +19,7 @@ from simpvex.errors import (
     QuadratureError,
     SimpvexError,
 )
-from simpvex.invexity import Domain, EtaMap, SampleGrid, _plan
+from simpvex.invexity import Domain, EtaMap, SampleGrid, _plan, check_invex_set
 from simpvex.expr import parse
 from simpvex.runner import (
     CaseResult,
@@ -272,6 +273,8 @@ def test_tolerances_merge():
     ({"K": [0, math.inf]}, "domain needs lo < hi, got [0.0, inf]"),
     ({"q": [math.nan]}, "every q must be finite, got [nan]"),
     ({"tolerances": {"oracle": math.nan}}, "tolerance oracle must be finite and > 0, got nan"),
+    ({"q": [2, 2.0]}, "case 'unit_square': q 2.0 is listed more than once"),
+    ({"theorems": ["T3.2", "T3.2"]}, "case 'unit_square': theorem 'T3.2' is listed more than once"),
 ])
 def test_load_case_turns_bad_numbers_into_config_errors(overrides, message):
     # json.loads accepts NaN and Infinity, and NaN passes the schema's minimum
@@ -370,6 +373,23 @@ def test_tightness_rejects_unknown_theorem_before_sweeping(monkeypatch):
     with pytest.raises(ValueError, match="unknown theorem id 'T9'"):
         tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.0),
                        (0.0, 0.0), (1.0, 1.0), [1.0], steps=2, theorems=("T3.1", "T9"))
+
+
+@pytest.mark.parametrize("q_list, theorems, message", [
+    ([2.0, 2.0], ("T3.2",), "q 2.0 is listed more than once"),
+    ([2.0], ("T3.2", "T4.1", "T3.2"), "theorem 'T3.2' is listed more than once"),
+], ids=["q", "theorem"])
+def test_tightness_rejects_repeats_before_sweeping(q_list, theorems, message, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before rejecting a repeat")
+
+    monkeypatch.setattr(runner, "check_invex_set", no_sweep)
+    monkeypatch.setattr(runner, "hypothesis_pair", no_sweep)
+    model = _model("x^2", "2*x", "(x^3)/3", K=(0.0, 1.0))
+    with pytest.raises(ValueError) as info:
+        tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.0),
+                       (0.0, 0.4), (0.6, 1.0), q_list, steps=3, theorems=theorems)
+    assert str(info.value) == message
 
 
 TWO_PI = "6.283185307179586"
@@ -657,7 +677,7 @@ SMALL_GRID = SampleGrid(nu=5, nv=5, nt=3, random_triples=20)
        st.sampled_from(((0.0, 0.5), (-1.0, 0.0), (0.3, 0.3), (0.5, 0.0), (-0.5, 1.0))),
        st.sampled_from(((1.0, 1.5), (1.0, 2.0), (0.3, 1.3), (-1.0, 1.0))),
        st.lists(st.sampled_from((1.0, 1.0000001, 1.5, 2.0, 3.0, 149.9, 150.0)),
-                min_size=1, max_size=4),
+                min_size=1, max_size=4, unique=True),
        st.integers(2, 5),
        st.lists(st.sampled_from(runner.THEOREM_IDS), min_size=1, max_size=10, unique=True))
 @settings(max_examples=150)
@@ -714,7 +734,8 @@ def test_run_case_bounds_match_the_public_wrappers(corpus_report):
 @given(st.sampled_from(_SCAN_MODELS + [(SIN2["f"], SIN2["df"], None, (0.0, 1.5))]),
        st.booleans(), st.sampled_from((None, 0.0, 30.0)), st.sampled_from(_SCAN_ETAS),
        st.sampled_from((-1.0, 0.0, 0.3, 0.5)), st.sampled_from((0.3, 1.0, 1.5, 2.0)),
-       st.lists(st.sampled_from((1.0, 1.0000001, 1.5, 2.0, 149.9)), min_size=1, max_size=3),
+       st.lists(st.sampled_from((1.0, 1.0000001, 1.5, 2.0, 149.9)), min_size=1, max_size=3,
+                unique=True),
        st.lists(st.sampled_from(runner.THEOREM_IDS), min_size=1, max_size=10, unique=True),
        st.sampled_from((SMALL_GRID, SIN2_GRID)))
 @settings(max_examples=100)
@@ -735,7 +756,9 @@ def test_run_case_bounds_match_the_public_wrappers_on_generated_models(
     (dict(theorems=("T3.1", "T9.9")), "InvalidTheorem: unknown theorem id 'T9.9'"),
     (dict(theorems=()), "InvalidTheorem: the case lists no theorem"),
     (dict(q_list=()), "InvalidExponent: the case lists no q"),
-], ids=["unknown_theorem", "no_theorem", "no_q"])
+    (dict(theorems=("T3.2", "T3.2")), "InvalidTheorem: theorem 'T3.2' is listed more than once"),
+    (dict(q_list=(2, 2.0)), "InvalidExponent: q 2.0 is listed more than once"),
+], ids=["unknown_theorem", "no_theorem", "no_q", "repeated_theorem", "repeated_q"])
 def test_run_case_turns_hand_built_lists_the_schema_rejects_into_input_error(change, error):
     # load_case rejects these lists; a CorpusCase built by hand bypasses it
     case = dataclasses.replace(load_corpus("poly_x2")[0], **change)
@@ -765,6 +788,50 @@ def test_consecutive_cases_on_one_K_and_eta_share_a_plan():
     run_case(x2)
     run_case(x3)
     assert _plan.cache_info().misses == 1
+
+
+def test_cases_on_one_plan_share_its_invex_set_report():
+    x2, x3 = load_corpus("poly_x2")[0], load_corpus("poly_x3")[0]
+    _plan.cache_clear()
+    first, second = run_case(x2).hypotheses[0], run_case(x3).hypotheses[0]
+    assert first.property == "invex_set"
+    assert second is first  # one computation serves both cases
+    K, tol = x2.model.domain, x2.tolerances.invexity
+    other = check_invex_set(K, x2.eta, tol=10 * tol)  # another tol computes again
+    assert other is not first and other == first
+    assert len(_plan(K, x2.eta, invexity.DEFAULT_GRID).invex_set) == 2
+
+
+def test_corpus_run_does_the_shared_plan_work_once(monkeypatch):
+    """Pins the work a corpus run does in the sample plans, as its digest pins the bytes."""
+    df_calls = [0]
+    invex_sets = [0]
+    counted = {}  # id(model) -> (model, its counting stand-in), one stand-in per model
+    pair, worst = runner.hypothesis_pair, invexity._invex_set_worst
+
+    def counting_pair(model, *args):
+        if id(model) not in counted:
+            df = model.df_fn
+
+            def df_fn(x):
+                df_calls[0] += 1
+                return df(x)
+
+            counted[id(model)] = (model, SimpleNamespace(df_fn=df_fn))
+        return pair(counted[id(model)][1], *args)
+
+    def counting_worst(*args):
+        invex_sets[0] += 1
+        return worst(*args)
+
+    monkeypatch.setattr(runner, "hypothesis_pair", counting_pair)
+    monkeypatch.setattr(invexity, "_invex_set_worst", counting_worst)
+    _plan.cache_clear()
+    run_corpus()
+    assert _plan.cache_info().misses == 8
+    assert invex_sets[0] == 8
+    # 8 plans' first cases at every sample point, 7 further cases at 8,110 distinct points
+    assert df_calls[0] == 8 * 41_383 + 7 * 8_110 == 387_834
 
 
 def test_run_case_turns_a_hand_built_classical_without_d4sup_into_input_error():
@@ -827,7 +894,8 @@ def _polynomial_cases(draw):
     mid = 0.5 * (K[0] + K[1])
     a = draw(st.sampled_from((K[0], 0.5 * (K[0] + mid), mid)))
     b = draw(st.sampled_from((mid, 0.5 * (mid + K[1]), K[1])))
-    q_list = tuple(draw(st.lists(st.sampled_from((1.0, 1.5, 3.0)), min_size=1, max_size=3)))
+    q_list = tuple(draw(st.lists(st.sampled_from((1.0, 1.5, 3.0)), min_size=1, max_size=3,
+                                 unique=True)))
     theorems = tuple(draw(st.lists(st.sampled_from(runner.THEOREM_IDS), min_size=1,
                                    max_size=len(runner.THEOREM_IDS), unique=True)))
     grid = SampleGrid(nu=draw(st.integers(2, 5)), nv=draw(st.integers(2, 5)),
