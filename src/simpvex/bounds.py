@@ -204,18 +204,16 @@ def _require_path(a: float, eta_val: float, domain: Domain) -> float:
     return eta_val
 
 
-def _mean_of_f(model: FunctionModel, a: float, end: float, eta_val: float,
-               abs_tol: float, max_evals: int = quadrature.DEFAULT_MAX_EVALS):
+def _mean_of_f(model: FunctionModel, a: float, end: float, eta_val: float, abs_tol: float):
     """(mean of f on [a, end], its quadrature error share, evaluations)."""
     if model.F_fn is not None:
         return (model.F_fn(end) - model.F_fn(a)) / eta_val, 0.0, 0
-    qr = quadrature.integrate(model.f_fn, a, end, abs_tol, max_evals)
+    qr = quadrature.integrate(model.f_fn, a, end, abs_tol)
     return qr.value / eta_val, qr.error_estimate / eta_val, qr.evaluations
 
 
 def simpson_defect(model: FunctionModel, a: float, eta_val: float,
-                   abs_tol: float = quadrature.DEFAULT_ABS_TOL,
-                   max_evals: int = quadrature.DEFAULT_MAX_EVALS) -> SimpsonDefect:
+                   abs_tol: float = quadrature.DEFAULT_ABS_TOL) -> SimpsonDefect:
     """Compute the Simpson-vs-mean defect of ``model`` on [a, a + eta_val].
 
     Uses the supplied antiderivative for the mean when available (then
@@ -226,7 +224,7 @@ def simpson_defect(model: FunctionModel, a: float, eta_val: float,
     end = a + eta_val
     mid = a + 0.5 * eta_val
     simpson_value = (f(a) + 4.0 * f(mid) + f(end)) / 6.0
-    mean, qerr, evals = _mean_of_f(model, a, end, eta_val, abs_tol, max_evals)
+    mean, qerr, evals = _mean_of_f(model, a, end, eta_val, abs_tol)
     return SimpsonDefect(simpson_value, mean, simpson_value - mean, qerr, evals)
 
 

@@ -155,9 +155,10 @@ def cmd_scan(args) -> int:
     if args.steps < 2:
         raise CaseConfigError(f"--steps must be at least 2, got {args.steps!r}")
     q_list = _parse_floats(args.q, "--q")
-    for q in q_list:
-        if q < 1.0:
-            raise CaseConfigError(f"exponent q must be >= 1, got {q!r}")
+    theorems = args.theorems.split(",") if args.theorems else list(runner.THEOREM_IDS)
+    error = runner._request_error(q_list, theorems)
+    if error is not None:
+        raise CaseConfigError(error[1])
     tol = _tolerances(args)
     eta = _parse_eta(args.eta)
     lo, hi = _parse_pair(args.K, "--K")
@@ -171,13 +172,6 @@ def cmd_scan(args) -> int:
     }
     model = bounds_mod.FunctionModel.from_config(config)
     model.validate(quad_tol=tol.oracle)
-    theorems = args.theorems.split(",") if args.theorems else list(runner.THEOREM_IDS)
-    for theorem in theorems:
-        if theorem not in runner.THEOREM_IDS:
-            raise CaseConfigError(f"unknown theorem id {theorem!r}")
-    repeat = runner._repeat(q_list, theorems)
-    if repeat is not None:
-        raise CaseConfigError(repeat[1])
     results = runner.tightness_scan(
         model, eta, model.domain,
         _parse_pair(args.a_range, "--a-range"),

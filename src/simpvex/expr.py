@@ -302,6 +302,13 @@ def _guarded_exp(x, text):
         raise EvalDomainError(text, x, "overflow in exp") from None
 
 
+def _guarded_trig(fn, x, text):
+    try:
+        return fn(x)
+    except ValueError:  # math.sin and math.cos at +-inf
+        raise EvalDomainError(text, x, f"{fn.__name__} of infinite argument") from None
+
+
 def _guarded_pow(base, exponent, text):
     if base < 0.0 and exponent != math.floor(exponent):
         raise EvalDomainError(text, base, "fractional power of negative base")
@@ -320,6 +327,7 @@ _RUNTIME = {
     "_fail": _fail,
     "_pow": _guarded_pow,
     "_exp_guarded": _guarded_exp,
+    "_trig_guarded": _guarded_trig,
     "_exp": math.exp,
     "_log": math.log,
     "_sqrt": math.sqrt,
@@ -389,16 +397,19 @@ class _Compiler:
         self.index = index
         self.temps = 0
 
+    def bind(self, value):
+        """(fresh local ``x``, an expression that evaluates ``value`` into it)."""
+        ident = f"_t{self.temps}"
+        self.temps += 1
+        return _name(ident), _node(ast.NamedExpr, _node(ast.Name, ident, ast.Store()), value)
+
     def guard(self, value, op, limit, unsafe, safe):
         """``unsafe(x)`` if ``value op limit`` holds, else ``safe(x)``.
 
         ``value`` is evaluated once, into a fresh local ``x``.
         """
-        ident = f"_t{self.temps}"
-        self.temps += 1
-        bind = _node(ast.NamedExpr, _node(ast.Name, ident, ast.Store()), value)
-        return _choose(_compare(bind, op, _const(limit)), unsafe(_name(ident)),
-                       safe(_name(ident)))
+        x, bind = self.bind(value)
+        return _choose(_compare(bind, op, _const(limit)), unsafe(x), safe(x))
 
     def build(self, e):
         if isinstance(e, Num):
@@ -445,9 +456,17 @@ class _Compiler:
         name = e.name
         arg = self.build(e.arg)
         direct = lambda x: _call(f"_{name}", x)
-        if name in ("sin", "cos", "abs"):
+        if name == "abs":
             return direct(arg)
         text = pretty(e)
+        if name in ("sin", "cos"):
+            # a finite argument calls math directly; +-inf (and NaN, whose
+            # result stays NaN) goes through the helper
+            x, bind = self.bind(arg)
+            finite = _node(ast.Compare, _const(-math.inf), [ast.Lt(), ast.Lt()],
+                           [bind, _const(math.inf)])
+            return _choose(finite, direct(x), _call("_trig_guarded", _name(f"_{name}"), x,
+                                                    _const(text)))
         if name == "exp":
             # exp(709.0) is finite: at or below it, and at NaN, math.exp
             # cannot overflow and is called directly
@@ -463,9 +482,10 @@ def compile_expr(e: Expr, var_order: Tuple[str, ...]) -> Callable[..., float]:
 
     The AST becomes one Python function, built as a Python ``ast`` tree
     and passed to ``compile()``: an evaluation runs in a single frame,
-    with helpers called only for "^", for exp above 709 and on a domain
-    error.  Variables bind to argument slots by position, so any
-    declared name is safe.  An unbound variable raises ValueError here.
+    with helpers called only for "^", for exp above 709, for sin and cos
+    off the finite floats and on a domain error.  Variables bind to
+    argument slots by position, so any declared name is safe.  An unbound
+    variable raises ValueError here.
     """
     index = {name: i for i, name in enumerate(var_order)}
     body = _Compiler(index).build(e)

@@ -117,14 +117,7 @@ def integrate(g: Callable[[float], float], lo: float, hi: float,
     enough, and NonFiniteIntegrand (carrying the offending abscissa) as
     soon as ``g`` returns NaN or an infinity.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-        raise ValueError(f"bad integration interval [{lo!r}, {hi!r}]")
-    if not abs_tol > 0.0:
-        raise ValueError("abs_tol must be positive")
-    if lo == hi:
-        return QuadratureResult(0.0, 0.0, 0)
-    value, err, used = _integrate_core(g, lo, hi, abs_tol, 0, max_evals)
-    return QuadratureResult(value, err, used)
+    return integrate_with_breakpoints(g, lo, hi, (), abs_tol, max_evals)
 
 
 def integrate_with_breakpoints(g: Callable[[float], float], lo: float, hi: float,
@@ -136,8 +129,7 @@ def integrate_with_breakpoints(g: Callable[[float], float], lo: float, hi: float
     ``breakpoints`` must be sorted strictly inside (lo, hi).  Each piece
     receives an equal share of ``abs_tol`` and the budget is shared, so
     the combined error estimate and evaluation count obey the same
-    contracts as ``integrate``.  With no breakpoints this is identical
-    to ``integrate``.
+    contracts as ``integrate``.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ValueError(f"bad integration interval [{lo!r}, {hi!r}]")

@@ -88,18 +88,22 @@ VERDICT_INPUT_ERROR = "input_error"
 THEOREM_IDS = tuple(bounds_mod.THEOREMS)
 
 
-def _theorem(theorem: str) -> bounds_mod.Theorem:
-    try:
-        return bounds_mod.THEOREMS[theorem]
-    except KeyError:
-        raise ValueError(f"unknown theorem id {theorem!r}") from None
+def _request_error(q_list: Sequence[float], theorems: Sequence[str]) -> Optional[Tuple[str, str]]:
+    """(error kind, message) for the first problem of a request, else None.
 
-
-def _repeat(q_list: Sequence[float], theorems: Sequence[str]) -> Optional[Tuple[str, str]]:
-    """(error kind, message) for the first repeated theorem id, else the first repeated q.
-
-    A repeat would sweep and report the same bound again; None if neither list repeats.
+    A request lists q's, each finite and >= 1, and known theorem ids, with
+    no repeat (it would sweep and report the same bound again).  Every
+    entry point checks a request here and raises or reports its own error.
     """
+    if not q_list:
+        return "InvalidExponent", "the case lists no q"
+    if not all(1.0 <= q < math.inf for q in q_list):
+        return "InvalidExponent", f"every q must be finite and >= 1, got {list(q_list)!r}"
+    if not theorems:
+        return "InvalidTheorem", "the case lists no theorem"
+    for theorem in theorems:
+        if theorem not in bounds_mod.THEOREMS:
+            return "InvalidTheorem", f"unknown theorem id {theorem!r}"
     for kind, label, values in (("InvalidTheorem", "theorem", theorems),
                                 ("InvalidExponent", "q", q_list)):
         for i, value in enumerate(values):
@@ -239,13 +243,31 @@ class CorpusCase:
     expected: Dict[str, Tuple[float, float]] = field(default_factory=dict)
 
 
+def _case_error(case: CorpusCase) -> Optional[Tuple[str, str]]:
+    """``_request_error`` of the case's lists, then a bad ``expected`` entry or
+    CLASSICAL without d4sup; None if the case is well formed."""
+    error = _request_error(case.q_list, case.theorems)
+    if error is not None:
+        return error
+    try:
+        _golden(case.expected)
+    except ValueError as exc:
+        return "InvalidExpected", str(exc)
+    if "CLASSICAL" in case.theorems:
+        try:
+            bounds_mod.fourth_derivative_sup(case.model)
+        except MissingFourthDerivative as exc:
+            return "MissingFourthDerivative", str(exc)
+    return None
+
+
 def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> CorpusCase:
     """Validate a raw case dict and build a CorpusCase.
 
-    Schema violations, unparsable expressions, a failing derivative
-    gate, an inconsistent antiderivative, a theorem id or q listed more
-    than once, or a CLASSICAL request without d4sup all raise
-    CaseConfigError here, at load time.
+    Schema violations, unparsable expressions, a bad tolerance, a case
+    ``_case_error`` rejects, a failing derivative gate or an
+    inconsistent antiderivative all raise CaseConfigError here, at load
+    time.
     """
     error = _schema_error(config, "case_schema")
     if error is not None:
@@ -259,22 +281,14 @@ def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Corp
         raise CaseConfigError(f"case {name!r}: bad eta: {exc}") from exc
     a = float(config["a"])
     b = float(config["b"])
-    q_list = tuple(float(q) for q in config["q"])
-    if not all(math.isfinite(q) for q in q_list):
-        raise CaseConfigError(f"case {name!r}: every q must be finite, got {list(q_list)!r}")
-    theorems = tuple(config["theorems"])
-    repeat = _repeat(q_list, theorems)
-    if repeat is not None:
-        raise CaseConfigError(f"case {name!r}: {repeat[1]}")
-    if "CLASSICAL" in theorems and model.d4sup is None:
-        raise CaseConfigError(f"case {name!r} requests CLASSICAL but has no d4sup")
-    tol = tolerances.merged(config.get("tolerances"))
     expected = {key: (float(entry["rhs"]), float(entry["tolerance"]))
                 for key, entry in (config.get("expected") or {}).items()}
-    try:
-        _golden(expected)
-    except ValueError as exc:
-        raise CaseConfigError(f"case {name!r}: {exc}") from None
+    case = CorpusCase(name, model, eta, a, b, tuple(float(q) for q in config["q"]),
+                      tuple(config["theorems"]), tolerances.merged(config.get("tolerances")),
+                      expected)
+    error = _case_error(case)
+    if error is not None:
+        raise CaseConfigError(f"case {name!r}: {error[1]}")
     # the F gate uses the case interval when the step is usable
     f_interval = None
     try:
@@ -283,8 +297,8 @@ def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Corp
             f_interval = (a, a + step)
     except EvalDomainError:
         pass
-    model.validate(interval=f_interval, quad_tol=tol.oracle)
-    return CorpusCase(name, model, eta, a, b, q_list, theorems, tol, expected)
+    model.validate(interval=f_interval, quad_tol=case.tolerances.oracle)
+    return case
 
 
 @dataclass
@@ -360,28 +374,10 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
     model = case.model
     K = model.domain
     result = CaseResult(case.name, VERDICT_PASS)
-    # load_case rejects these; a hand-built case gets a verdict, not a raise
-    if not case.q_list:
-        return _input_error(result, "InvalidExponent: the case lists no q")
-    if not all(1.0 <= q < math.inf for q in case.q_list):
-        return _input_error(result, f"InvalidExponent: every q must be finite and >= 1, "
-                                    f"got {list(case.q_list)!r}")
-    if not case.theorems:
-        return _input_error(result, "InvalidTheorem: the case lists no theorem")
-    for theorem in case.theorems:
-        if theorem not in bounds_mod.THEOREMS:
-            return _input_error(result, f"InvalidTheorem: unknown theorem id {theorem!r}")
-    repeat = _repeat(case.q_list, case.theorems)
-    if repeat is not None:
-        return _input_error(result, f"{repeat[0]}: {repeat[1]}")
-    try:
-        golden = _golden(case.expected)
-    except ValueError as exc:
-        return _input_error(result, f"InvalidExpected: {exc}")
-    try:
-        d4sup = bounds_mod.fourth_derivative_sup(model) if "CLASSICAL" in case.theorems else None
-    except MissingFourthDerivative as exc:
-        return _input_error(result, f"MissingFourthDerivative: {exc}")
+    # load_case rejects such a case; a hand-built one gets a verdict, not a raise
+    error = _case_error(case)
+    if error is not None:
+        return _input_error(result, "%s: %s" % error)
 
     # eta step and interval membership; failures here are input errors
     try:
@@ -457,7 +453,7 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
                 skipped = True
                 result.notes.append(f"skipped {theorem}: {exc}")
                 continue
-            k = d4sup if row.mode is None else q
+            k = model.d4sup if row.mode is None else q
             try:
                 bv = bounds_mod._bound(theorem, model, case.a, case.b, step, k, defect)
             except EvalDomainError as exc:  # f'(b): the sweeps and the path may miss b
@@ -467,7 +463,7 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
             result.bounds.append(replace(bv, slack=bv.rhs - lhs - defect.quadrature_error))
     result.hypotheses.extend(hypothesis_reports.values())
 
-    _check_golden(golden, result)
+    _check_golden(_golden(case.expected), result)
     slack_violation = any(
         bv.slack is not None and bv.slack < -tol.slack for bv in result.bounds)
     if slack_violation or not identity_ok:
@@ -643,17 +639,15 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     Each (a, b) cell is visited once: its step, containment, defect and
     |f'(a)|, |f'(b)| serve every (theorem, q) pair, whose lhs and rhs
     come from its ``bounds.THEOREMS`` row, as in ``run_case``.  ValueError,
-    before any sweep, for steps < 2, a q that is not finite or is below 1,
-    an unknown theorem id, or a theorem id or q listed more than once.
+    before any sweep, for steps < 2 or a request ``_request_error``
+    rejects: an empty q or theorem list, a q that is not finite or is
+    below 1, an unknown theorem id, or a theorem id or q listed twice.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    if not all(1.0 <= q < math.inf for q in q_list):
-        raise ValueError(f"every q must be finite and >= 1, got {list(q_list)!r}")
-    rows = [(theorem, _theorem(theorem)) for theorem in theorems]
-    repeat = _repeat(q_list, theorems)
-    if repeat is not None:
-        raise ValueError(repeat[1])
+    error = _request_error(q_list, theorems)
+    if error is not None:
+        raise ValueError(error[1])
     tol = tolerances
 
     def axis(rng):
@@ -673,7 +667,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     hypothesis, _ = _hypotheses(model, eta, K, grid, tol.invexity)
     by_theorem = []
     active = []
-    for theorem, row in rows:
+    for theorem in theorems:
+        row = bounds_mod.THEOREMS[theorem]
         pairs = [_ScanPair(theorem, q, row, model.d4sup if row.mode is None else q)
                  for q in row.exponents(q_list)]
         by_theorem.append((theorem, pairs))

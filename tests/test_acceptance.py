@@ -159,3 +159,11 @@ def test_criterion_8_corpus_report_matches_its_recorded_digest(corpus_report):
     got = hashlib.sha256(corpus_report.to_json().encode("utf-8")).hexdigest()
     assert got == want
     announce(8, f"the corpus report's sha256 is the recorded {want[:8]}...")
+
+
+def test_criterion_8_corpus_csv_report_matches_its_recorded_digest(corpus_report):
+    # sha256 of `simpvex corpus --format csv`, pinned as the JSON report's is
+    want = "e2c0fc1d0c67172fc7680f2a2d8a8a64627fd9ab93e5f6d70df897a95a9ad8bc"
+    got = hashlib.sha256(corpus_report.to_csv().encode("utf-8")).hexdigest()
+    assert got == want
+    announce(8, f"the corpus CSV report's sha256 is the recorded {want[:8]}...")

@@ -224,7 +224,7 @@ SCAN_SQUARE = ["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1",
 
 @pytest.mark.parametrize("argv, message", [
     (SCAN_SQUARE + ["--steps", "1"], "--steps must be at least 2, got 1"),
-    (SCAN_SQUARE + ["--q", "0.5"], "exponent q must be >= 1, got 0.5"),
+    (SCAN_SQUARE + ["--q", "0.5"], "every q must be finite and >= 1, got [0.5]"),
     (SCAN_SQUARE + ["--q", "1,nan"], "--q expects finite numbers, got '1,nan'"),
     (["moments", "--p", "nan"], "--p expects finite numbers, got 'nan'"),
     (["corpus", "--tol-oracle", "nan"], "tolerance oracle must be finite and > 0, got nan"),
@@ -236,6 +236,21 @@ SCAN_SQUARE = ["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1",
 def test_bad_numbers_exit_three_without_a_traceback(argv, message, capsys):
     assert main(argv) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# sin(x*x) and cos(x*x) meet an infinite argument where x*x overflows on K
+SIN_WIDE = {"name": "sin_wide", "f": "sin(x*x)", "df": "2*x*cos(x*x)", "K": [0, 1e200]}
+
+
+def test_trig_of_an_infinite_argument_exits_three_without_a_traceback(tmp_path, capsys):
+    cfg = dict(SIN_WIDE, eta={"kind": "difference"}, a=0, b=1, q=[1], theorems=["T3.1"])
+    scan = ["scan", "--f", SIN_WIDE["f"], "--df", SIN_WIDE["df"], "--K", "0,1e200",
+            "--a-range", "0,0", "--b-range", "1,1", "--steps", "2"]
+    for argv in (["check", write_config(tmp_path / "sin_wide.json", cfg)], scan):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: EvalDomainError: ") and err.count("\n") == 1, err
+        assert "of infinite argument in " in err
 
 
 def _child_env():

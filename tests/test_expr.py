@@ -239,9 +239,15 @@ def _ref_exp(x, text):
         raise EvalDomainError(text, x, "overflow in exp") from None
 
 
+def _ref_trig(fn, x, text):
+    if math.isinf(x):
+        raise EvalDomainError(text, x, f"{fn.__name__} of infinite argument")
+    return fn(x)
+
+
 _REF_CALL = {
-    "sin": lambda x, text: math.sin(x),
-    "cos": lambda x, text: math.cos(x),
+    "sin": lambda x, text: _ref_trig(math.sin, x, text),
+    "cos": lambda x, text: _ref_trig(math.cos, x, text),
     "exp": _ref_exp,
     "log": _ref_log,
     "abs": lambda x, text: abs(x),
@@ -394,6 +400,16 @@ def test_power_checks_and_overflow_keep_their_texts():
         ev("exp(x)", x=709.79)
     assert str(info.value) == "overflow in exp in exp(x) at 709.79"
     assert ev("exp(x)", x=709.0) == math.exp(709.0)
+
+
+@pytest.mark.parametrize("name", ["sin", "cos"])
+def test_trig_of_an_infinite_argument_names_the_sub_expression(name):
+    for x in (math.inf, -math.inf):
+        with pytest.raises(EvalDomainError) as info:
+            ev(f"1 + {name}(2*x)", x=x)
+        assert str(info.value) == f"{name} of infinite argument in {name}((2.0 * x)) at {x!r}"
+    assert math.isnan(ev(f"{name}(x)", x=math.nan))
+    assert ev(f"{name}(x)", x=1e308) == getattr(math, name)(1e308)
 
 
 def test_deep_trees_match_reference():

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 from types import SimpleNamespace
@@ -11,6 +13,7 @@ from jsonschema.validators import validator_for
 
 from simpvex import bounds, invexity, quadrature, runner
 from simpvex.bounds import FunctionModel
+from simpvex.cli import main
 from simpvex.errors import (
     CaseConfigError,
     DomainError,
@@ -271,7 +274,7 @@ def test_tolerances_merge():
 @pytest.mark.parametrize("overrides, message", [
     ({"K": [1, 0]}, "domain needs lo < hi, got [1.0, 0.0]"),
     ({"K": [0, math.inf]}, "domain needs lo < hi, got [0.0, inf]"),
-    ({"q": [math.nan]}, "every q must be finite, got [nan]"),
+    ({"q": [math.nan]}, "every q must be finite and >= 1, got [nan]"),
     ({"tolerances": {"oracle": math.nan}}, "tolerance oracle must be finite and > 0, got nan"),
     ({"q": [2, 2.0]}, "case 'unit_square': q 2.0 is listed more than once"),
     ({"theorems": ["T3.2", "T3.2"]}, "case 'unit_square': theorem 'T3.2' is listed more than once"),
@@ -766,6 +769,77 @@ def test_run_case_turns_hand_built_lists_the_schema_rejects_into_input_error(cha
     assert result.verdict == "input_error"
     assert result.error == error
     assert result.hypotheses == [] and result.bounds == []
+
+
+# bad (q list, theorem list) requests: kind and message of the one rule they break
+BAD_REQUESTS = {
+    "unknown_id": ([2.0], ["T3.2", "T9"], "InvalidTheorem", "unknown theorem id 'T9'"),
+    "repeated_id": ([2.0], ["T3.2", "T4.1", "T3.2"], "InvalidTheorem",
+                    "theorem 'T3.2' is listed more than once"),
+    "repeated_q": ([2.0, 2.0], ["T3.2"], "InvalidExponent", "q 2.0 is listed more than once"),
+    "q_below_one": ([1.0, 0.5], ["T3.2"], "InvalidExponent",
+                    "every q must be finite and >= 1, got [1.0, 0.5]"),
+    "q_infinite": ([1.0, math.inf], ["T3.2"], "InvalidExponent",
+                   "every q must be finite and >= 1, got [1.0, inf]"),
+    "no_q": ([], ["T3.2"], "InvalidExponent", "the case lists no q"),
+    "no_theorem": ([2.0], [], "InvalidTheorem", "the case lists no theorem"),
+}
+
+
+def _load_case_text(q_list, theorems):
+    with pytest.raises(CaseConfigError) as info:
+        load_case(square_case(q=q_list, theorems=theorems))
+    return str(info.value)
+
+
+def _run_case_text(q_list, theorems):
+    case = dataclasses.replace(load_corpus("poly_x2")[0], q_list=tuple(q_list),
+                               theorems=tuple(theorems))
+    result = run_case(case, grid=SampleGrid(5, 5, 3, 20))
+    assert result.verdict == "input_error"
+    assert result.hypotheses == [] and result.bounds == []
+    return result.error
+
+
+def _tightness_scan_text(q_list, theorems):
+    model = _model("x^2", "2*x", "(x^3)/3", K=(0.0, 1.0))
+    with pytest.raises(ValueError) as info:
+        tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.0), (0.0, 0.4), (0.6, 1.0),
+                       q_list, steps=3, theorems=theorems)
+    return str(info.value)
+
+
+def _cli_scan_text(q_list, theorems):
+    argv = ["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1", "--a-range", "0,0.4",
+            "--b-range", "0.6,1", "--q", ",".join(map(repr, q_list)),
+            "--theorems", ",".join(theorems)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv) == 3
+    return err.getvalue()
+
+
+# entry point -> (its text for a bad request, that text's shape, the requests
+# that reach the shared rule there); the schema rejects an unknown id, a q
+# below 1 and an empty list first, --q rejects inf and an empty list, and an
+# empty --theorems means every theorem
+ENTRY_POINTS = {
+    "load_case": (_load_case_text, "case 'unit_square': {message}",
+                  ("repeated_id", "repeated_q", "q_infinite")),
+    "run_case": (_run_case_text, "{kind}: {message}", tuple(BAD_REQUESTS)),
+    "tightness_scan": (_tightness_scan_text, "{message}", tuple(BAD_REQUESTS)),
+    "simpvex_scan": (_cli_scan_text, "error: {message}\n",
+                     ("unknown_id", "repeated_id", "repeated_q", "q_below_one")),
+}
+
+
+@pytest.mark.parametrize("entry, request_id", [
+    (entry, request_id) for entry, (_, _, requests) in ENTRY_POINTS.items()
+    for request_id in requests])
+def test_every_entry_point_rejects_a_bad_request_with_the_same_message(entry, request_id):
+    q_list, theorems, kind, message = BAD_REQUESTS[request_id]
+    text, shape, _ = ENTRY_POINTS[entry]
+    assert text(q_list, theorems) == shape.format(kind=kind, message=message)
 
 
 def test_run_case_turns_f_prime_failing_at_b_into_input_error():
