@@ -155,7 +155,8 @@ def cmd_scan(args) -> int:
     if args.steps < 2:
         raise CaseConfigError(f"--steps must be at least 2, got {args.steps!r}")
     q_list = _parse_floats(args.q, "--q")
-    theorems = args.theorems.split(",") if args.theorems else list(runner.THEOREM_IDS)
+    theorems = ([part.strip() for part in args.theorems.split(",") if part.strip()]
+                if args.theorems else list(runner.THEOREM_IDS))
     error = runner._request_error(q_list, theorems)
     if error is not None:
         raise CaseConfigError(error[1])

@@ -15,11 +15,14 @@ outside its domain.
 
 ``compile_expr`` turns an AST into one Python function, generated as a
 Python ``ast`` tree, so that grid-scale sampling pays one interpreter
-frame per evaluation; a domain error raises EvalDomainError naming the
-failing sub-expression.  Evaluation is pure and deterministic: the same
-AST evaluated at the same inputs returns the same bit pattern, except
-for the sign of a NaN, which CPython's adaptive float arithmetic may
-flip from one call to the next (reports write every NaN as ``NaN``).
+frame per evaluation and no helper call; a domain error raises
+EvalDomainError naming the failing sub-expression, from a guarded form
+that runs only where the fast one raises.  ``abs_batch`` gives |f| of a
+one-variable expression over many points in one frame.  Evaluation is
+pure and deterministic: the same AST evaluated at the same inputs
+returns the same bit pattern, except for the sign of a NaN, which
+CPython's adaptive float arithmetic may flip from one call to the next
+(reports write every NaN as ``NaN``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Tuple, Union
+from itertools import count
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .errors import EvalDomainError, ParseError
 from .reports import VERIFIED, VIOLATED, PropertyReport
@@ -45,6 +49,7 @@ __all__ = [
     "parse",
     "evaluate",
     "compile_expr",
+    "abs_batch",
     "pretty",
     "check_derivative",
     "FUNCTIONS",
@@ -320,12 +325,22 @@ def _guarded_pow(base, exponent, text):
         raise EvalDomainError(text, base, "overflow in power") from None
 
 
-# globals of every compiled function; names start with "_" and never
-# clash with the argument slots (_a<i>) or the temporaries (_t<i>)
+def _reject():
+    # a fast form's inline check failed; its guarded form decides what to raise
+    raise ArithmeticError("outside the fast form's domain")
+
+
+# globals of every compiled function, and each fast form's fallback
+# (_guarded<i>, kept as long as compile_expr's cache keeps its function);
+# names start with "_" and never clash with the argument slots (_a<i>),
+# the temporaries (_t<i>) or the parameter _points
 _RUNTIME = {
     "__builtins__": {},
+    "_Exception": Exception,
     "_fail": _fail,
+    "_reject": _reject,
     "_pow": _guarded_pow,
+    "_floor": math.floor,
     "_exp_guarded": _guarded_exp,
     "_trig_guarded": _guarded_trig,
     "_exp": math.exp,
@@ -335,6 +350,8 @@ _RUNTIME = {
     "_cos": math.cos,
     "_abs": abs,
 }
+_FALLBACK_IDS = count()
+_FILENAME = "<simpvex expression>"
 _ARITH = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
 _COMPARE = {"<": ast.Lt, "<=": ast.LtE, ">": ast.Gt, ">=": ast.GtE, "==": ast.Eq}
 _LOGIC = {"and": ast.And, "or": ast.Or}
@@ -345,10 +362,10 @@ _DOMAIN = {
 }
 
 
-def _node(cls, *fields):
+def _node(cls, *fields, **named):
     # compile() needs a position on every node that can carry one; setting
     # it here is much cheaper than ast.fix_missing_locations afterwards
-    return cls(*fields, lineno=1, col_offset=0)
+    return cls(*fields, **named, lineno=1, col_offset=0)
 
 
 def _name(ident):
@@ -384,17 +401,35 @@ def _failure(text, value, reason):
     return _call("_fail", _const(text), value, _const(reason))
 
 
+def _power(base, exponent):
+    return _node(ast.BinOp, base, ast.Pow(), exponent)
+
+
+def _literal(e):
+    """The float a literal or a negated literal evaluates to, else None."""
+    if isinstance(e, Neg):
+        value = _literal(e.operand)
+        return None if value is None else -value
+    return e.value if isinstance(e, Num) and type(e.value) is float else None
+
+
 class _Compiler:
     """Turn an AST into one Python expression over argument slots.
 
-    Operands evaluate left to right, except that "/" evaluates and checks
-    its denominator first; only the taken branch of "if", "and" and "or"
-    runs.  Guard failures call ``_fail``, so the generated code stays a
-    single expression and error texts are fixed at compile time.
+    The guarded form checks every domain itself and raises
+    EvalDomainError through ``_fail`` and the ``_*_guarded`` helpers, with
+    error texts fixed at compile time; its operands evaluate left to
+    right, except that "/" evaluates and checks its denominator first.
+    The fast form leaves the checks to Python's operators and ``math``,
+    which raise where the guards would, and raises something at every
+    argument where the guarded form raises, so running the guarded form
+    whenever the fast one raises reproduces every value and every error.
+    In both forms only the taken branch of "if", "and" and "or" runs.
     """
 
-    def __init__(self, index: Mapping[str, int]):
+    def __init__(self, index: Mapping[str, int], guarded: bool):
         self.index = index
+        self.guarded = guarded
         self.temps = 0
 
     def bind(self, value):
@@ -444,19 +479,48 @@ class _Compiler:
         if op in _COMPARE:
             return _indicator(_compare(left, _COMPARE[op], right))
         if op == "/":
+            if not self.guarded:  # ZeroDivisionError where the guard fails
+                return _node(ast.BinOp, left, ast.Div(), right)
             text = pretty(e)
             return self.guard(right, ast.Eq, 0.0,
                               lambda den: _failure(text, den, "division by zero"),
                               lambda den: _node(ast.BinOp, left, ast.Div(), den))
         if op == "^":
-            return _call("_pow", left, right, _const(pretty(e)))
+            if self.guarded:
+                return _call("_pow", left, right, _const(pretty(e)))
+            return self.power(left, right, _literal(e.right))
         raise ValueError(f"unknown operator {op!r}")
+
+    def power(self, base, exponent, literal):
+        """Fast ``base ** exponent``; ``literal`` is the exponent's value if fixed.
+
+        ** raises OverflowError, and ZeroDivisionError for zero to a finite
+        negative power, where _guarded_pow fails.  It returns a complex
+        number for a negative base and a fractional exponent, and a value
+        for zero to the power -inf, so those two raise here.
+        """
+        if literal is not None and math.isfinite(literal):
+            if literal == math.floor(literal):
+                return _power(base, _const(literal))
+            b, bind = self.bind(base)
+            return _choose(_compare(bind, ast.Lt, _const(0.0)), _call("_reject"),
+                           _power(b, _const(literal)))
+        # the exponent first: either order gives the same value, and a raise
+        # goes to the guarded form; floor raises where _guarded_pow's does
+        x, bind_x = self.bind(exponent)
+        b, bind_b = self.bind(base)
+        integral = _compare(_call("_floor", x), ast.Eq, x)
+        return _choose(_compare(bind_x, ast.NotEq, _const(-math.inf)),
+                       _choose(_compare(bind_b, ast.Lt, _const(0.0)),
+                               _choose(integral, _power(b, x), _call("_reject")),
+                               _power(b, x)),
+                       _call("_reject"))
 
     def call(self, e):
         name = e.name
         arg = self.build(e.arg)
         direct = lambda x: _call(f"_{name}", x)
-        if name == "abs":
+        if name == "abs" or not self.guarded:  # math raises where the guards fail
             return direct(arg)
         text = pretty(e)
         if name in ("sin", "cos"):
@@ -476,23 +540,121 @@ class _Compiler:
         return self.guard(arg, op, 0.0, lambda x: _failure(text, x, reason), direct)
 
 
+def _params(names):
+    return ast.arguments([], [_node(ast.arg, n) for n in names], None, [], [], None, [])
+
+
+def _function(name, params, body):
+    extra = {"type_params": []} if "type_params" in ast.FunctionDef._fields else {}
+    return _node(ast.FunctionDef, name, _params(params), body, [], **extra)
+
+
+def _define(definition, name):
+    """Compile a one-statement module and return the function it defines."""
+    namespace = {}
+    exec(compile(ast.Module([definition], []), _FILENAME, "exec"), _RUNTIME, namespace)
+    return namespace[name]
+
+
+def _slots(var_order):
+    return [f"_a{i}" for i in range(len(var_order))]
+
+
+def _body(e, var_order, guarded):
+    index = {name: i for i, name in enumerate(var_order)}
+    return _Compiler(index, guarded).build(e)
+
+
+def _guarded_form(e, var_order):
+    """The guarded form: one lambda, guards and all."""
+    tree = ast.Expression(_node(ast.Lambda, _params(_slots(var_order)),
+                                _body(e, var_order, True)))
+    return eval(compile(tree, _FILENAME, "eval"), _RUNTIME)
+
+
+def _fast_form(e, var_order, slow):
+    """The fast form, which returns ``slow`` at its arguments when it raises.
+
+    ``slow`` is bound to a global name of its own, which costs less per
+    call than a closure.  The fallback runs after the except clause, so an
+    EvalDomainError from ``slow`` carries no fast-form exception as its
+    context.
+    """
+    fallback = f"_guarded{next(_FALLBACK_IDS)}"
+    _RUNTIME[fallback] = slow
+    slots = _slots(var_order)
+    return _define(_function("_fast", slots, [
+        _node(ast.Try, [_node(ast.Return, _body(e, var_order, False))],
+              [_node(ast.ExceptHandler, _name("_Exception"), None, [_node(ast.Pass)])], [], []),
+        _node(ast.Return, _call(fallback, *map(_name, slots))),
+    ]), "_fast")
+
+
+def _batch_form(e, var_order):
+    """A generator function: abs of the fast form at each point of an iterable."""
+    (slot,) = _slots(var_order)
+    loop = _node(ast.For, _node(ast.Name, slot, ast.Store()), _name("_points"), [
+        _node(ast.Expr, _node(ast.Yield, _call("_abs", _body(e, var_order, False))))], [])
+    return _define(_function("_batch", ["_points"], [loop]), "_batch")
+
+
+class _Forms:
+    """The guarded and batch forms of one expression, each compiled on first use."""
+
+    __slots__ = ("e", "var_order", "_guarded", "_batch")
+
+    def __init__(self, e: Expr, var_order: Tuple[str, ...]):
+        self.e = e
+        self.var_order = var_order
+        self._guarded = self._batch = None
+
+    def guarded(self, *args):
+        if self._guarded is None:
+            self._guarded = _guarded_form(self.e, self.var_order)
+        return self._guarded(*args)
+
+    def batch(self):
+        if self._batch is None:
+            self._batch = _batch_form(self.e, self.var_order)
+        return self._batch
+
+
 @lru_cache(maxsize=None)
 def compile_expr(e: Expr, var_order: Tuple[str, ...]) -> Callable[..., float]:
     """Compile ``e`` into a positional callable over ``var_order``.
 
     The AST becomes one Python function, built as a Python ``ast`` tree
-    and passed to ``compile()``: an evaluation runs in a single frame,
-    with helpers called only for "^", for exp above 709, for sin and cos
-    off the finite floats and on a domain error.  Variables bind to
-    argument slots by position, so any declared name is safe.  An unbound
-    variable raises ValueError here.
+    and compiled once: an evaluation runs in a single frame, inside
+    ``try``, with plain ``/``, ``**`` and ``math`` calls and no Python
+    helper on the way to a value.  Python raises where a domain check
+    would fail, and the one inline check left stops a negative base with
+    a fractional exponent (and, for an exponent that is not a finite
+    literal, the power -inf).  When the fast form raises, a guarded
+    form, compiled on first need, evaluates the same arguments: every
+    value and every EvalDomainError text, naming the failing
+    sub-expression, are those of the guarded form.  Variables bind to
+    argument slots by position, so any declared name is safe.  An
+    unbound variable raises ValueError here.
     """
-    index = {name: i for i, name in enumerate(var_order)}
-    body = _Compiler(index).build(e)
-    params = [_node(ast.arg, f"_a{i}") for i in range(len(var_order))]
-    tree = ast.Expression(_node(ast.Lambda,
-                                ast.arguments([], params, None, [], [], None, []), body))
-    return eval(compile(tree, "<simpvex expression>", "eval"), _RUNTIME)
+    forms = _Forms(e, var_order)
+    fn = _fast_form(e, var_order, forms.guarded)
+    fn.forms = forms
+    return fn
+
+
+def abs_batch(fn) -> Optional[Callable[[Iterable[float]], Iterator[float]]]:
+    """The batch form of a one-variable ``compile_expr`` function, else None.
+
+    ``abs_batch(fn)(points)`` yields ``abs(fn(x))`` for each x in one
+    generator frame, with no call per point.  It raises where fn's fast
+    form raises, without the guarded form's error: call fn point by
+    point to find the failing point and its EvalDomainError.  Compiled on
+    first use.
+    """
+    forms = getattr(fn, "forms", None)
+    if not isinstance(forms, _Forms) or len(forms.var_order) != 1:
+        return None
+    return forms.batch()
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:

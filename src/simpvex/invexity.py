@@ -16,11 +16,13 @@ layer.  Verdicts are therefore "verified_on_samples", never proofs.  The
 reported worst violation is the exact maximum over the samples, with ties
 broken by lexicographic (u, v, t) order, so re-running a check
 reproduces it bit for bit.  Ties are broken by order: the random layer is
-sorted once when the plan is built and the grid ascends in (u, v, t), so
-in the random layer and in each grid block the first largest excess is at
-the smallest witness.  eta and f' run in sorted order within the random
-layer, so an f' failure that only random triples reach is raised at the
-first of them in sorted order.
+sorted and the grid ascends in (u, v, t), so in the random layer and in
+each grid block the first largest excess is at the smallest witness.  The
+seeded draws on [0, 1) are sorted once per (seed, count) and every plan
+maps them onto its K, sorting again only where rounding merges two u
+values.  eta and f' run in sorted order within the random layer, so an
+f' failure that only random triples reach is raised at the first of them
+in sorted order.
 
 Every check is a view of one ``SamplePlan`` per (K, eta, grid): the
 sample stream and its path points, with eta called once per grid (u, v)
@@ -31,10 +33,12 @@ invex-set report and the values of the last function swept over it.  It
 evaluates its first function once per sample point; from its second
 function on (a further case on the same plan) it evaluates each once per
 distinct point, the grid's points merged by bit pattern, and spreads the
-values back to the stream.  Each further q costs only arithmetic, once
-per value (once per distinct value on a reused plan).  The arithmetic is
-the per-sample formula's, so verdicts, worst violations and witnesses
-are unchanged.
+values back to the stream.  |f'| of a compiled expression runs in the
+expression's batch form, one generator frame for all points rather than
+one call per point; any other callable is called per point.  Each
+further q costs only arithmetic, once per value (once per distinct value
+on a reused plan).  The arithmetic is the per-sample formula's, so
+verdicts, worst violations and witnesses are unchanged.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count, repeat
-from operator import add, itemgetter, sub
+from itertools import chain, count, islice, repeat
+from operator import add, itemgetter, lt, sub
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import expr as expr_mod
@@ -199,18 +203,35 @@ def _first_worst(tops: List[float], row: Callable[[int], Sequence[float]],
     return excesses[k], witness(j, k)
 
 
+@lru_cache(maxsize=None)
+def _unit_draws(seed: int, count: int) -> Tuple[array, array, array]:
+    """The seeded (u, v, t) draws on [0, 1), sorted: shared, read only, by
+    every plan of (seed, count)."""
+    draw = random.Random(seed).random
+    triples = sorted((draw(), draw(), draw()) for _ in range(count))
+    return tuple(array("d", [triple[i] for triple in triples]) for i in range(3))
+
+
 class _Layer:
-    """The seeded random (u, v, t) samples, sorted, with their path points."""
+    """The seeded random (u, v, t) samples, sorted, with their path points.
+
+    Every plan maps the same sorted unit draws onto its K, u and v by
+    ``lo + span * r``.  Rounding is monotone, so the samples come out
+    sorted unless it merges two u values; then they are sorted again.
+    """
 
     __slots__ = ("u", "v", "t", "x", "at")
 
-    def __init__(self, triples: Iterable[Tuple[float, float, float]], eta: EtaMap, at: int):
-        self.u, self.v, self.t, self.x = array("d"), array("d"), array("d"), array("d")
-        for u, v, t in sorted(triples):
-            self.u.append(u)
-            self.v.append(v)
-            self.t.append(t)
-            self.x.append(u + t * eta(v, u))
+    def __init__(self, K: Domain, eta: EtaMap, grid: SampleGrid, at: int):
+        ru, rv, rt = _unit_draws(grid.seed, grid.random_triples)
+        lo, span = K.lo, K.hi - K.lo
+        self.u = array("d", [lo + span * r for r in ru])
+        self.v = array("d", [lo + span * r for r in rv])
+        self.t = array("d", rt)
+        if not all(map(lt, self.u, self.u[1:])):
+            self.u, self.v, self.t = (array("d", column) for column in
+                                      zip(*sorted(zip(self.u, self.v, self.t))))
+        self.x = array("d", [u + t * eta(v, u) for u, v, t in zip(self.u, self.v, self.t)])
         self.at = at  # index of the first triple's g(u) in SamplePlan.values
 
     def __len__(self) -> int:
@@ -226,6 +247,42 @@ class _Layer:
 
     def witness(self, i: int) -> Tuple[float, float, float]:
         return (self.u[i], self.v[i], self.t[i])
+
+
+_CHUNK = 4096  # values per list in _filled: few lists, none near a plan's size
+
+
+def _filled(values: Iterable[float]) -> array:
+    """array("d") of ``values``, filled from lists of _CHUNK values.
+
+    Built from an iterator, an array type-checks each value twice, one
+    append at a time; from a list it checks each once, into space sized
+    once.
+    """
+    out = array("d")
+    values = iter(values)
+    while chunk := list(islice(values, _CHUNK)):
+        out.fromlist(chunk)
+    return out
+
+
+def _evaluate(fn: Callable[[float], float], points: Callable[[], Iterable[float]],
+              absolute: bool) -> array:
+    """fn (abs(fn) if ``absolute``) at the points ``points()`` gives, in order.
+
+    abs(fn) of a compiled expression runs in its batch form, one frame for
+    all points; if that raises, or for any other fn, fn is called point by
+    point, so a failure raises at the first failing point with its own
+    error.
+    """
+    batch = expr_mod.abs_batch(fn) if absolute else None
+    if batch is not None:
+        try:
+            return _filled(batch(points()))
+        except Exception:
+            pass
+    calls = map(fn, points())
+    return _filled(map(abs, calls) if absolute else calls)
 
 
 class SamplePlan:
@@ -246,15 +303,10 @@ class SamplePlan:
         self.ts = [i / (grid.nt - 1) for i in range(grid.nt)]
         self.grid_x = array("d")
         for u in self.us:
-            for v in self.vs:
-                step = eta(v, u)
-                self.grid_x.extend([u + t * step for t in self.ts])
+            self.grid_x.fromlist([u + t * step for step in [eta(v, u) for v in self.vs]
+                                  for t in self.ts])
         self.x_at = len(self.us) + len(self.vs)
-        rng = random.Random(grid.seed)
-        lo, span = K.lo, K.hi - K.lo
-        draws = ((lo + span * rng.random(), lo + span * rng.random(), rng.random())
-                 for _ in range(grid.random_triples))
-        self.random = _Layer(draws, eta, self.x_at + len(self.grid_x))
+        self.random = _Layer(K, eta, grid, self.x_at + len(self.grid_x))
         self.samples = len(self.grid_x) + len(self.random)
         self.invex_set = {}  # check_invex_set's reports, by the bit pattern of (K, tol)
         self._memo = (None, None, None, None)
@@ -302,14 +354,12 @@ class SamplePlan:
         memo_fn, memo_absolute, values, _ = self._memo
         if memo_fn is not fn or memo_absolute != absolute:
             if memo_fn is None:
-                calls = map(fn, self.points())
-                values = array("d", map(abs, calls) if absolute else calls)
+                values = _evaluate(fn, self.points, absolute)
                 distinct = None
             else:
                 points, gather = self._distinct_points()
-                calls = map(fn, points)
                 # floats, as the array of the point-by-point pass holds them
-                distinct = array("d", map(abs, calls) if absolute else calls).tolist()
+                distinct = _evaluate(fn, lambda: points, absolute).tolist()
                 values = array("d", gather(distinct))
             self._memo = (fn, absolute, values, distinct)
         return values
@@ -321,7 +371,7 @@ class SamplePlan:
         """
         _, _, values, distinct = self._memo
         if distinct is None:
-            return array("d", map(pow, values, repeat(q)))
+            return _filled(map(pow, values, repeat(q)))
         gather = self._distinct_points()[1]
         return array("d", gather(list(map(pow, distinct, repeat(q)))))
 

@@ -169,6 +169,43 @@ _TYPES = {
 }
 
 
+_TRUE, _FALSE = object(), object()  # stand-ins that keep true and false apart from 1 and 0
+
+
+def _unbool(x):
+    return _TRUE if x is True else _FALSE if x is False else x
+
+
+def _json_equal(a, b) -> bool:
+    """JSON Schema equality: 1 equals 1.0, true does not equal 1; lists
+    and objects compare item by item."""
+    if a is b:
+        return True
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return len(a) == len(b) and all(k in b and _json_equal(v, b[k]) for k, v in a.items())
+    return _unbool(a) == _unbool(b)
+
+
+def _unique(items: list) -> bool:
+    """Whether no two items are equal, as jsonschema decides uniqueItems:
+    neighbours after sorting, or every pair when the items do not sort
+    (NaN, which sorts nowhere, can make it miss a repeat)."""
+    try:
+        ordered = sorted(map(_unbool, items))
+        return not any(map(_json_equal, ordered, ordered[1:]))
+    except TypeError:
+        seen = []
+        for item in map(_unbool, items):
+            if any(_json_equal(other, item) for other in seen):
+                return False
+            seen.append(item)
+        return True
+
+
 def _valid(instance, schema: dict, root: dict) -> bool:
     """Whether ``instance`` is valid under ``schema``, as jsonschema decides
     (draft 2020-12) for the keywords the bundled schemas use; a test fails
@@ -196,6 +233,8 @@ def _valid(instance, schema: dict, root: dict) -> bool:
             return False
         items = schema.get("items")
         if items is not None and not all(_valid(x, items, root) for x in instance):
+            return False
+        if schema.get("uniqueItems") and not _unique(instance):
             return False
     elif isinstance(instance, str):
         return len(instance) >= schema.get("minLength", 0)

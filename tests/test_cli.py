@@ -182,6 +182,18 @@ def test_scan_square(capsys):
     assert lines[1].startswith("T3.1,ok,0.0,")
 
 
+def test_scan_theorem_ids_may_carry_spaces_and_empty_parts(capsys):
+    argv = ["scan", "--f", "x^2", "--df", "2*x", "--F", "(x^3)/3", "--K", "0,1",
+            "--a-range", "0,0", "--b-range", "1,1", "--q", "1, 2", "--steps", "2"]
+    assert main(argv + ["--theorems", "T3.1,T4.1"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(argv + ["--theorems", " T3.1, T4.1 ,,"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert [line.split(",")[0] for line in spaced.split("\n")[1:-1]] == ["T3.1", "T4.1"]
+    assert main(argv + ["--theorems", " , "]) == 3
+    assert capsys.readouterr().err == "error: the case lists no theorem\n"
+
+
 def test_scan_antiderivative_gate_uses_tol_oracle(monkeypatch, capsys):
     seen = []
     integrate = quadrature.integrate

@@ -360,6 +360,131 @@ def test_compiled_matches_closure_reference(tree, points):
         assert _outcome(fn, x, y) == _outcome(ref, x, y), (pretty(tree), x, y)
 
 
+# The fast form against the guarded form: compile_expr's function runs the
+# fast form and falls back to the guarded one only when the fast one raises,
+# so any point where the fast form returns a value the guarded form would
+# not (or raises nothing where it raises) shows up as a mismatch here.
+
+_EXPONENTS = [2.0, 3.0, 0.0, -1.0, -2.0, 0.5, 1.5, -0.5, 1e300, math.inf]
+
+
+def _fast_trees(names):
+    """Trees over ``names`` with every operator, every function, if, and
+    powers whose exponent is a literal (integral, negative, fractional,
+    huge, infinite), a negated literal, or any subtree."""
+    leaves = st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0, 709.0, 709.5, 710.0, 1e300,
+                         math.inf]).map(Num),
+        st.sampled_from(names).map(Var),
+    )
+
+    def extend(children):
+        exponent = st.one_of(
+            st.sampled_from(_EXPONENTS).map(Num),
+            st.sampled_from(_EXPONENTS).map(lambda c: Neg(Num(c))),
+            children,
+        )
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(Bin, st.sampled_from(["+", "-", "*", "/", "^", "<", "<=", ">", ">=", "==",
+                                            "and", "or"]), children, children),
+            st.builds(Bin, st.just("^"), children, exponent),
+            st.builds(Call, st.sampled_from(list(FUNCTIONS)), children),
+            st.builds(If, children, children, children),
+        )
+
+    trees = st.recursive(leaves, extend, max_leaves=12)
+    exponents = st.one_of(st.sampled_from(_EXPONENTS).map(Num),
+                          st.sampled_from(_EXPONENTS).map(lambda c: Neg(Num(c))),
+                          st.sampled_from(names).map(Var), trees)
+    # a power at the root meets the special points unmasked
+    return st.one_of(trees, st.builds(Bin, st.just("^"), trees, exponents))
+
+
+_FAST_POINTS = [0.0, -0.0, math.inf, -math.inf, math.nan, -2.0, -0.5, -1.0, 1.0, 2.0, 0.5,
+                709.0, 709.5, 709.79, 710.0, 710.5, 1e200, -1e200, 1e-320, 1e154]
+_fast_points = st.one_of(st.sampled_from(_FAST_POINTS), st.floats(709.0, 710.5),
+                         st.floats(-1e3, 1e3))
+# (base, exponent) pairs where Python's ** and the guards part ways
+_POWER_PAIRS = [(0.0, -math.inf), (-0.0, -math.inf), (-2.0, 0.5), (-math.inf, 0.5),
+                (-2.0, math.inf), (-2.0, math.nan), (0.0, -1.0), (1e200, 2.0), (2.0, 1e300)]
+_fast_pairs = st.one_of(st.tuples(_fast_points, _fast_points), st.sampled_from(_POWER_PAIRS))
+
+
+def _guarded(tree, var_order):
+    return simpvex.expr._guarded_form(tree, var_order)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_fast_trees(["x", "y"]),
+       st.lists(_fast_pairs, min_size=8, max_size=8))
+def test_fast_form_matches_guarded_form(tree, points):
+    fast = compile_expr(tree, ("x", "y"))
+    guarded = _guarded(tree, ("x", "y"))
+    for x, y in points:
+        assert _outcome(fast, x, y) == _outcome(guarded, x, y), (pretty(tree), x, y)
+
+
+def _abs_outcome(fn, x):
+    got = _outcome(fn, x)
+    return ("value", struct.pack("<d", abs(fn(x)))) if got[0] == "value" else got
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fast_trees(["x"]), st.lists(_fast_points, min_size=1, max_size=12))
+def test_batch_form_matches_point_by_point_abs(tree, points):
+    fn = compile_expr(tree, ("x",))
+    outcomes = [_abs_outcome(fn, x) for x in points]
+    try:
+        got = [_outcome(lambda v: v, v) for v in simpvex.expr.abs_batch(fn)(points)]
+    except Exception:  # the batch raises: some point must raise
+        assert any(o[0] == "raise" for o in outcomes), (pretty(tree), points)
+    else:
+        assert got == outcomes, (pretty(tree), points)
+
+
+def test_fast_form_raises_where_python_would_not():
+    # a negative base to a fractional power (Python gives a complex number),
+    # zero to the power -inf (Python gives inf) and a non-integral exponent
+    # of a negative base (math.floor raises) keep the guarded form's outcome
+    for source, x, y, want in [
+        ("x^0.5", -4.0, 0.0, "fractional power of negative base in (x ^ 0.5) at -4.0"),
+        ("x^y", -4.0, 0.5, "fractional power of negative base in (x ^ y) at -4.0"),
+        ("x^y", 0.0, -math.inf, "zero raised to a negative power in (x ^ y) at 0.0"),
+        ("x^y", -0.0, -math.inf, "zero raised to a negative power in (x ^ y) at -0.0"),
+        ("x^(-1e999)", 0.0, 0.0, "zero raised to a negative power in (x ^ (-inf)) at 0.0"),
+    ]:
+        fn = compile_expr(parse(source, {"x", "y"}), ("x", "y"))
+        with pytest.raises(EvalDomainError) as info:
+            fn(x, y)
+        assert str(info.value) == want
+        assert info.value.__context__ is None
+    power = compile_expr(parse("x^y", {"x", "y"}), ("x", "y"))
+    assert power(2.0, -math.inf) == 0.0 and power(-2.0, 3.0) == -8.0
+    with pytest.raises(OverflowError):  # math.floor(inf), as before
+        power(-2.0, math.inf)
+    with pytest.raises(ValueError):  # math.floor(nan)
+        power(-2.0, math.nan)
+
+
+def test_fast_form_calls_no_helper():
+    fn = compile_expr(parse("x^4 - 2*x^2 + x^0.5 + x^x + 1/(x+0.5) + exp(-x) + log(x)"
+                            " + sqrt(x) + sin(x) + cos(x) + abs(x)", X), ("x",))
+    fn(0.25)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(0.25)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["_fast"], calls
+
+
 def test_unbound_variable_raises_at_compile_time():
     tree = Bin("+", Var("x"), Bin("*", Var("z"), Var("w")))
     with pytest.raises(ValueError) as info:

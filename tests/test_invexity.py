@@ -1,6 +1,9 @@
+import functools
+import json
 import math
 import random
 import struct
+from array import array
 from dataclasses import replace
 from itertools import chain
 from operator import sub
@@ -10,6 +13,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from simpvex.bounds import FunctionModel
 from simpvex.errors import ParseError
 from simpvex.expr import compile_expr, parse
 from simpvex.invexity import (
@@ -17,6 +21,7 @@ from simpvex.invexity import (
     Domain,
     EtaMap,
     SampleGrid,
+    SamplePlan,
     _plan,
     check_invex_set,
     check_preinvex,
@@ -458,3 +463,119 @@ def test_a_plan_keeps_its_invex_set_reports_per_K_and_tol():
         _ref_invex_set(signed, eta, grid, 1e-12))
     assert repr(report) != repr(check_invex_set(signed, eta, grid))
     assert len(_plan(K, eta, grid).invex_set) == 3
+
+
+# Reference plan construction: SamplePlan and _Layer as they were built before
+# every plan shared one sorted list of unit draws.  Kept here, and only here,
+# to pin the shared draws to the same samples, bit for bit, and to the same
+# eta calls in the same order.
+
+def _ref_plan(K, eta, grid):
+    """(points, random u, v, t, x) of the plan for (K, eta, grid)."""
+    us = K.grid(grid.nu)
+    vs = K.grid(grid.nv)
+    ts = [i / (grid.nt - 1) for i in range(grid.nt)]
+    grid_x = []
+    for u in us:
+        for v in vs:
+            step = eta(v, u)
+            grid_x.extend([u + t * step for t in ts])
+    rng = random.Random(grid.seed)
+    lo, span = K.lo, K.hi - K.lo
+    draws = ((lo + span * rng.random(), lo + span * rng.random(), rng.random())
+             for _ in range(grid.random_triples))
+    ru, rv, rt, rx = [], [], [], []
+    for u, v, t in sorted(draws):
+        ru.append(u)
+        rv.append(v)
+        rt.append(t)
+        rx.append(u + t * eta(v, u))
+    points = list(chain(us, vs, grid_x, chain.from_iterable(zip(ru, rv, rx))))
+    return points, ru, rv, rt, rx
+
+
+def _recording(eta):
+    """A fresh EtaMap (so a plan of its own) that logs each (v, u) it is called at."""
+    calls = []
+
+    def step(v, u):
+        calls.append((v, u))
+        return eta(v, u)
+
+    return EtaMap(eta.kind, step, f"recorded {eta.name}"), calls
+
+
+def _bits(xs):
+    return array("d", xs).tobytes()
+
+
+def _corpus_plans():
+    from simpvex import runner
+    plans = []
+    for entry in sorted(runner._corpus_dir().iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".json"):
+            cfg = json.loads(entry.read_text(encoding="utf-8"))
+            plans.append((Domain(*map(float, cfg["K"])), EtaMap.from_config(cfg["eta"]),
+                          DEFAULT_GRID))
+    return plans
+
+
+@pytest.mark.parametrize("K, eta, grid", _corpus_plans() + [
+    (Domain(1e15, 1e15 + 1.0), EtaMap.difference(), DEFAULT_GRID),  # rounding merges u
+    (Domain(-3.0, 2.0), EtaMap.abs_example(), SampleGrid(5, 4, 3, 0)),
+    (Domain(0.0, 1.0), EtaMap.from_expression("0.5*(v-u)"), SampleGrid(3, 3, 2, 7, seed=5)),
+])
+def test_plan_matches_the_reference_construction(K, eta, grid):
+    recorded, calls = _recording(eta)
+    plan = SamplePlan(K, recorded, grid)
+    ref_recorded, ref_calls = _recording(eta)
+    points, ru, rv, rt, rx = _ref_plan(K, ref_recorded, grid)
+    assert _bits(plan.points()) == _bits(points)
+    layer = plan.random
+    assert [_bits(c) for c in (layer.u, layer.v, layer.t, layer.x)] == [
+        _bits(c) for c in (ru, rv, rt, rx)]
+    assert _bits(chain.from_iterable(calls)) == _bits(chain.from_iterable(ref_calls))
+    assert len(calls) == grid.nu * grid.nv + grid.random_triples
+
+
+def test_merged_u_values_take_the_sorting_path():
+    layer = SamplePlan(Domain(1e15, 1e15 + 1.0), EtaMap.difference(), DEFAULT_GRID).random
+    assert len(set(layer.u)) < len(layer.u)  # rounding merged some u values
+    assert list(zip(layer.u, layer.v, layer.t)) == sorted(zip(layer.u, layer.v, layer.t))
+
+
+def test_traced_counters_see_every_eta_and_derivative_call(monkeypatch, make_model):
+    # wrapped as perfbench/spans.py wraps them: a faster path that skipped the
+    # wrappers would make traced counts drop silently
+    counts = {"eta": 0, "df": 0}
+    eta_call = EtaMap.__call__
+
+    def counted_eta(self, v, u):
+        counts["eta"] += 1
+        return eta_call(self, v, u)
+
+    compile_df = FunctionModel.__dict__["df_fn"].func
+
+    def make(model):
+        df = compile_df(model)
+
+        def counted(*args):
+            counts["df"] += 1
+            return df(*args)
+
+        return counted
+
+    prop = functools.cached_property(make)
+    prop.__set_name__(FunctionModel, "df_fn")
+    monkeypatch.setattr(EtaMap, "__call__", counted_eta)
+    monkeypatch.setattr(FunctionModel, "df_fn", prop)
+    model = make_model("x^4", "4*x^3", K=(0.0, 1.0))
+    K = Domain(0.0, 1.0)
+    for eta in (EtaMap.difference(), EtaMap.abs_example(), EtaMap.from_expression("v-u")):
+        _plan.cache_clear()
+        counts.update(eta=0, df=0)
+        check_invex_set(K, eta)
+        assert counts == {"eta": 41 * 41 + 2000, "df": 0}
+        hypothesis_pair(model, eta, K, 2.0)
+        assert counts == {"eta": 41 * 41 + 2000, "df": 41 + 41 + 41 * 41 * 21 + 3 * 2000}
+        assert counts["df"] == 41383

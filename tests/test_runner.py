@@ -276,8 +276,10 @@ def test_tolerances_merge():
     ({"K": [0, math.inf]}, "domain needs lo < hi, got [0.0, inf]"),
     ({"q": [math.nan]}, "every q must be finite and >= 1, got [nan]"),
     ({"tolerances": {"oracle": math.nan}}, "tolerance oracle must be finite and > 0, got nan"),
-    ({"q": [2, 2.0]}, "case 'unit_square': q 2.0 is listed more than once"),
-    ({"theorems": ["T3.2", "T3.2"]}, "case 'unit_square': theorem 'T3.2' is listed more than once"),
+    # the schema's uniqueItems rejects a repeat before _request_error sees it
+    ({"q": [2, 2.0]}, "case config invalid at q: [2, 2.0] has non-unique elements"),
+    ({"theorems": ["T3.2", "T3.2"]},
+     "case config invalid at theorems: ['T3.2', 'T3.2'] has non-unique elements"),
 ])
 def test_load_case_turns_bad_numbers_into_config_errors(overrides, message):
     # json.loads accepts NaN and Infinity, and NaN passes the schema's minimum
@@ -821,11 +823,10 @@ def _cli_scan_text(q_list, theorems):
 
 # entry point -> (its text for a bad request, that text's shape, the requests
 # that reach the shared rule there); the schema rejects an unknown id, a q
-# below 1 and an empty list first, --q rejects inf and an empty list, and an
-# empty --theorems means every theorem
+# below 1, a repeated entry and an empty list first, --q rejects inf and an
+# empty list, and an empty --theorems means every theorem
 ENTRY_POINTS = {
-    "load_case": (_load_case_text, "case 'unit_square': {message}",
-                  ("repeated_id", "repeated_q", "q_infinite")),
+    "load_case": (_load_case_text, "case 'unit_square': {message}", ("q_infinite",)),
     "run_case": (_run_case_text, "{kind}: {message}", tuple(BAD_REQUESTS)),
     "tightness_scan": (_tightness_scan_text, "{message}", tuple(BAD_REQUESTS)),
     "simpvex_scan": (_cli_scan_text, "error: {message}\n",
@@ -840,6 +841,14 @@ def test_every_entry_point_rejects_a_bad_request_with_the_same_message(entry, re
     q_list, theorems, kind, message = BAD_REQUESTS[request_id]
     text, shape, _ = ENTRY_POINTS[entry]
     assert text(q_list, theorems) == shape.format(kind=kind, message=message)
+
+
+@pytest.mark.parametrize("request_id, path", [("repeated_id", "theorems"), ("repeated_q", "q")])
+def test_load_case_rejects_a_repeated_entry_in_the_schema(request_id, path):
+    q_list, theorems = BAD_REQUESTS[request_id][:2]
+    listed = {"theorems": theorems, "q": q_list}[path]
+    assert _load_case_text(q_list, theorems) == (
+        f"case config invalid at {path}: {listed!r} has non-unique elements")
 
 
 def test_run_case_turns_f_prime_failing_at_b_into_input_error():

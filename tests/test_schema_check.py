@@ -44,8 +44,11 @@ THEOREMS = ["T3.1", "T3.2", "T3.3", "T3.4", "T4.1", "T4.2", "T4.3", "C4.1", "C4.
 
 
 @st.composite
-def generated_configs(draw):
+def generated_configs(draw, repeats=False):
+    """A case config in the shape of the benchmark's; with ``repeats`` its
+    q and theorem lists may repeat an entry, which the schema rejects."""
     f, df, F, d4sup = draw(st.sampled_from(MODELS))
+    unique_by = None if repeats else float
     cfg = {
         "name": "gen_case",
         "f": f,
@@ -54,8 +57,10 @@ def generated_configs(draw):
         "K": [0.0, 1.5],
         "a": 0.25,
         "b": 1.25,
-        "q": draw(st.lists(st.sampled_from([1, 1.0, 1.5, 2, 3.0, 4]), min_size=1, max_size=4)),
-        "theorems": draw(st.lists(st.sampled_from(THEOREMS[:8]), min_size=1, max_size=8)),
+        "q": draw(st.lists(st.sampled_from([1, 1.0, 1.5, 2, 3.0, 4]), min_size=1, max_size=4,
+                           unique_by=unique_by)),
+        "theorems": draw(st.lists(st.sampled_from(THEOREMS[:8]), min_size=1, max_size=8,
+                                  unique=not repeats)),
     }
     if draw(st.booleans()):
         cfg["F"] = draw(st.sampled_from([F, None]))
@@ -135,6 +140,9 @@ CASE_EXTRAS = [
     (("expected",), {"T3.1": {"rhs": 1.0, "tolerance": 0.0}}),
     (("q",), [1, 2.0, 0.999]), (("q",), [math.nan]), (("d4sup",), -0.5),
     (("name",), "x"), (("f",), 1),
+    (("q",), [1, 1.0]), (("q",), [2, 3, 2.0]), (("q",), [True, 1]), (("q",), [1.5, 2]),
+    (("q",), [math.nan, math.nan]), (("q",), [1, math.nan, 1]),
+    (("theorems",), ["T3.1", "T3.1"]), (("theorems",), ["T3.1", "T4.1", "T3.1"]),
 ]
 
 
@@ -160,10 +168,33 @@ def _jsonschema_decision(cfg):
 
 
 @settings(max_examples=250)
-@given(st.one_of(st.sampled_from(CORPUS_CONFIGS), generated_configs()).flatmap(
+@given(st.one_of(st.sampled_from(CORPUS_CONFIGS), generated_configs(repeats=True)).flatmap(
     lambda cfg: mutations(cfg, _case_required, CASE_EXTRAS)))
 def test_load_case_rejects_exactly_what_jsonschema_rejects(cfg):
     assert _load_case_decision(cfg) == _jsonschema_decision(cfg)
+
+
+@settings(max_examples=100)
+@given(generated_configs(repeats=True))
+def test_repeated_entries_are_rejected_exactly_as_jsonschema_rejects_them(cfg):
+    # 1 and 1.0 repeat; T3.1 twice repeats; the schema, not _request_error, rejects
+    decision = _load_case_decision(cfg)
+    assert decision == _jsonschema_decision(cfg)
+    repeated = (len({float(q) for q in cfg["q"]}) < len(cfg["q"])
+                or len(set(cfg["theorems"])) < len(cfg["theorems"]))
+    assert (decision is not None and "has non-unique elements" in decision[0]) == repeated
+
+
+@pytest.mark.parametrize("items, unique", [
+    ([1, 1.0], False), ([True, 1], True), ([False, 0], True), ([1, True, 1.0], False),
+    ([[1], [1.0]], False), ([[1], [True]], True), ([{"a": 1}, {"a": 1.0}], False),
+    ([{"a": 1}, {"b": 1}], True), (["T3.1", 1, "T3.1"], False), ([None, None], False),
+    ([math.nan, math.nan], False), ([1, "1"], True), ([], True),
+])
+def test_unique_items_follows_json_schema_equality(items, unique):
+    schema = {"type": "array", "uniqueItems": True}
+    assert runner._valid(items, schema, schema) == unique
+    assert jsonschema.Draft202012Validator(schema).is_valid(items) == unique
 
 
 def test_case_extras_cover_both_decisions():
@@ -245,8 +276,8 @@ def test_report_extras_cover_both_decisions(report_doc):
 
 
 HANDLED = {"$schema", "title", "description", "$defs", "$ref", "type", "enum", "required",
-           "properties", "additionalProperties", "items", "minItems", "maxItems", "minimum",
-           "exclusiveMinimum", "minLength"}
+           "properties", "additionalProperties", "items", "minItems", "maxItems", "uniqueItems",
+           "minimum", "exclusiveMinimum", "minLength"}
 
 
 def _subschemas(schema):
