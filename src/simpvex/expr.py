@@ -18,7 +18,7 @@ Python ``ast`` tree, so that grid-scale sampling pays one interpreter
 frame per evaluation and no helper call; a domain error raises
 EvalDomainError naming the failing sub-expression, from a guarded form
 that runs only where the fast one raises.  ``abs_batch`` gives |f| of a
-one-variable expression over many points in one frame.  Evaluation is
+one-variable expression at a list of points, in one frame.  Evaluation is
 pure and deterministic: the same AST evaluated at the same inputs
 returns the same bit pattern, except for the sign of a NaN, which
 CPython's adaptive float arithmetic may flip from one call to the next
@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import EvalDomainError, ParseError
 from .reports import VERIFIED, VIOLATED, PropertyReport
@@ -591,11 +591,12 @@ def _fast_form(e, var_order, slow):
 
 
 def _batch_form(e, var_order):
-    """A generator function: abs of the fast form at each point of an iterable."""
+    """A lambda: the list of abs of the fast form at each point of a sequence."""
     (slot,) = _slots(var_order)
-    loop = _node(ast.For, _node(ast.Name, slot, ast.Store()), _name("_points"), [
-        _node(ast.Expr, _node(ast.Yield, _call("_abs", _body(e, var_order, False))))], [])
-    return _define(_function("_batch", ["_points"], [loop]), "_batch")
+    each = ast.comprehension(_node(ast.Name, slot, ast.Store()), _name("_points"), [], 0)
+    tree = ast.Expression(_node(ast.Lambda, _params(["_points"]), _node(
+        ast.ListComp, _call("_abs", _body(e, var_order, False)), [each])))
+    return eval(compile(tree, _FILENAME, "eval"), _RUNTIME)
 
 
 class _Forms:
@@ -642,14 +643,14 @@ def compile_expr(e: Expr, var_order: Tuple[str, ...]) -> Callable[..., float]:
     return fn
 
 
-def abs_batch(fn) -> Optional[Callable[[Iterable[float]], Iterator[float]]]:
+def abs_batch(fn) -> Optional[Callable[[Sequence[float]], List[float]]]:
     """The batch form of a one-variable ``compile_expr`` function, else None.
 
-    ``abs_batch(fn)(points)`` yields ``abs(fn(x))`` for each x in one
-    generator frame, with no call per point.  It raises where fn's fast
-    form raises, without the guarded form's error: call fn point by
-    point to find the failing point and its EvalDomainError.  Compiled on
-    first use.
+    ``abs_batch(fn)(points)`` returns the list of ``abs(fn(x))`` for each
+    x of the sequence ``points``, from one list comprehension: one frame,
+    no call per point.  It raises where fn's fast form raises, without
+    the guarded form's error: call fn point by point to find the failing
+    point and its EvalDomainError.  Compiled on first use.
     """
     forms = getattr(fn, "forms", None)
     if not isinstance(forms, _Forms) or len(forms.var_order) != 1:

@@ -16,9 +16,12 @@ layer.  Verdicts are therefore "verified_on_samples", never proofs.  The
 reported worst violation is the exact maximum over the samples, with ties
 broken by lexicographic (u, v, t) order, so re-running a check
 reproduces it bit for bit.  Ties are broken by order: the random layer is
-sorted and the grid ascends in (u, v, t), so in the random layer and in
-each grid block the first largest excess is at the smallest witness.  The
-seeded draws on [0, 1) are sorted once per (seed, count) and every plan
+sorted and the grid ascends in (u, v, t), so in each of the two, one pass
+apiece, the first largest excess is at the smallest witness (grid rows
+that rounding merges hold the same samples).  The invex-set check reads
+the two ends of each grid row, t = 0 and t = 1, where its path points
+are least and largest; it reads a whole row only for the row that wins
+and for a row whose ends give NaN.  The seeded draws on [0, 1) are sorted once per (seed, count) and every plan
 maps them onto its K, sorting again only where rounding merges two u
 values.  eta and f' run in sorted order within the random layer, so an
 f' failure that only random triples reach is raised at the first of them
@@ -34,8 +37,8 @@ evaluates its first function once per sample point; from its second
 function on (a further case on the same plan) it evaluates each once per
 distinct point, the grid's points merged by bit pattern, and spreads the
 values back to the stream.  |f'| of a compiled expression runs in the
-expression's batch form, one generator frame for all points rather than
-one call per point; any other callable is called per point.  Each
+expression's batch form, one list comprehension per list of points rather
+than one call per point; any other callable is called per point.  Each
 further q costs only arithmetic, once per value (once per distinct value
 on a reused plan).  The arithmetic is the per-sample formula's, so
 verdicts, worst violations and witnesses are unchanged.
@@ -48,7 +51,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, cycle, islice, repeat
 from operator import add, itemgetter, lt, sub
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -186,8 +189,8 @@ def _first_worst(tops: List[float], row: Callable[[int], Sequence[float]],
     """The first largest excess of rows of samples, with its witness.
 
     row(j)[k] is the excess at witness(j, k).  The witnesses ascend in
-    (j, k), so the first largest excess is at the smallest witness, the
-    earliest of equal ones.  tops[j] is the largest non-NaN excess of
+    (j, k), rows with equal witnesses holding equal excesses, so the first
+    largest excess is at the smallest witness, the earliest of equal ones.  tops[j] is the largest non-NaN excess of
     row(j), or NaN.  A NaN excess never wins; None if none beats -inf.
     """
     total = sum(tops)
@@ -245,15 +248,12 @@ class _Layer:
         it = iter(g[self.at:self.at + 3 * len(self)])
         return zip(it, it, it)
 
-    def witness(self, i: int) -> Tuple[float, float, float]:
-        return (self.u[i], self.v[i], self.t[i])
+
+_CHUNK = 2048  # values per list in _filled: few lists, none near a plan's size
 
 
-_CHUNK = 4096  # values per list in _filled: few lists, none near a plan's size
-
-
-def _filled(values: Iterable[float]) -> array:
-    """array("d") of ``values``, filled from lists of _CHUNK values.
+def _filled(values: Iterable[float], batch: Callable[[list], list] = list) -> array:
+    """array("d") of ``batch`` of each list of _CHUNK ``values``, in order.
 
     Built from an iterator, an array type-checks each value twice, one
     append at a time; from a list it checks each once, into space sized
@@ -262,7 +262,7 @@ def _filled(values: Iterable[float]) -> array:
     out = array("d")
     values = iter(values)
     while chunk := list(islice(values, _CHUNK)):
-        out.fromlist(chunk)
+        out.fromlist(batch(chunk))
     return out
 
 
@@ -270,15 +270,15 @@ def _evaluate(fn: Callable[[float], float], points: Callable[[], Iterable[float]
               absolute: bool) -> array:
     """fn (abs(fn) if ``absolute``) at the points ``points()`` gives, in order.
 
-    abs(fn) of a compiled expression runs in its batch form, one frame for
-    all points; if that raises, or for any other fn, fn is called point by
-    point, so a failure raises at the first failing point with its own
-    error.
+    abs(fn) of a compiled expression runs in its batch form, one frame per
+    list of _CHUNK points; if that raises, or for any other fn, fn is
+    called point by point, so a failure raises at the first failing point
+    with its own error.
     """
     batch = expr_mod.abs_batch(fn) if absolute else None
     if batch is not None:
         try:
-            return _filled(batch(points()))
+            return _filled(points(), batch)
         except Exception:
             pass
     calls = map(fn, points())
@@ -375,31 +375,25 @@ class SamplePlan:
         gather = self._distinct_points()[1]
         return array("d", gather(list(map(pow, distinct, repeat(q)))))
 
-    def block(self, seq: array, i: int, start: int = 0) -> array:
-        """``seq[start:]`` cut to grid block i: the nv*nt samples with u = us[i]."""
-        n = len(self.vs) * len(self.ts)
-        return seq[start + i * n:start + (i + 1) * n]
+    def grid_values(self, g: array) -> Tuple[memoryview, memoryview, memoryview]:
+        """g at the grid's u values, at its v values and at its path points, uncopied."""
+        g, v_at = memoryview(g), len(self.us)
+        return g[:v_at], g[v_at:self.x_at], g[self.x_at:self.x_at + len(self.grid_x)]
 
-    def grid_values(self, g: array) -> Tuple[array, array, Callable[[int], array]]:
-        """g at the grid's u values, at its v values, and block i of its path points."""
-        v_at = len(self.us)
-        return g[:v_at], g[v_at:self.x_at], lambda i: self.block(g, i, self.x_at)
-
-    def worst(self, block: Callable[[int], Tuple[List[float], Callable[[int], Sequence[float]]]],
+    def worst(self, tops: List[float], row: Callable[[int], Sequence[float]],
               excesses: List[float]) -> _Found:
         """(excess, witness) of the worst sample of the stream.
 
-        ``block(i)`` gives (tops, row) for grid block i as _first_worst
-        takes them: row(j)[k] is the excess at (us[i], vs[j], ts[k]).
+        ``tops`` and ``row`` cover the grid's nu*nv rows as _first_worst
+        takes them: row(i*nv + j)[k] is the excess at (us[i], vs[j], ts[k]).
         ``excesses`` holds the random layer's, one per triple.  The
         largest excess wins, then the smallest witness, then the earliest;
         (-inf, None) if none beats -inf.
         """
-        vs, ts = self.vs, self.ts
-        found = [_first_worst(*block(i), lambda j, k: (u, vs[j], ts[k]))
-                 for i, u in enumerate(self.us)]
-        found.append(_first_worst(excesses, lambda j: (excesses[j],),
-                                  lambda j, k: self.random.witness(j)))
+        us, vs, ts, nv, layer = self.us, self.vs, self.ts, len(self.vs), self.random
+        found = (_first_worst(tops, row, lambda j, k: (us[j // nv], vs[j % nv], ts[k])),
+                 _first_worst(excesses, lambda j: (excesses[j],),
+                              lambda j, k: (layer.u[j], layer.v[j], layer.t[j])))
         return min(filter(None, found), key=lambda f: (-f[0], f[1]), default=(-math.inf, None))
 
 
@@ -434,51 +428,47 @@ def check_invex_set(K: Domain, eta: EtaMap, grid: SampleGrid = DEFAULT_GRID,
 def _invex_set_worst(plan: SamplePlan, K: Domain) -> _Found:
     """Worst distance by which a path point of ``plan`` leaves K."""
     lo, hi = K.lo, K.hi
-    nt = len(plan.ts)
+    nt, grid_x = len(plan.ts), plan.grid_x
 
     def excess(xs):  # max(lo - x, x - hi) per point
         return list(map(max, map(sub, repeat(lo), xs), map(sub, xs, repeat(hi))))
 
-    def block(i):
-        rows = list(zip(*[iter(plan.block(plan.grid_x, i))] * nt))
-        # rounding is monotone, so a row's largest excess is at its smallest or largest x
-        tops = list(map(max, map(sub, repeat(lo), map(min, rows)),
-                        map(sub, map(max, rows), repeat(hi))))
-        return tops, lambda j: excess(rows[j])
-
-    return plan.worst(block, excess(plan.random.x))
+    # rounding is monotone, so a row's least and largest x are its ends (t = 0, 1); a NaN x
+    # is at t = 0 (step +-inf) or everywhere, so min/max of (t = 0, t = 1) match the row's
+    firsts, lasts = grid_x[::nt], grid_x[nt - 1::nt]
+    tops = list(map(max, map(sub, repeat(lo), map(min, firsts, lasts)),
+                    map(sub, map(max, firsts, lasts), repeat(hi))))
+    return plan.worst(tops, lambda j: excess(grid_x[j * nt:(j + 1) * nt]),
+                      excess(plan.random.x))
 
 
 def _preinvex(plan: SamplePlan, g: array) -> _Found:
     """Worst excess g(x) - ((1 - t) g(u) + t g(v)) over values ``g``."""
     gus, gvs, gxs = plan.grid_values(g)
-    ts, nt = plan.ts, len(plan.ts)
+    ts, nt, nv = plan.ts, len(plan.ts), len(gvs)
     omts = [1.0 - t for t in ts]
     tgvs = [t * gv for gv in gvs for t in ts]
+    omtgus = chain.from_iterable([a * gu for a in omts] * nv for gu in gus)  # (1 - t) g(u)
+    tops = list(map(max, zip(*[map(sub, gxs, map(add, omtgus, cycle(tgvs)))] * nt)))
 
-    def block(i):
-        rows = list(zip(*[map(sub, gxs(i), map(add, [a * gus[i] for a in omts] * len(gvs),
-                                                tgvs))] * nt))
-        return list(map(max, rows)), rows.__getitem__
+    def row(j):  # the same arithmetic, for the samples of row j alone
+        gu, gv = gus[j // nv], gvs[j % nv]
+        return [gx - (a * gu + t * gv) for gx, a, t in zip(gxs[j * nt:(j + 1) * nt], omts, ts)]
 
     layer = plan.random
-    return plan.worst(block, [gx - ((1.0 - t) * gu + t * gv)
-                              for (gu, gv, gx), t in zip(layer.values(g), layer.t)])
+    return plan.worst(tops, row, [gx - ((1.0 - t) * gu + t * gv)
+                                  for (gu, gv, gx), t in zip(layer.values(g), layer.t)])
 
 
 def _prequasiinvex(plan: SamplePlan, g: array) -> _Found:
     """Worst excess g(x) - max(g(u), g(v)) over values ``g``."""
     gus, gvs, gxs = plan.grid_values(g)
     nt = len(plan.ts)
-
-    def block(i):
-        gx = gxs(i)
-        highs = [max(gus[i], gv) for gv in gvs]
-        # rounding is monotone, so a row's largest excess is its largest g(x) less its high
-        tops = list(map(sub, map(max, zip(*[iter(gx)] * nt)), highs))
-        return tops, lambda j: [x - highs[j] for x in gx[j * nt:(j + 1) * nt]]
-
-    return plan.worst(block, [gx - max(gu, gv) for gu, gv, gx in plan.random.values(g)])
+    highs = [max(gu, gv) for gu in gus for gv in gvs]
+    # rounding is monotone, so a row's largest excess is its largest g(x) less its high
+    tops = list(map(sub, map(max, zip(*[iter(gxs)] * nt)), highs))
+    return plan.worst(tops, lambda j: [x - highs[j] for x in gxs[j * nt:(j + 1) * nt]],
+                      [gx - max(gu, gv) for gu, gv, gx in plan.random.values(g)])
 
 
 def check_preinvex(g: Callable[[float], float], eta: EtaMap, K: Domain,

@@ -379,12 +379,20 @@ class CaseResult:
 
 
 def _hypotheses(model, eta: EtaMap, K: Domain, grid: SampleGrid, tol: float):
-    """(lookup(mode, q) -> PropertyReport, reports in sweep order), one sweep per q."""
+    """(lookup(mode, q) -> PropertyReport, reports in sweep order), one sweep per q:
+    a sweep that raised OverflowError raises it again at each later lookup."""
     reports: Dict[Tuple[str, float], PropertyReport] = {}
+    overflows: Dict[float, OverflowError] = {}
 
     def lookup(mode: str, q: float) -> PropertyReport:
+        if q in overflows:
+            raise overflows[q]
         if (mode, q) not in reports:
-            pre, quasi = hypothesis_pair(model, eta, K, q, grid, tol)
+            try:
+                pre, quasi = hypothesis_pair(model, eta, K, q, grid, tol)
+            except OverflowError as exc:
+                overflows[q] = exc
+                raise
             reports[("preinvex", q)] = pre
             reports[("prequasiinvex", q)] = quasi
         return reports[(mode, q)]

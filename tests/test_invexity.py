@@ -13,8 +13,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from simpvex import invexity
 from simpvex.bounds import FunctionModel
-from simpvex.errors import ParseError
+from simpvex.errors import EvalDomainError, ParseError
 from simpvex.expr import compile_expr, parse
 from simpvex.invexity import (
     DEFAULT_GRID,
@@ -317,6 +318,15 @@ _GS = [fn("x^3"), fn("-(x^2)"), fn("-abs(x)"), fn("0*x"), fn("x^2 - 3*x"), _step
        _inf_right, _infs, lambda x: -0.0, _bump]
 _ETAS = [EtaMap.difference(), EtaMap.abs_example(), EtaMap.from_expression("0.5*(v - u)"),
          EtaMap.from_expression("v - 2*u")]
+# steps that are negative, infinite, NaN or -0.0: along each grid row the
+# path points still run monotone in t, NaN only at t = 0 or in every point
+_ODD_ETAS = [
+    EtaMap("hand-built", lambda v, u: u - v - 0.25, "negative"),
+    EtaMap("hand-built", lambda v, u: math.inf if v > u else -math.inf if v < u else 0.0,
+           "infinite"),
+    EtaMap("hand-built", lambda v, u: math.nan if v > u else v - u, "nan"),
+    EtaMap("hand-built", lambda v, u: -0.0, "negative zero"),
+]
 
 
 @st.composite
@@ -324,13 +334,14 @@ def _problems(draw):
     grid = SampleGrid(nu=draw(st.integers(2, 6)), nv=draw(st.integers(2, 6)),
                       nt=draw(st.integers(2, 5)), random_triples=draw(st.integers(0, 12)),
                       seed=draw(st.integers(0, 3)))
-    lo = draw(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5]))
+    # near 1e15 the spacing of doubles is 0.125, so rounding merges u and v values
+    lo = draw(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1e15]))
     K = Domain(lo, lo + draw(st.sampled_from([0.5, 1.0, 2.5])))
-    return (K, draw(st.sampled_from(_ETAS)), grid, draw(st.sampled_from(_GS)),
+    return (K, draw(st.sampled_from(_ETAS + _ODD_ETAS)), grid, draw(st.sampled_from(_GS)),
             draw(st.sampled_from([0.0, 1e-12, 0.5])))
 
 
-@settings(max_examples=150)
+@settings(max_examples=300)
 @given(_problems(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
 def test_plan_sweeps_match_per_sample_reference(problem, q):
     K, eta, grid, g, tol = problem
@@ -347,19 +358,28 @@ def test_plan_sweeps_match_per_sample_reference(problem, q):
     assert repr(hypothesis_pair(model, eta, K, q, grid, tol)) == repr(want)
 
 
-@pytest.mark.parametrize("g, eta", [(fn("x^3"), _ETAS[0]), (fn("sqrt(x + 4)"), _ETAS[1]),
-                                    (_steps, _ETAS[2]), (_nan_left, _ETAS[0])],
-                         ids=["cube", "sqrt-abs_example", "steps-expression", "nan"])
-def test_plan_sweeps_match_reference_on_default_grid(g, eta):
-    K = Domain(-1.0, 1.0)
-    assert check_invex_set(K, eta) == _ref_invex_set(K, eta, DEFAULT_GRID, 1e-12)
+@pytest.mark.parametrize("g, eta, K", [
+    (fn("x^3"), _ETAS[0], Domain(-1.0, 1.0)),
+    (fn("sqrt(x + 4)"), _ETAS[1], Domain(-1.0, 1.0)),
+    (_steps, _ETAS[2], Domain(-1.0, 1.0)),
+    (_nan_left, _ETAS[0], Domain(-1.0, 1.0)),
+    # K.grid(41) merges u and v values: merged rows tie, the first in stream order wins
+    (fn("x^2 - 3*x"), _ODD_ETAS[0], Domain(1e15, 1e15 + 1.0)),
+    (_bump, _ODD_ETAS[1], Domain(-1.0, 1.0)),
+    (fn("-abs(x)"), _ODD_ETAS[2], Domain(-1.0, 1.0)),
+    (fn("x^3"), _ODD_ETAS[3], Domain(-0.0, 1.0)),
+], ids=["cube", "sqrt-abs_example", "steps-expression", "nan", "merged-negative", "infinite",
+        "nan-step", "negative-zero"])
+def test_plan_sweeps_match_reference_on_default_grid(g, eta, K):
+    assert repr(check_invex_set(K, eta)) == repr(_ref_invex_set(K, eta, DEFAULT_GRID, 1e-12))
     pre, quasi = _ref_pair(g, eta, K, DEFAULT_GRID, 1e-12)
-    assert check_preinvex(g, eta, K) == pre
-    assert check_prequasiinvex(g, eta, K) == quasi
+    assert repr(check_preinvex(g, eta, K)) == repr(pre)
+    assert repr(check_prequasiinvex(g, eta, K)) == repr(quasi)
     model = SimpleNamespace(df_fn=g)
     for q in (1.0, 2.5):
         h = (lambda x: abs(g(x)) ** q) if q != 1.0 else (lambda x: abs(g(x)))
-        assert hypothesis_pair(model, eta, K, q) == _ref_pair(h, eta, K, DEFAULT_GRID, 1e-12, q)
+        want = _ref_pair(h, eta, K, DEFAULT_GRID, 1e-12, q)
+        assert repr(hypothesis_pair(model, eta, K, q)) == repr(want)
 
 
 def test_derivative_runs_once_per_plan_point_across_exponents():
@@ -410,6 +430,18 @@ def test_first_failure_in_point_order_is_raised():
     hypothesis_pair(SimpleNamespace(df_fn=fn("x")), eta, K, 1.0)
     assert [_raised(model, eta, K, q) for q in (1.0, 1.5, 300.0)] == raised
     assert _plan(K, eta, DEFAULT_GRID)._distinct is not None
+
+
+def test_a_batch_failure_in_a_later_chunk_raises_that_points_own_error():
+    g = fn("sqrt(x) + 1")
+    points = [0.25 * i for i in range(invexity._CHUNK + 37)]  # not a multiple of _CHUNK
+    want = [abs(g(x)) for x in points]
+    assert invexity._evaluate(g, lambda: points, True).tolist() == want
+    points[invexity._CHUNK + 3] = -1.0  # the first failure, in the second chunk
+    points[invexity._CHUNK + 20] = -4.0
+    with pytest.raises(EvalDomainError) as info:
+        invexity._evaluate(g, lambda: points, True)
+    assert str(info.value) == "square root of negative argument in sqrt(x) at -1.0"
 
 
 def _counting(g, calls):

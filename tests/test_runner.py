@@ -511,6 +511,22 @@ def test_scan_skips_exponents_whose_sweep_overflows():
     assert (t34.status, t34.at_q, t34.cells, t34.skipped) == ("ok", 1.0, 18, 9)
 
 
+def test_an_overflowing_sweep_runs_once(monkeypatch):
+    qs = []
+    pair = runner.hypothesis_pair
+
+    def counting_pair(model, eta, K, q, *args):
+        qs.append(q)
+        return pair(model, eta, K, q, *args)
+
+    monkeypatch.setattr(runner, "hypothesis_pair", counting_pair)
+    model = _model(STEEP["f"], STEEP["df"], STEEP["F"], K=(0.0, 2.0))
+    tightness_scan(model, EtaMap.difference(), Domain(0.0, 2.0), (0.0, 0.5), (1.5, 2.0),
+                   [149.9, 1.0], steps=3, theorems=("T3.2", "T3.4"))
+    # T3.4 at q = 149.9 re-raises the error T3.2's sweep met, without sweeping again
+    assert qs == [149.9, 1.0]
+
+
 def test_scan_nan_ratio_is_skipped_and_never_the_witness(monkeypatch):
     real = bounds.simpson_defect
 
