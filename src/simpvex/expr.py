@@ -15,10 +15,10 @@ outside its domain.
 
 ``compile_expr`` turns an AST into one Python function, generated as a
 Python ``ast`` tree, so that grid-scale sampling pays one interpreter
-frame per evaluation and no helper call; a domain error raises
-EvalDomainError naming the failing sub-expression, from a guarded form
-that runs only where the fast one raises.  ``abs_batch`` gives |f| of a
-one-variable expression at a list of points, in one frame.  Evaluation is
+frame per evaluation and no helper call; where that fast form raises, a
+checked tree evaluator gives the value or raises EvalDomainError naming
+the failing sub-expression.  ``abs_batch`` gives |f| of a one-variable
+expression at a list of points, from one list comprehension.  Evaluation is
 pure and deterministic: the same AST evaluated at the same inputs
 returns the same bit pattern, except for the sign of a NaN, which
 CPython's adaptive float arithmetic may flip from one call to the next
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -296,24 +297,6 @@ def pretty(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _fail(text, value, reason):
-    raise EvalDomainError(text, value, reason)
-
-
-def _guarded_exp(x, text):
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise EvalDomainError(text, x, "overflow in exp") from None
-
-
-def _guarded_trig(fn, x, text):
-    try:
-        return fn(x)
-    except ValueError:  # math.sin and math.cos at +-inf
-        raise EvalDomainError(text, x, f"{fn.__name__} of infinite argument") from None
-
-
 def _guarded_pow(base, exponent, text):
     if base < 0.0 and exponent != math.floor(exponent):
         raise EvalDomainError(text, base, "fractional power of negative base")
@@ -326,40 +309,83 @@ def _guarded_pow(base, exponent, text):
 
 
 def _reject():
-    # a fast form's inline check failed; its guarded form decides what to raise
+    # a fast form's inline check failed; _checked decides what to raise
     raise ArithmeticError("outside the fast form's domain")
 
 
+_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
+         "sqrt": math.sqrt, "abs": abs}
+_APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "<": operator.lt,
+          "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
+
+
+def _checked(e, env):
+    """Evaluate ``e`` at the bindings ``env``, checking every domain.
+
+    A compiled function runs this whenever its fast form raises, so every
+    error, and every value where the fast form raises, comes from here.
+    Operands evaluate left to right, except that "/" evaluates and checks
+    its denominator first, and only the taken branch of "if", "and" and
+    "or" runs.  A failed check raises EvalDomainError naming the
+    sub-expression as ``pretty`` renders it.
+    """
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Neg):
+        return -_checked(e.operand, env)
+    if isinstance(e, If):
+        return _checked(e.then if _checked(e.cond, env) != 0.0 else e.other, env)
+    if isinstance(e, Call):
+        x = _checked(e.arg, env)
+        if e.name == "log" and x <= 0.0:
+            reason = "log of non-positive argument"
+        elif e.name == "sqrt" and x < 0.0:
+            reason = "square root of negative argument"
+        else:
+            try:
+                return _MATH[e.name](x)
+            except OverflowError:  # exp
+                reason = "overflow in exp"
+            except ValueError:  # sin and cos at +-inf
+                reason = f"{e.name} of infinite argument"
+        raise EvalDomainError(pretty(e), x, reason)
+    op = e.op
+    if op == "/":
+        den = _checked(e.right, env)
+        if den == 0.0:
+            raise EvalDomainError(pretty(e), den, "division by zero")
+        return _checked(e.left, env) / den
+    left = _checked(e.left, env)
+    if op == "and":
+        return 1.0 if left != 0.0 and _checked(e.right, env) != 0.0 else 0.0
+    if op == "or":
+        return 1.0 if left != 0.0 or _checked(e.right, env) != 0.0 else 0.0
+    right = _checked(e.right, env)
+    if op == "^":
+        return _guarded_pow(left, right, pretty(e))
+    if op in _ARITH:
+        return _APPLY[op](left, right)
+    return 1.0 if _APPLY[op](left, right) else 0.0
+
+
 # globals of every compiled function, and each fast form's fallback
-# (_guarded<i>, kept as long as compile_expr's cache keeps its function);
+# (_checked<i>, kept as long as compile_expr's cache keeps its function);
 # names start with "_" and never clash with the argument slots (_a<i>),
 # the temporaries (_t<i>) or the parameter _points
 _RUNTIME = {
     "__builtins__": {},
     "_Exception": Exception,
-    "_fail": _fail,
     "_reject": _reject,
-    "_pow": _guarded_pow,
     "_floor": math.floor,
-    "_exp_guarded": _guarded_exp,
-    "_trig_guarded": _guarded_trig,
-    "_exp": math.exp,
-    "_log": math.log,
-    "_sqrt": math.sqrt,
-    "_sin": math.sin,
-    "_cos": math.cos,
-    "_abs": abs,
+    **{f"_{name}": fn for name, fn in _MATH.items()},
 }
 _FALLBACK_IDS = count()
 _FILENAME = "<simpvex expression>"
 _ARITH = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
 _COMPARE = {"<": ast.Lt, "<=": ast.LtE, ">": ast.Gt, ">=": ast.GtE, "==": ast.Eq}
 _LOGIC = {"and": ast.And, "or": ast.Or}
-# function -> (comparison with 0.0 that puts its argument out of domain, reason)
-_DOMAIN = {
-    "log": (ast.LtE, "log of non-positive argument"),
-    "sqrt": (ast.Lt, "square root of negative argument"),
-}
 
 
 def _node(cls, *fields, **named):
@@ -397,10 +423,6 @@ def _indicator(test):
     return _choose(test, _const(1.0), _const(0.0))
 
 
-def _failure(text, value, reason):
-    return _call("_fail", _const(text), value, _const(reason))
-
-
 def _power(base, exponent):
     return _node(ast.BinOp, base, ast.Pow(), exponent)
 
@@ -414,22 +436,17 @@ def _literal(e):
 
 
 class _Compiler:
-    """Turn an AST into one Python expression over argument slots.
+    """Turn an AST into the fast form: one Python expression over argument slots.
 
-    The guarded form checks every domain itself and raises
-    EvalDomainError through ``_fail`` and the ``_*_guarded`` helpers, with
-    error texts fixed at compile time; its operands evaluate left to
-    right, except that "/" evaluates and checks its denominator first.
-    The fast form leaves the checks to Python's operators and ``math``,
-    which raise where the guards would, and raises something at every
-    argument where the guarded form raises, so running the guarded form
-    whenever the fast one raises reproduces every value and every error.
-    In both forms only the taken branch of "if", "and" and "or" runs.
+    The fast form leaves the domain checks to Python's operators and
+    ``math``, which raise where ``_checked``'s checks fail, and raises
+    something at every argument where ``_checked`` raises, so running
+    ``_checked`` whenever the fast form raises reproduces every value and
+    every error.  Only the taken branch of "if", "and" and "or" runs.
     """
 
-    def __init__(self, index: Mapping[str, int], guarded: bool):
+    def __init__(self, index: Mapping[str, int]):
         self.index = index
-        self.guarded = guarded
         self.temps = 0
 
     def bind(self, value):
@@ -437,14 +454,6 @@ class _Compiler:
         ident = f"_t{self.temps}"
         self.temps += 1
         return _name(ident), _node(ast.NamedExpr, _node(ast.Name, ident, ast.Store()), value)
-
-    def guard(self, value, op, limit, unsafe, safe):
-        """``unsafe(x)`` if ``value op limit`` holds, else ``safe(x)``.
-
-        ``value`` is evaluated once, into a fresh local ``x``.
-        """
-        x, bind = self.bind(value)
-        return _choose(_compare(bind, op, _const(limit)), unsafe(x), safe(x))
 
     def build(self, e):
         if isinstance(e, Num):
@@ -458,8 +467,8 @@ class _Compiler:
             return _node(ast.UnaryOp, ast.USub(), self.build(e.operand))
         if isinstance(e, Bin):
             return self.binary(e)
-        if isinstance(e, Call):
-            return self.call(e)
+        if isinstance(e, Call):  # math raises where _checked fails
+            return _call(f"_{e.name}", self.build(e.arg))
         if isinstance(e, If):
             cond = self.build(e.cond)
             then = self.build(e.then)
@@ -478,16 +487,9 @@ class _Compiler:
             return _node(ast.BinOp, left, _ARITH[op](), right)
         if op in _COMPARE:
             return _indicator(_compare(left, _COMPARE[op], right))
-        if op == "/":
-            if not self.guarded:  # ZeroDivisionError where the guard fails
-                return _node(ast.BinOp, left, ast.Div(), right)
-            text = pretty(e)
-            return self.guard(right, ast.Eq, 0.0,
-                              lambda den: _failure(text, den, "division by zero"),
-                              lambda den: _node(ast.BinOp, left, ast.Div(), den))
+        if op == "/":  # ZeroDivisionError where _checked fails
+            return _node(ast.BinOp, left, ast.Div(), right)
         if op == "^":
-            if self.guarded:
-                return _call("_pow", left, right, _const(pretty(e)))
             return self.power(left, right, _literal(e.right))
         raise ValueError(f"unknown operator {op!r}")
 
@@ -506,7 +508,7 @@ class _Compiler:
             return _choose(_compare(bind, ast.Lt, _const(0.0)), _call("_reject"),
                            _power(b, _const(literal)))
         # the exponent first: either order gives the same value, and a raise
-        # goes to the guarded form; floor raises where _guarded_pow's does
+        # goes to _checked; floor raises where _guarded_pow's does
         x, bind_x = self.bind(exponent)
         b, bind_b = self.bind(base)
         integral = _compare(_call("_floor", x), ast.Eq, x)
@@ -515,30 +517,6 @@ class _Compiler:
                                _choose(integral, _power(b, x), _call("_reject")),
                                _power(b, x)),
                        _call("_reject"))
-
-    def call(self, e):
-        name = e.name
-        arg = self.build(e.arg)
-        direct = lambda x: _call(f"_{name}", x)
-        if name == "abs" or not self.guarded:  # math raises where the guards fail
-            return direct(arg)
-        text = pretty(e)
-        if name in ("sin", "cos"):
-            # a finite argument calls math directly; +-inf (and NaN, whose
-            # result stays NaN) goes through the helper
-            x, bind = self.bind(arg)
-            finite = _node(ast.Compare, _const(-math.inf), [ast.Lt(), ast.Lt()],
-                           [bind, _const(math.inf)])
-            return _choose(finite, direct(x), _call("_trig_guarded", _name(f"_{name}"), x,
-                                                    _const(text)))
-        if name == "exp":
-            # exp(709.0) is finite: at or below it, and at NaN, math.exp
-            # cannot overflow and is called directly
-            return self.guard(arg, ast.Gt, 709.0,
-                              lambda x: _call("_exp_guarded", x, _const(text)), direct)
-        op, reason = _DOMAIN[name]
-        return self.guard(arg, op, 0.0, lambda x: _failure(text, x, reason), direct)
-
 
 def _params(names):
     return ast.arguments([], [_node(ast.arg, n) for n in names], None, [], [], None, [])
@@ -560,31 +538,24 @@ def _slots(var_order):
     return [f"_a{i}" for i in range(len(var_order))]
 
 
-def _body(e, var_order, guarded):
+def _body(e, var_order):
     index = {name: i for i, name in enumerate(var_order)}
-    return _Compiler(index, guarded).build(e)
+    return _Compiler(index).build(e)
 
 
-def _guarded_form(e, var_order):
-    """The guarded form: one lambda, guards and all."""
-    tree = ast.Expression(_node(ast.Lambda, _params(_slots(var_order)),
-                                _body(e, var_order, True)))
-    return eval(compile(tree, _FILENAME, "eval"), _RUNTIME)
+def _fast_form(e, var_order):
+    """The fast form, which returns ``_checked`` at its arguments when it raises.
 
-
-def _fast_form(e, var_order, slow):
-    """The fast form, which returns ``slow`` at its arguments when it raises.
-
-    ``slow`` is bound to a global name of its own, which costs less per
-    call than a closure.  The fallback runs after the except clause, so an
-    EvalDomainError from ``slow`` carries no fast-form exception as its
-    context.
+    The fallback is bound to a global name of its own, which costs less
+    per call than a closure.  It runs after the except clause, so an
+    EvalDomainError from ``_checked`` carries no fast-form exception as
+    its context.
     """
-    fallback = f"_guarded{next(_FALLBACK_IDS)}"
-    _RUNTIME[fallback] = slow
+    fallback = f"_checked{next(_FALLBACK_IDS)}"
+    _RUNTIME[fallback] = lambda *args: _checked(e, dict(zip(var_order, args)))
     slots = _slots(var_order)
     return _define(_function("_fast", slots, [
-        _node(ast.Try, [_node(ast.Return, _body(e, var_order, False))],
+        _node(ast.Try, [_node(ast.Return, _body(e, var_order))],
               [_node(ast.ExceptHandler, _name("_Exception"), None, [_node(ast.Pass)])], [], []),
         _node(ast.Return, _call(fallback, *map(_name, slots))),
     ]), "_fast")
@@ -595,29 +566,8 @@ def _batch_form(e, var_order):
     (slot,) = _slots(var_order)
     each = ast.comprehension(_node(ast.Name, slot, ast.Store()), _name("_points"), [], 0)
     tree = ast.Expression(_node(ast.Lambda, _params(["_points"]), _node(
-        ast.ListComp, _call("_abs", _body(e, var_order, False)), [each])))
+        ast.ListComp, _call("_abs", _body(e, var_order)), [each])))
     return eval(compile(tree, _FILENAME, "eval"), _RUNTIME)
-
-
-class _Forms:
-    """The guarded and batch forms of one expression, each compiled on first use."""
-
-    __slots__ = ("e", "var_order", "_guarded", "_batch")
-
-    def __init__(self, e: Expr, var_order: Tuple[str, ...]):
-        self.e = e
-        self.var_order = var_order
-        self._guarded = self._batch = None
-
-    def guarded(self, *args):
-        if self._guarded is None:
-            self._guarded = _guarded_form(self.e, self.var_order)
-        return self._guarded(*args)
-
-    def batch(self):
-        if self._batch is None:
-            self._batch = _batch_form(self.e, self.var_order)
-        return self._batch
 
 
 @lru_cache(maxsize=None)
@@ -630,16 +580,14 @@ def compile_expr(e: Expr, var_order: Tuple[str, ...]) -> Callable[..., float]:
     helper on the way to a value.  Python raises where a domain check
     would fail, and the one inline check left stops a negative base with
     a fractional exponent (and, for an exponent that is not a finite
-    literal, the power -inf).  When the fast form raises, a guarded
-    form, compiled on first need, evaluates the same arguments: every
-    value and every EvalDomainError text, naming the failing
-    sub-expression, are those of the guarded form.  Variables bind to
-    argument slots by position, so any declared name is safe.  An
-    unbound variable raises ValueError here.
+    literal, the power -inf).  When the fast form raises, a checked tree
+    evaluator runs on the same arguments: every value and every
+    EvalDomainError text, naming the failing sub-expression, are its own.
+    Variables bind to argument slots by position, so any declared name is
+    safe.  An unbound variable raises ValueError here.
     """
-    forms = _Forms(e, var_order)
-    fn = _fast_form(e, var_order, forms.guarded)
-    fn.forms = forms
+    fn = _fast_form(e, var_order)
+    fn.source, fn.batch = (e, var_order), None  # read by abs_batch
     return fn
 
 
@@ -649,13 +597,15 @@ def abs_batch(fn) -> Optional[Callable[[Sequence[float]], List[float]]]:
     ``abs_batch(fn)(points)`` returns the list of ``abs(fn(x))`` for each
     x of the sequence ``points``, from one list comprehension: one frame,
     no call per point.  It raises where fn's fast form raises, without
-    the guarded form's error: call fn point by point to find the failing
-    point and its EvalDomainError.  Compiled on first use.
+    the checked evaluator's error: call fn point by point to find the
+    failing point and its EvalDomainError.  Compiled on first use.
     """
-    forms = getattr(fn, "forms", None)
-    if not isinstance(forms, _Forms) or len(forms.var_order) != 1:
+    source = getattr(fn, "source", None)
+    if getattr(fn, "__globals__", None) is not _RUNTIME or source is None or len(source[1]) != 1:
         return None
-    return forms.batch()
+    if fn.batch is None:
+        fn.batch = _batch_form(*source)
+    return fn.batch
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
@@ -673,6 +623,7 @@ def check_derivative(f: Expr, df: Expr, interval: Tuple[float, float],
     compares df(x) with (f(x+h) - f(x-h)) / (2h), h = max(1e-6, 1e-6|x|).
     The mismatch is measured relative to max(1, |df(x)|, |fd|), which
     keeps the gate meaningful where the derivative passes through zero.
+    A NaN mismatch counts as an infinite one, so it fails the gate.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -689,6 +640,8 @@ def check_derivative(f: Expr, df: Expr, interval: Tuple[float, float],
         fd = (f_fn(x + h) - f_fn(x - h)) / (2.0 * h)
         want = df_fn(x)
         mismatch = abs(want - fd) / max(1.0, abs(want), abs(fd))
+        if mismatch != mismatch:
+            mismatch = math.inf
         if mismatch > worst:
             worst = mismatch
             witness = (x, want, fd)

@@ -66,16 +66,20 @@ def log_moment_p(p: float) -> float:
     return log_num - log_den
 
 
+_EXACT_MAX = 1000.0
+
+
 def moment_p(p: float) -> float:
     """p-th absolute moment of the kernel over a half interval, p >= 1.
 
-    Uses exact rationals when p is integral and switches to log space for
-    p > 50, where 6^(p+1) would otherwise overflow long before the value
-    itself underflows.
+    Uses exact rationals when p is integral, up to _EXACT_MAX, and
+    switches to log space for p > 50, where 6^(p+1) would otherwise
+    overflow long before the value itself underflows.  Past p = 671 both
+    routes give 0.0, and the exact one costs time quadratic in p.
     """
     if p < 1.0:
         raise ValueError("moment order must be >= 1")
-    if p == math.floor(p):
+    if p == math.floor(p) and p <= _EXACT_MAX:
         return float(moment_p_exact(int(p)))
     if p > 50.0:
         return math.exp(log_moment_p(p))

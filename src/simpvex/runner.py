@@ -676,8 +676,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                    grid: SampleGrid = DEFAULT_GRID) -> List[TightnessResult]:
     """Maximise |defect| / rhs per theorem over an (a, b, q) grid.
 
-    Cells with a non-positive step, a path leaving K, rhs == 0 or a NaN
-    ratio are skipped, and so is every cell of a q whose sampled
+    Cells with a non-positive step, a path leaving K, a zero or NaN rhs
+    or a NaN ratio are skipped, and so is every cell of a q whose sampled
     hypothesis fails or overflows, and of every theorem with a hypothesis
     when K is not invex for eta (or eta fails on its samples); a theorem
     with no usable cell is reported with status "all_skipped".  Ties keep
@@ -764,9 +764,9 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                     pair.skipped += 1
                     continue
                 rhs = pair.row.rhs(x1, x2, step, pair.k)
-                if not rhs >= 0.0:  # what BoundValue raises
+                if rhs < 0.0:  # what BoundValue raises
                     raise ValueError(f"bound {pair.theorem} produced negative rhs {rhs!r}")
-                if rhs == 0.0:
+                if not rhs > 0.0:  # zero or NaN: no ratio to rank
                     pair.skipped += 1
                     continue
                 ratio = lhs / rhs

@@ -182,6 +182,15 @@ def test_scan_square(capsys):
     assert lines[1].startswith("T3.1,ok,0.0,")
 
 
+def test_scan_skips_cells_with_a_nan_rhs(capsys):
+    # f'(0) is NaN, so every cell with a = 0 has a NaN rhs; (0.5, 0.5) has no step
+    assert main(["scan", "--f", "x^2", "--df", "if(x==0, (x-x)*1e999, 2*x)", "--K", "0,1",
+                 "--a-range", "0,0.5", "--b-range", "0.5,1", "--steps", "3", "--q", "1",
+                 "--theorems", "T3.1"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[1] == "T3.1,ok,0.0,0.25,0.5,1.0,9,4"
+
+
 def test_scan_theorem_ids_may_carry_spaces_and_empty_parts(capsys):
     argv = ["scan", "--f", "x^2", "--df", "2*x", "--F", "(x^3)/3", "--K", "0,1",
             "--a-range", "0,0", "--b-range", "1,1", "--q", "1, 2", "--steps", "2"]

@@ -209,6 +209,15 @@ def test_check_derivative_rejects_wrong_derivative():
     assert abs(claimed - observed) > 1e-3
 
 
+def test_check_derivative_rejects_a_derivative_that_is_nan_everywhere():
+    # (x - x) * inf is NaN at every x: no mismatch compares, so each must count
+    report = check_derivative(parse("x", X), parse("1 + (x-x)*1e999", X), (0.0, 1.0))
+    assert report.verdict == "violated"
+    assert report.worst_violation == math.inf
+    x, claimed, observed = report.witness
+    assert x == 1.0 / 12.0 and math.isnan(claimed) and observed == pytest.approx(1.0)
+
+
 def test_check_derivative_interval_validation():
     with pytest.raises(ValueError):
         check_derivative(parse("x", X), parse("1", X), (1.0, 1.0))
@@ -355,15 +364,18 @@ _diff_leaves = st.one_of(_leaves, st.sampled_from([0.0, math.inf, 709.0]).map(Nu
        st.lists(st.tuples(_inputs, _inputs), min_size=8, max_size=8))
 def test_compiled_matches_closure_reference(tree, points):
     fn = compile_expr(tree, ("x", "y"))
+    checked = _checked(tree, ("x", "y"))
     ref = _reference(tree, ("x", "y"))
     for x, y in points:
-        assert _outcome(fn, x, y) == _outcome(ref, x, y), (pretty(tree), x, y)
+        want = _outcome(ref, x, y)
+        assert _outcome(fn, x, y) == want, (pretty(tree), x, y)
+        assert _outcome(checked, x, y) == want, (pretty(tree), x, y)
 
 
-# The fast form against the guarded form: compile_expr's function runs the
-# fast form and falls back to the guarded one only when the fast one raises,
-# so any point where the fast form returns a value the guarded form would
-# not (or raises nothing where it raises) shows up as a mismatch here.
+# The fast form against the checked evaluator: compile_expr's function runs
+# the fast form and falls back to the evaluator only when the fast one
+# raises, so any point where the fast form returns a value the evaluator
+# would not (or raises nothing where it raises) shows up as a mismatch here.
 
 _EXPONENTS = [2.0, 3.0, 0.0, -1.0, -2.0, 0.5, 1.5, -0.5, 1e300, math.inf]
 
@@ -411,8 +423,8 @@ _POWER_PAIRS = [(0.0, -math.inf), (-0.0, -math.inf), (-2.0, 0.5), (-math.inf, 0.
 _fast_pairs = st.one_of(st.tuples(_fast_points, _fast_points), st.sampled_from(_POWER_PAIRS))
 
 
-def _guarded(tree, var_order):
-    return simpvex.expr._guarded_form(tree, var_order)
+def _checked(tree, var_order):
+    return lambda *args: simpvex.expr._checked(tree, dict(zip(var_order, args)))
 
 
 @settings(max_examples=500, deadline=None)
@@ -420,9 +432,9 @@ def _guarded(tree, var_order):
        st.lists(_fast_pairs, min_size=8, max_size=8))
 def test_fast_form_matches_guarded_form(tree, points):
     fast = compile_expr(tree, ("x", "y"))
-    guarded = _guarded(tree, ("x", "y"))
+    checked = _checked(tree, ("x", "y"))
     for x, y in points:
-        assert _outcome(fast, x, y) == _outcome(guarded, x, y), (pretty(tree), x, y)
+        assert _outcome(fast, x, y) == _outcome(checked, x, y), (pretty(tree), x, y)
 
 
 def _abs_outcome(fn, x):
@@ -439,8 +451,8 @@ def test_batch_form_matches_point_by_point_abs(tree, points):
     try:
         values = batch(points)
     except Exception:
-        # the batch raises where the fast form raises, also where the guarded
-        # form then gives a value (1 ^ -inf is 1.0): at some point on its own
+        # the batch raises where the fast form raises, also where the checked
+        # evaluator then gives a value (1 ^ -inf is 1.0): at some point on its own
         assert any(_outcome(lambda x: batch([x])[0], x)[0] == "raise" for x in points), (
             pretty(tree), points)
     else:
@@ -448,10 +460,22 @@ def test_batch_form_matches_point_by_point_abs(tree, points):
         assert [_outcome(lambda v: v, v) for v in values] == outcomes, (pretty(tree), points)
 
 
+def test_abs_batch_serves_only_one_variable_compiled_functions():
+    fn = compile_expr(parse("x - 2", X), ("x",))
+    batch = simpvex.expr.abs_batch(fn)
+    assert batch([1.0, 3.0]) == [1.0, 1.0]
+    assert simpvex.expr.abs_batch(fn) is batch  # compiled once
+    wrapped = lambda x: fn(x)
+    wrapped.source = fn.source
+    assert simpvex.expr.abs_batch(wrapped) is None
+    assert simpvex.expr.abs_batch(batch) is None
+    assert simpvex.expr.abs_batch(compile_expr(parse("x", X), ("x", "y"))) is None
+
+
 def test_fast_form_raises_where_python_would_not():
     # a negative base to a fractional power (Python gives a complex number),
     # zero to the power -inf (Python gives inf) and a non-integral exponent
-    # of a negative base (math.floor raises) keep the guarded form's outcome
+    # of a negative base (math.floor raises) keep the checked evaluator's outcome
     for source, x, y, want in [
         ("x^0.5", -4.0, 0.0, "fractional power of negative base in (x ^ 0.5) at -4.0"),
         ("x^y", -4.0, 0.5, "fractional power of negative base in (x ^ y) at -4.0"),
@@ -554,6 +578,12 @@ def test_deep_trees_match_reference():
         assert got == _reference(tree, ("x",))(0.1)
         assert got == pytest.approx(want)
     assert ev("+".join(["x"] * 300), x=1.0) == 300.0
+    # the fast form raises at x = -1, so the checked evaluator walks the
+    # whole sum before it names the failing log
+    failing = Bin("+", total, Call("log", Var("x")))
+    got = _outcome(compile_expr(failing, ("x",)), -1.0)
+    assert got == _outcome(_reference(failing, ("x",)), -1.0)
+    assert got[1:] == (EvalDomainError, "log of non-positive argument in log(x) at -1.0")
 
 
 def test_python_keywords_are_legal_variable_names():

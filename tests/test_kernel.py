@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,17 @@ def test_exact_moments():
 def test_moment_p_matches_exact_for_integone():
     for p in (1, 2, 3, 4, 10):
         assert moment_p(float(p)) == float(moment_p_exact(p))
+
+
+def test_moment_p_keeps_exact_values_up_to_its_cap_and_is_fast_past_it():
+    for p in range(51, 1001):
+        assert moment_p(float(p)) == float(moment_p_exact(p)), p
+    # past the cap the log route answers, and both routes have underflowed
+    for p in (1001, 1500):
+        assert moment_p(float(p)) == float(moment_p_exact(p)) == 0.0
+    start = time.perf_counter()
+    assert moment_p(1e7) == 0.0
+    assert time.perf_counter() - start < 0.5  # the exact route takes minutes
 
 
 def test_moment_p_rejects_small_order():

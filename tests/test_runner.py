@@ -123,6 +123,12 @@ def test_wrong_derivative_fixture_rejected_at_load(data_dir):
     assert "disagrees" in str(info.value)
 
 
+def test_nan_derivative_rejected_at_load():
+    with pytest.raises(CaseConfigError) as info:
+        load_case(square_case(f="x", df="1 + (x-x)*1e999", F="x^2/2"))
+    assert "disagrees" in str(info.value) and "df=nan" in str(info.value)
+
+
 def test_invalid_eta_fixture_is_an_input_error(data_dir):
     config = json.loads((data_dir / "invalid_eta.json").read_text())
     case = load_case(config)
