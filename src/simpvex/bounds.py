@@ -166,6 +166,7 @@ class SimpsonDefect:
     defect: float
     quadrature_error: float
     evaluations: int
+    f_values: Optional[Tuple[float, float, float]] = None  # f(a), f(mid), f(end) of the sum
 
 
 @dataclass(frozen=True)
@@ -204,12 +205,20 @@ def _require_path(a: float, eta_val: float, domain: Domain) -> float:
     return eta_val
 
 
-def _mean_of_f(model: FunctionModel, a: float, end: float, eta_val: float, abs_tol: float):
-    """(mean of f on [a, end], its quadrature error share, evaluations)."""
-    if model.F_fn is not None:
-        return (model.F_fn(end) - model.F_fn(a)) / eta_val, 0.0, 0
-    qr = quadrature.integrate(model.f_fn, a, end, abs_tol)
-    return qr.value / eta_val, qr.error_estimate / eta_val, qr.evaluations
+def _defect(model: FunctionModel, a: float, step: float, abs_tol: float):
+    """((f(a), f(mid), f(end)), Simpson value, mean of f, its quadrature error
+    share, evaluations) on [a, end = a + step]: the one home of the Simpson
+    sum and the mean, unchecked; the caller has checked step > 0 and that a
+    and end lie in ``model.domain``, as ``simpson_defect`` does."""
+    f = model.f_fn
+    end = a + step
+    fa, fmid, fend = f(a), f(a + 0.5 * step), f(end)
+    simpson_value = (fa + 4.0 * fmid + fend) / 6.0
+    F = model.F_fn
+    if F is not None:
+        return (fa, fmid, fend), simpson_value, (F(end) - F(a)) / step, 0.0, 0
+    value, error, evaluations = quadrature._integrate_unchecked(f, a, end, abs_tol)
+    return (fa, fmid, fend), simpson_value, value / step, error / step, evaluations
 
 
 def simpson_defect(model: FunctionModel, a: float, eta_val: float,
@@ -220,12 +229,8 @@ def simpson_defect(model: FunctionModel, a: float, eta_val: float,
     quadrature_error is 0), numeric integration otherwise.
     """
     eta_val = _require_path(a, eta_val, model.domain)
-    f = model.f_fn
-    end = a + eta_val
-    mid = a + 0.5 * eta_val
-    simpson_value = (f(a) + 4.0 * f(mid) + f(end)) / 6.0
-    mean, qerr, evals = _mean_of_f(model, a, end, eta_val, abs_tol)
-    return SimpsonDefect(simpson_value, mean, simpson_value - mean, qerr, evals)
+    values, simpson_value, mean, qerr, evals = _defect(model, a, eta_val, abs_tol)
+    return SimpsonDefect(simpson_value, mean, simpson_value - mean, qerr, evals, values)
 
 
 def lemma_rhs(model: FunctionModel, a: float, eta_val: float,
@@ -265,8 +270,19 @@ def midpoint_gap(model: FunctionModel, a: float, eta_val: float,
     Returns (gap, quadrature_error).
     """
     eta_val = _require_path(a, eta_val, model.domain)
-    mean, qerr, _ = _mean_of_f(model, a, a + eta_val, eta_val, abs_tol)
-    return model.f_fn(a + 0.5 * eta_val) - mean, qerr
+    (_, fmid, _), _, mean, qerr, _ = _defect(model, a, eta_val, abs_tol)
+    return fmid - mean, qerr
+
+
+def _midpoint(fa: float, fmid: float, fend: float,
+              precondition_tol: float = _PRECONDITION_TOL) -> float:
+    """fmid, under C4.2's precondition fa = fmid = fend within ``precondition_tol``."""
+    if abs(fa - fmid) > precondition_tol or abs(fmid - fend) > precondition_tol:
+        raise PreconditionUnmet(
+            f"midpoint bound needs f(a) = f(mid) = f(end); got "
+            f"{fa!r}, {fmid!r}, {fend!r}"
+        )
+    return fmid
 
 
 def midpoint_value(model: FunctionModel, a: float, eta_val: float,
@@ -276,15 +292,7 @@ def midpoint_value(model: FunctionModel, a: float, eta_val: float,
     Raises PreconditionUnmet unless the three agree within ``precondition_tol``.
     """
     f = model.f_fn
-    fa = f(a)
-    fmid = f(a + 0.5 * eta_val)
-    fend = f(a + eta_val)
-    if abs(fa - fmid) > precondition_tol or abs(fmid - fend) > precondition_tol:
-        raise PreconditionUnmet(
-            f"midpoint bound needs f(a) = f(mid) = f(end); got "
-            f"{fa!r}, {fmid!r}, {fend!r}"
-        )
-    return fmid
+    return _midpoint(f(a), f(a + 0.5 * eta_val), f(a + eta_val), precondition_tol)
 
 
 def fourth_derivative_sup(model: FunctionModel) -> float:
@@ -312,20 +320,24 @@ def _moment_root(p: float, scale: float = 1.0) -> float:
     return (scale * kernel.moment_p(p)) ** (1.0 / p)
 
 
-def _weighted_q_mean(w1: float, x1: float, w2: float, x2: float, q: float) -> float:
-    """(w1 x1^q + w2 x2^q)^(1/q) over magnitudes x1, x2 >= 0.
+def _power_means(scale: float, w1: float, w2: float, q: float, mirrored: bool):
+    """rhs(x1, x2, step) = step * scale * (w1 x1^q + w2 x2^q)^(1/q), plus the same
+    with w1, w2 swapped if ``mirrored``; x1^q, then x2^q, once per call.  For
+    q > 100 the powers are rescaled by m = max(x1, x2) so they cannot overflow;
+    m = 1.0 otherwise leaves every float operation exact (x ** 1.0 too)."""
+    r = 1.0 / q
+    rescale = q > _LARGE_EXPONENT
 
-    For q > 100 the powers are rescaled by max(x1, x2) so intermediate
-    terms cannot overflow; the result is unchanged.
-    """
-    if q == 1.0:
-        return w1 * x1 + w2 * x2
-    if q <= _LARGE_EXPONENT:
-        return (w1 * x1 ** q + w2 * x2 ** q) ** (1.0 / q)
-    m = max(x1, x2)
-    if m == 0.0:
-        return 0.0
-    return m * (w1 * (x1 / m) ** q + w2 * (x2 / m) ** q) ** (1.0 / q)
+    def rhs(x1, x2, step):
+        m = max(x1, x2) if rescale else 1.0
+        if m == 0.0:
+            return step * scale * 0.0
+        p1 = (x1 / m) ** q
+        p2 = (x2 / m) ** q
+        s = m * (w1 * p1 + w2 * p2) ** r
+        return step * scale * (s + m * (w2 * p1 + w1 * p2) ** r if mirrored else s)
+
+    return rhs
 
 
 def _slack(rhs: float, defect: Optional[SimpsonDefect]) -> Optional[float]:
@@ -334,58 +346,53 @@ def _slack(rhs: float, defect: Optional[SimpsonDefect]) -> Optional[float]:
     return rhs - abs(defect.defect) - defect.quadrature_error
 
 
-# Right-hand sides rhs(x1, x2, step, q) over x1 = |f'(a)|, x2 = |f'(b)|.
-# They do not check q; the (q, p) labels of THEOREMS do.
+# rhs_for(q) -> rhs(x1, x2, step) over x1 = |f'(a)|, x2 = |f'(b)|: each
+# bound's formula with its q-only factors taken once.  They do not check
+# q; the (q, p) labels of THEOREMS do.
 
-def _rhs_T3_1(x1: float, x2: float, step: float, q) -> float:
-    return _M1 * step * (x1 + x2)
-
-
-def _rhs_T3_2(x1: float, x2: float, step: float, q: float) -> float:
-    return step * _moment_root(_conjugate(q)) * (
-        _weighted_q_mean(_HALF_NEAR, x1, _HALF_FAR, x2, q)
-        + _weighted_q_mean(_HALF_FAR, x1, _HALF_NEAR, x2, q)
-    )
+def _rhs_T3_1(q):
+    return lambda x1, x2, step: _M1 * step * (x1 + x2)
 
 
-def _rhs_T3_3(x1: float, x2: float, step: float, q: float) -> float:
-    return step * _moment_root(_conjugate(q), 2.0) * _weighted_q_mean(0.5, x1, 0.5, x2, q)
+def _rhs_T3_2(q: float):
+    return _power_means(_moment_root(_conjugate(q)), _HALF_NEAR, _HALF_FAR, q, True)
 
 
-def _rhs_T3_4(x1: float, x2: float, step: float, q: float) -> float:
-    return step * _M1 ** (1.0 - 1.0 / q) * (
-        _weighted_q_mean(_W_END, x1, _W_FAR, x2, q)
-        + _weighted_q_mean(_W_FAR, x1, _W_END, x2, q)
-    )
+def _rhs_T3_3(q: float):
+    return _power_means(_moment_root(_conjugate(q), 2.0), 0.5, 0.5, q, False)
 
 
-def _rhs_T4_1(x1: float, x2: float, step: float, q) -> float:
+def _rhs_T3_4(q: float):
+    return _power_means(_M1 ** (1.0 - 1.0 / q), _W_END, _W_FAR, q, True)
+
+
+def _rhs_T4_1(q):
     """(5/36) eta max(|f'(a)|, |f'(b)|), the rhs of T4.1, C4.1 and C4.2."""
-    return 2.0 * _M1 * step * max(x1, x2)
+    return lambda x1, x2, step: 2.0 * _M1 * step * max(x1, x2)
 
 
-def _rhs_T4_2(x1: float, x2: float, step: float, q: float) -> float:
-    return 2.0 * step * _moment_root(_conjugate(q)) * max(x1, x2) * 0.5 ** (1.0 / q)
+def _rhs_T4_2(q: float):
+    root, half = _moment_root(_conjugate(q)), 0.5 ** (1.0 / q)
+    return lambda x1, x2, step: 2.0 * step * root * max(x1, x2) * half
 
 
-def _rhs_T4_3(x1: float, x2: float, step: float, q: float) -> float:
-    return step * _moment_root(_conjugate(q), 2.0) * max(x1, x2) * 0.5 ** (1.0 / q)
+def _rhs_T4_3(q: float):
+    root, half = _moment_root(_conjugate(q), 2.0), 0.5 ** (1.0 / q)
+    return lambda x1, x2, step: step * root * max(x1, x2) * half
 
 
-def _rhs_classical(x1, x2, step: float, d4sup: float) -> float:
+def _rhs_classical(d4sup: float):
     """sup|f''''| eta^4 / 2880: takes d4sup in the place of q, reads no magnitudes."""
-    return d4sup * step ** 4 / 2880.0
+    return lambda x1, x2, step: d4sup * step ** 4 / 2880.0
 
 
-def _defect_lhs(model: FunctionModel, a: float, step: float,
-                defect: SimpsonDefect) -> float:
-    return abs(defect.defect)
+def _defect_lhs(defect: float, mean: float, values) -> float:
+    return abs(defect)
 
 
-def _midpoint_lhs(model: FunctionModel, a: float, step: float,
-                  defect: SimpsonDefect) -> float:
-    """|f(a + step/2) - mean of f|, C4.2's left-hand side; PreconditionUnmet as midpoint_value."""
-    return abs(midpoint_value(model, a, step) - defect.mean_integral)
+def _midpoint_lhs(defect: float, mean: float, values) -> float:
+    """C4.2's |f(mid) - mean|, from the sum's values; PreconditionUnmet as midpoint_value."""
+    return abs(_midpoint(*values) - mean)
 
 
 def _q_one(q_list):
@@ -424,16 +431,16 @@ class Theorem(NamedTuple):
     mode: the property |f'|^q must have on samples; None for no hypothesis.
     exponents: the q values the bound takes from a case's q list.
     labels: q -> the (q, p) of its BoundValue; ValueError for a q out of range.
-    rhs: rhs(|f'(a)|, |f'(b)|, step, q); CLASSICAL takes d4sup for q.
-    lhs: lhs(model, a, step, defect), what rhs dominates: |defect|, or
-        |f(a + eta/2) - mean of f| for C4.2.
+    rhs_for: q -> rhs(|f'(a)|, |f'(b)|, step), prepared for q; CLASSICAL takes d4sup.
+    lhs: lhs(defect, mean of f, (f(a), f(mid), f(end))), what rhs dominates:
+        |defect|, or |f(a + eta/2) - mean of f| for C4.2.
     """
 
     mode: Optional[str]
     exponents: Callable[[Sequence[float]], List[Optional[float]]]
     labels: Callable[[Optional[float]], Tuple[Optional[float], Optional[float]]]
-    rhs: Callable[..., float]
-    lhs: Callable[[FunctionModel, float, float, SimpsonDefect], float] = _defect_lhs
+    rhs_for: Callable[[Optional[float]], Callable[[float, float, float], float]]
+    lhs: Callable[[float, float, Tuple[float, float, float]], float] = _defect_lhs
 
 
 # The one theorem table: the bound_* wrappers, runner.run_case and
@@ -461,7 +468,7 @@ def _bound(theorem: str, model: FunctionModel, a: float, b: float, eta_val: floa
     x1 = x2 = None  # CLASSICAL reads no f'
     if row.mode is not None:
         x1, x2 = abs(model.df_fn(a)), abs(model.df_fn(b))
-    rhs = row.rhs(x1, x2, eta_val, q)
+    rhs = row.rhs_for(q)(x1, x2, eta_val)
     return BoundValue(theorem, q_label, p, rhs, _slack(rhs, defect))
 
 

@@ -31,8 +31,7 @@ import ast
 import math
 import operator
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
 from itertools import count
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -570,7 +569,25 @@ def _batch_form(e, var_order):
     return eval(compile(tree, _FILENAME, "eval"), _RUNTIME)
 
 
-@lru_cache(maxsize=None)
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in (Num, Var, Neg, Bin, Call, If)}
+_COMPILED: dict = {}  # (tree key, var_order) -> compiled function
+
+
+def _tree_key(e) -> tuple:
+    """Node classes and leaf values in preorder: equal for equal trees only, and
+    built and compared without the recursion of the dataclasses' __eq__."""
+    key, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        names = _FIELDS.get(type(node))
+        if names is None:  # a leaf value (or not a node, which compiling rejects)
+            key.append(node)
+        else:
+            key.append(type(node))
+            stack.extend(getattr(node, name) for name in reversed(names))
+    return tuple(key)
+
+
 def compile_expr(e: Expr, var_order: Tuple[str, ...]) -> Callable[..., float]:
     """Compile ``e`` into a positional callable over ``var_order``.
 
@@ -586,9 +603,11 @@ def compile_expr(e: Expr, var_order: Tuple[str, ...]) -> Callable[..., float]:
     Variables bind to argument slots by position, so any declared name is
     safe.  An unbound variable raises ValueError here.
     """
-    fn = _fast_form(e, var_order)
-    fn.source, fn.batch = (e, var_order), None  # read by abs_batch
-    return fn
+    key = (_tree_key(e), var_order)
+    if key not in _COMPILED:  # equal trees share one function
+        fn = _COMPILED[key] = _fast_form(e, var_order)
+        fn.source, fn.batch = (e, var_order), None  # read by abs_batch
+    return _COMPILED[key]
 
 
 def abs_batch(fn) -> Optional[Callable[[Sequence[float]], List[float]]]:

@@ -108,6 +108,16 @@ def _integrate_core(g, lo, hi, abs_tol, used, limit):
             m, b, fm, fb, s_whole = lm, m, flm, fm, s_left
 
 
+def _integrate_unchecked(g, lo, hi, abs_tol):
+    """``integrate(g, lo, hi, abs_tol)`` as (value, error estimate, evaluations), for
+    lo <= hi both finite: no interval check, no QuadratureResult.  Sums start at 0.0."""
+    if not abs_tol > 0.0:
+        raise ValueError("abs_tol must be positive")
+    if lo == hi:
+        return 0.0, 0.0, 0
+    return _integrate_core(g, lo, hi, abs_tol, 0, DEFAULT_MAX_EVALS)
+
+
 def integrate(g: Callable[[float], float], lo: float, hi: float,
               abs_tol: float = DEFAULT_ABS_TOL,
               max_evals: int = DEFAULT_MAX_EVALS) -> QuadratureResult:

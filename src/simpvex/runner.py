@@ -495,7 +495,7 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
                         f"note: |f'| is {row.mode} at q=1 but |f'|^q fails at q={q:g}")
                 continue
             try:
-                lhs = row.lhs(model, case.a, step, defect)
+                lhs = row.lhs(defect.defect, defect.mean_integral, defect.f_values)
             except PreconditionUnmet as exc:
                 skipped = True
                 result.notes.append(f"skipped {theorem}: {exc}")
@@ -655,14 +655,14 @@ class TightnessResult:
 class _ScanPair:
     """One (theorem, q) of a scan, and its best cell so far."""
 
-    __slots__ = ("theorem", "q", "row", "k", "uses_df", "skipped", "ratio", "at")
+    __slots__ = ("theorem", "q", "uses_df", "lhs", "rhs", "skipped", "ratio", "at")
 
-    def __init__(self, theorem: str, q: Optional[float], row: bounds_mod.Theorem, k):
+    def __init__(self, theorem: str, q: Optional[float], row: bounds_mod.Theorem):
         self.theorem = theorem
         self.q = q
-        self.row = row
-        self.k = k  # the rhs's last argument: q, or d4sup for CLASSICAL
         self.uses_df = row.mode is not None
+        self.lhs = None if row.lhs is bounds_mod._defect_lhs else row.lhs  # None: |defect|
+        self.rhs = None  # rhs(x1, x2, step), prepared once the pair is active
         self.skipped = 0
         self.ratio = -math.inf
         self.at = None  # (a, b) of the best ratio; None while no cell counted
@@ -683,9 +683,10 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     with no usable cell is reported with status "all_skipped".  Ties keep
     the first cell in (q, a, b) order, so results are deterministic.
 
-    Each (a, b) cell is visited once: its step, containment, defect and
-    |f'(a)|, |f'(b)| serve every (theorem, q) pair, whose lhs and rhs
-    come from its ``bounds.THEOREMS`` row, as in ``run_case``.  ValueError,
+    Each (a, b) cell is visited once: its step, defect and |defect| serve every
+    (theorem, q) pair, whose lhs and rhs come from its ``bounds.THEOREMS`` row, as
+    in ``run_case``.  K.contains and |f'| (at first use) are taken once per axis
+    value, and each rhs is prepared for its q once per pair.  ValueError,
     before any sweep, for steps < 2 or a request ``_request_error``
     rejects: an empty q or theorem list, a q that is not finite or is
     below 1, an unknown theorem id, or a theorem id or q listed twice.
@@ -716,8 +717,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     active = []
     for theorem in theorems:
         row = bounds_mod.THEOREMS[theorem]
-        pairs = [_ScanPair(theorem, q, row, model.d4sup if row.mode is None else q)
-                 for q in row.exponents(q_list)]
+        pairs = [_ScanPair(theorem, q, row) for q in row.exponents(q_list)]
         by_theorem.append((theorem, pairs))
         for pair in pairs:
             try:
@@ -726,44 +726,58 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             except OverflowError:  # |f'|^q overflows on the samples
                 usable = False
             if usable:
+                pair.rhs = row.rhs_for(model.d4sup if row.mode is None else pair.q)
                 active.append(pair)
             else:
                 pair.skipped = n_cells
 
     df = model.df_fn
     reads_df = any(pair.uses_df for pair in active)
+    df_at = {}  # |f'(x)| per axis value x, read at its first use; None where f' fails
+
+    def abs_df(x):
+        if x not in df_at:
+            try:
+                df_at[x] = abs(df(x))
+            except EvalDomainError:
+                df_at[x] = None
+        return df_at[x]
+
+    on_domain = K == model.domain  # else the path must also lie in the model's domain
+    b_inside = [K.contains(b) for b in b_vals]
     unusable = 0  # cells every active pair skips: no step, path or defect
     for a in a_vals if active else ():  # with no active pair, no cell is visited
-        for b in b_vals:
+        a_inside = K.contains(a) and (on_domain or model.domain.contains(a))
+        for j, b in enumerate(b_vals):
             try:
                 step = eta(b, a)
             except EvalDomainError:
                 unusable += 1
                 continue
-            if not (step > 0.0 and K.contains(a) and K.contains(b) and K.contains(a + step)):
+            if not (step > 0.0 and a_inside and b_inside[j] and K.contains(a + step)
+                    and (on_domain or model.domain.contains(a + step))):
                 unusable += 1
                 continue
             try:
-                defect = bounds_mod.simpson_defect(model, a, step, tol.oracle)
-            except (EvalDomainError, DomainError, QuadratureError):
+                values, simpson_value, mean, _, _ = bounds_mod._defect(model, a, step, tol.oracle)
+            except (EvalDomainError, QuadratureError):
                 unusable += 1
                 continue
-            x1 = x2 = None  # |f'(a)|, |f'(b)|, once per cell; None where f' fails
-            if reads_df:
-                try:
-                    x1, x2 = abs(df(a)), abs(df(b))
-                except EvalDomainError:
-                    pass
+            x1 = x2 = None  # |f'(a)|, |f'(b)|; None where f' fails
+            if reads_df and abs_df(a) is not None and abs_df(b) is not None:
+                x1, x2 = df_at[a], df_at[b]
+            defect = simpson_value - mean
+            abs_defect = abs(defect)
             for pair in active:
                 if pair.uses_df and x1 is None:
                     pair.skipped += 1
                     continue
                 try:
-                    lhs = pair.row.lhs(model, a, step, defect)
+                    lhs = abs_defect if pair.lhs is None else pair.lhs(defect, mean, values)
                 except PreconditionUnmet:
                     pair.skipped += 1
                     continue
-                rhs = pair.row.rhs(x1, x2, step, pair.k)
+                rhs = pair.rhs(x1, x2, step)
                 if rhs < 0.0:  # what BoundValue raises
                     raise ValueError(f"bound {pair.theorem} produced negative rhs {rhs!r}")
                 if not rhs > 0.0:  # zero or NaN: no ratio to rank

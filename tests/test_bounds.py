@@ -306,18 +306,31 @@ def test_validate_gates(make_model):
     assert "antiderivative" in str(info.value)
 
 
+def _old_q_mean(w1, x1, w2, x2, q):
+    """(w1 x1^q + w2 x2^q)^(1/q) with the float operations the bounds used
+    before their rhs forms were prepared per q."""
+    if q == 1.0:
+        return w1 * x1 + w2 * x2
+    if q <= 100.0:
+        return (w1 * x1 ** q + w2 * x2 ** q) ** (1.0 / q)
+    m = max(x1, x2)
+    if m == 0.0:
+        return 0.0
+    return m * (w1 * (x1 / m) ** q + w2 * (x2 / m) ** q) ** (1.0 / q)
+
+
 # The bound formulas as each bound_* computed them before they moved into
 # the shared rhs functions; the wrappers must give the same floats.
 _REFERENCE_RHS = {
     "T3.1": lambda x1, x2, e, q: bounds._M1 * e * (x1 + x2),
     "T3.2": lambda x1, x2, e, q: e * bounds._moment_root(q / (q - 1.0)) * (
-        bounds._weighted_q_mean(bounds._HALF_NEAR, x1, bounds._HALF_FAR, x2, q)
-        + bounds._weighted_q_mean(bounds._HALF_FAR, x1, bounds._HALF_NEAR, x2, q)),
+        _old_q_mean(bounds._HALF_NEAR, x1, bounds._HALF_FAR, x2, q)
+        + _old_q_mean(bounds._HALF_FAR, x1, bounds._HALF_NEAR, x2, q)),
     "T3.3": lambda x1, x2, e, q: e * bounds._moment_root(q / (q - 1.0), 2.0)
-    * bounds._weighted_q_mean(0.5, x1, 0.5, x2, q),
+    * _old_q_mean(0.5, x1, 0.5, x2, q),
     "T3.4": lambda x1, x2, e, q: e * bounds._M1 ** (1.0 - 1.0 / q) * (
-        bounds._weighted_q_mean(bounds._W_END, x1, bounds._W_FAR, x2, q)
-        + bounds._weighted_q_mean(bounds._W_FAR, x1, bounds._W_END, x2, q)),
+        _old_q_mean(bounds._W_END, x1, bounds._W_FAR, x2, q)
+        + _old_q_mean(bounds._W_FAR, x1, bounds._W_END, x2, q)),
     "T4.1": lambda x1, x2, e, q: 2.0 * bounds._M1 * e * max(x1, x2),
     "T4.2": lambda x1, x2, e, q: 2.0 * e * bounds._moment_root(q / (q - 1.0))
     * max(x1, x2) * 0.5 ** (1.0 / q),
@@ -343,18 +356,26 @@ def test_bound_wrappers_keep_the_old_float_operations(x1, x2, eta_val, q):
         "T4.2": lambda: bound_T4_2(stub, 0.0, 1.0, eta_val, q),
         "T4.3": lambda: bound_T4_3(stub, 0.0, 1.0, eta_val, q),
     }
+    # each table row's rhs prepared for q, called as tightness_scan calls it
+    prepared = {theorem: (lambda t=theorem: bounds.THEOREMS[t].rhs_for(q)(x1, x2, eta_val))
+                for theorem in (*_REFERENCE_RHS, "C4.1", "C4.2")}
+
+    def outcome(compute):
+        try:
+            return compute().hex()
+        except OverflowError as exc:
+            return repr(exc)
+
     for theorem, want in _REFERENCE_RHS.items():
         if q == 1.0 and theorem in ("T3.2", "T3.3", "T4.2", "T4.3"):
             continue
-        try:
-            expected = want(x1, x2, eta_val, q).hex()
-        except OverflowError as exc:
-            expected = repr(exc)
-        try:
-            actual = got[theorem]().rhs.hex()
-        except OverflowError as exc:
-            actual = repr(exc)
-        assert actual == expected, theorem
+        expected = outcome(lambda: want(x1, x2, eta_val, q))
+        assert outcome(lambda: got[theorem]().rhs) == expected, theorem
+        assert outcome(prepared[theorem]) == expected, theorem
+    for theorem in ("C4.1", "C4.2"):
+        assert outcome(prepared[theorem]) == outcome(lambda: _REFERENCE_RHS["T4.1"](
+            x1, x2, eta_val, q)), theorem
     model = SimpleNamespace(d4sup=x1, name="m")
-    assert (bound_classical(model, 0.0, eta_val).rhs.hex()
-            == (x1 * eta_val ** 4 / 2880.0).hex())
+    want = (x1 * eta_val ** 4 / 2880.0).hex()
+    assert bound_classical(model, 0.0, eta_val).rhs.hex() == want
+    assert bounds.THEOREMS["CLASSICAL"].rhs_for(x1)(None, None, eta_val).hex() == want

@@ -1,6 +1,9 @@
 import doctest
 import math
+import os
+import pathlib
 import struct
+import subprocess
 import sys
 
 import pytest
@@ -584,6 +587,40 @@ def test_deep_trees_match_reference():
     got = _outcome(compile_expr(failing, ("x",)), -1.0)
     assert got == _outcome(_reference(failing, ("x",)), -1.0)
     assert got[1:] == (EvalDomainError, "log of non-positive argument in log(x) at -1.0")
+
+
+_TWO_PARSES = """\
+import math
+from simpvex.expr import compile_expr, parse
+source = "+".join(["x"] * 494) + "+log(x)"
+first = compile_expr(parse(source, {"x"}), ("x",))
+second = compile_expr(parse(source, {"x"}), ("x",))
+assert second is first
+assert second(2.0) == first(2.0) == 988.0 + math.log(2.0)
+"""
+
+
+def test_equal_deep_trees_from_two_parses_share_one_compiled_function():
+    # 495 terms, in a fresh interpreter: compiling recurses two frames per
+    # level, too deep for the stack a test runs on
+    package_root = str(pathlib.Path(simpvex.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _TWO_PARSES], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # 400 terms in this process; the second lookup compares a freshly parsed,
+    # equal tree
+    source = "+".join(["x"] * 399) + "+log(x)"
+    first = compile_expr(parse(source, X), ("x",))
+    assert compile_expr(parse(source, X), ("x",)) is first
+    assert first(2.0) == 798.0 + math.log(2.0)
+    assert compile_expr(parse(source, X), ("y", "x")) is not first
+    # trees that differ in a leaf, a node class or the order of children
+    sources = ("x+1", "x+2", "x-1", "1+x", "(x+1)+x", "x+(1+x)", "if(x, 1, 2)", "if(x, 2, 1)")
+    fns = [compile_expr(parse(s, X), ("x",)) for s in sources]
+    assert len({id(fn) for fn in fns}) == len(sources)
+    assert [fn(3.0) for fn in fns] == [4.0, 5.0, 2.0, 4.0, 7.0, 7.0, 1.0, 2.0]
 
 
 def test_python_keywords_are_legal_variable_names():

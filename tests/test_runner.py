@@ -534,13 +534,15 @@ def test_an_overflowing_sweep_runs_once(monkeypatch):
 
 
 def test_scan_nan_ratio_is_skipped_and_never_the_witness(monkeypatch):
-    real = bounds.simpson_defect
+    real = bounds._defect
 
     def nan_defect_at_zero(model, a, step, tol):
-        d = real(model, a, step, tol)
-        return dataclasses.replace(d, defect=math.nan) if a == 0.0 else d
+        values, simpson_value, mean, qerr, evals = real(model, a, step, tol)
+        if a == 0.0:
+            simpson_value = math.nan
+        return values, simpson_value, mean, qerr, evals
 
-    monkeypatch.setattr(bounds, "simpson_defect", nan_defect_at_zero)
+    monkeypatch.setattr(bounds, "_defect", nan_defect_at_zero)
     model = _model("x^4", "4*x^3", "(x^5)/5", K=(0.0, 2.0))
     (r,) = tightness_scan(model, EtaMap.difference(), Domain(0.0, 2.0),
                           (0.0, 0.5), (1.5, 2.0), [1.0], steps=2, theorems=("T3.1",))
@@ -700,19 +702,22 @@ SMALL_GRID = SampleGrid(nu=5, nv=5, nt=3, random_triples=20)
 
 
 @given(st.sampled_from(_SCAN_MODELS), st.booleans(), st.sampled_from((None, 0.0, 30.0)),
-       st.sampled_from(_SCAN_ETAS),
-       st.sampled_from(((0.0, 0.5), (-1.0, 0.0), (0.3, 0.3), (0.5, 0.0), (-0.5, 1.0))),
-       st.sampled_from(((1.0, 1.5), (1.0, 2.0), (0.3, 1.3), (-1.0, 1.0))),
+       st.sampled_from(_SCAN_ETAS), st.sampled_from((0.0, 0.5, -0.25)),
+       st.sampled_from(((0.0, 0.5), (-1.0, 0.0), (0.3, 0.3), (0.5, 0.0), (-0.5, 1.0),
+                        (-1.5, 0.5))),
+       st.sampled_from(((1.0, 1.5), (1.0, 2.0), (0.3, 1.3), (-1.0, 1.0), (1.0, 2.5))),
        st.lists(st.sampled_from((1.0, 1.0000001, 1.5, 2.0, 3.0, 149.9, 150.0)),
                 min_size=1, max_size=4, unique=True),
        st.integers(2, 5),
        st.lists(st.sampled_from(runner.THEOREM_IDS), min_size=1, max_size=10, unique=True))
 @settings(max_examples=150)
 def test_cell_major_scan_matches_theorem_major_reference(
-        spec, with_F, d4sup, eta, a_range, b_range, q_list, steps, theorems):
+        spec, with_F, d4sup, eta, margin, a_range, b_range, q_list, steps, theorems):
     f, df, F, K = spec
     model = _model(f, df, F if with_F else None, K=K, d4sup=d4sup)
-    args = (model, eta, Domain(*K), a_range, b_range, q_list, steps, theorems,
+    # the scan's K is the model's domain, or wider or narrower by ``margin``
+    scan_K = Domain(K[0] - margin, K[1] + margin)
+    args = (model, eta, scan_K, a_range, b_range, q_list, steps, theorems,
             runner.DEFAULT_TOLERANCES, SMALL_GRID)
     assert _scan_outcome(tightness_scan, *args) == _scan_outcome(_reference_scan, *args)
 
@@ -727,19 +732,127 @@ def test_scan_reference_on_the_bundled_corpus():
 
 def test_midpoint_scan_integrates_f_once_per_cell(monkeypatch):
     calls = []
-    real = quadrature.integrate
+    real = quadrature._integrate_unchecked
 
     def counted(*args, **kwargs):
         calls.append(args[1:3])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "integrate", counted)
+    monkeypatch.setattr(quadrature, "_integrate_unchecked", counted)
     model = _model(SIN2["f"], SIN2["df"], K=(0.0, 1.5))
     (r,) = tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.5), (0.0, 0.5),
                           (1.0, 1.5), [1.0], steps=9, theorems=("C4.2",), grid=SIN2_GRID)
     # every cell has a defect, and the 9 with b = a + 1 meet C4.2's precondition
     assert (r.status, r.cells, r.skipped) == ("ok", 81, 72)
     assert len(calls) == 81
+
+
+def _failing_at(model, bad, exc):
+    """``model`` with an f' that raises ``exc`` at the axis value ``bad`` only."""
+    real = model.df_fn
+
+    def df(x):
+        if x == bad:
+            raise exc
+        return real(x)
+
+    model.__dict__["df_fn"] = df  # the compiled f' is a cached property
+    return model
+
+
+def _scan_edge(name):
+    """The tightness_scan arguments of one edge case of the cell-major scan."""
+    quartic = ("x^4", "4*x^3", None, (-1.0, 2.0))  # |f'|^q convex: hypotheses hold
+    beyond = ((-1.5, 0.5), (1.0, 2.5))  # cells on both sides of the model's domain
+    if name in ("K wider than the domain", "K narrower than the domain"):
+        K = Domain(-1.5, 2.5) if name.startswith("K wider") else Domain(-0.5, 1.5)
+        return (_model(*quartic, d4sup=30.0), EtaMap.difference(), K, *beyond,
+                [1.0, 2.0], 5, runner.THEOREM_IDS, runner.DEFAULT_TOLERANCES, SMALL_GRID)
+    if name == "C4.2 precondition holds":
+        # the 9 cells with b = a + 1 meet C4.2's precondition, with a nonzero gap
+        return (_model(SIN2["f"], SIN2["df"], K=(0.0, 1.5)), EtaMap.difference(),
+                Domain(0.0, 1.5), (0.0, 0.5), (1.0, 1.5), [1.0], 9, ("T3.1", "C4.2"),
+                runner.DEFAULT_TOLERANCES, SIN2_GRID)
+    if name.startswith("denormal step"):
+        # a + step == a wherever a != 0; f' is large enough for a nonzero rhs
+        F = "5e299*x^2" if name.endswith("with F") else None
+        return (_model("1e300*x", "1e300", F, K=(-1.0, 2.0)),
+                EtaMap.from_expression("1e-310*(v-u)"), Domain(-1.0, 2.0),
+                (0.0, 0.5), (1.0, 1.5), [1.0], 3, ("T3.1", "C4.1", "C4.2"),
+                runner.DEFAULT_TOLERANCES, SMALL_GRID)
+    # a in {0, 0.375, 0.75}, b in {0.375, 1.125, 1.875}; none is a sample point
+    axes = ((0.0, 0.75), (0.375, 1.875))
+    model = _model(*quartic, d4sup=30.0)
+    if name == "f' fails at one axis value":
+        model = _failing_at(model, 0.375, EvalDomainError("f'", 0.375, "fails"))
+    elif name == "f' raises at one axis value":
+        model = _failing_at(model, 1.125, ZeroDivisionError("f' raises at 1.125"))
+    else:  # f' raises only at a b whose cells all lack a step: never read
+        model = _failing_at(model, -0.5, ZeroDivisionError("f' raises at -0.5"))
+        axes = ((0.0, 0.75), (-0.5, 1.5))
+    return (model, EtaMap.difference(), Domain(-1.0, 2.0), *axes, [1.0, 2.0], 3,
+            runner.THEOREM_IDS, runner.DEFAULT_TOLERANCES, SMALL_GRID)
+
+
+@pytest.mark.parametrize("name", [
+    "K wider than the domain", "K narrower than the domain", "C4.2 precondition holds",
+    "denormal step", "denormal step with F", "f' fails at one axis value",
+    "f' raises at one axis value", "f' raises only where no cell reads it"])
+def test_scan_edges_match_theorem_major_reference(name):
+    args = _scan_edge(name)
+    got = _scan_outcome(tightness_scan, *args)
+    assert got == _scan_outcome(_reference_scan, *args)
+    if name == "f' raises at one axis value":
+        assert got == "ZeroDivisionError: f' raises at 1.125"
+        return
+    results = {r.theorem: r for r in tightness_scan(*args)}
+    if name.startswith("K "):
+        # a or a + step outside the model's domain, though inside K, is no
+        # usable cell: 12 of 25 cells are usable on the wider K, 6 on the narrower
+        skipped = 13 if name.startswith("K wider") else 19
+        assert (results["CLASSICAL"].status, results["CLASSICAL"].skipped) == ("ok", skipped)
+    if name == "C4.2 precondition holds":
+        midpoint = results["C4.2"]
+        assert (midpoint.status, midpoint.cells, midpoint.skipped) == ("ok", 81, 72)
+        assert midpoint.ratio > 0.0
+    if name.startswith("denormal step"):
+        # every a != 0 has a usable cell whose mean is 0.0
+        assert results["T3.1"].status == "ok" and results["T3.1"].at_a != 0.0
+    if name == "f' fails at one axis value":
+        # the row a = 0.375 and the column b = 0.375 have no |f'|; CLASSICAL reads none
+        assert results["T3.1"].status == "ok"
+        assert results["T3.1"].skipped == results["CLASSICAL"].skipped + 3
+    if name == "f' raises only where no cell reads it":
+        assert results["T3.1"].status == "ok"
+
+
+def test_cubic_scan_evaluates_f_eight_times_per_usable_cell(monkeypatch):
+    model = _model("x^3", "3*x^2", K=(-1.0, 2.0))
+    real = model.f_fn
+    calls = []
+    checks = []
+
+    def f(x):
+        calls.append(x)
+        return real(x)
+
+    def precondition(*values):
+        checks.append(values)
+        return real_check(*values)
+
+    model.__dict__["f_fn"] = f  # the compiled f is a cached property
+    real_check = bounds._midpoint
+    monkeypatch.setattr(bounds, "_midpoint", precondition)
+    t31, midpoint = tightness_scan(model, EtaMap.difference(), Domain(-1.0, 2.0), (0.0, 0.5),
+                                   (0.5, 1.5), [1.0], steps=5, theorems=("T3.1", "C4.2"),
+                                   grid=SMALL_GRID)
+    # only a = b = 0.5 has no step; C4.2 checks its precondition at each usable
+    # cell on the Simpson sum's values
+    assert (t31.status, t31.cells, t31.skipped) == ("ok", 25, 1)
+    assert (midpoint.cells, len(checks)) == (25, 24)
+    # per usable cell: f(a), f(mid) and f(end) for the Simpson sum, and 5
+    # quadrature evaluations (a cubic converges on the first panel)
+    assert len(calls) == 8 * 24
 
 
 def _assert_bounds_match_public_wrappers(case, result):
