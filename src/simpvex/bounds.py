@@ -368,17 +368,17 @@ def _rhs_T3_4(q: float):
 
 def _rhs_T4_1(q):
     """(5/36) eta max(|f'(a)|, |f'(b)|), the rhs of T4.1, C4.1 and C4.2."""
-    return lambda x1, x2, step: 2.0 * _M1 * step * max(x1, x2)
+    return lambda x1, x2, step: 2.0 * _M1 * step * (x2 if x2 > x1 else x1)
 
 
 def _rhs_T4_2(q: float):
     root, half = _moment_root(_conjugate(q)), 0.5 ** (1.0 / q)
-    return lambda x1, x2, step: 2.0 * step * root * max(x1, x2) * half
+    return lambda x1, x2, step: 2.0 * step * root * (x2 if x2 > x1 else x1) * half
 
 
 def _rhs_T4_3(q: float):
     root, half = _moment_root(_conjugate(q), 2.0), 0.5 ** (1.0 / q)
-    return lambda x1, x2, step: step * root * max(x1, x2) * half
+    return lambda x1, x2, step: step * root * (x2 if x2 > x1 else x1) * half
 
 
 def _rhs_classical(d4sup: float):

@@ -617,14 +617,18 @@ def abs_batch(fn) -> Optional[Callable[[Sequence[float]], List[float]]]:
     x of the sequence ``points``, from one list comprehension: one frame,
     no call per point.  It raises where fn's fast form raises, without
     the checked evaluator's error: call fn point by point to find the
-    failing point and its EvalDomainError.  Compiled on first use.
+    failing point and its EvalDomainError.  Compiled on first use; None
+    from then on if compiling recurses too deep, so fn runs point by point.
     """
     source = getattr(fn, "source", None)
     if getattr(fn, "__globals__", None) is not _RUNTIME or source is None or len(source[1]) != 1:
         return None
     if fn.batch is None:
-        fn.batch = _batch_form(*source)
-    return fn.batch
+        try:
+            fn.batch = _batch_form(*source)
+        except RecursionError:  # _Compiler.build recurses per tree level
+            fn.batch = False
+    return fn.batch or None
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:

@@ -41,7 +41,9 @@ expression's batch form, one list comprehension per list of points rather
 than one call per point; any other callable is called per point.  Each
 further q costs only arithmetic, once per value (once per distinct value
 on a reused plan).  The arithmetic is the per-sample formula's, so
-verdicts, worst violations and witnesses are unchanged.
+verdicts, worst violations and witnesses are unchanged.  max(x, y) is
+written ``y if y > x else x`` (min with <), the builtin's own rule, so
+NaN, -0.0 and ties come out the same, without a call per sample.
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ class _Layer:
     sorted unless it merges two u values; then they are sorted again.
     """
 
-    __slots__ = ("u", "v", "t", "x", "at")
+    __slots__ = ("u", "v", "t", "x", "points", "at")
 
     def __init__(self, K: Domain, eta: EtaMap, grid: SampleGrid, at: int):
         ru, rv, rt = _unit_draws(grid.seed, grid.random_triples)
@@ -235,13 +237,12 @@ class _Layer:
             self.u, self.v, self.t = (array("d", column) for column in
                                       zip(*sorted(zip(self.u, self.v, self.t))))
         self.x = array("d", [u + t * eta(v, u) for u, v, t in zip(self.u, self.v, self.t)])
+        self.points = array("d", bytes(24 * len(self.t)))  # u, v, x of each triple in turn
+        self.points[::3], self.points[1::3], self.points[2::3] = self.u, self.v, self.x
         self.at = at  # index of the first triple's g(u) in SamplePlan.values
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def points(self) -> Iterator[float]:
-        return chain.from_iterable(zip(self.u, self.v, self.x))
 
     def values(self, g: array) -> Iterator[Tuple[float, float, float]]:
         """(g(u), g(v), g(x)) per triple."""
@@ -249,11 +250,11 @@ class _Layer:
         return zip(it, it, it)
 
 
-_CHUNK = 2048  # values per list in _filled: few lists, none near a plan's size
+_CHUNK = 2048  # values per list or slice: few of them, none near a plan's size
 
 
-def _filled(values: Iterable[float], batch: Callable[[list], list] = list) -> array:
-    """array("d") of ``batch`` of each list of _CHUNK ``values``, in order.
+def _filled(values: Iterable[float]) -> array:
+    """array("d") of ``values``, filled a list of _CHUNK of them at a time.
 
     Built from an iterator, an array type-checks each value twice, one
     append at a time; from a list it checks each once, into space sized
@@ -262,26 +263,30 @@ def _filled(values: Iterable[float], batch: Callable[[list], list] = list) -> ar
     out = array("d")
     values = iter(values)
     while chunk := list(islice(values, _CHUNK)):
-        out.fromlist(batch(chunk))
+        out.fromlist(chunk)
     return out
 
 
-def _evaluate(fn: Callable[[float], float], points: Callable[[], Iterable[float]],
+def _evaluate(fn: Callable[[float], float], parts: Sequence[Sequence[float]],
               absolute: bool) -> array:
-    """fn (abs(fn) if ``absolute``) at the points ``points()`` gives, in order.
+    """fn (abs(fn) if ``absolute``) at the points of each of ``parts`` in turn.
 
     abs(fn) of a compiled expression runs in its batch form, one frame per
-    list of _CHUNK points; if that raises, or for any other fn, fn is
+    slice of _CHUNK points; if that raises, or for any other fn, fn is
     called point by point, so a failure raises at the first failing point
     with its own error.
     """
     batch = expr_mod.abs_batch(fn) if absolute else None
     if batch is not None:
+        out = array("d")
         try:
-            return _filled(points(), batch)
+            for part in parts:
+                for i in range(0, len(part), _CHUNK):
+                    out.fromlist(batch(part[i:i + _CHUNK]))
+            return out
         except Exception:
             pass
-    calls = map(fn, points())
+    calls = map(fn, chain.from_iterable(parts))
     return _filled(map(abs, calls) if absolute else calls)
 
 
@@ -307,6 +312,7 @@ class SamplePlan:
                                   for t in self.ts])
         self.x_at = len(self.us) + len(self.vs)
         self.random = _Layer(K, eta, grid, self.x_at + len(self.grid_x))
+        self.parts = (array("d", self.us + self.vs), self.grid_x, self.random.points)  # points()
         self.samples = len(self.grid_x) + len(self.random)
         self.invex_set = {}  # check_invex_set's reports, by the bit pattern of (K, tol)
         self._memo = (None, None, None, None)
@@ -314,7 +320,7 @@ class SamplePlan:
 
     def points(self) -> Iterator[float]:
         """Every point a sweep reads g at, in the order of ``values``."""
-        return chain(self.us, self.vs, self.grid_x, self.random.points())
+        return chain.from_iterable(self.parts)
 
     def _distinct_points(self) -> Tuple[array, Callable[[list], tuple]]:
         """The distinct points of ``points`` and the gather that spreads values back.
@@ -326,7 +332,7 @@ class SamplePlan:
         """
         if self._distinct is None:
             # each temporary is dropped once used: this build sets a corpus run's peak memory
-            keys = array("Q", (array("d", self.us + self.vs) + self.grid_x).tobytes())
+            keys = array("Q", (self.parts[0] + self.grid_x).tobytes())
             first = {}  # key -> the position of its first occurrence
             at = list(map(first.setdefault, keys, count()))
             del keys
@@ -336,7 +342,7 @@ class SamplePlan:
             slots = list(map(slot.__getitem__, at))
             del at, slot
             slots.extend(range(len(distinct), len(distinct) + 3 * len(self.random)))
-            distinct.extend(self.random.points())
+            distinct.extend(self.random.points)
             self._distinct = (distinct, itemgetter(*slots))
         return self._distinct
 
@@ -354,12 +360,12 @@ class SamplePlan:
         memo_fn, memo_absolute, values, _ = self._memo
         if memo_fn is not fn or memo_absolute != absolute:
             if memo_fn is None:
-                values = _evaluate(fn, self.points, absolute)
+                values = _evaluate(fn, self.parts, absolute)
                 distinct = None
             else:
                 points, gather = self._distinct_points()
                 # floats, as the array of the point-by-point pass holds them
-                distinct = _evaluate(fn, lambda: points, absolute).tolist()
+                distinct = _evaluate(fn, (points,), absolute).tolist()
                 values = array("d", gather(distinct))
             self._memo = (fn, absolute, values, distinct)
         return values
@@ -431,13 +437,12 @@ def _invex_set_worst(plan: SamplePlan, K: Domain) -> _Found:
     nt, grid_x = len(plan.ts), plan.grid_x
 
     def excess(xs):  # max(lo - x, x - hi) per point
-        return list(map(max, map(sub, repeat(lo), xs), map(sub, xs, repeat(hi))))
+        return [b if (b := x - hi) > (a := lo - x) else a for x in xs]
 
     # rounding is monotone, so a row's least and largest x are its ends (t = 0, 1); a NaN x
     # is at t = 0 (step +-inf) or everywhere, so min/max of (t = 0, t = 1) match the row's
-    firsts, lasts = grid_x[::nt], grid_x[nt - 1::nt]
-    tops = list(map(max, map(sub, repeat(lo), map(min, firsts, lasts)),
-                    map(sub, map(max, firsts, lasts), repeat(hi))))
+    tops = [b if (b := (y if y > x else x) - hi) > (a := lo - (y if y < x else x)) else a
+            for x, y in zip(grid_x[::nt], grid_x[nt - 1::nt])]
     return plan.worst(tops, lambda j: excess(grid_x[j * nt:(j + 1) * nt]),
                       excess(plan.random.x))
 
@@ -464,11 +469,11 @@ def _prequasiinvex(plan: SamplePlan, g: array) -> _Found:
     """Worst excess g(x) - max(g(u), g(v)) over values ``g``."""
     gus, gvs, gxs = plan.grid_values(g)
     nt = len(plan.ts)
-    highs = [max(gu, gv) for gu in gus for gv in gvs]
+    highs = [gv if gv > gu else gu for gu in gus for gv in gvs]
     # rounding is monotone, so a row's largest excess is its largest g(x) less its high
     tops = list(map(sub, map(max, zip(*[iter(gxs)] * nt)), highs))
     return plan.worst(tops, lambda j: [x - highs[j] for x in gxs[j * nt:(j + 1) * nt]],
-                      [gx - max(gu, gv) for gu, gv, gx in plan.random.values(g)])
+                      [gx - (gv if gv > gu else gu) for gu, gv, gx in plan.random.values(g)])
 
 
 def check_preinvex(g: Callable[[float], float], eta: EtaMap, K: Domain,

@@ -10,7 +10,9 @@ BIT 40, 2000).  Bound slacks account for the estimate; certified
 verdicts are an open roadmap item.  Panels are
 processed strictly left to right, sums are accumulated in that fixed
 order, and the budget is counted in integrand evaluations, which makes
-results bit-for-bit reproducible.
+results bit-for-bit reproducible.  The budget is tested once per panel
+and finiteness only where a panel's estimate is not finite; either way
+the error raised is the one a check of each evaluation would raise.
 
 Simpson panels integrate cubics exactly, so polynomial integrands of
 degree <= 3 converge on the first panel up to rounding.
@@ -45,14 +47,28 @@ class QuadratureResult:
     evaluations: int
 
 
+def _last_evaluation(g, x, used, limit):
+    """Raise what checked evaluations at x and one more point meet when
+    ``used`` of ``limit`` leaves room for at most one."""
+    if used < limit:
+        used += 1
+        y = g(x)
+        if not math.isfinite(y):
+            raise NonFiniteIntegrand(x, y)
+    raise BudgetExhausted(used)
+
+
 def _integrate_core(g, lo, hi, abs_tol, used, limit):
     """(integral, error estimate, evaluations so far) of ``g`` on [lo, hi].
 
-    ``used`` evaluations were already spent of the budget ``limit``.  The
-    budget and finiteness checks and the Simpson sums are written out
-    inline, as this loop runs once per two integrand evaluations.
+    ``used`` evaluations were already spent of the budget ``limit``.  A
+    panel evaluates g at lm and rm after one budget test, and checks
+    finiteness, lm first, only if its estimate is NaN or inf, as any
+    non-finite value makes it: what it raises is what checking each
+    evaluation in turn raised, a non-finite g(lm) before g(rm)'s error.
     """
     isfinite = math.isfinite
+    inf = math.inf
     m = 0.5 * (lo + hi)
     fs = []
     for x in (lo, m, hi):
@@ -79,23 +95,25 @@ def _integrate_core(g, lo, hi, abs_tol, used, limit):
             raise QuadratureError(
                 f"cannot refine interval [{a!r}, {b!r}] further; tolerance unreachable"
             )
-        if used >= limit:
-            raise BudgetExhausted(used)
-        used += 1
+        if used >= limit - 1:
+            _last_evaluation(g, lm, used, limit)
+        used += 2
         flm = g(lm)
-        if not isfinite(flm):
-            raise NonFiniteIntegrand(lm, flm)
-        if used >= limit:
-            raise BudgetExhausted(used)
-        used += 1
-        frm = g(rm)
-        if not isfinite(frm):
-            raise NonFiniteIntegrand(rm, frm)
+        try:
+            frm = g(rm)
+        except Exception:
+            if not isfinite(flm):
+                raise NonFiniteIntegrand(lm, flm) from None
+            raise
         s_left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
         s_right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
         s_halves = s_left + s_right
         diff = s_halves - s_whole
         est = abs(diff) / 15.0
+        if not est < inf:  # a non-finite f value, or a finite one that overflows
+            for x, y in ((lm, flm), (rm, frm)):
+                if not isfinite(y):
+                    raise NonFiniteIntegrand(x, y)
         if est <= tol:
             total += s_halves + diff / 15.0
             total_err += est

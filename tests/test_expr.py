@@ -5,6 +5,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ import hypothesis.strategies as st
 
 import simpvex.expr
 from simpvex.errors import EvalDomainError, ParseError
+from simpvex.invexity import Domain, EtaMap, hypothesis_pair
 from simpvex.expr import (
     FUNCTIONS,
     Expr,
@@ -473,6 +475,47 @@ def test_abs_batch_serves_only_one_variable_compiled_functions():
     assert simpvex.expr.abs_batch(wrapped) is None
     assert simpvex.expr.abs_batch(batch) is None
     assert simpvex.expr.abs_batch(compile_expr(parse("x", X), ("x", "y"))) is None
+
+
+def test_abs_batch_is_none_where_compiling_the_batch_form_recurses_too_deep(monkeypatch):
+    calls = []
+
+    def too_deep(*source):
+        calls.append(source)
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(simpvex.expr, "_batch_form", too_deep)
+    fn = compile_expr(parse("3*x^2 - 7*x + 0.125", X), ("x",))
+    assert simpvex.expr.abs_batch(fn) is None
+    assert simpvex.expr.abs_batch(fn) is None
+    assert len(calls) == 1  # remembered: compiled at most once
+    # the sweeps then run the fast form point by point, to the same reports
+    eta, K = EtaMap("difference", lambda v, u: v - u, "unshared difference"), Domain(0.0, 1.0)
+    got = hypothesis_pair(SimpleNamespace(df_fn=fn), eta, K, 1.5)
+    want = hypothesis_pair(SimpleNamespace(df_fn=lambda x: fn(x)), eta, K, 1.5)
+    assert repr(got) == repr(want)
+
+
+_DEEP_DERIVATIVE_CASE = """\
+from simpvex.runner import load_case, run_case
+n = 494
+case = load_case({"name": "deep", "f": f"{n}*x^2/2", "df": "+".join(["x"] * n),
+                  "eta": {"kind": "difference"}, "K": [0, 1], "a": 0, "b": 1,
+                  "q": [1], "theorems": ["T3.1"]})
+print(run_case(case).verdict)
+"""
+
+
+def test_a_derivative_too_deep_for_the_batch_form_still_gets_a_verdict():
+    # in a fresh interpreter a 494-term f' compiles at load, but its batch
+    # form, compiled inside run_case's deeper stack, recursed too deep
+    package_root = str(pathlib.Path(simpvex.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _DEEP_DERIVATIVE_CASE], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["hypothesis_unmet"]
 
 
 def test_fast_form_raises_where_python_would_not():

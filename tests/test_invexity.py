@@ -11,9 +11,9 @@ from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from simpvex import invexity
+from simpvex import bounds, invexity
 from simpvex.bounds import FunctionModel
 from simpvex.errors import EvalDomainError, ParseError
 from simpvex.expr import compile_expr, parse
@@ -301,6 +301,11 @@ def _nan_left(x):
     return math.nan if x < 0.1 else x * x
 
 
+def _nan_right(x):
+    # max(g(u), NaN) is g(u): a sample whose g(v) is NaN keeps a finite excess
+    return math.nan if x > 0.9 else x * x
+
+
 def _inf_right(x):
     return math.inf if x > 0.9 else -x
 
@@ -315,7 +320,7 @@ def _bump(x):
 
 
 _GS = [fn("x^3"), fn("-(x^2)"), fn("-abs(x)"), fn("0*x"), fn("x^2 - 3*x"), _steps, _nan_left,
-       _inf_right, _infs, lambda x: -0.0, _bump]
+       _nan_right, _inf_right, _infs, lambda x: -0.0, _bump]
 _ETAS = [EtaMap.difference(), EtaMap.abs_example(), EtaMap.from_expression("0.5*(v - u)"),
          EtaMap.from_expression("v - 2*u")]
 # steps that are negative, infinite, NaN or -0.0: along each grid row the
@@ -336,13 +341,20 @@ def _problems(draw):
                       seed=draw(st.integers(0, 3)))
     # near 1e15 the spacing of doubles is 0.125, so rounding merges u and v values
     lo = draw(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1e15]))
-    K = Domain(lo, lo + draw(st.sampled_from([0.5, 1.0, 2.5])))
+    # K = [-0.0, ...] or [..., -0.0] signs the zero excesses at that end
+    K = draw(st.one_of(st.builds(Domain, st.just(lo), st.sampled_from([0.5, 1.0, 2.5]).map(
+        lambda span: lo + span)), st.sampled_from([Domain(-1.0, -0.0), Domain(-2.5, -0.0)])))
     return (K, draw(st.sampled_from(_ETAS + _ODD_ETAS)), grid, draw(st.sampled_from(_GS)),
             draw(st.sampled_from([0.0, 1e-12, 0.5])))
 
 
 @settings(max_examples=300)
 @given(_problems(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+# a NaN g(v) beside a finite g(u), -0.0 ends, infinite and NaN steps
+@example((Domain(-1.0, 1.0), _ETAS[0], SampleGrid(3, 3, 3, 20), _nan_right, 0.0), 1.0)
+@example((Domain(0.5, 1.0), _ETAS[0], SampleGrid(2, 2, 2, 40), _nan_right, 0.0), 1.0)
+@example((Domain(-1.0, -0.0), _ODD_ETAS[1], SampleGrid(3, 4, 3, 20), _infs, 0.0), 2.0)
+@example((Domain(-0.0, 1.0), _ODD_ETAS[2], SampleGrid(4, 3, 3, 20), _nan_left, 0.0), 1.5)
 def test_plan_sweeps_match_per_sample_reference(problem, q):
     K, eta, grid, g, tol = problem
     assert repr(check_invex_set(K, eta, grid, tol)) == repr(_ref_invex_set(K, eta, grid, tol))
@@ -358,17 +370,49 @@ def test_plan_sweeps_match_per_sample_reference(problem, q):
     assert repr(hypothesis_pair(model, eta, K, q, grid, tol)) == repr(want)
 
 
+_SPECIAL_FLOATS = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0,
+                                   -1.0, 5e-324, 1.7976931348623157e308])
+_ANY_FLOAT = st.one_of(_SPECIAL_FLOATS, st.floats())
+_PAIRS = st.one_of(st.tuples(_ANY_FLOAT, _ANY_FLOAT), _ANY_FLOAT.map(lambda x: (x, x)))
+
+
+@given(_PAIRS)
+def test_conditional_max_and_min_are_the_builtins_bit_for_bit(pair):
+    # the sweeps and the T4 rhs write max(x, y) as ``y if y > x else x`` and
+    # min(x, y) as ``y if y < x else x``: the first item is kept unless a
+    # later one compares greater (less), so NaN, +-0.0 and ties come out alike
+    x, y = pair
+    assert (y if y > x else x).hex() == max(x, y).hex()
+    assert (y if y < x else x).hex() == min(x, y).hex()
+    for theorem in ("T4.1", "T4.2", "T4.3"):
+        for q in (1.5, 2.5):
+            assert bounds.THEOREMS[theorem].rhs_for(q)(x, y, 0.25).hex() == (
+                _rhs_with_builtin_max(theorem, q, x, y, 0.25).hex())
+
+
+def _rhs_with_builtin_max(theorem, q, x1, x2, step):
+    """The T4 rhs as written with the builtin max."""
+    if theorem == "T4.1":
+        return 2.0 * bounds._M1 * step * max(x1, x2)
+    half = 0.5 ** (1.0 / q)
+    if theorem == "T4.2":
+        return 2.0 * step * bounds._moment_root(bounds._conjugate(q)) * max(x1, x2) * half
+    return step * bounds._moment_root(bounds._conjugate(q), 2.0) * max(x1, x2) * half
+
+
 @pytest.mark.parametrize("g, eta, K", [
     (fn("x^3"), _ETAS[0], Domain(-1.0, 1.0)),
     (fn("sqrt(x + 4)"), _ETAS[1], Domain(-1.0, 1.0)),
     (_steps, _ETAS[2], Domain(-1.0, 1.0)),
     (_nan_left, _ETAS[0], Domain(-1.0, 1.0)),
+    (_nan_right, _ETAS[0], Domain(-1.0, 1.0)),
     # K.grid(41) merges u and v values: merged rows tie, the first in stream order wins
     (fn("x^2 - 3*x"), _ODD_ETAS[0], Domain(1e15, 1e15 + 1.0)),
     (_bump, _ODD_ETAS[1], Domain(-1.0, 1.0)),
     (fn("-abs(x)"), _ODD_ETAS[2], Domain(-1.0, 1.0)),
     (fn("x^3"), _ODD_ETAS[3], Domain(-0.0, 1.0)),
-], ids=["cube", "sqrt-abs_example", "steps-expression", "nan", "merged-negative", "infinite",
+], ids=["cube", "sqrt-abs_example", "steps-expression", "nan", "nan-right", "merged-negative",
+        "infinite",
         "nan-step", "negative-zero"])
 def test_plan_sweeps_match_reference_on_default_grid(g, eta, K):
     assert repr(check_invex_set(K, eta)) == repr(_ref_invex_set(K, eta, DEFAULT_GRID, 1e-12))
@@ -436,11 +480,11 @@ def test_a_batch_failure_in_a_later_chunk_raises_that_points_own_error():
     g = fn("sqrt(x) + 1")
     points = [0.25 * i for i in range(invexity._CHUNK + 37)]  # not a multiple of _CHUNK
     want = [abs(g(x)) for x in points]
-    assert invexity._evaluate(g, lambda: points, True).tolist() == want
+    assert invexity._evaluate(g, [points], True).tolist() == want
     points[invexity._CHUNK + 3] = -1.0  # the first failure, in the second chunk
     points[invexity._CHUNK + 20] = -4.0
     with pytest.raises(EvalDomainError) as info:
-        invexity._evaluate(g, lambda: points, True)
+        invexity._evaluate(g, [points], True)
     assert str(info.value) == "square root of negative argument in sqrt(x) at -1.0"
 
 

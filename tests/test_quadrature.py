@@ -3,7 +3,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from simpvex import quadrature
 from simpvex.bounds import FunctionModel, lemma_rhs
@@ -236,14 +236,40 @@ def _outcome(fn, *args):
     """Bit patterns of a result, or the error's type, text and payload."""
     try:
         r = fn(*args)
-    except QuadratureError as exc:
+    except (QuadratureError, _Band) as exc:
         payload = [getattr(exc, k, None) for k in ("evaluations", "abscissa", "value")]
         return type(exc).__name__, str(exc), repr(payload)
     return r.value.hex(), r.error_estimate.hex(), r.evaluations
 
 
+class _Band(Exception):
+    """What an integrand raises where it is undefined."""
+
+
+def _raise_band(x):
+    raise _Band(f"undefined at {x!r}")
+
+
+_STRIPES = "fnfrfnfn"  # stripes 0.05 wide: finite, NaN, raising
+
+
+def _striped(c):
+    """cos(x), but NaN on the n stripes of _STRIPES and raising on its r stripe, from x = c.
+
+    A panel 0.2 wide can meet g(lm) NaN and g(rm) raising, or both NaN,
+    with g(m) finite between them.
+    """
+    def g(x):
+        stripe = _STRIPES[math.floor((x - c) / 0.05) % len(_STRIPES)]
+        if stripe == "r":
+            _raise_band(x)
+        return math.nan if stripe == "n" else math.cos(x)
+
+    return g
+
+
 def _integrand(kind, c):
-    """Smooth, kinked, jumping, non-finite and constant integrands."""
+    """Smooth, kinked, jumping, non-finite, raising and constant integrands."""
     if kind == "exp":
         return lambda x: math.exp(c * x)
     if kind == "sin":
@@ -258,11 +284,15 @@ def _integrand(kind, c):
         return lambda x: -math.inf if abs(x - c) < 0.1 else 1.0 / (1.0 + x * x)
     if kind == "sqrt":
         return lambda x: math.sqrt(abs(x - c))
+    if kind == "raise":
+        return lambda x: _raise_band(x) if c < x < c + 0.3 else math.cos(x)
+    if kind == "nan_raise":
+        return _striped(c)
     return lambda x: c
 
 
 _INTEGRANDS = st.builds(_integrand, st.sampled_from(
-    ("exp", "sin", "kink", "jump", "nan", "inf", "sqrt", "const")),
+    ("exp", "sin", "kink", "jump", "nan", "inf", "sqrt", "raise", "nan_raise", "const")),
     st.floats(-2.0, 2.0, allow_nan=False))
 _ENDS = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 _TOLS = st.sampled_from((1e-3, 1e-8, 1e-11, 1e-14))
@@ -271,10 +301,24 @@ _BUDGETS = st.one_of(st.integers(0, 60), st.sampled_from((200, 2000, DEFAULT_MAX
 
 @given(_INTEGRANDS, _ENDS, _ENDS, _TOLS, _BUDGETS)
 @settings(max_examples=300)
+# the first panel meets g(0.06) NaN with g(0.16) raising, then g(0.26) and g(0.36) NaN
+@example(_striped(0.0), 0.01, 0.21, 1e-8, DEFAULT_MAX_EVALS)
+@example(_striped(0.0), 0.21, 0.41, 1e-8, DEFAULT_MAX_EVALS)
 def test_flat_loop_matches_budget_reference(g, x, y, tol, max_evals):
     lo, hi = min(x, y), max(x, y)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return g(x)
+
     assert (_outcome(integrate, g, lo, hi, tol, max_evals)
-            == _outcome(_reference_integrate, g, lo, hi, tol, max_evals))
+            == _outcome(_reference_integrate, counted, lo, hi, tol, max_evals))
+    # budgets that end just before, and at, the reference's last evaluation
+    limit = len(calls)
+    for budget in (max(limit - 1, 0), limit):
+        assert (_outcome(integrate, g, lo, hi, tol, budget)
+                == _outcome(_reference_integrate, g, lo, hi, tol, budget))
 
 
 @given(_INTEGRANDS, _ENDS, st.lists(st.floats(0.01, 0.99), max_size=3), _TOLS, _BUDGETS)
