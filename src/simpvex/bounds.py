@@ -20,10 +20,10 @@ inequalities that dominate |defect| under sampled hypotheses on |f'|^q:
     C4.2           midpoint-vs-mean gap when f(a) = f(mid) = f(end)
     CLASSICAL      sup|f''''| eta^4 / 2880
 
-Each BoundValue carries slack = rhs - |defect| - quadrature_error.
-Without an antiderivative, quadrature_error is the adaptive quadrature's
-|S2 - S1|/15 panel estimate, a heuristic and not a bound on the true
-error (Gander & Gautschi, "Adaptive quadrature - revisited", BIT 40,
+Each BoundValue carries slack = rhs - lhs - quadrature_error, lhs being
+|defect| (C4.2: |f(a + eta/2) - mean of f|).  Without an antiderivative,
+quadrature_error is the adaptive quadrature's |S2 - S1|/15 panel
+estimate, a heuristic and not a bound on the true error (Gander & Gautschi, "Adaptive quadrature - revisited", BIT 40,
 2000).  The slack accounts for that estimate only, so a negative slack
 beyond tolerance is a counterexample up to the estimate's reliability;
 certified verdicts are an open roadmap item.
@@ -32,7 +32,7 @@ certified verdicts are an open roadmap item.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -44,6 +44,7 @@ from .errors import (
     InvalidEta,
     MissingFourthDerivative,
     PreconditionUnmet,
+    QuadratureError,
 )
 from .invexity import Domain
 from .quadrature import QuadratureResult
@@ -57,7 +58,6 @@ __all__ = [
     "simpson_defect",
     "lemma_rhs",
     "midpoint_gap",
-    "midpoint_value",
     "fourth_derivative_sup",
     "bound_T3_1",
     "bound_T3_2",
@@ -132,7 +132,8 @@ class FunctionModel:
         return cls(cfg["name"], f, df, domain, F, d4sup)
 
     def validate(self, interval=None, quad_tol: float = quadrature.DEFAULT_ABS_TOL) -> None:
-        """Run the load-time gates; raises CaseConfigError on failure.
+        """Run the load-time gates; raises CaseConfigError on failure, and
+        EvalDomainError where f, df or F fails at a point a gate reads.
 
         The derivative gate samples 33 points of the whole domain (mismatch
         1e-4); the antiderivative gate integrates f to ``quad_tol`` over
@@ -148,7 +149,12 @@ class FunctionModel:
             )
         if self.F_fn is not None:
             lo, hi = interval if interval is not None else (self.domain.lo, self.domain.hi)
-            qr = quadrature.integrate(self.f_fn, lo, hi, quad_tol)
+            try:
+                qr = quadrature.integrate(self.f_fn, lo, hi, quad_tol)
+            except QuadratureError as exc:
+                raise CaseConfigError(
+                    f"model {self.name!r}: cannot integrate f on [{lo!r}, {hi!r}] "
+                    f"to check F: {exc}") from exc
             direct = self.F_fn(hi) - self.F_fn(lo)
             if abs(direct - qr.value) > 1e-9:
                 raise CaseConfigError(
@@ -166,7 +172,7 @@ class SimpsonDefect:
     defect: float
     quadrature_error: float
     evaluations: int
-    f_values: Optional[Tuple[float, float, float]] = None  # f(a), f(mid), f(end) of the sum
+    f_values: Tuple[float, float, float]  # f(a), f(mid), f(end) of the sum
 
 
 @dataclass(frozen=True)
@@ -274,25 +280,14 @@ def midpoint_gap(model: FunctionModel, a: float, eta_val: float,
     return fmid - mean, qerr
 
 
-def _midpoint(fa: float, fmid: float, fend: float,
-              precondition_tol: float = _PRECONDITION_TOL) -> float:
-    """fmid, under C4.2's precondition fa = fmid = fend within ``precondition_tol``."""
-    if abs(fa - fmid) > precondition_tol or abs(fmid - fend) > precondition_tol:
+def _midpoint(fa: float, fmid: float, fend: float) -> float:
+    """fmid, under C4.2's precondition fa = fmid = fend within _PRECONDITION_TOL."""
+    if abs(fa - fmid) > _PRECONDITION_TOL or abs(fmid - fend) > _PRECONDITION_TOL:
         raise PreconditionUnmet(
             f"midpoint bound needs f(a) = f(mid) = f(end); got "
             f"{fa!r}, {fmid!r}, {fend!r}"
         )
     return fmid
-
-
-def midpoint_value(model: FunctionModel, a: float, eta_val: float,
-                   precondition_tol: float = _PRECONDITION_TOL) -> float:
-    """f(a + eta/2), under C4.2's precondition f(a) = f(a + eta/2) = f(a + eta).
-
-    Raises PreconditionUnmet unless the three agree within ``precondition_tol``.
-    """
-    f = model.f_fn
-    return _midpoint(f(a), f(a + 0.5 * eta_val), f(a + eta_val), precondition_tol)
 
 
 def fourth_derivative_sup(model: FunctionModel) -> float:
@@ -340,12 +335,6 @@ def _power_means(scale: float, w1: float, w2: float, q: float, mirrored: bool):
     return rhs
 
 
-def _slack(rhs: float, defect: Optional[SimpsonDefect]) -> Optional[float]:
-    if defect is None:
-        return None
-    return rhs - abs(defect.defect) - defect.quadrature_error
-
-
 # rhs_for(q) -> rhs(x1, x2, step) over x1 = |f'(a)|, x2 = |f'(b)|: each
 # bound's formula with its q-only factors taken once.  They do not check
 # q; the (q, p) labels of THEOREMS do.
@@ -391,7 +380,8 @@ def _defect_lhs(defect: float, mean: float, values) -> float:
 
 
 def _midpoint_lhs(defect: float, mean: float, values) -> float:
-    """C4.2's |f(mid) - mean|, from the sum's values; PreconditionUnmet as midpoint_value."""
+    """C4.2's |f(mid) - mean|, from the sum's values; PreconditionUnmet unless
+    f(a) = f(mid) = f(end) within _PRECONDITION_TOL."""
     return abs(_midpoint(*values) - mean)
 
 
@@ -461,15 +451,23 @@ THEOREMS: Dict[str, Theorem] = {
 
 def _bound(theorem: str, model: FunctionModel, a: float, b: float, eta_val: float,
            q: Optional[float], defect: Optional[SimpsonDefect]) -> BoundValue:
-    """The BoundValue of THEOREMS[theorem]; checks the step, then q, then reads f'."""
+    """The BoundValue of THEOREMS[theorem], the one home of a bound's lhs and slack.
+
+    Checks the step, then q, then, given a defect, takes the row's lhs
+    (PreconditionUnmet for C4.2 off its precondition), then reads f'.
+    slack = rhs - lhs - defect.quadrature_error; None without a defect.
+    """
     row = THEOREMS[theorem]
     eta_val = _require_step(eta_val)
     q_label, p = row.labels(q)
+    lhs = None if defect is None else row.lhs(defect.defect, defect.mean_integral,
+                                              defect.f_values)
     x1 = x2 = None  # CLASSICAL reads no f'
     if row.mode is not None:
         x1, x2 = abs(model.df_fn(a)), abs(model.df_fn(b))
     rhs = row.rhs_for(q)(x1, x2, eta_val)
-    return BoundValue(theorem, q_label, p, rhs, _slack(rhs, defect))
+    slack = None if defect is None else rhs - lhs - defect.quadrature_error
+    return BoundValue(theorem, q_label, p, rhs, slack)
 
 
 def bound_T3_1(model: FunctionModel, a: float, b: float, eta_val: float,
@@ -523,19 +521,16 @@ def bound_T4_3(model: FunctionModel, a: float, b: float, eta_val: float, q: floa
 
 
 def bound_C4_2_midpoint(model: FunctionModel, a: float, b: float, eta_val: float,
-                        abs_tol: float = quadrature.DEFAULT_ABS_TOL,
-                        precondition_tol: float = _PRECONDITION_TOL) -> BoundValue:
+                        abs_tol: float = quadrature.DEFAULT_ABS_TOL) -> BoundValue:
     """Midpoint-vs-mean bound under f(a) = f(a + eta/2) = f(a + eta).
 
-    Raises PreconditionUnmet unless the three values agree within
-    ``precondition_tol``.  The slack uses the midpoint gap itself as the
-    left-hand side.
+    Step, path and quadrature errors come first, as ``simpson_defect``
+    raises them; then PreconditionUnmet unless the three values agree
+    within 1e-9.  The slack takes the midpoint gap |f(a + eta/2) - mean
+    of f| as the left-hand side.
     """
-    eta_val = _require_step(eta_val)
-    midpoint_value(model, a, eta_val, precondition_tol)
-    bv = _bound("C4.2", model, a, b, eta_val, None, None)
-    gap, qerr = midpoint_gap(model, a, eta_val, abs_tol)
-    return replace(bv, slack=bv.rhs - abs(gap) - qerr)
+    return _bound("C4.2", model, a, b, eta_val, None,
+                  simpson_defect(model, a, eta_val, abs_tol))
 
 
 def bound_classical(model: FunctionModel, a: float, eta_val: float,

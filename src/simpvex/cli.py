@@ -161,18 +161,19 @@ def cmd_scan(args) -> int:
     if error is not None:
         raise CaseConfigError(error[1])
     tol = _tolerances(args)
-    eta = _parse_eta(args.eta)
-    lo, hi = _parse_pair(args.K, "--K")
-    config = {
-        "name": args.name,
-        "f": args.f,
-        "df": args.df,
-        "F": args.F,
-        "d4sup": args.d4sup,
-        "K": [lo, hi],
-    }
-    model = bounds_mod.FunctionModel.from_config(config)
-    model.validate(quad_tol=tol.oracle)
+    with runner._compilable(f"model {args.name!r}"):
+        eta = _parse_eta(args.eta)
+        lo, hi = _parse_pair(args.K, "--K")
+        config = {
+            "name": args.name,
+            "f": args.f,
+            "df": args.df,
+            "F": args.F,
+            "d4sup": args.d4sup,
+            "K": [lo, hi],
+        }
+        model = bounds_mod.FunctionModel.from_config(config)
+        model.validate(quad_tol=tol.oracle)
     results = runner.tightness_scan(
         model, eta, model.domain,
         _parse_pair(args.a_range, "--a-range"),

@@ -464,8 +464,23 @@ class _Compiler:
                 raise ValueError(f"unbound variable {e.name!r}") from None
         if isinstance(e, Neg):
             return _node(ast.UnaryOp, ast.USub(), self.build(e.operand))
-        if isinstance(e, Bin):
-            return self.binary(e)
+        if isinstance(e, Bin):  # in this frame: one frame per tree level, as in _checked
+            op = e.op
+            left = self.build(e.left)
+            right = self.build(e.right)
+            if op in _LOGIC:
+                # Python's and/or short-circuit: the right operand is lazy
+                return _indicator(
+                    _node(ast.BoolOp, _LOGIC[op](), [_nonzero(left), _nonzero(right)]))
+            if op in _ARITH:
+                return _node(ast.BinOp, left, _ARITH[op](), right)
+            if op in _COMPARE:
+                return _indicator(_compare(left, _COMPARE[op], right))
+            if op == "/":  # ZeroDivisionError where _checked fails
+                return _node(ast.BinOp, left, ast.Div(), right)
+            if op == "^":
+                return self.power(left, right, _literal(e.right))
+            raise ValueError(f"unknown operator {op!r}")
         if isinstance(e, Call):  # math raises where _checked fails
             return _call(f"_{e.name}", self.build(e.arg))
         if isinstance(e, If):
@@ -474,23 +489,6 @@ class _Compiler:
             other = self.build(e.other)
             return _choose(_nonzero(cond), then, other)
         raise TypeError(f"not an expression node: {e!r}")
-
-    def binary(self, e):
-        op = e.op
-        left = self.build(e.left)
-        right = self.build(e.right)
-        if op in _LOGIC:
-            # Python's and/or short-circuit: the right operand is lazy
-            return _indicator(_node(ast.BoolOp, _LOGIC[op](), [_nonzero(left), _nonzero(right)]))
-        if op in _ARITH:
-            return _node(ast.BinOp, left, _ARITH[op](), right)
-        if op in _COMPARE:
-            return _indicator(_compare(left, _COMPARE[op], right))
-        if op == "/":  # ZeroDivisionError where _checked fails
-            return _node(ast.BinOp, left, ast.Div(), right)
-        if op == "^":
-            return self.power(left, right, _literal(e.right))
-        raise ValueError(f"unknown operator {op!r}")
 
     def power(self, base, exponent, literal):
         """Fast ``base ** exponent``; ``literal`` is the exponent's value if fixed.

@@ -32,11 +32,12 @@ sample stream and its path points, with eta called once per grid (u, v)
 pair and once per random triple.  The last plan is kept, so a case's
 invex-set check and its hypothesis checks at every q share one plan, as
 do consecutive cases on the same K and built-in eta.  The plan keeps its
-invex-set report and the values of the last function swept over it.  It
-evaluates its first function once per sample point; from its second
-function on (a further case on the same plan) it evaluates each once per
-distinct point, the grid's points merged by bit pattern, and spreads the
-values back to the stream.  |f'| of a compiled expression runs in the
+invex-set report and the values of the last |f'| swept over it.  It
+evaluates its first f' once per sample point; from its second f' on (a
+further case on the same plan) it evaluates each once per distinct
+point, the grid's points merged by bit pattern, and spreads the values
+back to the stream.  The plain-g checks evaluate g at every sample
+point, outside that memo.  |f'| of a compiled expression runs in the
 expression's batch form, one list comprehension per list of points rather
 than one call per point; any other callable is called per point.  Each
 further q costs only arithmetic, once per value (once per distinct value
@@ -267,16 +268,15 @@ def _filled(values: Iterable[float]) -> array:
     return out
 
 
-def _evaluate(fn: Callable[[float], float], parts: Sequence[Sequence[float]],
-              absolute: bool) -> array:
-    """fn (abs(fn) if ``absolute``) at the points of each of ``parts`` in turn.
+def _evaluate(fn: Callable[[float], float], parts: Sequence[Sequence[float]]) -> array:
+    """abs(fn) at the points of each of ``parts`` in turn.
 
-    abs(fn) of a compiled expression runs in its batch form, one frame per
+    For a compiled expression this runs in its batch form, one frame per
     slice of _CHUNK points; if that raises, or for any other fn, fn is
     called point by point, so a failure raises at the first failing point
     with its own error.
     """
-    batch = expr_mod.abs_batch(fn) if absolute else None
+    batch = expr_mod.abs_batch(fn)
     if batch is not None:
         out = array("d")
         try:
@@ -286,8 +286,7 @@ def _evaluate(fn: Callable[[float], float], parts: Sequence[Sequence[float]],
             return out
         except Exception:
             pass
-    calls = map(fn, chain.from_iterable(parts))
-    return _filled(map(abs, calls) if absolute else calls)
+    return _filled(map(abs, map(fn, chain.from_iterable(parts))))
 
 
 class SamplePlan:
@@ -297,9 +296,9 @@ class SamplePlan:
     sorted seeded random triples.  eta is called once per grid (u, v)
     pair and once per random triple.  Every sampled check is a sweep of
     ``worst`` over one plan.  The plan keeps the invex-set reports made
-    on it (``invex_set``) and the values of the last function swept over
-    it; the first function runs once per sample point, each later one
-    once per distinct point (see ``values``).
+    on it (``invex_set``) and the values of the last |f'| swept over it;
+    the first f' runs once per sample point, each later one once per
+    distinct point (see ``values``).
     """
 
     def __init__(self, K: Domain, eta: EtaMap, grid: SampleGrid):
@@ -315,7 +314,7 @@ class SamplePlan:
         self.parts = (array("d", self.us + self.vs), self.grid_x, self.random.points)  # points()
         self.samples = len(self.grid_x) + len(self.random)
         self.invex_set = {}  # check_invex_set's reports, by the bit pattern of (K, tol)
-        self._memo = (None, None, None, None)
+        self._memo = (None, None, None)
         self._distinct = None
 
     def points(self) -> Iterator[float]:
@@ -346,8 +345,8 @@ class SamplePlan:
             self._distinct = (distinct, itemgetter(*slots))
         return self._distinct
 
-    def values(self, fn: Callable[[float], float], absolute: bool = False) -> array:
-        """fn (abs(fn) if ``absolute``) at ``points``.
+    def values(self, fn: Callable[[float], float]) -> array:
+        """abs(fn) at ``points``.
 
         Layout: g at the grid's u values; at its v values; at its path
         points (from ``x_at``); then g(u), g(v), g(x) of each random
@@ -357,17 +356,17 @@ class SamplePlan:
         in stream order.  The values of the last fn are kept, so fn must
         be pure.
         """
-        memo_fn, memo_absolute, values, _ = self._memo
-        if memo_fn is not fn or memo_absolute != absolute:
+        memo_fn, values, _ = self._memo
+        if memo_fn is not fn:
             if memo_fn is None:
-                values = _evaluate(fn, self.parts, absolute)
+                values = _evaluate(fn, self.parts)
                 distinct = None
             else:
                 points, gather = self._distinct_points()
                 # floats, as the array of the point-by-point pass holds them
-                distinct = _evaluate(fn, (points,), absolute).tolist()
+                distinct = _evaluate(fn, (points,)).tolist()
                 values = array("d", gather(distinct))
-            self._memo = (fn, absolute, values, distinct)
+            self._memo = (fn, values, distinct)
         return values
 
     def power(self, q: float) -> array:
@@ -375,7 +374,7 @@ class SamplePlan:
 
         pow runs once per distinct point when ``values`` ran fn so.
         """
-        _, _, values, distinct = self._memo
+        _, values, distinct = self._memo
         if distinct is None:
             return _filled(map(pow, values, repeat(q)))
         gather = self._distinct_points()[1]
@@ -481,11 +480,11 @@ def check_preinvex(g: Callable[[float], float], eta: EtaMap, K: Domain,
     """Sampled preinvexity check of ``g`` on K.
 
     Assumes K is invex for ``eta`` (run check_invex_set first); ``g``
-    must be defined wherever the sampled paths land, and pure: its values
-    are kept for the next check on the same plan.
+    must be defined wherever the sampled paths land.
     """
     plan = _plan(K, eta, grid)
-    return _report("preinvex", _preinvex(plan, plan.values(g)), plan.samples, tol)
+    return _report("preinvex", _preinvex(plan, _filled(map(g, plan.points()))),
+                   plan.samples, tol)
 
 
 def check_prequasiinvex(g: Callable[[float], float], eta: EtaMap, K: Domain,
@@ -493,7 +492,8 @@ def check_prequasiinvex(g: Callable[[float], float], eta: EtaMap, K: Domain,
                         tol: float = DEFAULT_TOL) -> PropertyReport:
     """Sampled prequasiinvexity check of ``g`` on K."""
     plan = _plan(K, eta, grid)
-    return _report("prequasiinvex", _prequasiinvex(plan, plan.values(g)), plan.samples, tol)
+    return _report("prequasiinvex", _prequasiinvex(plan, _filled(map(g, plan.points()))),
+                   plan.samples, tol)
 
 
 def _derivative_values(plan: SamplePlan, model, q: float) -> array:
@@ -504,7 +504,7 @@ def _derivative_values(plan: SamplePlan, model, q: float) -> array:
     """
     df_fn = model.df_fn
     try:
-        h = plan.values(df_fn, absolute=True)
+        h = plan.values(df_fn)
     except Exception as exc:
         if q == 1.0:
             raise

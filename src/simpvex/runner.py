@@ -34,6 +34,7 @@ import json
 import math
 import numbers
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib.resources import files as _resource_files
@@ -300,43 +301,55 @@ def _case_error(case: CorpusCase) -> Optional[Tuple[str, str]]:
     return None
 
 
+@contextmanager
+def _compilable(subject: str):
+    """Turn a RecursionError, met where an expression nested too deeply is
+    parsed, compiled or checked, into CaseConfigError naming ``subject``."""
+    try:
+        yield
+    except RecursionError:
+        raise CaseConfigError(f"{subject}: an expression is nested too deeply") from None
+
+
 def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> CorpusCase:
     """Validate a raw case dict and build a CorpusCase.
 
-    Schema violations, unparsable expressions, a bad tolerance, a case
-    ``_case_error`` rejects, a failing derivative gate or an
-    inconsistent antiderivative all raise CaseConfigError here, at load
-    time.
+    Schema violations, unparsable expressions, an expression nested too
+    deeply, a bad tolerance, a case ``_case_error`` rejects, a
+    failing derivative gate or an inconsistent or unverifiable
+    antiderivative all raise CaseConfigError here, at load time; f, df or
+    F failing at a point a gate reads raises its EvalDomainError.
     """
     error = _schema_error(config, "case_schema")
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise CaseConfigError(f"case config invalid at {path}: {error.message}") from error
     name = config["name"]
-    model = bounds_mod.FunctionModel.from_config(config)
-    try:
-        eta = EtaMap.from_config(config["eta"])
-    except (ValueError, ParseError) as exc:
-        raise CaseConfigError(f"case {name!r}: bad eta: {exc}") from exc
-    a = float(config["a"])
-    b = float(config["b"])
-    expected = {key: (float(entry["rhs"]), float(entry["tolerance"]))
-                for key, entry in (config.get("expected") or {}).items()}
-    case = CorpusCase(name, model, eta, a, b, tuple(float(q) for q in config["q"]),
-                      tuple(config["theorems"]), tolerances.merged(config.get("tolerances")),
-                      expected)
-    error = _case_error(case)
-    if error is not None:
-        raise CaseConfigError(f"case {name!r}: {error[1]}")
-    # the F gate uses the case interval when the step is usable
-    f_interval = None
-    try:
-        step = eta(b, a)
-        if step > 0.0 and model.domain.contains(a) and model.domain.contains(a + step):
-            f_interval = (a, a + step)
-    except EvalDomainError:
-        pass
-    model.validate(interval=f_interval, quad_tol=case.tolerances.oracle)
+    with _compilable(f"case {name!r}"):
+        model = bounds_mod.FunctionModel.from_config(config)
+        try:
+            eta = EtaMap.from_config(config["eta"])
+        except (ValueError, ParseError) as exc:
+            raise CaseConfigError(f"case {name!r}: bad eta: {exc}") from exc
+        a = float(config["a"])
+        b = float(config["b"])
+        expected = {key: (float(entry["rhs"]), float(entry["tolerance"]))
+                    for key, entry in (config.get("expected") or {}).items()}
+        case = CorpusCase(name, model, eta, a, b, tuple(float(q) for q in config["q"]),
+                          tuple(config["theorems"]), tolerances.merged(config.get("tolerances")),
+                          expected)
+        error = _case_error(case)
+        if error is not None:
+            raise CaseConfigError(f"case {name!r}: {error[1]}")
+        # the F gate uses the case interval when the step is usable
+        f_interval = None
+        try:
+            step = eta(b, a)
+            if step > 0.0 and model.domain.contains(a) and model.domain.contains(a + step):
+                f_interval = (a, a + step)
+        except EvalDomainError:
+            pass
+        model.validate(interval=f_interval, quad_tol=case.tolerances.oracle)
     return case
 
 
@@ -494,20 +507,17 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
                     result.notes.append(
                         f"note: |f'| is {row.mode} at q=1 but |f'|^q fails at q={q:g}")
                 continue
+            k = model.d4sup if row.mode is None else q
             try:
-                lhs = row.lhs(defect.defect, defect.mean_integral, defect.f_values)
+                result.bounds.append(
+                    bounds_mod._bound(theorem, model, case.a, case.b, step, k, defect))
             except PreconditionUnmet as exc:
                 skipped = True
                 result.notes.append(f"skipped {theorem}: {exc}")
-                continue
-            k = model.d4sup if row.mode is None else q
-            try:
-                bv = bounds_mod._bound(theorem, model, case.a, case.b, step, k, defect)
             except EvalDomainError as exc:  # f'(b): the sweeps and the path may miss b
                 result.hypotheses.extend(hypothesis_reports.values())
                 return _input_error(
                     result, f"EvalDomainError: {theorem} needs |f'(a)| and |f'(b)|: {exc}")
-            result.bounds.append(replace(bv, slack=bv.rhs - lhs - defect.quadrature_error))
     result.hypotheses.extend(hypothesis_reports.values())
 
     _check_golden(_golden(case.expected), result)
@@ -625,15 +635,12 @@ def load_corpus(name_filter: Optional[str] = None,
     return cases
 
 
-def run_corpus(name_filter: Optional[str] = None,
-               tolerances: Tolerances = DEFAULT_TOLERANCES,
-               cases: Optional[Sequence[CorpusCase]] = None,
-               grid: SampleGrid = DEFAULT_GRID) -> RunReport:
-    """Run all (or filtered) corpus cases and assemble a report."""
+def run_corpus(cases: Optional[Sequence[CorpusCase]] = None) -> RunReport:
+    """Run ``cases`` (by default the bundled corpus) and assemble a report."""
     started = time.perf_counter()
     if cases is None:
-        cases = load_corpus(name_filter, tolerances)
-    results = [run_case(case, grid) for case in cases]
+        cases = load_corpus()
+    results = [run_case(case) for case in cases]
     results.sort(key=lambda r: r.name)
     return RunReport(results, time.perf_counter() - started)
 

@@ -243,12 +243,47 @@ def test_midpoint_bound_sin(sin_model):
     assert qerr == 0.0
 
 
-def test_midpoint_bound_precondition(square_model):
+def test_midpoint_bound_precondition(square_model, make_model):
     with pytest.raises(PreconditionUnmet):
         bound_C4_2_midpoint(square_model, 0.0, 1.0, 1.0)
-    # a huge tolerance waives the precondition
-    bv = bound_C4_2_midpoint(square_model, 0.0, 1.0, 1.0, precondition_tol=10.0)
+    # 4x(x - 1/2)(x - 1) meets the precondition, and max(|f'(0)|, |f'(1)|) = 2 as for x^2
+    cubic = make_model("4*x^3 - 6*x^2 + 2*x", "12*x^2 - 12*x + 2", "x^4 - 2*x^3 + x^2")
+    bv = bound_C4_2_midpoint(cubic, 0.0, 1.0, 1.0)
     assert bv.rhs == pytest.approx(5.0 / 18.0, rel=1e-13)
+    assert bv.slack == bv.rhs
+
+
+# x(1 - x)(2x - 1)^2 + 1e-10 x^2: f(0), f(1/2) and f(1) differ by less than
+# C4.2's 1e-9, but not by zero, so |defect| and |f(1/2) - mean| differ
+NEAR_LEVEL = ("-4*x^4 + 8*x^3 - 5*x^2 + x + 1e-10*x^2",
+              "-16*x^3 + 24*x^2 - 10*x + 1 + 2e-10*x",
+              "-0.8*x^5 + 2*x^4 - (5/3)*x^3 + 0.5*x^2 + (1e-10/3)*x^3")
+
+
+@pytest.mark.parametrize("with_F", [True, False])
+def test_midpoint_slack_takes_the_midpoint_gap(make_model, with_F):
+    f, df, F = NEAR_LEVEL
+    model = make_model(f, df, F if with_F else None)
+    d = simpson_defect(model, 0.0, 1.0)
+    fa, fmid, fend = d.f_values
+    assert 0.0 < max(abs(fa - fmid), abs(fmid - fend)) < 1e-9
+    bv = bounds._bound("C4.2", model, 0.0, 1.0, 1.0, None, d)
+    assert bv.slack == bv.rhs - abs(fmid - d.mean_integral) - d.quadrature_error
+    assert bv.slack != bv.rhs - abs(d.defect) - d.quadrature_error
+    assert bound_C4_2_midpoint(model, 0.0, 1.0, 1.0) == bv
+
+
+def test_midpoint_bound_calls_f_three_times_with_an_antiderivative(sin_model):
+    f, calls = sin_model.f_fn, []
+    sin_model.f_fn = lambda x: calls.append(x) or f(x)
+    bound_C4_2_midpoint(sin_model, 0.0, 1.0, 1.0)
+    assert calls == [0.0, 0.5, 1.0]
+
+
+def test_midpoint_bound_checks_the_path_before_the_precondition(square_model):
+    # x^2 misses the precondition on [9, 11], whose end lies outside K = [-10, 10]
+    with pytest.raises(DomainError):
+        bound_C4_2_midpoint(square_model, 9.0, 11.0, 2.0)
 
 
 def test_classical_bound(exp_model, square_model):

@@ -274,6 +274,18 @@ def test_trig_of_an_infinite_argument_exits_three_without_a_traceback(tmp_path, 
         assert "of infinite argument in " in err
 
 
+def test_an_expression_too_deep_to_compile_exits_three_without_a_traceback(tmp_path, capsys):
+    f, df = "+".join(["x"] * 3000), "+".join(["1"] * 3000)
+    cfg = dict(square_config(), name="deep", f=f, df=df, F=None)
+    scan = ["scan", "--name", "deep", "--f", f, "--df", df, "--K", "0,1",
+            "--a-range", "0,0", "--b-range", "1,1", "--steps", "2"]
+    for argv, subject in ((["check", write_config(tmp_path / "deep.json", cfg)], "case"),
+                          (scan, "model")):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {subject} 'deep': an expression is nested too deeply\n")
+
+
 def _child_env():
     # the child imports the same simpvex as this process, even when pytest's
     # pythonpath setting (not the environment) is what put it on sys.path

@@ -480,11 +480,11 @@ def test_a_batch_failure_in_a_later_chunk_raises_that_points_own_error():
     g = fn("sqrt(x) + 1")
     points = [0.25 * i for i in range(invexity._CHUNK + 37)]  # not a multiple of _CHUNK
     want = [abs(g(x)) for x in points]
-    assert invexity._evaluate(g, [points], True).tolist() == want
+    assert invexity._evaluate(g, [points]).tolist() == want
     points[invexity._CHUNK + 3] = -1.0  # the first failure, in the second chunk
     points[invexity._CHUNK + 20] = -4.0
     with pytest.raises(EvalDomainError) as info:
-        invexity._evaluate(g, [points], True)
+        invexity._evaluate(g, [points])
     assert str(info.value) == "square root of negative argument in sqrt(x) at -1.0"
 
 

@@ -78,7 +78,7 @@ def test_corpus_unmet_case_is_the_sin_one(corpus_report):
 
 
 def test_corpus_filter_selects_substring():
-    report = run_corpus(name_filter="x4")
+    report = run_corpus(cases=load_corpus("x4"))
     assert [r.name for r in report.results] == ["poly_x4"]
     r = report.results[0]
     assert r.verdict == "pass"
@@ -87,15 +87,15 @@ def test_corpus_filter_selects_substring():
 
 
 def test_corpus_filter_without_match_is_empty():
-    report = run_corpus(name_filter="no_such_case")
+    report = run_corpus(cases=load_corpus("no_such_case"))
     assert report.results == []
     assert report.counts["cases"] == 0
     jsonschema.validate(json.loads(report.to_json()), runner.report_schema())
 
 
 def test_corpus_runs_are_byte_identical():
-    a = run_corpus(name_filter="poly_x2").to_json()
-    b = run_corpus(name_filter="poly_x2").to_json()
+    a = run_corpus(cases=load_corpus("poly_x2")).to_json()
+    b = run_corpus(cases=load_corpus("poly_x2")).to_json()
     assert a == b
 
 
@@ -200,6 +200,33 @@ def test_load_case_rejects_unparsable_expression():
     with pytest.raises(CaseConfigError) as info:
         load_case(square_case(f="x +"))
     assert "bad expression" in str(info.value)
+
+
+def sum_case(terms):
+    """x + ... + x with df 1 + ... + 1: a parse tree one level deeper per term."""
+    return square_case(name=f"sum_{terms}", f="+".join(["x"] * terms),
+                       df="+".join(["1"] * terms), F=None, q=[1], theorems=["T3.1"])
+
+
+def test_a_900_term_sum_gets_a_verdict():
+    result = run_case(load_case(sum_case(900)), SampleGrid(nu=5, nv=5, nt=3, random_triples=20))
+    assert result.verdict == "pass"
+    assert result.bounds[0].rhs == pytest.approx(5.0 / 72.0 * 1800.0)
+
+
+def test_a_sum_too_deep_to_compile_is_a_config_error():
+    with pytest.raises(CaseConfigError) as info:
+        load_case(sum_case(3000))
+    assert str(info.value) == "case 'sum_3000': an expression is nested too deeply"
+
+
+def test_an_antiderivative_check_that_cannot_converge_is_a_config_error():
+    cfg = square_case(name="exp_wide", f="exp(x)", df="exp(x)", F="exp(x)", K=[0, 20], b=20)
+    with pytest.raises(CaseConfigError) as info:
+        load_case(cfg)
+    message = str(info.value)
+    assert message.startswith("model 'exp_wide': cannot integrate f on [0.0, 20.0] to check F: ")
+    assert isinstance(info.value.__cause__, QuadratureError)
 
 
 def test_run_case_flags_point_outside_domain():
