@@ -41,6 +41,7 @@ from . import kernel, quadrature
 from .errors import (
     CaseConfigError,
     DomainError,
+    EvalDomainError,
     InvalidEta,
     MissingFourthDerivative,
     PreconditionUnmet,
@@ -132,15 +133,18 @@ class FunctionModel:
         return cls(cfg["name"], f, df, domain, F, d4sup)
 
     def validate(self, interval=None, quad_tol: float = quadrature.DEFAULT_ABS_TOL) -> None:
-        """Run the load-time gates; raises CaseConfigError on failure, and
-        EvalDomainError where f, df or F fails at a point a gate reads.
+        """Run the load-time gates; raises CaseConfigError on failure, also
+        where f, df or F fails at a point a gate reads.
 
         The derivative gate samples 33 points of the whole domain (mismatch
         1e-4); the antiderivative gate integrates f to ``quad_tol`` over
         ``interval`` (the case interval) when given, the domain otherwise (1e-9).
         """
-        gate = expr_mod.check_derivative(
-            self.f, self.df, (self.domain.lo, self.domain.hi), 33, 1e-4)
+        try:
+            gate = expr_mod.check_derivative(
+                self.f, self.df, (self.domain.lo, self.domain.hi), 33, 1e-4)
+        except EvalDomainError as exc:
+            raise CaseConfigError(f"model {self.name!r}: derivative gate: {exc}") from exc
         if gate.violated:
             x, want, got = gate.witness
             raise CaseConfigError(
@@ -151,11 +155,14 @@ class FunctionModel:
             lo, hi = interval if interval is not None else (self.domain.lo, self.domain.hi)
             try:
                 qr = quadrature.integrate(self.f_fn, lo, hi, quad_tol)
+                direct = self.F_fn(hi) - self.F_fn(lo)
             except QuadratureError as exc:
                 raise CaseConfigError(
                     f"model {self.name!r}: cannot integrate f on [{lo!r}, {hi!r}] "
                     f"to check F: {exc}") from exc
-            direct = self.F_fn(hi) - self.F_fn(lo)
+            except EvalDomainError as exc:
+                raise CaseConfigError(
+                    f"model {self.name!r}: antiderivative gate: {exc}") from exc
             if abs(direct - qr.value) > 1e-9:
                 raise CaseConfigError(
                     f"model {self.name!r}: antiderivative F disagrees with quadrature "

@@ -32,16 +32,13 @@ sample stream and its path points, with eta called once per grid (u, v)
 pair and once per random triple.  The last plan is kept, so a case's
 invex-set check and its hypothesis checks at every q share one plan, as
 do consecutive cases on the same K and built-in eta.  The plan keeps its
-invex-set report and the values of the last |f'| swept over it.  It
-evaluates its first f' once per sample point; from its second f' on (a
-further case on the same plan) it evaluates each once per distinct
-point, the grid's points merged by bit pattern, and spreads the values
-back to the stream.  The plain-g checks evaluate g at every sample
-point, outside that memo.  |f'| of a compiled expression runs in the
-expression's batch form, one list comprehension per list of points rather
-than one call per point; any other callable is called per point.  Each
-further q costs only arithmetic, once per value (once per distinct value
-on a reused plan).  The arithmetic is the per-sample formula's, so
+invex-set report and the values of the last |f'| swept over it, which it
+evaluates once per sample point, in stream order.  The plain-g checks
+evaluate g at every sample point, outside that memo.  |f'| of a compiled
+expression runs in the expression's batch form, one list comprehension
+per list of points rather than one call per point; any other callable is
+called per point.  Each further q costs only arithmetic, once per value.
+The arithmetic is the per-sample formula's, so
 verdicts, worst violations and witnesses are unchanged.  max(x, y) is
 written ``y if y > x else x`` (min with <), the builtin's own rule, so
 NaN, -0.0 and ties come out the same, without a call per sample.
@@ -54,8 +51,8 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count, cycle, islice, repeat
-from operator import add, itemgetter, lt, sub
+from itertools import chain, cycle, islice, repeat
+from operator import add, lt, sub
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import expr as expr_mod
@@ -296,9 +293,7 @@ class SamplePlan:
     sorted seeded random triples.  eta is called once per grid (u, v)
     pair and once per random triple.  Every sampled check is a sweep of
     ``worst`` over one plan.  The plan keeps the invex-set reports made
-    on it (``invex_set``) and the values of the last |f'| swept over it;
-    the first f' runs once per sample point, each later one once per
-    distinct point (see ``values``).
+    on it (``invex_set``) and the values of the last |f'| swept over it.
     """
 
     def __init__(self, K: Domain, eta: EtaMap, grid: SampleGrid):
@@ -314,71 +309,28 @@ class SamplePlan:
         self.parts = (array("d", self.us + self.vs), self.grid_x, self.random.points)  # points()
         self.samples = len(self.grid_x) + len(self.random)
         self.invex_set = {}  # check_invex_set's reports, by the bit pattern of (K, tol)
-        self._memo = (None, None, None)
-        self._distinct = None
+        self._memo = (None, None)
 
     def points(self) -> Iterator[float]:
         """Every point a sweep reads g at, in the order of ``values``."""
         return chain.from_iterable(self.parts)
 
-    def _distinct_points(self) -> Tuple[array, Callable[[list], tuple]]:
-        """The distinct points of ``points`` and the gather that spreads values back.
-
-        The grid's u values, v values and path points are merged by bit
-        pattern, in first-occurrence order; the random layer's points
-        follow unmerged.  gather(values at the distinct points) gives the
-        values at ``points``.
-        """
-        if self._distinct is None:
-            # each temporary is dropped once used: this build sets a corpus run's peak memory
-            keys = array("Q", (self.parts[0] + self.grid_x).tobytes())
-            first = {}  # key -> the position of its first occurrence
-            at = list(map(first.setdefault, keys, count()))
-            del keys
-            slot = dict(zip(first.values(), count()))
-            distinct = array("d", array("Q", first).tobytes())
-            del first
-            slots = list(map(slot.__getitem__, at))
-            del at, slot
-            slots.extend(range(len(distinct), len(distinct) + 3 * len(self.random)))
-            distinct.extend(self.random.points)
-            self._distinct = (distinct, itemgetter(*slots))
-        return self._distinct
-
     def values(self, fn: Callable[[float], float]) -> array:
-        """abs(fn) at ``points``.
+        """abs(fn) at ``points``, called in that order.
 
         Layout: g at the grid's u values; at its v values; at its path
         points (from ``x_at``); then g(u), g(v), g(x) of each random
-        triple.  The plan's first fn is called at ``points`` in order;
-        each later one once per distinct point, in first-occurrence
-        order, so either way the first point where fn fails is the first
-        in stream order.  The values of the last fn are kept, so fn must
-        be pure.
+        triple.  The values of the last fn are kept, so fn must be pure.
         """
-        memo_fn, values, _ = self._memo
+        memo_fn, values = self._memo
         if memo_fn is not fn:
-            if memo_fn is None:
-                values = _evaluate(fn, self.parts)
-                distinct = None
-            else:
-                points, gather = self._distinct_points()
-                # floats, as the array of the point-by-point pass holds them
-                distinct = _evaluate(fn, (points,)).tolist()
-                values = array("d", gather(distinct))
-            self._memo = (fn, values, distinct)
+            values = _evaluate(fn, self.parts)
+            self._memo = (fn, values)
         return values
 
     def power(self, q: float) -> array:
-        """The values last returned by ``values``, each raised to q.
-
-        pow runs once per distinct point when ``values`` ran fn so.
-        """
-        _, values, distinct = self._memo
-        if distinct is None:
-            return _filled(map(pow, values, repeat(q)))
-        gather = self._distinct_points()[1]
-        return array("d", gather(list(map(pow, distinct, repeat(q)))))
+        """The values last returned by ``values``, each raised to q."""
+        return _filled(map(pow, self._memo[1], repeat(q)))
 
     def grid_values(self, g: array) -> Tuple[memoryview, memoryview, memoryview]:
         """g at the grid's u values, at its v values and at its path points, uncopied."""
@@ -499,8 +451,7 @@ def check_prequasiinvex(g: Callable[[float], float], eta: EtaMap, K: Domain,
 def _derivative_values(plan: SamplePlan, model, q: float) -> array:
     """|f'|^q at the plan's points.
 
-    f' runs once per case, not once per q: once per sample point on the
-    plan's first case, once per distinct point on each later one.
+    f' runs once per case and sample point, not once per q.
     """
     df_fn = model.df_fn
     try:

@@ -23,9 +23,8 @@ schemas/report_schema.json and re-validated on every serialization.
 
 Case configs and reports are accepted or rejected by a small in-repo
 checker of the keywords the two bundled schemas use (draft 2020-12
-semantics).  ``jsonschema`` stays a dependency but is imported only to
-word the error for a rejected document, so loading, running and
-serialising valid documents never import it.
+semantics), which also words each rejection as jsonschema does; the
+program has no runtime dependency.
 """
 
 from __future__ import annotations
@@ -207,65 +206,74 @@ def _unique(items: list) -> bool:
         return True
 
 
-def _valid(instance, schema: dict, root: dict) -> bool:
-    """Whether ``instance`` is valid under ``schema``, as jsonschema decides
-    (draft 2020-12) for the keywords the bundled schemas use; a test fails
-    on any other.  ``$ref`` points into the root's ``$defs``."""
-    if "$ref" in schema and not _valid(
-            instance, root["$defs"][schema["$ref"][len("#/$defs/"):]], root):
-        return False
+def _fail(path: tuple, message: str) -> Tuple[str, str]:
+    return "/".join(map(str, path)) or "<root>", message
+
+
+def _failure(instance, schema: dict, root: dict,
+             path: tuple = ()) -> Optional[Tuple[str, str]]:
+    """(JSON path, message) of the first check ``instance`` fails under
+    ``schema``, else None.
+
+    Accepts and rejects as jsonschema does (draft 2020-12) for the keywords
+    the bundled schemas use, and words each rejection as jsonschema 4.26
+    words that keyword; a test fails on any other keyword.  ``$ref``
+    points into the root's ``$defs``.  The path is "<root>" at the top.
+    """
+    if "$ref" in schema:
+        found = _failure(instance, root["$defs"][schema["$ref"][len("#/$defs/"):]], root, path)
+        if found is not None:
+            return found
     types = schema.get("type")
-    if types is not None and not any(
-            _TYPES[t](instance) for t in ([types] if isinstance(types, str) else types)):
-        return False
+    if types is not None:
+        types = [types] if isinstance(types, str) else types
+        if not any(_TYPES[t](instance) for t in types):
+            return _fail(path, f"{instance!r} is not of type {', '.join(map(repr, types))}")
     if "enum" in schema and instance not in schema["enum"]:
-        return False
+        return _fail(path, f"{instance!r} is not one of {schema['enum']!r}")
     if isinstance(instance, dict):
-        if not all(key in instance for key in schema.get("required", ())):
-            return False
+        for key in schema.get("required", ()):
+            if key not in instance:
+                return _fail(path, f"{key!r} is a required property")
         properties = schema.get("properties", {})
         extra = schema.get("additionalProperties", True)
         for key, value in instance.items():
             sub = properties.get(key, extra)
-            if sub is False or sub is not True and not _valid(value, sub, root):
-                return False
+            if sub is False:  # jsonschema names every extra key in one error
+                extras = sorted((k for k in instance if k not in properties), key=str)
+                verb = "was" if len(extras) == 1 else "were"
+                return _fail(path, f"Additional properties are not allowed "
+                                   f"({', '.join(map(repr, extras))} {verb} unexpected)")
+            if sub is not True:
+                found = _failure(value, sub, root, path + (key,))
+                if found is not None:
+                    return found
     elif isinstance(instance, list):
-        if not schema.get("minItems", 0) <= len(instance) <= schema.get("maxItems", math.inf):
-            return False
+        if len(instance) < schema.get("minItems", 0):
+            return _fail(path, f"{instance!r} should be non-empty" if schema["minItems"] == 1
+                         else f"{instance!r} is too short")
+        if len(instance) > schema.get("maxItems", math.inf):
+            return _fail(path, f"{instance!r} is expected to be empty" if schema["maxItems"] == 0
+                         else f"{instance!r} is too long")
         items = schema.get("items")
-        if items is not None and not all(_valid(x, items, root) for x in instance):
-            return False
+        if items is not None:
+            for i, item in enumerate(instance):
+                found = _failure(item, items, root, path + (i,))
+                if found is not None:
+                    return found
         if schema.get("uniqueItems") and not _unique(instance):
-            return False
+            return _fail(path, f"{instance!r} has non-unique elements")
     elif isinstance(instance, str):
-        return len(instance) >= schema.get("minLength", 0)
+        if len(instance) < schema.get("minLength", 0):
+            return _fail(path, f"{instance!r} should be non-empty" if schema["minLength"] == 1
+                         else f"{instance!r} is too short")
     elif _TYPES["number"](instance):  # NaN passes both, as in jsonschema
         if "minimum" in schema and instance < schema["minimum"]:
-            return False
+            return _fail(path, f"{instance!r} is less than the minimum of {schema['minimum']!r}")
         if "exclusiveMinimum" in schema and instance <= schema["exclusiveMinimum"]:
-            return False
-    return True
-
-
-def _schema_error(instance, name: str):
-    """The error ``jsonschema.validate`` would raise for ``instance``, or None.
-
-    ``_valid`` decides; jsonschema, imported only to word a rejection,
-    stays the authority: an instance it finds no error in is accepted.
-    """
-    schema = _schema(name)
-    if _valid(instance, schema, schema):
-        return None
-    from jsonschema.exceptions import best_match
-    from jsonschema.validators import validator_for
-    return best_match(validator_for(schema)(schema).iter_errors(instance))
-
-
-def _validate(instance, name: str) -> None:
-    """Raise the error ``jsonschema.validate`` would raise for ``instance``."""
-    error = _schema_error(instance, name)
-    if error is not None:
-        raise error
+            return _fail(path, f"{instance!r} is less than or equal to the minimum of "
+                               f"{schema['exclusiveMinimum']!r}")
+    return None
 
 
 @dataclass
@@ -317,13 +325,13 @@ def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Corp
     Schema violations, unparsable expressions, an expression nested too
     deeply, a bad tolerance, a case ``_case_error`` rejects, a
     failing derivative gate or an inconsistent or unverifiable
-    antiderivative all raise CaseConfigError here, at load time; f, df or
-    F failing at a point a gate reads raises its EvalDomainError.
+    antiderivative (f, df or F failing at a point a gate reads included)
+    all raise CaseConfigError here, at load time.
     """
-    error = _schema_error(config, "case_schema")
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise CaseConfigError(f"case config invalid at {path}: {error.message}") from error
+    schema = _schema("case_schema")
+    found = _failure(config, schema, schema)
+    if found is not None:
+        raise CaseConfigError("case config invalid at %s: %s" % found)
     name = config["name"]
     with _compilable(f"case {name!r}"):
         model = bounds_mod.FunctionModel.from_config(config)
@@ -596,8 +604,10 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        doc = self.to_dict()
-        _validate(doc, "report_schema")
+        doc, schema = self.to_dict(), _schema("report_schema")
+        found = _failure(doc, schema, schema)
+        if found is not None:
+            raise ValueError("report invalid at %s: %s" % found)
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:

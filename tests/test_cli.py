@@ -10,6 +10,7 @@ import pytest
 import simpvex
 from simpvex import quadrature, runner
 from simpvex.cli import main
+from simpvex.errors import CaseConfigError
 
 TWO_PI = "6.283185307179586"
 
@@ -267,11 +268,37 @@ def test_trig_of_an_infinite_argument_exits_three_without_a_traceback(tmp_path, 
     cfg = dict(SIN_WIDE, eta={"kind": "difference"}, a=0, b=1, q=[1], theorems=["T3.1"])
     scan = ["scan", "--f", SIN_WIDE["f"], "--df", SIN_WIDE["df"], "--K", "0,1e200",
             "--a-range", "0,0", "--b-range", "1,1", "--steps", "2"]
-    for argv in (["check", write_config(tmp_path / "sin_wide.json", cfg)], scan):
+    for argv, name in ((["check", write_config(tmp_path / "sin_wide.json", cfg)], "sin_wide"),
+                       (scan, "scan")):
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: EvalDomainError: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: model '{name}': ") and err.count("\n") == 1, err
         assert "of infinite argument in " in err
+
+
+# f = log(x) fails left of 0: the derivative gate meets it on K = [-1, 1] and the
+# antiderivative gate at a = 0
+LOG_ON = {"name": "lg", "f": "log(x)", "df": "1/x", "eta": {"kind": "difference"},
+          "q": [1], "theorems": ["T3.1"]}
+
+
+@pytest.mark.parametrize("cfg, scan_args, message", [
+    (dict(LOG_ON, K=[-1, 1], a=0.5, b=1), ["--K=-1,1"],
+     "model 'lg': derivative gate: log of non-positive argument in log(x) "
+     "at -0.9411754705882353"),
+    (dict(LOG_ON, F="x*log(x)-x", K=[0, 1], a=0, b=1), ["--F", "x*log(x)-x", "--K", "0,1"],
+     "model 'lg': antiderivative gate: log of non-positive argument in log(x) at 0.0"),
+], ids=["derivative", "antiderivative"])
+def test_a_function_failing_in_a_gate_is_a_config_error(tmp_path, capsys, cfg, scan_args,
+                                                         message):
+    with pytest.raises(CaseConfigError) as info:
+        runner.load_case(cfg)
+    assert str(info.value) == message
+    scan = ["scan", "--name", "lg", "--f", "log(x)", "--df", "1/x", *scan_args,
+            "--a-range", "0,0", "--b-range", "1,1", "--steps", "2"]
+    for argv in (["check", write_config(tmp_path / "lg.json", cfg)], scan):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_an_expression_too_deep_to_compile_exits_three_without_a_traceback(tmp_path, capsys):
@@ -328,21 +355,57 @@ def test_console_script_entry_point():
 
 
 _NO_SCHEMA_LIBRARY = """\
+import json
 import sys
-import simpvex
+sys.modules["jsonschema"] = None  # any import of it raises ImportError
 from simpvex import runner
+from simpvex.errors import CaseConfigError
 cases = runner.load_corpus()
 runner.RunReport([runner.run_case(cases[0])], 0.0).to_json()
-print(sorted(m for m in sys.modules
-             if m.split(".")[0] in ("jsonschema", "referencing", "rpds", "attrs")))
+for cfg in json.load(sys.stdin):
+    try:
+        runner.load_case(cfg)
+    except CaseConfigError as exc:
+        print(exc)
+try:
+    runner.RunReport([runner.CaseResult(1, "pass")], 0.0).to_json()
+except ValueError as exc:
+    print(exc)
 """
 
 
-def test_valid_documents_never_import_jsonschema():
-    proc = subprocess.run([sys.executable, "-c", _NO_SCHEMA_LIBRARY],
+def _schema_rejections():
+    """One case config per keyword class the case schema uses, each rejected."""
+    missing_df = square_config()
+    del missing_df["df"]
+    return [missing_df] + [dict(square_config(), **change) for change in (
+        {"a": "0"}, {"theorems": ["T9.9"]}, {"extra": 1}, {"q": []}, {"K": [0, 0.5, 1]},
+        {"q": [1, 1.0]}, {"q": [0.5]}, {"tolerances": {"oracle": 0}}, {"name": ""})]
+
+
+def test_the_program_never_imports_jsonschema():
+    bad = _schema_rejections()
+    proc = subprocess.run([sys.executable, "-c", _NO_SCHEMA_LIBRARY], input=json.dumps(bad),
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    want = []
+    for cfg in bad:
+        with pytest.raises(CaseConfigError) as info:
+            runner.load_case(cfg)
+        assert str(info.value).startswith("case config invalid at ")
+        want.append(str(info.value))
+    want.append("report invalid at cases/0/case: 1 is not of type 'string'")
+    assert proc.stdout.splitlines() == want
+
+
+def test_jsonschema_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+    assert any(req.startswith("jsonschema") for req in
+               project["optional-dependencies"]["test"])
 
 
 def test_check_schema_invalid_config_exits_three(tmp_path):

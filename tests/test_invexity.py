@@ -2,7 +2,6 @@ import functools
 import json
 import math
 import random
-import struct
 from array import array
 from dataclasses import replace
 from itertools import chain
@@ -466,14 +465,12 @@ def test_first_failure_in_point_order_is_raised():
         hypothesis_pair(model, eta, K, 1.5)
     with pytest.raises(OverflowError):
         hypothesis_pair(model, eta, K, 300.0)
-    assert _plan(K, eta, DEFAULT_GRID)._distinct is None
     raised = [_raised(model, eta, K, q) for q in (1.0, 1.5, 300.0)]
     assert [r[0] for r in raised] == [ZeroDivisionError, ZeroDivisionError, OverflowError]
 
-    # as the plan's second function, 1/x runs once per distinct point: the same errors
+    # as the plan's second function, 1/x raises the same errors
     hypothesis_pair(SimpleNamespace(df_fn=fn("x")), eta, K, 1.0)
     assert [_raised(model, eta, K, q) for q in (1.0, 1.5, 300.0)] == raised
-    assert _plan(K, eta, DEFAULT_GRID)._distinct is not None
 
 
 def test_a_batch_failure_in_a_later_chunk_raises_that_points_own_error():
@@ -486,28 +483,6 @@ def test_a_batch_failure_in_a_later_chunk_raises_that_points_own_error():
     with pytest.raises(EvalDomainError) as info:
         invexity._evaluate(g, [points])
     assert str(info.value) == "square root of negative argument in sqrt(x) at -1.0"
-
-
-def _counting(g, calls):
-    def df(x):
-        calls[0] += 1
-        return g(x)
-
-    return SimpleNamespace(df_fn=df)
-
-
-def test_a_reused_plan_runs_a_later_function_once_per_distinct_point():
-    first_calls, second_calls = [0], [0]
-    eta = EtaMap("difference", sub, "unshared difference")  # a plan of its own
-    K = Domain(0.0, 1.0)
-    first, second = _counting(fn("3*x^2"), first_calls), _counting(fn("2*x - 1"), second_calls)
-    for model in (first, second):
-        for q in (1.0, 1.5, 2.0, 3.0):
-            hypothesis_pair(model, eta, K, q)
-    plan = _plan(K, eta, DEFAULT_GRID)
-    distinct = {struct.pack("<d", x) for x in chain(plan.us, plan.vs, plan.grid_x)}
-    assert first_calls[0] == 41 + 41 + 41 * 41 * 21 + 3 * 2000
-    assert second_calls[0] == len(distinct) + 3 * 2000 == 8110
 
 
 @pytest.mark.parametrize("g, eta, K", [
@@ -523,7 +498,6 @@ def test_a_reused_plans_later_function_matches_the_reference(g, eta, K):
         h = (lambda x: abs(g(x)) ** q) if q != 1.0 else (lambda x: abs(g(x)))
         want = _ref_pair(h, eta, K, DEFAULT_GRID, 1e-12, q)
         assert repr(hypothesis_pair(model, eta, K, q)) == repr(want)
-    assert _plan(K, eta, DEFAULT_GRID)._distinct is not None
 
 
 def test_a_plan_keeps_its_invex_set_reports_per_K_and_tol():

@@ -1,9 +1,9 @@
 """The in-repo schema checker against jsonschema, the reference.
 
-``runner._valid`` decides accept or reject for every case config and
-report; jsonschema only words a rejection.  These tests mutate valid
-documents and require the same decision, and the same error, as
-``jsonschema.validate``.
+``runner._failure`` accepts or rejects every case config and report, and
+words the rejection.  These tests mutate valid documents and require the
+same decision as jsonschema on every one, and the same message as
+jsonschema's ``best_match`` wherever jsonschema finds exactly one error.
 """
 
 import copy
@@ -14,6 +14,7 @@ import hypothesis.strategies as st
 import jsonschema
 import pytest
 from hypothesis import given, settings
+from jsonschema.exceptions import best_match
 
 from simpvex import runner
 from simpvex.errors import CaseConfigError, SimpvexError
@@ -139,7 +140,8 @@ CASE_EXTRAS = [
     (("expected",), {"T3.1": {"rhs": 1.0, "tolerance": 0.1, UNKNOWN: 1}}),
     (("expected",), {"T3.1": {"rhs": 1.0, "tolerance": 0.0}}),
     (("q",), [1, 2.0, 0.999]), (("q",), [math.nan]), (("d4sup",), -0.5),
-    (("name",), "x"), (("f",), 1),
+    (("name",), "x"), (("name",), ""), (("f",), 1),
+    (("tolerances",), {"zz": 1.0, UNKNOWN: 2.0, "aa": 3.0}),
     (("q",), [1, 1.0]), (("q",), [2, 3, 2.0]), (("q",), [True, 1]), (("q",), [1.5, 2]),
     (("q",), [math.nan, math.nan]), (("q",), [1, math.nan, 1]),
     (("theorems",), ["T3.1", "T3.1"]), (("theorems",), ["T3.1", "T4.1", "T3.1"]),
@@ -147,31 +149,44 @@ CASE_EXTRAS = [
 
 
 def _load_case_decision(cfg):
-    """None if load_case passes the schema stage, else its error and cause texts."""
+    """None if load_case passes the schema stage, else its error text."""
     try:
         runner.load_case(cfg)
     except CaseConfigError as exc:
         if str(exc).startswith("case config invalid at "):
-            return str(exc), str(exc.__cause__)
+            return str(exc)
     except SimpvexError:  # a later gate: the schema accepted the config
         pass
     return None
 
 
-def _jsonschema_decision(cfg):
-    try:
-        jsonschema.validate(cfg, runner.case_schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        return f"case config invalid at {path}: {exc.message}", str(exc)
-    return None
+def _jsonschema_decision(doc, name="case_schema"):
+    """(None or jsonschema's best_match worded as the program words a rejection,
+    the number of errors jsonschema finds in ``doc``)."""
+    schema = getattr(runner, name)()
+    errors = list(jsonschema.Draft202012Validator(schema).iter_errors(doc))
+    if not errors:
+        return None, 0
+    error = best_match(errors)
+    path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+    what = "case config" if name == "case_schema" else "report"
+    return f"{what} invalid at {path}: {error.message}", len(errors)
+
+
+def _assert_as_jsonschema(got, doc, name="case_schema"):
+    """``got`` rejects ``doc`` exactly when jsonschema does, in its words when it
+    finds one error."""
+    want, errors = _jsonschema_decision(doc, name)
+    assert (got is None) == (want is None), (got, want)
+    if errors == 1:
+        assert got == want
 
 
 @settings(max_examples=250)
 @given(st.one_of(st.sampled_from(CORPUS_CONFIGS), generated_configs(repeats=True)).flatmap(
     lambda cfg: mutations(cfg, _case_required, CASE_EXTRAS)))
 def test_load_case_rejects_exactly_what_jsonschema_rejects(cfg):
-    assert _load_case_decision(cfg) == _jsonschema_decision(cfg)
+    _assert_as_jsonschema(_load_case_decision(cfg), cfg)
 
 
 @settings(max_examples=100)
@@ -179,10 +194,10 @@ def test_load_case_rejects_exactly_what_jsonschema_rejects(cfg):
 def test_repeated_entries_are_rejected_exactly_as_jsonschema_rejects_them(cfg):
     # 1 and 1.0 repeat; T3.1 twice repeats; the schema, not _request_error, rejects
     decision = _load_case_decision(cfg)
-    assert decision == _jsonschema_decision(cfg)
+    _assert_as_jsonschema(decision, cfg)
     repeated = (len({float(q) for q in cfg["q"]}) < len(cfg["q"])
                 or len(set(cfg["theorems"])) < len(cfg["theorems"]))
-    assert (decision is not None and "has non-unique elements" in decision[0]) == repeated
+    assert (decision is not None and "has non-unique elements" in decision) == repeated
 
 
 @pytest.mark.parametrize("items, unique", [
@@ -193,7 +208,7 @@ def test_repeated_entries_are_rejected_exactly_as_jsonschema_rejects_them(cfg):
 ])
 def test_unique_items_follows_json_schema_equality(items, unique):
     schema = {"type": "array", "uniqueItems": True}
-    assert runner._valid(items, schema, schema) == unique
+    assert (runner._failure(items, schema, schema) is None) == unique
     assert jsonschema.Draft202012Validator(schema).is_valid(items) == unique
 
 
@@ -201,7 +216,8 @@ def test_case_extras_cover_both_decisions():
     decisions = []
     for path, value in CASE_EXTRAS:
         cfg = _replaced(CORPUS_CONFIGS[0], path, value)
-        want = _jsonschema_decision(cfg)
+        want, errors = _jsonschema_decision(cfg)
+        assert errors <= 1, path  # one error each: the wording is compared
         assert _load_case_decision(cfg) == want, path
         decisions.append(want is None)
     assert any(decisions) and not all(decisions)
@@ -210,8 +226,9 @@ def test_case_extras_cover_both_decisions():
 @settings(max_examples=50)
 @given(st.one_of(st.sampled_from(CORPUS_CONFIGS), generated_configs()))
 def test_unmutated_configs_pass_the_schema(cfg):
-    assert runner._schema_error(cfg, "case_schema") is None
-    assert _jsonschema_decision(cfg) is None
+    schema = runner.case_schema()
+    assert runner._failure(cfg, schema, schema) is None
+    assert _jsonschema_decision(cfg) == (None, 0)
 
 
 def _report_required(path):
@@ -244,34 +261,28 @@ def _report_extras(doc):
     ]
 
 
-def _report_errors(doc):
-    try:
-        runner._validate(doc, "report_schema")
-        got = None
-    except jsonschema.ValidationError as exc:
-        got = str(exc)
-    try:
-        jsonschema.validate(doc, runner.report_schema())
-        want = None
-    except jsonschema.ValidationError as exc:
-        want = str(exc)
-    return got, want
+def _report_decision(doc):
+    """None if ``doc`` passes the report schema, else the error to_json raises."""
+    schema = runner.report_schema()
+    found = runner._failure(doc, schema, schema)
+    return None if found is None else "report invalid at %s: %s" % found
 
 
 @settings(max_examples=25)
 @given(st.data())
 def test_report_validation_rejects_exactly_what_jsonschema_rejects(report_doc, data):
     doc = data.draw(mutations(report_doc, _report_required, _report_extras(report_doc)))
-    got, want = _report_errors(doc)
-    assert got == want
+    _assert_as_jsonschema(_report_decision(doc), doc, "report_schema")
 
 
 def test_report_extras_cover_both_decisions(report_doc):
     decisions = []
     for path, value in _report_extras(report_doc):
-        got, want = _report_errors(_replaced(report_doc, path, value))
-        assert got == want, path
-        decisions.append(got is None)
+        doc = _replaced(report_doc, path, value)
+        want, errors = _jsonschema_decision(doc, "report_schema")
+        assert errors <= 1, path  # one error each: the wording is compared
+        assert _report_decision(doc) == want, path
+        decisions.append(want is None)
     assert any(decisions) and not all(decisions)
 
 
