@@ -93,6 +93,21 @@ def _parse_pair(text: str, flag: str):
     return values[0], values[1]
 
 
+_PAIR_FLAGS = ("--K", "--a-range", "--b-range")
+
+
+def _joined_pairs(argv: List[str]) -> List[str]:
+    """``argv`` with "--K -1,1" as "--K=-1,1", for each of ``_PAIR_FLAGS``: argparse
+    reads a separate word starting with "-" as an option, bar a plain negative number."""
+    out: List[str] = []
+    for word in argv:
+        if out and out[-1] in _PAIR_FLAGS and word[:1] == "-" and "," in word:
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def _parse_eta(text: str) -> EtaMap:
     kind, sep, value = text.partition(":")
     if kind in ("difference", "abs_example") and not sep:
@@ -247,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_pairs(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except CaseConfigError as exc:

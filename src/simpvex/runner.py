@@ -24,7 +24,10 @@ schemas/report_schema.json and re-validated on every serialization.
 Case configs and reports are accepted or rejected by a small in-repo
 checker of the keywords the two bundled schemas use (draft 2020-12
 semantics), which also words each rejection as jsonschema does; the
-program has no runtime dependency.
+program has no runtime dependency.  The case schema checks a config's
+shape only; each rule on its values has one home in code, shared by every
+entry point: ``_case_error`` (``_request_error`` for the q and theorem
+lists) and the ``from_config`` and ``merged`` steps ``load_case`` calls.
 """
 
 from __future__ import annotations
@@ -169,43 +172,6 @@ _TYPES = {
 }
 
 
-_TRUE, _FALSE = object(), object()  # stand-ins that keep true and false apart from 1 and 0
-
-
-def _unbool(x):
-    return _TRUE if x is True else _FALSE if x is False else x
-
-
-def _json_equal(a, b) -> bool:
-    """JSON Schema equality: 1 equals 1.0, true does not equal 1; lists
-    and objects compare item by item."""
-    if a is b:
-        return True
-    if isinstance(a, str) or isinstance(b, str):
-        return a == b
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(map(_json_equal, a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return len(a) == len(b) and all(k in b and _json_equal(v, b[k]) for k, v in a.items())
-    return _unbool(a) == _unbool(b)
-
-
-def _unique(items: list) -> bool:
-    """Whether no two items are equal, as jsonschema decides uniqueItems:
-    neighbours after sorting, or every pair when the items do not sort
-    (NaN, which sorts nowhere, can make it miss a repeat)."""
-    try:
-        ordered = sorted(map(_unbool, items))
-        return not any(map(_json_equal, ordered, ordered[1:]))
-    except TypeError:
-        seen = []
-        for item in map(_unbool, items):
-            if any(_json_equal(other, item) for other in seen):
-                return False
-            seen.append(item)
-        return True
-
-
 def _fail(path: tuple, message: str) -> Tuple[str, str]:
     return "/".join(map(str, path)) or "<root>", message
 
@@ -249,30 +215,24 @@ def _failure(instance, schema: dict, root: dict,
                 if found is not None:
                     return found
     elif isinstance(instance, list):
+        # jsonschema's wording for minItems > 1 and maxItems > 0, the only values the schemas use
         if len(instance) < schema.get("minItems", 0):
-            return _fail(path, f"{instance!r} should be non-empty" if schema["minItems"] == 1
-                         else f"{instance!r} is too short")
+            return _fail(path, f"{instance!r} is too short")
         if len(instance) > schema.get("maxItems", math.inf):
-            return _fail(path, f"{instance!r} is expected to be empty" if schema["maxItems"] == 0
-                         else f"{instance!r} is too long")
+            return _fail(path, f"{instance!r} is too long")
         items = schema.get("items")
         if items is not None:
             for i, item in enumerate(instance):
                 found = _failure(item, items, root, path + (i,))
                 if found is not None:
                     return found
-        if schema.get("uniqueItems") and not _unique(instance):
-            return _fail(path, f"{instance!r} has non-unique elements")
     elif isinstance(instance, str):
         if len(instance) < schema.get("minLength", 0):
             return _fail(path, f"{instance!r} should be non-empty" if schema["minLength"] == 1
                          else f"{instance!r} is too short")
-    elif _TYPES["number"](instance):  # NaN passes both, as in jsonschema
+    elif _TYPES["number"](instance):  # NaN passes, as in jsonschema
         if "minimum" in schema and instance < schema["minimum"]:
             return _fail(path, f"{instance!r} is less than the minimum of {schema['minimum']!r}")
-        if "exclusiveMinimum" in schema and instance <= schema["exclusiveMinimum"]:
-            return _fail(path, f"{instance!r} is less than or equal to the minimum of "
-                               f"{schema['exclusiveMinimum']!r}")
     return None
 
 
@@ -292,11 +252,13 @@ class CorpusCase:
 
 
 def _case_error(case: CorpusCase) -> Optional[Tuple[str, str]]:
-    """``_request_error`` of the case's lists, then a bad ``expected`` entry or
-    CLASSICAL without d4sup; None if the case is well formed."""
+    """``_request_error`` of the case's lists, then a non-finite a or b, a bad
+    ``expected`` entry or CLASSICAL without d4sup; None if the case is well formed."""
     error = _request_error(case.q_list, case.theorems)
     if error is not None:
         return error
+    if not (math.isfinite(case.a) and math.isfinite(case.b)):
+        return "InvalidInterval", f"a and b must be finite, got a = {case.a!r}, b = {case.b!r}"
     try:
         _golden(case.expected)
     except ValueError as exc:
@@ -322,11 +284,11 @@ def _compilable(subject: str):
 def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> CorpusCase:
     """Validate a raw case dict and build a CorpusCase.
 
-    Schema violations, unparsable expressions, an expression nested too
-    deeply, a bad tolerance, a case ``_case_error`` rejects, a
-    failing derivative gate or an inconsistent or unverifiable
-    antiderivative (f, df or F failing at a point a gate reads included)
-    all raise CaseConfigError here, at load time.
+    A shape the case schema rejects, unparsable expressions, an expression
+    nested too deeply, a bad eta kind, K, d4sup or tolerance, a case
+    ``_case_error`` rejects, a failing derivative gate or an inconsistent
+    or unverifiable antiderivative (f, df or F failing at a point a gate
+    reads included) all raise CaseConfigError here, at load time.
     """
     schema = _schema("case_schema")
     found = _failure(config, schema, schema)

@@ -379,8 +379,8 @@ def _schema_rejections():
     missing_df = square_config()
     del missing_df["df"]
     return [missing_df] + [dict(square_config(), **change) for change in (
-        {"a": "0"}, {"theorems": ["T9.9"]}, {"extra": 1}, {"q": []}, {"K": [0, 0.5, 1]},
-        {"q": [1, 1.0]}, {"q": [0.5]}, {"tolerances": {"oracle": 0}}, {"name": ""})]
+        {"a": "0"}, {"theorems": ["T3.1", 2]}, {"extra": 1}, {"K": [0]}, {"K": [0, 0.5, 1]},
+        {"name": ""})]
 
 
 def test_the_program_never_imports_jsonschema():
@@ -410,9 +410,24 @@ def test_jsonschema_is_a_test_dependency_only():
 
 def test_check_schema_invalid_config_exits_three(tmp_path):
     cfg = json.loads(runner._corpus_dir().joinpath("poly_x2.json").read_text(encoding="utf-8"))
-    cfg["q"] = [0.5]
+    cfg["q"] = ["0.5"]
     path = write_config(tmp_path / "bad_q.json", cfg)
     proc = subprocess.run([sys.executable, "-m", "simpvex.cli", "check", path],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 3
-    assert proc.stderr == "error: case config invalid at q/0: 0.5 is less than the minimum of 1\n"
+    assert proc.stderr == "error: case config invalid at q/0: '0.5' is not of type 'number'\n"
+
+
+@pytest.mark.parametrize("flag", ["--K", "--a-range", "--b-range"])
+def test_a_pair_flag_takes_a_pair_starting_with_a_minus_sign(flag, capsys):
+    pairs = {"--K": "-1,1", "--a-range": "-0.75,-0.5", "--b-range": "-0.25,0"}
+    argv = ["--quiet", "scan", "--f", "x^2", "--df", "2*x", "--steps", "3", "--q", "1",
+            "--theorems", "T3.1,C4.1"]
+    joined = argv + [f"{name}={pair}" for name, pair in pairs.items()]
+    assert main(joined) == 0
+    want = capsys.readouterr().out
+    assert "T3.1,ok," in want
+    # the flag under test as two words, "--K -1,1", the others as "--K=-1,1"
+    split = argv + [f"{name}={pair}" for name, pair in pairs.items() if name != flag]
+    assert main(split + [flag, pairs[flag]]) == 0
+    assert capsys.readouterr().out == want

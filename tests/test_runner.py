@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import tempfile
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -158,8 +160,8 @@ def test_load_case_schema_rejections():
 def _schema_rejections():
     missing_df = square_case()
     del missing_df["df"]
-    return [missing_df, square_case(q=[0.5]), square_case(theorems=["T9.9"]),
-            square_case(eta={"kind": "mystery"}), square_case(extra_field=1)]
+    return [missing_df, square_case(q=["0.5"]), square_case(theorems=[1]),
+            square_case(eta={"kind": None}), square_case(extra_field=1)]
 
 
 def test_load_case_schema_messages_match_jsonschema_validate():
@@ -272,7 +274,7 @@ NEEDS_FINITE = "expected 'T3.1' needs a finite rhs and a finite tolerance > 0, "
     ("T3.1", {"rhs": 0.2, "tolerance": math.inf}, NEEDS_FINITE + "got rhs 0.2, tolerance inf"),
 ])
 def test_bad_expected_entries_are_config_errors(key, entry, message):
-    # json.loads accepts NaN and Infinity, and NaN passes the schema's exclusiveMinimum
+    # json.loads accepts NaN and Infinity; the case schema checks types only
     config = json.loads(json.dumps(square_case(expected={key: entry})))
     with pytest.raises(CaseConfigError) as info:
         load_case(config)
@@ -309,24 +311,39 @@ def test_tolerances_merge():
     ({"K": [0, math.inf]}, "domain needs lo < hi, got [0.0, inf]"),
     ({"q": [math.nan]}, "every q must be finite and >= 1, got [nan]"),
     ({"tolerances": {"oracle": math.nan}}, "tolerance oracle must be finite and > 0, got nan"),
-    # the schema's uniqueItems rejects a repeat before _request_error sees it
-    ({"q": [2, 2.0]}, "case config invalid at q: [2, 2.0] has non-unique elements"),
-    ({"theorems": ["T3.2", "T3.2"]},
-     "case config invalid at theorems: ['T3.2', 'T3.2'] has non-unique elements"),
+    ({"tolerances": {"slack": 0}}, "tolerance slack must be finite and > 0, got 0.0"),
+    ({"d4sup": -0.5}, "d4sup must be a finite value >= 0, got -0.5"),
+    ({"eta": {"kind": "mystery"}}, "bad eta: unknown eta kind 'mystery'"),
 ])
 def test_load_case_turns_bad_numbers_into_config_errors(overrides, message):
-    # json.loads accepts NaN and Infinity, and NaN passes the schema's minimum
+    # json.loads accepts NaN and Infinity; the case schema checks types only
     config = json.loads(json.dumps(square_case(**overrides)))
     with pytest.raises(CaseConfigError) as info:
         load_case(config)
     assert message in str(info.value)
 
 
-def test_theorem_ids_match_the_schema_enums():
-    case_enum = runner.case_schema()["properties"]["theorems"]["items"]["enum"]
+@pytest.mark.parametrize("field", ["a", "b"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_a_or_b_is_a_config_error(field, value):
+    ends = dict({"a": 0.0, "b": 1.0}, **{field: value})
+    message = f"a and b must be finite, got a = {ends['a']!r}, b = {ends['b']!r}"
+    config = json.loads(json.dumps(square_case(**{field: value})))
+    with pytest.raises(CaseConfigError) as info:
+        load_case(config)
+    assert str(info.value) == f"case 'unit_square': {message}"
+    # a hand-built case gets a verdict, not a raise
+    result = run_case(dataclasses.replace(load_case(square_case()), **{field: value}))
+    assert result.verdict == "input_error"
+    assert result.error == f"InvalidInterval: {message}"
+
+
+def test_theorem_ids_match_the_report_schema_enum():
     bounds_entry = runner.report_schema()["$defs"]["case_entry"]["properties"]["bounds"]
-    assert case_enum == list(runner.THEOREM_IDS)
     assert bounds_entry["items"]["properties"]["theorem"]["enum"] == list(runner.THEOREM_IDS)
+    # the case schema checks shape only: bounds.THEOREMS is the one list of ids
+    case_schema = json.dumps(runner.case_schema())
+    assert not [theorem for theorem in runner.THEOREM_IDS if theorem in case_schema]
 
 
 def _model(f, df, F=None, K=(-1.5, 1.5), d4sup=None):
@@ -926,7 +943,7 @@ def test_run_case_bounds_match_the_public_wrappers_on_generated_models(
     (dict(theorems=("T3.2", "T3.2")), "InvalidTheorem: theorem 'T3.2' is listed more than once"),
     (dict(q_list=(2, 2.0)), "InvalidExponent: q 2.0 is listed more than once"),
 ], ids=["unknown_theorem", "no_theorem", "no_q", "repeated_theorem", "repeated_q"])
-def test_run_case_turns_hand_built_lists_the_schema_rejects_into_input_error(change, error):
+def test_run_case_turns_hand_built_lists_load_case_rejects_into_input_error(change, error):
     # load_case rejects these lists; a CorpusCase built by hand bypasses it
     case = dataclasses.replace(load_corpus("poly_x2")[0], **change)
     result = run_case(case, grid=SampleGrid(5, 5, 3, 20))
@@ -973,6 +990,17 @@ def _tightness_scan_text(q_list, theorems):
     return str(info.value)
 
 
+def _cli_check_text(q_list, theorems):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "case.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(square_case(q=q_list, theorems=theorems), fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["--quiet", "check", path]) == 3
+    return err.getvalue()
+
+
 def _cli_scan_text(q_list, theorems):
     argv = ["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1", "--a-range", "0,0.4",
             "--b-range", "0.6,1", "--q", ",".join(map(repr, q_list)),
@@ -984,13 +1012,14 @@ def _cli_scan_text(q_list, theorems):
 
 
 # entry point -> (its text for a bad request, that text's shape, the requests
-# that reach the shared rule there); the schema rejects an unknown id, a q
-# below 1, a repeated entry and an empty list first, --q rejects inf and an
-# empty list, and an empty --theorems means every theorem
+# that reach the shared rule there); --q rejects inf and an empty list, and an
+# empty --theorems means every theorem
 ENTRY_POINTS = {
-    "load_case": (_load_case_text, "case 'unit_square': {message}", ("q_infinite",)),
+    "load_case": (_load_case_text, "case 'unit_square': {message}", tuple(BAD_REQUESTS)),
     "run_case": (_run_case_text, "{kind}: {message}", tuple(BAD_REQUESTS)),
     "tightness_scan": (_tightness_scan_text, "{message}", tuple(BAD_REQUESTS)),
+    "simpvex_check": (_cli_check_text, "error: case 'unit_square': {message}\n",
+                      tuple(BAD_REQUESTS)),
     "simpvex_scan": (_cli_scan_text, "error: {message}\n",
                      ("unknown_id", "repeated_id", "repeated_q", "q_below_one")),
 }
@@ -1003,14 +1032,6 @@ def test_every_entry_point_rejects_a_bad_request_with_the_same_message(entry, re
     q_list, theorems, kind, message = BAD_REQUESTS[request_id]
     text, shape, _ = ENTRY_POINTS[entry]
     assert text(q_list, theorems) == shape.format(kind=kind, message=message)
-
-
-@pytest.mark.parametrize("request_id, path", [("repeated_id", "theorems"), ("repeated_q", "q")])
-def test_load_case_rejects_a_repeated_entry_in_the_schema(request_id, path):
-    q_list, theorems = BAD_REQUESTS[request_id][:2]
-    listed = {"theorems": theorems, "q": q_list}[path]
-    assert _load_case_text(q_list, theorems) == (
-        f"case config invalid at {path}: {listed!r} has non-unique elements")
 
 
 def test_run_case_turns_f_prime_failing_at_b_into_input_error():

@@ -4,11 +4,17 @@
 words the rejection.  These tests mutate valid documents and require the
 same decision as jsonschema on every one, and the same message as
 jsonschema's ``best_match`` wherever jsonschema finds exactly one error.
+The case schema checks shape only; ``load_case`` must still reject every
+config that the case schema with its former value rules
+(``data/case_schema_with_value_rules.json``) rejects.
 """
 
 import copy
+import inspect
 import json
 import math
+import pathlib
+import re
 
 import hypothesis.strategies as st
 import jsonschema
@@ -47,7 +53,7 @@ THEOREMS = ["T3.1", "T3.2", "T3.3", "T3.4", "T4.1", "T4.2", "T4.3", "C4.1", "C4.
 @st.composite
 def generated_configs(draw, repeats=False):
     """A case config in the shape of the benchmark's; with ``repeats`` its
-    q and theorem lists may repeat an entry, which the schema rejects."""
+    q and theorem lists may repeat an entry, which ``_request_error`` rejects."""
     f, df, F, d4sup = draw(st.sampled_from(MODELS))
     unique_by = None if repeats else float
     cfg = {
@@ -191,25 +197,35 @@ def test_load_case_rejects_exactly_what_jsonschema_rejects(cfg):
 
 @settings(max_examples=100)
 @given(generated_configs(repeats=True))
-def test_repeated_entries_are_rejected_exactly_as_jsonschema_rejects_them(cfg):
-    # 1 and 1.0 repeat; T3.1 twice repeats; the schema, not _request_error, rejects
-    decision = _load_case_decision(cfg)
-    _assert_as_jsonschema(decision, cfg)
-    repeated = (len({float(q) for q in cfg["q"]}) < len(cfg["q"])
-                or len(set(cfg["theorems"])) < len(cfg["theorems"]))
-    assert (decision is not None and "has non-unique elements" in decision) == repeated
+def test_repeated_entries_are_rejected_in_the_words_of_request_error(cfg):
+    # 1 and 1.0 repeat; T3.1 twice repeats; the schema accepts both, _request_error rejects
+    assert _jsonschema_decision(cfg) == (None, 0)
+    q_list = [float(q) for q in cfg["q"]]
+    repeated = len(set(q_list)) < len(q_list) or len(set(cfg["theorems"])) < len(cfg["theorems"])
+    error = runner._request_error(q_list, cfg["theorems"])
+    assert (error is not None) == repeated
+    if repeated:
+        assert error[1].endswith(" is listed more than once")
+        with pytest.raises(CaseConfigError) as info:
+            runner.load_case(cfg)
+        assert str(info.value) == f"case 'gen_case': {error[1]}"
 
 
-@pytest.mark.parametrize("items, unique", [
-    ([1, 1.0], False), ([True, 1], True), ([False, 0], True), ([1, True, 1.0], False),
-    ([[1], [1.0]], False), ([[1], [True]], True), ([{"a": 1}, {"a": 1.0}], False),
-    ([{"a": 1}, {"b": 1}], True), (["T3.1", 1, "T3.1"], False), ([None, None], False),
-    ([math.nan, math.nan], False), ([1, "1"], True), ([], True),
-])
-def test_unique_items_follows_json_schema_equality(items, unique):
-    schema = {"type": "array", "uniqueItems": True}
-    assert (runner._failure(items, schema, schema) is None) == unique
-    assert jsonschema.Draft202012Validator(schema).is_valid(items) == unique
+WITH_VALUE_RULES = json.loads((pathlib.Path(__file__).parent / "data" /
+                               "case_schema_with_value_rules.json").read_text(encoding="utf-8"))
+
+
+def _assert_load_case_rejects_what_the_value_rules_reject(cfg):
+    if not jsonschema.Draft202012Validator(WITH_VALUE_RULES).is_valid(cfg):
+        with pytest.raises(CaseConfigError):
+            runner.load_case(cfg)
+
+
+@settings(max_examples=250)
+@given(st.one_of(st.sampled_from(CORPUS_CONFIGS), generated_configs(repeats=True)).flatmap(
+    lambda cfg: mutations(cfg, _case_required, CASE_EXTRAS)))
+def test_load_case_rejects_every_config_the_schema_with_value_rules_rejects(cfg):
+    _assert_load_case_rejects_what_the_value_rules_reject(cfg)
 
 
 def test_case_extras_cover_both_decisions():
@@ -219,6 +235,7 @@ def test_case_extras_cover_both_decisions():
         want, errors = _jsonschema_decision(cfg)
         assert errors <= 1, path  # one error each: the wording is compared
         assert _load_case_decision(cfg) == want, path
+        _assert_load_case_rejects_what_the_value_rules_reject(cfg)
         decisions.append(want is None)
     assert any(decisions) and not all(decisions)
 
@@ -287,8 +304,8 @@ def test_report_extras_cover_both_decisions(report_doc):
 
 
 HANDLED = {"$schema", "title", "description", "$defs", "$ref", "type", "enum", "required",
-           "properties", "additionalProperties", "items", "minItems", "maxItems", "uniqueItems",
-           "minimum", "exclusiveMinimum", "minLength"}
+           "properties", "additionalProperties", "items", "minItems", "maxItems", "minimum",
+           "minLength"}
 
 
 def _subschemas(schema):
@@ -316,3 +333,15 @@ def test_bundled_schemas_use_only_keywords_the_checker_handles(name):
             assert schema["$ref"][len("#/$defs/"):] in root["$defs"]
         for key in ("additionalProperties", "items"):
             assert isinstance(schema.get(key, {}), (bool, dict))
+
+
+def test_every_keyword_the_checker_handles_is_used_by_a_bundled_schema():
+    used = set()
+    for name in ("case_schema", "report_schema"):
+        for schema in _subschemas(getattr(runner, name)()):
+            used |= set(schema)
+    assert used == HANDLED, HANDLED - used
+    # and the checker reads exactly these keywords, the three annotations aside
+    read = re.findall(r"""(?:schema\.get\(|schema\[|root\[)["'](\$?\w+)["']"""
+                      r"""|["'](\$?\w+)["'] in schema""", inspect.getsource(runner._failure))
+    assert {a or b for a, b in read} == HANDLED - {"$schema", "title", "description"}
