@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import expr as expr_mod
@@ -80,6 +80,14 @@ _HALF_NEAR, _HALF_FAR = (float(w) for w in kernel.half_weights())  # 3/8, 1/8
 _W_END, _W_FAR, _, _ = (float(w) for w in kernel.weighted_moments())  # 61/1296, 29/1296
 
 
+def _config_float(value, field: str) -> float:
+    """float(value) of a config number; CaseConfigError naming ``field`` if it overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise CaseConfigError(f"{field} is an integer too large for a float") from None
+
+
 @dataclass
 class FunctionModel:
     """A named function f with its derivative and optional extras.
@@ -122,12 +130,12 @@ class FunctionModel:
             raise CaseConfigError(f"bad expression in case {cfg.get('name')!r}: {exc}") from exc
         d4sup = cfg.get("d4sup")
         if d4sup is not None:
-            d4sup = float(d4sup)
+            d4sup = _config_float(d4sup, "d4sup")
             if not (math.isfinite(d4sup) and d4sup >= 0.0):
                 raise CaseConfigError(f"d4sup must be a finite value >= 0, got {d4sup!r}")
         lo, hi = cfg["K"]
         try:
-            domain = Domain(float(lo), float(hi))
+            domain = Domain(_config_float(lo, "K[0]"), _config_float(hi, "K[1]"))
         except ValueError as exc:
             raise CaseConfigError(f"bad K in case {cfg.get('name')!r}: {exc}") from exc
         return cls(cfg["name"], f, df, domain, F, d4sup)
@@ -142,7 +150,7 @@ class FunctionModel:
         """
         try:
             gate = expr_mod.check_derivative(
-                self.f, self.df, (self.domain.lo, self.domain.hi), 33, 1e-4)
+                self.f_fn, self.df_fn, (self.domain.lo, self.domain.hi), 33, 1e-4)
         except EvalDomainError as exc:
             raise CaseConfigError(f"model {self.name!r}: derivative gate: {exc}") from exc
         if gate.violated:
@@ -311,12 +319,8 @@ def _conjugate(q: float) -> float:
     return q / (q - 1.0)
 
 
-@lru_cache(maxsize=64)
 def _moment_root(p: float, scale: float = 1.0) -> float:
-    """(scale * moment_p(p))^(1/p), stable for the huge p that q near 1 produces.
-
-    Cached: a scan evaluates the same few exponents at every grid cell.
-    """
+    """(scale * moment_p(p))^(1/p), stable for the huge p that q near 1 produces."""
     if p > 50.0:
         return math.exp((math.log(scale) + kernel.log_moment_p(p)) / p)
     return (scale * kernel.moment_p(p)) ** (1.0 / p)

@@ -136,11 +136,13 @@ def cmd_check(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CaseConfigError(f"cannot read {args.config!r}: {exc}")
     except json.JSONDecodeError as exc:
         raise CaseConfigError(
             f"{args.config}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (RecursionError, ValueError) as exc:  # nested too deeply, or too many digits
+        raise CaseConfigError(f"{args.config}: invalid JSON: {exc}")
     case = runner.load_case(config, _tolerances(args))
     _info(args, f"running case {case.name!r}")
     result = runner.run_case(case)

@@ -18,11 +18,13 @@ Python ``ast`` tree, so that grid-scale sampling pays one interpreter
 frame per evaluation and no helper call; where that fast form raises, a
 checked tree evaluator gives the value or raises EvalDomainError naming
 the failing sub-expression.  ``abs_batch`` gives |f| of a one-variable
-expression at a list of points, from one list comprehension.  Evaluation is
-pure and deterministic: the same AST evaluated at the same inputs
-returns the same bit pattern, except for the sign of a NaN, which
-CPython's adaptive float arithmetic may flip from one call to the next
-(reports write every NaN as ``NaN``).
+expression at a list of points, from one list comprehension.  Nothing is
+cached: each ``compile_expr`` call builds a new function, which its owner
+(a ``FunctionModel`` or an ``EtaMap``) keeps.  Evaluation is pure and
+deterministic: the same AST evaluated at the same inputs returns the same
+bit pattern, except for the sign of a NaN, which CPython's adaptive float
+arithmetic may flip from one call to the next (reports write every NaN as
+``NaN``).
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ import ast
 import math
 import operator
 import re
-from dataclasses import dataclass, fields
-from itertools import count
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import EvalDomainError, ParseError
@@ -297,7 +298,8 @@ def pretty(e: Expr) -> str:
 
 
 def _guarded_pow(base, exponent, text):
-    if base < 0.0 and exponent != math.floor(exponent):
+    # ** gives a complex number only for a finite fractional exponent
+    if base < 0.0 and math.isfinite(exponent) and exponent != math.floor(exponent):
         raise EvalDomainError(text, base, "fractional power of negative base")
     if base == 0.0 and exponent < 0.0:
         raise EvalDomainError(text, base, "zero raised to a negative power")
@@ -369,10 +371,9 @@ def _checked(e, env):
     return 1.0 if _APPLY[op](left, right) else 0.0
 
 
-# globals of every compiled function, and each fast form's fallback
-# (_checked<i>, kept as long as compile_expr's cache keeps its function);
-# names start with "_" and never clash with the argument slots (_a<i>),
-# the temporaries (_t<i>) or the parameter _points
+# globals of every batch form; each fast form runs in its own copy, which
+# adds its fallback as _fallback.  Names start with "_" and never clash with
+# the argument slots (_a<i>), the temporaries (_t<i>) or the parameter _points
 _RUNTIME = {
     "__builtins__": {},
     "_Exception": Exception,
@@ -380,7 +381,6 @@ _RUNTIME = {
     "_floor": math.floor,
     **{f"_{name}": fn for name, fn in _MATH.items()},
 }
-_FALLBACK_IDS = count()
 _FILENAME = "<simpvex expression>"
 _ARITH = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
 _COMPARE = {"<": ast.Lt, "<=": ast.LtE, ">": ast.Gt, ">=": ast.GtE, "==": ast.Eq}
@@ -505,7 +505,7 @@ class _Compiler:
             return _choose(_compare(bind, ast.Lt, _const(0.0)), _call("_reject"),
                            _power(b, _const(literal)))
         # the exponent first: either order gives the same value, and a raise
-        # goes to _checked; floor raises where _guarded_pow's does
+        # goes to _checked; floor raises for an infinite or NaN exponent
         x, bind_x = self.bind(exponent)
         b, bind_b = self.bind(base)
         integral = _compare(_call("_floor", x), ast.Eq, x)
@@ -524,13 +524,6 @@ def _function(name, params, body):
     return _node(ast.FunctionDef, name, _params(params), body, [], **extra)
 
 
-def _define(definition, name):
-    """Compile a one-statement module and return the function it defines."""
-    namespace = {}
-    exec(compile(ast.Module([definition], []), _FILENAME, "exec"), _RUNTIME, namespace)
-    return namespace[name]
-
-
 def _slots(var_order):
     return [f"_a{i}" for i in range(len(var_order))]
 
@@ -538,24 +531,6 @@ def _slots(var_order):
 def _body(e, var_order):
     index = {name: i for i, name in enumerate(var_order)}
     return _Compiler(index).build(e)
-
-
-def _fast_form(e, var_order):
-    """The fast form, which returns ``_checked`` at its arguments when it raises.
-
-    The fallback is bound to a global name of its own, which costs less
-    per call than a closure.  It runs after the except clause, so an
-    EvalDomainError from ``_checked`` carries no fast-form exception as
-    its context.
-    """
-    fallback = f"_checked{next(_FALLBACK_IDS)}"
-    _RUNTIME[fallback] = lambda *args: _checked(e, dict(zip(var_order, args)))
-    slots = _slots(var_order)
-    return _define(_function("_fast", slots, [
-        _node(ast.Try, [_node(ast.Return, _body(e, var_order))],
-              [_node(ast.ExceptHandler, _name("_Exception"), None, [_node(ast.Pass)])], [], []),
-        _node(ast.Return, _call(fallback, *map(_name, slots))),
-    ]), "_fast")
 
 
 def _batch_form(e, var_order):
@@ -567,45 +542,37 @@ def _batch_form(e, var_order):
     return eval(compile(tree, _FILENAME, "eval"), _RUNTIME)
 
 
-_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in (Num, Var, Neg, Bin, Call, If)}
-_COMPILED: dict = {}  # (tree key, var_order) -> compiled function
-
-
-def _tree_key(e) -> tuple:
-    """Node classes and leaf values in preorder: equal for equal trees only, and
-    built and compared without the recursion of the dataclasses' __eq__."""
-    key, stack = [], [e]
-    while stack:
-        node = stack.pop()
-        names = _FIELDS.get(type(node))
-        if names is None:  # a leaf value (or not a node, which compiling rejects)
-            key.append(node)
-        else:
-            key.append(type(node))
-            stack.extend(getattr(node, name) for name in reversed(names))
-    return tuple(key)
-
-
 def compile_expr(e: Expr, var_order: Tuple[str, ...]) -> Callable[..., float]:
-    """Compile ``e`` into a positional callable over ``var_order``.
+    """Compile ``e`` into a new positional callable over ``var_order``.
 
-    The AST becomes one Python function, built as a Python ``ast`` tree
-    and compiled once: an evaluation runs in a single frame, inside
-    ``try``, with plain ``/``, ``**`` and ``math`` calls and no Python
-    helper on the way to a value.  Python raises where a domain check
-    would fail, and the one inline check left stops a negative base with
-    a fractional exponent (and, for an exponent that is not a finite
-    literal, the power -inf).  When the fast form raises, a checked tree
-    evaluator runs on the same arguments: every value and every
-    EvalDomainError text, naming the failing sub-expression, are its own.
-    Variables bind to argument slots by position, so any declared name is
-    safe.  An unbound variable raises ValueError here.
+    The AST becomes one new Python function on every call, built as a
+    Python ``ast`` tree, which only the caller keeps: an evaluation runs
+    in a single frame, inside ``try``, with plain ``/``, ``**`` and
+    ``math`` calls and no Python helper on the way to a value.  Python
+    raises where a domain check would fail, and the one inline check left
+    stops a negative base with a fractional exponent (and, for an
+    exponent that is not a finite literal, the power -inf).  When the
+    fast form raises, a checked tree evaluator runs on the same
+    arguments: every value and every EvalDomainError text, naming the
+    failing sub-expression, are its own.  Variables bind to argument
+    slots by position, so any declared name is safe.  An unbound variable
+    raises ValueError here.
     """
-    key = (_tree_key(e), var_order)
-    if key not in _COMPILED:  # equal trees share one function
-        fn = _COMPILED[key] = _fast_form(e, var_order)
-        fn.source, fn.batch = (e, var_order), None  # read by abs_batch
-    return _COMPILED[key]
+    # the fallback is a global of the function's own copy of _RUNTIME (cheaper per
+    # call than a closure), run after the except clause so an EvalDomainError has no
+    # fast-form context; fn goes in namespace, not its globals: no cycle to collect
+    slots = _slots(var_order)
+    definition = _function("_fast", slots, [
+        _node(ast.Try, [_node(ast.Return, _body(e, var_order))],
+              [_node(ast.ExceptHandler, _name("_Exception"), None, [_node(ast.Pass)])], [], []),
+        _node(ast.Return, _call("_fallback", *map(_name, slots))),
+    ])
+    runtime = dict(_RUNTIME, _fallback=lambda *args: _checked(e, dict(zip(var_order, args))))
+    namespace = {}
+    exec(compile(ast.Module([definition], []), _FILENAME, "exec"), runtime, namespace)
+    fn = namespace["_fast"]
+    fn.source, fn.batch = (e, var_order), None  # read by abs_batch
+    return fn
 
 
 def abs_batch(fn) -> Optional[Callable[[Sequence[float]], List[float]]]:
@@ -619,7 +586,7 @@ def abs_batch(fn) -> Optional[Callable[[Sequence[float]], List[float]]]:
     from then on if compiling recurses too deep, so fn runs point by point.
     """
     source = getattr(fn, "source", None)
-    if getattr(fn, "__globals__", None) is not _RUNTIME or source is None or len(source[1]) != 1:
+    if source is None or fn.__code__.co_filename != _FILENAME or len(source[1]) != 1:
         return None
     if fn.batch is None:
         try:
@@ -630,18 +597,20 @@ def abs_batch(fn) -> Optional[Callable[[Sequence[float]], List[float]]]:
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
-    """Evaluate ``e`` with the given variable bindings."""
+    """Evaluate ``e`` with the given variable bindings, compiling ``e`` anew."""
     order = tuple(sorted(bindings))
     fn = compile_expr(e, order)
     return fn(*(float(bindings[name]) for name in order))
 
 
-def check_derivative(f: Expr, df: Expr, interval: Tuple[float, float],
+def check_derivative(f_fn: Callable, df_fn: Callable, interval: Tuple[float, float],
                      points: int = 11, tol: float = 1e-4) -> PropertyReport:
-    """Cross-check ``df`` against central finite differences of ``f``.
+    """Cross-check ``df_fn`` against central finite differences of ``f_fn``.
 
-    Samples ``points`` equispaced interior points of ``interval`` and
-    compares df(x) with (f(x+h) - f(x-h)) / (2h), h = max(1e-6, 1e-6|x|).
+    Both take one float, as a ``FunctionModel``'s compiled f and df do;
+    this compiles nothing.  Samples ``points`` equispaced interior points
+    of ``interval`` and compares df(x) with (f(x+h) - f(x-h)) / (2h),
+    h = max(1e-6, 1e-6|x|).
     The mismatch is measured relative to max(1, |df(x)|, |fd|), which
     keeps the gate meaningful where the derivative passes through zero.
     A NaN mismatch counts as an infinite one, so it fails the gate.
@@ -651,8 +620,6 @@ def check_derivative(f: Expr, df: Expr, interval: Tuple[float, float],
         raise ValueError("interval must satisfy lo < hi")
     if points < 3:
         raise ValueError("need at least 3 sample points")
-    f_fn = compile_expr(f, ("x",))
-    df_fn = compile_expr(df, ("x",))
     worst = -math.inf
     witness = None
     for i in range(points):

@@ -134,7 +134,8 @@ class Tolerances:
         """This set with ``overrides`` applied; CaseConfigError unless each is finite and > 0."""
         if not overrides:
             return self
-        values = {k: float(v) for k, v in overrides.items() if v is not None}
+        values = {k: bounds_mod._config_float(v, f"tolerance {k}")
+                  for k, v in overrides.items() if v is not None}
         for key, value in values.items():
             if not (math.isfinite(value) and value > 0.0):
                 raise CaseConfigError(f"tolerance {key} must be finite and > 0, got {value!r}")
@@ -285,7 +286,8 @@ def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Corp
     """Validate a raw case dict and build a CorpusCase.
 
     A shape the case schema rejects, unparsable expressions, an expression
-    nested too deeply, a bad eta kind, K, d4sup or tolerance, a case
+    nested too deeply, a bad eta kind, K, d4sup or tolerance, an integer
+    too large for a float (``bounds._config_float``), a case
     ``_case_error`` rejects, a failing derivative gate or an inconsistent
     or unverifiable antiderivative (f, df or F failing at a point a gate
     reads included) all raise CaseConfigError here, at load time.
@@ -301,11 +303,14 @@ def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Corp
             eta = EtaMap.from_config(config["eta"])
         except (ValueError, ParseError) as exc:
             raise CaseConfigError(f"case {name!r}: bad eta: {exc}") from exc
-        a = float(config["a"])
-        b = float(config["b"])
-        expected = {key: (float(entry["rhs"]), float(entry["tolerance"]))
+        number = bounds_mod._config_float
+        a = number(config["a"], f"case {name!r}: a")
+        b = number(config["b"], f"case {name!r}: b")
+        expected = {key: (number(entry["rhs"], f"case {name!r}: expected {key!r} rhs"),
+                          number(entry["tolerance"], f"case {name!r}: expected {key!r} tolerance"))
                     for key, entry in (config.get("expected") or {}).items()}
-        case = CorpusCase(name, model, eta, a, b, tuple(float(q) for q in config["q"]),
+        q_list = tuple(number(q, f"case {name!r}: q[{i}]") for i, q in enumerate(config["q"]))
+        case = CorpusCase(name, model, eta, a, b, q_list,
                           tuple(config["theorems"]), tolerances.merged(config.get("tolerances")),
                           expected)
         error = _case_error(case)

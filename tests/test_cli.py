@@ -1,11 +1,15 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 
+import hypothesis.strategies as st
 import jsonschema
 import pytest
+from hypothesis import given, settings
 
 import simpvex
 from simpvex import quadrature, runner
@@ -127,6 +131,66 @@ def test_check_malformed_json(tmp_path, capsys):
     path.write_text("{oops", encoding="utf-8")
     assert main(["check", str(path)]) == 3
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    return err[len("error: "):-1]
+
+
+def test_check_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    assert main(["check", str(path)]) == 3
+    assert _one_error_line(capsys).startswith(f"cannot read {str(path)!r}: 'utf-8' codec ")
+
+
+def test_check_json_nested_too_deeply(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    assert _one_error_line(capsys).startswith(f"{path}: invalid JSON: maximum recursion depth")
+
+
+def test_check_an_integer_literal_with_too_many_digits(tmp_path, capsys):
+    path = tmp_path / "digits.json"
+    path.write_text('{"a": ' + "7" * 5000 + "}", encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    assert _one_error_line(capsys).startswith(f"{path}: invalid JSON: Exceeds the limit")
+
+
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("a",), -_HUGE, "case 'tmp_square': a"),
+    (("b",), _HUGE, "case 'tmp_square': b"),
+    (("q", 1), _HUGE, "case 'tmp_square': q[1]"),
+    (("K", 0), -_HUGE, "K[0]"),
+    (("K", 1), _HUGE, "K[1]"),
+    (("d4sup",), _HUGE, "d4sup"),
+    (("tolerances", "oracle"), _HUGE, "tolerance oracle"),
+    (("tolerances", "slack"), _HUGE, "tolerance slack"),
+    (("tolerances", "invexity"), -_HUGE, "tolerance invexity"),
+    (("expected", "T3.1", "rhs"), _HUGE, "case 'tmp_square': expected 'T3.1' rhs"),
+    (("expected", "T3.1", "tolerance"), _HUGE, "case 'tmp_square': expected 'T3.1' tolerance"),
+])
+def test_an_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys, path, value,
+                                                            field):
+    cfg = dict(square_config(), d4sup=0.0, tolerances={"oracle": 1e-10, "slack": 1e-12},
+               expected={"T3.1": {"rhs": 0.1388888888888889, "tolerance": 1e-9}})
+    *parents, last = path
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    message = f"{field} is an integer too large for a float"
+    with pytest.raises(CaseConfigError) as info:
+        runner.load_case(json.loads(json.dumps(cfg)))
+    assert str(info.value) == message
+    assert main(["check", write_config(tmp_path / "huge.json", cfg)]) == 3
+    assert _one_error_line(capsys) == message
 
 
 @pytest.mark.parametrize("key, entry, message", [
@@ -431,3 +495,42 @@ def test_a_pair_flag_takes_a_pair_starting_with_a_minus_sign(flag, capsys):
     split = argv + [f"{name}={pair}" for name, pair in pairs.items() if name != flag]
     assert main(split + [flag, pairs[flag]]) == 0
     assert capsys.readouterr().out == want
+
+
+_CORPUS_FILES = sorted(runner._corpus_dir().glob("*.json"))
+_NUMBER = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
+@st.composite
+def _mutated_corpus_file(draw):
+    """A corpus file with bytes flipped, cut short, or one number (which may
+    sit inside an expression) made huge or nested deep in brackets."""
+    data = bytearray(draw(st.sampled_from(_CORPUS_FILES)).read_bytes())
+    kind = draw(st.sampled_from(["flip", "truncate", "huge", "deep"]))
+    if kind == "flip":
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    else:
+        start, end = draw(st.sampled_from([m.span() for m in _NUMBER.finditer(data)]))
+        if kind == "huge":
+            sign = draw(st.sampled_from([b"", b"-"]))
+            digits = draw(st.sampled_from([309, 400, 4300, 4301, 20000]))
+            data[start:end] = draw(st.sampled_from([sign + b"9" * digits, sign + b"1e400"]))
+        else:
+            depth = draw(st.sampled_from([1, 50, 990, 1000, 100_000]))
+            data[start:end] = b"[" * depth + data[start:end] + b"]" * depth
+    return bytes(data)
+
+
+@settings(max_examples=120)
+@given(_mutated_corpus_file())
+def test_check_never_raises_on_a_mutated_corpus_file(data):
+    # an exit code from 0 to 3 and no traceback, whose exit 1 would read as a violation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "case.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        code = main(["--quiet", "check", path, "--out", os.path.join(tmp, "report.json")])
+    assert code in (0, 1, 2, 3)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from jsonschema.validators import validator_for
 
-from simpvex import bounds, invexity, quadrature, runner
+from simpvex import bounds, expr, invexity, quadrature, runner
 from simpvex.bounds import FunctionModel
 from simpvex.cli import main
 from simpvex.errors import (
@@ -202,6 +202,26 @@ def test_load_case_rejects_unparsable_expression():
     with pytest.raises(CaseConfigError) as info:
         load_case(square_case(f="x +"))
     assert "bad expression" in str(info.value)
+
+
+def test_each_expression_compiles_once_in_the_model_or_eta_that_owns_it(monkeypatch):
+    calls = []
+    compile_expr = expr.compile_expr
+
+    def counted(tree, var_order):
+        calls.append(var_order)
+        return compile_expr(tree, var_order)
+
+    monkeypatch.setattr(expr, "compile_expr", counted)
+    case = load_case(square_case())
+    assert calls == [("x",)] * 3  # f, df and F; the derivative gate reuses f and df
+    assert run_case(case).verdict == "pass"
+    assert len(calls) == 3
+    calls.clear()
+    case = load_case(square_case(eta={"kind": "expression", "value": "v - u"}))
+    assert sorted(calls) == [("v", "u")] + [("x",)] * 3
+    run_case(case)
+    assert len(calls) == 4
 
 
 def sum_case(terms):
