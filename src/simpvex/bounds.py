@@ -32,7 +32,6 @@ certified verdicts are an open roadmap item.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -49,6 +48,7 @@ from .errors import (
 )
 from .invexity import Domain
 from .quadrature import QuadratureResult
+from .record import Record
 
 __all__ = [
     "FunctionModel",
@@ -88,8 +88,7 @@ def _config_float(value, field: str) -> float:
         raise CaseConfigError(f"{field} is an integer too large for a float") from None
 
 
-@dataclass
-class FunctionModel:
+class FunctionModel(Record, frozen=False):
     """A named function f with its derivative and optional extras.
 
     ``df`` must survive a central finite-difference cross-check and, when
@@ -178,8 +177,7 @@ class FunctionModel:
                 )
 
 
-@dataclass(frozen=True)
-class SimpsonDefect:
+class SimpsonDefect(Record):
     """Signed Simpson-minus-mean gap with its quadrature error share."""
 
     simpson_value: float
@@ -190,8 +188,7 @@ class SimpsonDefect:
     f_values: Tuple[float, float, float]  # f(a), f(mid), f(end) of the sum
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(Record):
     """One evaluated bound.  slack < 0 beyond tolerance means violation."""
 
     theorem: str

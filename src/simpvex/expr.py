@@ -33,10 +33,10 @@ import ast
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import EvalDomainError, ParseError
+from .record import Record
 from .reports import VERIFIED, VIOLATED, PropertyReport
 
 __all__ = [
@@ -57,36 +57,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(Record):
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
     name: str
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class If:
+class If(Record):
     cond: "Expr"
     then: "Expr"
     other: "Expr"

@@ -49,13 +49,13 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, cycle, islice, repeat
 from operator import add, lt, sub
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import expr as expr_mod
+from .record import Record
 from .reports import VERIFIED, VIOLATED, PropertyReport
 
 __all__ = [
@@ -74,8 +74,7 @@ DEFAULT_TOL = 1e-12
 _RANDOM_SEED = 170167
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Record):
     """Closed interval [lo, hi] with lo < hi."""
 
     lo: float
@@ -96,8 +95,7 @@ class Domain:
         return [self.lo + i * span / (n - 1) for i in range(n)]
 
 
-@dataclass(frozen=True)
-class SampleGrid:
+class SampleGrid(Record):
     """Sampling plan: nu x nv x nt grid plus a seeded uniform layer."""
 
     nu: int = 41

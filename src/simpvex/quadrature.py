@@ -6,7 +6,10 @@ of the absolute tolerance, so the accumulated error estimate of a
 successful run never exceeds the requested tolerance.  That estimate is
 a heuristic, not a bound: an integrand can fool it, and the true error
 may exceed it (Gander & Gautschi, "Adaptive quadrature - revisited",
-BIT 40, 2000).  Bound slacks account for the estimate; certified
+BIT 40, 2000).  An interval under 4 ulps wide has no room for the two
+half panels: it is one Simpson panel, estimated (b - a) * max(|f(a) -
+f(m)|, |f(b) - f(m)|), a heuristic as well, and accepted when that fits
+the tolerance.  Bound slacks account for the estimate; certified
 verdicts are an open roadmap item.  Panels are
 processed strictly left to right, sums are accumulated in that fixed
 order, and the budget is counted in integrand evaluations, which makes
@@ -21,10 +24,10 @@ degree <= 3 converge on the first panel up to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import BudgetExhausted, NonFiniteIntegrand, QuadratureError
+from .record import Record
 
 __all__ = [
     "QuadratureResult",
@@ -38,8 +41,7 @@ DEFAULT_ABS_TOL = 1e-11
 DEFAULT_MAX_EVALS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(Record):
     """Integral value with its computed error estimate and cost."""
 
     value: float
@@ -61,7 +63,10 @@ def _last_evaluation(g, x, used, limit):
 def _integrate_core(g, lo, hi, abs_tol, used, limit):
     """(integral, error estimate, evaluations so far) of ``g`` on [lo, hi].
 
-    ``used`` evaluations were already spent of the budget ``limit``.  A
+    ``used`` evaluations were already spent of the budget ``limit``.  An
+    interval too narrow to split once (under 4 ulps wide) is one Simpson
+    panel of g at lo, mid and hi, kept if its estimate fits ``abs_tol``;
+    otherwise, as where a deeper panel cannot split, QuadratureError.  A
     panel evaluates g at lm and rm after one budget test, and checks
     finiteness, lm first, only if its estimate is NaN or inf, as any
     non-finite value makes it: what it raises is what checking each
@@ -82,6 +87,14 @@ def _integrate_core(g, lo, hi, abs_tol, used, limit):
     a, b = lo, hi
     fa, fm, fb = fs
     s_whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    if not (a < lm < m and m < rm < b):
+        # under 4 ulps wide, no two halves fit: the one panel's Simpson value,
+        # with a heuristic estimate of the spread of f over the interval
+        est = (b - a) * max(abs(fa - fm), abs(fb - fm))
+        if est <= abs_tol:
+            return s_whole, est, used
     tol = abs_tol
     total = 0.0
     total_err = 0.0

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
+
+from .record import Record
 
 VERIFIED = "verified_on_samples"
 VIOLATED = "violated"
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record):
     """Outcome of a sampled check of a pointwise property.
 
     property is one of "invex_set", "preinvex", "prequasiinvex" or

@@ -37,9 +37,8 @@ import math
 import numbers
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from importlib.resources import files as _resource_files
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bounds as bounds_mod
@@ -62,6 +61,7 @@ from .invexity import (
     hypothesis_pair,
 )
 from .quadrature import DEFAULT_ABS_TOL, QuadratureResult
+from .record import Record, factory, replace
 from .reports import PropertyReport
 
 __all__ = [
@@ -115,8 +115,7 @@ def _request_error(q_list: Sequence[float], theorems: Sequence[str]) -> Optional
     return None
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(Record):
     """Numeric tolerances used across the pipeline.
 
     oracle: absolute tolerance handed to the quadrature oracle.
@@ -145,9 +144,12 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
+# the bundled corpus/ and schemas/ directories sit beside this module
+_PACKAGE_DIR = Path(__file__).parent
+
+
 def _read_schema(name: str) -> dict:
-    return json.loads(_resource_files("simpvex").joinpath(
-        f"schemas/{name}.json").read_text(encoding="utf-8"))
+    return json.loads((_PACKAGE_DIR / "schemas" / f"{name}.json").read_text(encoding="utf-8"))
 
 
 def case_schema() -> dict:
@@ -237,8 +239,7 @@ def _failure(instance, schema: dict, root: dict,
     return None
 
 
-@dataclass
-class CorpusCase:
+class CorpusCase(Record, frozen=False):
     """A validated corpus case ready to run."""
 
     name: str
@@ -249,7 +250,7 @@ class CorpusCase:
     q_list: Tuple[float, ...]
     theorems: Tuple[str, ...]
     tolerances: Tolerances
-    expected: Dict[str, Tuple[float, float]] = field(default_factory=dict)
+    expected: Dict[str, Tuple[float, float]] = factory(dict)
 
 
 def _case_error(case: CorpusCase) -> Optional[Tuple[str, str]]:
@@ -328,18 +329,17 @@ def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Corp
     return case
 
 
-@dataclass
-class CaseResult:
+class CaseResult(Record, frozen=False):
     name: str
     verdict: str
     eta_step: Optional[float] = None
     defect: Optional[bounds_mod.SimpsonDefect] = None
     lemma: Optional[QuadratureResult] = None
     identity_residual: Optional[float] = None
-    bounds: List[bounds_mod.BoundValue] = field(default_factory=list)
-    hypotheses: List[PropertyReport] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
-    golden_failures: List[str] = field(default_factory=list)
+    bounds: List[bounds_mod.BoundValue] = factory(list)
+    hypotheses: List[PropertyReport] = factory(list)
+    notes: List[str] = factory(list)
+    golden_failures: List[str] = factory(list)
     error: Optional[str] = None
 
     def to_dict(self) -> dict:
@@ -549,8 +549,7 @@ def _check_golden(golden: List[_Golden], result: CaseResult) -> None:
                 f"{_fmt(want)} by more than {_fmt(tolerance)}")
 
 
-@dataclass
-class RunReport:
+class RunReport(Record, frozen=False):
     """Results of a corpus run.  wall_time never enters the JSON."""
 
     results: List[CaseResult]
@@ -594,8 +593,8 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _corpus_dir():
-    return _resource_files("simpvex").joinpath("corpus")
+def _corpus_dir() -> Path:
+    return _PACKAGE_DIR / "corpus"
 
 
 def load_corpus(name_filter: Optional[str] = None,
@@ -622,8 +621,7 @@ def run_corpus(cases: Optional[Sequence[CorpusCase]] = None) -> RunReport:
     return RunReport(results, time.perf_counter() - started)
 
 
-@dataclass(frozen=True)
-class TightnessResult:
+class TightnessResult(Record):
     """Best |defect| / rhs ratio for one theorem over a scan grid."""
 
     theorem: str

@@ -3,7 +3,6 @@ import json
 import math
 import random
 from array import array
-from dataclasses import replace
 from itertools import chain
 from operator import sub
 from types import SimpleNamespace
@@ -28,6 +27,7 @@ from simpvex.invexity import (
     check_prequasiinvex,
     hypothesis_pair,
 )
+from simpvex.record import replace
 from simpvex.reports import VERIFIED, VIOLATED, PropertyReport
 
 

@@ -148,6 +148,33 @@ def test_interior_jump_is_unreachable():
         integrate(step, 0.0, 1.0, 1e-9)
 
 
+def _ulps_above(x, ulps):
+    for _ in range(ulps):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@pytest.mark.parametrize("x", [0.5, 1.767, 1e-300])
+@pytest.mark.parametrize("ulps", [1, 2, 3])
+def test_interval_under_four_ulps_is_one_simpson_panel(x, ulps):
+    hi = _ulps_above(x, ulps)
+    fa, fm, fb = math.log1p(x), math.log1p(0.5 * (x + hi)), math.log1p(hi)
+    qr = integrate(math.log1p, x, hi)
+    assert qr.value == (hi - x) * (fa + 4.0 * fm + fb) / 6.0
+    assert qr.value == pytest.approx((hi - x) * math.log1p(x), rel=1e-14)
+    assert qr.error_estimate == (hi - x) * max(abs(fa - fm), abs(fb - fm))
+    assert qr.error_estimate <= DEFAULT_ABS_TOL
+    assert qr.evaluations == 3
+    # from 4 ulps on, the first panel splits as on any interval
+    assert integrate(math.log1p, x, _ulps_above(x, 4)).evaluations == 5
+
+
+def test_interval_under_four_ulps_over_a_jump_is_unreachable():
+    hi = _ulps_above(1.0, 2)
+    with pytest.raises(QuadratureError, match="tolerance unreachable"):
+        integrate(lambda x: 0.0 if x < hi else 1e300, 1.0, hi)
+
+
 def test_breakpoints_share_budget():
     g = lambda t: abs(t - 1.0 / 6.0)
     with pytest.raises(BudgetExhausted):
@@ -187,6 +214,10 @@ def _reference_core(g, lo, hi, abs_tol, budget):
     fm = budget.call(g, mid)
     fb = budget.call(g, hi)
     whole = _reference_simpson(fa, fm, fb, hi - lo)
+    if not (lo < 0.5 * (lo + mid) < mid < 0.5 * (mid + hi) < hi):  # under 4 ulps wide
+        est = (hi - lo) * max(abs(fa - fm), abs(fb - fm))
+        if est <= abs_tol:
+            return whole, est
     total = 0.0
     total_err = 0.0
     stack = [(lo, mid, hi, fa, fm, fb, whole, abs_tol)]

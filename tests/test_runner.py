@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -26,6 +25,7 @@ from simpvex.errors import (
 )
 from simpvex.invexity import Domain, EtaMap, SampleGrid, _plan, check_invex_set
 from simpvex.expr import parse
+from simpvex.record import replace
 from simpvex.runner import (
     CaseResult,
     Tolerances,
@@ -300,8 +300,8 @@ def test_bad_expected_entries_are_config_errors(key, entry, message):
         load_case(config)
     assert f"case 'unit_square': {message}" in str(info.value)
     # a hand-built case gets a verdict, not a raise
-    case = dataclasses.replace(load_case(square_case()),
-                               expected={key: (entry["rhs"], entry["tolerance"])})
+    case = replace(load_case(square_case()),
+                   expected={key: (entry["rhs"], entry["tolerance"])})
     result = run_case(case)
     assert result.verdict == "input_error"
     assert result.error.startswith(f"InvalidExpected: {message}")
@@ -353,7 +353,7 @@ def test_a_non_finite_a_or_b_is_a_config_error(field, value):
         load_case(config)
     assert str(info.value) == f"case 'unit_square': {message}"
     # a hand-built case gets a verdict, not a raise
-    result = run_case(dataclasses.replace(load_case(square_case()), **{field: value}))
+    result = run_case(replace(load_case(square_case()), **{field: value}))
     assert result.verdict == "input_error"
     assert result.error == f"InvalidInterval: {message}"
 
@@ -538,7 +538,7 @@ def test_run_case_with_custom_grid_is_faster_but_consistent():
 
 
 def test_bundled_schemas_pass_their_metaschema():
-    schema_dir = runner._resource_files("simpvex").joinpath("schemas")
+    schema_dir = runner._PACKAGE_DIR / "schemas"
     names = sorted(e.name for e in schema_dir.iterdir() if e.name.endswith(".json"))
     assert names == ["case_schema.json", "report_schema.json"]
     for name in names:
@@ -563,7 +563,7 @@ def test_run_case_turns_sweep_overflow_into_input_error():
 @pytest.mark.parametrize("q", [0.5, math.nan, math.inf])
 def test_run_case_turns_a_bad_hand_built_q_into_input_error(q):
     # load_case rejects these q; a CorpusCase built by hand bypasses it
-    case = dataclasses.replace(load_corpus("poly_x2")[0], q_list=(q,), theorems=("T3.4",))
+    case = replace(load_corpus("poly_x2")[0], q_list=(q,), theorems=("T3.4",))
     result = run_case(case, grid=SampleGrid(5, 5, 3, 20))
     assert result.verdict == "input_error"
     assert result.error == (f"InvalidExponent: every q must be finite and >= 1, "
@@ -641,7 +641,7 @@ _PUBLIC_BOUNDS = {
     "T4.3": ("prequasiinvex", lambda qs: [q for q in qs if q > 1.0],
              _on_defect(bounds.bound_T4_3)),
     "C4.1": ("prequasiinvex", lambda qs: [1.0], _on_defect(
-        lambda m, a, b, s, q, d: dataclasses.replace(
+        lambda m, a, b, s, q, d: replace(
             bounds.bound_T4_1(m, a, b, s, q, d), theorem="C4.1"))),
     "C4.2": ("prequasiinvex", lambda qs: [1.0], _midpoint),
     "CLASSICAL": (None, lambda qs: [None], _on_defect(
@@ -965,7 +965,7 @@ def test_run_case_bounds_match_the_public_wrappers_on_generated_models(
 ], ids=["unknown_theorem", "no_theorem", "no_q", "repeated_theorem", "repeated_q"])
 def test_run_case_turns_hand_built_lists_load_case_rejects_into_input_error(change, error):
     # load_case rejects these lists; a CorpusCase built by hand bypasses it
-    case = dataclasses.replace(load_corpus("poly_x2")[0], **change)
+    case = replace(load_corpus("poly_x2")[0], **change)
     result = run_case(case, grid=SampleGrid(5, 5, 3, 20))
     assert result.verdict == "input_error"
     assert result.error == error
@@ -994,8 +994,8 @@ def _load_case_text(q_list, theorems):
 
 
 def _run_case_text(q_list, theorems):
-    case = dataclasses.replace(load_corpus("poly_x2")[0], q_list=tuple(q_list),
-                               theorems=tuple(theorems))
+    case = replace(load_corpus("poly_x2")[0], q_list=tuple(q_list),
+                   theorems=tuple(theorems))
     result = run_case(case, grid=SampleGrid(5, 5, 3, 20))
     assert result.verdict == "input_error"
     assert result.hypotheses == [] and result.bounds == []
@@ -1122,7 +1122,7 @@ def test_corpus_run_does_the_shared_plan_work_once(monkeypatch):
 
 def test_run_case_turns_a_hand_built_classical_without_d4sup_into_input_error():
     # load_case rejects this config; a CorpusCase built by hand bypasses it
-    case = dataclasses.replace(load_corpus("frac_power")[0], theorems=("T3.1", "CLASSICAL"))
+    case = replace(load_corpus("frac_power")[0], theorems=("T3.1", "CLASSICAL"))
     result = run_case(case, grid=SampleGrid(5, 5, 3, 20))
     assert result.verdict == "input_error"
     assert result.error == ("MissingFourthDerivative: model 'frac_power' has no d4sup; "
@@ -1201,3 +1201,20 @@ def test_polynomial_cases_give_verdicts_never_a_traceback(generated):
     results = tightness_scan(case.model, case.eta, K, (K.lo, case.a), (case.b, K.hi),
                              case.q_list, 3, case.theorems, case.tolerances, grid)
     assert [r.theorem for r in results] == list(case.theorems)
+
+
+def test_case_interval_two_ulps_wide_runs_without_F():
+    # the defect integrates f over [a, b]: too narrow to split, one Simpson panel
+    cfg = json.loads((runner._corpus_dir() / "poly_x2.json").read_text(encoding="utf-8"))
+    del cfg["F"], cfg["expected"]
+    a = 0.5
+    b = math.nextafter(math.nextafter(a, 1.0), 1.0)
+    result = run_case(load_case(dict(cfg, a=a, b=b)))
+    assert result.verdict == "pass"
+    assert result.defect.evaluations == 3
+
+
+def test_K_one_ulp_wide_passes_the_F_gate():
+    K = [1.0, math.nextafter(1.0, 2.0)]
+    case = load_case(square_case(K=K, a=K[0], b=K[1]))
+    assert run_case(case).verdict == "pass"
