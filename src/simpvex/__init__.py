@@ -22,15 +22,14 @@ from .errors import (
 )
 from .expr import check_derivative, compile_expr, evaluate, parse, pretty
 from .kernel import eval_m, half_weights, moment_p, moment_p_exact, weighted_moments
-from .quadrature import QuadratureResult, integrate, integrate_with_breakpoints
+from .quadrature import QuadratureResult, integrate
 from .reports import PropertyReport
 from .invexity import (
     Domain,
     EtaMap,
     SampleGrid,
     check_invex_set,
-    check_preinvex,
-    check_prequasiinvex,
+    check_pair,
 )
 from .bounds import (
     BoundValue,

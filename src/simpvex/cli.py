@@ -125,8 +125,10 @@ def cmd_moments(args) -> int:
         if p < 1.0:
             raise CaseConfigError(f"moment order must be >= 1, got {p!r}")
         closed = kernel.moment_p(p)
-        numeric = quadrature.integrate_with_breakpoints(
-            lambda t: abs(t - 1.0 / 6.0) ** p, 0.0, 0.5, [1.0 / 6.0], 1e-13).value
+        g = lambda t: abs(t - 1.0 / 6.0) ** p
+        # one integral per side of the kink at 1/6
+        numeric = (quadrature.integrate(g, 0.0, 1.0 / 6.0, 5e-14).value
+                   + quadrature.integrate(g, 1.0 / 6.0, 0.5, 5e-14).value)
         rows.append(f"{p!r},{closed!r},{numeric!r},{abs(closed - numeric)!r}")
     _write_output("\n".join(rows) + "\n", args.out)
     return EXIT_PASS

@@ -591,10 +591,10 @@ def abs_batch(fn) -> Optional[Callable[[Sequence[float]], List[float]]]:
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
-    """Evaluate ``e`` with the given variable bindings, compiling ``e`` anew."""
-    order = tuple(sorted(bindings))
-    fn = compile_expr(e, order)
-    return fn(*(float(bindings[name]) for name in order))
+    """Evaluate ``e`` once with the given variable bindings, by the checked
+    evaluator: a compiled function gives the same value or error.  A
+    binding missing where evaluation reaches its variable raises KeyError."""
+    return _checked(e, {name: float(value) for name, value in bindings.items()})
 
 
 def check_derivative(f_fn: Callable, df_fn: Callable, interval: Tuple[float, float],

@@ -33,9 +33,9 @@ pair and once per random triple.  The last plan is kept, so a case's
 invex-set check and its hypothesis checks at every q share one plan, as
 do consecutive cases on the same K and built-in eta.  The plan keeps its
 invex-set report and the values of the last |f'| swept over it, which it
-evaluates once per sample point, in stream order.  The plain-g checks
-evaluate g at every sample point, outside that memo.  |f'| of a compiled
-expression runs in the expression's batch form, one list comprehension
+evaluates once per sample point, in stream order.  ``check_pair``
+evaluates a plain g at every sample point, outside that memo.  |f'| of a
+compiled expression runs in its batch form, one list comprehension
 per list of points rather than one call per point; any other callable is
 called per point.  Each further q costs only arithmetic, once per value.
 The arithmetic is the per-sample formula's, so
@@ -65,8 +65,7 @@ __all__ = [
     "DEFAULT_TOL",
     "EtaMap",
     "check_invex_set",
-    "check_preinvex",
-    "check_prequasiinvex",
+    "check_pair",
     "hypothesis_pair",
 ]
 
@@ -127,11 +126,8 @@ class EtaMap:
     ``difference()`` and ``abs_example()`` each return one shared value.
     """
 
-    def __init__(self, kind: str, fn: Callable[[float, float], float],
-                 name: str, source: Optional[str] = None):
-        self.kind = kind
+    def __init__(self, fn: Callable[[float, float], float], name: str):
         self.name = name
-        self.source = source
         self._fn = fn
 
     def __call__(self, v: float, u: float) -> float:
@@ -152,7 +148,7 @@ class EtaMap:
     def from_expression(cls, source: str) -> "EtaMap":
         tree = expr_mod.parse(source, {"v", "u"})
         fn = expr_mod.compile_expr(tree, ("v", "u"))
-        return cls("expression", fn, source, source=source)
+        return cls(fn, source)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "EtaMap":
@@ -175,8 +171,8 @@ def _abs_example(v: float, u: float) -> float:
     return u - v
 
 
-_DIFFERENCE = EtaMap("difference", sub, "difference")
-_ABS_EXAMPLE = EtaMap("abs_example", _abs_example, "abs_example")
+_DIFFERENCE = EtaMap(sub, "difference")
+_ABS_EXAMPLE = EtaMap(_abs_example, "abs_example")
 
 
 _Found = Tuple[float, Optional[Tuple[float, float, float]]]  # (excess, witness)
@@ -425,25 +421,23 @@ def _prequasiinvex(plan: SamplePlan, g: array) -> _Found:
                       [gx - (gv if gv > gu else gu) for gu, gv, gx in plan.random.values(g)])
 
 
-def check_preinvex(g: Callable[[float], float], eta: EtaMap, K: Domain,
-                   grid: SampleGrid = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> PropertyReport:
-    """Sampled preinvexity check of ``g`` on K.
+def _pair(plan: SamplePlan, g: array, tol: float,
+          q: Optional[float]) -> Tuple[PropertyReport, PropertyReport]:
+    """The preinvex and the prequasiinvex report of the values ``g`` on ``plan``."""
+    return (_report("preinvex", _preinvex(plan, g), plan.samples, tol, q),
+            _report("prequasiinvex", _prequasiinvex(plan, g), plan.samples, tol, q))
+
+
+def check_pair(g: Callable[[float], float], eta: EtaMap, K: Domain,
+               grid: SampleGrid = DEFAULT_GRID,
+               tol: float = DEFAULT_TOL) -> Tuple[PropertyReport, PropertyReport]:
+    """Sampled preinvexity and prequasiinvexity checks of ``g`` on K, from one set of values.
 
     Assumes K is invex for ``eta`` (run check_invex_set first); ``g``
     must be defined wherever the sampled paths land.
     """
     plan = _plan(K, eta, grid)
-    return _report("preinvex", _preinvex(plan, _filled(map(g, plan.points()))),
-                   plan.samples, tol)
-
-
-def check_prequasiinvex(g: Callable[[float], float], eta: EtaMap, K: Domain,
-                        grid: SampleGrid = DEFAULT_GRID,
-                        tol: float = DEFAULT_TOL) -> PropertyReport:
-    """Sampled prequasiinvexity check of ``g`` on K."""
-    plan = _plan(K, eta, grid)
-    return _report("prequasiinvex", _prequasiinvex(plan, _filled(map(g, plan.points()))),
-                   plan.samples, tol)
+    return _pair(plan, _filled(map(g, plan.points())), tol, None)
 
 
 def _derivative_values(plan: SamplePlan, model, q: float) -> array:
@@ -477,8 +471,4 @@ def hypothesis_pair(model, eta: EtaMap, K: Domain, q: float,
     if not 1.0 <= q < math.inf:
         raise ValueError(f"exponent q must be finite and >= 1, got {q!r}")
     plan = _plan(K, eta, grid)
-    g = _derivative_values(plan, model, q)
-    return (
-        _report("preinvex", _preinvex(plan, g), plan.samples, tol, q),
-        _report("prequasiinvex", _prequasiinvex(plan, g), plan.samples, tol, q),
-    )
+    return _pair(plan, _derivative_values(plan, model, q), tol, q)

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Tuple
 
 __all__ = [
-    "BREAKPOINTS",
     "eval_m",
     "moment_p",
     "moment_p_exact",
@@ -31,10 +30,6 @@ __all__ = [
     "weighted_moments",
     "half_weights",
 ]
-
-# kink/jump abscissae of |m| on [0, 1]
-BREAKPOINTS = (1.0 / 6.0, 0.5, 5.0 / 6.0)
-
 
 def eval_m(t: float) -> float:
     """Evaluate the kernel at ``t`` in [0, 1]."""

@@ -24,7 +24,7 @@ degree <= 3 converge on the first panel up to rounding.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import BudgetExhausted, NonFiniteIntegrand, QuadratureError
 from .record import Record
@@ -32,7 +32,6 @@ from .record import Record
 __all__ = [
     "QuadratureResult",
     "integrate",
-    "integrate_with_breakpoints",
     "DEFAULT_ABS_TOL",
     "DEFAULT_MAX_EVALS",
 ]
@@ -60,21 +59,22 @@ def _last_evaluation(g, x, used, limit):
     raise BudgetExhausted(used)
 
 
-def _integrate_core(g, lo, hi, abs_tol, used, limit):
-    """(integral, error estimate, evaluations so far) of ``g`` on [lo, hi].
+def _integrate_core(g, lo, hi, abs_tol, limit):
+    """(integral, error estimate, evaluations) of ``g`` on [lo, hi], lo < hi.
 
-    ``used`` evaluations were already spent of the budget ``limit``.  An
-    interval too narrow to split once (under 4 ulps wide) is one Simpson
-    panel of g at lo, mid and hi, kept if its estimate fits ``abs_tol``;
-    otherwise, as where a deeper panel cannot split, QuadratureError.  A
-    panel evaluates g at lm and rm after one budget test, and checks
-    finiteness, lm first, only if its estimate is NaN or inf, as any
-    non-finite value makes it: what it raises is what checking each
-    evaluation in turn raised, a non-finite g(lm) before g(rm)'s error.
+    At most ``limit`` evaluations are spent.  An interval too narrow to
+    split once (under 4 ulps wide) is one Simpson panel of g at lo, mid
+    and hi, kept if its estimate fits ``abs_tol``; otherwise, as where a
+    deeper panel cannot split, QuadratureError.  A panel evaluates g at
+    lm and rm after one budget test, and checks finiteness, lm first,
+    only if its estimate is NaN or inf, as any non-finite value makes it:
+    what it raises is what checking each evaluation in turn raised, a
+    non-finite g(lm) before g(rm)'s error.
     """
     isfinite = math.isfinite
     inf = math.inf
     m = 0.5 * (lo + hi)
+    used = 0
     fs = []
     for x in (lo, m, hi):
         if used >= limit:
@@ -94,7 +94,7 @@ def _integrate_core(g, lo, hi, abs_tol, used, limit):
         # with a heuristic estimate of the spread of f over the interval
         est = (b - a) * max(abs(fa - fm), abs(fb - fm))
         if est <= abs_tol:
-            return s_whole, est, used
+            return 0.0 + s_whole, est, used
     tol = abs_tol
     total = 0.0
     total_err = 0.0
@@ -139,14 +139,14 @@ def _integrate_core(g, lo, hi, abs_tol, used, limit):
             m, b, fm, fb, s_whole = lm, m, flm, fm, s_left
 
 
-def _integrate_unchecked(g, lo, hi, abs_tol):
-    """``integrate(g, lo, hi, abs_tol)`` as (value, error estimate, evaluations), for
-    lo <= hi both finite: no interval check, no QuadratureResult.  Sums start at 0.0."""
+def _integrate_unchecked(g, lo, hi, abs_tol, max_evals=DEFAULT_MAX_EVALS):
+    """``integrate(g, lo, hi, abs_tol, max_evals)`` as (value, error estimate, evaluations),
+    for lo <= hi both finite: no interval check, no QuadratureResult.  Sums start at 0.0."""
     if not abs_tol > 0.0:
         raise ValueError("abs_tol must be positive")
     if lo == hi:
         return 0.0, 0.0, 0
-    return _integrate_core(g, lo, hi, abs_tol, 0, DEFAULT_MAX_EVALS)
+    return _integrate_core(g, lo, hi, abs_tol, max_evals)
 
 
 def integrate(g: Callable[[float], float], lo: float, hi: float,
@@ -156,40 +156,9 @@ def integrate(g: Callable[[float], float], lo: float, hi: float,
 
     Raises BudgetExhausted when ``max_evals`` integrand calls are not
     enough, and NonFiniteIntegrand (carrying the offending abscissa) as
-    soon as ``g`` returns NaN or an infinity.
-    """
-    return integrate_with_breakpoints(g, lo, hi, (), abs_tol, max_evals)
-
-
-def integrate_with_breakpoints(g: Callable[[float], float], lo: float, hi: float,
-                               breakpoints: Sequence[float],
-                               abs_tol: float = DEFAULT_ABS_TOL,
-                               max_evals: int = DEFAULT_MAX_EVALS) -> QuadratureResult:
-    """Integrate piecewise-smooth ``g``, splitting at known breakpoints.
-
-    ``breakpoints`` must be sorted strictly inside (lo, hi).  Each piece
-    receives an equal share of ``abs_tol`` and the budget is shared, so
-    the combined error estimate and evaluation count obey the same
-    contracts as ``integrate``.
+    soon as ``g`` returns NaN or an infinity.  Where ``g`` kinks or
+    jumps, integrate each smooth piece with its own call.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ValueError(f"bad integration interval [{lo!r}, {hi!r}]")
-    if not abs_tol > 0.0:
-        raise ValueError("abs_tol must be positive")
-    pts = [lo, *breakpoints, hi]
-    if lo == hi:
-        if len(pts) > 2:
-            raise ValueError(f"breakpoints must be sorted strictly inside ({lo!r}, {hi!r})")
-        return QuadratureResult(0.0, 0.0, 0)
-    for left, right in zip(pts, pts[1:]):
-        if not left < right:
-            raise ValueError(f"breakpoints must be sorted strictly inside ({lo!r}, {hi!r})")
-    piece_tol = abs_tol / (len(pts) - 1)
-    total = 0.0
-    total_err = 0.0
-    used = 0
-    for left, right in zip(pts, pts[1:]):
-        value, err, used = _integrate_core(g, left, right, piece_tol, used, max_evals)
-        total += value
-        total_err += err
-    return QuadratureResult(total, total_err, used)
+    return QuadratureResult(*_integrate_unchecked(g, lo, hi, abs_tol, max_evals))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -81,6 +82,13 @@ def test_moments_table(capsys):
         parts = line.split(",")
         assert float(parts[3]) <= 1e-10
     assert float(out[1].split(",")[1]) == pytest.approx(5.0 / 72.0, rel=1e-15)
+
+
+def test_moments_table_bytes_are_pinned(capsys):
+    assert main(["moments", "--p", "1,1.5,2,2.5,3,7,10,49.5,60,100.25"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "9dd6d609ac6c0b8595edf445cc3050765fa84b3f02a0a6b10f101c841b27e48b")
 
 
 def test_moments_rejects_bad_order(capsys):

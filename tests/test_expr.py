@@ -35,7 +35,12 @@ X = frozenset({"x"})
 
 
 def ev(source, **bindings):
-    return evaluate(parse(source, bindings.keys()), bindings)
+    """evaluate's value, once compile_expr's function is seen to give the same
+    value (up to the sign of a NaN) or raise the same error."""
+    tree = parse(source, bindings.keys())
+    fn = compile_expr(tree, tuple(bindings))
+    assert _outcome(fn, *map(float, bindings.values())) == _outcome(evaluate, tree, bindings)
+    return evaluate(tree, bindings)
 
 
 def test_literals_and_variables():
@@ -495,7 +500,7 @@ def test_abs_batch_is_none_where_compiling_the_batch_form_recurses_too_deep(monk
     assert simpvex.expr.abs_batch(fn) is None
     assert len(calls) == 1  # remembered: compiled at most once
     # the sweeps then run the fast form point by point, to the same reports
-    eta, K = EtaMap("difference", lambda v, u: v - u, "unshared difference"), Domain(0.0, 1.0)
+    eta, K = EtaMap(lambda v, u: v - u, "unshared difference"), Domain(0.0, 1.0)
     got = hypothesis_pair(SimpleNamespace(df_fn=fn), eta, K, 1.5)
     want = hypothesis_pair(SimpleNamespace(df_fn=lambda x: fn(x)), eta, K, 1.5)
     assert repr(got) == repr(want)

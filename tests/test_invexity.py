@@ -23,8 +23,7 @@ from simpvex.invexity import (
     SamplePlan,
     _plan,
     check_invex_set,
-    check_preinvex,
-    check_prequasiinvex,
+    check_pair,
     hypothesis_pair,
 )
 from simpvex.record import replace
@@ -71,7 +70,7 @@ def test_eta_difference():
     eta = EtaMap.difference()
     assert eta(3.0, 1.0) == 2.0
     assert eta(-1.0, 4.0) == -5.0
-    assert eta.kind == "difference"
+    assert eta.name == "difference"
 
 
 def test_eta_abs_example_branches():
@@ -90,7 +89,7 @@ def test_eta_abs_example_branches():
 def test_eta_expression():
     eta = EtaMap.from_expression("v - 2*u")
     assert eta(5.0, 1.0) == 3.0
-    assert eta.source == "v - 2*u"
+    assert eta.name == "v - 2*u"
     with pytest.raises(ParseError):
         EtaMap.from_expression("v - w")
 
@@ -130,7 +129,7 @@ def test_invex_set_abs_example_holds_on_negative_interval():
 
 
 def test_cube_is_not_preinvex_for_difference():
-    report = check_preinvex(fn("x^3"), EtaMap.difference(), Domain(-1.0, 1.0))
+    report, _ = check_pair(fn("x^3"), EtaMap.difference(), Domain(-1.0, 1.0))
     assert report.verdict == VIOLATED
     assert report.worst_violation == 0.49907812500000004
     assert report.witness == (-1.0, 0.5, 0.35)
@@ -145,7 +144,7 @@ def test_cube_excess_at_named_point():
 
 
 def test_neg_square_is_not_prequasiinvex():
-    report = check_prequasiinvex(fn("-(x^2)"), EtaMap.difference(), Domain(-1.0, 1.0))
+    _, report = check_pair(fn("-(x^2)"), EtaMap.difference(), Domain(-1.0, 1.0))
     assert report.verdict == VIOLATED
     assert report.worst_violation == 1.0
     assert report.witness == (-1.0, 1.0, 0.5)
@@ -153,31 +152,29 @@ def test_neg_square_is_not_prequasiinvex():
 
 def test_sqrt_fails_preinvex_but_not_prequasiinvex():
     K = Domain(0.0, 1.0)
-    pre = check_preinvex(fn("sqrt(x)"), EtaMap.difference(), K)
+    pre, quasi = check_pair(fn("sqrt(x)"), EtaMap.difference(), K)
     assert pre.verdict == VIOLATED
     assert pre.worst_violation == 0.25
     assert pre.witness == (0.0, 1.0, 0.25)
     # monotone on the path, so the max-form inequality survives
-    quasi = check_prequasiinvex(fn("sqrt(x)"), EtaMap.difference(), K)
     assert quasi.verdict == VERIFIED
 
 
 def test_neg_abs_is_preinvex_for_abs_example():
-    report = check_preinvex(fn("-abs(x)"), EtaMap.abs_example(), Domain(-1.0, 1.0))
+    report, _ = check_pair(fn("-abs(x)"), EtaMap.abs_example(), Domain(-1.0, 1.0))
     assert report.verdict == VERIFIED
     assert report.worst_violation <= 1e-12
 
 
 def test_convex_square_passes_both_checks():
-    pre = check_preinvex(fn("x^2"), EtaMap.difference(), Domain(-1.0, 1.0))
-    quasi = check_prequasiinvex(fn("x^2"), EtaMap.difference(), Domain(-1.0, 1.0))
+    pre, quasi = check_pair(fn("x^2"), EtaMap.difference(), Domain(-1.0, 1.0))
     assert pre.verdict == VERIFIED
     assert quasi.verdict == VERIFIED
 
 
 def test_checks_are_deterministic():
-    a = check_preinvex(fn("x^3"), EtaMap.difference(), Domain(-1.0, 1.0))
-    b = check_preinvex(fn("x^3"), EtaMap.difference(), Domain(-1.0, 1.0))
+    a = check_pair(fn("x^3"), EtaMap.difference(), Domain(-1.0, 1.0))
+    b = check_pair(fn("x^3"), EtaMap.difference(), Domain(-1.0, 1.0))
     assert a == b
 
 
@@ -196,7 +193,7 @@ def test_hypothesis_pair_validates_arguments():
             hypothesis_pair(model, EtaMap.difference(), Domain(-1.0, 1.0), q)
 
 
-def test_hypothesis_pair_matches_single_checks():
+def test_hypothesis_pair_matches_check_pair():
     df = fn("3*x^2")
     K = Domain(-1.0, 1.0)
     pre, quasi = hypothesis_pair(SimpleNamespace(df_fn=df), EtaMap.difference(), K, 1.0)
@@ -204,8 +201,9 @@ def test_hypothesis_pair_matches_single_checks():
     def g(x):
         return abs(df(x))
 
-    assert pre == replace(check_preinvex(g, EtaMap.difference(), K), exponent_q=1.0)
-    assert quasi == replace(check_prequasiinvex(g, EtaMap.difference(), K), exponent_q=1.0)
+    plain_pre, plain_quasi = check_pair(g, EtaMap.difference(), K)
+    assert pre == replace(plain_pre, exponent_q=1.0)
+    assert quasi == replace(plain_quasi, exponent_q=1.0)
 
 
 def test_random_layer_ties_go_to_the_smallest_triple():
@@ -214,8 +212,7 @@ def test_random_layer_ties_go_to_the_smallest_triple():
     grid = SampleGrid(2, 2, 2, random_triples=200, seed=5)
     K, eta = Domain(0.0, 1.0), EtaMap.difference()
     smallest = (0.04855216354845626, 0.9866991087842674, 0.5335307413608343)
-    for check in (check_preinvex, check_prequasiinvex):
-        report = check(_bump, eta, K, grid)
+    for report in check_pair(_bump, eta, K, grid):
         assert (report.verdict, report.worst_violation) == (VIOLATED, 1.0)
         assert report.witness == smallest
 
@@ -325,11 +322,10 @@ _ETAS = [EtaMap.difference(), EtaMap.abs_example(), EtaMap.from_expression("0.5*
 # steps that are negative, infinite, NaN or -0.0: along each grid row the
 # path points still run monotone in t, NaN only at t = 0 or in every point
 _ODD_ETAS = [
-    EtaMap("hand-built", lambda v, u: u - v - 0.25, "negative"),
-    EtaMap("hand-built", lambda v, u: math.inf if v > u else -math.inf if v < u else 0.0,
-           "infinite"),
-    EtaMap("hand-built", lambda v, u: math.nan if v > u else v - u, "nan"),
-    EtaMap("hand-built", lambda v, u: -0.0, "negative zero"),
+    EtaMap(lambda v, u: u - v - 0.25, "negative"),
+    EtaMap(lambda v, u: math.inf if v > u else -math.inf if v < u else 0.0, "infinite"),
+    EtaMap(lambda v, u: math.nan if v > u else v - u, "nan"),
+    EtaMap(lambda v, u: -0.0, "negative zero"),
 ]
 
 
@@ -357,11 +353,10 @@ def _problems(draw):
 def test_plan_sweeps_match_per_sample_reference(problem, q):
     K, eta, grid, g, tol = problem
     assert repr(check_invex_set(K, eta, grid, tol)) == repr(_ref_invex_set(K, eta, grid, tol))
-    pre, quasi = _ref_pair(g, eta, K, grid, tol)
-    assert repr(check_preinvex(g, eta, K, grid, tol)) == repr(pre)
-    assert repr(check_prequasiinvex(g, eta, K, grid, tol)) == repr(quasi)
-    # the same g again on the same plan reads its kept values
-    assert repr(check_preinvex(g, eta, K, grid, tol)) == repr(pre)
+    want = repr(_ref_pair(g, eta, K, grid, tol))
+    assert repr(check_pair(g, eta, K, grid, tol)) == want
+    # the same g again on the same plan
+    assert repr(check_pair(g, eta, K, grid, tol)) == want
 
     model = SimpleNamespace(df_fn=g)
     h = (lambda x: abs(g(x))) if q == 1.0 else (lambda x: abs(g(x)) ** q)
@@ -415,9 +410,7 @@ def _rhs_with_builtin_max(theorem, q, x1, x2, step):
         "nan-step", "negative-zero"])
 def test_plan_sweeps_match_reference_on_default_grid(g, eta, K):
     assert repr(check_invex_set(K, eta)) == repr(_ref_invex_set(K, eta, DEFAULT_GRID, 1e-12))
-    pre, quasi = _ref_pair(g, eta, K, DEFAULT_GRID, 1e-12)
-    assert repr(check_preinvex(g, eta, K)) == repr(pre)
-    assert repr(check_prequasiinvex(g, eta, K)) == repr(quasi)
+    assert repr(check_pair(g, eta, K)) == repr(_ref_pair(g, eta, K, DEFAULT_GRID, 1e-12))
     model = SimpleNamespace(df_fn=g)
     for q in (1.0, 2.5):
         h = (lambda x: abs(g(x)) ** q) if q != 1.0 else (lambda x: abs(g(x)))
@@ -439,7 +432,7 @@ def test_derivative_runs_once_per_plan_point_across_exponents():
         return v - u
 
     model = SimpleNamespace(df_fn=df)
-    eta = EtaMap("difference", step, "counted difference")
+    eta = EtaMap(step, "counted difference")
     K = Domain(-1.0, 1.0)
     assert check_invex_set(K, eta).verdict == VERIFIED
     for q in (1.0, 1.5, 2.0, 3.0):
@@ -501,7 +494,7 @@ def test_a_reused_plans_later_function_matches_the_reference(g, eta, K):
 
 
 def test_a_plan_keeps_its_invex_set_reports_per_K_and_tol():
-    eta = EtaMap("difference", sub, "unshared difference")
+    eta = EtaMap(sub, "unshared difference")
     grid = SampleGrid(5, 5, 3, 20)
     K = Domain(0.0, 1.0)
     report = check_invex_set(K, eta, grid)
@@ -552,7 +545,7 @@ def _recording(eta):
         calls.append((v, u))
         return eta(v, u)
 
-    return EtaMap(eta.kind, step, f"recorded {eta.name}"), calls
+    return EtaMap(step, f"recorded {eta.name}"), calls
 
 
 def _bits(xs):

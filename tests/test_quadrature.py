@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from simpvex import quadrature
 from simpvex.bounds import FunctionModel, lemma_rhs
 from simpvex.errors import BudgetExhausted, NonFiniteIntegrand, QuadratureError
-from simpvex.kernel import BREAKPOINTS, eval_m
+from simpvex.kernel import eval_m
 from simpvex.quadrature import (
     DEFAULT_ABS_TOL,
     DEFAULT_MAX_EVALS,
     QuadratureResult,
+    _integrate_unchecked,
     integrate,
-    integrate_with_breakpoints,
 )
 
 
@@ -59,7 +59,7 @@ def test_results_are_deterministic():
 
 def test_degenerate_interval():
     assert integrate(math.exp, 2.0, 2.0) == QuadratureResult(0.0, 0.0, 0)
-    assert integrate_with_breakpoints(math.exp, 2.0, 2.0, []) == QuadratureResult(0.0, 0.0, 0)
+    assert _integrate_unchecked(math.exp, 2.0, 2.0, DEFAULT_ABS_TOL) == (0.0, 0.0, 0)
 
 
 def test_interval_validation():
@@ -71,38 +71,31 @@ def test_interval_validation():
         integrate(math.exp, 0.0, 1.0, abs_tol=0.0)
 
 
-def test_breakpoint_validation():
-    with pytest.raises(ValueError):
-        integrate_with_breakpoints(math.exp, 0.0, 1.0, [0.0])
-    with pytest.raises(ValueError):
-        integrate_with_breakpoints(math.exp, 0.0, 1.0, [0.7, 0.3])
-    with pytest.raises(ValueError):
-        integrate_with_breakpoints(math.exp, 0.0, 1.0, [1.5])
-    with pytest.raises(ValueError):
-        integrate_with_breakpoints(math.exp, 1.0, 1.0, [1.0])
+def _pieces(g, points, abs_tol):
+    """One integrate call per piece between consecutive ``points``, each at ``abs_tol``."""
+    return [integrate(g, lo, hi, abs_tol) for lo, hi in zip(points, points[1:])]
 
 
-def test_kinked_integrand_with_and_without_breakpoint():
+def test_kinked_integrand_with_and_without_a_split_at_the_kink():
     g = lambda t: abs(t - 0.3)
     want = 0.5 * (0.3 ** 2 + 0.7 ** 2)
     plain = integrate(g, 0.0, 1.0, 1e-11)
-    split = integrate_with_breakpoints(g, 0.0, 1.0, [0.3], 1e-11)
+    split = _pieces(g, [0.0, 0.3, 1.0], 5e-12)
     assert plain.value == pytest.approx(want, abs=1e-10)
-    assert split.value == pytest.approx(want, abs=1e-10)
-    # the declared kink spares the adaptive refinement around it
-    assert split.evaluations < plain.evaluations
+    assert sum(qr.value for qr in split) == pytest.approx(want, abs=1e-10)
+    # splitting at the kink spares the adaptive refinement around it
+    assert sum(qr.evaluations for qr in split) < plain.evaluations
 
 
 def test_half_moment_value():
-    qr = integrate_with_breakpoints(
-        lambda t: abs(t - 1.0 / 6.0), 0.0, 0.5, [1.0 / 6.0], 1e-11)
-    assert qr.value == pytest.approx(5.0 / 72.0, abs=1e-12)
+    left, right = _pieces(lambda t: abs(t - 1.0 / 6.0), [0.0, 1.0 / 6.0, 0.5], 5e-12)
+    assert left.value + right.value == pytest.approx(5.0 / 72.0, abs=1e-12)
 
 
 def test_abs_kernel_integral():
-    qr = integrate_with_breakpoints(
-        lambda t: abs(eval_m(t)), 0.0, 1.0, BREAKPOINTS, 1e-12)
-    assert qr.value == pytest.approx(5.0 / 36.0, abs=1e-11)
+    # |m| kinks at 1/6, 1/2 and 5/6
+    split = _pieces(lambda t: abs(eval_m(t)), [0.0, 1.0 / 6.0, 0.5, 5.0 / 6.0, 1.0], 2.5e-13)
+    assert sum(qr.value for qr in split) == pytest.approx(5.0 / 36.0, abs=1e-11)
 
 
 def test_signed_kernel_halves_cancel():
@@ -175,10 +168,18 @@ def test_interval_under_four_ulps_over_a_jump_is_unreachable():
         integrate(lambda x: 0.0 if x < hi else 1e300, 1.0, hi)
 
 
-def test_breakpoints_share_budget():
-    g = lambda t: abs(t - 1.0 / 6.0)
-    with pytest.raises(BudgetExhausted):
-        integrate_with_breakpoints(g, 0.0, 0.5, [1.0 / 6.0], 1e-13, max_evals=5)
+@pytest.mark.parametrize("g, lo, hi", [
+    (lambda x: -0.1, 0.0, 5e-324),
+    (lambda x: -0.0, 1.0, 1.0000000000000002),
+])
+def test_one_panel_sums_start_at_zero_in_both_entries(g, lo, hi):
+    # the one panel's Simpson value is -0.0 on these; sums start at 0.0
+    simpson = (hi - lo) * (g(lo) + 4.0 * g(0.5 * (lo + hi)) + g(hi)) / 6.0
+    assert simpson.hex() == "-0x0.0p+0"
+    qr = integrate(g, lo, hi)
+    assert (qr.value.hex(), qr.error_estimate.hex(), qr.evaluations) == ("0x0.0p+0", "0x0.0p+0", 3)
+    value, err, evaluations = _integrate_unchecked(g, lo, hi, DEFAULT_ABS_TOL)
+    assert (value.hex(), err.hex(), evaluations) == ("0x0.0p+0", "0x0.0p+0", 3)
 
 
 def test_default_tolerance_is_tight():
@@ -244,23 +245,17 @@ def _reference_core(g, lo, hi, abs_tol, budget):
     return total, total_err
 
 
-def _reference_integrate_with_breakpoints(g, lo, hi, breakpoints, abs_tol, max_evals):
-    pts = [lo, *breakpoints, hi]
+def _reference_integrate(g, lo, hi, abs_tol=DEFAULT_ABS_TOL, max_evals=DEFAULT_MAX_EVALS):
     if lo == hi:
         return QuadratureResult(0.0, 0.0, 0)
     budget = _ReferenceBudget(max_evals)
-    piece_tol = abs_tol / (len(pts) - 1)
-    total = 0.0
-    total_err = 0.0
-    for left, right in zip(pts, pts[1:]):
-        value, err = _reference_core(g, left, right, piece_tol, budget)
-        total += value
-        total_err += err
-    return QuadratureResult(total, total_err, budget.used)
+    value, err = _reference_core(g, lo, hi, abs_tol, budget)
+    # sums start at 0.0, so a one-panel -0.0 comes out 0.0
+    return QuadratureResult(0.0 + value, 0.0 + err, budget.used)
 
 
-def _reference_integrate(g, lo, hi, abs_tol=DEFAULT_ABS_TOL, max_evals=DEFAULT_MAX_EVALS):
-    return _reference_integrate_with_breakpoints(g, lo, hi, [], abs_tol, max_evals)
+def _unchecked(g, lo, hi, abs_tol, max_evals):
+    return QuadratureResult(*_integrate_unchecked(g, lo, hi, abs_tol, max_evals))
 
 
 def _outcome(fn, *args):
@@ -343,23 +338,14 @@ def test_flat_loop_matches_budget_reference(g, x, y, tol, max_evals):
         calls.append(x)
         return g(x)
 
-    assert (_outcome(integrate, g, lo, hi, tol, max_evals)
-            == _outcome(_reference_integrate, counted, lo, hi, tol, max_evals))
+    want = _outcome(_reference_integrate, counted, lo, hi, tol, max_evals)
+    assert _outcome(integrate, g, lo, hi, tol, max_evals) == want
+    assert _outcome(_unchecked, g, lo, hi, tol, max_evals) == want
     # budgets that end just before, and at, the reference's last evaluation
     limit = len(calls)
     for budget in (max(limit - 1, 0), limit):
         assert (_outcome(integrate, g, lo, hi, tol, budget)
                 == _outcome(_reference_integrate, g, lo, hi, tol, budget))
-
-
-@given(_INTEGRANDS, _ENDS, st.lists(st.floats(0.01, 0.99), max_size=3), _TOLS, _BUDGETS)
-@settings(max_examples=200)
-def test_breakpoints_share_budget_like_reference(g, lo, fractions, tol, max_evals):
-    hi = lo + 2.0
-    breakpoints = sorted({lo + 2.0 * u for u in fractions} - {lo, hi})
-    assert (_outcome(integrate_with_breakpoints, g, lo, hi, breakpoints, tol, max_evals)
-            == _outcome(_reference_integrate_with_breakpoints,
-                        g, lo, hi, breakpoints, tol, max_evals))
 
 
 @given(st.sampled_from(("exp(x)", "x^4-2*x^2", "sqrt(x+1.5)", "abs(x-0.3)")),
