@@ -36,6 +36,21 @@ def test_eval_m_range_checked():
         eval_m(1.01)
 
 
+def test_breakpoints_cover_kinks_and_jump():
+    # |m| kinks where m changes sign, at 1/6 and 5/6, and m jumps at 1/2;
+    # between grid neighbours |m| has slope +-1 unless one of these lies between them
+    breakpoints = (1.0 / 6.0, 0.5, 5.0 / 6.0)
+    grid = [(i + 0.5) / 50.0 for i in range(50)]
+    bent = []
+    for u, v in zip(grid, grid[1:]):
+        slope = (abs(eval_m(v)) - abs(eval_m(u))) / (v - u)
+        if abs(abs(slope) - 1.0) > 1e-9:
+            bent.append((u, v))
+    assert len(bent) == len(breakpoints)
+    for (u, v), point in zip(bent, breakpoints):
+        assert u < point < v
+
+
 def test_exact_moments():
     assert moment_p_exact(1) == Fraction(5, 72)
     assert moment_p_exact(2) == Fraction(1, 72)
