@@ -46,11 +46,14 @@ def _info(args, message: str) -> None:
 
 
 def _write_output(text: str, out_path: Optional[str]) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # a directory, a missing parent, no permission, a full disk
+        raise CaseConfigError(f"cannot write {out_path!r}: {exc.strerror or exc}")
 
 
 # the tolerances the --tol-* flags set, with their help text
@@ -157,6 +160,8 @@ def cmd_check(args) -> int:
 def cmd_corpus(args) -> int:
     tol = _tolerances(args)
     cases = runner.load_corpus(args.filter, tol)
+    if not cases:  # an empty report would read as every verdict passing
+        raise CaseConfigError(f"no bundled case name contains {args.filter!r}")
     _info(args, f"loaded {len(cases)} corpus case(s)")
     report = runner.run_corpus(cases=cases)
     if args.format == "csv":

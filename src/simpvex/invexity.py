@@ -21,11 +21,11 @@ apiece, the first largest excess is at the smallest witness (grid rows
 that rounding merges hold the same samples).  The invex-set check reads
 the two ends of each grid row, t = 0 and t = 1, where its path points
 are least and largest; it reads a whole row only for the row that wins
-and for a row whose ends give NaN.  The seeded draws on [0, 1) are sorted once per (seed, count) and every plan
-maps them onto its K, sorting again only where rounding merges two u
-values.  eta and f' run in sorted order within the random layer, so an
-f' failure that only random triples reach is raised at the first of them
-in sorted order.
+and for a row whose ends give NaN.  The seeded draws on [0, 1) are
+sorted once per (seed, count) and every plan maps them onto its K,
+sorting again only where rounding merges two u values.  eta and f' run
+in sorted order within the random layer, so an f' failure that only
+random triples reach is raised at the first of them in sorted order.
 
 Every check is a view of one ``SamplePlan`` per (K, eta, grid): the
 sample stream and its path points, with eta called once per grid (u, v)
@@ -37,8 +37,11 @@ evaluates once per sample point, in stream order.  ``check_pair``
 evaluates a plain g at every sample point, outside that memo.  |f'| of a
 compiled expression runs in its batch form, one list comprehension
 per list of points rather than one call per point; any other callable is
-called per point.  Each further q costs only arithmetic, once per value.
-The arithmetic is the per-sample formula's, so
+called per point.  Each q is one pass over the kept values: the nv*nt
+values of |f'|^q at the path points of one grid u value, raised in the
+comprehension that lists them, feed both sweeps; then the random
+layer's are read once through an iterator.  So no array of every
+point's |f'|^q is built.  The arithmetic is the per-sample formula's, so
 verdicts, worst violations and witnesses are unchanged.  max(x, y) is
 written ``y if y > x else x`` (min with <), the builtin's own rule, so
 NaN, -0.0 and ties come out the same, without a call per sample.
@@ -50,7 +53,7 @@ import math
 import random
 from array import array
 from functools import lru_cache
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, islice, repeat
 from operator import add, lt, sub
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -236,11 +239,6 @@ class _Layer:
     def __len__(self) -> int:
         return len(self.t)
 
-    def values(self, g: array) -> Iterator[Tuple[float, float, float]]:
-        """(g(u), g(v), g(x)) per triple."""
-        it = iter(g[self.at:self.at + 3 * len(self)])
-        return zip(it, it, it)
-
 
 _CHUNK = 2048  # values per list or slice: few of them, none near a plan's size
 
@@ -322,15 +320,6 @@ class SamplePlan:
             self._memo = (fn, values)
         return values
 
-    def power(self, q: float) -> array:
-        """The values last returned by ``values``, each raised to q."""
-        return _filled(map(pow, self._memo[1], repeat(q)))
-
-    def grid_values(self, g: array) -> Tuple[memoryview, memoryview, memoryview]:
-        """g at the grid's u values, at its v values and at its path points, uncopied."""
-        g, v_at = memoryview(g), len(self.us)
-        return g[:v_at], g[v_at:self.x_at], g[self.x_at:self.x_at + len(self.grid_x)]
-
     def worst(self, tops: List[float], row: Callable[[int], Sequence[float]],
               excesses: List[float]) -> _Found:
         """(excess, witness) of the worst sample of the stream.
@@ -392,40 +381,57 @@ def _invex_set_worst(plan: SamplePlan, K: Domain) -> _Found:
                       excess(plan.random.x))
 
 
-def _preinvex(plan: SamplePlan, g: array) -> _Found:
-    """Worst excess g(x) - ((1 - t) g(u) + t g(v)) over values ``g``."""
-    gus, gvs, gxs = plan.grid_values(g)
-    ts, nt, nv = plan.ts, len(plan.ts), len(gvs)
-    omts = [1.0 - t for t in ts]
-    tgvs = [t * gv for gv in gvs for t in ts]
-    omtgus = chain.from_iterable([a * gu for a in omts] * nv for gu in gus)  # (1 - t) g(u)
-    tops = list(map(max, zip(*[map(sub, gxs, map(add, omtgus, cycle(tgvs)))] * nt)))
+def _pair(plan: SamplePlan, h: array, tol: float,
+          q: Optional[float]) -> Tuple[PropertyReport, PropertyReport]:
+    """The preinvex and the prequasiinvex report of g = h^q on ``plan`` (g = h if q is None or 1).
 
-    def row(j):  # the same arithmetic, for the samples of row j alone
+    One pass reads each value of h once, in stream order: g at the u
+    and v values, then g at the nv*nt path points of each grid u value
+    as one list, then the random layer's triples.  Both sweeps take
+    their excesses, g(x) - ((1 - t) g(u) + t g(v)) and
+    g(x) - max(g(u), g(v)), from that read.  The nt samples of a grid
+    (u, v) row that wins, or whose top is NaN, are read again.
+    """
+    mv, nu, nv, nt, at = memoryview(h), len(plan.us), len(plan.vs), len(plan.ts), plan.x_at
+    raised = q is not None and q != 1.0
+
+    def values(i, j):  # g at the points of h[i:j]; v ** q is pow's own float_pow
+        return [v ** q for v in mv[i:j]] if raised else mv[i:j].tolist()
+
+    gus, gvs = values(0, nu), values(nu, at)
+    ts, omts, width = plan.ts, [1.0 - t for t in plan.ts], nv * nt
+    tgvs = [t * gv for gv in gvs for t in ts]  # t g(v) at the nv*nt samples of any u value
+    pre_tops, quasi_tops = [], []
+    for i, gu in enumerate(gus):
+        gxs = values(at + i * width, at + (i + 1) * width)
+        omtgus = [a * gu for a in omts] * nv  # (1 - t) g(u)
+        pre_tops += map(max, zip(*[map(sub, gxs, map(add, omtgus, tgvs))] * nt))
+        # rounding is monotone, so a row's largest excess is its largest g(x) less its high
+        quasi_tops += map(sub, map(max, zip(*[iter(gxs)] * nt)),
+                          [gv if gv > gu else gu for gv in gvs])
+    del tgvs, gxs, omtgus  # one u value's lists live at a time, none beside the layer's
+
+    def pre_row(j):  # the same arithmetic, for the samples of grid row j alone
         gu, gv = gus[j // nv], gvs[j % nv]
-        return [gx - (a * gu + t * gv) for gx, a, t in zip(gxs[j * nt:(j + 1) * nt], omts, ts)]
+        return [gx - (a * gu + t * gv)
+                for gx, a, t in zip(values(at + j * nt, at + (j + 1) * nt), omts, ts)]
+
+    def quasi_row(j):
+        gu, gv = gus[j // nv], gvs[j % nv]
+        high = gv if gv > gu else gu
+        return [gx - high for gx in values(at + j * nt, at + (j + 1) * nt)]
 
     layer = plan.random
-    return plan.worst(tops, row, [gx - ((1.0 - t) * gu + t * gv)
-                                  for (gu, gv, gx), t in zip(layer.values(g), layer.t)])
-
-
-def _prequasiinvex(plan: SamplePlan, g: array) -> _Found:
-    """Worst excess g(x) - max(g(u), g(v)) over values ``g``."""
-    gus, gvs, gxs = plan.grid_values(g)
-    nt = len(plan.ts)
-    highs = [gv if gv > gu else gu for gu in gus for gv in gvs]
-    # rounding is monotone, so a row's largest excess is its largest g(x) less its high
-    tops = list(map(sub, map(max, zip(*[iter(gxs)] * nt)), highs))
-    return plan.worst(tops, lambda j: [x - highs[j] for x in gxs[j * nt:(j + 1) * nt]],
-                      [gx - (gv if gv > gu else gu) for gu, gv, gx in plan.random.values(g)])
-
-
-def _pair(plan: SamplePlan, g: array, tol: float,
-          q: Optional[float]) -> Tuple[PropertyReport, PropertyReport]:
-    """The preinvex and the prequasiinvex report of the values ``g`` on ``plan``."""
-    return (_report("preinvex", _preinvex(plan, g), plan.samples, tol, q),
-            _report("prequasiinvex", _prequasiinvex(plan, g), plan.samples, tol, q))
+    it = iter(mv[layer.at:layer.at + 3 * len(layer)])
+    if raised:
+        it = map(pow, it, repeat(q))
+    pre, quasi = [], []
+    for gu, gv, gx, t in zip(it, it, it, layer.t):
+        pre.append(gx - ((1.0 - t) * gu + t * gv))
+        quasi.append(gx - (gv if gv > gu else gu))
+    return (_report("preinvex", plan.worst(pre_tops, pre_row, pre), plan.samples, tol, q),
+            _report("prequasiinvex", plan.worst(quasi_tops, quasi_row, quasi), plan.samples,
+                    tol, q))
 
 
 def check_pair(g: Callable[[float], float], eta: EtaMap, K: Domain,
@@ -441,19 +447,17 @@ def check_pair(g: Callable[[float], float], eta: EtaMap, K: Domain,
 
 
 def _derivative_values(plan: SamplePlan, model, q: float) -> array:
-    """|f'|^q at the plan's points.
+    """|f'| at the plan's points, for every q.
 
     f' runs once per case and sample point, not once per q.
     """
     df_fn = model.df_fn
     try:
-        h = plan.values(df_fn)
+        return plan.values(df_fn)
     except Exception as exc:
         if q == 1.0:
             raise
         error = exc
-    else:
-        return h if q == 1.0 else plan.power(q)
     # a point-by-point pass may overflow |f'|^q before f' fails: raise what it meets first
     for x in plan.points():
         abs(df_fn(x)) ** q

@@ -235,10 +235,13 @@ def test_corpus_json_to_file(tmp_path, capsys):
     assert doc["counts"]["pass"] == 1
 
 
-def test_corpus_empty_filter_passes(capsys):
-    assert main(["corpus", "--filter", "zzz_nothing"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["counts"]["cases"] == 0
+def test_corpus_filter_matching_no_case_exits_three(capsys):
+    # an empty report would read as "every verdict passes", so a typo would pass CI
+    assert main(["corpus", "--filter", "zzz_nothing"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no bundled case name contains 'zzz_nothing'\n"
+    assert runner.load_corpus("zzz_nothing") == []
 
 
 def test_corpus_strict_exits_two():
@@ -330,6 +333,23 @@ SCAN_SQUARE = ["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1",
 def test_bad_numbers_exit_three_without_a_traceback(argv, message, capsys):
     assert main(argv) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["moments", "--p", "1"], ["check"],
+                                  ["corpus", "--filter", "poly_x2"], SCAN_SQUARE],
+                         ids=["moments", "check", "corpus", "scan"])
+@pytest.mark.parametrize("target, reason", [("missing/x.csv", "No such file or directory"),
+                                            (".", "Is a directory")],
+                         ids=["missing-parent", "directory"])
+def test_an_unwritable_out_path_exits_three_without_a_traceback(argv, target, reason,
+                                                                 tmp_path, capsys):
+    if argv == ["check"]:
+        argv = ["check", write_config(tmp_path / "case.json", square_config())]
+    out = str(tmp_path / target)
+    assert main(["--quiet"] + argv + ["--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out!r}: {reason}\n"
 
 
 # sin(x*x) and cos(x*x) meet an infinite argument where x*x overflows on K

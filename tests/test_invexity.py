@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+import tracemalloc
 from array import array
 from itertools import chain
 from operator import sub
@@ -439,6 +440,23 @@ def test_derivative_runs_once_per_plan_point_across_exponents():
         hypothesis_pair(model, eta, K, q)
     assert df_calls[0] == 41 + 41 + 41 * 41 * 21 + 3 * 2000
     assert eta_calls[0] == 41 * 41 + 2000
+
+
+def test_a_later_exponent_makes_no_plan_sized_temporary():
+    # |f'|^q is listed one grid u value's path points at a time, never for every point at once
+    model = SimpleNamespace(df_fn=fn("3*x^2 - 1"))
+    eta, K = EtaMap.difference(), Domain(-1.0, 1.0)
+    _plan.cache_clear()
+    hypothesis_pair(model, eta, K, 1.0)  # fills the plan's kept |f'| values
+    plan_values = 41 + 41 + 41 * 41 * 21 + 3 * 2000
+    assert len(_plan(K, eta, DEFAULT_GRID).values(model.df_fn)) == plan_values
+    tracemalloc.start()
+    try:
+        hypothesis_pair(model, eta, K, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * plan_values
 
 
 def _raised(model, eta, K, q):

@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -39,3 +40,21 @@ def test_import_time_tool_reports_both_modes():
                          check=True, capture_output=True, text=True, timeout=120).stdout
     line = r"{} +median +[\d.]+ ms  quartiles +[\d.]+ \.\. +[\d.]+ ms  \(2 runs\)"
     assert re.fullmatch("\n".join(line.format(m) for m in ("cached", "uncached")) + "\n", out)
+
+
+def test_stage_time_tool_reports_every_stage_of_both_sets():
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "stage_time.py"), "--runs", "1"],
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    lines = out.splitlines()
+    summary = json.loads(lines[-1])
+    assert (summary["runs"], sorted(summary["totals_s"])) == (1, ["corpus", "fresh_cases"])
+    stages = ["plan", "invex", "df", "defect", "bounds", "to_json", "sweeps_q1",
+              "sweeps_q_gt_1", "sweep_pairs_q_gt_1"]
+    for totals in summary["totals_s"].values():
+        assert list(totals) == stages
+        assert all(totals[stage] > 0 for stage in stages)
+    # 14 of the 15 corpus cases sweep q = 1.5, 2 and 3 besides q = 1
+    assert summary["totals_s"]["corpus"]["sweep_pairs_q_gt_1"] == 42
+    corpus = next(line for line in lines if line.startswith("poly_x2 "))
+    assert re.fullmatch(r"poly_x2 +(\d+\.\d\d +){3}q=1:[\d.]+ q=1\.5:[\d.]+ q=2:[\d.]+ "
+                        r"q=3:[\d.]+ +(\d+\.\d\d +){2}\d+\.\d\d", corpus)

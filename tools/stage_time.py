@@ -1,0 +1,162 @@
+"""Time each stage of ``run_case`` per case, in process, best of N runs.
+
+For every bundled corpus case and one batch of generated cases (the
+``fresh_cases`` generator of ``perfbench/inputs.py``, 28 cases), it
+times the stages ``run_case`` goes through, each on its own:
+
+* plan:    the sample plan of (K, eta, grid), built from scratch;
+* invex:   the invex-set check on that plan;
+* df:      the |f'| pass over the plan's points, the values each
+           hypothesis sweep of the case reads;
+* q=...:   each exponent's hypothesis sweep pair (preinvex and
+           prequasiinvex of |f'|^q), on the values the df pass left;
+* defect:  the Simpson defect and the kernel-identity (lemma) integral;
+* bounds:  every bound the case lists, at each of its exponents;
+* to_json: the case's one-case report, serialised.
+
+Each stage of each case takes the least of ``--runs`` runs, so the
+figures leave out one-off costs such as compiling an expression.  Every
+case pays for its own plan here, where a corpus run shares one between
+consecutive cases on the same K and eta; every exponent and bound is
+timed, where ``run_case`` skips those after a failed hypothesis.  A case
+that fails at load, or a stage that raises, shows ``-`` for what is
+left of that case.  Prints one line per case in milliseconds, a total
+line per set, and last one JSON object of the totals:
+
+    python3 tools/stage_time.py [--runs 5] [--seed 1]
+"""
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import inputs  # noqa: E402  (perfbench/inputs.py: the generated cases)
+from simpvex import bounds, invexity, runner  # noqa: E402
+from simpvex.errors import SimpvexError  # noqa: E402
+
+FRESH_BATCH = 28  # as one fresh_cases pass of perfbench/run.py
+STAGES = ("plan", "invex", "df", "sweeps", "defect", "bounds", "to_json")
+
+
+def exponents(case) -> list:
+    """The exponents the case's hypothesis sweeps run at, in first-use order."""
+    qs = []
+    for theorem in case.theorems:
+        row = bounds.THEOREMS[theorem]
+        if row.mode is not None:
+            qs += [q for q in row.exponents(case.q_list) if q not in qs]
+    return qs
+
+
+def stage_runs(case, grid=runner.DEFAULT_GRID):
+    """Yield (stage, seconds) for one run of the case's stages, in order."""
+    clock = time.perf_counter
+    model, eta, K, tol = case.model, case.eta, case.model.domain, case.tolerances
+    invexity._plan.cache_clear()
+    start = clock()
+    plan = invexity._plan(K, eta, grid)
+    yield "plan", clock() - start
+    start = clock()
+    invexity.check_invex_set(K, eta, grid, tol.invexity)
+    yield "invex", clock() - start
+    start = clock()
+    plan.values(model.df_fn)
+    yield "df", clock() - start
+    for q in exponents(case):
+        start = clock()
+        invexity.hypothesis_pair(model, eta, K, q, grid, tol.invexity)
+        yield f"q={q:g}", clock() - start
+    step = eta(case.b, case.a)
+    start = clock()
+    defect = bounds.simpson_defect(model, case.a, step, tol.oracle)
+    bounds.lemma_rhs(model, case.a, step, tol.oracle)
+    yield "defect", clock() - start
+    start = clock()
+    for theorem in case.theorems:
+        row = bounds.THEOREMS[theorem]
+        for q in row.exponents(case.q_list):
+            try:
+                bounds._bound(theorem, model, case.a, case.b, step,
+                              model.d4sup if row.mode is None else q, defect)
+            except SimpvexError:  # a precondition unmet, or f' failing at a or b
+                pass
+    yield "bounds", clock() - start
+    report = runner.RunReport([runner.run_case(case)], 0.0)
+    start = clock()
+    report.to_json()
+    yield "to_json", clock() - start
+
+
+def best_times(config: dict, runs: int) -> dict:
+    """Least seconds per stage over ``runs`` runs; the stages reached before a failure."""
+    best = {}
+    try:
+        case = runner.load_case(config)
+        for _ in range(runs):
+            for stage, seconds in stage_runs(case):
+                best[stage] = min(seconds, best.get(stage, seconds))
+    except (SimpvexError, ArithmeticError, ValueError):
+        pass
+    return best
+
+
+def line(name: str, best: dict) -> str:
+    cells = [f"{name:30}"]
+    for stage in STAGES:
+        if stage == "sweeps":
+            sweeps = [f"{k}:{1e3 * v:.2f}" for k, v in best.items() if k.startswith("q=")]
+            cells.append(f"{' '.join(sweeps) or '-':36}")
+        else:
+            cells.append(f"{1e3 * best[stage]:8.2f}" if stage in best else f"{'-':>8}")
+    return " ".join(cells)
+
+
+def totals(rows: list) -> dict:
+    """Seconds per stage summed over cases; sweeps split into q = 1 and q > 1."""
+    out = {stage: 0.0 for stage in STAGES if stage != "sweeps"}
+    out.update({"sweeps_q1": 0.0, "sweeps_q_gt_1": 0.0, "sweep_pairs_q_gt_1": 0})
+    for best in rows:
+        for stage, seconds in best.items():
+            if stage == "q=1":
+                out["sweeps_q1"] += seconds
+            elif stage.startswith("q="):
+                out["sweeps_q_gt_1"] += seconds
+                out["sweep_pairs_q_gt_1"] += 1
+            else:
+                out[stage] += seconds
+    return {k: round(v, 6) if isinstance(v, float) else v for k, v in out.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--runs", type=int, default=5, help="runs per case (>= 1)")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the generated batch")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    sets = {"corpus": inputs.corpus_configs(ROOT),
+            "fresh_cases": inputs.fresh_cases(args.seed, 0, FRESH_BATCH)[0]}
+    header = " ".join([f"{'case (ms)':30}"] + [f"{s:36}" if s == "sweeps" else f"{s:>8}"
+                                                for s in STAGES])
+    summary = {}
+    for label, configs in sets.items():
+        print(header)
+        rows = []
+        for config in configs:
+            rows.append(best_times(config, args.runs))
+            print(line(config["name"], rows[-1]))
+        summary[label] = totals(rows)
+        print(f"{label} total (ms): " + ", ".join(
+            f"{k} {1e3 * v:.1f}" if isinstance(v, float) else f"{k} {v}"
+            for k, v in summary[label].items()) + "\n")
+    print(json.dumps({"runs": args.runs, "seed": args.seed, "totals_s": summary}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
