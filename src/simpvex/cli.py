@@ -15,10 +15,11 @@ other verdicts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from typing import List, Optional
+from typing import List, Optional, TextIO
 
 from . import bounds as bounds_mod
 from . import kernel, quadrature, runner
@@ -45,15 +46,28 @@ def _info(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _write_output(text: str, out_path: Optional[str]) -> None:
+@contextlib.contextmanager
+def _output(out_path: Optional[str]):
+    """stdout, or ``out_path`` opened for writing before the run, as a shell
+    redirect is: an unwritable path fails first, and a failed run leaves the
+    file empty."""
     if not out_path:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:  # a directory, a missing parent, no permission, a full disk
+        fh = open(out_path, "w", encoding="utf-8")
+    except OSError as exc:  # a directory, a missing parent, no permission
         raise CaseConfigError(f"cannot write {out_path!r}: {exc.strerror or exc}")
+    with fh:
+        yield fh
+
+
+def _write_output(text: str, out: TextIO) -> None:
+    try:
+        out.write(text)
+        out.flush()
+    except OSError as exc:  # a full disk
+        raise CaseConfigError(f"cannot write {out.name!r}: {exc.strerror or exc}")
 
 
 # the tolerances the --tol-* flags set, with their help text
@@ -121,23 +135,29 @@ def _parse_eta(text: str) -> EtaMap:
         f"--eta expects 'difference', 'abs_example' or 'expression:<expr>', got {text!r}")
 
 
-def cmd_moments(args) -> int:
+def cmd_moments(args, out: TextIO) -> int:
     ps = _parse_floats(args.p, "--p")
     rows = ["p,closed_form,numeric,abs_diff"]
     for p in ps:
         if p < 1.0:
             raise CaseConfigError(f"moment order must be >= 1, got {p!r}")
+        # |t - 1/6|^p peaks at (1/3)^p on [0, 1/2]; in units of that peak the
+        # moment is about 1/(3(p+1)), so tol is about 3e-12 of it at every p
+        scale = (1.0 / 3.0) ** p
+        if scale < sys.float_info.min:
+            raise CaseConfigError(f"moment order {p!r} is too large: (1/3)^p underflows")
         closed = kernel.moment_p(p)
-        g = lambda t: abs(t - 1.0 / 6.0) ** p
+        g = lambda t: abs(t - 1.0 / 6.0) ** p / scale
+        tol = 1e-12 / (p + 1.0)
         # one integral per side of the kink at 1/6
-        numeric = (quadrature.integrate(g, 0.0, 1.0 / 6.0, 5e-14).value
-                   + quadrature.integrate(g, 1.0 / 6.0, 0.5, 5e-14).value)
+        numeric = scale * (quadrature.integrate(g, 0.0, 1.0 / 6.0, tol).value
+                           + quadrature.integrate(g, 1.0 / 6.0, 0.5, tol).value)
         rows.append(f"{p!r},{closed!r},{numeric!r},{abs(closed - numeric)!r}")
-    _write_output("\n".join(rows) + "\n", args.out)
+    _write_output("\n".join(rows) + "\n", out)
     return EXIT_PASS
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, out: TextIO) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -152,12 +172,12 @@ def cmd_check(args) -> int:
     _info(args, f"running case {case.name!r}")
     result = runner.run_case(case)
     report = runner.RunReport([result], 0.0)
-    _write_output(report.to_json(), args.out)
+    _write_output(report.to_json(), out)
     _info(args, f"verdict: {result.verdict}")
     return runner.aggregate_exit_code([result], strict=args.strict)
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args, out: TextIO) -> int:
     tol = _tolerances(args)
     cases = runner.load_corpus(args.filter, tol)
     if not cases:  # an empty report would read as every verdict passing
@@ -165,9 +185,9 @@ def cmd_corpus(args) -> int:
     _info(args, f"loaded {len(cases)} corpus case(s)")
     report = runner.run_corpus(cases=cases)
     if args.format == "csv":
-        _write_output(report.to_csv(), args.out)
+        _write_output(report.to_csv(), out)
     else:
-        _write_output(report.to_json(), args.out)
+        _write_output(report.to_json(), out)
     counts = report.counts
     _info(args, ("verdicts: " + ", ".join(
         f"{key}={counts[key]}" for key in
@@ -175,7 +195,7 @@ def cmd_corpus(args) -> int:
     return runner.aggregate_exit_code(report.results, strict=args.strict)
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args, out: TextIO) -> int:
     if args.steps < 2:
         raise CaseConfigError(f"--steps must be at least 2, got {args.steps!r}")
     q_list = _parse_floats(args.q, "--q")
@@ -208,7 +228,7 @@ def cmd_scan(args) -> int:
     for r in results:
         rows.append(",".join([r.theorem, r.status, cell(r.ratio), cell(r.at_a),
                               cell(r.at_b), cell(r.at_q), str(r.cells), str(r.skipped)]))
-    _write_output("\n".join(rows) + "\n", args.out)
+    _write_output("\n".join(rows) + "\n", out)
     return EXIT_PASS
 
 
@@ -273,7 +293,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_joined_pairs(sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
+        with _output(args.out) as out:
+            return args.fn(args, out)
     except CaseConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

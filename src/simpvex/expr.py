@@ -8,7 +8,10 @@ if(cond, then, else) whose condition may combine comparisons with
 
     or < and < comparisons < + - < * / < unary minus < ^
 
-The full grammar ships in docs/grammar.ebnf.  Comparisons evaluate to
+The parser reads the five binary levels from one table, ``_LEVELS``, and
+builds each with the same left-associative loop; comparisons do not
+chain.  The full grammar ships in docs/grammar.ebnf, whose binary rules a
+test holds equal to the table.  Comparisons evaluate to
 1.0/0.0 and "if" treats any non-zero condition as true; only the taken
 branch of a conditional is evaluated, so the untaken branch may be
 outside its domain.
@@ -90,7 +93,15 @@ Expr = Union[Num, Var, Neg, Bin, Call, If]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "abs", "sqrt")
 _KEYWORDS = ("if", "and", "or")
-_CMP_OPS = ("<", "<=", ">", ">=", "==")
+# each operator's Python function (for _checked) and ast operator (for _Compiler)
+_ARITH = {"+": (operator.add, ast.Add), "-": (operator.sub, ast.Sub),
+          "*": (operator.mul, ast.Mult)}
+_COMPARE = {"<": (operator.lt, ast.Lt), "<=": (operator.le, ast.LtE), ">": (operator.gt, ast.Gt),
+            ">=": (operator.ge, ast.GtE), "==": (operator.eq, ast.Eq)}
+_CMP_OPS = tuple(_COMPARE)
+# the left-associative binary levels, loosest first; unary minus and the
+# right-associative ^ bind tighter, in _Parser.parse_factor
+_LEVELS = (("or",), ("and",), _CMP_OPS, ("+", "-"), ("*", "/"))
 
 _TOKEN_RE = re.compile(
     r"""
@@ -111,12 +122,8 @@ def _tokenize(source: str):
         m = _TOKEN_RE.match(source, pos)
         if m is None:
             raise ParseError(source, pos, f"unexpected character {source[pos]!r}")
-        if m.lastgroup == "number":
-            tokens.append(("number", m.group(), pos))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group(), pos))
-        elif m.lastgroup == "op":
-            tokens.append(("op", m.group(), pos))
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
     tokens.append(("eof", "", n))
     return tokens
@@ -132,83 +139,42 @@ class _Parser:
     def peek(self):
         return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def accept_op(self, *ops):
-        kind, text, _ = self.peek()
-        if kind == "op" and text in ops:
-            return self.advance()
+    def accept(self, texts):
+        """The next token's text, consumed, if it is one of the tuple ``texts``,
+        else None: numbers, names and operators never share a text."""
+        text = self.tokens[self.i][1]
+        if text in texts:
+            self.i += 1
+            return text
         return None
 
-    def accept_name(self, *names):
-        kind, text, _ = self.peek()
-        if kind == "name" and text in names:
-            return self.advance()
-        return None
-
-    def expect_op(self, op, what):
-        tok = self.accept_op(op)
-        if tok is None:
-            _, text, pos = self.peek()
-            raise ParseError(self.source, pos, f"expected {what}")
-        return tok
+    def expect(self, text, what):
+        if self.accept((text,)) is None:
+            self.fail_here(f"expected {what}")
 
     def fail_here(self, reason):
-        _, _, pos = self.peek()
-        raise ParseError(self.source, pos, reason)
+        raise ParseError(self.source, self.peek()[2], reason)
 
-    # grammar, loosest binding first
-
-    def parse_expression(self):
-        node = self.parse_and()
-        while self.accept_name("or"):
-            node = Bin("or", node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_comparison()
-        while self.accept_name("and"):
-            node = Bin("and", node, self.parse_comparison())
-        return node
-
-    def parse_comparison(self):
-        node = self.parse_sum()
-        kind, text, _ = self.peek()
-        if kind == "op" and text in _CMP_OPS:
-            self.advance()
-            node = Bin(text, node, self.parse_sum())
-            kind, text, _ = self.peek()
-            if kind == "op" and text in _CMP_OPS:
+    def parse_expression(self, level=0):
+        """A left-associative chain of ``_LEVELS[level]`` operators over the
+        tighter levels; comparisons do not chain."""
+        if level == len(_LEVELS):
+            return self.parse_factor()
+        ops = _LEVELS[level]
+        node = self.parse_expression(level + 1)
+        while True:
+            op = self.accept(ops)
+            if op is None:
+                return node
+            node = Bin(op, node, self.parse_expression(level + 1))
+            if ops is _CMP_OPS and self.peek()[1] in ops:
                 self.fail_here("chained comparisons are not supported")
-        return node
-
-    def parse_sum(self):
-        node = self.parse_term()
-        while True:
-            tok = self.accept_op("+", "-")
-            if tok is None:
-                return node
-            node = Bin(tok[1], node, self.parse_term())
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while True:
-            tok = self.accept_op("*", "/")
-            if tok is None:
-                return node
-            node = Bin(tok[1], node, self.parse_factor())
 
     def parse_factor(self):
-        if self.accept_op("-"):
+        if self.accept(("-",)):
             return Neg(self.parse_factor())
-        return self.parse_power()
-
-    def parse_power(self):
         node = self.parse_atom()
-        if self.accept_op("^"):
+        if self.accept(("^",)):
             # exponent re-enters at factor level: ^ is right-associative
             # and 2^-3 parses as 2^(-3)
             node = Bin("^", node, self.parse_factor())
@@ -217,37 +183,33 @@ class _Parser:
     def parse_atom(self):
         kind, text, pos = self.peek()
         if kind == "number":
-            self.advance()
+            self.i += 1
             return Num(float(text))
-        if kind == "op" and text == "(":
-            self.advance()
+        if self.accept(("(",)):
             node = self.parse_expression()
-            self.expect_op(")", "')'")
+            self.expect(")", "')'")
             return node
-        if kind == "name":
-            if text == "if":
-                self.advance()
-                self.expect_op("(", "'(' after 'if'")
-                cond = self.parse_expression()
-                self.expect_op(",", "',' after the condition")
-                then = self.parse_expression()
-                self.expect_op(",", "',' after the second branch")
-                other = self.parse_expression()
-                self.expect_op(")", "')'")
-                return If(cond, then, other)
-            if text in ("and", "or"):
-                self.fail_here("expected an operand")
-            self.advance()
-            if self.accept_op("("):
-                if text not in FUNCTIONS:
-                    raise ParseError(self.source, pos, f"unknown function {text!r}")
-                arg = self.parse_expression()
-                self.expect_op(")", "')'")
-                return Call(text, arg)
-            if text not in self.variables:
-                raise ParseError(self.source, pos, f"unknown variable {text!r}")
-            return Var(text)
-        self.fail_here("expected an operand")
+        if kind != "name" or text in ("and", "or"):
+            self.fail_here("expected an operand")
+        self.i += 1
+        if text == "if":
+            self.expect("(", "'(' after 'if'")
+            cond = self.parse_expression()
+            self.expect(",", "',' after the condition")
+            then = self.parse_expression()
+            self.expect(",", "',' after the second branch")
+            other = self.parse_expression()
+            self.expect(")", "')'")
+            return If(cond, then, other)
+        if self.accept(("(",)):
+            if text not in FUNCTIONS:
+                raise ParseError(self.source, pos, f"unknown function {text!r}")
+            arg = self.parse_expression()
+            self.expect(")", "')'")
+            return Call(text, arg)
+        if text not in self.variables:
+            raise ParseError(self.source, pos, f"unknown variable {text!r}")
+        return Var(text)
 
 
 def parse(source: str, variables: Iterable[str]) -> Expr:
@@ -310,8 +272,6 @@ def _reject():
 
 _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
          "sqrt": math.sqrt, "abs": abs}
-_APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "<": operator.lt,
-          "<=": operator.le, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
 
 
 def _checked(e, env):
@@ -361,8 +321,8 @@ def _checked(e, env):
     if op == "^":
         return _guarded_pow(left, right, pretty(e))
     if op in _ARITH:
-        return _APPLY[op](left, right)
-    return 1.0 if _APPLY[op](left, right) else 0.0
+        return _ARITH[op][0](left, right)
+    return 1.0 if _COMPARE[op][0](left, right) else 0.0
 
 
 # globals of every batch form; each fast form runs in its own copy, which
@@ -376,8 +336,6 @@ _RUNTIME = {
     **{f"_{name}": fn for name, fn in _MATH.items()},
 }
 _FILENAME = "<simpvex expression>"
-_ARITH = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
-_COMPARE = {"<": ast.Lt, "<=": ast.LtE, ">": ast.Gt, ">=": ast.GtE, "==": ast.Eq}
 _LOGIC = {"and": ast.And, "or": ast.Or}
 
 
@@ -467,9 +425,9 @@ class _Compiler:
                 return _indicator(
                     _node(ast.BoolOp, _LOGIC[op](), [_nonzero(left), _nonzero(right)]))
             if op in _ARITH:
-                return _node(ast.BinOp, left, _ARITH[op](), right)
+                return _node(ast.BinOp, left, _ARITH[op][1](), right)
             if op in _COMPARE:
-                return _indicator(_compare(left, _COMPARE[op], right))
+                return _indicator(_compare(left, _COMPARE[op][1], right))
             if op == "/":  # ZeroDivisionError where _checked fails
                 return _node(ast.BinOp, left, ast.Div(), right)
             if op == "^":

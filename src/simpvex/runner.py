@@ -366,9 +366,11 @@ class CaseResult(Record, frozen=False):
         }
 
 
-def _hypotheses(model, eta: EtaMap, K: Domain, grid: SampleGrid, tol: float):
-    """(lookup(mode, q) -> PropertyReport, reports in sweep order), one sweep per q:
-    a sweep that raised OverflowError raises it again at each later lookup."""
+def _hypotheses(model, eta: EtaMap, K: Domain, grid: SampleGrid, tol: float,
+                swept: List[PropertyReport]):
+    """lookup(mode, q) -> PropertyReport, one sweep per q, whose two reports it
+    appends to ``swept``: a sweep that raised OverflowError raises it again at
+    each later lookup."""
     reports: Dict[Tuple[str, float], PropertyReport] = {}
     overflows: Dict[float, OverflowError] = {}
 
@@ -383,9 +385,10 @@ def _hypotheses(model, eta: EtaMap, K: Domain, grid: SampleGrid, tol: float):
                 raise
             reports[("preinvex", q)] = pre
             reports[("prequasiinvex", q)] = quasi
+            swept.extend((pre, quasi))
         return reports[(mode, q)]
 
-    return lookup, reports
+    return lookup
 
 
 def _fmt(x: float) -> str:
@@ -438,7 +441,7 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
             f"K is not invex for eta on samples (worst excess "
             f"{_fmt(invex_report.worst_violation)} at {invex_report.witness!r})")
 
-    hypothesis, hypothesis_reports = _hypotheses(model, case.eta, K, grid, tol.invexity)
+    hypothesis = _hypotheses(model, case.eta, K, grid, tol.invexity, result.hypotheses)
 
     try:
         defect = bounds_mod.simpson_defect(model, case.a, step, tol.oracle)
@@ -470,7 +473,6 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
             try:
                 report = hypothesis(row.mode, q) if row.mode is not None else None
             except OverflowError as exc:
-                result.hypotheses.extend(hypothesis_reports.values())
                 return _input_error(
                     result, f"OverflowError: hypothesis sweep of |f'|^q at q={q!r}: {exc}")
             if report is not None and report.violated:
@@ -490,10 +492,8 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
                 skipped = True
                 result.notes.append(f"skipped {theorem}: {exc}")
             except EvalDomainError as exc:  # f'(b): the sweeps and the path may miss b
-                result.hypotheses.extend(hypothesis_reports.values())
                 return _input_error(
                     result, f"EvalDomainError: {theorem} needs |f'(a)| and |f'(b)|: {exc}")
-    result.hypotheses.extend(hypothesis_reports.values())
 
     _check_golden(_golden(case.expected), result)
     slack_violation = any(
@@ -694,7 +694,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         invex = not check_invex_set(K, eta, grid, tol.invexity).violated
     except EvalDomainError:  # eta fails on the samples: K is not invex for it
         invex = False
-    hypothesis, _ = _hypotheses(model, eta, K, grid, tol.invexity)
+    hypothesis = _hypotheses(model, eta, K, grid, tol.invexity, [])
     by_theorem = []
     active = []
     for theorem in theorems:

@@ -88,7 +88,24 @@ def test_moments_table_bytes_are_pinned(capsys):
     assert main(["moments", "--p", "1,1.5,2,2.5,3,7,10,49.5,60,100.25"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
-        "9dd6d609ac6c0b8595edf445cc3050765fa84b3f02a0a6b10f101c841b27e48b")
+        "77d7de54424bd218024ffe5f8d51c7b0e78625e126926fe3940889ab5fc3ebaa")
+
+
+def test_moments_agree_with_the_closed_form_to_a_relative_tolerance(capsys):
+    orders = [1 + 0.5 * i for i in range(20)] + [10.25 + 7.25 * i for i in range(40)] + [300.0]
+    assert main(["moments", "--p", ",".join(map(repr, orders))]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == len(orders)
+    for row in rows:
+        p, closed, numeric, _ = map(float, row.split(","))
+        assert numeric == pytest.approx(closed, rel=1e-10, abs=0.0), row
+
+
+def test_a_moment_order_whose_scale_underflows_exits_three(capsys):
+    assert main(["moments", "--p", "2,645"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: moment order 645.0 is too large: (1/3)^p underflows\n"
 
 
 def test_moments_rejects_bad_order(capsys):
@@ -100,6 +117,9 @@ def test_moments_out_file(tmp_path):
     target = tmp_path / "moments.csv"
     assert main(["moments", "--p", "2", "--out", str(target)]) == 0
     assert target.read_text().startswith("p,closed_form")
+    # a failed run leaves the file empty, as a shell redirect does
+    assert main(["moments", "--p", "0.5", "--out", str(target)]) == 3
+    assert target.read_text() == ""
 
 
 def test_check_passing_case(tmp_path, capsys):
@@ -342,7 +362,14 @@ def test_bad_numbers_exit_three_without_a_traceback(argv, message, capsys):
                                             (".", "Is a directory")],
                          ids=["missing-parent", "directory"])
 def test_an_unwritable_out_path_exits_three_without_a_traceback(argv, target, reason,
-                                                                 tmp_path, capsys):
+                                                                 tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started before --out was opened")
+
+    # the path is opened before the run, as a shell redirect is
+    for module, name in ((runner, "run_case"), (runner, "run_corpus"),
+                         (runner, "tightness_scan"), (quadrature, "integrate")):
+        monkeypatch.setattr(module, name, never)
     if argv == ["check"]:
         argv = ["check", write_config(tmp_path / "case.json", square_config())]
     out = str(tmp_path / target)

@@ -1,7 +1,10 @@
 import doctest
+import hashlib
 import math
 import os
 import pathlib
+import random
+import re
 import struct
 import subprocess
 import sys
@@ -162,6 +165,60 @@ def test_parse_rejects_reserved_variable_names():
         parse("x", {"x", "if"})
     with pytest.raises(ValueError):
         parse("x", {"sin"})
+
+
+# tokens that can start an operand, tokens that can follow one, and characters
+# outside the language; names and spacing vary, so some pieces run together
+_OPERANDS = ["x", "y", "x", "y", "1", "2.5", ".5", "3e2", "1e-3", "7.", "(", "(", "-", "if(",
+             "sin(", "exp(", "sqrt(", "abs(", "x", "1", "z", "or", "cosh("]
+_INFIX = ["+", "-", "*", "/", "^", "+", "*", ")", ")", ",", "<", "<=", ">", ">=", "==",
+          "and", "or", "+", "-", "*", "^", ")", ","]
+_BAD = ["@", "!", "[", "#", "\u00e9", "$", "="]
+
+
+def _token_strings(seed, count):
+    """Seeded random strings, mostly alternating operands and operators, with
+    a few pieces drawn from anywhere and closing parentheses often balanced."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pieces, operand, depth = [], True, 0
+        for _ in range(rng.randint(1, 16)):
+            roll = rng.random()
+            pool = (_BAD if roll < 0.004 else _OPERANDS + _INFIX if roll < 0.06
+                    else _OPERANDS if operand else _INFIX)
+            piece = rng.choice(pool)
+            depth += piece.endswith("(") - (piece == ")")
+            operand = piece[-1] in "(-,+*/^<>=" or piece in ("and", "or")
+            pieces.append(piece + rng.choice(("", "", " ")))
+        if not operand and rng.random() < 0.7:
+            pieces.append(")" * depth)
+        yield "".join(pieces)
+
+
+def _parse_outcome(source):
+    try:
+        return "ok " + pretty(parse(source, {"x", "y"}))
+    except ParseError as exc:
+        return f"error {exc.position} {exc.reason}"
+
+
+def test_parse_outcomes_of_random_token_strings_are_pinned():
+    # 3,000 strings: 252 parse, and every ParseError reason occurs; the digest
+    # was recorded with the one-method-per-level parser the table replaced
+    outcomes = [_parse_outcome(s) for s in _token_strings(27, 3000)]
+    assert sum(o.startswith("ok ") for o in outcomes) == 252
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == (
+        "3d304ce1d6abc2836dc6be515f464773cd061a72e5662892bce994f78c830c97")
+
+
+def test_grammar_binary_levels_are_the_parser_table():
+    text = (pathlib.Path(__file__).parents[1] / "docs" / "grammar.ebnf").read_text()
+    rules = dict(re.findall(r"^(\w+)\s*=\s*(.*?);", text, re.M | re.S))
+    levels = []
+    for rule in ("expression", "and_expr", "comparison", "sum", "term"):
+        body = re.sub(r"\bcmp_op\b", rules["cmp_op"], rules[rule])
+        levels.append(set(re.findall(r'"([^"]+)"', body)))
+    assert levels == [set(ops) for ops in simpvex.expr._LEVELS]
 
 
 def test_compile_respects_positional_order():

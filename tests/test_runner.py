@@ -669,7 +669,7 @@ def _reference_scan(model, eta, K, a_range, b_range, q_list, steps, theorems,
     a_vals = axis(a_range)
     b_vals = axis(b_range)
     invex_report = runner.check_invex_set(K, eta, grid, tol.invexity)
-    hypothesis, _ = runner._hypotheses(model, eta, K, grid, tol.invexity)
+    hypothesis = runner._hypotheses(model, eta, K, grid, tol.invexity, [])
     defect_cache = {}
 
     def defect_at(a, step):
