@@ -235,8 +235,8 @@ def cmd_scan(args, out: TextIO) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="simpvex",
                      description="Simpson defect bounds on invex intervals.")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress messages on stderr")
+    quiet_help = "suppress progress messages on stderr"
+    parser.add_argument("--quiet", action="store_true", help=quiet_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_moments = sub.add_parser("moments", help="kernel moment table (CSV)",
@@ -286,6 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", default=None, help="write output to this path")
     _add_tolerance_flags(p_scan)
     p_scan.set_defaults(fn=cmd_scan)
+    # --quiet after the subcommand too, with no default that would reset a leading --quiet
+    for p in (p_moments, p_check, p_corpus, p_scan):
+        p.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
+                       help=quiet_help)
     return parser
 
 

@@ -32,19 +32,20 @@ sample stream and its path points, with eta called once per grid (u, v)
 pair and once per random triple.  The last plan is kept, so a case's
 invex-set check and its hypothesis checks at every q share one plan, as
 do consecutive cases on the same K and built-in eta.  The plan keeps its
-invex-set report and the values of the last |f'| swept over it, which it
-evaluates once per sample point, in stream order.  ``check_pair``
-evaluates a plain g at every sample point, outside that memo.  |f'| of a
-compiled expression runs in its batch form, one list comprehension
-per list of points rather than one call per point; any other callable is
-called per point.  Each q is one pass over the kept values: the nv*nt
-values of |f'|^q at the path points of one grid u value, raised in the
-comprehension that lists them, feed both sweeps; then the random
-layer's are read once through an iterator.  So no array of every
-point's |f'|^q is built.  The arithmetic is the per-sample formula's, so
-verdicts, worst violations and witnesses are unchanged.  max(x, y) is
-written ``y if y > x else x`` (min with <), the builtin's own rule, so
-NaN, -0.0 and ties come out the same, without a call per sample.
+invex-set report and the values of the last |f'| swept over it, which
+its one value pass, ``SamplePlan.values``, evaluates once per sample
+point, in stream order.  ``check_pair`` evaluates a plain g at every
+sample point, outside that memo.  |f'| of a compiled expression runs in
+its batch form, one list comprehension per slice of points rather than
+one call per point; any other callable is called per point.  Each q is
+one pass over the kept values: the nv*nt values of |f'|^q at the path
+points of one grid u value, raised in the comprehension that lists them,
+feed both sweeps; then the random layer's are read once through an
+iterator.  So no array of every point's |f'|^q is built.  The arithmetic
+is the per-sample formula's, so verdicts, worst violations and witnesses
+are unchanged.  max(x, y) is written ``y if y > x else x`` (min with <),
+the builtin's own rule, so NaN, -0.0 and ties come out the same, without
+a call per sample.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ import math
 import random
 from array import array
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import add, lt, sub
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import expr as expr_mod
 from .record import Record
@@ -240,42 +241,7 @@ class _Layer:
         return len(self.t)
 
 
-_CHUNK = 2048  # values per list or slice: few of them, none near a plan's size
-
-
-def _filled(values: Iterable[float]) -> array:
-    """array("d") of ``values``, filled a list of _CHUNK of them at a time.
-
-    Built from an iterator, an array type-checks each value twice, one
-    append at a time; from a list it checks each once, into space sized
-    once.
-    """
-    out = array("d")
-    values = iter(values)
-    while chunk := list(islice(values, _CHUNK)):
-        out.fromlist(chunk)
-    return out
-
-
-def _evaluate(fn: Callable[[float], float], parts: Sequence[Sequence[float]]) -> array:
-    """abs(fn) at the points of each of ``parts`` in turn.
-
-    For a compiled expression this runs in its batch form, one frame per
-    slice of _CHUNK points; if that raises, or for any other fn, fn is
-    called point by point, so a failure raises at the first failing point
-    with its own error.
-    """
-    batch = expr_mod.abs_batch(fn)
-    if batch is not None:
-        out = array("d")
-        try:
-            for part in parts:
-                for i in range(0, len(part), _CHUNK):
-                    out.fromlist(batch(part[i:i + _CHUNK]))
-            return out
-        except Exception:
-            pass
-    return _filled(map(abs, map(fn, chain.from_iterable(parts))))
+_CHUNK = 2048  # points per batch-form slice: few slices, none near a plan's size
 
 
 class SamplePlan:
@@ -307,17 +273,43 @@ class SamplePlan:
         """Every point a sweep reads g at, in the order of ``values``."""
         return chain.from_iterable(self.parts)
 
-    def values(self, fn: Callable[[float], float]) -> array:
+    def values(self, fn: Callable[[float], float], q: float = 1.0) -> array:
         """abs(fn) at ``points``, called in that order.
 
         Layout: g at the grid's u values; at its v values; at its path
         points (from ``x_at``); then g(u), g(v), g(x) of each random
         triple.  The values of the last fn are kept, so fn must be pure.
+        For a compiled expression this runs in its batch form, one frame
+        per slice of _CHUNK points; if that raises, or for any other fn,
+        fn is called point by point, so a failure raises at the first
+        failing point with its own error.  At q != 1, an |fn|^q that
+        overflows at an earlier point raises its OverflowError first.
         """
         memo_fn, values = self._memo
-        if memo_fn is not fn:
-            values = _evaluate(fn, self.parts)
-            self._memo = (fn, values)
+        if memo_fn is fn:
+            return values
+        values, error = None, None
+        batch = expr_mod.abs_batch(fn)
+        if batch is not None:
+            values = array("d")
+            try:
+                for part in self.parts:
+                    for i in range(0, len(part), _CHUNK):
+                        values.fromlist(batch(part[i:i + _CHUNK]))
+            except Exception:
+                values = None
+        if values is None:
+            try:
+                values = array("d", map(abs, map(fn, self.points())))
+            except Exception as exc:
+                if q == 1.0:
+                    raise
+                error = exc
+        if error is not None:  # replayed outside the except block, so nothing chains
+            for x in self.points():
+                abs(fn(x)) ** q
+            raise error
+        self._memo = (fn, values)
         return values
 
     def worst(self, tops: List[float], row: Callable[[int], Sequence[float]],
@@ -443,25 +435,7 @@ def check_pair(g: Callable[[float], float], eta: EtaMap, K: Domain,
     must be defined wherever the sampled paths land.
     """
     plan = _plan(K, eta, grid)
-    return _pair(plan, _filled(map(g, plan.points())), tol, None)
-
-
-def _derivative_values(plan: SamplePlan, model, q: float) -> array:
-    """|f'| at the plan's points, for every q.
-
-    f' runs once per case and sample point, not once per q.
-    """
-    df_fn = model.df_fn
-    try:
-        return plan.values(df_fn)
-    except Exception as exc:
-        if q == 1.0:
-            raise
-        error = exc
-    # a point-by-point pass may overflow |f'|^q before f' fails: raise what it meets first
-    for x in plan.points():
-        abs(df_fn(x)) ** q
-    raise error
+    return _pair(plan, array("d", map(g, plan.points())), tol, None)
 
 
 def hypothesis_pair(model, eta: EtaMap, K: Domain, q: float,
@@ -475,4 +449,4 @@ def hypothesis_pair(model, eta: EtaMap, K: Domain, q: float,
     if not 1.0 <= q < math.inf:
         raise ValueError(f"exponent q must be finite and >= 1, got {q!r}")
     plan = _plan(K, eta, grid)
-    return _pair(plan, _derivative_values(plan, model, q), tol, q)
+    return _pair(plan, plan.values(model.df_fn, q), tol, q)

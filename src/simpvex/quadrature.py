@@ -16,6 +16,8 @@ order, and the budget is counted in integrand evaluations, which makes
 results bit-for-bit reproducible.  The budget is tested once per panel
 and finiteness only where a panel's estimate is not finite; either way
 the error raised is the one a check of each evaluation would raise.
+``integrate`` checks the interval and calls the one Simpson loop,
+``_integrate_unchecked``, which a caller that has checked it calls too.
 
 Simpson panels integrate cubics exactly, so polynomial integrands of
 degree <= 3 converge on the first panel up to rounding.
@@ -59,25 +61,29 @@ def _last_evaluation(g, x, used, limit):
     raise BudgetExhausted(used)
 
 
-def _integrate_core(g, lo, hi, abs_tol, limit):
-    """(integral, error estimate, evaluations) of ``g`` on [lo, hi], lo < hi.
+def _integrate_unchecked(g, lo, hi, abs_tol, max_evals=DEFAULT_MAX_EVALS):
+    """``integrate(g, lo, hi, abs_tol, max_evals)`` as (value, error estimate, evaluations),
+    for lo <= hi both finite: no interval check, no QuadratureResult.  Sums start at 0.0.
 
-    At most ``limit`` evaluations are spent.  An interval too narrow to
-    split once (under 4 ulps wide) is one Simpson panel of g at lo, mid
-    and hi, kept if its estimate fits ``abs_tol``; otherwise, as where a
-    deeper panel cannot split, QuadratureError.  A panel evaluates g at
-    lm and rm after one budget test, and checks finiteness, lm first,
-    only if its estimate is NaN or inf, as any non-finite value makes it:
-    what it raises is what checking each evaluation in turn raised, a
-    non-finite g(lm) before g(rm)'s error.
+    An interval too narrow to split once (under 4 ulps wide) is one
+    Simpson panel of g at lo, mid and hi, kept if its estimate fits
+    ``abs_tol``; otherwise, as where a deeper panel cannot split,
+    QuadratureError.  A panel evaluates g at lm and rm after one budget
+    test, and checks finiteness, lm first, only if its estimate is NaN or
+    inf, as any non-finite value makes it: what it raises is what checking
+    each evaluation in turn raised, a non-finite g(lm) before g(rm)'s error.
     """
+    if not abs_tol > 0.0:
+        raise ValueError("abs_tol must be positive")
+    if lo == hi:
+        return 0.0, 0.0, 0
     isfinite = math.isfinite
     inf = math.inf
     m = 0.5 * (lo + hi)
     used = 0
     fs = []
     for x in (lo, m, hi):
-        if used >= limit:
+        if used >= max_evals:
             raise BudgetExhausted(used)
         used += 1
         y = g(x)
@@ -108,8 +114,8 @@ def _integrate_core(g, lo, hi, abs_tol, limit):
             raise QuadratureError(
                 f"cannot refine interval [{a!r}, {b!r}] further; tolerance unreachable"
             )
-        if used >= limit - 1:
-            _last_evaluation(g, lm, used, limit)
+        if used >= max_evals - 1:
+            _last_evaluation(g, lm, used, max_evals)
         used += 2
         flm = g(lm)
         try:
@@ -137,16 +143,6 @@ def _integrate_core(g, lo, hi, abs_tol, limit):
             tol = 0.5 * tol
             stack.append((m, rm, b, fm, frm, fb, s_right, tol))
             m, b, fm, fb, s_whole = lm, m, flm, fm, s_left
-
-
-def _integrate_unchecked(g, lo, hi, abs_tol, max_evals=DEFAULT_MAX_EVALS):
-    """``integrate(g, lo, hi, abs_tol, max_evals)`` as (value, error estimate, evaluations),
-    for lo <= hi both finite: no interval check, no QuadratureResult.  Sums start at 0.0."""
-    if not abs_tol > 0.0:
-        raise ValueError("abs_tol must be positive")
-    if lo == hi:
-        return 0.0, 0.0, 0
-    return _integrate_core(g, lo, hi, abs_tol, max_evals)
 
 
 def integrate(g: Callable[[float], float], lo: float, hi: float,

@@ -132,6 +132,36 @@ def test_check_passing_case(tmp_path, capsys):
     assert "verdict: pass" in captured.err
 
 
+def test_a_cases_own_tolerances_win_over_the_tol_flags(tmp_path, monkeypatch, capsys):
+    seen, real = [], runner.run_case
+
+    def run_case(case):
+        seen.append(case.tolerances)
+        return real(case)
+
+    monkeypatch.setattr(runner, "run_case", run_case)
+    cfg = write_config(tmp_path / "case.json", dict(square_config(), tolerances={"slack": 0.5}))
+    assert main(["--quiet", "check", cfg, "--tol-slack", "1e-3", "--tol-invexity", "1e-10"]) == 0
+    # the case's slack wins; a flag sets what the case leaves out
+    assert seen == [runner.Tolerances(slack=0.5, invexity=1e-10)]
+    assert json.loads(capsys.readouterr().out)["cases"][0]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus", "--filter", "poly_x1"],
+    ["check", "CONFIG"],
+], ids=["corpus", "check"])
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_quiet_is_accepted_before_and_after_the_subcommand(argv, where, tmp_path, capsys):
+    argv = [write_config(tmp_path / "case.json", square_config()) if word == "CONFIG" else word
+            for word in argv]
+    argv = ["--quiet"] + argv if where == "before" else argv + ["--quiet"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["counts"]["pass"] == 1
+    assert captured.err == ""
+
+
 def test_check_strict_flags_unmet(tmp_path):
     cfg = write_config(tmp_path / "sin.json", sin_config())
     assert main(["check", cfg]) == 0

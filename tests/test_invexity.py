@@ -460,39 +460,47 @@ def test_a_later_exponent_makes_no_plan_sized_temporary():
 
 
 def _raised(model, eta, K, q):
-    with pytest.raises((OverflowError, ZeroDivisionError)) as info:
+    """(type, message) of what hypothesis_pair raises, which chains no other error."""
+    with pytest.raises(Exception) as info:
         hypothesis_pair(model, eta, K, q)
-    return type(info.value), info.value.args
+    assert info.value.__context__ is None
+    return type(info.value), str(info.value)
 
 
-def test_first_failure_in_point_order_is_raised():
+@pytest.mark.parametrize("df, error", [
+    (fn("1/x"), (EvalDomainError, "division by zero in (1.0 / x) at 0.0")),  # batch form first
+    (lambda x: 1.0 / x, (ZeroDivisionError, "float division by zero")),
+], ids=["compiled", "plain"])
+def test_first_failure_in_point_order_is_raised(df, error):
     # |1/x|^300 overflows at grid points just left of x = 0, where f' fails
-    model = SimpleNamespace(df_fn=lambda x: 1.0 / x)
+    overflow = (OverflowError, "(34, 'Numerical result out of range')")
+    model = SimpleNamespace(df_fn=df)
     eta, K = EtaMap.difference(), Domain(-1.0, 1.0)
+    want = [overflow, error, error, overflow]
     _plan.cache_clear()
-    with pytest.raises(OverflowError):
-        hypothesis_pair(model, eta, K, 300.0)
-    with pytest.raises(ZeroDivisionError):
-        hypothesis_pair(model, eta, K, 1.5)
-    with pytest.raises(OverflowError):
-        hypothesis_pair(model, eta, K, 300.0)
-    raised = [_raised(model, eta, K, q) for q in (1.0, 1.5, 300.0)]
-    assert [r[0] for r in raised] == [ZeroDivisionError, ZeroDivisionError, OverflowError]
+    assert [_raised(model, eta, K, q) for q in (300.0, 1.0, 1.5, 300.0)] == want
+    # a failed pass keeps no values: the same call evaluates f' again and raises again
+    assert [_raised(model, eta, K, q) for q in (1.0, 1.0, 1.5, 1.5)] == [error] * 4
 
     # as the plan's second function, 1/x raises the same errors
     hypothesis_pair(SimpleNamespace(df_fn=fn("x")), eta, K, 1.0)
-    assert [_raised(model, eta, K, q) for q in (1.0, 1.5, 300.0)] == raised
+    assert [_raised(model, eta, K, q) for q in (300.0, 1.0, 1.5, 300.0)] == want
 
 
 def test_a_batch_failure_in_a_later_chunk_raises_that_points_own_error():
     g = fn("sqrt(x) + 1")
     points = [0.25 * i for i in range(invexity._CHUNK + 37)]  # not a multiple of _CHUNK
-    want = [abs(g(x)) for x in points]
-    assert invexity._evaluate(g, [points]).tolist() == want
+
+    def values(points):  # SamplePlan.values on a plan of one part holding ``points``
+        plan = SamplePlan.__new__(SamplePlan)
+        plan.parts, plan._memo = (array("d", points),), (None, None)
+        return plan.values(g)
+
+    assert values(points).tolist() == [abs(g(x)) for x in points]
     points[invexity._CHUNK + 3] = -1.0  # the first failure, in the second chunk
     points[invexity._CHUNK + 20] = -4.0
     with pytest.raises(EvalDomainError) as info:
-        invexity._evaluate(g, [points])
+        values(points)
     assert str(info.value) == "square root of negative argument in sqrt(x) at -1.0"
 
 

@@ -392,6 +392,23 @@ def test_tightness_exp_endpoint_mean_ratio():
     assert results[0].ratio == pytest.approx(0.0022435785122142391, rel=1e-10)
 
 
+def test_hinge_extremal_model_meets_the_sharp_convex_constant():
+    # f' = -(1 - 4t)_+ on [0, 1]: |f'| convex, |defect| = (|f'(a)| + |f'(b)|)/96, the sup over
+    # convex |f'| (ROADMAP item 13), so T3.1's 5/72 is loose by 0.15 and T4.1's 5/36 by 0.075
+    result = run_case(load_case(square_case(
+        name="hinge_extremal", f="if(x < 0.25, 2*x^2 - x, -0.125)",
+        df="if(x < 0.25, 4*x - 1, 0)",
+        F="if(x < 0.25, 2*x^3/3 - x^2/2, -1/48 - 0.125*(x - 0.25))",
+        q=[1], theorems=["T3.1", "T4.1", "C4.1"])))
+    assert result.verdict == "pass"
+    assert [h.verdict for h in result.hypotheses] == ["verified_on_samples"] * 3
+    lhs = abs(result.defect.defect)
+    assert lhs == pytest.approx(1.0 / 96.0, rel=0.0, abs=1e-12)
+    ratios = {b.theorem: lhs / b.rhs for b in result.bounds}
+    assert ratios == pytest.approx({"T3.1": 0.15, "T4.1": 0.075, "C4.1": 0.075},
+                                   rel=0.0, abs=1e-12)
+
+
 def test_tightness_skips_exponentless_theorems():
     model = _model("x^2", "2*x", "(x^3)/3", K=(0.0, 1.0))
     results = tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.0),
