@@ -252,8 +252,7 @@ def simpson_defect(model: FunctionModel, a: float, eta_val: float,
 
 
 def lemma_rhs(model: FunctionModel, a: float, eta_val: float,
-              abs_tol: float = quadrature.DEFAULT_ABS_TOL,
-              max_evals: int = quadrature.DEFAULT_MAX_EVALS) -> QuadratureResult:
+              abs_tol: float = quadrature.DEFAULT_ABS_TOL) -> QuadratureResult:
     """Kernel-integral side of the defect identity, as a QuadratureResult.
 
     Evaluates eta * integral_0^1 m(t) f'(a + t*eta) dt.  The kernel
@@ -272,8 +271,9 @@ def lemma_rhs(model: FunctionModel, a: float, eta_val: float,
         return (t - 5.0 / 6.0) * df(a + t * eta_val)
 
     half_tol = 0.5 * abs_tol
-    qa = quadrature.integrate(left, 0.0, 0.5, half_tol, max_evals)
-    qb = quadrature.integrate(right, 0.5, 1.0, half_tol, max_evals - qa.evaluations)
+    budget = quadrature.DEFAULT_MAX_EVALS  # the right half gets what the left leaves
+    qa = quadrature.integrate(left, 0.0, 0.5, half_tol, budget)
+    qb = quadrature.integrate(right, 0.5, 1.0, half_tol, budget - qa.evaluations)
     return QuadratureResult(
         eta_val * (qa.value + qb.value),
         eta_val * (qa.error_estimate + qb.error_estimate),

@@ -77,18 +77,15 @@ _TOLERANCE_FLAGS = {"oracle": "quadrature oracle tolerance",
 
 
 def _tolerances(args) -> runner.Tolerances:
-    overrides = {}
-    for key in _TOLERANCE_FLAGS:
-        value = getattr(args, f"tol_{key}", None)
-        if value is not None:
-            overrides[key] = value
-    return runner.DEFAULT_TOLERANCES.merged(overrides)
+    return runner.DEFAULT_TOLERANCES.merged(
+        {key: getattr(args, f"tol_{key}", None) for key in _TOLERANCE_FLAGS})
 
 
-def _add_tolerance_flags(sub) -> None:
-    for key, text in _TOLERANCE_FLAGS.items():
+def _add_tolerance_flags(sub, keys=tuple(_TOLERANCE_FLAGS)) -> None:
+    for key in keys:
         default = getattr(runner.DEFAULT_TOLERANCES, key)
-        sub.add_argument(f"--tol-{key}", type=float, help=f"{text} (default {default!r})")
+        sub.add_argument(f"--tol-{key}", type=float,
+                         help=f"{_TOLERANCE_FLAGS[key]} (default {default!r})")
 
 
 def _parse_floats(text: str, flag: str) -> List[float]:
@@ -284,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--theorems", default=None,
                         help="comma-separated theorem ids (default: all)")
     p_scan.add_argument("--out", default=None, help="write output to this path")
-    _add_tolerance_flags(p_scan)
+    # a scan reports ratios, not verdicts, so it reads no slack
+    _add_tolerance_flags(p_scan, ("oracle", "invexity"))
     p_scan.set_defaults(fn=cmd_scan)
     # --quiet after the subcommand too, with no default that would reset a leading --quiet
     for p in (p_moments, p_check, p_corpus, p_scan):

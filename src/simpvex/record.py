@@ -2,14 +2,15 @@
 
 A subclass of ``Record`` takes its own class annotations, in order, as
 its fields, and the values in its class body as their defaults; a
-``factory(make)`` default gives each instance a new ``make()``.  One
-shared ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__`` serve
-every class, so defining a record runs no generated code.  They behave
-as the methods ``dataclasses`` writes:
+``factory(make)`` default gives each instance a new ``make()``.  Each
+class gets one generated ``__init__``, made as ``dataclasses`` makes it
+(one ``exec`` of a ``def`` whose parameters are the fields), which sets
+every field with ``object.__setattr__`` and then calls
+``__post_init__``; so the interpreter itself binds the arguments and
+words each ``TypeError``.  One shared ``__eq__``, ``__hash__`` and
+``__repr__`` serve every class, and behave as the ones ``dataclasses``
+writes:
 
-* ``__init__`` takes the fields positionally or by keyword, raises the
-  interpreter's own ``TypeError`` wording for a missing, unexpected or
-  repeated argument, then calls ``__post_init__``;
 * two records are equal when they are of the same class and their field
   tuples are equal; a record's hash is the hash of its field tuple;
 * ``repr`` reads ``Name(field=value!r, ...)``.
@@ -17,7 +18,8 @@ as the methods ``dataclasses`` writes:
 A class is frozen unless defined with ``frozen=False``: assigning to or
 deleting an attribute of a frozen instance raises FrozenInstanceError,
 and an instance of a mutable class cannot be hashed.  ``replace`` copies
-a record with some fields changed.
+a record with some fields changed.  Importing this module loads neither
+``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 __all__ = ["Record", "FrozenInstanceError", "factory", "replace"]
 
 _MISSING = object()
-_set = object.__setattr__
+_FRESH = object()  # the parameter default of a factory field
 
 
 class FrozenInstanceError(AttributeError):
@@ -41,50 +43,6 @@ class factory:
         self.make = make
 
 
-def _names(names) -> str:
-    """'a', 'a' and 'b', or 'a', 'b', and 'c': the interpreter's list of names."""
-    quoted = [repr(name) for name in names]
-    if len(quoted) < 3:
-        return " and ".join(quoted)
-    return ", ".join(quoted[:-1]) + ", and " + quoted[-1]
-
-
-def _bind(cls, args, kwargs) -> dict:
-    """The field values of ``cls(*args, **kwargs)``, in field order, or the
-    TypeError a generated ``__init__`` raises for these arguments."""
-    fields, defaults = cls._fields, cls._defaults
-    where = f"{cls.__qualname__}.__init__()"
-    given = dict(zip(fields, args))
-    for name, value in kwargs.items():
-        if name not in fields:
-            raise TypeError(f"{where} got an unexpected keyword argument '{name}'")
-        if name in given:
-            raise TypeError(f"{where} got multiple values for argument '{name}'")
-        given[name] = value
-    if len(args) > len(fields):
-        most = len(fields) + 1
-        least = most - len(defaults)
-        takes = f"from {least} to {most}" if least < most else str(most)
-        plural = "s" if most > 1 or least < most else ""
-        raise TypeError(f"{where} takes {takes} positional argument{plural} "
-                        f"but {len(args) + 1} were given")
-    values = {}
-    missing = []
-    for name in fields:
-        if name in given:
-            values[name] = given[name]
-        elif name in defaults:
-            default = defaults[name]
-            values[name] = default.make() if isinstance(default, factory) else default
-        else:
-            missing.append(name)
-    if missing:
-        plural = "s" if len(missing) > 1 else ""
-        raise TypeError(f"{where} missing {len(missing)} required positional "
-                        f"argument{plural}: {_names(missing)}")
-    return values
-
-
 def _frozen_setattr(self, name, value):
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -97,37 +55,35 @@ class Record:
     """Base of the value classes; see the module docstring."""
 
     _fields: tuple = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
-        cls._defaults = {}
-        for name in cls._fields:
-            default = cls.__dict__.get(name, _MISSING)
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", {}))
+        # the generated __init__'s globals, named so that no field shadows them;
+        # object.__setattr__ gets past a frozen class's own __setattr__
+        env = {"__record_set__": object.__setattr__, "__record_fresh__": _FRESH}
+        defaults, body = [], []
+        for name in fields:
+            default, value = cls.__dict__.get(name, _MISSING), name
+            if isinstance(default, factory):
+                delattr(cls, name)
+                env[f"__record_make_{name}__"] = default.make
+                value = f"__record_make_{name}__() if {name} is __record_fresh__ else {name}"
+                default = _FRESH
             if default is not _MISSING:
-                cls._defaults[name] = default
-                if isinstance(default, factory):
-                    delattr(cls, name)
-            elif cls._defaults:
+                defaults.append(default)
+            elif defaults:
                 raise TypeError(f"non-default argument {name!r} follows default argument")
+            body.append(f"    __record_set__(self, {name!r}, {value})\n")
+        exec(f"def __init__({', '.join(('self',) + fields)}):\n{''.join(body)}"
+             "    self.__post_init__()\n", env)
+        init = cls.__init__ = env["__init__"]
+        init.__qualname__, init.__defaults__ = f"{cls.__qualname__}.__init__", tuple(defaults)
         if frozen:
             cls.__setattr__ = _frozen_setattr
             cls.__delattr__ = _frozen_delattr
         else:
             cls.__hash__ = None
-
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if len(args) == len(fields) and not kwargs:
-            values = zip(fields, args)
-        else:
-            values = _bind(self.__class__, args, kwargs).items()
-        # object.__setattr__, not self.__dict__: the instance keeps the compact
-        # attribute layout the interpreter reads fastest
-        for name, value in values:
-            _set(self, name, value)
-        self.__post_init__()
 
     def __post_init__(self):
         """Checks run after the fields are set; none by default."""

@@ -130,15 +130,14 @@ class Tolerances(Record):
     identity: float = 1e-9
 
     def merged(self, overrides: Optional[dict]) -> "Tolerances":
-        """This set with ``overrides`` applied; CaseConfigError unless each is finite and > 0."""
-        if not overrides:
-            return self
+        """This set with ``overrides`` applied, a None override counting as absent;
+        CaseConfigError unless each applied value is finite and > 0."""
         values = {k: bounds_mod._config_float(v, f"tolerance {k}")
-                  for k, v in overrides.items() if v is not None}
+                  for k, v in (overrides or {}).items() if v is not None}
         for key, value in values.items():
             if not (math.isfinite(value) and value > 0.0):
                 raise CaseConfigError(f"tolerance {key} must be finite and > 0, got {value!r}")
-        return replace(self, **values)
+        return replace(self, **values) if values else self
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -472,9 +471,9 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
         for q in exponents:
             try:
                 report = hypothesis(row.mode, q) if row.mode is not None else None
-            except OverflowError as exc:
-                return _input_error(
-                    result, f"OverflowError: hypothesis sweep of |f'|^q at q={q!r}: {exc}")
+            except OverflowError:  # worded here: the exception's text is the C library's
+                return _input_error(result, f"OverflowError: hypothesis sweep of |f'|^q "
+                                            f"at q={q!r}: |f'|^q exceeds the float range")
             if report is not None and report.violated:
                 skipped = True
                 result.notes.append(

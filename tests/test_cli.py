@@ -385,6 +385,14 @@ def test_bad_numbers_exit_three_without_a_traceback(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_scan_takes_no_slack_tolerance(capsys):
+    # a scan reports ratios, not verdicts: --tol-slack would change no byte
+    with pytest.raises(SystemExit) as info:
+        main(SCAN_SQUARE + ["--tol-slack", "1e-3"])
+    assert info.value.code == 3
+    assert "unrecognized arguments: --tol-slack 1e-3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["moments", "--p", "1"], ["check"],
                                   ["corpus", "--filter", "poly_x2"], SCAN_SQUARE],
                          ids=["moments", "check", "corpus", "scan"])

@@ -1,12 +1,19 @@
 """Record against its reference, ``dataclasses``: for four of the value
-classes, a dataclass twin with the same fields must behave the same."""
+classes, a dataclass twin with the same fields must behave the same; and
+every value class's generated ``__init__`` takes its fields and class-body
+defaults."""
 
+import ast
+import builtins
 import dataclasses
 import functools
+import inspect
+import textwrap
 from typing import List, Optional
 
 import pytest
 
+import simpvex  # noqa: F401 (defines every record class)
 from simpvex.bounds import BoundValue, FunctionModel
 from simpvex.expr import Num, Var
 from simpvex.invexity import Domain
@@ -202,3 +209,40 @@ def test_function_model_compiles_through_cached_properties():
         assert isinstance(FunctionModel.__dict__[name], functools.cached_property)
     model = FunctionModel.from_config({"name": "m", "f": "x^2", "df": "2*x", "K": [0, 1]})
     assert model.f_fn is model.f_fn and model.f_fn(3.0) == 9.0
+
+
+def _package_records():
+    return [cls for cls in Record.__subclasses__() if cls.__module__.startswith("simpvex.")]
+
+
+def _body_defaults(cls):
+    """{field: its class-body default as a syntax tree, or None}, read from the source."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0]
+    return {node.target.id: node.value for node in tree.body if isinstance(node, ast.AnnAssign)}
+
+
+@pytest.mark.parametrize("cls", _package_records(), ids=lambda cls: cls.__name__)
+def test_each_generated_init_takes_the_fields_and_body_defaults(cls):
+    body = _body_defaults(cls)
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == list(cls._fields) == list(body)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    made = {name: value.args[0].id for name, value in body.items()
+            if isinstance(value, ast.Call) and value.func.id == "factory"}
+    for p in params:
+        if body[p.name] is None:
+            assert p.default is p.empty, p.name
+        elif p.name in made:  # a private sentinel, no class attribute
+            assert p.default is not p.empty and p.name not in cls.__dict__, p.name
+        else:
+            assert p.default is cls.__dict__[p.name], p.name
+    if made:  # the classes with factory fields set no __post_init__ checks
+        required = [None] * sum(value is None for value in body.values())
+        first, second = cls(*required), cls(*required)
+        for name, make in made.items():
+            assert getattr(first, name) == getattr(builtins, make)()
+            assert getattr(first, name) is not getattr(second, name)
+
+
+def test_every_value_class_of_the_package_is_checked():
+    assert len(_package_records()) == 18
