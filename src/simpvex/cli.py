@@ -25,11 +25,7 @@ from . import bounds as bounds_mod
 from . import kernel, quadrature, runner
 from .errors import CaseConfigError, SimpvexError
 from .invexity import EtaMap
-
-EXIT_PASS = 0
-EXIT_VIOLATION = 1
-EXIT_UNMET_STRICT = 2
-EXIT_INPUT_ERROR = 3
+from .runner import EXIT_INPUT_ERROR, EXIT_PASS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,10 +181,8 @@ def cmd_corpus(args, out: TextIO) -> int:
         _write_output(report.to_csv(), out)
     else:
         _write_output(report.to_json(), out)
-    counts = report.counts
-    _info(args, ("verdicts: " + ", ".join(
-        f"{key}={counts[key]}" for key in
-        ("pass", "hypothesis_unmet", "violation", "input_error"))))
+    _info(args, "verdicts: " + ", ".join(
+        f"{verdict}={n}" for verdict, n in report.counts.items() if verdict != "cases"))
     return runner.aggregate_exit_code(report.results, strict=args.strict)
 
 

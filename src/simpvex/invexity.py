@@ -27,25 +27,28 @@ sorting again only where rounding merges two u values.  eta and f' run
 in sorted order within the random layer, so an f' failure that only
 random triples reach is raised at the first of them in sorted order.
 
-Every check is a view of one ``SamplePlan`` per (K, eta, grid): the
-sample stream and its path points, with eta called once per grid (u, v)
-pair and once per random triple.  The last plan is kept, so a case's
-invex-set check and its hypothesis checks at every q share one plan, as
-do consecutive cases on the same K and built-in eta.  The plan keeps its
-invex-set report and the values of the last |f'| swept over it, which
-its one value pass, ``SamplePlan.values``, evaluates once per sample
-point, in stream order.  ``check_pair`` evaluates a plain g at every
-sample point, outside that memo.  |f'| of a compiled expression runs in
-its batch form, one list comprehension per slice of points rather than
-one call per point; any other callable is called per point.  Each q is
-one pass over the kept values: the nv*nt values of |f'|^q at the path
-points of one grid u value, raised in the comprehension that lists them,
-feed both sweeps; then the random layer's are read once through an
-iterator.  So no array of every point's |f'|^q is built.  The arithmetic
-is the per-sample formula's, so verdicts, worst violations and witnesses
-are unchanged.  max(x, y) is written ``y if y > x else x`` (min with <),
-the builtin's own rule, so NaN, -0.0 and ties come out the same, without
-a call per sample.
+Every check is a view of one ``SamplePlan`` per (K, eta, grid): one
+array, ``points``, of every point a sweep reads g at (the grid's u and v
+values, its path points from ``x_at``, then u, v and x of each random
+triple from ``at``), and the random triples' u, v and t, with eta called
+once per grid (u, v) pair and once per random triple.  The last plan is
+kept, so a case's invex-set check and its hypothesis checks at every q
+share one plan, as do consecutive cases on the same K and built-in eta.
+The plan keeps its invex-set report and the values of the last |f'|
+swept over it, which its one value pass, ``SamplePlan.values``,
+evaluates once per sample point, in stream order.  ``check_pair``
+evaluates a plain g at every sample point, outside that memo.  |f'| of a
+compiled expression runs in its batch form, one list comprehension per
+slice of points rather than one call per point; any other callable is
+called per point, over the same slices.  Each q is one pass over the
+kept values: the nv*nt values of |f'|^q at the path points of one grid u
+value, raised in the comprehension that lists them, feed both sweeps;
+then the random layer's are read once through an iterator.  So no array
+of every point's |f'|^q is built.  The arithmetic is the per-sample
+formula's, so verdicts, worst violations and witnesses are unchanged.
+max(x, y) is written ``y if y > x else x`` (min with <), the builtin's
+own rule, so NaN, -0.0 and ties come out the same, without a call per
+sample.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ import math
 import random
 from array import array
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add, lt, sub
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import expr as expr_mod
 from .record import Record
@@ -213,100 +216,83 @@ def _unit_draws(seed: int, count: int) -> Tuple[array, array, array]:
     return tuple(array("d", [triple[i] for triple in triples]) for i in range(3))
 
 
-class _Layer:
-    """The seeded random (u, v, t) samples, sorted, with their path points.
-
-    Every plan maps the same sorted unit draws onto its K, u and v by
-    ``lo + span * r``.  Rounding is monotone, so the samples come out
-    sorted unless it merges two u values; then they are sorted again.
-    """
-
-    __slots__ = ("u", "v", "t", "x", "points", "at")
-
-    def __init__(self, K: Domain, eta: EtaMap, grid: SampleGrid, at: int):
-        ru, rv, rt = _unit_draws(grid.seed, grid.random_triples)
-        lo, span = K.lo, K.hi - K.lo
-        self.u = array("d", [lo + span * r for r in ru])
-        self.v = array("d", [lo + span * r for r in rv])
-        self.t = array("d", rt)
-        if not all(map(lt, self.u, self.u[1:])):
-            self.u, self.v, self.t = (array("d", column) for column in
-                                      zip(*sorted(zip(self.u, self.v, self.t))))
-        self.x = array("d", [u + t * eta(v, u) for u, v, t in zip(self.u, self.v, self.t)])
-        self.points = array("d", bytes(24 * len(self.t)))  # u, v, x of each triple in turn
-        self.points[::3], self.points[1::3], self.points[2::3] = self.u, self.v, self.x
-        self.at = at  # index of the first triple's g(u) in SamplePlan.values
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-
 _CHUNK = 2048  # points per batch-form slice: few slices, none near a plan's size
+
+
+def _filled(batch: Callable[[array], List[float]], points: array) -> array:
+    """batch of each slice of _CHUNK points, in order, as one array."""
+    values = array("d")
+    for i in range(0, len(points), _CHUNK):
+        values.fromlist(batch(points[i:i + _CHUNK]))
+    return values
 
 
 class SamplePlan:
     """The sample stream of one (K, eta, grid), with its path points.
 
     Stream order: the nu x nv x nt grid (u, then v, then t), then the
-    sorted seeded random triples.  eta is called once per grid (u, v)
-    pair and once per random triple.  Every sampled check is a sweep of
-    ``worst`` over one plan.  The plan keeps the invex-set reports made
-    on it (``invex_set``) and the values of the last |f'| swept over it.
+    sorted seeded random triples.  ``points`` holds every point a sweep
+    reads g at, in the order of ``values``: the grid's u values, its v
+    values, its path points (from ``x_at``), then u, v and x of each
+    random triple (from ``at``); ``ru``, ``rv`` and ``rt`` are the
+    triples' u, v and t.  eta is called once per grid (u, v) pair and
+    once per random triple.  Every sampled check is a sweep of ``worst``
+    over one plan.  The plan keeps the invex-set reports made on it
+    (``invex_set``) and the values of the last |f'| swept over it.
     """
 
     def __init__(self, K: Domain, eta: EtaMap, grid: SampleGrid):
         self.us = K.grid(grid.nu)
         self.vs = K.grid(grid.nv)
         self.ts = [i / (grid.nt - 1) for i in range(grid.nt)]
-        self.grid_x = array("d")
+        self.points = array("d", self.us + self.vs)
+        self.x_at = len(self.points)
         for u in self.us:
-            self.grid_x.fromlist([u + t * step for step in [eta(v, u) for v in self.vs]
+            self.points.fromlist([u + t * step for step in [eta(v, u) for v in self.vs]
                                   for t in self.ts])
-        self.x_at = len(self.us) + len(self.vs)
-        self.random = _Layer(K, eta, grid, self.x_at + len(self.grid_x))
-        self.parts = (array("d", self.us + self.vs), self.grid_x, self.random.points)  # points()
-        self.samples = len(self.grid_x) + len(self.random)
+        self.at = len(self.points)
+        lo, span = K.lo, K.hi - K.lo
+        ru, rv, self.rt = _unit_draws(grid.seed, grid.random_triples)  # rt: shared, read only
+        self.ru, self.rv = (array("d", [lo + span * r for r in draws]) for draws in (ru, rv))
+        if not all(map(lt, self.ru, self.ru[1:])):  # rounding merged two u values
+            self.ru, self.rv, self.rt = (array("d", column) for column in
+                                         zip(*sorted(zip(self.ru, self.rv, self.rt))))
+        x = array("d", [u + t * eta(v, u) for u, v, t in zip(self.ru, self.rv, self.rt)])
+        layer = array("d", bytes(24 * len(x)))  # u, v and x of each triple in turn
+        layer[::3], layer[1::3], layer[2::3] = self.ru, self.rv, x
+        self.points += layer
+        self.samples = self.at - self.x_at + len(self.rt)
         self.invex_set = {}  # check_invex_set's reports, by the bit pattern of (K, tol)
         self._memo = (None, None)
-
-    def points(self) -> Iterator[float]:
-        """Every point a sweep reads g at, in the order of ``values``."""
-        return chain.from_iterable(self.parts)
 
     def values(self, fn: Callable[[float], float], q: float = 1.0) -> array:
         """abs(fn) at ``points``, called in that order.
 
-        Layout: g at the grid's u values; at its v values; at its path
-        points (from ``x_at``); then g(u), g(v), g(x) of each random
-        triple.  The values of the last fn are kept, so fn must be pure.
-        For a compiled expression this runs in its batch form, one frame
-        per slice of _CHUNK points; if that raises, or for any other fn,
-        fn is called point by point, so a failure raises at the first
-        failing point with its own error.  At q != 1, an |fn|^q that
-        overflows at an earlier point raises its OverflowError first.
+        The values of the last fn are kept, so fn must be pure.  For a
+        compiled expression this runs in its batch form, one frame per
+        slice of _CHUNK points; if that raises, or for any other fn, fn is
+        called point by point over the same slices, so a failure raises at
+        the first failing point with its own error.  At q != 1, an |fn|^q
+        that overflows at an earlier point raises its OverflowError first.
         """
         memo_fn, values = self._memo
         if memo_fn is fn:
             return values
-        values, error = None, None
+        values = error = None
         batch = expr_mod.abs_batch(fn)
-        if batch is not None:
-            values = array("d")
-            try:
-                for part in self.parts:
-                    for i in range(0, len(part), _CHUNK):
-                        values.fromlist(batch(part[i:i + _CHUNK]))
-            except Exception:
-                values = None
+        try:
+            values = _filled(batch, self.points) if batch else None
+        except Exception:
+            pass
         if values is None:
             try:
-                values = array("d", map(abs, map(fn, self.points())))
+                values = _filled(lambda xs: list(map(abs, map(fn, xs))), self.points)
             except Exception as exc:
                 if q == 1.0:
                     raise
                 error = exc
         if error is not None:  # replayed outside the except block, so nothing chains
-            for x in self.points():
+            for x in self.points:
                 abs(fn(x)) ** q
             raise error
         self._memo = (fn, values)
@@ -322,10 +308,10 @@ class SamplePlan:
         largest excess wins, then the smallest witness, then the earliest;
         (-inf, None) if none beats -inf.
         """
-        us, vs, ts, nv, layer = self.us, self.vs, self.ts, len(self.vs), self.random
+        us, vs, ts, nv = self.us, self.vs, self.ts, len(self.vs)
         found = (_first_worst(tops, row, lambda j, k: (us[j // nv], vs[j % nv], ts[k])),
                  _first_worst(excesses, lambda j: (excesses[j],),
-                              lambda j, k: (layer.u[j], layer.v[j], layer.t[j])))
+                              lambda j, k: (self.ru[j], self.rv[j], self.rt[j])))
         return min(filter(None, found), key=lambda f: (-f[0], f[1]), default=(-math.inf, None))
 
 
@@ -360,7 +346,7 @@ def check_invex_set(K: Domain, eta: EtaMap, grid: SampleGrid = DEFAULT_GRID,
 def _invex_set_worst(plan: SamplePlan, K: Domain) -> _Found:
     """Worst distance by which a path point of ``plan`` leaves K."""
     lo, hi = K.lo, K.hi
-    nt, grid_x = len(plan.ts), plan.grid_x
+    nt, grid_x = len(plan.ts), memoryview(plan.points)[plan.x_at:plan.at]
 
     def excess(xs):  # max(lo - x, x - hi) per point
         return [b if (b := x - hi) > (a := lo - x) else a for x in xs]
@@ -370,7 +356,7 @@ def _invex_set_worst(plan: SamplePlan, K: Domain) -> _Found:
     tops = [b if (b := (y if y > x else x) - hi) > (a := lo - (y if y < x else x)) else a
             for x, y in zip(grid_x[::nt], grid_x[nt - 1::nt])]
     return plan.worst(tops, lambda j: excess(grid_x[j * nt:(j + 1) * nt]),
-                      excess(plan.random.x))
+                      excess(memoryview(plan.points)[plan.at + 2::3]))
 
 
 def _pair(plan: SamplePlan, h: array, tol: float,
@@ -384,18 +370,18 @@ def _pair(plan: SamplePlan, h: array, tol: float,
     g(x) - max(g(u), g(v)), from that read.  The nt samples of a grid
     (u, v) row that wins, or whose top is NaN, are read again.
     """
-    mv, nu, nv, nt, at = memoryview(h), len(plan.us), len(plan.vs), len(plan.ts), plan.x_at
+    mv, nu, nv, nt, x_at = memoryview(h), len(plan.us), len(plan.vs), len(plan.ts), plan.x_at
     raised = q is not None and q != 1.0
 
     def values(i, j):  # g at the points of h[i:j]; v ** q is pow's own float_pow
         return [v ** q for v in mv[i:j]] if raised else mv[i:j].tolist()
 
-    gus, gvs = values(0, nu), values(nu, at)
+    gus, gvs = values(0, nu), values(nu, x_at)
     ts, omts, width = plan.ts, [1.0 - t for t in plan.ts], nv * nt
     tgvs = [t * gv for gv in gvs for t in ts]  # t g(v) at the nv*nt samples of any u value
     pre_tops, quasi_tops = [], []
     for i, gu in enumerate(gus):
-        gxs = values(at + i * width, at + (i + 1) * width)
+        gxs = values(x_at + i * width, x_at + (i + 1) * width)
         omtgus = [a * gu for a in omts] * nv  # (1 - t) g(u)
         pre_tops += map(max, zip(*[map(sub, gxs, map(add, omtgus, tgvs))] * nt))
         # rounding is monotone, so a row's largest excess is its largest g(x) less its high
@@ -406,19 +392,18 @@ def _pair(plan: SamplePlan, h: array, tol: float,
     def pre_row(j):  # the same arithmetic, for the samples of grid row j alone
         gu, gv = gus[j // nv], gvs[j % nv]
         return [gx - (a * gu + t * gv)
-                for gx, a, t in zip(values(at + j * nt, at + (j + 1) * nt), omts, ts)]
+                for gx, a, t in zip(values(x_at + j * nt, x_at + (j + 1) * nt), omts, ts)]
 
     def quasi_row(j):
         gu, gv = gus[j // nv], gvs[j % nv]
         high = gv if gv > gu else gu
-        return [gx - high for gx in values(at + j * nt, at + (j + 1) * nt)]
+        return [gx - high for gx in values(x_at + j * nt, x_at + (j + 1) * nt)]
 
-    layer = plan.random
-    it = iter(mv[layer.at:layer.at + 3 * len(layer)])
+    it = iter(mv[plan.at:])
     if raised:
         it = map(pow, it, repeat(q))
     pre, quasi = [], []
-    for gu, gv, gx, t in zip(it, it, it, layer.t):
+    for gu, gv, gx, t in zip(it, it, it, plan.rt):
         pre.append(gx - ((1.0 - t) * gu + t * gv))
         quasi.append(gx - (gv if gv > gu else gu))
     return (_report("preinvex", plan.worst(pre_tops, pre_row, pre), plan.samples, tol, q),
@@ -435,7 +420,7 @@ def check_pair(g: Callable[[float], float], eta: EtaMap, K: Domain,
     must be defined wherever the sampled paths land.
     """
     plan = _plan(K, eta, grid)
-    return _pair(plan, array("d", map(g, plan.points())), tol, None)
+    return _pair(plan, _filled(lambda xs: list(map(g, xs)), plan.points), tol, None)
 
 
 def hypothesis_pair(model, eta: EtaMap, K: Domain, q: float,

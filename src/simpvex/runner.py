@@ -39,7 +39,7 @@ import time
 from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import bounds as bounds_mod
 from .errors import (
@@ -86,6 +86,9 @@ VERDICT_PASS = "pass"
 VERDICT_UNMET = "hypothesis_unmet"
 VERDICT_VIOLATION = "violation"
 VERDICT_INPUT_ERROR = "input_error"
+
+# CLI exit codes, one per verdict that can decide a run (aggregate_exit_code)
+EXIT_PASS, EXIT_VIOLATION, EXIT_UNMET_STRICT, EXIT_INPUT_ERROR = 0, 1, 2, 3
 
 
 THEOREM_IDS = tuple(bounds_mod.THEOREMS)
@@ -370,22 +373,20 @@ def _hypotheses(model, eta: EtaMap, K: Domain, grid: SampleGrid, tol: float,
     """lookup(mode, q) -> PropertyReport, one sweep per q, whose two reports it
     appends to ``swept``: a sweep that raised OverflowError raises it again at
     each later lookup."""
-    reports: Dict[Tuple[str, float], PropertyReport] = {}
-    overflows: Dict[float, OverflowError] = {}
+    sweeps: Dict[float, Union[Tuple[PropertyReport, PropertyReport], OverflowError]] = {}
 
     def lookup(mode: str, q: float) -> PropertyReport:
-        if q in overflows:
-            raise overflows[q]
-        if (mode, q) not in reports:
+        if q not in sweeps:
             try:
-                pre, quasi = hypothesis_pair(model, eta, K, q, grid, tol)
+                sweeps[q] = hypothesis_pair(model, eta, K, q, grid, tol)
             except OverflowError as exc:
-                overflows[q] = exc
-                raise
-            reports[("preinvex", q)] = pre
-            reports[("prequasiinvex", q)] = quasi
-            swept.extend((pre, quasi))
-        return reports[(mode, q)]
+                sweeps[q] = exc
+            else:
+                swept.extend(sweeps[q])
+        if isinstance(sweeps[q], OverflowError):
+            raise sweeps[q]
+        pre, quasi = sweeps[q]
+        return pre if mode == "preinvex" else quasi
 
     return lookup
 
@@ -512,9 +513,11 @@ _Golden = Tuple[str, str, Optional[float], float, float]
 def _golden(expected: Dict[str, Tuple[float, float]]) -> List[_Golden]:
     """(key, theorem, q or None, rhs, tolerance) per ``expected`` entry, in key order.
 
-    A key is a theorem id, optionally followed by "@q" with q finite;
-    ValueError unless every key is one, every rhs is finite and every
-    tolerance is finite and > 0.
+    A key is a theorem id, optionally followed by "@q" with q finite and
+    a q the theorem evaluates and labels its bound with (so T3.1, C4.2
+    and CLASSICAL take no "@q", and C4.1 only "@1"); ValueError unless
+    every key is one, every rhs is finite and every tolerance is finite
+    and > 0.
     """
     entries = []
     for key, (rhs, tolerance) in sorted(expected.items()):
@@ -526,6 +529,15 @@ def _golden(expected: Dict[str, Tuple[float, float]]) -> List[_Golden]:
         if theorem not in bounds_mod.THEOREMS or q is not None and not math.isfinite(q):
             raise ValueError(f"expected key {key!r} is not a theorem id with an optional "
                              f"'@q' for a finite q")
+        if q is not None:
+            row = bounds_mod.THEOREMS[theorem]
+            try:
+                labelled = q in row.exponents([q]) and row.labels(q)[0] == q
+            except ValueError:  # a q out of the row's range
+                labelled = False
+            if not labelled:
+                raise ValueError(f"expected key {key!r} can never match: {theorem} "
+                                 f"labels no bound q = {q!r}")
         if not (math.isfinite(rhs) and math.isfinite(tolerance) and tolerance > 0.0):
             raise ValueError(f"expected {key!r} needs a finite rhs and a finite tolerance > 0, "
                              f"got rhs {rhs!r}, tolerance {tolerance!r}")
@@ -794,9 +806,9 @@ def aggregate_exit_code(results: Sequence[CaseResult], strict: bool = False) -> 
     """CLI exit code: violation > input_error > strict-unmet > pass."""
     verdicts = {r.verdict for r in results}
     if VERDICT_VIOLATION in verdicts:
-        return 1
+        return EXIT_VIOLATION
     if VERDICT_INPUT_ERROR in verdicts:
-        return 3
+        return EXIT_INPUT_ERROR
     if strict and VERDICT_UNMET in verdicts:
-        return 2
-    return 0
+        return EXIT_UNMET_STRICT
+    return EXIT_PASS

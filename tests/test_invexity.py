@@ -491,9 +491,9 @@ def test_a_batch_failure_in_a_later_chunk_raises_that_points_own_error():
     g = fn("sqrt(x) + 1")
     points = [0.25 * i for i in range(invexity._CHUNK + 37)]  # not a multiple of _CHUNK
 
-    def values(points):  # SamplePlan.values on a plan of one part holding ``points``
+    def values(points):  # SamplePlan.values on a plan whose points are ``points``
         plan = SamplePlan.__new__(SamplePlan)
-        plan.parts, plan._memo = (array("d", points),), (None, None)
+        plan.points, plan._memo = array("d", points), (None, None)
         return plan.values(g)
 
     assert values(points).tolist() == [abs(g(x)) for x in points]
@@ -534,7 +534,7 @@ def test_a_plan_keeps_its_invex_set_reports_per_K_and_tol():
     assert len(_plan(K, eta, grid).invex_set) == 3
 
 
-# Reference plan construction: SamplePlan and _Layer as they were built before
+# Reference plan construction: SamplePlan as it was built before
 # every plan shared one sorted list of unit draws.  Kept here, and only here,
 # to pin the shared draws to the same samples, bit for bit, and to the same
 # eta calls in the same order.
@@ -599,18 +599,17 @@ def test_plan_matches_the_reference_construction(K, eta, grid):
     plan = SamplePlan(K, recorded, grid)
     ref_recorded, ref_calls = _recording(eta)
     points, ru, rv, rt, rx = _ref_plan(K, ref_recorded, grid)
-    assert _bits(plan.points()) == _bits(points)
-    layer = plan.random
-    assert [_bits(c) for c in (layer.u, layer.v, layer.t, layer.x)] == [
+    assert _bits(plan.points) == _bits(points)
+    assert [_bits(c) for c in (plan.ru, plan.rv, plan.rt, plan.points[plan.at + 2::3])] == [
         _bits(c) for c in (ru, rv, rt, rx)]
     assert _bits(chain.from_iterable(calls)) == _bits(chain.from_iterable(ref_calls))
     assert len(calls) == grid.nu * grid.nv + grid.random_triples
 
 
 def test_merged_u_values_take_the_sorting_path():
-    layer = SamplePlan(Domain(1e15, 1e15 + 1.0), EtaMap.difference(), DEFAULT_GRID).random
-    assert len(set(layer.u)) < len(layer.u)  # rounding merged some u values
-    assert list(zip(layer.u, layer.v, layer.t)) == sorted(zip(layer.u, layer.v, layer.t))
+    plan = SamplePlan(Domain(1e15, 1e15 + 1.0), EtaMap.difference(), DEFAULT_GRID)
+    assert len(set(plan.ru)) < len(plan.ru)  # rounding merged some u values
+    assert list(zip(plan.ru, plan.rv, plan.rt)) == sorted(zip(plan.ru, plan.rv, plan.rt))
 
 
 def test_traced_counters_see_every_eta_and_derivative_call(monkeypatch, make_model):

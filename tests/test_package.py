@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -23,6 +24,33 @@ def test_every_public_name_exists_and_star_import_works(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(public) <= set(namespace)
+
+
+def _unused_imports(path):
+    """Names a module-level import of ``path`` binds that neither its code nor its
+    ``__all__`` reads; ``from __future__`` imports bind nothing."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{path.name}:{line}: {name}" for name, line in bound.items()
+                  if name not in used)
+
+
+def test_no_module_keeps_an_unused_import():
+    package = Path(simpvex.__file__).parent
+    assert [found for path in sorted(package.rglob("*.py")) if path.name != "__init__.py"
+            for found in _unused_imports(path)] == []
 
 
 def test_import_loads_no_dataclasses_inspect_or_importlib_resources():

@@ -292,6 +292,17 @@ NEEDS_FINITE = "expected 'T3.1' needs a finite rhs and a finite tolerance > 0, "
     ("T3.1", {"rhs": 123.0, "tolerance": math.nan}, NEEDS_FINITE + "got rhs 123.0, tolerance nan"),
     ("T3.1", {"rhs": math.inf, "tolerance": 1e-9}, NEEDS_FINITE + "got rhs inf, tolerance 1e-09"),
     ("T3.1", {"rhs": 0.2, "tolerance": math.inf}, NEEDS_FINITE + "got rhs 0.2, tolerance inf"),
+    # keys no bound is labelled with: each would only ever read "bound was not evaluated"
+    ("T3.1@1", {"rhs": 0.2, "tolerance": 1e-9},
+     "expected key 'T3.1@1' can never match: T3.1 labels no bound q = 1.0"),
+    ("C4.2@1", {"rhs": 0.2, "tolerance": 1e-9},
+     "expected key 'C4.2@1' can never match: C4.2 labels no bound q = 1.0"),
+    ("CLASSICAL@2", {"rhs": 0.2, "tolerance": 1e-9},
+     "expected key 'CLASSICAL@2' can never match: CLASSICAL labels no bound q = 2.0"),
+    ("C4.1@2", {"rhs": 0.2, "tolerance": 1e-9},
+     "expected key 'C4.1@2' can never match: C4.1 labels no bound q = 2.0"),
+    ("T3.2@1", {"rhs": 0.2, "tolerance": 1e-9},
+     "expected key 'T3.2@1' can never match: T3.2 labels no bound q = 1.0"),
 ])
 def test_bad_expected_entries_are_config_errors(key, entry, message):
     # json.loads accepts NaN and Infinity; the case schema checks types only
@@ -305,6 +316,18 @@ def test_bad_expected_entries_are_config_errors(key, entry, message):
     result = run_case(case)
     assert result.verdict == "input_error"
     assert result.error.startswith(f"InvalidExpected: {message}")
+
+
+def test_expected_keys_at_q_one_match_the_bounds_labelled_q_one():
+    cfg = square_case(theorems=["T4.1", "T3.4", "C4.1"])
+    rhs = {f"{bv.theorem}@1": bv.rhs for bv in run_case(load_case(cfg)).bounds if bv.q == 1.0}
+    assert sorted(rhs) == ["C4.1@1", "T3.4@1", "T4.1@1"]
+    matching = {key: {"rhs": value, "tolerance": 1e-12} for key, value in rhs.items()}
+    assert run_case(load_case(dict(cfg, expected=matching))).golden_failures == []
+    off = {key: {"rhs": value + 1.0, "tolerance": 1e-12} for key, value in rhs.items()}
+    failures = run_case(load_case(dict(cfg, expected=off))).golden_failures
+    assert [f.split(":")[0] for f in failures] == sorted(rhs)
+    assert all("differs from expected" in f for f in failures)
 
 
 def test_unmet_verdict_when_invex_set_fails():
