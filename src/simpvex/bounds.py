@@ -292,16 +292,6 @@ def midpoint_gap(model: FunctionModel, a: float, eta_val: float,
     return fmid - mean, qerr
 
 
-def _midpoint(fa: float, fmid: float, fend: float) -> float:
-    """fmid, under C4.2's precondition fa = fmid = fend within _PRECONDITION_TOL."""
-    if abs(fa - fmid) > _PRECONDITION_TOL or abs(fmid - fend) > _PRECONDITION_TOL:
-        raise PreconditionUnmet(
-            f"midpoint bound needs f(a) = f(mid) = f(end); got "
-            f"{fa!r}, {fmid!r}, {fend!r}"
-        )
-    return fmid
-
-
 def fourth_derivative_sup(model: FunctionModel) -> float:
     """The model's d4sup, the classical bound's input; MissingFourthDerivative without one."""
     if model.d4sup is None:
@@ -387,10 +377,13 @@ def _defect_lhs(defect: float, mean: float, values) -> float:
     return abs(defect)
 
 
-def _midpoint_lhs(defect: float, mean: float, values) -> float:
-    """C4.2's |f(mid) - mean|, from the sum's values; PreconditionUnmet unless
-    f(a) = f(mid) = f(end) within _PRECONDITION_TOL."""
-    return abs(_midpoint(*values) - mean)
+def _midpoint_lhs(defect: float, mean: float, values) -> Optional[float]:
+    """C4.2's |f(mid) - mean|, from the sum's values, or None off its precondition
+    f(a) = f(mid) = f(end) within _PRECONDITION_TOL (``_bound`` words that)."""
+    fa, fmid, fend = values
+    if abs(fa - fmid) > _PRECONDITION_TOL or abs(fmid - fend) > _PRECONDITION_TOL:
+        return None
+    return abs(fmid - mean)
 
 
 def _q_one(q_list):
@@ -431,14 +424,14 @@ class Theorem(NamedTuple):
     labels: q -> the (q, p) of its BoundValue; ValueError for a q out of range.
     rhs_for: q -> rhs(|f'(a)|, |f'(b)|, step), prepared for q; CLASSICAL takes d4sup.
     lhs: lhs(defect, mean of f, (f(a), f(mid), f(end))), what rhs dominates:
-        |defect|, or |f(a + eta/2) - mean of f| for C4.2.
+        |defect|, or |f(a + eta/2) - mean of f| for C4.2, None off its precondition.
     """
 
     mode: Optional[str]
     exponents: Callable[[Sequence[float]], List[Optional[float]]]
     labels: Callable[[Optional[float]], Tuple[Optional[float], Optional[float]]]
     rhs_for: Callable[[Optional[float]], Callable[[float, float, float], float]]
-    lhs: Callable[[float, float, Tuple[float, float, float]], float] = _defect_lhs
+    lhs: Callable[[float, float, Tuple[float, float, float]], Optional[float]] = _defect_lhs
 
 
 # The one theorem table: the bound_* wrappers, runner.run_case and
@@ -470,6 +463,9 @@ def _bound(theorem: str, model: FunctionModel, a: float, b: float, eta_val: floa
     q_label, p = row.labels(q)
     lhs = None if defect is None else row.lhs(defect.defect, defect.mean_integral,
                                               defect.f_values)
+    if defect is not None and lhs is None:  # C4.2 off its precondition
+        raise PreconditionUnmet("midpoint bound needs f(a) = f(mid) = f(end); got "
+                                + ", ".join(map(repr, defect.f_values)))
     x1 = x2 = None  # CLASSICAL reads no f'
     if row.mode is not None:
         x1, x2 = abs(model.df_fn(a)), abs(model.df_fn(b))

@@ -676,10 +676,13 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     with no usable cell is reported with status "all_skipped".  Ties keep
     the first cell in (q, a, b) order, so results are deterministic.
 
-    Each (a, b) cell is visited once: its step, defect and |defect| serve every
-    (theorem, q) pair, whose lhs and rhs come from its ``bounds.THEOREMS`` row, as
-    in ``run_case``.  K.contains and |f'| (at first use) are taken once per axis
-    value, and each rhs is prepared for its q once per pair.  ValueError,
+    Row by row: one pass over a row's b values takes each usable cell's step,
+    defect and |defect| once, then each (theorem, q) pair ranks the row in one
+    loop, its lhs and rhs from its ``bounds.THEOREMS`` row as in ``run_case``
+    (C4.2's lhs is None off its precondition: a skipped cell).  K.contains and
+    |f'| (at first use) are taken once per axis value, and each rhs is prepared
+    for its q once per pair.  Of the errors cells raise, the first in (a, b,
+    pair) order propagates, as if each cell served every pair in turn.  ValueError,
     before any sweep, for steps < 2 or a request ``_request_error``
     rejects: an empty q or theorem list, a q that is not finite or is
     below 1, an unknown theorem id, or a theorem id or q listed twice.
@@ -741,47 +744,60 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     unusable = 0  # cells every active pair skips: no step, path or defect
     for a in a_vals if active else ():  # with no active pair, no cell is visited
         a_inside = K.contains(a) and (on_domain or model.domain.contains(a))
-        for j, b in enumerate(b_vals):
-            try:
-                step = eta(b, a)
-            except EvalDomainError:
-                unusable += 1
-                continue
-            if not (step > 0.0 and a_inside and b_inside[j] and K.contains(a + step)
-                    and (on_domain or model.domain.contains(a + step))):
-                unusable += 1
-                continue
-            try:
-                values, simpson_value, mean, _, _ = bounds_mod._defect(model, a, step, tol.oracle)
-            except (EvalDomainError, QuadratureError):
-                unusable += 1
-                continue
-            x1 = x2 = None  # |f'(a)|, |f'(b)|; None where f' fails
-            if reads_df and abs_df(a) is not None and abs_df(b) is not None:
-                x1, x2 = df_at[a], df_at[b]
-            defect = simpson_value - mean
-            abs_defect = abs(defect)
-            for pair in active:
-                if pair.uses_df and x1 is None:
-                    pair.skipped += 1
+        row = []  # (b, step, defect, |defect|, mean, f values, |f'(a)|, |f'(b)|) per usable cell
+        stop = raised = None  # row[stop] raised this, the first error in (b, pair) order
+        try:
+            for j, b in enumerate(b_vals):
+                try:
+                    step = eta(b, a)
+                except EvalDomainError:
+                    unusable += 1
+                    continue
+                if not (step > 0.0 and a_inside and b_inside[j] and K.contains(a + step)
+                        and (on_domain or model.domain.contains(a + step))):
+                    unusable += 1
                     continue
                 try:
-                    lhs = abs_defect if pair.lhs is None else pair.lhs(defect, mean, values)
-                except PreconditionUnmet:
-                    pair.skipped += 1
+                    values, simpson_value, mean, _, _ = bounds_mod._defect(model, a, step,
+                                                                           tol.oracle)
+                except (EvalDomainError, QuadratureError):
+                    unusable += 1
                     continue
-                rhs = pair.rhs(x1, x2, step)
-                if rhs < 0.0:  # what BoundValue raises
-                    raise ValueError(f"bound {pair.theorem} produced negative rhs {rhs!r}")
-                if not rhs > 0.0:  # zero or NaN: no ratio to rank
-                    pair.skipped += 1
-                    continue
-                ratio = lhs / rhs
-                if ratio > pair.ratio:
-                    pair.ratio = ratio
-                    pair.at = (a, b)
-                elif ratio != ratio:  # NaN: never a witness, as in invexity's sweeps
-                    pair.skipped += 1
+                x1 = x2 = None  # |f'(a)|, |f'(b)|; None where f' fails
+                if reads_df and abs_df(a) is not None and abs_df(b) is not None:
+                    x1, x2 = df_at[a], df_at[b]
+                defect = simpson_value - mean
+                row.append((b, step, defect, abs(defect), mean, values, x1, x2))
+        except Exception as exc:  # raised once the row's earlier cells are ranked
+            stop, raised = len(row), exc
+        for pair in active:  # each pair ranks the row in one loop
+            theorem, uses_df, lhs_of, rhs_of = pair.theorem, pair.uses_df, pair.lhs, pair.rhs
+            best, at, skipped = pair.ratio, pair.at, pair.skipped
+            cells = row[:stop]
+            try:
+                for cell in cells:
+                    b, step, defect, abs_defect, mean, values, x1, x2 = cell
+                    lhs = abs_defect if lhs_of is None else lhs_of(defect, mean, values)
+                    if lhs is None or uses_df and x1 is None:  # C4.2 unmet, or no |f'|
+                        skipped += 1
+                        continue
+                    rhs = rhs_of(x1, x2, step)
+                    if rhs < 0.0:  # what BoundValue raises
+                        raise ValueError(f"bound {theorem} produced negative rhs {rhs!r}")
+                    if not rhs > 0.0:  # zero or NaN: no ratio to rank
+                        skipped += 1
+                        continue
+                    ratio = lhs / rhs
+                    if ratio > best:
+                        best = ratio
+                        at = (a, b)
+                    elif ratio != ratio:  # NaN: never a witness, as in invexity's sweeps
+                        skipped += 1
+            except Exception as exc:  # later pairs rank only the cells before this one
+                stop, raised = cells.index(cell), exc
+            pair.ratio, pair.at, pair.skipped = best, at, skipped
+        if raised is not None:
+            raise raised
     for pair in active:
         pair.skipped += unusable
 

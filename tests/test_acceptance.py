@@ -168,3 +168,26 @@ def test_criterion_8_corpus_csv_report_matches_its_recorded_digest(corpus_report
     got = hashlib.sha256(corpus_report.to_csv().encode("utf-8")).hexdigest()
     assert got == want
     announce(8, f"the corpus CSV report's sha256 is the recorded {want[:8]}...")
+
+
+def test_criterion_8_scan_pool_matches_its_recorded_digests(monkeypatch):
+    # the benchmark's scan workload, every pool model once: reads perfbench/, edits nothing
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import inputs
+    import record
+
+    recorded = json.loads((root / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+    digests, raises = {}, {}
+    for cfg in inputs.scan_pool():
+        case = runner.load_case(cfg)
+        try:
+            scans = runner.tightness_scan(case.model, case.eta, case.model.domain,
+                                          *inputs.scan_args(cfg))
+        except Exception as exc:  # the expected raisers, by type
+            raises[cfg["name"]] = type(exc).__name__
+            continue
+        digests[cfg["name"]] = record.digest(record.scan_bytes(scans))
+    assert digests == recorded["scan"]
+    assert raises == recorded["scan_raises"] == {"scan_00003_power": "EvalDomainError"}
+    announce(8, f"{len(digests)} scan digests and {len(raises)} expected raiser as recorded")

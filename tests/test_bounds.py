@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from simpvex import bounds
+from simpvex import bounds, kernel
 from simpvex.bounds import (
     BoundValue,
     FunctionModel,
@@ -414,3 +414,35 @@ def test_bound_wrappers_keep_the_old_float_operations(x1, x2, eta_val, q):
     want = (x1 * eta_val ** 4 / 2880.0).hex()
     assert bound_classical(model, 0.0, eta_val).rhs.hex() == want
     assert bounds.THEOREMS["CLASSICAL"].rhs_for(x1)(None, None, eta_val).hex() == want
+
+
+def test_t4_3_falls_below_a_defect_its_premise_allows():
+    """Pins a finding, not a fix: T4.3's rhs is below a |defect| that its
+    premise alone allows, where T4.1 and T4.2 hold.
+
+    On K = [0, 1] with a = 0 and eta = 1, f' = tanh(200(x - 1/6)) tanh(200(x - 1/2))
+    tanh(200(x - 5/6)) has |f'(a)| = |f'(b)| = 1 and |f'| <= 1 on the segment,
+    the T4.x premise with max = 1.  The defect is the kernel integral of f',
+    taken by scipy split at the three steep points.  (Since |f'| dips to 0
+    at each sign change, |f'|^q is not prequasiinvex and run_case skips T4.x.)
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+
+    def df(x):
+        return math.tanh(200.0 * (x - 1 / 6)) * math.tanh(200.0 * (x - 0.5)) * math.tanh(
+            200.0 * (x - 5 / 6))
+
+    assert abs(df(0.0)) == pytest.approx(1.0, abs=1e-15)
+    assert abs(df(1.0)) == pytest.approx(1.0, abs=1e-15)
+    assert max(abs(df(i / 200000)) for i in range(200001)) <= 1.0
+    ends = (0.0, 1 / 6, 0.5, 5 / 6, 1.0)
+    defect = sum(integrate.quad(lambda t: kernel.eval_m(t) * df(t), lo, hi, epsabs=1e-13,
+                                epsrel=1e-13, limit=200)[0] for lo, hi in zip(ends, ends[1:]))
+    assert defect == pytest.approx(0.136558, abs=1e-6)
+    qs = (1.5, 2.0, 3.0)
+    rhs = {theorem: {q: bounds.THEOREMS[theorem].rhs_for(q)(1.0, 1.0, 1.0) for q in qs}
+           for theorem in ("T4.1", "T4.2", "T4.3")}
+    assert [round(rhs["T4.3"][q], 4) for q in qs] == [0.1179, 0.1179, 0.1222]
+    assert all(defect > value for value in rhs["T4.3"].values())
+    assert all(defect < value for value in rhs["T4.2"].values())
+    assert all(round(value, 4) == 0.1389 and defect < value for value in rhs["T4.1"].values())

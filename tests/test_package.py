@@ -70,17 +70,29 @@ def test_import_time_tool_reports_both_modes():
     assert re.fullmatch("\n".join(line.format(m) for m in ("cached", "uncached")) + "\n", out)
 
 
-def test_stage_time_tool_reports_every_stage_of_both_sets():
-    out = subprocess.run([sys.executable, str(ROOT / "tools" / "stage_time.py"), "--runs", "1"],
-                         check=True, capture_output=True, text=True, timeout=120).stdout
-    lines = out.splitlines()
+def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
+    # in process, so the scan set can run on a 9 x 9 grid; sys.path is restored after
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    stage_time = importlib.import_module("stage_time")
+    assert stage_time.main(["--runs", "1"], scan_steps=9) == 0
+    lines = capsys.readouterr().out.splitlines()
     summary = json.loads(lines[-1])
-    assert (summary["runs"], sorted(summary["totals_s"])) == (1, ["corpus", "fresh_cases"])
+    assert (summary["runs"], list(summary["totals_s"])) == (1, ["corpus", "fresh_cases", "scan"])
     stages = ["plan", "invex", "df", "defect", "bounds", "to_json", "sweeps_q1",
               "sweeps_q_gt_1", "sweep_pairs_q_gt_1"]
-    for totals in summary["totals_s"].values():
+    for label in ("corpus", "fresh_cases"):
+        totals = summary["totals_s"][label]
         assert list(totals) == stages
         assert all(totals[stage] > 0 for stage in stages)
+    scan = summary["totals_s"]["scan"]
+    assert list(scan) == ["sweeps", "defects", "scan", "loop"]
+    assert all(scan[stage] > 0 for stage in ("sweeps", "defects", "scan"))
+    assert scan["loop"] == pytest.approx(scan["scan"] - scan["sweeps"] - scan["defects"], abs=1e-5)
+    # the expected raiser stops at its sweeps; every other pool model shows each stage
+    assert re.fullmatch(r"scan_00003_power( +-){4}", next(
+        line for line in lines if line.startswith("scan_00003_power ")))
+    assert re.fullmatch(r"scan_00000_poly( +-?\d+\.\d\d){4}", next(
+        line for line in lines if line.startswith("scan_00000_poly ")))
     # 14 of the 15 corpus cases sweep q = 1.5, 2 and 3 besides q = 1
     assert summary["totals_s"]["corpus"]["sweep_pairs_q_gt_1"] == 42
     corpus = next(line for line in lines if line.startswith("poly_x2 "))

@@ -338,6 +338,18 @@ def test_unmet_verdict_when_invex_set_fails():
     assert any("not invex" in note for note in result.notes)
 
 
+def test_c4_2_off_its_precondition_is_skipped_with_the_three_values():
+    # no corpus case misses C4.2's precondition, so no digest pins this note
+    cfg = square_case(q=[1], theorems=["C4.2"])
+    result = run_case(load_case(cfg))
+    want = "midpoint bound needs f(a) = f(mid) = f(end); got 0.0, 0.25, 1.0"
+    assert result.verdict == "hypothesis_unmet"
+    assert result.notes == [f"skipped C4.2: {want}"]
+    with pytest.raises(PreconditionUnmet) as raised:
+        bounds.bound_C4_2_midpoint(load_case(cfg).model, 0.0, 1.0, 1.0)
+    assert str(raised.value) == want
+
+
 def test_tolerances_merge():
     tol = Tolerances().merged({"oracle": 1e-9, "slack": 1e-10})
     assert tol.oracle == 1e-9
@@ -932,6 +944,29 @@ def test_scan_edges_match_theorem_major_reference(name):
         assert results["T3.1"].status == "ok"
 
 
+_NEGATIVE_CLASSICAL = f"ValueError: bound CLASSICAL produced negative rhs {-0.375 ** 4 / 2880.0!r}"
+
+
+@pytest.mark.parametrize("huge_at, want", [
+    (None, _NEGATIVE_CLASSICAL),
+    (1.875, _NEGATIVE_CLASSICAL),
+    (0.375, "OverflowError: (34, 'Numerical result out of range')")])
+def test_scan_raises_the_first_error_in_cell_order(huge_at, want):
+    # CLASSICAL's rhs is negative at every usable cell, since no config allows
+    # a negative d4sup.  The row a = 0 has its first usable cell at b = 0.375;
+    # there, or at a later b, comes a second error: f' raises at b = 1.125
+    # (huge_at None), or T3.4's rhs, ranked before CLASSICAL's, overflows at
+    # q = 2 where |f'(huge_at)| = 1e200
+    args = list(_scan_edge("f' raises at one axis value"))
+    if huge_at is not None:
+        args[0] = _model("x^4", "4*x^3", K=(-1.0, 2.0))
+        real = args[0].df_fn
+        args[0].__dict__["df_fn"] = lambda x: 1e200 if x == huge_at else real(x)
+    args[0].d4sup = -1.0
+    args[7] = ("T3.4", "CLASSICAL")
+    assert _scan_outcome(tightness_scan, *args) == want
+
+
 def test_cubic_scan_evaluates_f_eight_times_per_usable_cell(monkeypatch):
     model = _model("x^3", "3*x^2", K=(-1.0, 2.0))
     real = model.f_fn
@@ -942,13 +977,14 @@ def test_cubic_scan_evaluates_f_eight_times_per_usable_cell(monkeypatch):
         calls.append(x)
         return real(x)
 
-    def precondition(*values):
+    def midpoint_lhs(defect, mean, values):
         checks.append(values)
-        return real_check(*values)
+        return real_lhs(defect, mean, values)
 
     model.__dict__["f_fn"] = f  # the compiled f is a cached property
-    real_check = bounds._midpoint
-    monkeypatch.setattr(bounds, "_midpoint", precondition)
+    row = bounds.THEOREMS["C4.2"]
+    real_lhs = row.lhs
+    monkeypatch.setitem(bounds.THEOREMS, "C4.2", row._replace(lhs=midpoint_lhs))
     t31, midpoint = tightness_scan(model, EtaMap.difference(), Domain(-1.0, 2.0), (0.0, 0.5),
                                    (0.5, 1.5), [1.0], steps=5, theorems=("T3.1", "C4.2"),
                                    grid=SMALL_GRID)

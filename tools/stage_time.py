@@ -14,6 +14,15 @@ times the stages ``run_case`` goes through, each on its own:
 * bounds:  every bound the case lists, at each of its exponents;
 * to_json: the case's one-case report, serialised.
 
+For each scan-pool model of ``perfbench/inputs.py`` (the ``scan``
+workload's ``tightness_scan`` over ``scan_args``), it times:
+
+* sweeps:  the sample plan, the invex-set check and the hypothesis sweep
+           at each q, as the scan makes them;
+* defects: ``bounds._defect`` at each cell with a usable step;
+* scan:    the whole ``tightness_scan``, plan included;
+* loop:    scan - sweeps - defects, the scan's cell and pair loop.
+
 Each stage of each case takes the least of ``--runs`` runs, so the
 figures leave out one-off costs such as compiling an expression.  Every
 case pays for its own plan here, where a corpus run shares one between
@@ -24,6 +33,9 @@ left of that case.  Prints one line per case in milliseconds, a total
 line per set, and last one JSON object of the totals:
 
     python3 tools/stage_time.py [--runs 5] [--seed 1]
+
+``main(argv, scan_steps)`` runs the scan set on a scan_steps x scan_steps
+grid in place of the workload's.
 """
 
 import argparse
@@ -37,10 +49,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402  (perfbench/inputs.py: the generated cases)
 from simpvex import bounds, invexity, runner  # noqa: E402
-from simpvex.errors import SimpvexError  # noqa: E402
+from simpvex.errors import EvalDomainError, QuadratureError, SimpvexError  # noqa: E402
 
 FRESH_BATCH = 28  # as one fresh_cases pass of perfbench/run.py
 STAGES = ("plan", "invex", "df", "sweeps", "defect", "bounds", "to_json")
+SCAN_STAGES = ("sweeps", "defects", "scan", "loop")
 
 
 def exponents(case) -> list:
@@ -92,13 +105,56 @@ def stage_runs(case, grid=runner.DEFAULT_GRID):
     yield "to_json", clock() - start
 
 
-def best_times(config: dict, runs: int) -> dict:
-    """Least seconds per stage over ``runs`` runs; the stages reached before a failure."""
+def scan_runs(case, config: dict, steps: int, grid=runner.DEFAULT_GRID):
+    """Yield (stage, seconds) for one run of a scan-pool model's scan stages, in order."""
+    clock = time.perf_counter
+    model, eta, K, tol = case.model, case.eta, case.model.domain, runner.DEFAULT_TOLERANCES
+    a_range, b_range, q_list, _ = inputs.scan_args(config)
+    invexity._plan.cache_clear()
+    start = clock()
+    try:
+        invex = not invexity.check_invex_set(K, eta, grid, tol.invexity).violated
+    except EvalDomainError:
+        invex = False
+    hypothesis = runner._hypotheses(model, eta, K, grid, tol.invexity, [])
+    for q in q_list if invex else ():
+        try:
+            hypothesis("preinvex", q)
+        except OverflowError:
+            pass
+    yield "sweeps", clock() - start
+    a_vals, b_vals = ([lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+                      for lo, hi in (a_range, b_range))
+    cells = []
+    for a in a_vals:
+        for b in b_vals:
+            try:
+                step = eta(b, a)
+            except EvalDomainError:
+                continue
+            if step > 0.0 and K.contains(a) and K.contains(b) and K.contains(a + step):
+                cells.append((a, step))
+    start = clock()
+    for a, step in cells:
+        try:
+            bounds._defect(model, a, step, tol.oracle)
+        except (EvalDomainError, QuadratureError):
+            pass
+    yield "defects", clock() - start
+    invexity._plan.cache_clear()
+    start = clock()
+    runner.tightness_scan(model, eta, K, a_range, b_range, q_list, steps)
+    yield "scan", clock() - start
+
+
+def best_times(config: dict, runs: int, stages=stage_runs) -> dict:
+    """Least seconds per stage over ``runs`` runs of ``stages(case)``; the stages
+    reached before a failure."""
     best = {}
     try:
         case = runner.load_case(config)
         for _ in range(runs):
-            for stage, seconds in stage_runs(case):
+            for stage, seconds in stages(case):
                 best[stage] = min(seconds, best.get(stage, seconds))
     except (SimpvexError, ArithmeticError, ValueError):
         pass
@@ -132,7 +188,25 @@ def totals(rows: list) -> dict:
     return {k: round(v, 6) if isinstance(v, float) else v for k, v in out.items()}
 
 
-def main(argv=None) -> int:
+def scan_set(runs: int, steps: int) -> dict:
+    """Print one line per scan-pool model in milliseconds and a total line;
+    return the total seconds per scan stage."""
+    print(f"{'scan (ms)':30} " + " ".join(f"{s:>8}" for s in SCAN_STAGES))
+    total = dict.fromkeys(SCAN_STAGES, 0.0)
+    for config in inputs.scan_pool():
+        best = best_times(config, runs, lambda case: scan_runs(case, config, steps))
+        if "scan" in best:
+            best["loop"] = best["scan"] - best["sweeps"] - best["defects"]
+            for stage in SCAN_STAGES:
+                total[stage] += best[stage]
+        print(f"{config['name']:30} " + " ".join(
+            f"{1e3 * best[s]:8.2f}" if s in best else f"{'-':>8}" for s in SCAN_STAGES))
+    print(f"scan total (ms, {steps}x{steps} cells): " + ", ".join(
+        f"{stage} {1e3 * seconds:.1f}" for stage, seconds in total.items()) + "\n")
+    return {stage: round(seconds, 6) for stage, seconds in total.items()}
+
+
+def main(argv=None, scan_steps: int = inputs.SCAN_STEPS) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=5, help="runs per case (>= 1)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the generated batch")
@@ -154,6 +228,7 @@ def main(argv=None) -> int:
         print(f"{label} total (ms): " + ", ".join(
             f"{k} {1e3 * v:.1f}" if isinstance(v, float) else f"{k} {v}"
             for k, v in summary[label].items()) + "\n")
+    summary["scan"] = scan_set(args.runs, scan_steps)
     print(json.dumps({"runs": args.runs, "seed": args.seed, "totals_s": summary}))
     return 0
 
