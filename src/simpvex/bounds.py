@@ -95,7 +95,8 @@ class FunctionModel(Record, frozen=False):
     an antiderivative ``F`` is supplied, F must agree with quadrature;
     both gates run in :meth:`validate`, which case loading always calls.
     ``d4sup`` is a user-supplied sup of |f''''| on the case interval and
-    unlocks the classical bound.
+    unlocks the classical bound; ValueError unless it is None or a finite
+    value >= 0.
     """
 
     name: str
@@ -104,6 +105,11 @@ class FunctionModel(Record, frozen=False):
     domain: Domain
     F: Optional[expr_mod.Expr] = None
     d4sup: Optional[float] = None
+
+    def __post_init__(self):
+        d4sup = self.d4sup
+        if d4sup is not None and not (math.isfinite(d4sup) and d4sup >= 0.0):
+            raise ValueError(f"d4sup must be a finite value >= 0, got {d4sup!r}")
 
     @cached_property
     def f_fn(self):
@@ -130,14 +136,15 @@ class FunctionModel(Record, frozen=False):
         d4sup = cfg.get("d4sup")
         if d4sup is not None:
             d4sup = _config_float(d4sup, "d4sup")
-            if not (math.isfinite(d4sup) and d4sup >= 0.0):
-                raise CaseConfigError(f"d4sup must be a finite value >= 0, got {d4sup!r}")
         lo, hi = cfg["K"]
         try:
             domain = Domain(_config_float(lo, "K[0]"), _config_float(hi, "K[1]"))
         except ValueError as exc:
             raise CaseConfigError(f"bad K in case {cfg.get('name')!r}: {exc}") from exc
-        return cls(cfg["name"], f, df, domain, F, d4sup)
+        try:
+            return cls(cfg["name"], f, df, domain, F, d4sup)
+        except ValueError as exc:  # a d4sup that __post_init__ rejects
+            raise CaseConfigError(str(exc)) from None
 
     def validate(self, interval=None, quad_tol: float = quadrature.DEFAULT_ABS_TOL) -> None:
         """Run the load-time gates; raises CaseConfigError on failure, also
@@ -223,11 +230,13 @@ def _require_path(a: float, eta_val: float, domain: Domain) -> float:
     return eta_val
 
 
-def _defect(model: FunctionModel, a: float, step: float, abs_tol: float):
+def _defect(model: FunctionModel, a: float, step: float, abs_tol: float, loop=None):
     """((f(a), f(mid), f(end)), Simpson value, mean of f, its quadrature error
     share, evaluations) on [a, end = a + step]: the one home of the Simpson
     sum and the mean, unchecked; the caller has checked step > 0 and that a
-    and end lie in ``model.domain``, as ``simpson_defect`` does."""
+    and end lie in ``model.domain``, as ``simpson_defect`` does.  ``loop``,
+    f's ``expr.simpson_loop``, integrates first where given; where it gives
+    None, the generic loop integrates from scratch."""
     f = model.f_fn
     end = a + step
     fa, fmid, fend = f(a), f(a + 0.5 * step), f(end)
@@ -235,7 +244,8 @@ def _defect(model: FunctionModel, a: float, step: float, abs_tol: float):
     F = model.F_fn
     if F is not None:
         return (fa, fmid, fend), simpson_value, (F(end) - F(a)) / step, 0.0, 0
-    value, error, evaluations = quadrature._integrate_unchecked(f, a, end, abs_tol)
+    inlined = None if loop is None else loop(a, end, abs_tol)
+    value, error, evaluations = inlined or quadrature._integrate_unchecked(f, a, end, abs_tol)
     return (fa, fmid, fend), simpson_value, value / step, error / step, evaluations
 
 

@@ -20,10 +20,14 @@ outside its domain.
 Python ``ast`` tree, so that grid-scale sampling pays one interpreter
 frame per evaluation and no helper call; where that fast form raises, a
 checked tree evaluator gives the value or raises EvalDomainError naming
-the failing sub-expression.  ``abs_batch`` gives |f| of a one-variable
-expression at a list of points, from one list comprehension.  Nothing is
-cached: each ``compile_expr`` call builds a new function, which its owner
-(a ``FunctionModel`` or an ``EtaMap``) keeps.  Evaluation is pure and
+the failing sub-expression.  A one-variable expression has two more
+compiled forms, each built on first use and kept on the compiled
+function: ``abs_batch`` gives |f| at a list of points, from one list
+comprehension, and ``simpson_loop`` its integrals, from quadrature's
+Simpson loop with the fast form inlined (or None, where the generic loop
+must run).  Nothing else is cached: each ``compile_expr`` call builds a
+new function, which its owner (a ``FunctionModel`` or an ``EtaMap``)
+keeps.  Evaluation is pure and
 deterministic: the same AST evaluated at the same inputs returns the same
 bit pattern, except for the sign of a NaN, which CPython's adaptive float
 arithmetic may flip from one call to the next (reports write every NaN as
@@ -38,6 +42,7 @@ import operator
 import re
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from . import quadrature
 from .errors import EvalDomainError, ParseError
 from .record import Record
 from .reports import VERIFIED, VIOLATED, PropertyReport
@@ -54,6 +59,7 @@ __all__ = [
     "evaluate",
     "compile_expr",
     "abs_batch",
+    "simpson_loop",
     "pretty",
     "check_derivative",
     "FUNCTIONS",
@@ -325,16 +331,18 @@ def _checked(e, env):
     return 1.0 if _COMPARE[op][0](left, right) else 0.0
 
 
-# globals of every batch form; each fast form runs in its own copy, which
-# adds its fallback as _fallback.  Names start with "_" and never clash with
-# the argument slots (_a<i>), the temporaries (_t<i>) or the parameter _points
-_RUNTIME = {
-    "__builtins__": {},
+# the globals an expression's body reads.  Names start with "_" and never
+# clash with the argument slots (_a<i>), the temporaries (_t<i>), the
+# parameter _points or the Simpson loop's names
+_NAMES = {
     "_Exception": Exception,
     "_reject": _reject,
     "_floor": math.floor,
     **{f"_{name}": fn for name, fn in _MATH.items()},
 }
+# globals of every batch form; each fast form runs in its own copy, which
+# adds its fallback as _fallback
+_RUNTIME = {"__builtins__": {}, **_NAMES}
 _FILENAME = "<simpvex expression>"
 _LOGIC = {"and": ast.And, "or": ast.Or}
 
@@ -396,8 +404,8 @@ class _Compiler:
     every error.  Only the taken branch of "if", "and" and "or" runs.
     """
 
-    def __init__(self, index: Mapping[str, int]):
-        self.index = index
+    def __init__(self, slots: Mapping[str, str]):
+        self.slots = slots  # variable name -> the local that holds its value
         self.temps = 0
 
     def bind(self, value):
@@ -411,7 +419,7 @@ class _Compiler:
             return _const(e.value)
         if isinstance(e, Var):
             try:
-                return _name(f"_a{self.index[e.name]}")
+                return _name(self.slots[e.name])
             except KeyError:
                 raise ValueError(f"unbound variable {e.name!r}") from None
         if isinstance(e, Neg):
@@ -481,8 +489,7 @@ def _slots(var_order):
 
 
 def _body(e, var_order):
-    index = {name: i for i, name in enumerate(var_order)}
-    return _Compiler(index).build(e)
+    return _Compiler(dict(zip(var_order, _slots(var_order)))).build(e)
 
 
 def _batch_form(e, var_order):
@@ -492,6 +499,12 @@ def _batch_form(e, var_order):
     tree = ast.Expression(_node(ast.Lambda, _params(["_points"]), _node(
         ast.ListComp, _call("_abs", _body(e, var_order)), [each])))
     return eval(compile(tree, _FILENAME, "eval"), _RUNTIME)
+
+
+def _loop_form(e, var_order):
+    """quadrature's Simpson loop with the fast form's body in place of each g(x)."""
+    (var,) = var_order
+    return quadrature.inline_loop(lambda local: _Compiler({var: local}).build(e), _NAMES)
 
 
 def compile_expr(e: Expr, var_order: Tuple[str, ...]) -> Callable[..., float]:
@@ -523,8 +536,25 @@ def compile_expr(e: Expr, var_order: Tuple[str, ...]) -> Callable[..., float]:
     namespace = {}
     exec(compile(ast.Module([definition], []), _FILENAME, "exec"), runtime, namespace)
     fn = namespace["_fast"]
-    fn.source, fn.batch = (e, var_order), None  # read by abs_batch
+    fn.source, fn.batch, fn.loop = (e, var_order), None, None  # read by _kept_form
     return fn
+
+
+def _kept_form(fn, attr, build):
+    """The form ``build(e, var_order)`` of a one-variable ``compile_expr``
+    function, kept on it as ``attr``; else None.  Built on first use; None
+    from then on if building recursed too deep."""
+    source = getattr(fn, "source", None)
+    if source is None or fn.__code__.co_filename != _FILENAME or len(source[1]) != 1:
+        return None
+    form = getattr(fn, attr)
+    if form is None:
+        try:
+            form = build(*source)
+        except RecursionError:  # _Compiler.build and compile recurse per tree level
+            form = False
+        setattr(fn, attr, form)
+    return form or None
 
 
 def abs_batch(fn) -> Optional[Callable[[Sequence[float]], List[float]]]:
@@ -537,15 +567,22 @@ def abs_batch(fn) -> Optional[Callable[[Sequence[float]], List[float]]]:
     failing point and its EvalDomainError.  Compiled on first use; None
     from then on if compiling recurses too deep, so fn runs point by point.
     """
-    source = getattr(fn, "source", None)
-    if source is None or fn.__code__.co_filename != _FILENAME or len(source[1]) != 1:
-        return None
-    if fn.batch is None:
-        try:
-            fn.batch = _batch_form(*source)
-        except RecursionError:  # _Compiler.build recurses per tree level
-            fn.batch = False
-    return fn.batch or None
+    return _kept_form(fn, "batch", _batch_form)
+
+
+def simpson_loop(fn):
+    """The inlined Simpson loop of a one-variable ``compile_expr`` function, else None.
+
+    ``simpson_loop(fn)(lo, hi, abs_tol[, max_evals])`` gives what
+    ``quadrature._integrate_unchecked(fn, lo, hi, abs_tol[, max_evals])``
+    returns, computed with fn's fast form inlined at each evaluation (no
+    call per point), or None wherever that raises or the fast form raises:
+    run ``_integrate_unchecked`` then, for the value the checked evaluator
+    gives or the error the generic loop raises.  Compiled on first use
+    (a few milliseconds, worth it only for many integrals of one fn); None
+    from then on if compiling recurses too deep.
+    """
+    return _kept_form(fn, "loop", _loop_form)
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:

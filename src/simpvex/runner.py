@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import bounds as bounds_mod
+from . import expr as expr_mod
 from .errors import (
     CaseConfigError,
     DomainError,
@@ -681,7 +682,10 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     loop, its lhs and rhs from its ``bounds.THEOREMS`` row as in ``run_case``
     (C4.2's lhs is None off its precondition: a skipped cell).  K.contains and
     |f'| (at first use) are taken once per axis value, and each rhs is prepared
-    for its q once per pair.  Of the errors cells raise, the first in (a, b,
+    for its q once per pair.  Without F, each cell's integral runs in f's
+    inlined Simpson loop (``expr.simpson_loop``, built once and kept on f), and in
+    the generic loop from scratch where that gives None, so every value and
+    error is the generic loop's.  Of the errors cells raise, the first in (a, b,
     pair) order propagates, as if each cell served every pair in turn.  ValueError,
     before any sweep, for steps < 2 or a request ``_request_error``
     rejects: an empty q or theorem list, a q that is not finite or is
@@ -739,6 +743,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                 df_at[x] = None
         return df_at[x]
 
+    # f's inlined Simpson loop, built once the scan has cells to integrate
+    loop = expr_mod.simpson_loop(model.f_fn) if active and model.F_fn is None else None
     on_domain = K == model.domain  # else the path must also lie in the model's domain
     b_inside = [K.contains(b) for b in b_vals]
     unusable = 0  # cells every active pair skips: no step, path or defect
@@ -759,7 +765,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                     continue
                 try:
                     values, simpson_value, mean, _, _ = bounds_mod._defect(model, a, step,
-                                                                           tol.oracle)
+                                                                           tol.oracle, loop)
                 except (EvalDomainError, QuadratureError):
                     unusable += 1
                     continue

@@ -331,6 +331,21 @@ def test_from_config_validation():
             {"name": "bad", "f": "x", "df": "1", "K": [0, 1], "d4sup": -1.0})
 
 
+@pytest.mark.parametrize("d4sup", [-1.0, -0.0 - 1e-300, math.inf, -math.inf, math.nan])
+def test_a_model_built_directly_rejects_a_bad_d4sup(make_model, d4sup):
+    model = make_model("x^2", "2*x", K=(0.0, 1.0))
+    message = f"d4sup must be a finite value >= 0, got {d4sup!r}"
+    with pytest.raises(ValueError) as direct:
+        FunctionModel(model.name, model.f, model.df, model.domain, None, d4sup)
+    with pytest.raises(CaseConfigError) as configured:
+        FunctionModel.from_config({"name": "m", "f": "x^2", "df": "2*x", "K": [0, 1],
+                                   "d4sup": d4sup})
+    assert str(direct.value) == str(configured.value) == message
+    # zero, and no d4sup at all, are accepted
+    assert FunctionModel(model.name, model.f, model.df, model.domain, None, 0.0).d4sup == 0.0
+    assert FunctionModel(model.name, model.f, model.df, model.domain).d4sup is None
+
+
 def test_validate_gates(make_model):
     make_model("x^2", "2*x", "(x^3)/3").validate()
     with pytest.raises(CaseConfigError) as info:

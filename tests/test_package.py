@@ -85,13 +85,14 @@ def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
         assert list(totals) == stages
         assert all(totals[stage] > 0 for stage in stages)
     scan = summary["totals_s"]["scan"]
-    assert list(scan) == ["sweeps", "defects", "scan", "loop"]
-    assert all(scan[stage] > 0 for stage in ("sweeps", "defects", "scan"))
-    assert scan["loop"] == pytest.approx(scan["scan"] - scan["sweeps"] - scan["defects"], abs=1e-5)
+    assert list(scan) == ["sweeps", "inline", "defects", "scan", "loop"]
+    assert all(scan[stage] > 0 for stage in ("sweeps", "inline", "defects", "scan"))
+    assert scan["loop"] == pytest.approx(
+        scan["scan"] - scan["sweeps"] - scan["inline"] - scan["defects"], abs=1e-5)
     # the expected raiser stops at its sweeps; every other pool model shows each stage
-    assert re.fullmatch(r"scan_00003_power( +-){4}", next(
+    assert re.fullmatch(r"scan_00003_power( +-){5}", next(
         line for line in lines if line.startswith("scan_00003_power ")))
-    assert re.fullmatch(r"scan_00000_poly( +-?\d+\.\d\d){4}", next(
+    assert re.fullmatch(r"scan_00000_poly( +-?\d+\.\d\d){5}", next(
         line for line in lines if line.startswith("scan_00000_poly ")))
     # 14 of the 15 corpus cases sweep q = 1.5, 2 and 3 besides q = 1
     assert summary["totals_s"]["corpus"]["sweep_pairs_q_gt_1"] == 42

@@ -1,5 +1,8 @@
+import importlib.util
 import math
 import random
+import re
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -9,6 +12,7 @@ from simpvex import quadrature
 from simpvex.bounds import FunctionModel, lemma_rhs
 from simpvex.errors import BudgetExhausted, NonFiniteIntegrand, QuadratureError
 from simpvex.kernel import eval_m
+from simpvex.expr import FUNCTIONS, compile_expr, parse, simpson_loop
 from simpvex.quadrature import (
     DEFAULT_ABS_TOL,
     DEFAULT_MAX_EVALS,
@@ -362,3 +366,129 @@ def test_lemma_budget_hand_off_matches_reference(f, a, step, tol, max_evals):
     assert got == want
     # a result's evaluations (a count; an error's payload is text) fit in the one budget
     assert isinstance(got[2], str) or got[2] <= max_evals
+
+
+# The inlined Simpson loop (expr.simpson_loop) against the generic one: the
+# loop's result, or None and the generic loop's rerun, must give what the
+# generic loop gives, to the bit, with the same error type and text.
+
+def _load_inputs():
+    """perfbench/inputs.py, the benchmark's model generator, without touching sys.path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+INPUTS = _load_inputs()
+
+
+def _compiled(source):
+    return compile_expr(parse(source, {"x"}), ("x",))
+
+
+def _repr_or_error(run):
+    try:
+        return repr(run())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _inlined_matches_generic(fn, lo, hi, tol, max_evals=DEFAULT_MAX_EVALS):
+    """Assert that both paths agree; True where the inlined loop gave the result."""
+    loop = simpson_loop(fn)
+    inlined = loop(lo, hi, tol, max_evals)
+    want = _repr_or_error(lambda: _integrate_unchecked(fn, lo, hi, tol, max_evals))
+    got = _repr_or_error(
+        lambda: inlined or _integrate_unchecked(fn, lo, hi, tol, max_evals))
+    assert got == want, (lo, hi, tol, max_evals)
+    return inlined is not None
+
+
+def _random_runs(fn, rng, K, count):
+    """``count`` random intervals around K, tolerances and budgets; how many the
+    inlined loop finished."""
+    lo, hi = K
+    span = hi - lo
+    finished = 0
+    for _ in range(count):
+        x, y = (rng.uniform(lo - 0.1 * span, hi + 0.1 * span) for _ in range(2))
+        tol = 10.0 ** rng.uniform(-13.0, -3.0)
+        budget = rng.choice((DEFAULT_MAX_EVALS, DEFAULT_MAX_EVALS, 4000, rng.randint(0, 40)))
+        finished += _inlined_matches_generic(fn, min(x, y), max(x, y), tol, budget)
+    return finished
+
+
+def test_inlined_loop_matches_the_generic_loop_on_every_pool_family():
+    # the scan pool's model of each family, then one generated batch, 4 of each
+    rng = random.Random(3203)
+    configs = INPUTS.scan_pool() + INPUTS.fresh_cases(32, 0, 28)[0]
+    assert {re.sub(r".*_\d{5}_", "", cfg["name"]) for cfg in configs} == set(INPUTS.FAMILIES)
+    for cfg in configs:
+        finished = _random_runs(_compiled(cfg["f"]), rng, cfg["K"], 25)
+        assert finished > 0, cfg["name"]  # the inlined loop is tested, not only its rerun
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 27))
+@settings(max_examples=40)
+def test_inlined_loop_matches_the_generic_loop_on_generated_models(seed, index):
+    rng = random.Random(seed)
+    cfg = INPUTS.generate_case(rng, index, "drawn", False, [1.0])
+    _random_runs(_compiled(cfg["f"]), rng, cfg["K"], 5)
+
+
+_LEAVES = st.sampled_from(("x", "x", "0.5", "3.0", "1e300", "(-1.5)"))
+
+
+def _grow(children):
+    return st.one_of(
+        st.builds("{}({})".format, st.sampled_from(FUNCTIONS), children),
+        st.builds("({}{}{})".format, children, st.sampled_from("+-*/^"), children),
+        st.builds("if({} < {}, {}, {})".format, children, children, children, children),
+    )
+
+
+@given(st.recursive(_LEAVES, _grow, max_leaves=8),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+       st.sampled_from((1e-3, 1e-8, 1e-11, 1e-13)),
+       st.sampled_from((0, 3, 5, 6, 40, 4000)))
+@settings(max_examples=300)
+def test_inlined_loop_matches_the_generic_loop_on_drawn_expressions(source, x, y, tol, budget):
+    _inlined_matches_generic(_compiled(source), min(x, y), max(x, y), tol, budget)
+
+
+def _ulps(x, n):
+    for _ in range(n):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@pytest.mark.parametrize("source, lo, hi, tol, budget, inlined", [
+    ("exp(800*x)", 0.0, 1.0, 1e-11, DEFAULT_MAX_EVALS, False),  # exp overflows
+    ("1/x", 0.0, 1.0, 1e-11, DEFAULT_MAX_EVALS, False),  # division by zero at 0
+    ("1/x", -1.0, 1.0, 1e-11, DEFAULT_MAX_EVALS, False),  # ... at the midpoint
+    ("x^(-0.5)", 0.0, 1.0, 1e-11, DEFAULT_MAX_EVALS, False),  # zero to a negative power
+    ("sqrt(x)", 0.0, 1.0, 1e-9, DEFAULT_MAX_EVALS, True),  # defined at its domain edge
+    ("sqrt(x)", -1e-300, 1.0, 1e-9, DEFAULT_MAX_EVALS, False),  # ... and just past it
+    ("log(x)", 0.0, 1.0, 1e-9, DEFAULT_MAX_EVALS, False),  # log of 0
+    ("log(x)", 5e-324, 1.0, 1e-6, DEFAULT_MAX_EVALS, True),  # log of the least float
+    ("if(x < 0.3, x, 0.6 - x)", 0.0, 1.0, 1e-11, DEFAULT_MAX_EVALS, True),  # kink
+    ("if(x < 1/3, 0, 1)", 0.0, 1.0, 1e-9, DEFAULT_MAX_EVALS, False),  # jump: cannot refine
+    ("log(1+x)", 1.0, _ulps(1.0, 3), 1e-11, DEFAULT_MAX_EVALS, True),  # one panel
+    ("if(x < 1.0000000000000002, 0, 1e300)", 1.0, _ulps(1.0, 3), 1e-11,
+     DEFAULT_MAX_EVALS, False),  # one panel over a jump: cannot refine
+    ("exp(x)", 0.0, 1.0, 1e-11, 0, False),  # budget: none
+    ("exp(x)", 0.0, 1.0, 1e-11, 2, False),  # ... under the first panel's three
+    ("exp(x)", 0.0, 1.0, 1e-11, 4, False),  # ... one short of a panel
+    ("exp(x)", 0.0, 1.0, 1e-11, 6, False),  # ... one more, then none
+    ("exp(x)", 0.0, 1.0, 1e-3, 5, True),  # ... exactly enough
+    ("0*(x*1e300*1e300)", 0.0, 1.0, 1e-11, DEFAULT_MAX_EVALS, False),  # NaN from 0 * inf
+    ("x*1e300*1e300", -1.0, 1.0, 1e-11, DEFAULT_MAX_EVALS, False),  # -inf at lo
+    ("if(x < 0.5, 0*(x*1e300*1e300), 1/(x-0.75))", 0.0, 1.0, 1e-11, DEFAULT_MAX_EVALS,
+     False),  # g(lm) NaN, then g(rm) raising: NonFiniteIntegrand at lm
+    ("x^0.5", -1.0, 1.0, 1e-11, DEFAULT_MAX_EVALS, False),  # fractional power of -1
+])
+def test_inlined_loop_matches_the_generic_loop_on_edge_integrands(source, lo, hi, tol, budget,
+                                                                  inlined):
+    assert _inlined_matches_generic(_compiled(source), lo, hi, tol, budget) is inlined

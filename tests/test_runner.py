@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -24,7 +25,7 @@ from simpvex.errors import (
     SimpvexError,
 )
 from simpvex.invexity import Domain, EtaMap, SampleGrid, _plan, check_invex_set
-from simpvex.expr import parse
+from simpvex.expr import parse, simpson_loop
 from simpvex.record import replace
 from simpvex.runner import (
     CaseResult,
@@ -654,8 +655,8 @@ def test_an_overflowing_sweep_runs_once(monkeypatch):
 def test_scan_nan_ratio_is_skipped_and_never_the_witness(monkeypatch):
     real = bounds._defect
 
-    def nan_defect_at_zero(model, a, step, tol):
-        values, simpson_value, mean, qerr, evals = real(model, a, step, tol)
+    def nan_defect_at_zero(model, a, step, tol, loop=None):
+        values, simpson_value, mean, qerr, evals = real(model, a, step, tol, loop)
         if a == 0.0:
             simpson_value = math.nan
         return values, simpson_value, mean, qerr, evals
@@ -858,11 +859,55 @@ def test_midpoint_scan_integrates_f_once_per_cell(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_integrate_unchecked", counted)
     model = _model(SIN2["f"], SIN2["df"], K=(0.0, 1.5))
+    inlined = simpson_loop(model.f_fn)
+
+    def counted_inlined(lo, hi, abs_tol):
+        calls.append((lo, hi))
+        return inlined(lo, hi, abs_tol)
+
+    model.f_fn.loop = counted_inlined  # where simpson_loop keeps f's inlined loop
     (r,) = tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.5), (0.0, 0.5),
                           (1.0, 1.5), [1.0], steps=9, theorems=("C4.2",), grid=SIN2_GRID)
     # every cell has a defect, and the 9 with b = a + 1 meet C4.2's precondition
     assert (r.status, r.cells, r.skipped) == ("ok", 81, 72)
     assert len(calls) == 81
+
+
+def test_scan_is_the_same_with_and_without_the_inlined_loop(monkeypatch):
+    # generated models without F, the scan pool's and one fresh batch's: once as
+    # loaded, with f's inlined Simpson loop, and once with f in a plain closure,
+    # which has none, so every integral runs in the generic loop
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import inputs
+
+    configs = [{k: v for k, v in cfg.items() if k != "F"}
+               for cfg in inputs.scan_pool() + inputs.fresh_cases(5, 0, 28)[0]]
+    assert {"expression", "abs_example"} <= {cfg["eta"]["kind"] for cfg in configs}
+    inlined = 0
+    for cfg in configs:
+        a_range, b_range, q_list, _ = inputs.scan_args(cfg)
+        outcomes = []
+        for plain in (False, True):
+            case = load_case(cfg)
+            model = case.model
+            if plain:
+                real = model.f_fn
+                model.__dict__["f_fn"] = lambda x: real(x)  # the compiled f is a cached property
+            outcomes.append(_scan_outcome(tightness_scan, model, case.eta, model.domain,
+                                          a_range, b_range, q_list, 9, runner.THEOREM_IDS,
+                                          runner.DEFAULT_TOLERANCES, SMALL_GRID))
+            inlined += getattr(model.f_fn, "loop", None) is not None
+        assert outcomes[0] == outcomes[1], cfg["name"]
+    assert inlined >= len(configs) - 2  # all but a raiser or two scanned cells with it
+
+
+def test_run_case_builds_no_inlined_loop():
+    cfg = json.loads((runner._corpus_dir() / "sin_midpoint.json").read_text(encoding="utf-8"))
+    del cfg["F"]
+    case = load_case(cfg)
+    result = run_case(case, SMALL_GRID)
+    assert result.defect.evaluations > 0  # f was integrated, in the generic loop
+    assert case.model.f_fn.loop is None
 
 
 def _failing_at(model, bad, exc):

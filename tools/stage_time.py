@@ -19,9 +19,11 @@ workload's ``tightness_scan`` over ``scan_args``), it times:
 
 * sweeps:  the sample plan, the invex-set check and the hypothesis sweep
            at each q, as the scan makes them;
-* defects: ``bounds._defect`` at each cell with a usable step;
-* scan:    the whole ``tightness_scan``, plan included;
-* loop:    scan - sweeps - defects, the scan's cell and pair loop.
+* inline:  building f's inlined Simpson loop (``expr.simpson_loop``);
+* defects: ``bounds._defect`` at each cell with a usable step, through
+           that loop, as the scan computes them;
+* scan:    the whole ``tightness_scan``, plan and inlined loop included;
+* loop:    scan - sweeps - inline - defects, the scan's cell and pair loop.
 
 Each stage of each case takes the least of ``--runs`` runs, so the
 figures leave out one-off costs such as compiling an expression.  Every
@@ -48,12 +50,12 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402  (perfbench/inputs.py: the generated cases)
-from simpvex import bounds, invexity, runner  # noqa: E402
+from simpvex import bounds, expr, invexity, runner  # noqa: E402
 from simpvex.errors import EvalDomainError, QuadratureError, SimpvexError  # noqa: E402
 
 FRESH_BATCH = 28  # as one fresh_cases pass of perfbench/run.py
 STAGES = ("plan", "invex", "df", "sweeps", "defect", "bounds", "to_json")
-SCAN_STAGES = ("sweeps", "defects", "scan", "loop")
+SCAN_STAGES = ("sweeps", "inline", "defects", "scan", "loop")
 
 
 def exponents(case) -> list:
@@ -123,6 +125,11 @@ def scan_runs(case, config: dict, steps: int, grid=runner.DEFAULT_GRID):
         except OverflowError:
             pass
     yield "sweeps", clock() - start
+    f = model.f_fn
+    f.loop = None  # built anew in each run, as a scan of a newly loaded model builds it
+    start = clock()
+    loop = expr.simpson_loop(f)
+    yield "inline", clock() - start
     a_vals, b_vals = ([lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
                       for lo, hi in (a_range, b_range))
     cells = []
@@ -137,11 +144,12 @@ def scan_runs(case, config: dict, steps: int, grid=runner.DEFAULT_GRID):
     start = clock()
     for a, step in cells:
         try:
-            bounds._defect(model, a, step, tol.oracle)
+            bounds._defect(model, a, step, tol.oracle, loop)
         except (EvalDomainError, QuadratureError):
             pass
     yield "defects", clock() - start
     invexity._plan.cache_clear()
+    f.loop = None
     start = clock()
     runner.tightness_scan(model, eta, K, a_range, b_range, q_list, steps)
     yield "scan", clock() - start
@@ -196,7 +204,7 @@ def scan_set(runs: int, steps: int) -> dict:
     for config in inputs.scan_pool():
         best = best_times(config, runs, lambda case: scan_runs(case, config, steps))
         if "scan" in best:
-            best["loop"] = best["scan"] - best["sweeps"] - best["defects"]
+            best["loop"] = best["scan"] - best["sweeps"] - best["inline"] - best["defects"]
             for stage in SCAN_STAGES:
                 total[stage] += best[stage]
         print(f"{config['name']:30} " + " ".join(
