@@ -363,9 +363,14 @@ def _rhs_T3_4(q: float):
     return _power_means(_M1 ** (1.0 - 1.0 / q), _W_END, _W_FAR, q, True)
 
 
+def _max_rhs(x1, x2, step):
+    """(5/36) eta max(|f'(a)|, |f'(b)|), the rhs of T4.1, C4.1 and C4.2: no q in it."""
+    return 2.0 * _M1 * step * (x2 if x2 > x1 else x1)
+
+
 def _rhs_T4_1(q):
-    """(5/36) eta max(|f'(a)|, |f'(b)|), the rhs of T4.1, C4.1 and C4.2."""
-    return lambda x1, x2, step: 2.0 * _M1 * step * (x2 if x2 > x1 else x1)
+    """``_max_rhs`` itself for every q, so a scan ranks its pairs' cells once."""
+    return _max_rhs
 
 
 def _rhs_T4_2(q: float):

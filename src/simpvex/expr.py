@@ -24,10 +24,11 @@ the failing sub-expression.  A one-variable expression has two more
 compiled forms, each built on first use and kept on the compiled
 function: ``abs_batch`` gives |f| at a list of points, from one list
 comprehension, and ``simpson_loop`` its integrals, from quadrature's
-Simpson loop with the fast form inlined (or None, where the generic loop
-must run).  Nothing else is cached: each ``compile_expr`` call builds a
-new function, which its owner (a ``FunctionModel`` or an ``EtaMap``)
-keeps.  Evaluation is pure and
+Simpson loop, read from quadrature's source file, with the fast form
+inlined (or None, where the generic loop must run): this is the one
+module that generates code.  Nothing else is cached: each
+``compile_expr`` call builds a new function, which its owner (a
+``FunctionModel`` or an ``EtaMap``) keeps.  Evaluation is pure and
 deterministic: the same AST evaluated at the same inputs returns the same
 bit pattern, except for the sign of a NaN, which CPython's adaptive float
 arithmetic may flip from one call to the next (reports write every NaN as
@@ -501,10 +502,43 @@ def _batch_form(e, var_order):
     return eval(compile(tree, _FILENAME, "eval"), _RUNTIME)
 
 
+class _Inline(ast.NodeTransformer):
+    """Replace each call ``g(name)`` by the fast form's body at the local ``name``."""
+
+    def __init__(self, e, var):
+        self.e = e
+        self.var = var
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "g":
+            (arg,) = node.args
+            return _Compiler({self.var: arg.id}).build(self.e)
+        return self.generic_visit(node)
+
+
 def _loop_form(e, var_order):
-    """quadrature's Simpson loop with the fast form's body in place of each g(x)."""
+    """``quadrature._integrate_unchecked`` from quadrature's source file, with
+    the fast form's body in place of each g(x), returning None where anything
+    raises; None where that file cannot be read or parsed."""
     (var,) = var_order
-    return quadrature.inline_loop(lambda local: _Compiler({var: local}).build(e), _NAMES)
+    path = quadrature.__file__
+    try:
+        with open(path, encoding="utf-8") as source:
+            tree = ast.parse(source.read(), path)
+        (loop,) = [node for node in tree.body
+                   if getattr(node, "name", None) == "_integrate_unchecked"]
+    except (OSError, SyntaxError, ValueError):  # missing, not Python, or no such def
+        return None
+    _Inline(e, var).visit(loop)
+    del loop.args.args[0]  # g
+    at = {"lineno": loop.lineno, "col_offset": 0}
+    give_up = ast.ExceptHandler(ast.Name("Exception", ast.Load(), **at), None,
+                                [ast.Return(ast.Constant(None, **at), **at)], **at)
+    loop.body = [ast.Try(loop.body, [give_up], [], [], **at)]
+    namespace = {}
+    exec(compile(ast.Module([loop], []), path, "exec"), dict(vars(quadrature), **_NAMES),
+         namespace)
+    return namespace["_integrate_unchecked"]
 
 
 def compile_expr(e: Expr, var_order: Tuple[str, ...]) -> Callable[..., float]:
@@ -543,14 +577,14 @@ def compile_expr(e: Expr, var_order: Tuple[str, ...]) -> Callable[..., float]:
 def _kept_form(fn, attr, build):
     """The form ``build(e, var_order)`` of a one-variable ``compile_expr``
     function, kept on it as ``attr``; else None.  Built on first use; None
-    from then on if building recursed too deep."""
+    from then on if building gave None or recursed too deep."""
     source = getattr(fn, "source", None)
     if source is None or fn.__code__.co_filename != _FILENAME or len(source[1]) != 1:
         return None
     form = getattr(fn, attr)
     if form is None:
         try:
-            form = build(*source)
+            form = build(*source) or False
         except RecursionError:  # _Compiler.build and compile recurse per tree level
             form = False
         setattr(fn, attr, form)
@@ -578,9 +612,11 @@ def simpson_loop(fn):
     returns, computed with fn's fast form inlined at each evaluation (no
     call per point), or None wherever that raises or the fast form raises:
     run ``_integrate_unchecked`` then, for the value the checked evaluator
-    gives or the error the generic loop raises.  Compiled on first use
-    (a few milliseconds, worth it only for many integrals of one fn); None
-    from then on if compiling recurses too deep.
+    gives or the error the generic loop raises.  Compiled on first use from
+    quadrature's source file, under that file's name, so tracebacks and
+    profiles show the loop's own lines (a few milliseconds, worth it only
+    for many integrals of one fn); None from then on if compiling recurses
+    too deep or that file cannot be read or parsed.
     """
     return _kept_form(fn, "loop", _loop_form)
 

@@ -19,16 +19,14 @@ the error raised is the one a check of each evaluation would raise.
 ``integrate`` checks the interval and calls the one Simpson loop,
 ``_integrate_unchecked``, which a caller that has checked it calls too.
 
-The loop is written once, as the source ``_LOOP``.  ``_integrate_unchecked``
-is that source compiled as it stands; ``inline_loop`` compiles it again for
-one integrand, each call ``g(x)`` replaced by the integrand's own
-expression (``expr.simpson_loop`` gives this inlined loop of a compiled
-one-variable function).  The inlined loop makes the same float operations
-in the same order, with no call per evaluation, and returns None wherever
-the expression raises or the loop would raise; its caller then runs
-``_integrate_unchecked`` from scratch, so every value, error and
-evaluation count is the generic loop's.  Only ``runner.tightness_scan``,
-which integrates one f thousands of times, uses one.
+This module holds numerics only.  ``expr.simpson_loop`` reads
+``_integrate_unchecked`` from this file's source and compiles it again for
+one compiled expression, each call ``g(x)`` replaced by the expression
+itself: the same float operations in the same order, with no call per
+evaluation, or None wherever the expression or the loop would raise, and
+its caller then runs ``_integrate_unchecked`` from scratch.  Only
+``runner.tightness_scan``, which integrates one f thousands of times, uses
+that inlined loop.
 
 Simpson panels integrate cubics exactly, so polynomial integrands of
 degree <= 3 converge on the first panel up to rounding.
@@ -36,9 +34,7 @@ degree <= 3 converge on the first panel up to rounding.
 
 from __future__ import annotations
 
-import ast
 import math
-from typing import Callable, Mapping
 
 from .errors import BudgetExhausted, NonFiniteIntegrand, QuadratureError
 from .record import Record
@@ -63,9 +59,8 @@ class QuadratureResult(Record):
 
 
 # The one Simpson loop.  g is called only as g(name), name a local, which
-# inline_loop relies on; no local or global name of the loop starts with
-# "_", so none meets an inlined expression's.
-_LOOP = '''
+# expr.simpson_loop relies on when it inlines an integrand; no local name of
+# the loop starts with "_", so none meets an inlined expression's.
 def _integrate_unchecked(g, lo, hi, abs_tol, max_evals=DEFAULT_MAX_EVALS):
     """``integrate(g, lo, hi, abs_tol, max_evals)`` as (value, error estimate, evaluations),
     for lo <= hi both finite: no interval check, no QuadratureResult.  Sums start at 0.0.
@@ -154,67 +149,12 @@ def _integrate_unchecked(g, lo, hi, abs_tol, max_evals=DEFAULT_MAX_EVALS):
             tol = 0.5 * tol
             stack.append((m, rm, b, fm, frm, fb, s_right, tol))
             m, b, fm, fb, s_whole = lm, m, flm, fm, s_left
-'''
-_FILENAME = "<simpvex Simpson loop>"
-# the globals the loop reads besides builtins, and its functions' module
-_GLOBALS = {"__name__": __name__, "math": math, "DEFAULT_MAX_EVALS": DEFAULT_MAX_EVALS,
-            "BudgetExhausted": BudgetExhausted, "NonFiniteIntegrand": NonFiniteIntegrand,
-            "QuadratureError": QuadratureError}
 
 
-def _define(tree: ast.Module, namespace: dict):
-    """The function the one ``def`` of ``tree`` makes, with globals ``namespace``."""
-    made = {}
-    exec(compile(tree, _FILENAME, "exec"), namespace, made)
-    (fn,) = made.values()
-    return fn
-
-
-_integrate_unchecked = _define(ast.parse(_LOOP, _FILENAME), dict(_GLOBALS))
-
-
-class _Inline(ast.NodeTransformer):
-    """Replace each call ``g(name)`` by ``inline(name)``."""
-
-    def __init__(self, inline):
-        self.inline = inline
-
-    def visit_Call(self, node):
-        if isinstance(node.func, ast.Name) and node.func.id == "g":
-            (arg,) = node.args
-            return self.inline(arg.id)
-        return self.generic_visit(node)
-
-
-def inline_loop(inline: Callable[[str], ast.expr], names: Mapping[str, object]):
-    """The Simpson loop with one integrand inlined: ``loop(lo, hi, abs_tol,
-    max_evals=DEFAULT_MAX_EVALS)`` gives ``_integrate_unchecked(g, lo, hi,
-    abs_tol, max_evals)``'s (value, error estimate, evaluations), or None
-    where that raises or an inlined expression raises.
-
-    ``inline(name)`` is a new ``ast`` expression of g at the local ``name``,
-    whose names are ``name``, locals starting with "_" and the globals
-    ``names``.  Each call is compiled into the loop in its place, so the
-    float operations and their order are the loop's.  The caller of the
-    result reruns ``_integrate_unchecked`` where it returns None, for the
-    generic loop's error.  RecursionError for an expression too deep to
-    compile.
-    """
-    tree = ast.parse(_LOOP, _FILENAME)
-    (loop,) = tree.body
-    _Inline(inline).visit(loop)
-    del loop.args.args[0]  # g
-    at = {"lineno": loop.lineno, "col_offset": 0}
-    give_up = ast.ExceptHandler(ast.Name("Exception", ast.Load(), **at), None,
-                                [ast.Return(ast.Constant(None, **at), **at)], **at)
-    loop.body = [ast.Try(loop.body, [give_up], [], [], **at)]
-    return _define(tree, dict(_GLOBALS, **names))
-
-
-def integrate(g: Callable[[float], float], lo: float, hi: float,
-              abs_tol: float = DEFAULT_ABS_TOL,
+def integrate(g, lo: float, hi: float, abs_tol: float = DEFAULT_ABS_TOL,
               max_evals: int = DEFAULT_MAX_EVALS) -> QuadratureResult:
-    """Integrate ``g`` over [lo, hi] to absolute tolerance ``abs_tol``.
+    """Integrate the function ``g`` of one float over [lo, hi] to absolute
+    tolerance ``abs_tol``.
 
     Raises BudgetExhausted when ``max_evals`` integrand calls are not
     enough, and NonFiniteIntegrand (carrying the offending abscissa) as

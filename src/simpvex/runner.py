@@ -680,10 +680,12 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     Row by row: one pass over a row's b values takes each usable cell's step,
     defect and |defect| once, then each (theorem, q) pair ranks the row in one
     loop, its lhs and rhs from its ``bounds.THEOREMS`` row as in ``run_case``
-    (C4.2's lhs is None off its precondition: a skipped cell).  K.contains and
-    |f'| (at first use) are taken once per axis value, and each rhs is prepared
-    for its q once per pair.  Without F, each cell's integral runs in f's
-    inlined Simpson loop (``expr.simpson_loop``, built once and kept on f), and in
+    (C4.2's lhs is None off its precondition: a skipped cell).  Pairs with the
+    same rhs and lhs functions (T4.1 at each q and C4.1) rank alike, so where
+    no cell of the row has raised, a later one copies the first's outcome.
+    K.contains and |f'| (at first use) are taken once per axis value, and each
+    rhs is prepared for its q once per pair.  Without F, each cell's integral
+    runs in f's inlined Simpson loop (``expr.simpson_loop``, built once and kept on f), and in
     the generic loop from scratch where that gives None, so every value and
     error is the generic loop's.  Of the errors cells raise, the first in (a, b,
     pair) order propagates, as if each cell served every pair in turn.  ValueError,
@@ -776,8 +778,13 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                 row.append((b, step, defect, abs(defect), mean, values, x1, x2))
         except Exception as exc:  # raised once the row's earlier cells are ranked
             stop, raised = len(row), exc
+        ranked = {}  # (rhs, lhs) -> the pair that ranked the row, while none raised
         for pair in active:  # each pair ranks the row in one loop
             theorem, uses_df, lhs_of, rhs_of = pair.theorem, pair.uses_df, pair.lhs, pair.rhs
+            same = ranked.get((rhs_of, lhs_of)) if raised is None else None
+            if same is not None:  # ranked the same cells alike so far: the same outcome
+                pair.ratio, pair.at, pair.skipped = same.ratio, same.at, same.skipped
+                continue
             best, at, skipped = pair.ratio, pair.at, pair.skipped
             cells = row[:stop]
             try:
@@ -802,6 +809,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             except Exception as exc:  # later pairs rank only the cells before this one
                 stop, raised = cells.index(cell), exc
             pair.ratio, pair.at, pair.skipped = best, at, skipped
+            if raised is None:
+                ranked[rhs_of, lhs_of] = pair
         if raised is not None:
             raise raised
     for pair in active:

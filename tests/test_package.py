@@ -63,6 +63,33 @@ def test_import_loads_no_dataclasses_inspect_or_importlib_resources():
     assert out == "[]\n"
 
 
+def test_import_compiles_nothing_of_its_own():
+    # every function simpvex defines at import is ordinary code from its own files
+    code = ("import builtins\n"
+            "real, names = builtins.compile, []\n"
+            "def compile(source, filename, *args, **kwargs):\n"
+            "    names.append(str(filename))\n"
+            "    return real(source, filename, *args, **kwargs)\n"
+            "builtins.compile = compile\n"
+            "import simpvex\n"
+            "print(sorted(n for n in names if n.startswith('<simpvex')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(simpvex.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
+def test_only_expr_generates_code():
+    # expr alone builds code from ast trees, quadrature's Simpson loop included
+    from simpvex import quadrature
+
+    package = Path(simpvex.__file__).parent
+    assert [path.name for path in sorted(package.rglob("*.py"))
+            if re.search(r"^(import ast|from ast import)", path.read_text(encoding="utf-8"),
+                         re.MULTILINE)] == ["expr.py"]
+    assert quadrature._integrate_unchecked.__code__.co_filename == quadrature.__file__
+
+
 def test_import_time_tool_reports_both_modes():
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "import_time.py"), "--runs", "2"],
                          check=True, capture_output=True, text=True, timeout=120).stdout

@@ -1042,6 +1042,27 @@ def test_cubic_scan_evaluates_f_eight_times_per_usable_cell(monkeypatch):
     assert len(calls) == 8 * 24
 
 
+def test_scan_takes_the_shared_T4_1_rhs_once_per_usable_cell(monkeypatch):
+    # T4.1 at four q and C4.1 share one rhs function and lhs: the row is ranked once
+    real = bounds._max_rhs
+    calls = []
+
+    def counted(x1, x2, step):
+        calls.append(step)
+        return real(x1, x2, step)
+
+    monkeypatch.setattr(bounds, "_max_rhs", counted)
+    model = _model("x^2", "2*x", K=(0.0, 2.0))
+    args = (model, EtaMap.difference(), Domain(0.0, 2.0), (0.0, 0.5), (1.0, 2.0),
+            [1.0, 1.5, 2.0, 3.0], 5, ("T4.1", "C4.1"), runner.DEFAULT_TOLERANCES, SMALL_GRID)
+    t41, c41 = got = tightness_scan(*args)
+    # every cell is usable: a step, a defect and |f'| at both ends
+    assert (t41.status, t41.cells, t41.skipped) == ("ok", 100, 0)
+    assert (c41.status, c41.cells, c41.skipped) == ("ok", 25, 0)
+    assert len(calls) == 25
+    assert repr(got) == repr(_reference_scan(*args))
+
+
 def _assert_bounds_match_public_wrappers(case, result):
     for bv in result.bounds:
         evaluate = _PUBLIC_BOUNDS[bv.theorem][2]
