@@ -44,8 +44,12 @@ called per point, over the same slices.  Each q is one pass over the
 kept values: the nv*nt values of |f'|^q at the path points of one grid u
 value, raised in the comprehension that lists them, feed both sweeps;
 then the random layer's are read once through an iterator.  So no array
-of every point's |f'|^q is built.  The arithmetic is the per-sample
-formula's, so verdicts, worst violations and witnesses are unchanged.
+of every point's |f'|^q is built.  A grid u value whose values at u and
+at its path points have the bits of the last u value swept takes that
+value's tops and is neither raised nor swept (a float compare of g(u)
+with the previous u value's screens it first), so a constant |f'| is
+swept at one u value.  The arithmetic is the per-sample formula's, so
+verdicts, worst violations and witnesses are unchanged.
 max(x, y) is written ``y if y > x else x`` (min with <), the builtin's
 own rule, so NaN, -0.0 and ties come out the same, without a call per
 sample.
@@ -368,7 +372,11 @@ def _pair(plan: SamplePlan, h: array, tol: float,
     as one list, then the random layer's triples.  Both sweeps take
     their excesses, g(x) - ((1 - t) g(u) + t g(v)) and
     g(x) - max(g(u), g(v)), from that read.  The nt samples of a grid
-    (u, v) row that wins, or whose top is NaN, are read again.
+    (u, v) row that wins, or whose top is NaN, are read again.  A u
+    value whose g(u) equals the previous one's, and whose bits of h at u
+    and at its path points are those of the u value last swept, takes
+    that value's nv tops: equal bits give equal tops.  A NaN g(u) is
+    always swept.
     """
     mv, nu, nv, nt, x_at = memoryview(h), len(plan.us), len(plan.vs), len(plan.ts), plan.x_at
     raised = q is not None and q != 1.0
@@ -379,9 +387,17 @@ def _pair(plan: SamplePlan, h: array, tol: float,
     gus, gvs = values(0, nu), values(nu, x_at)
     ts, omts, width = plan.ts, [1.0 - t for t in plan.ts], nv * nt
     tgvs = [t * gv for gv in gvs for t in ts]  # t g(v) at the nv*nt samples of any u value
-    pre_tops, quasi_tops = [], []
+    pre_tops, quasi_tops, last = [], [], 0  # last: the u value last swept
     for i, gu in enumerate(gus):
-        gxs = values(x_at + i * width, x_at + (i + 1) * width)
+        at, was = x_at + i * width, x_at + last * width
+        # h's bits at u and its path points as at the u value last swept: its tops are too
+        if i and gu == gus[i - 1] and mv[i:i + 1].tobytes() == mv[last:last + 1].tobytes() and (
+                mv[at:at + width].tobytes() == mv[was:was + width].tobytes()):
+            pre_tops += pre_tops[-nv:]
+            quasi_tops += quasi_tops[-nv:]
+            continue
+        last = i
+        gxs = values(at, at + width)
         omtgus = [a * gu for a in omts] * nv  # (1 - t) g(u)
         pre_tops += map(max, zip(*[map(sub, gxs, map(add, omtgus, tgvs))] * nt))
         # rounding is monotone, so a row's largest excess is its largest g(x) less its high

@@ -316,8 +316,14 @@ def _bump(x):
     return 1.0 if 0.4 < x < 0.6 else 0.0
 
 
+def _signed_zero(x):
+    # equal floats, different bits: a u value above 0.5 must not take the tops of one below
+    return 0.0 if x < 0.5 else -0.0
+
+
 _GS = [fn("x^3"), fn("-(x^2)"), fn("-abs(x)"), fn("0*x"), fn("x^2 - 3*x"), _steps, _nan_left,
-       _nan_right, _inf_right, _infs, lambda x: -0.0, _bump]
+       _nan_right, _inf_right, _infs, lambda x: -0.0, _bump, _signed_zero, lambda x: math.nan,
+       lambda x: math.inf]
 _ETAS = [EtaMap.difference(), EtaMap.abs_example(), EtaMap.from_expression("0.5*(v - u)"),
          EtaMap.from_expression("v - 2*u")]
 # steps that are negative, infinite, NaN or -0.0: along each grid row the
@@ -351,6 +357,12 @@ def _problems(draw):
 @example((Domain(0.5, 1.0), _ETAS[0], SampleGrid(2, 2, 2, 40), _nan_right, 0.0), 1.0)
 @example((Domain(-1.0, -0.0), _ODD_ETAS[1], SampleGrid(3, 4, 3, 20), _infs, 0.0), 2.0)
 @example((Domain(-0.0, 1.0), _ODD_ETAS[2], SampleGrid(4, 3, 3, 20), _nan_left, 0.0), 1.5)
+# a -0.0 step puts every path point at its u: a piecewise-constant g reuses the tops of
+# some u values and not of others
+@example((Domain(0.0, 1.0), _ODD_ETAS[3], SampleGrid(6, 3, 3, 10), _steps, 0.0), 1.0)
+@example((Domain(0.0, 1.0), _ODD_ETAS[3], SampleGrid(6, 4, 2, 10), _signed_zero, 0.0), 2.0)
+@example((Domain(-1.0, 1.0), _ODD_ETAS[3], SampleGrid(6, 3, 3, 10), _bump, 0.5), 1.5)
+@example((Domain(0.0, 1.0), _ODD_ETAS[3], SampleGrid(4, 3, 2, 10), _nan_left, 0.0), 1.0)
 def test_plan_sweeps_match_per_sample_reference(problem, q):
     K, eta, grid, g, tol = problem
     assert repr(check_invex_set(K, eta, grid, tol)) == repr(_ref_invex_set(K, eta, grid, tol))
@@ -406,9 +418,16 @@ def _rhs_with_builtin_max(theorem, q, x1, x2, step):
     (_bump, _ODD_ETAS[1], Domain(-1.0, 1.0)),
     (fn("-abs(x)"), _ODD_ETAS[2], Domain(-1.0, 1.0)),
     (fn("x^3"), _ODD_ETAS[3], Domain(-0.0, 1.0)),
+    # f of the corpus's abs_branch_neg and poly_x1 cases on their K and eta, then their
+    # constant |f'|, which sweeps one u value
+    (fn("-abs(x)"), _ETAS[1], Domain(-1.0, 0.0)),
+    (fn("x"), _ETAS[0], Domain(0.0, 1.0)),
+    (fn("if(x<0, 1, -1)"), _ETAS[1], Domain(-1.0, 0.0)),
+    (fn("0*x + 1"), _ETAS[0], Domain(0.0, 1.0)),
+    (_signed_zero, _ODD_ETAS[3], Domain(0.0, 1.0)),
 ], ids=["cube", "sqrt-abs_example", "steps-expression", "nan", "nan-right", "merged-negative",
-        "infinite",
-        "nan-step", "negative-zero"])
+        "infinite", "nan-step", "negative-zero", "neg-abs-abs_example", "identity",
+        "abs-branch-df", "constant", "signed-zero"])
 def test_plan_sweeps_match_reference_on_default_grid(g, eta, K):
     assert repr(check_invex_set(K, eta)) == repr(_ref_invex_set(K, eta, DEFAULT_GRID, 1e-12))
     assert repr(check_pair(g, eta, K)) == repr(_ref_pair(g, eta, K, DEFAULT_GRID, 1e-12))
@@ -440,6 +459,90 @@ def test_derivative_runs_once_per_plan_point_across_exponents():
         hypothesis_pair(model, eta, K, q)
     assert df_calls[0] == 41 + 41 + 41 * 41 * 21 + 3 * 2000
     assert eta_calls[0] == 41 * 41 + 2000
+
+
+def _sweep_subs(monkeypatch, sweep):
+    """How many times ``sweep()`` calls invexity.sub: nv*nt + nv per grid u value swept."""
+    calls = [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        return a - b
+
+    monkeypatch.setattr(invexity, "sub", counted)
+    sweep()
+    monkeypatch.undo()
+    return calls[0]
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_a_u_value_with_the_last_ones_bits_reuses_its_tops(monkeypatch, q):
+    one_u = 41 * 21 + 41
+
+    def subs(df, eta, K):
+        model = SimpleNamespace(df_fn=fn(df))
+        check_invex_set(K, eta)  # builds the plan outside the count
+        return _sweep_subs(monkeypatch, lambda: hypothesis_pair(model, eta, K, q))
+
+    # a constant |f'|: one grid u value's arithmetic serves all 41
+    assert subs("1", EtaMap.difference(), Domain(0.0, 1.0)) == one_u
+    assert subs("if(x<0, 1, -1)", EtaMap.abs_example(), Domain(-1.0, 0.0)) == one_u
+    assert subs("3*x^2", EtaMap.difference(), Domain(0.0, 1.0)) == 41 * one_u
+
+
+def test_the_reuse_compares_bits_not_floats(monkeypatch):
+    # every path point is at its u; g is 0.0 below 0.5 and -0.0 from there on, so the
+    # u values fall in two runs of equal bits, each swept once
+    K = Domain(0.0, 1.0)
+    check_invex_set(K, _ODD_ETAS[3])
+    assert _sweep_subs(monkeypatch, lambda: check_pair(
+        _signed_zero, _ODD_ETAS[3], K)) == 2 * (41 * 21 + 41)
+    # a NaN g(u) never reuses
+    assert _sweep_subs(monkeypatch, lambda: check_pair(
+        lambda x: math.nan, _ODD_ETAS[3], K)) == 41 * (41 * 21 + 41)
+
+
+def _ref_tops(plan, g):
+    """The bits of each grid row's largest preinvex and prequasiinvex excess of g, row by row."""
+    nv, nt = len(plan.vs), len(plan.ts)
+    pre, quasi = [], []
+    for i, u in enumerate(plan.us):
+        for j, v in enumerate(plan.vs):
+            gu, gv = g(u), g(v)
+            at = plan.x_at + (i * nv + j) * nt
+            gxs = [g(x) for x in plan.points[at:at + nt]]
+            pre.append(max([gx - ((1.0 - t) * gu + t * gv) for gx, t in zip(gxs, plan.ts)]))
+            quasi.append(max(gxs) - max(gu, gv))
+    return [_bits(pre), _bits(quasi)]
+
+
+@pytest.mark.parametrize("g, eta, K, grid", [
+    (_steps, _ODD_ETAS[3], Domain(0.0, 1.0), SampleGrid(6, 3, 3, 10)),
+    (_signed_zero, _ODD_ETAS[3], Domain(0.0, 1.0), SampleGrid(6, 4, 2, 10)),
+    (_bump, _ODD_ETAS[3], Domain(-1.0, 1.0), SampleGrid(9, 5, 3, 10)),
+    (_nan_left, _ODD_ETAS[3], Domain(0.0, 1.0), SampleGrid(21, 3, 2, 10)),
+    (lambda x: math.inf, _ETAS[0], Domain(0.0, 1.0), SampleGrid(5, 3, 3, 10)),
+    (fn("0*x + 1"), _ETAS[0], Domain(0.0, 1.0), DEFAULT_GRID),
+    (fn("if(x<0, 1, -1)"), _ETAS[1], Domain(-1.0, 0.0), DEFAULT_GRID),
+    (fn("3*x^2"), _ETAS[0], Domain(0.0, 1.0), DEFAULT_GRID),
+], ids=["steps", "signed-zero", "bump", "nan", "inf", "constant", "abs-branch", "square"])
+def test_the_tops_each_sweep_ranks_are_the_rows_own(monkeypatch, g, eta, K, grid):
+    # a u value that reuses tops must hand SamplePlan.worst its own rows' tops, bit for bit
+    seen = []
+    worst = SamplePlan.worst
+
+    def recording(self, tops, row, excesses):
+        seen.append(_bits(tops))
+        return worst(self, tops, row, excesses)
+
+    plan = _plan(K, eta, grid)
+    monkeypatch.setattr(SamplePlan, "worst", recording)
+    check_pair(g, eta, K, grid)
+    assert seen == _ref_tops(plan, g)
+    for q in (1.0, 2.0):
+        del seen[:]
+        hypothesis_pair(SimpleNamespace(df_fn=g), eta, K, q, grid)
+        assert seen == _ref_tops(plan, lambda x: abs(g(x)) ** q)
 
 
 def test_a_later_exponent_makes_no_plan_sized_temporary():
