@@ -24,9 +24,10 @@ Each BoundValue carries slack = rhs - lhs - quadrature_error, lhs being
 |defect| (C4.2: |f(a + eta/2) - mean of f|).  Without an antiderivative,
 quadrature_error is the adaptive quadrature's |S2 - S1|/15 panel
 estimate, a heuristic and not a bound on the true error (Gander & Gautschi, "Adaptive quadrature - revisited", BIT 40,
-2000).  The slack accounts for that estimate only, so a negative slack
-beyond tolerance is a counterexample up to the estimate's reliability;
-certified verdicts are an open roadmap item.
+2000).  The slack accounts for that estimate only; ``run_case`` counts a
+bound violated when slack < -(2*quadrature_error + tol.slack), a
+counterexample up to the estimate's reliability; certified verdicts are
+an open roadmap item.
 """
 
 from __future__ import annotations

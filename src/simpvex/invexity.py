@@ -34,9 +34,10 @@ triple from ``at``), and the random triples' u, v and t, with eta called
 once per grid (u, v) pair and once per random triple.  The last plan is
 kept, so a case's invex-set check and its hypothesis checks at every q
 share one plan, as do consecutive cases on the same K and built-in eta.
-The plan keeps its invex-set report and the values of the last |f'|
-swept over it, which its one value pass, ``SamplePlan.values``,
-evaluates once per sample point, in stream order.  ``check_pair``
+The plan keeps its samples and the values of the last |f'| swept over
+it, which its one value pass, ``SamplePlan.values``, evaluates once per
+sample point, in stream order; each invex-set report is computed from
+the plan for the K it is asked about.  ``check_pair``
 evaluates a plain g at every sample point, outside that memo.  |f'| of a
 compiled expression runs in its batch form, one list comprehension per
 slice of points rather than one call per point; any other callable is
@@ -241,8 +242,8 @@ class SamplePlan:
     random triple (from ``at``); ``ru``, ``rv`` and ``rt`` are the
     triples' u, v and t.  eta is called once per grid (u, v) pair and
     once per random triple.  Every sampled check is a sweep of ``worst``
-    over one plan.  The plan keeps the invex-set reports made on it
-    (``invex_set``) and the values of the last |f'| swept over it.
+    over one plan.  The plan keeps the values of the last |f'| swept over
+    it.
     """
 
     def __init__(self, K: Domain, eta: EtaMap, grid: SampleGrid):
@@ -266,7 +267,6 @@ class SamplePlan:
         layer[::3], layer[1::3], layer[2::3] = self.ru, self.rv, x
         self.points += layer
         self.samples = self.at - self.x_at + len(self.rt)
-        self.invex_set = {}  # check_invex_set's reports, by the bit pattern of (K, tol)
         self._memo = (None, None)
 
     def values(self, fn: Callable[[float], float], q: float = 1.0) -> array:
@@ -336,19 +336,10 @@ def check_invex_set(K: Domain, eta: EtaMap, grid: SampleGrid = DEFAULT_GRID,
     """Check that u + t*eta(v, u) stays in K on all samples.
 
     The violation measure is the distance by which the path point leaves
-    K (negative when inside).  The report is kept on the plan, so a
-    further case on the same plan and tol reads it.
+    K (negative when inside).  The samples are those of the kept plan;
+    the report is computed for this K and tol on every call.
     """
     plan = _plan(K, eta, grid)
-    # a plan serves every K equal to its own, and -0.0 == 0.0 moves an excess's sign
-    key = array("d", (K.lo, K.hi, tol)).tobytes()
-    if key not in plan.invex_set:
-        plan.invex_set[key] = _report("invex_set", _invex_set_worst(plan, K), plan.samples, tol)
-    return plan.invex_set[key]
-
-
-def _invex_set_worst(plan: SamplePlan, K: Domain) -> _Found:
-    """Worst distance by which a path point of ``plan`` leaves K."""
     lo, hi = K.lo, K.hi
     nt, grid_x = len(plan.ts), memoryview(plan.points)[plan.x_at:plan.at]
 
@@ -359,8 +350,9 @@ def _invex_set_worst(plan: SamplePlan, K: Domain) -> _Found:
     # is at t = 0 (step +-inf) or everywhere, so min/max of (t = 0, t = 1) match the row's
     tops = [b if (b := (y if y > x else x) - hi) > (a := lo - (y if y < x else x)) else a
             for x, y in zip(grid_x[::nt], grid_x[nt - 1::nt])]
-    return plan.worst(tops, lambda j: excess(grid_x[j * nt:(j + 1) * nt]),
-                      excess(memoryview(plan.points)[plan.at + 2::3]))
+    worst = plan.worst(tops, lambda j: excess(grid_x[j * nt:(j + 1) * nt]),
+                       excess(memoryview(plan.points)[plan.at + 2::3]))
+    return _report("invex_set", worst, plan.samples, tol)
 
 
 def _pair(plan: SamplePlan, h: array, tol: float,

@@ -9,8 +9,11 @@ full pipeline:
 
 Verdicts: "pass" (all evaluated bounds dominate the defect),
 "hypothesis_unmet" (at least one requested bound was skipped because a
-sampled hypothesis failed), "violation" (a bound or the defect identity
-failed beyond tolerance after quadrature-error correction) and
+sampled hypothesis failed), "violation" (the defect identity failed
+beyond its budget, or a bound's slack, rhs - lhs - qerr, is below
+-(2*qerr + tol.slack): the rhs lies below the lhs by more than the
+quadrature error estimate qerr and tol.slack; a slack between that and
+-tol.slack is within qerr of equality and gets a note instead) and
 "input_error" (the case itself is unusable, e.g. a non-positive eta
 step, eta failing on the invex-set samples, or |f'|^q beyond the float
 range in a hypothesis sweep).  A violation always wins over other
@@ -123,7 +126,7 @@ class Tolerances(Record):
     """Numeric tolerances used across the pipeline.
 
     oracle: absolute tolerance handed to the quadrature oracle.
-    slack: a bound counts as violated only below -slack.
+    slack: a bound counts as violated only below -(2*quadrature_error + slack).
     invexity: sampled property checks flag excesses above this.
     identity: defect-vs-kernel-integral budget before quadrature errors.
     """
@@ -497,8 +500,17 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
                     result, f"EvalDomainError: {theorem} needs |f'(a)| and |f'(b)|: {exc}")
 
     _check_golden(_golden(case.expected), result)
-    slack_violation = any(
-        bv.slack is not None and bv.slack < -tol.slack for bv in result.bounds)
+    # rhs < lhs - qerr - tol.slack; a slack closer to 0 than that is within qerr of equality
+    floor = -(2.0 * defect.quadrature_error + tol.slack)
+    slack_violation = False
+    for bv in result.bounds:
+        if bv.slack < floor:
+            slack_violation = True
+        elif bv.slack < -tol.slack:
+            at_q = "" if bv.q is None else f" at q={bv.q:g}"
+            result.notes.append(
+                f"note: {bv.theorem}{at_q} slack {_fmt(bv.slack)} lies within the quadrature "
+                f"error estimate {_fmt(defect.quadrature_error)}; not counted as a violation")
     if slack_violation or not identity_ok:
         result.verdict = VERDICT_VIOLATION
     elif skipped:

@@ -622,19 +622,17 @@ def test_a_reused_plans_later_function_matches_the_reference(g, eta, K):
         assert repr(hypothesis_pair(model, eta, K, q)) == repr(want)
 
 
-def test_a_plan_keeps_its_invex_set_reports_per_K_and_tol():
+def test_invex_set_reports_on_one_plan_follow_their_own_K_and_tol():
     eta = EtaMap(sub, "unshared difference")
     grid = SampleGrid(5, 5, 3, 20)
-    K = Domain(0.0, 1.0)
-    report = check_invex_set(K, eta, grid)
-    assert check_invex_set(K, eta, grid) is report
-    assert check_invex_set(K, eta, grid, tol=0.5) is not report
+    K, signed = Domain(0.0, 1.0), Domain(-0.0, 1.0)
+    _plan.cache_clear()
     # K = [-0.0, 1] equals K and is served by its plan, but its excess at 0 is -0.0
-    signed = Domain(-0.0, 1.0)
-    assert repr(check_invex_set(signed, eta, grid)) == repr(
-        _ref_invex_set(signed, eta, grid, 1e-12))
-    assert repr(report) != repr(check_invex_set(signed, eta, grid))
-    assert len(_plan(K, eta, grid).invex_set) == 3
+    for domain, tol in ((K, 1e-12), (K, 0.5), (signed, 1e-12), (K, 1e-12)):
+        assert repr(check_invex_set(domain, eta, grid, tol)) == repr(
+            _ref_invex_set(domain, eta, grid, tol))
+    assert _plan.cache_info().misses == 1
+    assert repr(check_invex_set(K, eta, grid)) != repr(check_invex_set(signed, eta, grid))
 
 
 # Reference plan construction: SamplePlan as it was built before

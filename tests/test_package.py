@@ -91,10 +91,15 @@ def test_only_expr_generates_code():
 
 
 def test_import_time_tool_reports_both_modes():
-    out = subprocess.run([sys.executable, str(ROOT / "tools" / "import_time.py"), "--runs", "2"],
+    tool = [sys.executable, str(ROOT / "tools" / "import_time.py")]
+    out = subprocess.run(tool + ["--runs", "2"],
                          check=True, capture_output=True, text=True, timeout=120).stdout
     line = r"{} +median +[\d.]+ ms  quartiles +[\d.]+ \.\. +[\d.]+ ms  \(2 runs\)"
     assert re.fullmatch("\n".join(line.format(m) for m in ("cached", "uncached")) + "\n", out)
+    # quartiles need two runs, so a single run is refused before any import is timed
+    refused = subprocess.run(tool + ["--runs", "1"], capture_output=True, text=True, timeout=60)
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert refused.stderr.endswith("error: --runs must be at least 2\n")
 
 
 def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):

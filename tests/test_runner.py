@@ -1220,16 +1220,16 @@ def test_consecutive_cases_on_one_K_and_eta_share_a_plan():
     assert _plan.cache_info().misses == 1
 
 
-def test_cases_on_one_plan_share_its_invex_set_report():
+def test_cases_on_one_plan_get_equal_invex_set_reports():
     x2, x3 = load_corpus("poly_x2")[0], load_corpus("poly_x3")[0]
     _plan.cache_clear()
     first, second = run_case(x2).hypotheses[0], run_case(x3).hypotheses[0]
     assert first.property == "invex_set"
-    assert second is first  # one computation serves both cases
+    assert second == first
     K, tol = x2.model.domain, x2.tolerances.invexity
-    other = check_invex_set(K, x2.eta, tol=10 * tol)  # another tol computes again
-    assert other is not first and other == first
-    assert len(_plan(K, x2.eta, invexity.DEFAULT_GRID).invex_set) == 2
+    other = check_invex_set(K, x2.eta, tol=10 * tol)  # another tol on the same plan
+    assert other == first
+    assert _plan.cache_info().misses == 1
 
 
 def test_corpus_run_does_the_shared_plan_work_once(monkeypatch):
@@ -1237,7 +1237,7 @@ def test_corpus_run_does_the_shared_plan_work_once(monkeypatch):
     df_calls = [0]
     invex_sets = [0]
     counted = {}  # id(model) -> (model, its counting stand-in), one stand-in per model
-    pair, worst = runner.hypothesis_pair, invexity._invex_set_worst
+    pair, report = runner.hypothesis_pair, invexity._report
 
     def counting_pair(model, *args):
         if id(model) not in counted:
@@ -1250,18 +1250,72 @@ def test_corpus_run_does_the_shared_plan_work_once(monkeypatch):
             counted[id(model)] = (model, SimpleNamespace(df_fn=df_fn))
         return pair(counted[id(model)][1], *args)
 
-    def counting_worst(*args):
-        invex_sets[0] += 1
-        return worst(*args)
+    def counting_report(prop, *args):
+        invex_sets[0] += prop == "invex_set"
+        return report(prop, *args)
 
     monkeypatch.setattr(runner, "hypothesis_pair", counting_pair)
-    monkeypatch.setattr(invexity, "_invex_set_worst", counting_worst)
+    monkeypatch.setattr(invexity, "_report", counting_report)
     _plan.cache_clear()
     run_corpus()
     assert _plan.cache_info().misses == 8
-    assert invex_sets[0] == 8
+    assert invex_sets[0] == 15  # one report computed per case, none kept on a plan
     # every case's f' at every sample point of its plan
     assert df_calls[0] == 15 * 41_383 == 620_745
+
+
+def _fresh_config(monkeypatch, seed, index):
+    """Generated case ``index`` of a fresh_cases run with ``seed``, as perfbench/inputs.py draws it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import inputs
+
+    return inputs.fresh_cases(seed, index // 28, 28)[0][index % 28]
+
+
+def _classical(result):
+    (bound,) = [bv for bv in result.bounds if bv.theorem == "CLASSICAL"]
+    return bound
+
+
+@pytest.mark.parametrize("seed, index, verdict", [(0, 14, "pass"),
+                                                   (4242, 48, "hypothesis_unmet")])
+def test_a_bound_within_its_quadrature_error_of_equality_is_not_a_violation(
+        monkeypatch, seed, index, verdict):
+    # quartics without F: CLASSICAL holds with equality, so its slack is about -qerr
+    result = run_case(load_case(_fresh_config(monkeypatch, seed, index)))
+    qerr, slack = result.defect.quadrature_error, _classical(result).slack
+    assert -(2 * qerr + 1e-12) < slack < -1e-12
+    assert result.verdict == verdict
+    assert result.notes[-1] == (f"note: CLASSICAL slack {slack!r} lies within the quadrature "
+                                f"error estimate {qerr!r}; not counted as a violation")
+
+
+@pytest.mark.parametrize("shortfall, verdict", [(2.5, "violation"), (0.5, "pass")])
+def test_a_bound_below_its_lhs_by_more_than_its_quadrature_error_is_a_violation(
+        monkeypatch, shortfall, verdict):
+    # d4sup scaled so CLASSICAL's rhs is |defect| - shortfall * qerr
+    cfg = _fresh_config(monkeypatch, 0, 14)
+    exact = run_case(load_case(cfg))
+    lhs, qerr = abs(exact.defect.defect), exact.defect.quadrature_error
+    cfg["d4sup"] *= (lhs - shortfall * qerr) / _classical(exact).rhs
+    result = run_case(load_case(cfg))
+    assert _classical(result).rhs == pytest.approx(lhs - shortfall * qerr, rel=1e-15)
+    assert result.verdict == verdict
+    assert any(note.startswith("note: CLASSICAL slack") for note in result.notes) == (
+        verdict == "pass")
+
+
+def test_generated_cases_keep_their_recorded_verdicts(monkeypatch, data_dir):
+    # tests/data/fresh_verdicts.json, written by tools/fresh_ledger.py: a change that
+    # moves a verdict there re-records the ledger and declares it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+    import fresh_ledger
+
+    recorded = json.loads((data_dir / "fresh_verdicts.json").read_text(encoding="utf-8"))
+    assert len(recorded) == 84
+    now = json.loads(json.dumps(fresh_ledger.ledger()))
+    assert list(now) == list(recorded)
+    assert {name: entry for name, entry in now.items() if entry != recorded[name]} == {}
 
 
 def test_run_case_turns_a_hand_built_classical_without_d4sup_into_input_error():
