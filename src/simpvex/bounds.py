@@ -389,11 +389,7 @@ def _rhs_classical(d4sup: float):
     return lambda x1, x2, step: d4sup * step ** 4 / 2880.0
 
 
-def _defect_lhs(defect: float, mean: float, values) -> float:
-    return abs(defect)
-
-
-def _midpoint_lhs(defect: float, mean: float, values) -> Optional[float]:
+def _midpoint_lhs(mean: float, values) -> Optional[float]:
     """C4.2's |f(mid) - mean|, from the sum's values, or None off its precondition
     f(a) = f(mid) = f(end) within _PRECONDITION_TOL (``_bound`` words that)."""
     fa, fmid, fend = values
@@ -402,67 +398,52 @@ def _midpoint_lhs(defect: float, mean: float, values) -> Optional[float]:
     return abs(fmid - mean)
 
 
-def _q_one(q_list):
-    return [1.0]
-
-
-def _q_above_one(q_list):
-    return [q for q in q_list if q > 1.0]
-
-
-def _q_all(q_list):
-    return list(q_list)
-
-
-def _q_none(q_list):
-    return [None]
-
-
-def _no_labels(q):
-    return None, None
-
-
-def _q_and_conjugate(q: float):
-    return q, _conjugate(q)
-
-
-def _q_at_least_one(q: float):
-    if q < 1.0:
-        raise ValueError(f"this bound needs q >= 1, got {q!r}")
-    return q, None
-
-
 class Theorem(NamedTuple):
-    """One bound of the paper.
+    """One bound of the paper: plain values, and the one function rhs_for.
 
     mode: the property |f'|^q must have on samples; None for no hypothesis.
-    exponents: the q values the bound takes from a case's q list.
-    labels: q -> the (q, p) of its BoundValue; ValueError for a q out of range.
+    qs: the q it takes from a case's q list: "1" (q = 1 alone), ">1", ">=1" (all), "" (none).
     rhs_for: q -> rhs(|f'(a)|, |f'(b)|, step), prepared for q; CLASSICAL takes d4sup.
-    lhs: lhs(defect, mean of f, (f(a), f(mid), f(end))), what rhs dominates:
-        |defect|, or |f(a + eta/2) - mean of f| for C4.2, None off its precondition.
+    labelled: False where its BoundValue's (q, p) is (None, None).
+    midpoint: rhs dominates |f(a + eta/2) - mean of f| (C4.2), not |defect|.
     """
 
     mode: Optional[str]
-    exponents: Callable[[Sequence[float]], List[Optional[float]]]
-    labels: Callable[[Optional[float]], Tuple[Optional[float], Optional[float]]]
+    qs: str
     rhs_for: Callable[[Optional[float]], Callable[[float, float, float], float]]
-    lhs: Callable[[float, float, Tuple[float, float, float]], Optional[float]] = _defect_lhs
+    labelled: bool = True
+    midpoint: bool = False
+
+    def exponents(self, q_list: Sequence[float]) -> List[Optional[float]]:
+        """The q values the bound takes from ``q_list``, in its order."""
+        if self.qs == ">1":
+            return [q for q in q_list if q > 1.0]
+        return list(q_list) if self.qs == ">=1" else [1.0] if self.qs else [None]
+
+    def labels(self, q: Optional[float]) -> Tuple[Optional[float], Optional[float]]:
+        """The (q, p) of its BoundValue; ValueError for a q out of its range."""
+        if not self.labelled:
+            return None, None
+        if self.qs == ">1":
+            return q, _conjugate(q)
+        if q < 1.0:
+            raise ValueError(f"this bound needs q >= 1, got {q!r}")
+        return q, None
 
 
 # The one theorem table: the bound_* wrappers, runner.run_case and
 # runner.tightness_scan all reach each bound through it.
 THEOREMS: Dict[str, Theorem] = {
-    "T3.1": Theorem("preinvex", _q_one, _no_labels, _rhs_T3_1),
-    "T3.2": Theorem("preinvex", _q_above_one, _q_and_conjugate, _rhs_T3_2),
-    "T3.3": Theorem("preinvex", _q_above_one, _q_and_conjugate, _rhs_T3_3),
-    "T3.4": Theorem("preinvex", _q_all, _q_at_least_one, _rhs_T3_4),
-    "T4.1": Theorem("prequasiinvex", _q_all, _q_at_least_one, _rhs_T4_1),
-    "T4.2": Theorem("prequasiinvex", _q_above_one, _q_and_conjugate, _rhs_T4_2),
-    "T4.3": Theorem("prequasiinvex", _q_above_one, _q_and_conjugate, _rhs_T4_3),
-    "C4.1": Theorem("prequasiinvex", _q_one, _q_at_least_one, _rhs_T4_1),
-    "C4.2": Theorem("prequasiinvex", _q_one, _no_labels, _rhs_T4_1, _midpoint_lhs),
-    "CLASSICAL": Theorem(None, _q_none, _no_labels, _rhs_classical),
+    "T3.1": Theorem("preinvex", "1", _rhs_T3_1, labelled=False),
+    "T3.2": Theorem("preinvex", ">1", _rhs_T3_2),
+    "T3.3": Theorem("preinvex", ">1", _rhs_T3_3),
+    "T3.4": Theorem("preinvex", ">=1", _rhs_T3_4),
+    "T4.1": Theorem("prequasiinvex", ">=1", _rhs_T4_1),
+    "T4.2": Theorem("prequasiinvex", ">1", _rhs_T4_2),
+    "T4.3": Theorem("prequasiinvex", ">1", _rhs_T4_3),
+    "C4.1": Theorem("prequasiinvex", "1", _rhs_T4_1),
+    "C4.2": Theorem("prequasiinvex", "1", _rhs_T4_1, labelled=False, midpoint=True),
+    "CLASSICAL": Theorem(None, "", _rhs_classical, labelled=False),
 }
 
 
@@ -470,20 +451,22 @@ def _bound(theorem: str, model: FunctionModel, a: float, b: float, eta_val: floa
            q: Optional[float], defect: Optional[SimpsonDefect]) -> BoundValue:
     """The BoundValue of THEOREMS[theorem], the one home of a bound's lhs and slack.
 
-    Checks the step, then q, then, given a defect, takes the row's lhs
-    (PreconditionUnmet for C4.2 off its precondition), then reads f'.
+    Checks the step, then q, then, given a defect, takes |defect| or C4.2's
+    midpoint gap (PreconditionUnmet off its precondition), then reads f', or
+    for CLASSICAL (q None) d4sup (MissingFourthDerivative without one).
     slack = rhs - lhs - defect.quadrature_error; None without a defect.
     """
     row = THEOREMS[theorem]
     eta_val = _require_step(eta_val)
     q_label, p = row.labels(q)
-    lhs = None if defect is None else row.lhs(defect.defect, defect.mean_integral,
-                                              defect.f_values)
+    lhs = None if defect is None else (_midpoint_lhs(defect.mean_integral, defect.f_values)
+                                       if row.midpoint else abs(defect.defect))
     if defect is not None and lhs is None:  # C4.2 off its precondition
         raise PreconditionUnmet("midpoint bound needs f(a) = f(mid) = f(end); got "
                                 + ", ".join(map(repr, defect.f_values)))
-    x1 = x2 = None  # CLASSICAL reads no f'
-    if row.mode is not None:
+    if row.mode is None:  # CLASSICAL: d4sup in the place of q, and no f'
+        q, x1, x2 = fourth_derivative_sup(model), None, None
+    else:
         x1, x2 = abs(model.df_fn(a)), abs(model.df_fn(b))
     rhs = row.rhs_for(q)(x1, x2, eta_val)
     slack = None if defect is None else rhs - lhs - defect.quadrature_error
@@ -556,5 +539,4 @@ def bound_C4_2_midpoint(model: FunctionModel, a: float, b: float, eta_val: float
 def bound_classical(model: FunctionModel, a: float, eta_val: float,
                     defect: Optional[SimpsonDefect] = None) -> BoundValue:
     """Classical Simpson bound sup|f''''| eta^4 / 2880."""
-    eta_val = _require_step(eta_val)
-    return _bound("CLASSICAL", model, a, None, eta_val, fourth_derivative_sup(model), defect)
+    return _bound("CLASSICAL", model, a, None, eta_val, None, defect)

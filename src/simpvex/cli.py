@@ -120,12 +120,11 @@ def _joined_pairs(argv: List[str]) -> List[str]:
 
 def _parse_eta(text: str) -> EtaMap:
     kind, sep, value = text.partition(":")
-    if kind in ("difference", "abs_example") and not sep:
-        return EtaMap.from_config({"kind": kind})
-    if kind == "expression" and sep:
-        return EtaMap.from_config({"kind": "expression", "value": value})
-    raise CaseConfigError(
-        f"--eta expects 'difference', 'abs_example' or 'expression:<expr>', got {text!r}")
+    try:  # EtaMap words the rules: a known kind, a value for expression alone
+        return EtaMap.from_config({"kind": kind, "value": value} if sep else {"kind": kind})
+    except ValueError:
+        raise CaseConfigError(f"--eta expects 'difference', 'abs_example' or "
+                              f"'expression:<expr>', got {text!r}") from None
 
 
 def cmd_moments(args, out: TextIO) -> int:
@@ -190,8 +189,8 @@ def cmd_scan(args, out: TextIO) -> int:
     if args.steps < 2:
         raise CaseConfigError(f"--steps must be at least 2, got {args.steps!r}")
     q_list = _parse_floats(args.q, "--q")
-    theorems = ([part.strip() for part in args.theorems.split(",") if part.strip()]
-                if args.theorems else list(runner.THEOREM_IDS))
+    theorems = (list(runner.THEOREM_IDS) if args.theorems is None else
+                [part.strip() for part in args.theorems.split(",") if part.strip()])
     error = runner._request_error(q_list, theorems)
     if error is not None:
         raise CaseConfigError(error[1])
@@ -214,12 +213,10 @@ def cmd_scan(args, out: TextIO) -> int:
         _parse_pair(args.a_range, "--a-range"),
         _parse_pair(args.b_range, "--b-range"),
         q_list, args.steps, theorems, tol)
-    rows = ["theorem,status,ratio,a,b,q,cells,skipped"]
-    cell = runner._csv_cell
-    for r in results:
-        rows.append(",".join([r.theorem, r.status, cell(r.ratio), cell(r.at_a),
-                              cell(r.at_b), cell(r.at_q), str(r.cells), str(r.skipped)]))
-    _write_output("\n".join(rows) + "\n", out)
+    rows = [["theorem", "status", "ratio", "a", "b", "q", "cells", "skipped"]]
+    rows += [[r.theorem, r.status, r.ratio, r.at_a, r.at_b, r.at_q, r.cells, r.skipped]
+             for r in results]
+    _write_output(runner._csv(rows), out)
     return EXIT_PASS
 
 

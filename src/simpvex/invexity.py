@@ -94,6 +94,8 @@ class Domain(Record):
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError(f"domain needs lo < hi, got [{self.lo!r}, {self.hi!r}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"domain width hi - lo overflows, got [{self.lo!r}, {self.hi!r}]")
 
     def contains(self, x: float) -> bool:
         """Whether x lies in [lo, hi], widened by DEFAULT_TOL at each end."""
@@ -165,6 +167,8 @@ class EtaMap:
     @classmethod
     def from_config(cls, cfg: dict) -> "EtaMap":
         kind = cfg.get("kind")
+        if kind in ("difference", "abs_example") and "value" in cfg:
+            raise ValueError(f"eta kind {kind!r} takes no 'value'")
         if kind == "difference":
             return cls.difference()
         if kind == "abs_example":

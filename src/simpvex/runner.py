@@ -35,6 +35,7 @@ lists) and the ``from_config`` and ``merged`` steps ``load_case`` calls.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import numbers
@@ -399,9 +400,13 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _csv_cell(x) -> str:
-    """A CSV field: empty for None, repr for a float, str otherwise."""
-    return "" if x is None else repr(x) if isinstance(x, float) else str(x)
+def _csv(rows) -> str:
+    """``rows`` as CSV text: a field quoted where it needs it, None empty, a float its repr."""
+    import csv  # at first use: a run that writes no CSV report never loads it
+
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _input_error(result: CaseResult, error: str) -> CaseResult:
@@ -488,10 +493,9 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
                     result.notes.append(
                         f"note: |f'| is {row.mode} at q=1 but |f'|^q fails at q={q:g}")
                 continue
-            k = model.d4sup if row.mode is None else q
             try:
                 result.bounds.append(
-                    bounds_mod._bound(theorem, model, case.a, case.b, step, k, defect))
+                    bounds_mod._bound(theorem, model, case.a, case.b, step, q, defect))
             except PreconditionUnmet as exc:
                 skipped = True
                 result.notes.append(f"skipped {theorem}: {exc}")
@@ -601,20 +605,19 @@ class RunReport(Record, frozen=False):
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["case,verdict,theorem,q,p,rhs,slack,defect,quadrature_error,identity_residual"]
+        rows = [["case", "verdict", "theorem", "q", "p", "rhs", "slack", "defect",
+                 "quadrature_error", "identity_residual"]]
         for r in self.results:
             d = r.defect
-            common = [r.name, r.verdict]
-            tail = [_csv_cell(d.defect if d else None),
-                    _csv_cell(d.quadrature_error if d else None),
-                    _csv_cell(r.identity_residual)]
+            tail = [d.defect if d else None, d.quadrature_error if d else None,
+                    r.identity_residual]
             if r.bounds:
                 for bv in r.bounds:
-                    cells = [_csv_cell(x) for x in (bv.q, bv.p, bv.rhs, bv.slack)]
-                    lines.append(",".join(common + [bv.theorem] + cells + tail))
+                    rows.append([r.name, r.verdict, bv.theorem, bv.q, bv.p, bv.rhs, bv.slack]
+                                + tail)
             else:
-                lines.append(",".join(common + ["", "", "", "", ""] + tail))
-        return "\n".join(lines) + "\n"
+                rows.append([r.name, r.verdict, None, None, None, None, None] + tail)
+        return _csv(rows)
 
 
 def _corpus_dir() -> Path:
@@ -667,7 +670,7 @@ class _ScanPair:
         self.theorem = theorem
         self.q = q
         self.uses_df = row.mode is not None
-        self.lhs = None if row.lhs is bounds_mod._defect_lhs else row.lhs  # None: |defect|
+        self.lhs = bounds_mod._midpoint_lhs if row.midpoint else None  # None: |defect|
         self.rhs = None  # rhs(x1, x2, step), prepared once the pair is active
         self.skipped = 0
         self.ratio = -math.inf
@@ -802,7 +805,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             try:
                 for cell in cells:
                     b, step, defect, abs_defect, mean, values, x1, x2 = cell
-                    lhs = abs_defect if lhs_of is None else lhs_of(defect, mean, values)
+                    lhs = abs_defect if lhs_of is None else lhs_of(mean, values)
                     if lhs is None or uses_df and x1 is None:  # C4.2 unmet, or no |f'|
                         skipped += 1
                         continue

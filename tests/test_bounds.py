@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from types import SimpleNamespace
@@ -429,6 +430,90 @@ def test_bound_wrappers_keep_the_old_float_operations(x1, x2, eta_val, q):
     want = (x1 * eta_val ** 4 / 2880.0).hex()
     assert bound_classical(model, 0.0, eta_val).rhs.hex() == want
     assert bounds.THEOREMS["CLASSICAL"].rhs_for(x1)(None, None, eta_val).hex() == want
+
+
+# The rule functions THEOREMS rows held before they became values: the reference
+# for Theorem.exponents and Theorem.labels.
+def _q_one(q_list):
+    return [1.0]
+
+
+def _q_above_one(q_list):
+    return [q for q in q_list if q > 1.0]
+
+
+def _q_all(q_list):
+    return list(q_list)
+
+
+def _q_none(q_list):
+    return [None]
+
+
+def _no_labels(q):
+    return None, None
+
+
+def _q_and_conjugate(q):
+    if not q > 1.0:
+        raise ValueError(f"this bound needs q > 1, got {q!r}")
+    return q, q / (q - 1.0)
+
+
+def _q_at_least_one(q):
+    if q < 1.0:
+        raise ValueError(f"this bound needs q >= 1, got {q!r}")
+    return q, None
+
+
+_FORMER_RULES = {
+    "T3.1": (_q_one, _no_labels),
+    "T3.2": (_q_above_one, _q_and_conjugate),
+    "T3.3": (_q_above_one, _q_and_conjugate),
+    "T3.4": (_q_all, _q_at_least_one),
+    "T4.1": (_q_all, _q_at_least_one),
+    "T4.2": (_q_above_one, _q_and_conjugate),
+    "T4.3": (_q_above_one, _q_and_conjugate),
+    "C4.1": (_q_one, _q_at_least_one),
+    "C4.2": (_q_one, _no_labels),
+    "CLASSICAL": (_q_none, _no_labels),
+}
+_Q_POOL = (1.0, 1.0000001, 1.5, 2.0, 3.0, 149.9, 150.0)
+
+
+def _rule_outcome(rule, arg):
+    try:
+        return repr(rule(arg))
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("theorem", list(_FORMER_RULES))
+def test_theorem_rows_take_and_label_q_as_the_former_rule_functions(theorem):
+    row = bounds.THEOREMS[theorem]
+    exponents, labels = _FORMER_RULES[theorem]
+    for n in range(4):  # every ordered q list of up to 3 distinct q's of the pool
+        for q_list in itertools.permutations(_Q_POOL, n):
+            assert row.exponents(q_list) == exponents(q_list), q_list
+            assert row.exponents(list(q_list)) == exponents(list(q_list)), q_list
+    for q in _Q_POOL + (None, 0.5, 0.9999999, -2.0):
+        assert _rule_outcome(row.labels, q) == _rule_outcome(labels, q), q
+
+
+def test_theorem_labels_raise_for_q_out_of_range():
+    for theorem in ("T3.2", "T3.3", "T4.2", "T4.3"):
+        for q in (1.0, 0.5):
+            with pytest.raises(ValueError, match=f"this bound needs q > 1, got {q!r}"):
+                bounds.THEOREMS[theorem].labels(q)
+    for theorem in ("T3.4", "T4.1", "C4.1"):
+        assert bounds.THEOREMS[theorem].labels(1.0) == (1.0, None)
+        with pytest.raises(ValueError, match="this bound needs q >= 1, got 0.9999999"):
+            bounds.THEOREMS[theorem].labels(0.9999999)
+
+
+def test_theorem_rows_hold_no_function_but_rhs_for():
+    for row in bounds.THEOREMS.values():
+        assert [name for name, value in row._asdict().items() if callable(value)] == ["rhs_for"]
 
 
 def test_t4_3_falls_below_a_defect_its_premise_allows():

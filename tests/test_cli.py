@@ -359,6 +359,29 @@ def test_scan_rejects_bad_eta(capsys):
     assert "--eta expects" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eta", ["difference:0.5*(v-u)", "abs_example:", "expression"])
+def test_scan_rejects_a_value_on_a_builtin_eta_and_an_expression_without_one(capsys, eta):
+    # the rule is EtaMap.from_config's, as for a case config; the message stays the CLI's
+    assert main(["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1",
+                 "--a-range", "0,0", "--b-range", "1,1", "--eta", eta]) == 3
+    assert f"--eta expects 'difference', 'abs_example' or 'expression:<expr>', got {eta!r}" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("theorems", ["", " , "])
+def test_scan_rejects_an_empty_theorem_list(capsys, theorems):
+    # --theorems "" lists no theorem, as " , " does: it does not mean every theorem
+    assert main(["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1",
+                 "--a-range", "0,0", "--b-range", "1,1", "--theorems", theorems]) == 3
+    assert "the case lists no theorem" in capsys.readouterr().err
+
+
+def test_scan_rejects_a_K_whose_width_overflows(capsys):
+    assert main(["scan", "--f", "x^2", "--df", "2*x", "--K=-1e308,1e308",
+                 "--a-range", "0,0", "--b-range", "1,1"]) == 3
+    assert "domain width hi - lo overflows" in capsys.readouterr().err
+
+
 def test_scan_rejects_bad_range(capsys):
     assert main(["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1",
                  "--a-range", "0", "--b-range", "1,1"]) == 3

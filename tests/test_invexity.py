@@ -49,6 +49,13 @@ def test_domain_basics():
         d.grid(1)
 
 
+def test_domain_rejects_a_width_that_overflows():
+    # hi - lo = inf would put the derivative gate's samples at x = inf
+    with pytest.raises(ValueError, match=r"domain width hi - lo overflows, got \[-1e\+308, 1e\+308\]"):
+        Domain(-1e308, 1e308)
+    assert Domain(-1e308, 0.0).hi - Domain(-1e308, 0.0).lo == 1e308
+
+
 def test_default_grid_shape():
     assert DEFAULT_GRID == SampleGrid(41, 41, 21, 2000, 170167)
 
@@ -101,6 +108,13 @@ def test_eta_from_config_errors():
     with pytest.raises(ValueError):
         EtaMap.from_config({"kind": "expression"})
     assert EtaMap.from_config({"kind": "expression", "value": "v-u"})(3.0, 1.0) == 2.0
+
+
+@pytest.mark.parametrize("kind", ["difference", "abs_example"])
+def test_a_builtin_eta_kind_takes_no_value(kind):
+    # the value would be ignored: the case would run with v - u, not the map it states
+    with pytest.raises(ValueError, match=f"eta kind '{kind}' takes no 'value'"):
+        EtaMap.from_config({"kind": kind, "value": "0.5*(v-u)"})
 
 
 def test_builtin_eta_maps_are_shared_values():

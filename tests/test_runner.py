@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -117,6 +118,29 @@ def test_report_csv_shape(corpus_report):
     bound_rows = sum(len(r.bounds) or 1 for r in corpus_report.results)
     assert len(lines) == 1 + bound_rows
     assert any(line.startswith("poly_x2,pass,T3.1,") for line in lines)
+
+
+def test_report_csv_quotes_a_name_holding_a_comma_a_quote_and_a_newline():
+    name = 'a,b "x"\ny'
+    bound = bounds.BoundValue("T3.2", 2.0, 2.0, 0.5, None)
+    report = runner.RunReport([CaseResult(name, "pass", bounds=[bound]),
+                               CaseResult(name, "input_error", error="bad")], 0.0)
+    rows = list(csv.reader(io.StringIO(report.to_csv())))
+    assert [len(row) for row in rows] == [10, 10, 10]
+    assert rows[1] == [name, "pass", "T3.2", "2.0", "2.0", "0.5", "", "", "", ""]
+    assert rows[2] == [name, "input_error", "", "", "", "", "", "", "", ""]
+
+
+@pytest.mark.parametrize("eta, K, message", [
+    ({"kind": "difference", "value": "0.5*(v-u)"}, [0, 1],
+     "case 'unit_square': bad eta: eta kind 'difference' takes no 'value'"),
+    ({"kind": "difference"}, [-1e308, 1e308],
+     "bad K in case 'unit_square': domain width hi - lo overflows, got [-1e+308, 1e+308]"),
+])
+def test_load_case_rejects_a_value_on_a_builtin_eta_and_a_K_too_wide(eta, K, message):
+    with pytest.raises(CaseConfigError) as info:
+        load_case(square_case(eta=eta, K=K))
+    assert str(info.value) == message
 
 
 def test_wrong_derivative_fixture_rejected_at_load(data_dir):
@@ -1022,14 +1046,13 @@ def test_cubic_scan_evaluates_f_eight_times_per_usable_cell(monkeypatch):
         calls.append(x)
         return real(x)
 
-    def midpoint_lhs(defect, mean, values):
+    def midpoint_lhs(mean, values):
         checks.append(values)
-        return real_lhs(defect, mean, values)
+        return real_lhs(mean, values)
 
     model.__dict__["f_fn"] = f  # the compiled f is a cached property
-    row = bounds.THEOREMS["C4.2"]
-    real_lhs = row.lhs
-    monkeypatch.setitem(bounds.THEOREMS, "C4.2", row._replace(lhs=midpoint_lhs))
+    real_lhs = bounds._midpoint_lhs
+    monkeypatch.setattr(bounds, "_midpoint_lhs", midpoint_lhs)
     t31, midpoint = tightness_scan(model, EtaMap.difference(), Domain(-1.0, 2.0), (0.0, 0.5),
                                    (0.5, 1.5), [1.0], steps=5, theorems=("T3.1", "C4.2"),
                                    grid=SMALL_GRID)
@@ -1307,12 +1330,13 @@ def test_a_bound_below_its_lhs_by_more_than_its_quadrature_error_is_a_violation(
 
 def test_generated_cases_keep_their_recorded_verdicts(monkeypatch, data_dir):
     # tests/data/fresh_verdicts.json, written by tools/fresh_ledger.py: a change that
-    # moves a verdict there re-records the ledger and declares it
+    # moves a verdict or a bound's number there re-records the ledger and declares it
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
     import fresh_ledger
 
     recorded = json.loads((data_dir / "fresh_verdicts.json").read_text(encoding="utf-8"))
     assert len(recorded) == 84
+    assert sum(len(entry.get("bounds", ())) for entry in recorded.values()) == 407
     now = json.loads(json.dumps(fresh_ledger.ledger()))
     assert list(now) == list(recorded)
     assert {name: entry for name, entry in now.items() if entry != recorded[name]} == {}

@@ -2,10 +2,10 @@
 
 For batch 0 (28 configs) of the ``fresh_cases`` generator of
 ``perfbench/inputs.py`` at each of the seeds 0, 4242 and 7, it loads and
-runs every config and records, by case name, the case's verdict and each
-hypothesis report's [property, q, verdict], or the type of the error the
-program raises on it.  It writes ``tests/data/fresh_verdicts.json``, or
-the path given:
+runs every config and records, by case name, the case's verdict, each
+hypothesis report's [property, q, verdict] and each bound's [theorem, q,
+p, rhs, slack], or the type of the error the program raises on it.  It
+writes ``tests/data/fresh_verdicts.json``, or the path given:
 
     python3 tools/fresh_ledger.py [--out PATH]
 
@@ -37,7 +37,8 @@ def entry(cfg: dict) -> dict:
     except Exception as exc:  # recorded, as the benchmark records its expected raisers
         return {"raises": type(exc).__name__}
     return {"verdict": result.verdict,
-            "hypotheses": [[h.property, h.exponent_q, h.verdict] for h in result.hypotheses]}
+            "hypotheses": [[h.property, h.exponent_q, h.verdict] for h in result.hypotheses],
+            "bounds": [[b.theorem, b.q, b.p, b.rhs, b.slack] for b in result.bounds]}
 
 
 def ledger() -> dict:

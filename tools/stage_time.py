@@ -93,11 +93,9 @@ def stage_runs(case, grid=runner.DEFAULT_GRID):
     yield "defect", clock() - start
     start = clock()
     for theorem in case.theorems:
-        row = bounds.THEOREMS[theorem]
-        for q in row.exponents(case.q_list):
+        for q in bounds.THEOREMS[theorem].exponents(case.q_list):
             try:
-                bounds._bound(theorem, model, case.a, case.b, step,
-                              model.d4sup if row.mode is None else q, defect)
+                bounds._bound(theorem, model, case.a, case.b, step, q, defect)
             except SimpvexError:  # a precondition unmet, or f' failing at a or b
                 pass
     yield "bounds", clock() - start
