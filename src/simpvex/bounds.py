@@ -89,7 +89,7 @@ def _config_float(value, field: str) -> float:
         raise CaseConfigError(f"{field} is an integer too large for a float") from None
 
 
-class FunctionModel(Record, frozen=False):
+class FunctionModel(Record):
     """A named function f with its derivative and optional extras.
 
     ``df`` must survive a central finite-difference cross-check and, when

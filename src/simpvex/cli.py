@@ -103,6 +103,13 @@ def _parse_pair(text: str, flag: str):
     return values[0], values[1]
 
 
+def _parse_range(text: str, flag: str):
+    lo, hi = _parse_pair(text, flag)
+    if not math.isfinite(hi - lo):  # tightness_scan refuses it too: its axis would hold NaN
+        raise CaseConfigError(f"{flag} width hi - lo overflows, got {text!r}")
+    return lo, hi
+
+
 _PAIR_FLAGS = ("--K", "--a-range", "--b-range")
 
 
@@ -210,8 +217,8 @@ def cmd_scan(args, out: TextIO) -> int:
         model.validate(quad_tol=tol.oracle)
     results = runner.tightness_scan(
         model, eta, model.domain,
-        _parse_pair(args.a_range, "--a-range"),
-        _parse_pair(args.b_range, "--b-range"),
+        _parse_range(args.a_range, "--a-range"),
+        _parse_range(args.b_range, "--b-range"),
         q_list, args.steps, theorems, tol)
     rows = [["theorem", "status", "ratio", "a", "b", "q", "cells", "skipped"]]
     rows += [[r.theorem, r.status, r.ratio, r.at_a, r.at_b, r.at_q, r.cells, r.skipped]

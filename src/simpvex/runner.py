@@ -405,7 +405,12 @@ def _csv(rows) -> str:
     import csv  # at first use: a run that writes no CSV report never loads it
 
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
+    writer = csv.writer(out, lineterminator="\r\n")  # so a field holding \r or \n is quoted
+    for row in rows:
+        writer.writerow(row)
+        out.seek(out.tell() - 2)  # each row ends in "\n" alone
+        out.write("\n")
+        out.truncate()
     return out.getvalue()
 
 
@@ -502,6 +507,10 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
             except EvalDomainError as exc:  # f'(b): the sweeps and the path may miss b
                 return _input_error(
                     result, f"EvalDomainError: {theorem} needs |f'(a)| and |f'(b)|: {exc}")
+            except OverflowError:  # a power in the rhs; the exception's text is the C library's
+                at_q = f" at q={q!r}" if row.labelled else ""
+                return _input_error(result, f"OverflowError: rhs of {theorem}{at_q} "
+                                            f"exceeds the float range")
 
     _check_golden(_golden(case.expected), result)
     # rhs < lhs - qerr - tol.slack; a slack closer to 0 than that is within qerr of equality
@@ -661,22 +670,6 @@ class TightnessResult(Record):
     skipped: int
 
 
-class _ScanPair:
-    """One (theorem, q) of a scan, and its best cell so far."""
-
-    __slots__ = ("theorem", "q", "uses_df", "lhs", "rhs", "skipped", "ratio", "at")
-
-    def __init__(self, theorem: str, q: Optional[float], row: bounds_mod.Theorem):
-        self.theorem = theorem
-        self.q = q
-        self.uses_df = row.mode is not None
-        self.lhs = bounds_mod._midpoint_lhs if row.midpoint else None  # None: |defect|
-        self.rhs = None  # rhs(x1, x2, step), prepared once the pair is active
-        self.skipped = 0
-        self.ratio = -math.inf
-        self.at = None  # (a, b) of the best ratio; None while no cell counted
-
-
 def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                    a_range: Tuple[float, float], b_range: Tuple[float, float],
                    q_list: Sequence[float], steps: int,
@@ -685,28 +678,22 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                    grid: SampleGrid = DEFAULT_GRID) -> List[TightnessResult]:
     """Maximise |defect| / rhs per theorem over an (a, b, q) grid.
 
-    Cells with a non-positive step, a path leaving K, a zero or NaN rhs
-    or a NaN ratio are skipped, and so is every cell of a q whose sampled
-    hypothesis fails or overflows, and of every theorem with a hypothesis
-    when K is not invex for eta (or eta fails on its samples); a theorem
-    with no usable cell is reported with status "all_skipped".  Ties keep
-    the first cell in (q, a, b) order, so results are deterministic.
+    A cell is skipped where eta fails or gives no positive step, where a, b
+    or a + step lies outside K or a or a + step outside the model's domain,
+    where f or its integral fails, where f' fails at a or b (for a theorem
+    that reads it), off C4.2's precondition, and where the rhs is zero, NaN
+    or overflows or the ratio is NaN.  Every cell of a q is skipped whose
+    sampled hypothesis fails or overflows, every cell of a theorem with a
+    hypothesis when K is not invex for eta (or eta fails on its samples),
+    and every cell of CLASSICAL without d4sup; a theorem with no usable
+    cell is reported with status "all_skipped".  Ties keep the first cell
+    in (q, a, b) order, so results are deterministic.
 
-    Row by row: one pass over a row's b values takes each usable cell's step,
-    defect and |defect| once, then each (theorem, q) pair ranks the row in one
-    loop, its lhs and rhs from its ``bounds.THEOREMS`` row as in ``run_case``
-    (C4.2's lhs is None off its precondition: a skipped cell).  Pairs with the
-    same rhs and lhs functions (T4.1 at each q and C4.1) rank alike, so where
-    no cell of the row has raised, a later one copies the first's outcome.
-    K.contains and |f'| (at first use) are taken once per axis value, and each
-    rhs is prepared for its q once per pair.  Without F, each cell's integral
-    runs in f's inlined Simpson loop (``expr.simpson_loop``, built once and kept on f), and in
-    the generic loop from scratch where that gives None, so every value and
-    error is the generic loop's.  Of the errors cells raise, the first in (a, b,
-    pair) order propagates, as if each cell served every pair in turn.  ValueError,
-    before any sweep, for steps < 2 or a request ``_request_error``
-    rejects: an empty q or theorem list, a q that is not finite or is
-    below 1, an unknown theorem id, or a theorem id or q listed twice.
+    ValueError, before any sweep, for steps < 2, an a or b range whose
+    width hi - lo overflows, or a request ``_request_error`` rejects: an
+    empty q or theorem list, a q that is not finite or is below 1, an
+    unknown theorem id, or a theorem id or q listed twice.  Any other error
+    that eta, f or f' raises at a cell propagates, the first in (a, b) order.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -715,14 +702,16 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         raise ValueError(error[1])
     tol = tolerances
 
-    def axis(rng):
+    def axis(rng, name):
         lo, hi = float(rng[0]), float(rng[1])
+        if not math.isfinite(hi - lo):  # as Domain refuses: the axis would hold NaN
+            raise ValueError(f"{name} width hi - lo overflows, got [{lo!r}, {hi!r}]")
         if lo == hi:
             return [lo] * steps
         return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
 
-    a_vals = axis(a_range)
-    b_vals = axis(b_range)
+    a_vals = axis(a_range, "a_range")
+    b_vals = axis(b_range, "b_range")
     n_cells = steps * steps
 
     try:
@@ -730,26 +719,29 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     except EvalDomainError:  # eta fails on the samples: K is not invex for it
         invex = False
     hypothesis = _hypotheses(model, eta, K, grid, tol.invexity, [])
-    by_theorem = []
-    active = []
+    # (rhs, lhs, reads f') -> [best ratio, its (a, b) or None, skipped cells], one
+    # per distinct rhs and lhs (T4.1 at every q and C4.1 share one); lhs None: |defect|
+    rankings = {}
+    by_theorem = []  # (theorem, [(q, its ranking)])
     for theorem in theorems:
         row = bounds_mod.THEOREMS[theorem]
-        pairs = [_ScanPair(theorem, q, row) for q in row.exponents(q_list)]
-        by_theorem.append((theorem, pairs))
-        for pair in pairs:
+        pairs = []
+        for q in row.exponents(q_list):
             try:
                 usable = (model.d4sup is not None if row.mode is None else
-                          invex and not hypothesis(row.mode, pair.q).violated)
+                          invex and not hypothesis(row.mode, q).violated)
             except OverflowError:  # |f'|^q overflows on the samples
                 usable = False
+            ranking = [-math.inf, None, n_cells]
             if usable:
-                pair.rhs = row.rhs_for(model.d4sup if row.mode is None else pair.q)
-                active.append(pair)
-            else:
-                pair.skipped = n_cells
+                key = (row.rhs_for(model.d4sup if row.mode is None else q),
+                       bounds_mod._midpoint_lhs if row.midpoint else None, row.mode is not None)
+                ranking = rankings.setdefault(key, [-math.inf, None, 0])
+            pairs.append((q, ranking))
+        by_theorem.append((theorem, pairs))
 
     df = model.df_fn
-    reads_df = any(pair.uses_df for pair in active)
+    reads_df = any(uses_df for _, _, uses_df in rankings)
     df_at = {}  # |f'(x)| per axis value x, read at its first use; None where f' fails
 
     def abs_df(x):
@@ -761,90 +753,71 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         return df_at[x]
 
     # f's inlined Simpson loop, built once the scan has cells to integrate
-    loop = expr_mod.simpson_loop(model.f_fn) if active and model.F_fn is None else None
+    loop = expr_mod.simpson_loop(model.f_fn) if rankings and model.F_fn is None else None
     on_domain = K == model.domain  # else the path must also lie in the model's domain
     b_inside = [K.contains(b) for b in b_vals]
-    unusable = 0  # cells every active pair skips: no step, path or defect
-    for a in a_vals if active else ():  # with no active pair, no cell is visited
+    unusable = 0  # cells every ranking skips: no step, path or defect
+    for a in a_vals if rankings else ():  # with nothing to rank, no cell is visited
         a_inside = K.contains(a) and (on_domain or model.domain.contains(a))
-        row = []  # (b, step, defect, |defect|, mean, f values, |f'(a)|, |f'(b)|) per usable cell
-        stop = raised = None  # row[stop] raised this, the first error in (b, pair) order
-        try:
-            for j, b in enumerate(b_vals):
-                try:
-                    step = eta(b, a)
-                except EvalDomainError:
-                    unusable += 1
-                    continue
-                if not (step > 0.0 and a_inside and b_inside[j] and K.contains(a + step)
-                        and (on_domain or model.domain.contains(a + step))):
-                    unusable += 1
-                    continue
-                try:
-                    values, simpson_value, mean, _, _ = bounds_mod._defect(model, a, step,
-                                                                           tol.oracle, loop)
-                except (EvalDomainError, QuadratureError):
-                    unusable += 1
-                    continue
-                x1 = x2 = None  # |f'(a)|, |f'(b)|; None where f' fails
-                if reads_df and abs_df(a) is not None and abs_df(b) is not None:
-                    x1, x2 = df_at[a], df_at[b]
-                defect = simpson_value - mean
-                row.append((b, step, defect, abs(defect), mean, values, x1, x2))
-        except Exception as exc:  # raised once the row's earlier cells are ranked
-            stop, raised = len(row), exc
-        ranked = {}  # (rhs, lhs) -> the pair that ranked the row, while none raised
-        for pair in active:  # each pair ranks the row in one loop
-            theorem, uses_df, lhs_of, rhs_of = pair.theorem, pair.uses_df, pair.lhs, pair.rhs
-            same = ranked.get((rhs_of, lhs_of)) if raised is None else None
-            if same is not None:  # ranked the same cells alike so far: the same outcome
-                pair.ratio, pair.at, pair.skipped = same.ratio, same.at, same.skipped
-                continue
-            best, at, skipped = pair.ratio, pair.at, pair.skipped
-            cells = row[:stop]
+        row = []  # (b, step, |defect|, mean, f values, |f'(a)|, |f'(b)|) per usable cell
+        for j, b in enumerate(b_vals):
             try:
-                for cell in cells:
-                    b, step, defect, abs_defect, mean, values, x1, x2 = cell
-                    lhs = abs_defect if lhs_of is None else lhs_of(mean, values)
-                    if lhs is None or uses_df and x1 is None:  # C4.2 unmet, or no |f'|
-                        skipped += 1
-                        continue
+                step = eta(b, a)
+            except EvalDomainError:
+                unusable += 1
+                continue
+            if not (step > 0.0 and a_inside and b_inside[j] and K.contains(a + step)
+                    and (on_domain or model.domain.contains(a + step))):
+                unusable += 1
+                continue
+            try:
+                values, simpson_value, mean, _, _ = bounds_mod._defect(model, a, step,
+                                                                       tol.oracle, loop)
+            except (EvalDomainError, QuadratureError):
+                unusable += 1
+                continue
+            x1 = x2 = None  # |f'(a)|, |f'(b)|; None where f' fails
+            if reads_df and abs_df(a) is not None and abs_df(b) is not None:
+                x1, x2 = df_at[a], df_at[b]
+            row.append((b, step, abs(simpson_value - mean), mean, values, x1, x2))
+        for (rhs_of, lhs_of, uses_df), ranking in rankings.items():  # nothing here raises
+            best, at, skipped = ranking
+            for b, step, abs_defect, mean, values, x1, x2 in row:
+                lhs = abs_defect if lhs_of is None else lhs_of(mean, values)
+                if lhs is None or uses_df and x1 is None:  # C4.2 unmet, or no |f'|
+                    skipped += 1
+                    continue
+                try:
                     rhs = rhs_of(x1, x2, step)
-                    if rhs < 0.0:  # what BoundValue raises
-                        raise ValueError(f"bound {theorem} produced negative rhs {rhs!r}")
-                    if not rhs > 0.0:  # zero or NaN: no ratio to rank
-                        skipped += 1
-                        continue
-                    ratio = lhs / rhs
-                    if ratio > best:
-                        best = ratio
-                        at = (a, b)
-                    elif ratio != ratio:  # NaN: never a witness, as in invexity's sweeps
-                        skipped += 1
-            except Exception as exc:  # later pairs rank only the cells before this one
-                stop, raised = cells.index(cell), exc
-            pair.ratio, pair.at, pair.skipped = best, at, skipped
-            if raised is None:
-                ranked[rhs_of, lhs_of] = pair
-        if raised is not None:
-            raise raised
-    for pair in active:
-        pair.skipped += unusable
+                except OverflowError:  # a power beyond the float range: skipped as NaN is
+                    rhs = math.nan
+                if not rhs > 0.0:  # zero or NaN: no ratio to rank
+                    skipped += 1
+                    continue
+                ratio = lhs / rhs
+                if ratio > best:
+                    best = ratio
+                    at = (a, b)
+                elif ratio != ratio:  # NaN: never a witness, as in invexity's sweeps
+                    skipped += 1
+            ranking[:] = best, at, skipped
+    for ranking in rankings.values():
+        ranking[2] += unusable
 
     out = []
     for theorem, pairs in by_theorem:
-        best = None
-        for pair in pairs:  # q order: the first of equal ratios wins
-            if pair.at is not None and (best is None or pair.ratio > best.ratio):
-                best = pair
+        best = None  # (ratio, (a, b), q) of the best pair
+        for q, (ratio, at, _) in pairs:  # q order: the first of equal ratios wins
+            if at is not None and (best is None or ratio > best[0]):
+                best = ratio, at, q
         cells = n_cells * len(pairs)
-        skipped = sum(pair.skipped for pair in pairs)
+        skipped = sum(ranking[2] for _, ranking in pairs)
         if best is None:
             out.append(TightnessResult(theorem, "all_skipped", None, None, None, None,
                                        cells, skipped))
         else:
-            out.append(TightnessResult(theorem, "ok", best.ratio, *best.at, best.q,
-                                       cells, skipped))
+            ratio, (a, b), q = best
+            out.append(TightnessResult(theorem, "ok", ratio, a, b, q, cells, skipped))
     return out
 
 

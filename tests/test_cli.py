@@ -382,6 +382,14 @@ def test_scan_rejects_a_K_whose_width_overflows(capsys):
     assert "domain width hi - lo overflows" in capsys.readouterr().err
 
 
+def test_scan_rejects_a_range_whose_width_overflows(capsys):
+    # its axis would hold NaN where 0 lies, and every cell would be skipped
+    assert main(["scan", "--f", "x^2", "--df", "2*x", "--K=-1,1",
+                 "--a-range=-1e308,1e308", "--b-range", "0,1", "--steps", "3"]) == 3
+    assert capsys.readouterr().err == (
+        "error: --a-range width hi - lo overflows, got '-1e308,1e308'\n")
+
+
 def test_scan_rejects_bad_range(capsys):
     assert main(["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1",
                  "--a-range", "0", "--b-range", "1,1"]) == 3
@@ -438,6 +446,21 @@ def test_an_unwritable_out_path_exits_three_without_a_traceback(argv, target, re
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot write {out!r}: {reason}\n"
+
+
+def test_an_overflowing_rhs_is_input_error_in_check_and_a_skipped_cell_in_scan(tmp_path, capsys):
+    # f = x on K = [0, 1e100]: CLASSICAL's step^4 overflows for the step 1e100
+    cfg = {"name": "wide_line", "f": "x", "df": "1", "K": [0, 1e100], "d4sup": 0,
+           "eta": {"kind": "difference"}, "a": 0, "b": 1e100, "q": [1],
+           "theorems": ["CLASSICAL"]}
+    assert main(["--quiet", "check", write_config(tmp_path / "wide_line.json", cfg)]) == 3
+    (result,) = json.loads(capsys.readouterr().out)["cases"]
+    assert (result["verdict"], result["error"]) == (
+        "input_error", "OverflowError: rhs of CLASSICAL exceeds the float range")
+    assert main(["scan", "--f", "x", "--df", "1", "--K=0,1e100", "--a-range=0,0",
+                 "--b-range=1e100,1e100", "--steps", "2", "--theorems", "CLASSICAL",
+                 "--d4sup", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "CLASSICAL,all_skipped,,,,,4,4"
 
 
 # sin(x*x) and cos(x*x) meet an infinite argument where x*x overflows on K

@@ -209,6 +209,10 @@ def test_function_model_compiles_through_cached_properties():
         assert isinstance(FunctionModel.__dict__[name], functools.cached_property)
     model = FunctionModel.from_config({"name": "m", "f": "x^2", "df": "2*x", "K": [0, 1]})
     assert model.f_fn is model.f_fn and model.f_fn(3.0) == 9.0
+    # a frozen record: the cached values go to the instance dict, and a checked
+    # d4sup cannot turn negative
+    with pytest.raises(FrozenInstanceError):
+        model.d4sup = -1.0
 
 
 def _package_records():

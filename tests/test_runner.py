@@ -120,8 +120,8 @@ def test_report_csv_shape(corpus_report):
     assert any(line.startswith("poly_x2,pass,T3.1,") for line in lines)
 
 
-def test_report_csv_quotes_a_name_holding_a_comma_a_quote_and_a_newline():
-    name = 'a,b "x"\ny'
+@pytest.mark.parametrize("name", ['a,b "x"\ny', "a\rb", "a\r\nb", "a\nb", 'a"', "a,"])
+def test_report_csv_quotes_a_name_holding_a_comma_a_quote_and_a_newline(name):
     bound = bounds.BoundValue("T3.2", 2.0, 2.0, 0.5, None)
     report = runner.RunReport([CaseResult(name, "pass", bounds=[bound]),
                                CaseResult(name, "input_error", error="bad")], 0.0)
@@ -628,6 +628,26 @@ def test_bundled_schemas_pass_their_metaschema():
 STEEP = dict(f="100*x^3", df="300*x^2", F="25*x^4", K=[0, 2], a=0, b=2)
 
 
+# f = x on K = [0, 1e100]: CLASSICAL's step^4 overflows for the step 1e100
+WIDE_LINE = dict(name="wide_line", f="x", df="1", F=None, K=[0, 1e100], a=0, b=1e100, q=[1],
+                 theorems=["CLASSICAL"], d4sup=0)
+
+
+def test_run_case_turns_an_overflowing_rhs_into_input_error():
+    result = run_case(load_case(square_case(**WIDE_LINE)), grid=SampleGrid(5, 5, 3, 20))
+    assert result.verdict == "input_error"
+    assert result.error == "OverflowError: rhs of CLASSICAL exceeds the float range"
+    # a labelled bound names its q: |f'(b)|^2 overflows at b, which is no sample
+    # point and, with eta(b, a) = (b - a) / 2, not on the path the lemma integrates
+    model = _model("x", "1", "(x^2)/2", K=(0.0, 1.0))
+    model.__dict__["df_fn"] = lambda x: 1e200 if x == 0.9 else 1.0  # a cached property
+    case = runner.CorpusCase("huge_df_at_b", model, EtaMap.from_expression("0.5*(v-u)"), 0.1,
+                             0.9, (1.0, 2.0), ("T3.4",), runner.DEFAULT_TOLERANCES)
+    result = run_case(case, grid=SampleGrid(5, 5, 3, 20))
+    assert (result.verdict, [bv.q for bv in result.bounds]) == ("input_error", [1.0])
+    assert result.error == "OverflowError: rhs of T3.4 at q=2.0 exceeds the float range"
+
+
 def test_run_case_turns_sweep_overflow_into_input_error():
     # |f'|^149.9 overflows at |f'| > ~113, which 300*x^2 reaches on [0, 2]
     case = load_case(square_case(**STEEP, q=[149.9, 1], theorems=["T3.1", "T3.2", "T4.1"]))
@@ -732,8 +752,9 @@ def _reference_scan(model, eta, K, a_range, b_range, q_list, steps, theorems,
                     tolerances=runner.DEFAULT_TOLERANCES, grid=runner.DEFAULT_GRID):
     """The theorem -> q -> a -> b scan that the cell-major scan replaced.
 
-    Two lines differ from it on purpose, marked below: a q whose sweep
-    overflows is skipped, and a NaN ratio is a skipped cell.
+    Three lines differ from it on purpose, marked below: a q whose sweep
+    overflows is skipped, an overflowing rhs is a skipped cell, and a NaN
+    ratio is a skipped cell.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -796,6 +817,9 @@ def _reference_scan(model, eta, K, a_range, b_range, q_list, steps, theorems,
                     try:
                         bv, lhs = evaluate(model, a, b, step, q, defect, tol)
                     except (PreconditionUnmet, EvalDomainError):
+                        skipped += 1
+                        continue
+                    except OverflowError:  # changed: an overflowing rhs is a skipped cell
                         skipped += 1
                         continue
                     if bv.rhs == 0.0:
@@ -1013,27 +1037,42 @@ def test_scan_edges_match_theorem_major_reference(name):
         assert results["T3.1"].status == "ok"
 
 
-_NEGATIVE_CLASSICAL = f"ValueError: bound CLASSICAL produced negative rhs {-0.375 ** 4 / 2880.0!r}"
+@pytest.mark.parametrize("a_range, b_range, message", [
+    ((-1e308, 1e308), (0.0, 1.0), "a_range width hi - lo overflows, got [-1e+308, 1e+308]"),
+    ((0.0, 0.0), (1e308, -1e308), "b_range width hi - lo overflows, got [1e+308, -1e+308]"),
+    ((math.inf, math.inf), (0.0, 1.0), "a_range width hi - lo overflows, got [inf, inf]"),
+])
+def test_scan_rejects_a_range_whose_width_overflows(monkeypatch, a_range, b_range, message):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before the ranges were checked")
+
+    monkeypatch.setattr(runner, "check_invex_set", no_sweep)
+    model = _model("x^2", "2*x", K=(-1.0, 1.0))
+    with pytest.raises(ValueError) as info:
+        tightness_scan(model, EtaMap.difference(), model.domain, a_range, b_range, [1.0], 3)
+    assert str(info.value) == message
 
 
-@pytest.mark.parametrize("huge_at, want", [
-    (None, _NEGATIVE_CLASSICAL),
-    (1.875, _NEGATIVE_CLASSICAL),
-    (0.375, "OverflowError: (34, 'Numerical result out of range')")])
-def test_scan_raises_the_first_error_in_cell_order(huge_at, want):
-    # CLASSICAL's rhs is negative at every usable cell, since no config allows
-    # a negative d4sup.  The row a = 0 has its first usable cell at b = 0.375;
-    # there, or at a later b, comes a second error: f' raises at b = 1.125
-    # (huge_at None), or T3.4's rhs, ranked before CLASSICAL's, overflows at
-    # q = 2 where |f'(huge_at)| = 1e200
+def test_scan_skips_a_cell_whose_rhs_overflows():
+    # T3.4 at q = 2 squares |f'(0.375)| = 1e200, an axis value and no sample point:
+    # the row a = 0.375 and the column b = 0.375 hold 3 usable cells, each skipped
+    # there, and 2 cells have no step; at q = 1 only those 2 are skipped
     args = list(_scan_edge("f' raises at one axis value"))
-    if huge_at is not None:
-        args[0] = _model("x^4", "4*x^3", K=(-1.0, 2.0))
-        real = args[0].df_fn
-        args[0].__dict__["df_fn"] = lambda x: 1e200 if x == huge_at else real(x)
-    args[0].d4sup = -1.0
-    args[7] = ("T3.4", "CLASSICAL")
-    assert _scan_outcome(tightness_scan, *args) == want
+    args[0] = _model("x^4", "4*x^3", K=(-1.0, 2.0))
+    real = args[0].df_fn
+    args[0].__dict__["df_fn"] = lambda x: 1e200 if x == 0.375 else real(x)
+    args[7] = ("T3.4",)
+    (t34,) = got = tightness_scan(*args)
+    assert (t34.status, t34.at_q, t34.cells, t34.skipped) == ("ok", 1.0, 18, 2 + 5)
+    assert repr(got) == repr(_reference_scan(*args))
+    # CLASSICAL's step^4 overflows for the steps 5e99 and 1e100, not for 1
+    model = _model("x", "1", K=(0.0, 1e100), d4sup=1.0)
+    args = (model, EtaMap.difference(), model.domain, (0.0, 0.0), (1.0, 1e100), [1.0], 3,
+            ("CLASSICAL",), runner.DEFAULT_TOLERANCES, SMALL_GRID)
+    (classical,) = got = tightness_scan(*args)
+    assert (classical.status, classical.at_b, classical.cells, classical.skipped) == (
+        "ok", 1.0, 9, 6)
+    assert repr(got) == repr(_reference_scan(*args))
 
 
 def test_cubic_scan_evaluates_f_eight_times_per_usable_cell(monkeypatch):
@@ -1328,15 +1367,17 @@ def test_a_bound_below_its_lhs_by_more_than_its_quadrature_error_is_a_violation(
         verdict == "pass")
 
 
-def test_generated_cases_keep_their_recorded_verdicts(monkeypatch, data_dir):
+def test_generated_cases_keep_their_recorded_verdicts_and_scans(monkeypatch, data_dir):
     # tests/data/fresh_verdicts.json, written by tools/fresh_ledger.py: a change that
-    # moves a verdict or a bound's number there re-records the ledger and declares it
+    # moves a verdict, a bound's number or a scan there re-records the ledger and declares it
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
     import fresh_ledger
 
     recorded = json.loads((data_dir / "fresh_verdicts.json").read_text(encoding="utf-8"))
-    assert len(recorded) == 84
+    assert len(recorded) == 84 + 7  # the fresh configs, then the scan pool's models
     assert sum(len(entry.get("bounds", ())) for entry in recorded.values()) == 407
+    scans = [entry["scan"] for entry in recorded.values()]
+    assert (len(scans), sum(scan.startswith("EvalDomainError: ") for scan in scans)) == (91, 4)
     now = json.loads(json.dumps(fresh_ledger.ledger()))
     assert list(now) == list(recorded)
     assert {name: entry for name, entry in now.items() if entry != recorded[name]} == {}
