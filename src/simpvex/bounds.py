@@ -44,6 +44,7 @@ from .errors import (
     EvalDomainError,
     InvalidEta,
     MissingFourthDerivative,
+    NonFiniteIntegrand,
     PreconditionUnmet,
     QuadratureError,
 )
@@ -271,6 +272,8 @@ def lemma_rhs(model: FunctionModel, a: float, eta_val: float,
     correct one-sided branch; sampling eval_m at the shared endpoint
     would feed the quadrature a spurious endpoint discontinuity.  The
     value equals the signed defect up to the reported error estimate.
+    A NonFiniteIntegrand, or a QuadratureError for a panel too narrow to
+    split, names points x = a + t*eta of K, not t.
     """
     eta_val = _require_path(a, eta_val, model.domain)
     df = model.df_fn
@@ -283,8 +286,15 @@ def lemma_rhs(model: FunctionModel, a: float, eta_val: float,
 
     half_tol = 0.5 * abs_tol
     budget = quadrature.DEFAULT_MAX_EVALS  # the right half gets what the left leaves
-    qa = quadrature.integrate(left, 0.0, 0.5, half_tol, budget)
-    qb = quadrature.integrate(right, 0.5, 1.0, half_tol, budget - qa.evaluations)
+    try:
+        qa = quadrature.integrate(left, 0.0, 0.5, half_tol, budget)
+        qb = quadrature.integrate(right, 0.5, 1.0, half_tol, budget - qa.evaluations)
+    except NonFiniteIntegrand as exc:
+        raise NonFiniteIntegrand(a + exc.abscissa * eta_val, exc.value) from None
+    except QuadratureError as exc:
+        if exc.interval is None:  # BudgetExhausted names no point
+            raise
+        raise QuadratureError.unrefinable(*(a + t * eta_val for t in exc.interval)) from None
     return QuadratureResult(
         eta_val * (qa.value + qb.value),
         eta_val * (qa.error_estimate + qb.error_estimate),
@@ -452,8 +462,9 @@ def _bound(theorem: str, model: FunctionModel, a: float, b: float, eta_val: floa
     """The BoundValue of THEOREMS[theorem], the one home of a bound's lhs and slack.
 
     Checks the step, then q, then, given a defect, takes |defect| or C4.2's
-    midpoint gap (PreconditionUnmet off its precondition), then reads f', or
-    for CLASSICAL (q None) d4sup (MissingFourthDerivative without one).
+    midpoint gap (PreconditionUnmet off its precondition), then reads f'
+    (EvalDomainError naming a or b where |f'| is NaN there), or for
+    CLASSICAL (q None) d4sup (MissingFourthDerivative without one).
     slack = rhs - lhs - defect.quadrature_error; None without a defect.
     """
     row = THEOREMS[theorem]
@@ -468,6 +479,9 @@ def _bound(theorem: str, model: FunctionModel, a: float, b: float, eta_val: floa
         q, x1, x2 = fourth_derivative_sup(model), None, None
     else:
         x1, x2 = abs(model.df_fn(a)), abs(model.df_fn(b))
+        for x, magnitude in ((a, x1), (b, x2)):
+            if magnitude != magnitude:
+                raise EvalDomainError(expr_mod.pretty(model.df), x, "NaN value")
     rhs = row.rhs_for(q)(x1, x2, eta_val)
     slack = None if defect is None else rhs - lhs - defect.quadrature_error
     return BoundValue(theorem, q_label, p, rhs, slack)

@@ -53,7 +53,19 @@ class MissingFourthDerivative(SimpvexError):
 
 
 class QuadratureError(SimpvexError):
-    """Base class for integration failures."""
+    """Base class for integration failures.
+
+    ``interval`` is the (lo, hi) of a panel too narrow to split, where that
+    is the failure (``unrefinable``); None otherwise.
+    """
+
+    interval = None
+
+    @classmethod
+    def unrefinable(cls, lo: float, hi: float) -> "QuadratureError":
+        error = cls(f"cannot refine interval [{lo!r}, {hi!r}] further; tolerance unreachable")
+        error.interval = (lo, hi)
+        return error
 
 
 class BudgetExhausted(QuadratureError):

@@ -40,8 +40,9 @@ sample point, in stream order; each invex-set report is computed from
 the plan for the K it is asked about.  ``check_pair``
 evaluates a plain g at every sample point, outside that memo.  |f'| of a
 compiled expression runs in its batch form, one list comprehension per
-slice of points rather than one call per point; any other callable is
-called per point, over the same slices.  Each q is one pass over the
+slice of points rather than one call per point; any other callable, or
+one whose batch form raises, runs point by point in one pass that stops
+at its first failing point.  Each q is one pass over the
 kept values: the nv*nt values of |f'|^q at the path points of one grid u
 value, raised in the comprehension that lists them, feed both sweeps;
 then the random layer's are read once through an iterator.  So no array
@@ -276,33 +277,27 @@ class SamplePlan:
     def values(self, fn: Callable[[float], float], q: float = 1.0) -> array:
         """abs(fn) at ``points``, called in that order.
 
-        The values of the last fn are kept, so fn must be pure.  For a
-        compiled expression this runs in its batch form, one frame per
-        slice of _CHUNK points; if that raises, or for any other fn, fn is
-        called point by point over the same slices, so a failure raises at
-        the first failing point with its own error.  At q != 1, an |fn|^q
-        that overflows at an earlier point raises its OverflowError first.
+        The values of the last fn are kept, so fn must be pure; a pass that
+        raises keeps nothing.  For a compiled expression this runs in its
+        batch form, one frame per slice of _CHUNK points.  If that raises,
+        or for any other fn, one pass calls fn point by point and stops at
+        the first failing point with its own error: a point fails where fn
+        raises or, at q != 1, where |fn|^q overflows (OverflowError).
         """
         memo_fn, values = self._memo
         if memo_fn is fn:
             return values
-        values = error = None
         batch = expr_mod.abs_batch(fn)
         try:
             values = _filled(batch, self.points) if batch else None
         except Exception:
-            pass
-        if values is None:
-            try:
-                values = _filled(lambda xs: list(map(abs, map(fn, xs))), self.points)
-            except Exception as exc:
-                if q == 1.0:
-                    raise
-                error = exc
-        if error is not None:  # replayed outside the except block, so nothing chains
+            values = None
+        if values is None:  # outside the except block, so nothing chains
+            values = array("d")
             for x in self.points:
-                abs(fn(x)) ** q
-            raise error
+                v = abs(fn(x))
+                v ** q  # v ** 1.0 never raises; at other q, an overflow fails the point
+                values.append(v)
         self._memo = (fn, values)
         return values
 

@@ -111,9 +111,7 @@ def _integrate_unchecked(g, lo, hi, abs_tol, max_evals=DEFAULT_MAX_EVALS):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         if not (a < lm < m and m < rm < b):
-            raise QuadratureError(
-                f"cannot refine interval [{a!r}, {b!r}] further; tolerance unreachable"
-            )
+            raise QuadratureError.unrefinable(a, b)
         if used >= max_evals - 1:
             # room for at most one evaluation: what checking it, then one more, raises
             if used < max_evals:

@@ -43,7 +43,7 @@ import time
 from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bounds as bounds_mod
 from . import expr as expr_mod
@@ -376,20 +376,14 @@ class CaseResult(Record, frozen=False):
 def _hypotheses(model, eta: EtaMap, K: Domain, grid: SampleGrid, tol: float,
                 swept: List[PropertyReport]):
     """lookup(mode, q) -> PropertyReport, one sweep per q, whose two reports it
-    appends to ``swept``: a sweep that raised OverflowError raises it again at
-    each later lookup."""
-    sweeps: Dict[float, Union[Tuple[PropertyReport, PropertyReport], OverflowError]] = {}
+    appends to ``swept``.  A q whose sweep raises (OverflowError where |f'|^q
+    leaves the float range) keeps nothing: each lookup sweeps it again."""
+    sweeps: Dict[float, Tuple[PropertyReport, PropertyReport]] = {}
 
     def lookup(mode: str, q: float) -> PropertyReport:
         if q not in sweeps:
-            try:
-                sweeps[q] = hypothesis_pair(model, eta, K, q, grid, tol)
-            except OverflowError as exc:
-                sweeps[q] = exc
-            else:
-                swept.extend(sweeps[q])
-        if isinstance(sweeps[q], OverflowError):
-            raise sweeps[q]
+            sweeps[q] = hypothesis_pair(model, eta, K, q, grid, tol)
+            swept.extend(sweeps[q])
         pre, quasi = sweeps[q]
         return pre if mode == "preinvex" else quasi
 
@@ -504,7 +498,7 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
             except PreconditionUnmet as exc:
                 skipped = True
                 result.notes.append(f"skipped {theorem}: {exc}")
-            except EvalDomainError as exc:  # f'(b): the sweeps and the path may miss b
+            except EvalDomainError as exc:  # f' fails or is NaN at a or b; sweeps skip NaN
                 return _input_error(
                     result, f"EvalDomainError: {theorem} needs |f'(a)| and |f'(b)|: {exc}")
             except OverflowError:  # a power in the rhs; the exception's text is the C library's
@@ -680,14 +674,14 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
 
     A cell is skipped where eta fails or gives no positive step, where a, b
     or a + step lies outside K or a or a + step outside the model's domain,
-    where f or its integral fails, where f' fails at a or b (for a theorem
-    that reads it), off C4.2's precondition, and where the rhs is zero, NaN
-    or overflows or the ratio is NaN.  Every cell of a q is skipped whose
-    sampled hypothesis fails or overflows, every cell of a theorem with a
-    hypothesis when K is not invex for eta (or eta fails on its samples),
-    and every cell of CLASSICAL without d4sup; a theorem with no usable
-    cell is reported with status "all_skipped".  Ties keep the first cell
-    in (q, a, b) order, so results are deterministic.
+    where f or its integral fails, where f' fails or is NaN at a or b (for a
+    theorem that reads it), off C4.2's precondition, and where the rhs is
+    zero, NaN or overflows or the ratio is NaN.  Every cell of a q is
+    skipped whose sampled hypothesis fails or overflows, every cell of a
+    theorem with a hypothesis when K is not invex for eta (or eta fails on
+    its samples), and every cell of CLASSICAL without d4sup; a theorem with
+    no usable cell is reported with status "all_skipped".  Ties keep the
+    first cell in (q, a, b) order, so results are deterministic.
 
     ValueError, before any sweep, for steps < 2, an a or b range whose
     width hi - lo overflows, or a request ``_request_error`` rejects: an
@@ -742,14 +736,15 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
 
     df = model.df_fn
     reads_df = any(uses_df for _, _, uses_df in rankings)
-    df_at = {}  # |f'(x)| per axis value x, read at its first use; None where f' fails
+    df_at = {}  # |f'(x)| per axis value x, read at its first use; None where f' fails or is NaN
 
     def abs_df(x):
         if x not in df_at:
             try:
-                df_at[x] = abs(df(x))
+                magnitude = abs(df(x))
             except EvalDomainError:
-                df_at[x] = None
+                magnitude = None
+            df_at[x] = magnitude if magnitude == magnitude else None  # NaN: as a failure
         return df_at[x]
 
     # f's inlined Simpson loop, built once the scan has cells to integrate
@@ -776,7 +771,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             except (EvalDomainError, QuadratureError):
                 unusable += 1
                 continue
-            x1 = x2 = None  # |f'(a)|, |f'(b)|; None where f' fails
+            x1 = x2 = None  # |f'(a)|, |f'(b)|; None where f' fails or is NaN
             if reads_df and abs_df(a) is not None and abs_df(b) is not None:
                 x1, x2 = df_at[a], df_at[b]
             row.append((b, step, abs(simpson_value - mean), mean, values, x1, x2))

@@ -25,11 +25,14 @@ from simpvex.bounds import (
     simpson_defect,
 )
 from simpvex.errors import (
+    BudgetExhausted,
     CaseConfigError,
     DomainError,
+    EvalDomainError,
     InvalidEta,
     MissingFourthDerivative,
     PreconditionUnmet,
+    QuadratureError,
 )
 
 TWO_PI = 6.283185307179586
@@ -322,6 +325,38 @@ def test_exponent_validation(square_model):
 def test_bound_value_rejects_negative_rhs():
     with pytest.raises(ValueError):
         BoundValue("T3.1", None, None, -0.1, None)
+
+
+@pytest.mark.parametrize("at", [0.0, 0.75], ids=["a", "b"])
+def test_a_nan_derivative_at_a_or_b_is_an_eval_domain_error(make_model, at):
+    model = make_model("x", f"if(x == {at!r}, 0*(1e308*10), 1)", K=(0.0, 1.0))
+    for bound in (lambda: bound_T3_1(model, 0.0, 0.75, 0.375),
+                  lambda: bound_T4_1(model, 0.0, 0.75, 0.375, 2.0)):
+        with pytest.raises(EvalDomainError) as info:
+            bound()
+        assert str(info.value) == (f"NaN value in if((x == {at!r}), (0.0 * (1e+308 * 10.0)), "
+                                   f"1.0) at {at!r}")
+
+
+def test_a_lemma_panel_too_narrow_to_split_is_named_by_its_points_of_K(make_model):
+    # |f'| = 1e200 at a alone: the panel at t = 0 cannot shrink enough
+    a, K = 0.3, (0.0, 1.0)
+    model = make_model("x^2", "if(x == 0.3, 1e200, 2*x)", K=K)
+    with pytest.raises(QuadratureError) as info:
+        lemma_rhs(model, a, 0.6)
+    lo, hi = info.value.interval
+    assert type(info.value) is QuadratureError and K[0] <= lo <= hi <= K[1]
+    assert abs(lo - a) < 1e-15 and abs(hi - a) < 1e-15
+    assert str(info.value) == (f"cannot refine interval [{lo!r}, {hi!r}] further; "
+                               f"tolerance unreachable")
+
+
+def test_lemma_keeps_a_budget_error_as_it_is(make_model, monkeypatch):
+    # BudgetExhausted names no point, so the lemma raises it unchanged
+    monkeypatch.setattr(bounds.quadrature, "DEFAULT_MAX_EVALS", 5)
+    with pytest.raises(BudgetExhausted) as info:
+        lemma_rhs(make_model("exp(x)", "exp(x)", K=(0.0, 1.0)), 0.0, 1.0)
+    assert info.value.interval is None
 
 
 def test_from_config_validation():

@@ -463,6 +463,25 @@ def test_an_overflowing_rhs_is_input_error_in_check_and_a_skipped_cell_in_scan(t
     assert capsys.readouterr().out.splitlines()[1] == "CLASSICAL,all_skipped,,,,,4,4"
 
 
+def test_a_nan_derivative_is_input_error_in_check_and_a_skipped_cell_in_scan(tmp_path, capsys):
+    # f' = 1 except at 0.75 (b), then at 0 (a), where it is NaN; no derivative-gate point hits it
+    df = "if(x == 0.75, 0*(1e308*10), 1)"
+    cfg = {"name": "nan_df", "f": "x", "df": df, "K": [0, 1],
+           "eta": {"kind": "expression", "value": "0.5*(v-u)"}, "a": 0, "b": 0.75, "q": [1],
+           "theorems": ["T3.1", "C4.1"]}
+    assert main(["--quiet", "check", write_config(tmp_path / "nan_df.json", cfg)]) == 3
+    (result,) = json.loads(capsys.readouterr().out)["cases"]
+    assert (result["verdict"], result["error"]) == (
+        "input_error", "EvalDomainError: T3.1 needs |f'(a)| and |f'(b)|: NaN value in "
+                       "if((x == 0.75), (0.0 * (1e+308 * 10.0)), 1.0) at 0.75")
+    for df in (df, "if(x == 0, 0*(1e308*10), 1)"):
+        assert main(["scan", "--f", "x", "--df", df, "--K=0,1", "--a-range=0,0",
+                     "--b-range=0.75,0.75", "--steps", "2", "--eta", "expression:0.5*(v-u)",
+                     "--q", "1", "--theorems", "T3.1,C4.1,T4.1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"{theorem},all_skipped,,,,,4,4" for theorem in ("T3.1", "C4.1", "T4.1")]
+
+
 # sin(x*x) and cos(x*x) meet an infinite argument where x*x overflows on K
 SIN_WIDE = {"name": "sin_wide", "f": "sin(x*x)", "df": "2*x*cos(x*x)", "K": [0, 1e200]}
 

@@ -604,6 +604,23 @@ def test_first_failure_in_point_order_is_raised(df, error):
     assert [_raised(model, eta, K, q) for q in (300.0, 1.0, 1.5, 300.0)] == want
 
 
+def test_a_failing_value_pass_stops_at_its_first_failing_point():
+    # a plain f' runs point by point once: at q = 300, |1/x|^300 first overflows at the
+    # grid's 20th point, x = -0.05; at q = 1.5 and 1, 1/x fails at the 21st, x = 0
+    calls = []
+
+    def df(x):
+        calls.append(x)
+        return 1.0 / x
+
+    eta, K = EtaMap.difference(), Domain(-1.0, 1.0)
+    _plan.cache_clear()
+    for q, want in ((300.0, 20), (1.5, 21), (1.0, 21)):
+        del calls[:]
+        _raised(SimpleNamespace(df_fn=df), eta, K, q)  # chains no other error
+        assert len(calls) == want
+
+
 def test_a_batch_failure_in_a_later_chunk_raises_that_points_own_error():
     g = fn("sqrt(x) + 1")
     points = [0.25 * i for i in range(invexity._CHUNK + 37)]  # not a multiple of _CHUNK

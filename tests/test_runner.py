@@ -659,6 +659,39 @@ def test_run_case_turns_sweep_overflow_into_input_error():
     assert [h.exponent_q for h in result.hypotheses] == [None, 1.0, 1.0]
 
 
+# f' = 1 except at one point, which no derivative-gate point hits, where it is NaN
+NAN_DF_AT_B = {"name": "nan_df_at_b", "f": "x", "df": "if(x == 0.75, 0*(1e308*10), 1)",
+               "K": [0, 1], "eta": {"kind": "expression", "value": "0.5*(v-u)"},
+               "a": 0, "b": 0.75, "q": [1], "theorems": ["T3.1", "C4.1"]}
+
+
+def test_run_case_turns_a_nan_derivative_at_b_into_input_error():
+    # the sweeps skip the NaN sample; the bound's rhs would be NaN
+    result = run_case(load_case(NAN_DF_AT_B))
+    assert result.verdict == "input_error"
+    assert result.error == ("EvalDomainError: T3.1 needs |f'(a)| and |f'(b)|: NaN value in "
+                            "if((x == 0.75), (0.0 * (1e+308 * 10.0)), 1.0) at 0.75")
+    assert result.bounds == []
+
+
+@pytest.mark.parametrize("at", [0.75, 0.0], ids=["b", "a"])
+def test_scan_skips_a_cell_whose_derivative_is_nan_at_a_or_b(at):
+    model = _model("x", f"if(x == {at!r}, 0*(1e308*10), 1)", K=(0.0, 1.0))
+    results = tightness_scan(model, EtaMap.from_expression("0.5*(v-u)"), Domain(0.0, 1.0),
+                             (0.0, 0.0), (0.75, 0.75), [1.0], steps=2,
+                             theorems=("T3.1", "C4.1", "T4.1"))
+    assert [(r.theorem, r.status, r.cells, r.skipped) for r in results] == [
+        (theorem, "all_skipped", 4, 4) for theorem in ("T3.1", "C4.1", "T4.1")]
+
+
+def test_lemma_errors_name_the_point_of_K_where_f_prime_fails():
+    cfg = dict(NAN_DF_AT_B, name="nan_df_at_a", f="x^2", df="if(x == 0.25, 0*(1e308*10), 2*x)",
+               eta={"kind": "difference"}, a=0.25, b=0.75, theorems=["T3.1"])
+    result = run_case(load_case(cfg))
+    assert (result.verdict, result.error) == (
+        "input_error", "NonFiniteIntegrand: integrand returned nan at x=0.25")
+
+
 @pytest.mark.parametrize("q", [0.5, math.nan, math.inf])
 def test_run_case_turns_a_bad_hand_built_q_into_input_error(q):
     # load_case rejects these q; a CorpusCase built by hand bypasses it
@@ -680,7 +713,7 @@ def test_scan_skips_exponents_whose_sweep_overflows():
     assert (t34.status, t34.at_q, t34.cells, t34.skipped) == ("ok", 1.0, 18, 9)
 
 
-def test_an_overflowing_sweep_runs_once(monkeypatch):
+def test_an_overflowing_exponent_keeps_no_report(monkeypatch):
     qs = []
     pair = runner.hypothesis_pair
 
@@ -690,10 +723,14 @@ def test_an_overflowing_sweep_runs_once(monkeypatch):
 
     monkeypatch.setattr(runner, "hypothesis_pair", counting_pair)
     model = _model(STEEP["f"], STEEP["df"], STEEP["F"], K=(0.0, 2.0))
-    tightness_scan(model, EtaMap.difference(), Domain(0.0, 2.0), (0.0, 0.5), (1.5, 2.0),
-                   [149.9, 1.0], steps=3, theorems=("T3.2", "T3.4"))
-    # T3.4 at q = 149.9 re-raises the error T3.2's sweep met, without sweeping again
-    assert qs == [149.9, 1.0]
+    swept = []
+    lookup = runner._hypotheses(model, EtaMap.difference(), Domain(0.0, 2.0),
+                                runner.DEFAULT_GRID, 1e-12, swept)
+    for mode in ("preinvex", "prequasiinvex"):
+        with pytest.raises(OverflowError):
+            lookup(mode, 149.9)
+    # each lookup of the overflowing q sweeps again and raises there; nothing is kept
+    assert qs == [149.9, 149.9] and swept == []
 
 
 def test_scan_nan_ratio_is_skipped_and_never_the_witness(monkeypatch):
