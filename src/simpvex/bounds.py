@@ -338,14 +338,17 @@ def _power_means(scale: float, w1: float, w2: float, q: float, mirrored: bool):
     """rhs(x1, x2, step) = step * scale * (w1 x1^q + w2 x2^q)^(1/q), plus the same
     with w1, w2 swapped if ``mirrored``; x1^q, then x2^q, once per call.  For
     q > 100 the powers are rescaled by m = max(x1, x2) so they cannot overflow;
-    m = 1.0 otherwise leaves every float operation exact (x ** 1.0 too)."""
+    m = 1.0 otherwise leaves every float operation exact (x ** 1.0 too).  The rhs
+    is 0 at m = 0 and inf at m = inf, as the unscaled formula gives."""
     r = 1.0 / q
     rescale = q > _LARGE_EXPONENT
 
     def rhs(x1, x2, step):
-        m = max(x1, x2) if rescale else 1.0
-        if m == 0.0:
-            return step * scale * 0.0
+        m = 1.0
+        if rescale:
+            m = max(x1, x2)
+            if m == 0.0 or m == math.inf:
+                return step * scale * m
         p1 = (x1 / m) ** q
         p2 = (x2 / m) ** q
         s = m * (w1 * p1 + w2 * p2) ** r

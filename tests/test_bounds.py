@@ -229,6 +229,15 @@ def test_bounds_survive_extreme_exponents():
     assert bound_T3_2(zero, 0.0, 1.0, 1.0, 200.0).rhs == 0.0
 
 
+@pytest.mark.parametrize("x1, x2", [(math.inf, 2.0), (2.0, math.inf), (math.inf, math.inf)])
+def test_an_infinite_magnitude_gives_an_infinite_rhs_above_q_100(x1, x2):
+    # above q = 100 the powers are rescaled by max(x1, x2); the rhs stays the unscaled inf
+    for q in (100.0, 150.0):
+        for theorem, bound in (("T3.2", bound_T3_2), ("T3.3", bound_T3_3), ("T3.4", bound_T3_4)):
+            assert bounds.THEOREMS[theorem].rhs_for(q)(x1, x2, 0.4) == math.inf
+            assert bound(endpoint_stub(x1, x2), 0.0, 1.0, 0.4, q).rhs == math.inf
+
+
 def test_exponents_near_one_stay_stable():
     stub = endpoint_stub(1.0, 2.0)
     # q = 1 + 1e-3 gives conjugate p ~ 1000, far past the overflow knee

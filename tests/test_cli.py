@@ -589,10 +589,6 @@ for cfg in json.load(sys.stdin):
         runner.load_case(cfg)
     except CaseConfigError as exc:
         print(exc)
-try:
-    runner.RunReport([runner.CaseResult(1, "pass")], 0.0).to_json()
-except ValueError as exc:
-    print(exc)
 """
 
 
@@ -616,7 +612,6 @@ def test_the_program_never_imports_jsonschema():
             runner.load_case(cfg)
         assert str(info.value).startswith("case config invalid at ")
         want.append(str(info.value))
-    want.append("report invalid at cases/0/case: 1 is not of type 'string'")
     assert proc.stdout.splitlines() == want
 
 

@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import csv
 import io
@@ -111,6 +112,52 @@ def test_report_json_is_sorted_and_schema_valid(corpus_report):
     assert "wall_time" not in text
 
 
+def _report_cases():
+    """One config per verdict, then one whose report holds a golden failure and a note."""
+    return [
+        square_case(),
+        square_case(eta={"kind": "abs_example"}, K=[-1, 1], theorems=["T3.1"]),
+        # f^(4) = 24, so a d4sup of 1 puts CLASSICAL's rhs below the defect
+        square_case(f="x^4", df="4*x^3", F="x^5/5", d4sup=1.0, theorems=["CLASSICAL"]),
+        square_case(eta={"kind": "expression", "value": "u-v"}),  # a negative step
+        square_case(q=[1], theorems=["T3.2"], expected={"T3.1": {"rhs": 0.5, "tolerance": 1e-9}}),
+    ]
+
+
+def test_every_report_the_program_writes_passes_the_report_schema(tmp_path, capsys):
+    # the program never checks the reports it writes; this test does, with jsonschema
+    validator = jsonschema.Draft202012Validator(runner.report_schema())
+    results = [run_case(load_case(cfg)) for cfg in _report_cases()]
+    assert [r.verdict for r in results] == [
+        "pass", "hypothesis_unmet", "violation", "input_error", "pass"]
+    assert results[3].error == "InvalidEta: eta(b, a) = -1.0 must be positive for a = 0.0, b = 1.0"
+    assert results[4].golden_failures == ["T3.1: bound was not evaluated"]
+    assert results[4].notes == ["T3.2 needs q > 1 but the case lists none"]
+    validator.validate(json.loads(runner.RunReport(results, 0.0).to_json()))
+    for i, (cfg, result) in enumerate(zip(_report_cases(), results)):
+        path = tmp_path / f"case_{i}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        main(["--quiet", "check", str(path)])
+        doc = json.loads(capsys.readouterr().out)
+        validator.validate(doc)
+        assert doc["cases"] == [result.to_dict()]
+    assert main(["--quiet", "corpus"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    validator.validate(doc)
+    assert doc["counts"]["cases"] == len(load_corpus())
+
+
+def test_to_json_reads_no_schema_file_and_checks_nothing(monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("to_json read a file")
+
+    for owner, name in ((Path, "read_text"), (Path, "open"), (builtins, "open")):
+        monkeypatch.setattr(owner, name, no_read)
+    # a case name must be a string in the report schema; a hand-built result is written as is
+    text = runner.RunReport([CaseResult(1, "pass")], 0.0).to_json()
+    assert json.loads(text)["cases"][0]["case"] == 1
+
+
 def test_report_csv_shape(corpus_report):
     lines = corpus_report.to_csv().strip().split("\n")
     assert lines[0] == ("case,verdict,theorem,q,p,rhs,slack,defect,"
@@ -207,10 +254,6 @@ def test_mutating_a_returned_schema_does_not_change_validation():
     assert runner.case_schema() != schema
     with pytest.raises(CaseConfigError):
         load_case(square_case(extra_field=1))
-    runner.report_schema().clear()
-    with pytest.raises(ValueError) as info:
-        runner.RunReport([CaseResult(1, "pass")], 0.0).to_json()
-    assert str(info.value) == "report invalid at cases/0/case: 1 is not of type 'string'"
 
 
 def test_load_case_requires_d4sup_for_classical():
@@ -672,6 +715,39 @@ def test_run_case_turns_a_nan_derivative_at_b_into_input_error():
     assert result.error == ("EvalDomainError: T3.1 needs |f'(a)| and |f'(b)|: NaN value in "
                             "if((x == 0.75), (0.0 * (1e+308 * 10.0)), 1.0) at 0.75")
     assert result.bounds == []
+
+
+INF_DF_AT_B = {"name": "inf_df_at_b", "f": "2*x", "df": "if(x == 1, 1e308*1e308, 2)",
+               "K": [0, 1], "eta": {"kind": "expression", "value": "0.5*(v-u)"},
+               "a": 0.2, "b": 1.0, "theorems": ["T3.1", "T3.2", "T3.3", "T3.4", "T4.1", "T4.2",
+                                                "T4.3"]}
+
+
+@pytest.mark.parametrize("q", [100.0, 150.0])
+def test_run_case_gives_an_infinite_rhs_for_an_infinite_derivative_at_b(q):
+    # above q = 100 the T3.2-T3.4 powers are rescaled by max(|f'(a)|, |f'(b)|), here inf
+    result = run_case(load_case(dict(INF_DF_AT_B, q=[1, q])))
+    assert result.verdict == "pass"
+    assert [(bv.theorem, bv.q) for bv in result.bounds] == [
+        ("T3.1", None), ("T3.2", q), ("T3.3", q), ("T3.4", 1.0), ("T3.4", q), ("T4.1", 1.0),
+        ("T4.1", q), ("T4.2", q), ("T4.3", q)]
+    assert all(bv.rhs == math.inf for bv in result.bounds)
+    doc = json.loads(runner.RunReport([result], 0.0).to_json())
+    assert [bound["rhs"] for bound in doc["cases"][0]["bounds"]] == [math.inf] * 9
+
+
+def test_the_q_1_note_sweeps_no_q_the_case_does_not_list():
+    # |f'|^40 fails its sampled check (an excess of 5632.0 on values near 3^40: rounding)
+    cfg = square_case(f="2*x+x^3/3", df="2+x^2", F=None, q=[40],
+                      theorems=["T3.2", "T3.4", "T4.2"])
+    result = run_case(load_case(cfg))
+    assert result.verdict == "hypothesis_unmet"
+    assert [(h.property, h.exponent_q) for h in result.hypotheses] == [
+        ("invex_set", None), ("preinvex", 40.0), ("prequasiinvex", 40.0)]
+    assert not [note for note in result.notes if note.startswith("note: ")]
+    # listed, q = 1 is swept and the note written
+    result = run_case(load_case(dict(cfg, q=[1, 40])))
+    assert "note: |f'| is preinvex at q=1 but |f'|^q fails at q=40" in result.notes
 
 
 @pytest.mark.parametrize("at", [0.75, 0.0], ids=["b", "a"])

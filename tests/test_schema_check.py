@@ -1,7 +1,8 @@
 """The in-repo schema checker against jsonschema, the reference.
 
-``runner._failure`` accepts or rejects every case config and report, and
-words the rejection.  These tests mutate valid documents and require the
+``runner._failure`` accepts or rejects every case config, and words the
+rejection; reports are checked against the report schema by the tests
+that write them, with jsonschema.  These tests mutate valid documents and require the
 same decision as jsonschema on every one, and the same message as
 jsonschema's ``best_match`` wherever jsonschema finds exactly one error.
 The case schema checks shape only; ``load_case`` must still reject every
@@ -166,23 +167,21 @@ def _load_case_decision(cfg):
     return None
 
 
-def _jsonschema_decision(doc, name="case_schema"):
+def _jsonschema_decision(doc):
     """(None or jsonschema's best_match worded as the program words a rejection,
     the number of errors jsonschema finds in ``doc``)."""
-    schema = getattr(runner, name)()
-    errors = list(jsonschema.Draft202012Validator(schema).iter_errors(doc))
+    errors = list(jsonschema.Draft202012Validator(runner.case_schema()).iter_errors(doc))
     if not errors:
         return None, 0
     error = best_match(errors)
     path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-    what = "case config" if name == "case_schema" else "report"
-    return f"{what} invalid at {path}: {error.message}", len(errors)
+    return f"case config invalid at {path}: {error.message}", len(errors)
 
 
-def _assert_as_jsonschema(got, doc, name="case_schema"):
+def _assert_as_jsonschema(got, doc):
     """``got`` rejects ``doc`` exactly when jsonschema does, in its words when it
     finds one error."""
-    want, errors = _jsonschema_decision(doc, name)
+    want, errors = _jsonschema_decision(doc)
     assert (got is None) == (want is None), (got, want)
     if errors == 1:
         assert got == want
@@ -243,105 +242,40 @@ def test_case_extras_cover_both_decisions():
 @settings(max_examples=50)
 @given(st.one_of(st.sampled_from(CORPUS_CONFIGS), generated_configs()))
 def test_unmutated_configs_pass_the_schema(cfg):
-    schema = runner.case_schema()
-    assert runner._failure(cfg, schema, schema) is None
+    assert runner._failure(cfg, runner.case_schema()) is None
     assert _jsonschema_decision(cfg) == (None, 0)
 
 
-def _report_required(path):
-    schema = runner.report_schema()
-    if path == ():
-        return schema["required"]
-    if path == ("counts",):
-        return schema["properties"]["counts"]["required"]
-    entry = schema["$defs"]["case_entry"]
-    if len(path) == 2:
-        return entry["required"]
-    return entry["properties"][path[2]]["items"]["required"] if len(path) == 4 else []
-
-
-@pytest.fixture(scope="module")
-def report_doc(corpus_report):
-    return corpus_report.to_dict()
-
-
-def _report_extras(doc):
-    base, witness = next((("cases", i, "hypotheses", j), tuple(h["witness"]))
-                         for i, case in enumerate(doc["cases"])
-                         for j, h in enumerate(case["hypotheses"]) if h["witness"])
-    return [
-        (base + ("samples",), 2.5), (base + ("samples",), 3.0), (base + ("samples",), -1.0),
-        (base + ("witness",), witness), (base + ("witness",), list(witness)),
-        (base + ("verdict",), "unknown_verdict"), (("cases", 0, "verdict"), "unknown_verdict"),
-        (("cases", 0, "bounds", 0, "theorem"), "T9.9"), (("counts", "pass"), 1.5),
-        (("counts", "pass"), math.nan), (("cases", 0, "defect_evaluations"), 2.0),
-    ]
-
-
-def _report_decision(doc):
-    """None if ``doc`` passes the report schema, else the error to_json raises."""
-    schema = runner.report_schema()
-    found = runner._failure(doc, schema, schema)
-    return None if found is None else "report invalid at %s: %s" % found
-
-
-@settings(max_examples=25)
-@given(st.data())
-def test_report_validation_rejects_exactly_what_jsonschema_rejects(report_doc, data):
-    doc = data.draw(mutations(report_doc, _report_required, _report_extras(report_doc)))
-    _assert_as_jsonschema(_report_decision(doc), doc, "report_schema")
-
-
-def test_report_extras_cover_both_decisions(report_doc):
-    decisions = []
-    for path, value in _report_extras(report_doc):
-        doc = _replaced(report_doc, path, value)
-        want, errors = _jsonschema_decision(doc, "report_schema")
-        assert errors <= 1, path  # one error each: the wording is compared
-        assert _report_decision(doc) == want, path
-        decisions.append(want is None)
-    assert any(decisions) and not all(decisions)
-
-
-HANDLED = {"$schema", "title", "description", "$defs", "$ref", "type", "enum", "required",
-           "properties", "additionalProperties", "items", "minItems", "maxItems", "minimum",
-           "minLength"}
+HANDLED = {"$schema", "title", "description", "type", "required", "properties",
+           "additionalProperties", "items", "minItems", "maxItems", "minLength"}
 
 
 def _subschemas(schema):
     yield schema
-    for sub in list(schema.get("properties", {}).values()) + list(
-            schema.get("$defs", {}).values()):
+    for sub in schema.get("properties", {}).values():
         yield from _subschemas(sub)
     for key in ("items", "additionalProperties"):
         if isinstance(schema.get(key), dict):
             yield from _subschemas(schema[key])
 
 
-@pytest.mark.parametrize("name", ["case_schema", "report_schema"])
-def test_bundled_schemas_use_only_keywords_the_checker_handles(name):
-    root = getattr(runner, name)()
+def test_the_case_schema_uses_only_keywords_the_checker_handles():
+    root = runner.case_schema()
     assert root["$schema"] == "https://json-schema.org/draft/2020-12/schema"
     for schema in _subschemas(root):
         assert set(schema) <= HANDLED, set(schema) - HANDLED
-        assert "$defs" not in schema or schema is root
         types = schema.get("type", [])
         assert set([types] if isinstance(types, str) else types) <= set(runner._TYPES)
-        assert all(isinstance(e, str) for e in schema.get("enum", []))
-        if "$ref" in schema:
-            assert schema["$ref"].startswith("#/$defs/")
-            assert schema["$ref"][len("#/$defs/"):] in root["$defs"]
         for key in ("additionalProperties", "items"):
             assert isinstance(schema.get(key, {}), (bool, dict))
 
 
-def test_every_keyword_the_checker_handles_is_used_by_a_bundled_schema():
+def test_every_keyword_the_checker_handles_is_used_by_the_case_schema():
     used = set()
-    for name in ("case_schema", "report_schema"):
-        for schema in _subschemas(getattr(runner, name)()):
-            used |= set(schema)
+    for schema in _subschemas(runner.case_schema()):
+        used |= set(schema)
     assert used == HANDLED, HANDLED - used
     # and the checker reads exactly these keywords, the three annotations aside
-    read = re.findall(r"""(?:schema\.get\(|schema\[|root\[)["'](\$?\w+)["']"""
+    read = re.findall(r"""(?:schema\.get\(|schema\[)["'](\$?\w+)["']"""
                       r"""|["'](\$?\w+)["'] in schema""", inspect.getsource(runner._failure))
     assert {a or b for a, b in read} == HANDLED - {"$schema", "title", "description"}
