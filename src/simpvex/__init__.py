@@ -20,14 +20,15 @@ from .errors import (
     QuadratureError,
     SimpvexError,
 )
-from .expr import check_derivative, compile_expr, evaluate, parse, pretty
+from .expr import compile_expr, evaluate, parse, pretty
 from .kernel import eval_m, half_weights, moment_p, moment_p_exact, weighted_moments
 from .quadrature import QuadratureResult, integrate
-from .reports import PropertyReport
 from .invexity import (
     Domain,
     EtaMap,
+    PropertyReport,
     SampleGrid,
+    check_derivative,
     check_invex_set,
     check_pair,
 )

@@ -48,7 +48,7 @@ from .errors import (
     PreconditionUnmet,
     QuadratureError,
 )
-from .invexity import Domain
+from .invexity import Domain, check_derivative
 from .quadrature import QuadratureResult
 from .record import Record
 
@@ -157,8 +157,8 @@ class FunctionModel(Record):
         ``interval`` (the case interval) when given, the domain otherwise (1e-9).
         """
         try:
-            gate = expr_mod.check_derivative(
-                self.f_fn, self.df_fn, (self.domain.lo, self.domain.hi), 33, 1e-4)
+            gate = check_derivative(self.f_fn, self.df_fn, (self.domain.lo, self.domain.hi),
+                                    33, 1e-4)
         except EvalDomainError as exc:
             raise CaseConfigError(f"model {self.name!r}: derivative gate: {exc}") from exc
         if gate.violated:

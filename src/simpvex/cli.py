@@ -110,15 +110,17 @@ def _parse_range(text: str, flag: str):
     return lo, hi
 
 
-_PAIR_FLAGS = ("--K", "--a-range", "--b-range")
-
-
-def _joined_pairs(argv: List[str]) -> List[str]:
-    """``argv`` with "--K -1,1" as "--K=-1,1", for each of ``_PAIR_FLAGS``: argparse
-    reads a separate word starting with "-" as an option, bar a plain negative number."""
+def _joined_values(argv: List[str], parser: argparse.ArgumentParser) -> List[str]:
+    """``argv`` with "--df -sin(x)" as "--df=-sin(x)" after each option of ``parser`` or
+    of a subcommand that takes a value: argparse reads a separate word starting with "-"
+    as an option, bar a plain negative number.  A word starting with "--" stays an option."""
+    parsers = [parser] + [sub for action in parser._actions if isinstance(action.choices, dict)
+                          for sub in action.choices.values()]
+    flags = {flag for p in parsers for action in p._actions if action.nargs != 0
+             for flag in action.option_strings}
     out: List[str] = []
     for word in argv:
-        if out and out[-1] in _PAIR_FLAGS and word[:1] == "-" and "," in word:
+        if out and out[-1] in flags and word[:1] == "-" and word[1:2] != "-":
             out[-1] += "=" + word
         else:
             out.append(word)
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_joined_pairs(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_joined_values(sys.argv[1:] if argv is None else argv, parser))
     try:
         with _output(args.out) as out:
             return args.fn(args, out)

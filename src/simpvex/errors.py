@@ -71,9 +71,9 @@ class QuadratureError(SimpvexError):
 class BudgetExhausted(QuadratureError):
     """Raised when the evaluation budget runs out before convergence."""
 
-    def __init__(self, evaluations: int, message: str = ""):
+    def __init__(self, evaluations: int):
         self.evaluations = evaluations
-        super().__init__(message or f"evaluation budget exhausted after {evaluations} calls")
+        super().__init__(f"evaluation budget exhausted after {evaluations} calls")
 
 
 class NonFiniteIntegrand(QuadratureError):

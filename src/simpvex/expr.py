@@ -26,7 +26,8 @@ function: ``abs_batch`` gives |f| at a list of points, from one list
 comprehension, and ``simpson_loop`` its integrals, from quadrature's
 Simpson loop, read from quadrature's source file, with the fast form
 inlined (or None, where the generic loop must run): this is the one
-module that generates code.  Nothing else is cached: each
+module that generates code, and it holds only the language and its
+generator.  Nothing else is cached: each
 ``compile_expr`` call builds a new function, which its owner (a
 ``FunctionModel`` or an ``EtaMap``) keeps.  Evaluation is pure and
 deterministic: the same AST evaluated at the same inputs returns the same
@@ -46,7 +47,6 @@ from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple,
 from . import quadrature
 from .errors import EvalDomainError, ParseError
 from .record import Record
-from .reports import VERIFIED, VIOLATED, PropertyReport
 
 __all__ = [
     "Expr",
@@ -62,7 +62,6 @@ __all__ = [
     "abs_batch",
     "simpson_loop",
     "pretty",
-    "check_derivative",
     "FUNCTIONS",
 ]
 
@@ -626,38 +625,3 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     evaluator: a compiled function gives the same value or error.  A
     binding missing where evaluation reaches its variable raises KeyError."""
     return _checked(e, {name: float(value) for name, value in bindings.items()})
-
-
-def check_derivative(f_fn: Callable, df_fn: Callable, interval: Tuple[float, float],
-                     points: int = 11, tol: float = 1e-4) -> PropertyReport:
-    """Cross-check ``df_fn`` against central finite differences of ``f_fn``.
-
-    Both take one float, as a ``FunctionModel``'s compiled f and df do;
-    this compiles nothing.  Samples ``points`` equispaced interior points
-    of ``interval`` and compares df(x) with (f(x+h) - f(x-h)) / (2h),
-    h = max(1e-6, 1e-6|x|).
-    The mismatch is measured relative to max(1, |df(x)|, |fd|), which
-    keeps the gate meaningful where the derivative passes through zero.
-    A NaN mismatch counts as an infinite one, so it fails the gate.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError("interval must satisfy lo < hi")
-    if points < 3:
-        raise ValueError("need at least 3 sample points")
-    worst = -math.inf
-    witness = None
-    for i in range(points):
-        x = lo + (i + 1) * (hi - lo) / (points + 1)
-        h = max(1e-6, 1e-6 * abs(x))
-        fd = (f_fn(x + h) - f_fn(x - h)) / (2.0 * h)
-        want = df_fn(x)
-        mismatch = abs(want - fd) / max(1.0, abs(want), abs(fd))
-        if mismatch != mismatch:
-            mismatch = math.inf
-        if mismatch > worst:
-            worst = mismatch
-            witness = (x, want, fd)
-    if worst > tol:
-        return PropertyReport("derivative", VIOLATED, worst, witness, points)
-    return PropertyReport("derivative", VERIFIED, worst, None, points)

@@ -10,7 +10,10 @@ and prequasiinvex when the right side is replaced by max(g(u), g(v)).
 With eta(v, u) = v - u these reduce to ordinary convexity and
 quasiconvexity.
 
-All checks here are sampling-based: one stream of samples, a
+Every sampled check lives here, the derivative gate ``check_derivative``
+too, each giving a ``PropertyReport`` by one rule, ``_report``; ``spaced``
+spaces every grid (``Domain.grid``, a plan's t values, the gate's points,
+the scan's axes).  The other checks sample one stream: a
 deterministic grid over K x K x [0, 1] and then a fixed-seed uniform
 layer.  Verdicts are therefore "verified_on_samples", never proofs.  The
 reported worst violation is the exact maximum over the samples, with ties
@@ -69,7 +72,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import expr as expr_mod
 from .record import Record
-from .reports import VERIFIED, VIOLATED, PropertyReport
 
 __all__ = [
     "Domain",
@@ -77,6 +79,8 @@ __all__ = [
     "DEFAULT_GRID",
     "DEFAULT_TOL",
     "EtaMap",
+    "PropertyReport",
+    "check_derivative",
     "check_invex_set",
     "check_pair",
     "hypothesis_pair",
@@ -84,6 +88,55 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 _RANDOM_SEED = 170167
+VERIFIED = "verified_on_samples"
+VIOLATED = "violated"
+
+
+class PropertyReport(Record):
+    """Outcome of a sampled check of a pointwise property.
+
+    property is one of "invex_set", "preinvex", "prequasiinvex" or
+    "derivative".  worst_violation is the maximum signed excess seen over
+    all samples; it exceeds the tolerance used for the check exactly when
+    verdict == "violated", in which case witness holds the sample that
+    attained it.  A "verified_on_samples" verdict never claims a proof,
+    only that every sample stayed within tolerance.
+    """
+
+    property: str
+    verdict: str
+    worst_violation: float
+    witness: Optional[Tuple[float, ...]]
+    samples: int
+    exponent_q: Optional[float] = None
+
+    def __post_init__(self):
+        if self.verdict not in (VERIFIED, VIOLATED):
+            raise ValueError(f"unknown verdict {self.verdict!r}")
+        if self.verdict == VIOLATED and self.witness is None:
+            raise ValueError("violated verdict requires a witness")
+
+    @property
+    def violated(self) -> bool:
+        return self.verdict == VIOLATED
+
+    def to_dict(self) -> dict:
+        return {
+            "property": self.property,
+            "exponent_q": self.exponent_q,
+            "verdict": self.verdict,
+            "worst_violation": self.worst_violation,
+            "witness": list(self.witness) if self.witness is not None else None,
+            "samples": self.samples,
+        }
+
+
+def spaced(lo: float, hi: float, n: int) -> List[float]:
+    """n equally spaced points from lo to hi: lo + i * (hi - lo) / (n - 1) for i < n, or
+    lo + i / (n - 1) * (hi - lo) where i * (hi - lo) overflows, so none is infinite."""
+    span, gaps = hi - lo, n - 1
+    return [lo + (w / gaps if math.isfinite(w := i * span) else i / gaps * span)
+            for i in range(n)]
 
 
 class Domain(Record):
@@ -105,8 +158,7 @@ class Domain(Record):
     def grid(self, n: int) -> List[float]:
         if n < 2:
             raise ValueError("grid needs at least 2 points")
-        span = self.hi - self.lo
-        return [self.lo + i * span / (n - 1) for i in range(n)]
+        return spaced(self.lo, self.hi, n)
 
 
 class SampleGrid(Record):
@@ -254,7 +306,7 @@ class SamplePlan:
     def __init__(self, K: Domain, eta: EtaMap, grid: SampleGrid):
         self.us = K.grid(grid.nu)
         self.vs = K.grid(grid.nv)
-        self.ts = [i / (grid.nt - 1) for i in range(grid.nt)]
+        self.ts = spaced(0.0, 1.0, grid.nt)
         self.points = array("d", self.us + self.vs)
         self.x_at = len(self.points)
         for u in self.us:
@@ -328,6 +380,36 @@ def _report(prop: str, worst: _Found, samples: int, tol: float,
     if excess > tol:
         return PropertyReport(prop, VIOLATED, excess, witness, samples, q)
     return PropertyReport(prop, VERIFIED, excess, None, samples, q)
+
+
+def check_derivative(f_fn: Callable, df_fn: Callable, interval: Tuple[float, float],
+                     points: int = 11, tol: float = 1e-4) -> PropertyReport:
+    """Cross-check ``df_fn`` against central finite differences of ``f_fn``.
+
+    Both take one float, as a ``FunctionModel``'s compiled f and df do;
+    this compiles nothing.  Samples ``points`` equispaced interior points
+    of ``interval`` and compares df(x) with (f(x+h) - f(x-h)) / (2h),
+    h = max(1e-6, 1e-6|x|).
+    The mismatch is measured relative to max(1, |df(x)|, |fd|), which
+    keeps the gate meaningful where the derivative passes through zero.
+    A NaN mismatch counts as an infinite one, so it fails the gate.
+    """
+    lo, hi = float(interval[0]), float(interval[1])
+    if not lo < hi:
+        raise ValueError("interval must satisfy lo < hi")
+    if points < 3:
+        raise ValueError("need at least 3 sample points")
+    worst = (-math.inf, None)
+    for x in spaced(lo, hi, points + 2)[1:-1]:
+        h = max(1e-6, 1e-6 * abs(x))
+        fd = (f_fn(x + h) - f_fn(x - h)) / (2.0 * h)
+        want = df_fn(x)
+        mismatch = abs(want - fd) / max(1.0, abs(want), abs(fd))
+        if mismatch != mismatch:
+            mismatch = math.inf
+        if mismatch > worst[0]:
+            worst = (mismatch, (x, want, fd))
+    return _report("derivative", worst, points, tol)
 
 
 def check_invex_set(K: Domain, eta: EtaMap, grid: SampleGrid = DEFAULT_GRID,

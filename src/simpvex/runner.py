@@ -63,13 +63,14 @@ from .invexity import (
     DEFAULT_TOL,
     Domain,
     EtaMap,
+    PropertyReport,
     SampleGrid,
     check_invex_set,
     hypothesis_pair,
+    spaced,
 )
 from .quadrature import DEFAULT_ABS_TOL, QuadratureResult
 from .record import Record, factory, replace
-from .reports import PropertyReport
 
 __all__ = [
     "Tolerances",
@@ -137,7 +138,7 @@ class Tolerances(Record):
     oracle: float = DEFAULT_ABS_TOL
     slack: float = 1e-12
     invexity: float = DEFAULT_TOL
-    identity: float = 1e-9
+    identity = 1e-9  # not annotated: a constant no case or flag sets, not a field
 
     def merged(self, overrides: Optional[dict]) -> "Tolerances":
         """This set with ``overrides`` applied, a None override counting as absent;
@@ -686,9 +687,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         lo, hi = float(rng[0]), float(rng[1])
         if not math.isfinite(hi - lo):  # as Domain refuses: the axis would hold NaN
             raise ValueError(f"{name} width hi - lo overflows, got [{lo!r}, {hi!r}]")
-        if lo == hi:
-            return [lo] * steps
-        return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+        return [lo] * steps if lo == hi else spaced(lo, hi, steps)
 
     a_vals = axis(a_range, "a_range")
     b_vals = axis(b_range, "b_range")

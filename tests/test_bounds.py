@@ -401,6 +401,11 @@ def test_validate_gates(make_model):
     assert "antiderivative" in str(info.value)
 
 
+def test_derivative_gate_samples_a_wide_domain_at_finite_points(make_model):
+    # (i + 1) * (hi - lo) overflows on [0, 1e307]: the gate once read f and df at x = inf
+    make_model("2*x", "2", K=(0.0, 1e307)).validate()
+
+
 def _old_q_mean(w1, x1, w2, x2, q):
     """(w1 x1^q + w2 x2^q)^(1/q) with the float operations the bounds used
     before their rhs forms were prepared per q."""

@@ -408,6 +408,9 @@ SCAN_SQUARE = ["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1",
     (["corpus", "--tol-oracle", "nan"], "tolerance oracle must be finite and > 0, got nan"),
     (["corpus", "--tol-oracle", "-1"], "tolerance oracle must be finite and > 0, got -1.0"),
     (["corpus", "--tol-slack", "nan"], "tolerance slack must be finite and > 0, got nan"),
+    (["corpus", "--tol-slack", "-1e-3"], "tolerance slack must be finite and > 0, got -0.001"),
+    (SCAN_SQUARE + ["--q", "a,b"], "--q expects comma-separated numbers, got 'a,b'"),
+    (SCAN_SQUARE + ["--q", ","], "--q expects at least one number"),
     (SCAN_SQUARE + ["--q", "2,2"], "q 2.0 is listed more than once"),
     (SCAN_SQUARE + ["--theorems", "T3.2,T4.1,T3.2"], "theorem 'T3.2' is listed more than once"),
 ])
@@ -648,6 +651,23 @@ def test_a_pair_flag_takes_a_pair_starting_with_a_minus_sign(flag, capsys):
     split = argv + [f"{name}={pair}" for name, pair in pairs.items() if name != flag]
     assert main(split + [flag, pairs[flag]]) == 0
     assert capsys.readouterr().out == want
+
+
+def test_an_option_takes_a_value_starting_with_a_minus_sign(capsys):
+    # argparse alone reads "-sin(x)" as an option and exits 3: --df expected one argument
+    argv = ["--quiet", "scan", "--f", "cos(x)", "--K", "0,1", "--a-range", "0,0.5",
+            "--b-range", "0.5,1"]
+    assert main(argv + ["--df=-sin(x)"]) == 0
+    want = capsys.readouterr().out
+    assert "T4.1,ok," in want
+    assert main(argv + ["--df", "-sin(x)"]) == 0
+    assert capsys.readouterr().out == want
+    # a word starting with "--" is an option, never the value of the one before it
+    with pytest.raises(SystemExit) as info:
+        main(["scan", "--f", "x^2", "--df", "2*x", "--K", "--a-range", "0,1",
+              "--b-range", "0,1"])
+    assert info.value.code == 3
+    assert "error: argument --K: expected one argument" in capsys.readouterr().err
 
 
 _CORPUS_FILES = sorted(runner._corpus_dir().glob("*.json"))

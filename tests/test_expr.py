@@ -18,7 +18,7 @@ import hypothesis.strategies as st
 import simpvex.expr
 from simpvex import quadrature
 from simpvex.errors import EvalDomainError, ParseError
-from simpvex.invexity import Domain, EtaMap, hypothesis_pair
+from simpvex.invexity import Domain, EtaMap, check_derivative, hypothesis_pair
 from simpvex.expr import (
     FUNCTIONS,
     Expr,
@@ -28,7 +28,6 @@ from simpvex.expr import (
     Neg,
     Num,
     Var,
-    check_derivative,
     compile_expr,
     evaluate,
     parse,

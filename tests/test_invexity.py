@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from simpvex import bounds, invexity
 from simpvex.bounds import FunctionModel
@@ -18,17 +18,20 @@ from simpvex.errors import EvalDomainError, ParseError
 from simpvex.expr import compile_expr, parse
 from simpvex.invexity import (
     DEFAULT_GRID,
+    VERIFIED,
+    VIOLATED,
     Domain,
     EtaMap,
+    PropertyReport,
     SampleGrid,
     SamplePlan,
     _plan,
     check_invex_set,
     check_pair,
     hypothesis_pair,
+    spaced,
 )
 from simpvex.record import replace
-from simpvex.reports import VERIFIED, VIOLATED, PropertyReport
 
 
 def fn(source):
@@ -54,6 +57,32 @@ def test_domain_rejects_a_width_that_overflows():
     with pytest.raises(ValueError, match=r"domain width hi - lo overflows, got \[-1e\+308, 1e\+308\]"):
         Domain(-1e308, 1e308)
     assert Domain(-1e308, 0.0).hi - Domain(-1e308, 0.0).lo == 1e308
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False), st.integers(2, 200))
+@example(0.0, 1e307, 41)
+@example(0.0, 1e307, 81)
+@example(-1.0, 1.0, 2)
+def test_spaced_is_the_spacing_formula_wherever_its_product_is_finite(lo, hi, n):
+    span = hi - lo
+    assume(math.isfinite(span))
+    points = spaced(lo, hi, n)
+    assert len(points) == n and all(map(math.isfinite, points))
+    assert [x.hex() for i, x in enumerate(points) if math.isfinite(i * span)] == [
+        (lo + i * (hi - lo) / (n - 1)).hex() for i in range(n) if math.isfinite(i * span)]
+    assert points == sorted(points, reverse=lo > hi)
+
+
+def test_a_wide_interval_is_spaced_without_infinity():
+    # i * (hi - lo) overflows from i = 18 on: the spacing formula gave 23 infinities
+    # in a 41-point grid of [0, 1e307] and 63 in an 81-step scan axis
+    grid = Domain(0.0, 1e307).grid(41)
+    assert grid[:18] == [i * 1e307 / 40 for i in range(18)]
+    assert grid[-1] == 1e307 and all(map(math.isfinite, grid))
+    assert all(map(math.isfinite, spaced(0.0, 1e307, 81)))
+    assert spaced(0.0, 1.0, 21) == [i / 20 for i in range(21)]
 
 
 def test_default_grid_shape():

@@ -16,9 +16,8 @@ import pytest
 import simpvex  # noqa: F401 (defines every record class)
 from simpvex.bounds import BoundValue, FunctionModel
 from simpvex.expr import Num, Var
-from simpvex.invexity import Domain
+from simpvex.invexity import Domain, PropertyReport
 from simpvex.record import FrozenInstanceError, Record, factory, replace
-from simpvex.reports import PropertyReport
 from simpvex.runner import CaseResult
 
 

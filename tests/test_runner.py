@@ -319,6 +319,17 @@ def test_an_antiderivative_check_that_cannot_converge_is_a_config_error():
     assert isinstance(info.value.__cause__, QuadratureError)
 
 
+def test_an_eta_failing_at_b_a_loads_and_is_an_input_error():
+    # the F gate skips the case interval where eta(b, a) fails; run_case words the failure
+    case = load_case(square_case(eta={"kind": "expression", "value": "log(v-u)"},
+                                 a=0.8, b=0.2))
+    result = run_case(case)
+    assert (result.verdict, result.error) == (
+        "input_error", "EvalDomainError: log of non-positive argument in log((v - u)) "
+                       "at -0.6000000000000001")
+    assert result.hypotheses == [] and result.bounds == []
+
+
 def test_run_case_flags_point_outside_domain():
     case = load_case(square_case(b=2, K=[0, 1]))
     result = run_case(case)
@@ -371,6 +382,8 @@ NEEDS_FINITE = "expected 'T3.1' needs a finite rhs and a finite tolerance > 0, "
      "expected key 'C4.1@2' can never match: C4.1 labels no bound q = 2.0"),
     ("T3.2@1", {"rhs": 0.2, "tolerance": 1e-9},
      "expected key 'T3.2@1' can never match: T3.2 labels no bound q = 1.0"),
+    ("T3.4@0.5", {"rhs": 0.2, "tolerance": 1e-9},
+     "expected key 'T3.4@0.5' can never match: T3.4 labels no bound q = 0.5"),
 ])
 def test_bad_expected_entries_are_config_errors(key, entry, message):
     # json.loads accepts NaN and Infinity; the case schema checks types only
@@ -1104,6 +1117,11 @@ def _scan_edge(name):
                 EtaMap.from_expression("1e-310*(v-u)"), Domain(-1.0, 2.0),
                 (0.0, 0.5), (1.0, 1.5), [1.0], 3, ("T3.1", "C4.1", "C4.2"),
                 runner.DEFAULT_TOLERANCES, SMALL_GRID)
+    if name == "f fails in a defect":
+        # f fails left of 0.3: at the 6 cells with a < 0.3, beside the one with b = a
+        return (_model("sqrt(x - 0.3)", "0.5/sqrt(x - 0.3)", K=(0.0, 1.0), d4sup=1.0),
+                EtaMap.difference(), Domain(0.0, 1.0), (0.0, 0.5), (0.5, 1.0), [1.0], 3,
+                ("CLASSICAL",), runner.DEFAULT_TOLERANCES, SMALL_GRID)
     # a in {0, 0.375, 0.75}, b in {0.375, 1.125, 1.875}; none is a sample point
     axes = ((0.0, 0.75), (0.375, 1.875))
     model = _model(*quartic, d4sup=30.0)
@@ -1121,7 +1139,8 @@ def _scan_edge(name):
 @pytest.mark.parametrize("name", [
     "K wider than the domain", "K narrower than the domain", "C4.2 precondition holds",
     "denormal step", "denormal step with F", "f' fails at one axis value",
-    "f' raises at one axis value", "f' raises only where no cell reads it"])
+    "f' raises at one axis value", "f' raises only where no cell reads it",
+    "f fails in a defect"])
 def test_scan_edges_match_theorem_major_reference(name):
     args = _scan_edge(name)
     got = _scan_outcome(tightness_scan, *args)
@@ -1148,6 +1167,9 @@ def test_scan_edges_match_theorem_major_reference(name):
         assert results["T3.1"].skipped == results["CLASSICAL"].skipped + 3
     if name == "f' raises only where no cell reads it":
         assert results["T3.1"].status == "ok"
+    if name == "f fails in a defect":
+        assert (results["CLASSICAL"].status, results["CLASSICAL"].cells,
+                results["CLASSICAL"].skipped) == ("ok", 9, 7)
 
 
 @pytest.mark.parametrize("a_range, b_range, message", [
@@ -1536,6 +1558,11 @@ def test_scan_treats_an_eta_failing_in_the_invex_set_check_as_not_invex():
     assert (t41.status, t41.cells, t41.skipped) == ("all_skipped", 18, 18)
     # CLASSICAL needs no hypothesis; only the cell a = b = 0.25 (step 0) is skipped
     assert (classical.status, classical.cells, classical.skipped) == ("ok", 9, 1)
+    # where b < a, sqrt(v - u) fails at the cell itself: 3 such cells and 3 with b = a
+    (classical,) = tightness_scan(_model("x^2", "2*x", K=(0.0, 1.0), d4sup=2.0), SQRT_ETA,
+                                  Domain(0.0, 1.0), (0.0, 0.5), (0.0, 0.5), [1.0], steps=3,
+                                  theorems=("CLASSICAL",), grid=SMALL_GRID)
+    assert (classical.status, classical.cells, classical.skipped) == ("ok", 9, 6)
 
 
 _POLY_ETAS = [EtaMap.difference(), EtaMap.abs_example(), EtaMap.from_expression("0.5*(v-u)"),

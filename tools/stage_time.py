@@ -128,8 +128,7 @@ def scan_runs(case, config: dict, steps: int, grid=runner.DEFAULT_GRID):
     start = clock()
     loop = expr.simpson_loop(f)
     yield "inline", clock() - start
-    a_vals, b_vals = ([lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
-                      for lo, hi in (a_range, b_range))
+    a_vals, b_vals = (invexity.spaced(lo, hi, steps) for lo, hi in (a_range, b_range))
     cells = []
     for a in a_vals:
         for b in b_vals:
