@@ -659,7 +659,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                    grid: SampleGrid = DEFAULT_GRID) -> List[TightnessResult]:
     """Maximise |defect| / rhs per theorem over an (a, b, q) grid.
 
-    A cell is skipped where eta fails or gives no positive step, where a, b
+    A result's ``skipped`` counts its (q, a, b) cells that gave no ratio.  A
+    cell gives none where eta fails or gives no positive step, where a, b
     or a + step lies outside K or a or a + step outside the model's domain,
     where f or its integral fails, where f' fails or is NaN at a or b (for a
     theorem that reads it), off C4.2's precondition, and where the rhs is
@@ -698,7 +699,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     except EvalDomainError:  # eta fails on the samples: K is not invex for it
         invex = False
     hypothesis = _hypotheses(model, eta, K, grid, tol.invexity, [])
-    # (rhs, lhs, reads f') -> [best ratio, its (a, b) or None, skipped cells], one
+    # (rhs, lhs, reads f') -> [best ratio, its (a, b) or None, ranked cells], one
     # per distinct rhs and lhs (T4.1 at every q and C4.1 share one); lhs None: |defect|
     rankings = {}
     by_theorem = []  # (theorem, [(q, its ranking)])
@@ -711,11 +712,11 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                           invex and not hypothesis(row.mode, q).violated)
             except OverflowError:  # |f'|^q overflows on the samples
                 usable = False
-            ranking = [-math.inf, None, n_cells]
+            ranking = [-math.inf, None, 0]  # a pair that cannot rank ranks no cell
             if usable:
                 key = (row.rhs_for(model.d4sup if row.mode is None else q),
                        bounds_mod._midpoint_lhs if row.midpoint else None, row.mode is not None)
-                ranking = rankings.setdefault(key, [-math.inf, None, 0])
+                ranking = rankings.setdefault(key, ranking)
             pairs.append((q, ranking))
         by_theorem.append((theorem, pairs))
 
@@ -736,7 +737,6 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     loop = expr_mod.simpson_loop(model.f_fn) if rankings and model.F_fn is None else None
     on_domain = K == model.domain  # else the path must also lie in the model's domain
     b_inside = [K.contains(b) for b in b_vals]
-    unusable = 0  # cells every ranking skips: no step, path or defect
     for a in a_vals if rankings else ():  # with nothing to rank, no cell is visited
         a_inside = K.contains(a) and (on_domain or model.domain.contains(a))
         row = []  # (b, step, |defect|, mean, f values, |f'(a)|, |f'(b)|) per usable cell
@@ -744,60 +744,51 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             try:
                 step = eta(b, a)
             except EvalDomainError:
-                unusable += 1
                 continue
             if not (step > 0.0 and a_inside and b_inside[j] and K.contains(a + step)
                     and (on_domain or model.domain.contains(a + step))):
-                unusable += 1
                 continue
             try:
                 values, simpson_value, mean, _, _ = bounds_mod._defect(model, a, step,
                                                                        tol.oracle, loop)
             except (EvalDomainError, QuadratureError):
-                unusable += 1
                 continue
             x1 = x2 = None  # |f'(a)|, |f'(b)|; None where f' fails or is NaN
             if reads_df and abs_df(a) is not None and abs_df(b) is not None:
                 x1, x2 = df_at[a], df_at[b]
             row.append((b, step, abs(simpson_value - mean), mean, values, x1, x2))
         for (rhs_of, lhs_of, uses_df), ranking in rankings.items():  # nothing here raises
-            best, at, skipped = ranking
+            best, at, ranked = ranking
             for b, step, abs_defect, mean, values, x1, x2 in row:
                 lhs = abs_defect if lhs_of is None else lhs_of(mean, values)
                 if lhs is None or uses_df and x1 is None:  # C4.2 unmet, or no |f'|
-                    skipped += 1
                     continue
                 try:
                     rhs = rhs_of(x1, x2, step)
-                except OverflowError:  # a power beyond the float range: skipped as NaN is
-                    rhs = math.nan
+                except OverflowError:  # a power beyond the float range: no ratio, as NaN
+                    continue
                 if not rhs > 0.0:  # zero or NaN: no ratio to rank
-                    skipped += 1
                     continue
                 ratio = lhs / rhs
+                if ratio != ratio:  # NaN: never a witness, as in invexity's sweeps
+                    continue
+                ranked += 1
                 if ratio > best:
                     best = ratio
                     at = (a, b)
-                elif ratio != ratio:  # NaN: never a witness, as in invexity's sweeps
-                    skipped += 1
-            ranking[:] = best, at, skipped
-    for ranking in rankings.values():
-        ranking[2] += unusable
+            ranking[:] = best, at, ranked
 
     out = []
     for theorem, pairs in by_theorem:
-        best = None  # (ratio, (a, b), q) of the best pair
+        best = None, (None, None), None  # (ratio, (a, b), q) of the best pair, if any
         for q, (ratio, at, _) in pairs:  # q order: the first of equal ratios wins
-            if at is not None and (best is None or ratio > best[0]):
+            if at is not None and (best[0] is None or ratio > best[0]):
                 best = ratio, at, q
+        ratio, (a, b), q = best
         cells = n_cells * len(pairs)
-        skipped = sum(ranking[2] for _, ranking in pairs)
-        if best is None:
-            out.append(TightnessResult(theorem, "all_skipped", None, None, None, None,
-                                       cells, skipped))
-        else:
-            ratio, (a, b), q = best
-            out.append(TightnessResult(theorem, "ok", ratio, a, b, q, cells, skipped))
+        ranked = sum(ranking[2] for _, ranking in pairs)
+        out.append(TightnessResult(theorem, "all_skipped" if ratio is None else "ok",
+                                   ratio, a, b, q, cells, cells - ranked))
     return out
 
 

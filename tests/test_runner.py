@@ -1621,3 +1621,38 @@ def test_K_one_ulp_wide_passes_the_F_gate():
     K = [1.0, math.nextafter(1.0, 2.0)]
     case = load_case(square_case(K=K, a=K[0], b=K[1]))
     assert run_case(case).verdict == "pass"
+
+
+# Known faults whose mends move recorded benchmark bytes; each mend drops its marker.
+
+
+@pytest.mark.xfail(strict=True, raises=EvalDomainError, reason="ROADMAP item 1")
+def test_an_f_prime_failing_in_the_hypothesis_sweep_is_an_input_error():
+    # f' = 0.5/sqrt(x) divides by zero at x = 0, a sample point of K the sweep reads
+    cfg = square_case(f="sqrt(x)", df="0.5/sqrt(x)", F=None, a=0.25, b=0.75, q=[1],
+                      theorems=["T3.1"])
+    assert run_case(load_case(cfg)).verdict == "input_error"
+
+
+@pytest.mark.xfail(strict=True, raises=EvalDomainError, reason="ROADMAP item 1")
+def test_a_scan_whose_hypothesis_sweep_fails_skips_that_modes_cells():
+    model = _model("sqrt(x)", "0.5/sqrt(x)", K=(0.0, 1.0))
+    results = tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.0),
+                             (0.0, 0.5), (0.5, 1.0), [1.0], steps=3, theorems=("T3.1",))
+    assert [(r.status, r.cells, r.skipped) for r in results] == [("all_skipped", 9, 9)]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+def test_a_convex_f_prime_to_a_large_q_meets_its_hypotheses():
+    # |f'|^40 = (2 + x^2)^40 is convex on [0, 1]; its values near 3^40 differ by a few ulps
+    cfg = square_case(f="2*x+x^3/3", df="2+x^2", F=None, q=[40], theorems=["T3.4"])
+    assert run_case(load_case(cfg)).verdict == "pass"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+def test_a_wide_K_is_invex_for_the_difference_map():
+    # at t = 1, u + 1.0*(v - u) rounds one ulp of 1e307 above v
+    result = run_case(load_case(square_case(f="2*x", df="2", F=None, K=[0, 1e307],
+                                            q=[1], theorems=["T3.1"])))
+    assert [(h.property, h.verdict) for h in result.hypotheses[:1]] == [
+        ("invex_set", "verified_on_samples")]
