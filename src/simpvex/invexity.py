@@ -12,8 +12,8 @@ quasiconvexity.
 
 Every sampled check lives here, the derivative gate ``check_derivative``
 too, each giving a ``PropertyReport`` by one rule, ``_report``; ``spaced``
-spaces every grid (``Domain.grid``, a plan's t values, the gate's points,
-the scan's axes).  The other checks sample one stream: a
+spaces every grid (a plan's u, v and t values, the gate's points, the
+scan's axes).  The other checks sample one stream: a
 deterministic grid over K x K x [0, 1] and then a fixed-seed uniform
 layer.  Verdicts are therefore "verified_on_samples", never proofs.  The
 reported worst violation is the exact maximum over the samples, with ties
@@ -84,6 +84,7 @@ __all__ = [
     "check_invex_set",
     "check_pair",
     "hypothesis_pair",
+    "spaced",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -154,11 +155,6 @@ class Domain(Record):
     def contains(self, x: float) -> bool:
         """Whether x lies in [lo, hi], widened by DEFAULT_TOL at each end."""
         return self.lo - DEFAULT_TOL <= x <= self.hi + DEFAULT_TOL
-
-    def grid(self, n: int) -> List[float]:
-        if n < 2:
-            raise ValueError("grid needs at least 2 points")
-        return spaced(self.lo, self.hi, n)
 
 
 class SampleGrid(Record):
@@ -281,14 +277,6 @@ def _unit_draws(seed: int, count: int) -> Tuple[array, array, array]:
 _CHUNK = 2048  # points per batch-form slice: few slices, none near a plan's size
 
 
-def _filled(batch: Callable[[array], List[float]], points: array) -> array:
-    """batch of each slice of _CHUNK points, in order, as one array."""
-    values = array("d")
-    for i in range(0, len(points), _CHUNK):
-        values.fromlist(batch(points[i:i + _CHUNK]))
-    return values
-
-
 class SamplePlan:
     """The sample stream of one (K, eta, grid), with its path points.
 
@@ -304,8 +292,8 @@ class SamplePlan:
     """
 
     def __init__(self, K: Domain, eta: EtaMap, grid: SampleGrid):
-        self.us = K.grid(grid.nu)
-        self.vs = K.grid(grid.nv)
+        self.us = spaced(K.lo, K.hi, grid.nu)
+        self.vs = spaced(K.lo, K.hi, grid.nv)
         self.ts = spaced(0.0, 1.0, grid.nt)
         self.points = array("d", self.us + self.vs)
         self.x_at = len(self.points)
@@ -339,14 +327,15 @@ class SamplePlan:
         memo_fn, values = self._memo
         if memo_fn is fn:
             return values
-        batch = expr_mod.abs_batch(fn)
+        batch, points, values = expr_mod.abs_batch(fn), self.points, array("d")
         try:
-            values = _filled(batch, self.points) if batch else None
+            for i in range(0, len(points), _CHUNK) if batch else ():
+                values.fromlist(batch(points[i:i + _CHUNK]))
         except Exception:
-            values = None
-        if values is None:  # outside the except block, so nothing chains
+            batch = None
+        if batch is None:  # outside the except block, so nothing chains
             values = array("d")
-            for x in self.points:
+            for x in points:
                 v = abs(fn(x))
                 v ** q  # v ** 1.0 never raises; at other q, an overflow fails the point
                 values.append(v)
@@ -509,7 +498,7 @@ def check_pair(g: Callable[[float], float], eta: EtaMap, K: Domain,
     must be defined wherever the sampled paths land.
     """
     plan = _plan(K, eta, grid)
-    return _pair(plan, _filled(lambda xs: list(map(g, xs)), plan.points), tol, None)
+    return _pair(plan, array("d", map(g, plan.points)), tol, None)
 
 
 def hypothesis_pair(model, eta: EtaMap, K: Domain, q: float,

@@ -1,0 +1,112 @@
+"""Two relations that leave the paper's claims as they were, on the bundled corpus.
+
+Reflecting x to -x (f(-x), f' -> -f'(-x), F -> -F(-x), K -> [-hi, -lo],
+(a, b) -> (-b, -a)) maps [a, a + eta] onto its mirror image under both
+built-in eta maps, and swaps |f'(a)| with |f'(b)|, which every rhs
+treats alike; doubling f, f', F and d4sup doubles the defect and every
+rhs.  So no case verdict may move under either, a reflected rhs must
+equal the original bit for bit, and a doubled one must be twice the
+original to within a few roundings of the power means.
+
+Each config is rewritten through its expression tree (``expr.parse``,
+substitution, ``expr.pretty``), never as a string: ``exp`` holds an
+``x``.  The rewritten configs drop ``expected``, whose values are the
+original's.  Shifts, stretches and other scales are ROADMAP item 22's.
+"""
+
+import json
+
+import pytest
+
+from simpvex import expr, runner
+from simpvex.expr import Bin, Call, If, Neg, Num, Var
+
+CONFIGS = [json.loads(path.read_text(encoding="utf-8"))
+           for path in sorted(runner._corpus_dir().glob("*.json"))]
+# doubling is exact in f, f' and F, but an rhs's powers and roots round differently at
+# each scale: ROADMAP item 22 measured every rhs of the corpus and the fresh ledger
+# within this relative distance of twice the original
+DOUBLED_REL = 1.6e-15
+
+
+def _substitute(e, x):
+    """``e`` with every variable replaced by the tree ``x``."""
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Num):
+        return e
+    if isinstance(e, Neg):
+        return Neg(_substitute(e.operand, x))
+    if isinstance(e, Bin):
+        return Bin(e.op, _substitute(e.left, x), _substitute(e.right, x))
+    if isinstance(e, Call):
+        return Call(e.name, _substitute(e.arg, x))
+    assert isinstance(e, If), e
+    return If(_substitute(e.cond, x), _substitute(e.then, x), _substitute(e.other, x))
+
+
+def _rewritten(config, **functions):
+    """``config`` without ``expected``, each of ``functions`` (f, df, F) mapped
+    from its parsed tree by the given function, and printed again."""
+    out = {key: value for key, value in config.items() if key != "expected"}
+    for key, rewrite in functions.items():
+        out[key] = expr.pretty(rewrite(expr.parse(config[key], {"x"})))
+    return out
+
+
+def _reflected(config):
+    at_minus_x = lambda e: _substitute(e, Neg(Var("x")))  # noqa: E731
+    out = _rewritten(config, f=at_minus_x, df=lambda e: Neg(at_minus_x(e)),
+                     F=lambda e: Neg(at_minus_x(e)))
+    lo, hi = config["K"]
+    out.update(K=[-hi, -lo], a=-config["b"], b=-config["a"])
+    return out
+
+
+def _doubled(config):
+    twice = lambda e: Bin("*", Num(2.0), e)  # noqa: E731
+    out = _rewritten(config, f=twice, df=twice, F=twice)
+    if config.get("d4sup") is not None:
+        out["d4sup"] = 2 * config["d4sup"]
+    return out
+
+
+def _results(configs):
+    report = runner.run_corpus([runner.load_case(config) for config in configs])
+    return {r.name: (r.verdict, {(bv.theorem, bv.q): bv.rhs for bv in r.bounds})
+            for r in report.results}
+
+
+@pytest.fixture(scope="module")
+def original():
+    return _results(CONFIGS)
+
+
+def test_the_rewrites_go_through_the_tree():
+    exp01 = next(config for config in CONFIGS if config["name"] == "exp01")
+    assert [_reflected(exp01)[key] for key in ("f", "df", "F", "K", "a", "b")] == [
+        "exp((-x))", "(-exp((-x)))", "(-exp((-x)))", [-1, 0], -1, 0]
+    assert [_doubled(exp01)[key] for key in ("f", "df", "F", "d4sup")] == [
+        "(2.0 * exp(x))", "(2.0 * exp(x))", "(2.0 * exp(x))", 2 * 2.718281828459045]
+    assert "expected" in exp01 and "expected" not in _reflected(exp01)
+
+
+def test_reflection_moves_no_verdict_and_no_rhs_bit(original):
+    reflected = _results(map(_reflected, CONFIGS))
+    assert len(reflected) == 15
+    assert {name: verdict for name, (verdict, _) in reflected.items()} == {
+        name: verdict for name, (verdict, _) in original.items()}
+    for name, (_, rhs) in original.items():
+        assert {key: value.hex() for key, value in reflected[name][1].items()} == {
+            key: value.hex() for key, value in rhs.items()}, name
+
+
+def test_doubling_moves_no_verdict_and_doubles_every_rhs(original):
+    doubled = _results(map(_doubled, CONFIGS))
+    assert {name: verdict for name, (verdict, _) in doubled.items()} == {
+        name: verdict for name, (verdict, _) in original.items()}
+    for name, (_, rhs) in original.items():
+        twice = doubled[name][1]
+        assert twice.keys() == rhs.keys(), name
+        assert [key for key, value in rhs.items()
+                if not abs(twice[key] - 2 * value) <= DOUBLED_REL * 2 * value] == [], name

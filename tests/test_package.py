@@ -121,6 +121,10 @@ def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
     assert all(scan[stage] > 0 for stage in ("sweeps", "inline", "defects", "scan"))
     assert scan["loop"] == pytest.approx(
         scan["scan"] - scan["sweeps"] - scan["inline"] - scan["defects"], abs=1e-5)
+    # one run spreads over nothing; each stage's spread is printed beside its least
+    total = next(line for line in lines if line.startswith("scan total "))
+    assert re.fullmatch(r"scan total \(ms, 9x9 cells, least and spread over 1 runs\): "
+                        + ", ".join(rf"{stage} \d+\.\d \(spread 0\.0\)" for stage in scan), total)
     # the expected raiser stops at its sweeps; every other pool model shows each stage
     assert re.fullmatch(r"scan_00003_power( +-){5}", next(
         line for line in lines if line.startswith("scan_00003_power ")))

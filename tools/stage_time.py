@@ -23,13 +23,16 @@ workload's ``tightness_scan`` over ``scan_args``), it times:
 * defects: ``bounds._defect`` at each cell with a usable step, through
            that loop, as the scan computes them;
 * scan:    the whole ``tightness_scan``, plan and inlined loop included;
-* loop:    scan - sweeps - inline - defects, the scan's cell and pair loop.
+* loop:    scan - sweeps - inline - defects of the same run, the scan's
+           cell and pair loop.
 
 Each stage of each case takes the least of ``--runs`` runs, so the
-figures leave out one-off costs such as compiling an expression.  Every
-case pays for its own plan here, where a corpus run shares one between
-consecutive cases on the same K and eta; every exponent and bound is
-timed, where ``run_case`` skips those after a failed hypothesis.  A case
+figures leave out one-off costs such as compiling an expression; the
+scan total line gives each stage's spread too, the largest less the
+least of its per-run totals.  Every case pays for its own plan here,
+where a corpus run shares one between consecutive cases on the same K
+and eta; every exponent and bound is timed, where ``run_case`` skips
+those after a failed hypothesis.  A case
 that fails at load, or a stage that raises, shows ``-`` for what is
 left of that case.  Prints one line per case in milliseconds, a total
 line per set, and last one JSON object of the totals:
@@ -44,6 +47,7 @@ import argparse
 import json
 import sys
 import time
+from operator import add
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,12 +126,14 @@ def scan_runs(case, config: dict, steps: int, grid=runner.DEFAULT_GRID):
             hypothesis("preinvex", q)
         except OverflowError:
             pass
-    yield "sweeps", clock() - start
+    sweeps = clock() - start
+    yield "sweeps", sweeps
     f = model.f_fn
     f.loop = None  # built anew in each run, as a scan of a newly loaded model builds it
     start = clock()
     loop = expr.simpson_loop(f)
-    yield "inline", clock() - start
+    inline = clock() - start
+    yield "inline", inline
     a_vals, b_vals = (invexity.spaced(lo, hi, steps) for lo, hi in (a_range, b_range))
     cells = []
     for a in a_vals:
@@ -144,26 +150,29 @@ def scan_runs(case, config: dict, steps: int, grid=runner.DEFAULT_GRID):
             bounds._defect(model, a, step, tol.oracle, loop)
         except (EvalDomainError, QuadratureError):
             pass
-    yield "defects", clock() - start
+    defects = clock() - start
+    yield "defects", defects
     invexity._plan.cache_clear()
     f.loop = None
     start = clock()
     runner.tightness_scan(model, eta, K, a_range, b_range, q_list, steps)
-    yield "scan", clock() - start
+    scan = clock() - start
+    yield "scan", scan
+    yield "loop", scan - sweeps - inline - defects
 
 
-def best_times(config: dict, runs: int, stages=stage_runs) -> dict:
-    """Least seconds per stage over ``runs`` runs of ``stages(case)``; the stages
+def run_times(config: dict, runs: int, stages=stage_runs) -> dict:
+    """Seconds per stage in each of ``runs`` runs of ``stages(case)``; the stages
     reached before a failure."""
-    best = {}
+    times = {}
     try:
         case = runner.load_case(config)
         for _ in range(runs):
             for stage, seconds in stages(case):
-                best[stage] = min(seconds, best.get(stage, seconds))
+                times.setdefault(stage, []).append(seconds)
     except (SimpvexError, ArithmeticError, ValueError):
         pass
-    return best
+    return times
 
 
 def line(name: str, best: dict) -> str:
@@ -194,20 +203,24 @@ def totals(rows: list) -> dict:
 
 
 def scan_set(runs: int, steps: int) -> dict:
-    """Print one line per scan-pool model in milliseconds and a total line;
-    return the total seconds per scan stage."""
+    """Print one line per scan-pool model in milliseconds and a total line with
+    each stage's spread over runs; return the total seconds per scan stage."""
     print(f"{'scan (ms)':30} " + " ".join(f"{s:>8}" for s in SCAN_STAGES))
     total = dict.fromkeys(SCAN_STAGES, 0.0)
+    per_run = {stage: [0.0] * runs for stage in SCAN_STAGES}
     for config in inputs.scan_pool():
-        best = best_times(config, runs, lambda case: scan_runs(case, config, steps))
-        if "scan" in best:
-            best["loop"] = best["scan"] - best["sweeps"] - best["inline"] - best["defects"]
+        times = run_times(config, runs, lambda case: scan_runs(case, config, steps))
+        best = {stage: min(seconds) for stage, seconds in times.items()}
+        if len(times.get("loop", ())) == runs:  # every run reached the end
             for stage in SCAN_STAGES:
                 total[stage] += best[stage]
+                per_run[stage] = list(map(add, per_run[stage], times[stage]))
         print(f"{config['name']:30} " + " ".join(
             f"{1e3 * best[s]:8.2f}" if s in best else f"{'-':>8}" for s in SCAN_STAGES))
-    print(f"scan total (ms, {steps}x{steps} cells): " + ", ".join(
-        f"{stage} {1e3 * seconds:.1f}" for stage, seconds in total.items()) + "\n")
+    print(f"scan total (ms, {steps}x{steps} cells, least and spread over {runs} runs): "
+          + ", ".join(f"{stage} {1e3 * total[stage]:.1f} "
+                      f"(spread {1e3 * (max(per_run[stage]) - min(per_run[stage])):.1f})"
+                      for stage in SCAN_STAGES) + "\n")
     return {stage: round(seconds, 6) for stage, seconds in total.items()}
 
 
@@ -227,7 +240,8 @@ def main(argv=None, scan_steps: int = inputs.SCAN_STEPS) -> int:
         print(header)
         rows = []
         for config in configs:
-            rows.append(best_times(config, args.runs))
+            rows.append({stage: min(seconds)
+                         for stage, seconds in run_times(config, args.runs).items()})
             print(line(config["name"], rows[-1]))
         summary[label] = totals(rows)
         print(f"{label} total (ms): " + ", ".join(
