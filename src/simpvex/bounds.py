@@ -232,23 +232,30 @@ def _require_path(a: float, eta_val: float, domain: Domain) -> float:
     return eta_val
 
 
-def _defect(model: FunctionModel, a: float, step: float, abs_tol: float, loop=None):
-    """((f(a), f(mid), f(end)), Simpson value, mean of f, its quadrature error
-    share, evaluations) on [a, end = a + step]: the one home of the Simpson
-    sum and the mean, unchecked; the caller has checked step > 0 and that a
-    and end lie in ``model.domain``, as ``simpson_defect`` does.  ``loop``,
-    f's ``expr.simpson_loop``, integrates first where given; where it gives
-    None, the generic loop integrates from scratch."""
-    f = model.f_fn
+def _simpson(f, a: float, step: float):
+    """((f(a), f(mid), f(end)), Simpson value) on [a, end = a + step]: the one
+    home of the Simpson sum, unchecked, as ``_defect``."""
+    fa, fmid, fend = f(a), f(a + 0.5 * step), f(a + step)
+    return (fa, fmid, fend), (fa + 4.0 * fmid + fend) / 6.0
+
+
+def _mean(model: FunctionModel, a: float, step: float, abs_tol: float):
+    """(mean of f on [a, a + step], its quadrature error share, evaluations): the
+    one home of the mean, unchecked, as ``_defect``; F's where given."""
     end = a + step
-    fa, fmid, fend = f(a), f(a + 0.5 * step), f(end)
-    simpson_value = (fa + 4.0 * fmid + fend) / 6.0
     F = model.F_fn
     if F is not None:
-        return (fa, fmid, fend), simpson_value, (F(end) - F(a)) / step, 0.0, 0
-    inlined = None if loop is None else loop(a, end, abs_tol)
-    value, error, evaluations = inlined or quadrature._integrate_unchecked(f, a, end, abs_tol)
-    return (fa, fmid, fend), simpson_value, value / step, error / step, evaluations
+        return (F(end) - F(a)) / step, 0.0, 0
+    value, error, evaluations = quadrature._integrate_unchecked(model.f_fn, a, end, abs_tol)
+    return value / step, error / step, evaluations
+
+
+def _defect(model: FunctionModel, a: float, step: float, abs_tol: float):
+    """((f(a), f(mid), f(end)), Simpson value, mean of f, its quadrature error
+    share, evaluations) on [a, a + step], unchecked: the caller has checked
+    step > 0 and that a and a + step lie in ``model.domain``, as
+    ``simpson_defect`` does."""
+    return (*_simpson(model.f_fn, a, step), *_mean(model, a, step, abs_tol))
 
 
 def simpson_defect(model: FunctionModel, a: float, eta_val: float,

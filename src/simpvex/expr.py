@@ -20,14 +20,11 @@ outside its domain.
 Python ``ast`` tree, so that grid-scale sampling pays one interpreter
 frame per evaluation and no helper call; where that fast form raises, a
 checked tree evaluator gives the value or raises EvalDomainError naming
-the failing sub-expression.  A one-variable expression has two more
-compiled forms, each built on first use and kept on the compiled
-function: ``abs_batch`` gives |f| at a list of points, from one list
-comprehension, and ``simpson_loop`` its integrals, from quadrature's
-Simpson loop, read from quadrature's source file, with the fast form
-inlined (or None, where the generic loop must run): this is the one
-module that generates code, and it holds only the language and its
-generator.  Nothing else is cached: each
+the failing sub-expression.  A one-variable expression has one more
+compiled form, built on first use and kept on the compiled function:
+``abs_batch`` gives |f| at a list of points, from one list
+comprehension.  This is the one module that generates code, and it
+holds only the language and its generator.  Nothing else is cached: each
 ``compile_expr`` call builds a new function, which its owner (a
 ``FunctionModel`` or an ``EtaMap``) keeps.  Evaluation is pure and
 deterministic: the same AST evaluated at the same inputs returns the same
@@ -44,7 +41,6 @@ import operator
 import re
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from . import quadrature
 from .errors import EvalDomainError, ParseError
 from .record import Record
 
@@ -60,7 +56,6 @@ __all__ = [
     "evaluate",
     "compile_expr",
     "abs_batch",
-    "simpson_loop",
     "pretty",
     "FUNCTIONS",
 ]
@@ -332,8 +327,8 @@ def _checked(e, env):
 
 
 # the globals an expression's body reads.  Names start with "_" and never
-# clash with the argument slots (_a<i>), the temporaries (_t<i>), the
-# parameter _points or the Simpson loop's names
+# clash with the argument slots (_a<i>), the temporaries (_t<i>) or the
+# parameter _points
 _NAMES = {
     "_Exception": Exception,
     "_reject": _reject,
@@ -501,45 +496,6 @@ def _batch_form(e, var_order):
     return eval(compile(tree, _FILENAME, "eval"), _RUNTIME)
 
 
-class _Inline(ast.NodeTransformer):
-    """Replace each call ``g(name)`` by the fast form's body at the local ``name``."""
-
-    def __init__(self, e, var):
-        self.e = e
-        self.var = var
-
-    def visit_Call(self, node):
-        if isinstance(node.func, ast.Name) and node.func.id == "g":
-            (arg,) = node.args
-            return _Compiler({self.var: arg.id}).build(self.e)
-        return self.generic_visit(node)
-
-
-def _loop_form(e, var_order):
-    """``quadrature._integrate_unchecked`` from quadrature's source file, with
-    the fast form's body in place of each g(x), returning None where anything
-    raises; None where that file cannot be read or parsed."""
-    (var,) = var_order
-    path = quadrature.__file__
-    try:
-        with open(path, encoding="utf-8") as source:
-            tree = ast.parse(source.read(), path)
-        (loop,) = [node for node in tree.body
-                   if getattr(node, "name", None) == "_integrate_unchecked"]
-    except (OSError, SyntaxError, ValueError):  # missing, not Python, or no such def
-        return None
-    _Inline(e, var).visit(loop)
-    del loop.args.args[0]  # g
-    at = {"lineno": loop.lineno, "col_offset": 0}
-    give_up = ast.ExceptHandler(ast.Name("Exception", ast.Load(), **at), None,
-                                [ast.Return(ast.Constant(None, **at), **at)], **at)
-    loop.body = [ast.Try(loop.body, [give_up], [], [], **at)]
-    namespace = {}
-    exec(compile(ast.Module([loop], []), path, "exec"), dict(vars(quadrature), **_NAMES),
-         namespace)
-    return namespace["_integrate_unchecked"]
-
-
 def compile_expr(e: Expr, var_order: Tuple[str, ...]) -> Callable[..., float]:
     """Compile ``e`` into a new positional callable over ``var_order``.
 
@@ -569,25 +525,8 @@ def compile_expr(e: Expr, var_order: Tuple[str, ...]) -> Callable[..., float]:
     namespace = {}
     exec(compile(ast.Module([definition], []), _FILENAME, "exec"), runtime, namespace)
     fn = namespace["_fast"]
-    fn.source, fn.batch, fn.loop = (e, var_order), None, None  # read by _kept_form
+    fn.source, fn.batch = (e, var_order), None  # read by abs_batch
     return fn
-
-
-def _kept_form(fn, attr, build):
-    """The form ``build(e, var_order)`` of a one-variable ``compile_expr``
-    function, kept on it as ``attr``; else None.  Built on first use; None
-    from then on if building gave None or recursed too deep."""
-    source = getattr(fn, "source", None)
-    if source is None or fn.__code__.co_filename != _FILENAME or len(source[1]) != 1:
-        return None
-    form = getattr(fn, attr)
-    if form is None:
-        try:
-            form = build(*source) or False
-        except RecursionError:  # _Compiler.build and compile recurse per tree level
-            form = False
-        setattr(fn, attr, form)
-    return form or None
 
 
 def abs_batch(fn) -> Optional[Callable[[Sequence[float]], List[float]]]:
@@ -597,27 +536,21 @@ def abs_batch(fn) -> Optional[Callable[[Sequence[float]], List[float]]]:
     x of the sequence ``points``, from one list comprehension: one frame,
     no call per point.  It raises where fn's fast form raises, without
     the checked evaluator's error: call fn point by point to find the
-    failing point and its EvalDomainError.  Compiled on first use; None
-    from then on if compiling recurses too deep, so fn runs point by point.
+    failing point and its EvalDomainError.  Compiled on first use and kept
+    on fn; None from then on if compiling recurses too deep, so fn runs
+    point by point.
     """
-    return _kept_form(fn, "batch", _batch_form)
-
-
-def simpson_loop(fn):
-    """The inlined Simpson loop of a one-variable ``compile_expr`` function, else None.
-
-    ``simpson_loop(fn)(lo, hi, abs_tol[, max_evals])`` gives what
-    ``quadrature._integrate_unchecked(fn, lo, hi, abs_tol[, max_evals])``
-    returns, computed with fn's fast form inlined at each evaluation (no
-    call per point), or None wherever that raises or the fast form raises:
-    run ``_integrate_unchecked`` then, for the value the checked evaluator
-    gives or the error the generic loop raises.  Compiled on first use from
-    quadrature's source file, under that file's name, so tracebacks and
-    profiles show the loop's own lines (a few milliseconds, worth it only
-    for many integrals of one fn); None from then on if compiling recurses
-    too deep or that file cannot be read or parsed.
-    """
-    return _kept_form(fn, "loop", _loop_form)
+    source = getattr(fn, "source", None)
+    if source is None or fn.__code__.co_filename != _FILENAME or len(source[1]) != 1:
+        return None
+    form = fn.batch
+    if form is None:
+        try:
+            form = _batch_form(*source)
+        except RecursionError:  # _Compiler.build and compile recurse per tree level
+            form = False
+        fn.batch = form
+    return form or None
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:

@@ -18,15 +18,7 @@ and finiteness only where a panel's estimate is not finite; either way
 the error raised is the one a check of each evaluation would raise.
 ``integrate`` checks the interval and calls the one Simpson loop,
 ``_integrate_unchecked``, which a caller that has checked it calls too.
-
-This module holds numerics only.  ``expr.simpson_loop`` reads
-``_integrate_unchecked`` from this file's source and compiles it again for
-one compiled expression, each call ``g(x)`` replaced by the expression
-itself: the same float operations in the same order, with no call per
-evaluation, or None wherever the expression or the loop would raise, and
-its caller then runs ``_integrate_unchecked`` from scratch.  Only
-``runner.tightness_scan``, which integrates one f thousands of times, uses
-that inlined loop.
+This module holds numerics only.
 
 Simpson panels integrate cubics exactly, so polynomial integrands of
 degree <= 3 converge on the first panel up to rounding.
@@ -58,9 +50,6 @@ class QuadratureResult(Record):
     evaluations: int
 
 
-# The one Simpson loop.  g is called only as g(name), name a local, which
-# expr.simpson_loop relies on when it inlines an integrand; no local name of
-# the loop starts with "_", so none meets an inlined expression's.
 def _integrate_unchecked(g, lo, hi, abs_tol, max_evals=DEFAULT_MAX_EVALS):
     """``integrate(g, lo, hi, abs_tol, max_evals)`` as (value, error estimate, evaluations),
     for lo <= hi both finite: no interval check, no QuadratureResult.  Sums start at 0.0.

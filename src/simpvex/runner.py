@@ -42,13 +42,15 @@ import json
 import math
 import numbers
 import time
+from array import array
+from bisect import bisect_left
 from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bounds as bounds_mod
-from . import expr as expr_mod
+from . import quadrature
 from .errors import (
     CaseConfigError,
     DomainError,
@@ -638,6 +640,13 @@ def run_corpus(cases: Optional[Sequence[CorpusCase]] = None) -> RunReport:
     return RunReport(results, time.perf_counter() - started)
 
 
+# How far a scan widens the enclosure of a cell's mean past the stated errors
+# (Simpson's |S2 - S1|/15 estimate is a heuristic, not a bound: Gander &
+# Gautschi, BIT 40, 2000), and the rounding it allows per unit of magnitude summed
+_SAFETY = 1000.0
+_ROUNDING = 16.0 * math.ulp(1.0)
+
+
 class TightnessResult(Record):
     """Best |defect| / rhs ratio for one theorem over a scan grid."""
 
@@ -670,6 +679,26 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     its samples), and every cell of CLASSICAL without d4sup; a theorem with
     no usable cell is reported with status "all_skipped".  Ties keep the
     first cell in (q, a, b) order, so results are deterministic.
+
+    A cell's mean is its own adaptive integral's, as ``simpson_defect``
+    takes it, but a scan runs that integral only where it can decide a
+    ranking.  f is integrated once over each gap between consecutive nodes,
+    the axis values in K and the model's domain.  A row's running sum from a
+    to the node nearest a cell's end a + step, plus a sliver integral from
+    that node to the end, encloses the cell's mean in m +- d, with d
+    _SAFETY (1000) times tol.oracle, the gap and sliver estimates and a
+    rounding floor, over step.  Each distinct (rhs, lhs) bounds every cell's
+    ratio from its enclosure, and only a cell whose upper bound reaches the
+    best lower bound integrates on its own; that mean is kept, so no cell
+    integrates twice.  A cell with no finite enclosure (a gap or sliver
+    integral fails, the step is so small that d overflows, or F is given)
+    integrates on its own up front.  A cell whose own integral fails gives
+    no ratio, and the rankings run again without it.  The factor assumes
+    that no estimate is off by 1000 times; the result is then the one
+    integrating every cell gives.  It can differ only where a cell's own
+    integral, over its step, lies outside its enclosure, or where a cell
+    that is never integrated on its own would fail there though its gap
+    integrals succeed: that cell counts as ranked.
 
     ValueError, before any sweep, for steps < 2, an a or b range whose
     width hi - lo overflows, or a request ``_request_error`` rejects: an
@@ -720,7 +749,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             pairs.append((q, ranking))
         by_theorem.append((theorem, pairs))
 
-    df = model.df_fn
+    f, df = model.f_fn, model.df_fn
     reads_df = any(uses_df for _, _, uses_df in rankings)
     df_at = {}  # |f'(x)| per axis value x, read at its first use; None where f' fails or is NaN
 
@@ -733,35 +762,122 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             df_at[x] = magnitude if magnitude == magnitude else None  # NaN: as a failure
         return df_at[x]
 
-    # f's inlined Simpson loop, built once the scan has cells to integrate
-    loop = expr_mod.simpson_loop(model.f_fn) if rankings and model.F_fn is None else None
-    on_domain = K == model.domain  # else the path must also lie in the model's domain
+    on_domain = K == model.domain
+
+    def inside(x):  # a cell's a and a + step lie in K and in the model's domain
+        return K.contains(x) and (on_domain or model.domain.contains(x))
+
+    def integral(lo, hi):
+        """(integral of f over [lo, hi], its estimate); NaN where that fails."""
+        try:
+            value, error, _ = quadrature._integrate_unchecked(f, lo, hi, tol.oracle)
+        except (EvalDomainError, QuadratureError):
+            return math.nan, math.nan
+        return value, error
+
     b_inside = [K.contains(b) for b in b_vals]
-    for a in a_vals if rankings else ():  # with nothing to rank, no cell is visited
-        a_inside = K.contains(a) and (on_domain or model.domain.contains(a))
-        row = []  # (b, step, |defect|, mean, f values, |f'(a)|, |f'(b)|) per usable cell
+    # the gap sums' nodes: the axis values where f may be integrated, ascending;
+    # none with F, whose means are exact and cheap
+    nodes = [] if model.F_fn is not None else sorted({x for x in a_vals + b_vals if inside(x)})
+    gaps = {}  # i -> integral(nodes[i], nodes[i + 1]), at its first use
+
+    def enclose(a, row):
+        """(mean, radius) per cell of the row: the gap sums from a to the node
+        nearest the cell's end, and a sliver from there to the end, widened by
+        _SAFETY; a radius of inf where there is none."""
+        if not (nodes and row):
+            return [(math.nan, math.inf)] * len(row)
+        start = bisect_left(nodes, a)  # a is a node
+        near = []
+        for _, step, _, _ in row:
+            end = a + step
+            k = bisect_left(nodes, end, start)
+            if k == len(nodes) or nodes[k] != end and end - nodes[k - 1] <= nodes[k] - end:
+                k -= 1
+            near.append(k)
+        total = err = size = 0.0
+        running = [(total, err, size)]  # the sums from a to each node
+        for i in range(start, max(near)):
+            if i not in gaps:
+                gaps[i] = integral(nodes[i], nodes[i + 1])
+            value, error = gaps[i]
+            total += value
+            err += error
+            size += abs(value)
+            running.append((total, err, size))
+        out = []
+        for (_, step, (fa, fmid, fend), _), k in zip(row, near):
+            total, err, size = running[k - start]
+            node, end = nodes[k], a + step
+            if node != end:
+                value, error = integral(node, end) if node < end else integral(end, node)
+                total += value if node < end else -value
+                err += error
+                size += abs(value)
+            out.append((total / step, _SAFETY * ((tol.oracle + err + _ROUNDING * size) / step
+                                                 + _ROUNDING * (abs(fa) + abs(fmid) + abs(fend)))))
+        return out
+
+    # per usable cell, in (a, b) order: its axis indices, step, Simpson sum and
+    # values, |f'(a)| and |f'(b)| (NaN where f' fails or is NaN), its mean within
+    # radius (0.0 once the mean is the cell's own) and |Simpson sum - mean|
+    columns = (array("i"), array("i")) + tuple(array("d") for _ in range(10))
+    at_a, at_b, cell_steps, sums, fas, fmids, fends, x1s, x2s, means, radii, defects = columns
+    for i, a in enumerate(a_vals) if rankings else ():  # with nothing to rank, no cell is visited
+        a_inside = inside(a)
+        row = []  # (j, step, f values, Simpson sum) per cell with a step and a sum
         for j, b in enumerate(b_vals):
             try:
                 step = eta(b, a)
             except EvalDomainError:
                 continue
-            if not (step > 0.0 and a_inside and b_inside[j] and K.contains(a + step)
-                    and (on_domain or model.domain.contains(a + step))):
+            if not (step > 0.0 and a_inside and b_inside[j] and inside(a + step)):
                 continue
             try:
-                values, simpson_value, mean, _, _ = bounds_mod._defect(model, a, step,
-                                                                       tol.oracle, loop)
-            except (EvalDomainError, QuadratureError):
+                values, simpson_value = bounds_mod._simpson(f, a, step)
+            except EvalDomainError:
                 continue
-            x1 = x2 = None  # |f'(a)|, |f'(b)|; None where f' fails or is NaN
+            row.append((j, step, values, simpson_value))
+        for (j, step, (fa, fmid, fend), simpson_value), (mean, radius) in zip(row,
+                                                                          enclose(a, row)):
+            if not math.isfinite(mean + radius):  # no enclosure: the cell's own mean, now
+                try:
+                    mean = bounds_mod._mean(model, a, step, tol.oracle)[0]
+                except (EvalDomainError, QuadratureError):
+                    continue
+                radius = 0.0
+            b = b_vals[j]
+            x1 = x2 = math.nan
             if reads_df and abs_df(a) is not None and abs_df(b) is not None:
                 x1, x2 = df_at[a], df_at[b]
-            row.append((b, step, abs(simpson_value - mean), mean, values, x1, x2))
+            at_a.append(i)
+            at_b.append(j)
+            cell_steps.append(step)
+            sums.append(simpson_value)
+            fas.append(fa)
+            fmids.append(fmid)
+            fends.append(fend)
+            x1s.append(x1)
+            x2s.append(x2)
+            means.append(mean)
+            radii.append(radius)
+            defects.append(abs(simpson_value - mean))
+
+    def rank():
+        """Rank every ranking's cells: a cell with its own mean by its ratio, any
+        other by the bounds of its ratio, and of those the ones that may be the
+        best by their own means; the index of a cell whose own integral fails,
+        else None."""
         for (rhs_of, lhs_of, uses_df), ranking in rankings.items():  # nothing here raises
-            best, at, ranked = ranking
-            for b, step, abs_defect, mean, values, x1, x2 in row:
-                lhs = abs_defect if lhs_of is None else lhs_of(mean, values)
-                if lhs is None or uses_df and x1 is None:  # C4.2 unmet, or no |f'|
+            best, at, ranked = -math.inf, None, 0
+            floor = -math.inf  # the best ratio is at least this
+            # the cells without their own mean that may be the best, with rhs and top ratio
+            pending, rhss, tops = array("i"), array("d"), array("d")
+            for k, (step, x1, x2, lhs, radius) in enumerate(
+                    zip(cell_steps, x1s, x2s, defects, radii)):
+                if lhs_of is not None:
+                    lhs = lhs_of(means[k], (fas[k], fmids[k], fends[k]))
+                if lhs is None or uses_df and x1 != x1:  # C4.2 unmet, or no |f'|
                     continue
                 try:
                     rhs = rhs_of(x1, x2, step)
@@ -769,14 +885,47 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                     continue
                 if not rhs > 0.0:  # zero or NaN: no ratio to rank
                     continue
-                ratio = lhs / rhs
-                if ratio != ratio:  # NaN: never a witness, as in invexity's sweeps
-                    continue
+                if radius:
+                    top = (lhs + radius) / rhs
+                    if top != top:  # NaN, as below
+                        continue
+                    low = (lhs - radius) / rhs
+                    if low > floor:
+                        floor = low
+                    if top >= floor and top >= best:  # else never the best
+                        pending.append(k)
+                        rhss.append(rhs)
+                        tops.append(top)
+                else:
+                    ratio = lhs / rhs
+                    if ratio != ratio:  # NaN: never a witness, as in invexity's sweeps
+                        continue
+                    if ratio > best:
+                        best = ratio
+                        at = k
                 ranked += 1
-                if ratio > best:
+            for k, rhs, top in zip(pending, rhss, tops):
+                if top < floor or top < best:  # below another cell's ratio: never the best
+                    continue
+                try:
+                    mean = bounds_mod._mean(model, a_vals[at_a[k]], cell_steps[k], tol.oracle)[0]
+                except (EvalDomainError, QuadratureError):
+                    return k
+                means[k], radii[k], defects[k] = mean, 0.0, abs(sums[k] - mean)
+                lhs = defects[k] if lhs_of is None else lhs_of(mean, (fas[k], fmids[k], fends[k]))
+                ratio = lhs / rhs
+                if ratio > best or ratio == best and k < at:  # ties: the first cell
                     best = ratio
-                    at = (a, b)
-            ranking[:] = best, at, ranked
+                    at = k
+            ranking[:] = (best, None if at is None else (a_vals[at_a[at]], b_vals[at_b[at]]),
+                          ranked)
+        return None
+
+    failed = rank()
+    while failed is not None:  # no ratio: dropped from every ranking, which rank again
+        for column in columns:
+            del column[failed]
+        failed = rank()
 
     out = []
     for theorem, pairs in by_theorem:

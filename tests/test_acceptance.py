@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from simpvex import bounds, kernel, quadrature, runner
-from simpvex.expr import compile_expr, parse, simpson_loop
+from simpvex.expr import compile_expr, parse
 from simpvex.invexity import DEFAULT_GRID, Domain, EtaMap, check_invex_set, check_pair
 from simpvex.errors import CaseConfigError
 
@@ -201,23 +201,3 @@ def test_criterion_8_scan_pool_matches_its_recorded_digests(monkeypatch):
     assert digests == recorded["scan"]
     assert raises == recorded["scan_raises"] == {"scan_00003_power": "EvalDomainError"}
     announce(8, f"{len(digests)} scan digests and {len(raises)} expected raiser as recorded")
-
-
-def test_criterion_8_scan_without_the_loop_source_matches_its_recorded_digest(monkeypatch):
-    # with quadrature.py's source gone, no model has an inlined Simpson loop and
-    # every cell integrates in the generic loop, to the same bytes
-    monkeypatch.setattr(quadrature, "__file__", str(Path(quadrature.__file__).with_name(
-        "missing_quadrature_source.py")))
-    assert simpson_loop(compile_expr(parse("x^2 - 2", {"x"}), ("x",))) is None
-    real = quadrature._integrate_unchecked
-    generic = []
-
-    def counted(*args):
-        generic.append(args[1:3])
-        return real(*args)
-
-    monkeypatch.setattr(quadrature, "_integrate_unchecked", counted)
-    digests, raises, recorded = _scan_pool_outcomes(monkeypatch, {"scan_00000_poly"})
-    assert (digests, raises) == ({"scan_00000_poly": recorded["scan"]["scan_00000_poly"]}, {})
-    assert len(generic) == 81 * 81 - 1  # every cell with a step: the a = b corner has none
-    announce(8, "a scan without the loop source matches its recorded digest")

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import simpvex.expr
-from simpvex import quadrature
 from simpvex.errors import EvalDomainError, ParseError
 from simpvex.invexity import Domain, EtaMap, check_derivative, hypothesis_pair
 from simpvex.expr import (
@@ -561,33 +560,6 @@ def test_abs_batch_is_none_where_compiling_the_batch_form_recurses_too_deep(monk
     got = hypothesis_pair(SimpleNamespace(df_fn=fn), eta, K, 1.5)
     want = hypothesis_pair(SimpleNamespace(df_fn=lambda x: fn(x)), eta, K, 1.5)
     assert repr(got) == repr(want)
-
-
-def test_simpson_loop_is_kept_and_serves_only_one_variable_compiled_functions():
-    fn = compile_expr(parse("x^2 - 2", X), ("x",))
-    assert fn.loop is None  # built on first use only
-    loop = simpvex.expr.simpson_loop(fn)
-    assert simpvex.expr.simpson_loop(fn) is loop is fn.loop
-    assert loop(0.0, 1.0, 1e-11) == quadrature._integrate_unchecked(fn, 0.0, 1.0, 1e-11)
-    wrapped = lambda x: fn(x)
-    wrapped.source = fn.source
-    assert simpvex.expr.simpson_loop(wrapped) is None
-    assert simpvex.expr.simpson_loop(math.exp) is None
-    assert simpvex.expr.simpson_loop(compile_expr(parse("x", X), ("x", "y"))) is None
-
-
-def test_simpson_loop_is_none_where_compiling_it_recurses_too_deep(monkeypatch):
-    calls = []
-
-    def too_deep(*source):
-        calls.append(source)
-        raise RecursionError("maximum recursion depth exceeded during compilation")
-
-    monkeypatch.setattr(simpvex.expr, "_loop_form", too_deep)
-    fn = compile_expr(parse("3*x^2 - 7*x + 0.125", X), ("x",))
-    assert simpvex.expr.simpson_loop(fn) is None
-    assert simpvex.expr.simpson_loop(fn) is None
-    assert len(calls) == 1  # remembered: compiled at most once
 
 
 _DEEP_DERIVATIVE_CASE = """\

@@ -80,7 +80,7 @@ def test_import_compiles_nothing_of_its_own():
 
 
 def test_only_expr_generates_code():
-    # expr alone builds code from ast trees, quadrature's Simpson loop included
+    # expr alone builds code from ast trees; the Simpson loop is ordinary code
     from simpvex import quadrature
 
     package = Path(simpvex.__file__).parent
@@ -117,19 +117,26 @@ def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
         assert list(totals) == stages
         assert all(totals[stage] > 0 for stage in stages)
     scan = summary["totals_s"]["scan"]
-    assert list(scan) == ["sweeps", "inline", "defects", "scan", "loop"]
-    assert all(scan[stage] > 0 for stage in ("sweeps", "inline", "defects", "scan"))
-    assert scan["loop"] == pytest.approx(
-        scan["scan"] - scan["sweeps"] - scan["inline"] - scan["defects"], abs=1e-5)
+    assert list(scan) == ["sweeps", "gaps", "own", "cells", "scan"]
+    assert all(scan[stage] > 0 for stage in scan)
+    # the stages are timed inside one scan run and add up to it
+    assert scan["scan"] == pytest.approx(
+        scan["sweeps"] + scan["gaps"] + scan["own"] + scan["cells"], abs=1e-5)
     # one run spreads over nothing; each stage's spread is printed beside its least
     total = next(line for line in lines if line.startswith("scan total "))
     assert re.fullmatch(r"scan total \(ms, 9x9 cells, least and spread over 1 runs\): "
                         + ", ".join(rf"{stage} \d+\.\d \(spread 0\.0\)" for stage in scan), total)
-    # the expected raiser stops at its sweeps; every other pool model shows each stage
-    assert re.fullmatch(r"scan_00003_power( +-){5}", next(
+    # the expected raiser stops in its sweeps; every other pool model shows each
+    # stage and how many of its 80 cells with a step integrated on their own (all
+    # of them where Simpson is exact, as on the cubic poly model)
+    assert re.fullmatch(r"scan_00003_power( +-){6}", next(
         line for line in lines if line.startswith("scan_00003_power ")))
-    assert re.fullmatch(r"scan_00000_poly( +-?\d+\.\d\d){5}", next(
+    assert re.fullmatch(r"scan_00000_poly( +\d+\.\d\d){5} +80", next(
         line for line in lines if line.startswith("scan_00000_poly ")))
+    owned = summary["own_cells"]
+    assert len(owned) == 6 and owned["scan_00000_poly"] == 80
+    assert all(0 < owned[name] < 80 for name in ("scan_00001_exp", "scan_00002_log",
+                                                 "scan_00004_sin"))
     # 14 of the 15 corpus cases sweep q = 1.5, 2 and 3 besides q = 1
     assert summary["totals_s"]["corpus"]["sweep_pairs_q_gt_1"] == 42
     corpus = next(line for line in lines if line.startswith("poly_x2 "))

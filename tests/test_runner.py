@@ -27,7 +27,6 @@ from simpvex.errors import (
     SimpvexError,
 )
 from simpvex.invexity import Domain, EtaMap, SampleGrid, _plan, check_invex_set
-from simpvex.expr import parse, simpson_loop
 from simpvex.record import replace
 from simpvex.runner import (
     CaseResult,
@@ -823,15 +822,13 @@ def test_an_overflowing_exponent_keeps_no_report(monkeypatch):
 
 
 def test_scan_nan_ratio_is_skipped_and_never_the_witness(monkeypatch):
-    real = bounds._defect
+    real = bounds._simpson
 
-    def nan_defect_at_zero(model, a, step, tol, loop=None):
-        values, simpson_value, mean, qerr, evals = real(model, a, step, tol, loop)
-        if a == 0.0:
-            simpson_value = math.nan
-        return values, simpson_value, mean, qerr, evals
+    def nan_sum_at_zero(f, a, step):
+        values, simpson_value = real(f, a, step)
+        return values, math.nan if a == 0.0 else simpson_value
 
-    monkeypatch.setattr(bounds, "_defect", nan_defect_at_zero)
+    monkeypatch.setattr(bounds, "_simpson", nan_sum_at_zero)
     model = _model("x^4", "4*x^3", "(x^5)/5", K=(0.0, 2.0))
     (r,) = tightness_scan(model, EtaMap.difference(), Domain(0.0, 2.0),
                           (0.0, 0.5), (1.5, 2.0), [1.0], steps=2, theorems=("T3.1",))
@@ -1023,65 +1020,153 @@ def test_scan_reference_on_the_bundled_corpus():
         assert _scan_outcome(tightness_scan, *args) == _scan_outcome(_reference_scan, *args)
 
 
-def test_midpoint_scan_integrates_f_once_per_cell(monkeypatch):
+def _counting(monkeypatch, module, name):
+    """The arguments of each call of ``module.name``, which still runs, in order."""
     calls = []
-    real = quadrature._integrate_unchecked
+    real = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return real(*args, **kwargs)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(quadrature, "_integrate_unchecked", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_midpoint_scan_integrates_each_gap_once_and_one_cell_on_its_own(monkeypatch):
+    integrals = _counting(monkeypatch, quadrature, "_integrate_unchecked")
+    own = _counting(monkeypatch, bounds, "_mean")
     model = _model(SIN2["f"], SIN2["df"], K=(0.0, 1.5))
-    inlined = simpson_loop(model.f_fn)
-
-    def counted_inlined(lo, hi, abs_tol):
-        calls.append((lo, hi))
-        return inlined(lo, hi, abs_tol)
-
-    model.f_fn.loop = counted_inlined  # where simpson_loop keeps f's inlined loop
     (r,) = tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.5), (0.0, 0.5),
                           (1.0, 1.5), [1.0], steps=9, theorems=("C4.2",), grid=SIN2_GRID)
     # every cell has a defect, and the 9 with b = a + 1 meet C4.2's precondition
     assert (r.status, r.cells, r.skipped) == ("ok", 81, 72)
-    assert len(calls) == 81
+    # the 18 axis values are the nodes: 17 gaps, each integrated once; every
+    # a + (b - a) is b (dyadic values), so no cell needs a sliver; of the 9
+    # ranked cells only the winner, whose |f'| at a = 0 and b = 1 is rounding
+    # and whose rhs is so tiny that the bounds of its ratio lie above every
+    # other cell's, integrates on its own
+    assert [(a, step) for _, a, step, _ in own] == [(0.0, 1.0)]
+    assert len(integrals) == 17 + 1
+    assert (r.at_a, r.at_b) == (0.0, 1.0)
 
 
-def test_scan_is_the_same_with_and_without_the_inlined_loop(monkeypatch):
-    # generated models without F, the scan pool's and one fresh batch's: once as
-    # loaded, with f's inlined Simpson loop, and once with f in a plain closure,
-    # which has none, so every integral runs in the generic loop
+def _perfbench_inputs(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import inputs
 
+    return inputs
+
+
+@pytest.mark.parametrize("name, own", [
+    ("scan_00001_exp", 35), ("scan_00002_log", 67), ("scan_00004_sin", 148)])
+def test_pool_scan_integrates_only_the_cells_that_can_win(monkeypatch, name, own):
+    # the scan workload's model at its full 81 x 81 grid: 6,560 cells have a
+    # step (a = b = the middle of K has none), and of those only the ones whose
+    # ratio bounds reach the best lower bound of some ranking integrate on their own
+    inputs = _perfbench_inputs(monkeypatch)
+    (cfg,) = [cfg for cfg in inputs.scan_pool() if cfg["name"] == name]
+    case = load_case(cfg)
+    sums = _counting(monkeypatch, bounds, "_simpson")
+    means = _counting(monkeypatch, bounds, "_mean")
+    tightness_scan(case.model, case.eta, case.model.domain, *inputs.scan_args(cfg))
+    assert len(sums) == 6560
+    assert len(means) == len({(a, step) for _, a, step, _ in means}) == own
+
+
+def test_scan_matches_the_per_cell_reference_at_21_by_21(monkeypatch):
+    # the scan pool's models and one generated batch, F stripped so that every
+    # cell's mean comes from the gap sums, on every eta kind
+    inputs = _perfbench_inputs(monkeypatch)
     configs = [{k: v for k, v in cfg.items() if k != "F"}
                for cfg in inputs.scan_pool() + inputs.fresh_cases(5, 0, 28)[0]]
-    assert {"expression", "abs_example"} <= {cfg["eta"]["kind"] for cfg in configs}
-    inlined = 0
+    assert {"difference", "expression", "abs_example"} <= {cfg["eta"]["kind"]
+                                                          for cfg in configs}
     for cfg in configs:
+        case = load_case(cfg)
         a_range, b_range, q_list, _ = inputs.scan_args(cfg)
-        outcomes = []
-        for plain in (False, True):
-            case = load_case(cfg)
-            model = case.model
-            if plain:
-                real = model.f_fn
-                model.__dict__["f_fn"] = lambda x: real(x)  # the compiled f is a cached property
-            outcomes.append(_scan_outcome(tightness_scan, model, case.eta, model.domain,
-                                          a_range, b_range, q_list, 9, runner.THEOREM_IDS,
-                                          runner.DEFAULT_TOLERANCES, SMALL_GRID))
-            inlined += getattr(model.f_fn, "loop", None) is not None
-        assert outcomes[0] == outcomes[1], cfg["name"]
-    assert inlined >= len(configs) - 2  # all but a raiser or two scanned cells with it
+        args = (case.model, case.eta, case.model.domain, a_range, b_range, q_list, 21,
+                runner.THEOREM_IDS, runner.DEFAULT_TOLERANCES, SMALL_GRID)
+        assert _scan_outcome(tightness_scan, *args) == _scan_outcome(_reference_scan, *args), (
+            cfg["name"])
 
 
-def test_run_case_builds_no_inlined_loop():
-    cfg = json.loads((runner._corpus_dir() / "sin_midpoint.json").read_text(encoding="utf-8"))
-    del cfg["F"]
-    case = load_case(cfg)
-    result = run_case(case, SMALL_GRID)
-    assert result.defect.evaluations > 0  # f was integrated, in the generic loop
-    assert case.model.f_fn.loop is None
+def _exp_scan_args():
+    """A 9 x 9 scan of exp at two q whose every ranking is won by one cell,
+    a = -1, b = 2 (step 3), the one cell that integrates on its own."""
+    model = _model("exp(x)", "exp(x)", K=(-1.0, 2.0))
+    return (model, EtaMap.difference(), Domain(-1.0, 2.0), (-1.0, 0.5), (0.5, 2.0),
+            [1.0, 2.0], 9, ("T3.1", "T3.4", "C4.1"), runner.DEFAULT_TOLERANCES, SMALL_GRID)
+
+
+def _mean_failing_at(monkeypatch, a, step):
+    """bounds._mean, raising QuadratureError at (a, step) only; the calls it gets."""
+    real = bounds._mean
+    calls = []
+
+    def mean(model, at, cell_step, tol):
+        calls.append((at, cell_step))
+        if (at, cell_step) == (a, step):
+            raise QuadratureError("the own integral fails here")
+        return real(model, at, cell_step, tol)
+
+    monkeypatch.setattr(bounds, "_mean", mean)
+    return calls
+
+
+def test_scan_drops_a_winner_whose_own_integral_fails_and_ranks_again(monkeypatch):
+    args = _exp_scan_args()
+    assert {(r.at_a, r.at_b) for r in tightness_scan(*args)} == {(-1.0, 2.0)}
+    calls = _mean_failing_at(monkeypatch, -1.0, 3.0)
+    got = tightness_scan(*args)
+    assert calls[0] == (-1.0, 3.0) and calls.count((-1.0, 3.0)) == 1  # never integrated again
+    # the failing cell is dropped from every ranking, as the per-cell rule skips it
+    assert repr(got) == repr(_reference_scan(*args))
+    assert (-1.0, 2.0) not in {(r.at_a, r.at_b) for r in got}
+
+
+def test_scan_counts_a_cell_it_never_integrates_as_ranked(monkeypatch):
+    # the second way a scan can differ from the per-cell rule: a cell whose own
+    # integral would fail where its gap sums do not, but which cannot win, is
+    # never integrated and counts as ranked; the rule skips it in each of its
+    # 4 (theorem, q) pairs
+    args = _exp_scan_args()
+    want = tightness_scan(*args)
+    calls = _mean_failing_at(monkeypatch, 0.5, 1.5)  # a = 0.5, b = 2
+    got = tightness_scan(*args)
+    assert repr(got) == repr(want) and calls == [(-1.0, 3.0)]
+    reference = _reference_scan(*args)
+    assert [(r.ratio, r.at_a, r.at_b, r.at_q) for r in got] == [
+        (r.ratio, r.at_a, r.at_b, r.at_q) for r in reference]
+    assert [ref.skipped - r.skipped for r, ref in zip(got, reference)] == [1, 2, 1]
+
+
+def test_scan_integrates_the_cells_over_a_failing_gap_on_their_own(monkeypatch):
+    # f fails at 0.625 only, the midpoint of the gap [0.5, 0.75], which every
+    # cell's interval holds (a <= 0.5, b >= 0.75): no cell has an enclosure, and
+    # each integrates on its own up front, as the per-cell rule does
+    model = _model("if(x == 0.625, log(x - x), x^3)", "3*x^2", K=(-1.0, 2.0))
+    args = (model, EtaMap.difference(), Domain(-1.0, 2.0), (0.0, 0.5), (0.75, 1.5), [1.0],
+            5, ("T3.1",), runner.DEFAULT_TOLERANCES, SMALL_GRID)
+    means = _counting(monkeypatch, bounds, "_mean")
+    got = tightness_scan(*args)
+    # 3 cells are skipped: 2 whose Simpson midpoint a + step/2 is 0.625 and
+    # (0.25, 0.75), whose own first panel evaluates f there; the other 23 cells
+    # integrate on their own
+    assert (got[0].status, got[0].skipped, len(means)) == ("ok", 3, 25 - 2)
+    assert repr(got) == repr(_reference_scan(*args))
+
+
+def test_scan_with_F_integrates_no_gap(monkeypatch):
+    # with F every mean is exact and cheap: each cell takes its own, up front
+    integrals = _counting(monkeypatch, quadrature, "_integrate_unchecked")
+    means = _counting(monkeypatch, bounds, "_mean")
+    model = _model("x^4", "4*x^3", "(x^5)/5", K=(0.0, 2.0))
+    args = (model, EtaMap.difference(), Domain(0.0, 2.0), (0.0, 0.5), (1.0, 2.0), [1.0], 5,
+            ("T3.1", "C4.1"), runner.DEFAULT_TOLERANCES, SMALL_GRID)
+    got = tightness_scan(*args)
+    assert (integrals, len(means)) == ([], 25)
+    assert repr(got) == repr(_reference_scan(*args))
 
 
 def _failing_at(model, bad, exc):
@@ -1210,7 +1295,7 @@ def test_scan_skips_a_cell_whose_rhs_overflows():
     assert repr(got) == repr(_reference_scan(*args))
 
 
-def test_cubic_scan_evaluates_f_eight_times_per_usable_cell(monkeypatch):
+def test_cubic_scan_integrates_every_usable_cell_and_each_gap_once(monkeypatch):
     model = _model("x^3", "3*x^2", K=(-1.0, 2.0))
     real = model.f_fn
     calls = []
@@ -1234,9 +1319,12 @@ def test_cubic_scan_evaluates_f_eight_times_per_usable_cell(monkeypatch):
     # cell on the Simpson sum's values
     assert (t31.status, t31.cells, t31.skipped) == ("ok", 25, 1)
     assert (midpoint.cells, len(checks)) == (25, 24)
-    # per usable cell: f(a), f(mid) and f(end) for the Simpson sum, and 5
-    # quadrature evaluations (a cubic converges on the first panel)
-    assert len(calls) == 8 * 24
+    # Simpson is exact on a cubic, so every defect is rounding, far inside its
+    # enclosure, and every cell may be T3.1's best: per usable cell f(a), f(mid)
+    # and f(end) for the Simpson sum and 5 evaluations for its own integral (a
+    # cubic converges on the first panel), and 5 per gap between the 9 nodes
+    # 0, 0.125, .., 0.5, 0.75, .., 1.5 (no sliver: every a + (b - a) is b)
+    assert len(calls) == (3 + 5) * 24 + 5 * 8
 
 
 def test_scan_takes_the_shared_T4_1_rhs_once_per_usable_cell(monkeypatch):

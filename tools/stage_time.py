@@ -15,16 +15,23 @@ times the stages ``run_case`` goes through, each on its own:
 * to_json: the case's one-case report, serialised.
 
 For each scan-pool model of ``perfbench/inputs.py`` (the ``scan``
-workload's ``tightness_scan`` over ``scan_args``), it times:
+workload's ``tightness_scan`` over ``scan_args``), it times these stages
+inside one ``tightness_scan`` run, by wrapping the functions that do
+them for the length of that run:
 
-* sweeps:  the sample plan, the invex-set check and the hypothesis sweep
-           at each q, as the scan makes them;
-* inline:  building f's inlined Simpson loop (``expr.simpson_loop``);
-* defects: ``bounds._defect`` at each cell with a usable step, through
-           that loop, as the scan computes them;
-* scan:    the whole ``tightness_scan``, plan and inlined loop included;
-* loop:    scan - sweeps - inline - defects of the same run, the scan's
-           cell and pair loop.
+* sweeps:  the invex-set check and the hypothesis sweeps, sample plan
+           included (``check_invex_set`` and ``hypothesis_pair``);
+* gaps:    the gap and sliver integrals that enclose each cell's mean
+           (``quadrature._integrate_unchecked``, outside own integrals);
+* own:     the cells' own integrals (``bounds._mean``), up front and
+           for the cells whose ratio may be a ranking's best;
+* cells:   the rest of the scan: each cell's step, Simpson sum and
+           enclosure, and the rankings;
+* scan:    the whole ``tightness_scan``.
+
+and prints how many cells integrated on their own.  The wrappers add a
+little time to each stage they time, most to ``gaps`` and ``own`` on
+the models where every cell integrates on its own.
 
 Each stage of each case takes the least of ``--runs`` runs, so the
 figures leave out one-off costs such as compiling an expression; the
@@ -54,12 +61,12 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402  (perfbench/inputs.py: the generated cases)
-from simpvex import bounds, expr, invexity, runner  # noqa: E402
-from simpvex.errors import EvalDomainError, QuadratureError, SimpvexError  # noqa: E402
+from simpvex import bounds, invexity, quadrature, runner  # noqa: E402
+from simpvex.errors import SimpvexError  # noqa: E402
 
 FRESH_BATCH = 28  # as one fresh_cases pass of perfbench/run.py
 STAGES = ("plan", "invex", "df", "sweeps", "defect", "bounds", "to_json")
-SCAN_STAGES = ("sweeps", "inline", "defects", "scan", "loop")
+SCAN_STAGES = ("sweeps", "gaps", "own", "cells", "scan")
 
 
 def exponents(case) -> list:
@@ -109,56 +116,48 @@ def stage_runs(case, grid=runner.DEFAULT_GRID):
     yield "to_json", clock() - start
 
 
-def scan_runs(case, config: dict, steps: int, grid=runner.DEFAULT_GRID):
-    """Yield (stage, seconds) for one run of a scan-pool model's scan stages, in order."""
+def scan_runs(case, config: dict, steps: int, own_cells: list):
+    """Yield (stage, seconds) for one tightness_scan run of a scan-pool model, each
+    stage timed inside that run; append the count of cells it integrated on their
+    own to ``own_cells``."""
     clock = time.perf_counter
-    model, eta, K, tol = case.model, case.eta, case.model.domain, runner.DEFAULT_TOLERANCES
+    spent = dict.fromkeys(("sweeps", "gaps", "own"), 0.0)
+    owned = [0]
+    in_own = [False]
+
+    def timed(stage, fn):
+        def run(*args):
+            if in_own[0]:  # an integral inside an own integral: timed as own
+                return fn(*args)
+            in_own[0] = stage == "own"
+            owned[0] += in_own[0]
+            start = clock()
+            try:
+                return fn(*args)
+            finally:
+                spent[stage] += clock() - start
+                in_own[0] = False
+        return run
+
+    wrapped = [(runner, "check_invex_set", "sweeps"), (runner, "hypothesis_pair", "sweeps"),
+               (quadrature, "_integrate_unchecked", "gaps"), (bounds, "_mean", "own")]
+    real = [getattr(module, name) for module, name, _ in wrapped]
     a_range, b_range, q_list, _ = inputs.scan_args(config)
     invexity._plan.cache_clear()
-    start = clock()
     try:
-        invex = not invexity.check_invex_set(K, eta, grid, tol.invexity).violated
-    except EvalDomainError:
-        invex = False
-    hypothesis = runner._hypotheses(model, eta, K, grid, tol.invexity, [])
-    for q in q_list if invex else ():
-        try:
-            hypothesis("preinvex", q)
-        except OverflowError:
-            pass
-    sweeps = clock() - start
-    yield "sweeps", sweeps
-    f = model.f_fn
-    f.loop = None  # built anew in each run, as a scan of a newly loaded model builds it
-    start = clock()
-    loop = expr.simpson_loop(f)
-    inline = clock() - start
-    yield "inline", inline
-    a_vals, b_vals = (invexity.spaced(lo, hi, steps) for lo, hi in (a_range, b_range))
-    cells = []
-    for a in a_vals:
-        for b in b_vals:
-            try:
-                step = eta(b, a)
-            except EvalDomainError:
-                continue
-            if step > 0.0 and K.contains(a) and K.contains(b) and K.contains(a + step):
-                cells.append((a, step))
-    start = clock()
-    for a, step in cells:
-        try:
-            bounds._defect(model, a, step, tol.oracle, loop)
-        except (EvalDomainError, QuadratureError):
-            pass
-    defects = clock() - start
-    yield "defects", defects
-    invexity._plan.cache_clear()
-    f.loop = None
-    start = clock()
-    runner.tightness_scan(model, eta, K, a_range, b_range, q_list, steps)
-    scan = clock() - start
+        for (module, name, stage), fn in zip(wrapped, real):
+            setattr(module, name, timed(stage, fn))
+        start = clock()
+        runner.tightness_scan(case.model, case.eta, case.model.domain, a_range, b_range,
+                              q_list, steps)
+        scan = clock() - start
+    finally:
+        for (module, name, _), fn in zip(wrapped, real):
+            setattr(module, name, fn)
+    own_cells.append(owned[0])
+    yield from spent.items()
+    yield "cells", scan - sum(spent.values())
     yield "scan", scan
-    yield "loop", scan - sweeps - inline - defects
 
 
 def run_times(config: dict, runs: int, stages=stage_runs) -> dict:
@@ -202,26 +201,33 @@ def totals(rows: list) -> dict:
     return {k: round(v, 6) if isinstance(v, float) else v for k, v in out.items()}
 
 
-def scan_set(runs: int, steps: int) -> dict:
-    """Print one line per scan-pool model in milliseconds and a total line with
-    each stage's spread over runs; return the total seconds per scan stage."""
-    print(f"{'scan (ms)':30} " + " ".join(f"{s:>8}" for s in SCAN_STAGES))
+def scan_set(runs: int, steps: int) -> tuple:
+    """Print one line per scan-pool model in milliseconds with its count of cells
+    integrated on their own, and a total line with each stage's spread over runs;
+    return the total seconds per scan stage and each model's count."""
+    print(f"{'scan (ms)':30} " + " ".join(f"{s:>8}" for s in SCAN_STAGES) + "  own cells")
     total = dict.fromkeys(SCAN_STAGES, 0.0)
     per_run = {stage: [0.0] * runs for stage in SCAN_STAGES}
+    owned = {}
     for config in inputs.scan_pool():
-        times = run_times(config, runs, lambda case: scan_runs(case, config, steps))
+        own_cells = []
+        times = run_times(config, runs, lambda case: scan_runs(case, config, steps, own_cells))
         best = {stage: min(seconds) for stage, seconds in times.items()}
-        if len(times.get("loop", ())) == runs:  # every run reached the end
+        cells = "-"
+        if len(times.get("scan", ())) == runs:  # every run reached the end
             for stage in SCAN_STAGES:
                 total[stage] += best[stage]
                 per_run[stage] = list(map(add, per_run[stage], times[stage]))
+            (owned[config["name"]],) = set(own_cells)  # the same in every run
+            cells = owned[config["name"]]
         print(f"{config['name']:30} " + " ".join(
-            f"{1e3 * best[s]:8.2f}" if s in best else f"{'-':>8}" for s in SCAN_STAGES))
+            f"{1e3 * best[s]:8.2f}" if s in best else f"{'-':>8}" for s in SCAN_STAGES)
+            + f"  {cells:>9}")
     print(f"scan total (ms, {steps}x{steps} cells, least and spread over {runs} runs): "
           + ", ".join(f"{stage} {1e3 * total[stage]:.1f} "
                       f"(spread {1e3 * (max(per_run[stage]) - min(per_run[stage])):.1f})"
                       for stage in SCAN_STAGES) + "\n")
-    return {stage: round(seconds, 6) for stage, seconds in total.items()}
+    return {stage: round(seconds, 6) for stage, seconds in total.items()}, owned
 
 
 def main(argv=None, scan_steps: int = inputs.SCAN_STEPS) -> int:
@@ -247,8 +253,9 @@ def main(argv=None, scan_steps: int = inputs.SCAN_STEPS) -> int:
         print(f"{label} total (ms): " + ", ".join(
             f"{k} {1e3 * v:.1f}" if isinstance(v, float) else f"{k} {v}"
             for k, v in summary[label].items()) + "\n")
-    summary["scan"] = scan_set(args.runs, scan_steps)
-    print(json.dumps({"runs": args.runs, "seed": args.seed, "totals_s": summary}))
+    summary["scan"], owned = scan_set(args.runs, scan_steps)
+    print(json.dumps({"runs": args.runs, "seed": args.seed, "totals_s": summary,
+                      "own_cells": owned}))
     return 0
 
 
