@@ -1,5 +1,8 @@
+import importlib.util
 import math
 import random
+import re
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings
 from simpvex import quadrature
 from simpvex.bounds import FunctionModel, lemma_rhs
 from simpvex.errors import BudgetExhausted, NonFiniteIntegrand, QuadratureError
+from simpvex.expr import FUNCTIONS, compile_expr, parse
 from simpvex.kernel import eval_m
 from simpvex.quadrature import (
     DEFAULT_ABS_TOL,
@@ -362,3 +366,129 @@ def test_lemma_budget_hand_off_matches_reference(f, a, step, tol, max_evals):
     assert got == want
     # a result's evaluations (a count; an error's payload is text) fit in the one budget
     assert isinstance(got[2], str) or got[2] <= max_evals
+
+
+# Compiled models, whose evaluation can raise EvalDomainError, in the one
+# Simpson loop against the reference above: the same floats and evaluation
+# counts, or the same error type and text.
+
+def _load_inputs():
+    """perfbench/inputs.py, the benchmark's model generator, without touching sys.path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+INPUTS = _load_inputs()
+
+
+def _compiled(source):
+    return compile_expr(parse(source, {"x"}), ("x",))
+
+
+def _repr_or_error(run):
+    try:
+        return repr(run())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _loop_matches_reference(fn, lo, hi, tol, max_evals=DEFAULT_MAX_EVALS):
+    """Assert that the loop and the reference agree; the outcome's type name,
+    "value" where the loop returned one."""
+    got = _repr_or_error(lambda: _unchecked(fn, lo, hi, tol, max_evals))
+    want = _repr_or_error(lambda: _reference_integrate(fn, lo, hi, tol, max_evals))
+    assert got == want, (lo, hi, tol, max_evals)
+    return "value" if isinstance(got, str) else got[0]
+
+
+def _random_runs(fn, rng, K, count):
+    """``count`` random intervals around K, tolerances and budgets; how many gave a value."""
+    lo, hi = K
+    span = hi - lo
+    finished = 0
+    for _ in range(count):
+        x, y = (rng.uniform(lo - 0.1 * span, hi + 0.1 * span) for _ in range(2))
+        tol = 10.0 ** rng.uniform(-13.0, -3.0)
+        budget = rng.choice((DEFAULT_MAX_EVALS, DEFAULT_MAX_EVALS, 4000, rng.randint(0, 40)))
+        finished += _loop_matches_reference(fn, min(x, y), max(x, y), tol, budget) == "value"
+    return finished
+
+
+def test_loop_matches_the_reference_on_every_pool_family():
+    # the scan pool's model of each family, then one generated batch, 4 of each
+    rng = random.Random(3203)
+    configs = INPUTS.scan_pool() + INPUTS.fresh_cases(32, 0, 28)[0]
+    assert {re.sub(r".*_\d{5}_", "", cfg["name"]) for cfg in configs} == set(INPUTS.FAMILIES)
+    for cfg in configs:
+        finished = _random_runs(_compiled(cfg["f"]), rng, cfg["K"], 25)
+        assert finished > 0, cfg["name"]  # values are compared, not only errors
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 27))
+@settings(max_examples=40)
+def test_loop_matches_the_reference_on_generated_models(seed, index):
+    rng = random.Random(seed)
+    cfg = INPUTS.generate_case(rng, index, "drawn", False, [1.0])
+    _random_runs(_compiled(cfg["f"]), rng, cfg["K"], 5)
+
+
+_LEAVES = st.sampled_from(("x", "x", "0.5", "3.0", "1e300", "(-1.5)"))
+
+
+def _grow(children):
+    return st.one_of(
+        st.builds("{}({})".format, st.sampled_from(FUNCTIONS), children),
+        st.builds("({}{}{})".format, children, st.sampled_from("+-*/^"), children),
+        st.builds("if({} < {}, {}, {})".format, children, children, children, children),
+    )
+
+
+@given(st.recursive(_LEAVES, _grow, max_leaves=8),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+       st.sampled_from((1e-3, 1e-8, 1e-11, 1e-13)),
+       st.sampled_from((0, 3, 5, 6, 40, 4000)))
+@settings(max_examples=300)
+def test_loop_matches_the_reference_on_drawn_expressions(source, x, y, tol, budget):
+    _loop_matches_reference(_compiled(source), min(x, y), max(x, y), tol, budget)
+
+
+def _ulps(x, n):
+    for _ in range(n):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@pytest.mark.parametrize("source, lo, hi, tol, budget, outcome", [
+    ("exp(800*x)", 0.0, 1.0, 1e-11, DEFAULT_MAX_EVALS, "EvalDomainError"),  # exp overflows
+    ("1/x", 0.0, 1.0, 1e-11, DEFAULT_MAX_EVALS, "EvalDomainError"),  # division by zero at 0
+    ("1/x", -1.0, 1.0, 1e-11, DEFAULT_MAX_EVALS, "EvalDomainError"),  # ... at the midpoint
+    ("x^(-0.5)", 0.0, 1.0, 1e-11, DEFAULT_MAX_EVALS,
+     "EvalDomainError"),  # zero to a negative power
+    ("sqrt(x)", 0.0, 1.0, 1e-9, DEFAULT_MAX_EVALS, "value"),  # defined at its domain edge
+    ("sqrt(x)", -1e-300, 1.0, 1e-9, DEFAULT_MAX_EVALS, "EvalDomainError"),  # ... and just past it
+    ("log(x)", 0.0, 1.0, 1e-9, DEFAULT_MAX_EVALS, "EvalDomainError"),  # log of 0
+    ("log(x)", 5e-324, 1.0, 1e-6, DEFAULT_MAX_EVALS, "value"),  # log of the least float
+    ("if(x < 0.3, x, 0.6 - x)", 0.0, 1.0, 1e-11, DEFAULT_MAX_EVALS, "value"),  # kink
+    ("if(x < 1/3, 0, 1)", 0.0, 1.0, 1e-9, DEFAULT_MAX_EVALS,
+     "QuadratureError"),  # jump: cannot refine
+    ("log(1+x)", 1.0, _ulps(1.0, 3), 1e-11, DEFAULT_MAX_EVALS, "value"),  # one panel
+    ("if(x < 1.0000000000000002, 0, 1e300)", 1.0, _ulps(1.0, 3), 1e-11,
+     DEFAULT_MAX_EVALS, "QuadratureError"),  # one panel over a jump: cannot refine
+    ("exp(x)", 0.0, 1.0, 1e-11, 0, "BudgetExhausted"),  # budget: none
+    ("exp(x)", 0.0, 1.0, 1e-11, 2, "BudgetExhausted"),  # ... under the first panel's three
+    ("exp(x)", 0.0, 1.0, 1e-11, 4, "BudgetExhausted"),  # ... one short of a panel
+    ("exp(x)", 0.0, 1.0, 1e-11, 6, "BudgetExhausted"),  # ... one more, then none
+    ("exp(x)", 0.0, 1.0, 1e-3, 5, "value"),  # ... exactly enough
+    ("0*(x*1e300*1e300)", 0.0, 1.0, 1e-11, DEFAULT_MAX_EVALS,
+     "NonFiniteIntegrand"),  # NaN from 0 * inf
+    ("x*1e300*1e300", -1.0, 1.0, 1e-11, DEFAULT_MAX_EVALS, "NonFiniteIntegrand"),  # -inf at lo
+    ("if(x < 0.5, 0*(x*1e300*1e300), 1/(x-0.75))", 0.0, 1.0, 1e-11, DEFAULT_MAX_EVALS,
+     "NonFiniteIntegrand"),  # g(lm) NaN, then g(rm) raising: NonFiniteIntegrand at lm
+    ("x^0.5", -1.0, 1.0, 1e-11, DEFAULT_MAX_EVALS,
+     "EvalDomainError"),  # fractional power of -1
+])
+def test_loop_matches_the_reference_on_edge_integrands(source, lo, hi, tol, budget, outcome):
+    assert _loop_matches_reference(_compiled(source), lo, hi, tol, budget) == outcome
