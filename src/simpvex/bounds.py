@@ -234,28 +234,21 @@ def _require_path(a: float, eta_val: float, domain: Domain) -> float:
 
 def _simpson(f, a: float, step: float):
     """((f(a), f(mid), f(end)), Simpson value) on [a, end = a + step]: the one
-    home of the Simpson sum, unchecked, as ``_defect``."""
+    home of the Simpson sum, unchecked: the caller has checked step > 0 and
+    that a and a + step lie in the model's domain, as ``simpson_defect`` does."""
     fa, fmid, fend = f(a), f(a + 0.5 * step), f(a + step)
     return (fa, fmid, fend), (fa + 4.0 * fmid + fend) / 6.0
 
 
 def _mean(model: FunctionModel, a: float, step: float, abs_tol: float):
     """(mean of f on [a, a + step], its quadrature error share, evaluations): the
-    one home of the mean, unchecked, as ``_defect``; F's where given."""
+    one home of the mean, unchecked, as ``_simpson``; F's where given."""
     end = a + step
     F = model.F_fn
     if F is not None:
         return (F(end) - F(a)) / step, 0.0, 0
     value, error, evaluations = quadrature._integrate_unchecked(model.f_fn, a, end, abs_tol)
     return value / step, error / step, evaluations
-
-
-def _defect(model: FunctionModel, a: float, step: float, abs_tol: float):
-    """((f(a), f(mid), f(end)), Simpson value, mean of f, its quadrature error
-    share, evaluations) on [a, a + step], unchecked: the caller has checked
-    step > 0 and that a and a + step lie in ``model.domain``, as
-    ``simpson_defect`` does."""
-    return (*_simpson(model.f_fn, a, step), *_mean(model, a, step, abs_tol))
 
 
 def simpson_defect(model: FunctionModel, a: float, eta_val: float,
@@ -266,7 +259,8 @@ def simpson_defect(model: FunctionModel, a: float, eta_val: float,
     quadrature_error is 0), numeric integration otherwise.
     """
     eta_val = _require_path(a, eta_val, model.domain)
-    values, simpson_value, mean, qerr, evals = _defect(model, a, eta_val, abs_tol)
+    values, simpson_value = _simpson(model.f_fn, a, eta_val)
+    mean, qerr, evals = _mean(model, a, eta_val, abs_tol)
     return SimpsonDefect(simpson_value, mean, simpson_value - mean, qerr, evals, values)
 
 
@@ -316,7 +310,8 @@ def midpoint_gap(model: FunctionModel, a: float, eta_val: float,
     Returns (gap, quadrature_error).
     """
     eta_val = _require_path(a, eta_val, model.domain)
-    (_, fmid, _), _, mean, qerr, _ = _defect(model, a, eta_val, abs_tol)
+    (_, fmid, _), _ = _simpson(model.f_fn, a, eta_val)
+    mean, qerr, _ = _mean(model, a, eta_val, abs_tol)
     return fmid - mean, qerr
 
 

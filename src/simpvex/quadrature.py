@@ -13,9 +13,8 @@ the tolerance.  Bound slacks account for the estimate; certified
 verdicts are an open roadmap item.  Panels are
 processed strictly left to right, sums are accumulated in that fixed
 order, and the budget is counted in integrand evaluations, which makes
-results bit-for-bit reproducible.  The budget is tested once per panel
-and finiteness only where a panel's estimate is not finite; either way
-the error raised is the one a check of each evaluation would raise.
+results bit-for-bit reproducible.  Each evaluation is counted against
+the budget before it is made and checked for finiteness as it is made.
 ``integrate`` checks the interval and calls the one Simpson loop,
 ``_integrate_unchecked``, which a caller that has checked it calls too.
 This module holds numerics only.
@@ -57,17 +56,15 @@ def _integrate_unchecked(g, lo, hi, abs_tol, max_evals=DEFAULT_MAX_EVALS):
     An interval too narrow to split once (under 4 ulps wide) is one
     Simpson panel of g at lo, mid and hi, kept if its estimate fits
     ``abs_tol``; otherwise, as where a deeper panel cannot split,
-    QuadratureError.  A panel evaluates g at lm and rm after one budget
-    test, and checks finiteness, lm first, only if its estimate is NaN or
-    inf, as any non-finite value makes it: what it raises is what checking
-    each evaluation in turn raised, a non-finite g(lm) before g(rm)'s error.
+    QuadratureError.  Each evaluation, lo, mid and hi and then each panel's
+    lm and rm, is counted against ``max_evals`` before it is made
+    (BudgetExhausted) and checked as it is made (NonFiniteIntegrand).
     """
     if not abs_tol > 0.0:
         raise ValueError("abs_tol must be positive")
     if lo == hi:
         return 0.0, 0.0, 0
     isfinite = math.isfinite
-    inf = math.inf
     m = 0.5 * (lo + hi)
     used = 0
     fs = []
@@ -101,31 +98,23 @@ def _integrate_unchecked(g, lo, hi, abs_tol, max_evals=DEFAULT_MAX_EVALS):
         rm = 0.5 * (m + b)
         if not (a < lm < m and m < rm < b):
             raise QuadratureError.unrefinable(a, b)
-        if used >= max_evals - 1:
-            # room for at most one evaluation: what checking it, then one more, raises
-            if used < max_evals:
-                used += 1
-                flm = g(lm)
-                if not isfinite(flm):
-                    raise NonFiniteIntegrand(lm, flm)
+        if used >= max_evals:
             raise BudgetExhausted(used)
-        used += 2
+        used += 1
         flm = g(lm)
-        try:
-            frm = g(rm)
-        except Exception:
-            if not isfinite(flm):
-                raise NonFiniteIntegrand(lm, flm) from None
-            raise
+        if not isfinite(flm):
+            raise NonFiniteIntegrand(lm, flm)
+        if used >= max_evals:
+            raise BudgetExhausted(used)
+        used += 1
+        frm = g(rm)
+        if not isfinite(frm):
+            raise NonFiniteIntegrand(rm, frm)
         s_left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
         s_right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
         s_halves = s_left + s_right
         diff = s_halves - s_whole
         est = abs(diff) / 15.0
-        if not est < inf:  # a non-finite f value, or a finite one that overflows
-            for x, y in ((lm, flm), (rm, frm)):
-                if not isfinite(y):
-                    raise NonFiniteIntegrand(x, y)
         if est <= tol:
             total += s_halves + diff / 15.0
             total_err += est

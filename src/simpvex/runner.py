@@ -692,8 +692,10 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     best lower bound integrates on its own; that mean is kept, so no cell
     integrates twice.  A cell with no finite enclosure (a gap or sliver
     integral fails, the step is so small that d overflows, or F is given)
-    integrates on its own up front.  A cell whose own integral fails gives
-    no ratio, and the rankings run again without it.  The factor assumes
+    has no upper bound, so the first ranking that can rank it integrates
+    it.  A cell whose own integral fails is marked as giving no ratio; its
+    bounds may have pruned other cells, so after a round of rankings in
+    which any failed, every ranking runs again.  The factor assumes
     that no estimate is off by 1000 times; the result is then the one
     integrating every cell gives.  It can differ only where a cell's own
     integral, over its step, lies outside its enclosure, or where a cell
@@ -704,7 +706,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     width hi - lo overflows, or a request ``_request_error`` rejects: an
     empty q or theorem list, a q that is not finite or is below 1, an
     unknown theorem id, or a theorem id or q listed twice.  Any other error
-    that eta, f or f' raises at a cell propagates, the first in (a, b) order.
+    that eta, f or f' raises at a cell propagates: the first in (a, b) order,
+    and then one from the own integrals, in the order the rankings take them.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -820,9 +823,10 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
 
     # per usable cell, in (a, b) order: its axis indices, step, Simpson sum and
     # values, |f'(a)| and |f'(b)| (NaN where f' fails or is NaN), its mean within
-    # radius (0.0 once the mean is the cell's own) and |Simpson sum - mean|
-    columns = (array("i"), array("i")) + tuple(array("d") for _ in range(10))
-    at_a, at_b, cell_steps, sums, fas, fmids, fends, x1s, x2s, means, radii, defects = columns
+    # radius (NaN or inf with no finite enclosure, 0.0 once the mean is the cell's
+    # own, NaN if that failed) and |Simpson sum - mean|
+    at_a, at_b, cell_steps, sums, fas, fmids, fends, x1s, x2s, means, radii, defects = (
+        array("i"), array("i"), *(array("d") for _ in range(10)))
     for i, a in enumerate(a_vals) if rankings else ():  # with nothing to rank, no cell is visited
         a_inside = inside(a)
         row = []  # (j, step, f values, Simpson sum) per cell with a step and a sum
@@ -840,12 +844,6 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             row.append((j, step, values, simpson_value))
         for (j, step, (fa, fmid, fend), simpson_value), (mean, radius) in zip(row,
                                                                           enclose(a, row)):
-            if not math.isfinite(mean + radius):  # no enclosure: the cell's own mean, now
-                try:
-                    mean = bounds_mod._mean(model, a, step, tol.oracle)[0]
-                except (EvalDomainError, QuadratureError):
-                    continue
-                radius = 0.0
             b = b_vals[j]
             x1 = x2 = math.nan
             if reads_df and abs_df(a) is not None and abs_df(b) is not None:
@@ -866,8 +864,9 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     def rank():
         """Rank every ranking's cells: a cell with its own mean by its ratio, any
         other by the bounds of its ratio, and of those the ones that may be the
-        best by their own means; the index of a cell whose own integral fails,
-        else None."""
+        best by their own means, which a cell with no finite enclosure always
+        may be; whether an own integral failed, marking its cell as no ratio."""
+        failed = False
         for (rhs_of, lhs_of, uses_df), ranking in rankings.items():  # nothing here raises
             best, at, ranked = -math.inf, None, 0
             floor = -math.inf  # the best ratio is at least this
@@ -885,8 +884,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                     continue
                 if not rhs > 0.0:  # zero or NaN: no ratio to rank
                     continue
-                if radius:
-                    top = (lhs + radius) / rhs
+                if radius:  # with no finite enclosure (radius NaN or inf), top is inf
+                    top = (lhs + radius) / rhs if radius < math.inf else math.inf
                     if top != top:  # NaN, as below
                         continue
                     low = (lhs - radius) / rhs
@@ -909,23 +908,23 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                     continue
                 try:
                     mean = bounds_mod._mean(model, a_vals[at_a[k]], cell_steps[k], tol.oracle)[0]
-                except (EvalDomainError, QuadratureError):
-                    return k
+                except (EvalDomainError, QuadratureError):  # marked as giving no ratio
+                    mean = math.nan
+                    failed = True
                 means[k], radii[k], defects[k] = mean, 0.0, abs(sums[k] - mean)
                 lhs = defects[k] if lhs_of is None else lhs_of(mean, (fas[k], fmids[k], fends[k]))
                 ratio = lhs / rhs
-                if ratio > best or ratio == best and k < at:  # ties: the first cell
+                if ratio != ratio:  # NaN (a failed own integral, say): not ranked after all
+                    ranked -= 1
+                elif ratio > best or ratio == best and k < at:  # ties: the first cell
                     best = ratio
                     at = k
             ranking[:] = (best, None if at is None else (a_vals[at_a[at]], b_vals[at_b[at]]),
                           ranked)
-        return None
+        return failed
 
-    failed = rank()
-    while failed is not None:  # no ratio: dropped from every ranking, which rank again
-        for column in columns:
-            del column[failed]
-        failed = rank()
+    while rank():  # a failed cell's bounds may have pruned others: rank all again
+        pass
 
     out = []
     for theorem, pairs in by_theorem:

@@ -334,6 +334,10 @@ _BUDGETS = st.one_of(st.integers(0, 60), st.sampled_from((200, 2000, DEFAULT_MAX
 # the first panel meets g(0.06) NaN with g(0.16) raising, then g(0.26) and g(0.36) NaN
 @example(_striped(0.0), 0.01, 0.21, 1e-8, DEFAULT_MAX_EVALS)
 @example(_striped(0.0), 0.21, 0.41, 1e-8, DEFAULT_MAX_EVALS)
+# room for exactly one panel evaluation after lo, mid and hi: g(0.25) NaN, and a
+# finite g(0.25) with no room for g(0.75)
+@example(_integrand("nan", 0.1), 0.0, 1.0, 1e-8, 4)
+@example(_integrand("exp", 1.0), 0.0, 1.0, 1e-8, 4)
 def test_flat_loop_matches_budget_reference(g, x, y, tol, max_evals):
     lo, hi = min(x, y), max(x, y)
     calls = []

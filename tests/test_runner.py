@@ -1125,6 +1125,44 @@ def test_scan_drops_a_winner_whose_own_integral_fails_and_ranks_again(monkeypatc
     assert (-1.0, 2.0) not in {(r.at_a, r.at_b) for r in got}
 
 
+def test_scan_ranks_again_once_per_round_in_which_an_own_integral_fails(monkeypatch):
+    # T3.1 alone on the exp scan, every own integral failing where a <= -0.5 and
+    # a + step >= 1.5 (9 cells, 8 of which can win and are integrated): each
+    # round calls the rhs at all 80 cells with a step, a failed cell stays as
+    # one that gives no ratio, and the ranking runs again once per round that
+    # met a failure; once per failed cell, after dropping it, took
+    # 80 + 79 + ... + 72 = 684 calls for the 8 that fail
+    args = list(_exp_scan_args())
+    args[7] = ("T3.1",)
+    real = bounds._mean
+    failed = []
+
+    def mean(model, a, step, tol):
+        if a <= -0.5 and a + step >= 1.5:
+            failed.append((a, step))
+            raise QuadratureError("the own integral fails here")
+        return real(model, a, step, tol)
+
+    monkeypatch.setattr(bounds, "_mean", mean)
+    row = bounds.THEOREMS["T3.1"]
+    calls = []
+
+    def counting(q):
+        rhs = row.rhs_for(q)
+
+        def counted(*cell):
+            calls.append(cell)
+            return rhs(*cell)
+        return counted
+
+    monkeypatch.setitem(bounds.THEOREMS, "T3.1", row._replace(rhs_for=counting))
+    (got,) = tightness_scan(*args)
+    assert len(failed) == len(set(failed)) == 8  # each fails once, and stays failed
+    assert len(calls) == 5 * 80 < 684  # 4 rounds meet failures, the fifth none
+    (want,) = _reference_scan(*args)
+    assert (got.ratio, got.at_a, got.at_b) == (want.ratio, want.at_a, want.at_b)
+
+
 def test_scan_counts_a_cell_it_never_integrates_as_ranked(monkeypatch):
     # the second way a scan can differ from the per-cell rule: a cell whose own
     # integral would fail where its gap sums do not, but which cannot win, is
@@ -1144,7 +1182,7 @@ def test_scan_counts_a_cell_it_never_integrates_as_ranked(monkeypatch):
 def test_scan_integrates_the_cells_over_a_failing_gap_on_their_own(monkeypatch):
     # f fails at 0.625 only, the midpoint of the gap [0.5, 0.75], which every
     # cell's interval holds (a <= 0.5, b >= 0.75): no cell has an enclosure, and
-    # each integrates on its own up front, as the per-cell rule does
+    # the ranking integrates each on its own, as the per-cell rule does
     model = _model("if(x == 0.625, log(x - x), x^3)", "3*x^2", K=(-1.0, 2.0))
     args = (model, EtaMap.difference(), Domain(-1.0, 2.0), (0.0, 0.5), (0.75, 1.5), [1.0],
             5, ("T3.1",), runner.DEFAULT_TOLERANCES, SMALL_GRID)
@@ -1158,7 +1196,8 @@ def test_scan_integrates_the_cells_over_a_failing_gap_on_their_own(monkeypatch):
 
 
 def test_scan_with_F_integrates_no_gap(monkeypatch):
-    # with F every mean is exact and cheap: each cell takes its own, up front
+    # with F every mean is exact and cheap: no cell has an enclosure, and the
+    # first ranking takes each cell's own
     integrals = _counting(monkeypatch, quadrature, "_integrate_unchecked")
     means = _counting(monkeypatch, bounds, "_mean")
     model = _model("x^4", "4*x^3", "(x^5)/5", K=(0.0, 2.0))
