@@ -43,7 +43,6 @@ import math
 import numbers
 import time
 from array import array
-from bisect import bisect_left
 from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
@@ -682,32 +681,36 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
 
     A cell's mean is its own adaptive integral's, as ``simpson_defect``
     takes it, but a scan runs that integral only where it can decide a
-    ranking.  f is integrated once over each gap between consecutive nodes,
-    the axis values in K and the model's domain.  A row's running sum from a
-    to the node nearest a cell's end a + step, plus a sliver integral from
-    that node to the end, encloses the cell's mean in m +- d, with d
-    _SAFETY (1000) times tol.oracle, the gap and sliver estimates and a
-    rounding floor, over step.  Each distinct (rhs, lhs) bounds every cell's
-    ratio from its enclosure, and only a cell whose upper bound reaches the
-    best lower bound integrates on its own; that mean is kept, so no cell
-    integrates twice.  A cell with no finite enclosure (a gap or sliver
-    integral fails, the step is so small that d overflows, or F is given)
-    has no upper bound, so the first ranking that can rank it integrates
-    it.  A cell whose own integral fails is marked as giving no ratio; its
-    bounds may have pruned other cells, so after a round of rankings in
-    which any failed, every ranking runs again.  The factor assumes
-    that no estimate is off by 1000 times; the result is then the one
-    integrating every cell gives.  It can differ only where a cell's own
-    integral, over its step, lies outside its enclosure, or where a cell
-    that is never integrated on its own would fail there though its gap
-    integrals succeed: that cell counts as ranked.
+    ranking.  The nodes are every usable cell's a and end a + step.  f is
+    integrated once over each gap between consecutive nodes, and one table
+    keeps, per node, the running sums of the gap integrals, of their
+    estimates and of their magnitudes; a gap whose integral fails starts a
+    new run of sums at its right node.  A cell whose a and end lie in one
+    run has its mean enclosed in m +- d: m the difference of the sums at its
+    end and at a, over step, and d _SAFETY (1000) times tol.oracle, the
+    estimates from a to the end and a rounding floor on the magnitudes
+    summed up to the end, over step.  Each distinct (rhs, lhs) bounds every
+    cell's ratio from its enclosure, and only a cell whose upper bound
+    reaches the best lower bound integrates on its own; that mean is kept,
+    so no cell integrates twice.  A cell with no finite enclosure (its a and
+    end lie in different runs, the step is so small that d overflows, or F
+    is given) has no upper bound, so the first ranking that can rank it
+    integrates it.  A cell whose own integral fails is marked as giving no
+    ratio; if it had a finite enclosure, its bounds may have pruned other
+    cells, so after a round of rankings in which such a cell failed, every
+    ranking runs again.  The factor assumes that no estimate is off by 1000
+    times; the result is then the one integrating every cell gives.  It can
+    differ only where a cell's own integral, over its step, lies outside its
+    enclosure, or where a cell that is never integrated on its own would
+    fail there though its gap integrals succeed: that cell counts as ranked.
 
     ValueError, before any sweep, for steps < 2, an a or b range whose
     width hi - lo overflows, or a request ``_request_error`` rejects: an
     empty q or theorem list, a q that is not finite or is below 1, an
     unknown theorem id, or a theorem id or q listed twice.  Any other error
     that eta, f or f' raises at a cell propagates: the first in (a, b) order,
-    and then one from the own integrals, in the order the rankings take them.
+    then one from the gap integrals, left to right, and then one from the own
+    integrals, in the order the rankings take them.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -770,57 +773,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     def inside(x):  # a cell's a and a + step lie in K and in the model's domain
         return K.contains(x) and (on_domain or model.domain.contains(x))
 
-    def integral(lo, hi):
-        """(integral of f over [lo, hi], its estimate); NaN where that fails."""
-        try:
-            value, error, _ = quadrature._integrate_unchecked(f, lo, hi, tol.oracle)
-        except (EvalDomainError, QuadratureError):
-            return math.nan, math.nan
-        return value, error
-
     b_inside = [K.contains(b) for b in b_vals]
-    # the gap sums' nodes: the axis values where f may be integrated, ascending;
-    # none with F, whose means are exact and cheap
-    nodes = [] if model.F_fn is not None else sorted({x for x in a_vals + b_vals if inside(x)})
-    gaps = {}  # i -> integral(nodes[i], nodes[i + 1]), at its first use
-
-    def enclose(a, row):
-        """(mean, radius) per cell of the row: the gap sums from a to the node
-        nearest the cell's end, and a sliver from there to the end, widened by
-        _SAFETY; a radius of inf where there is none."""
-        if not (nodes and row):
-            return [(math.nan, math.inf)] * len(row)
-        start = bisect_left(nodes, a)  # a is a node
-        near = []
-        for _, step, _, _ in row:
-            end = a + step
-            k = bisect_left(nodes, end, start)
-            if k == len(nodes) or nodes[k] != end and end - nodes[k - 1] <= nodes[k] - end:
-                k -= 1
-            near.append(k)
-        total = err = size = 0.0
-        running = [(total, err, size)]  # the sums from a to each node
-        for i in range(start, max(near)):
-            if i not in gaps:
-                gaps[i] = integral(nodes[i], nodes[i + 1])
-            value, error = gaps[i]
-            total += value
-            err += error
-            size += abs(value)
-            running.append((total, err, size))
-        out = []
-        for (_, step, (fa, fmid, fend), _), k in zip(row, near):
-            total, err, size = running[k - start]
-            node, end = nodes[k], a + step
-            if node != end:
-                value, error = integral(node, end) if node < end else integral(end, node)
-                total += value if node < end else -value
-                err += error
-                size += abs(value)
-            out.append((total / step, _SAFETY * ((tol.oracle + err + _ROUNDING * size) / step
-                                                 + _ROUNDING * (abs(fa) + abs(fmid) + abs(fend)))))
-        return out
-
     # per usable cell, in (a, b) order: its axis indices, step, Simpson sum and
     # values, |f'(a)| and |f'(b)| (NaN where f' fails or is NaN), its mean within
     # radius (NaN or inf with no finite enclosure, 0.0 once the mean is the cell's
@@ -829,7 +782,6 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         array("i"), array("i"), *(array("d") for _ in range(10)))
     for i, a in enumerate(a_vals) if rankings else ():  # with nothing to rank, no cell is visited
         a_inside = inside(a)
-        row = []  # (j, step, f values, Simpson sum) per cell with a step and a sum
         for j, b in enumerate(b_vals):
             try:
                 step = eta(b, a)
@@ -838,13 +790,9 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             if not (step > 0.0 and a_inside and b_inside[j] and inside(a + step)):
                 continue
             try:
-                values, simpson_value = bounds_mod._simpson(f, a, step)
+                (fa, fmid, fend), simpson_value = bounds_mod._simpson(f, a, step)
             except EvalDomainError:
                 continue
-            row.append((j, step, values, simpson_value))
-        for (j, step, (fa, fmid, fend), simpson_value), (mean, radius) in zip(row,
-                                                                          enclose(a, row)):
-            b = b_vals[j]
             x1 = x2 = math.nan
             if reads_df and abs_df(a) is not None and abs_df(b) is not None:
                 x1, x2 = df_at[a], df_at[b]
@@ -857,9 +805,35 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             fends.append(fend)
             x1s.append(x1)
             x2s.append(x2)
-            means.append(mean)
-            radii.append(radius)
-            defects.append(abs(simpson_value - mean))
+
+    # the nodes: every usable cell's a and end a + step, ascending; none with F,
+    # whose means are exact and cheap.  Per node, the run it lies in and the sums
+    # from that run's first node of the gap integrals, their estimates and |values|;
+    # a gap whose integral fails starts a new run at its right node
+    nodes = [] if model.F_fn is not None else sorted(
+        {x for i, step in zip(at_a, cell_steps) for x in (a_vals[i], a_vals[i] + step)})
+    run, total, err, size = 0, 0.0, 0.0, 0.0
+    table = dict.fromkeys(nodes[:1], (run, total, err, size))
+    for lo, hi in zip(nodes, nodes[1:]):
+        try:
+            value, error, _ = quadrature._integrate_unchecked(f, lo, hi, tol.oracle)
+            total, err, size = total + value, err + error, size + abs(value)
+        except (EvalDomainError, QuadratureError):
+            run, total, err, size = run + 1, 0.0, 0.0, 0.0
+        table[hi] = run, total, err, size
+    for k, step in enumerate(cell_steps):
+        mean, radius = math.nan, math.inf  # no finite enclosure
+        if table:
+            a = a_vals[at_a[k]]
+            run, total, err, _ = table[a]
+            end_run, end_total, end_err, size = table[a + step]
+            if run == end_run:
+                mean = (end_total - total) / step
+                radius = _SAFETY * ((tol.oracle + end_err - err + _ROUNDING * size) / step
+                                    + _ROUNDING * (abs(fas[k]) + abs(fmids[k]) + abs(fends[k])))
+        means.append(mean)
+        radii.append(radius)
+        defects.append(abs(sums[k] - mean))
 
     def rank():
         """Rank every ranking's cells: a cell with its own mean by its ratio, any
@@ -910,7 +884,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                     mean = bounds_mod._mean(model, a_vals[at_a[k]], cell_steps[k], tol.oracle)[0]
                 except (EvalDomainError, QuadratureError):  # marked as giving no ratio
                     mean = math.nan
-                    failed = True
+                    # with a finite enclosure its bounds may have pruned other cells
+                    failed = failed or radii[k] < math.inf
                 means[k], radii[k], defects[k] = mean, 0.0, abs(sums[k] - mean)
                 lhs = defects[k] if lhs_of is None else lhs_of(mean, (fas[k], fmids[k], fends[k]))
                 ratio = lhs / rhs

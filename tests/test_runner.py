@@ -1058,6 +1058,30 @@ def _perfbench_inputs(monkeypatch):
     return inputs
 
 
+def _gap_integrals(monkeypatch):
+    """The arguments of each ``quadrature._integrate_unchecked`` call made outside
+    ``bounds._mean`` (a scan's gap integrals), which still runs, in order."""
+    calls = []
+    own = []
+    real_integrate, real_mean = quadrature._integrate_unchecked, bounds._mean
+
+    def integrate(*args):
+        if not own:
+            calls.append(args)
+        return real_integrate(*args)
+
+    def mean(*args):
+        own.append(args)
+        try:
+            return real_mean(*args)
+        finally:
+            own.pop()
+
+    monkeypatch.setattr(quadrature, "_integrate_unchecked", integrate)
+    monkeypatch.setattr(bounds, "_mean", mean)
+    return calls
+
+
 @pytest.mark.parametrize("name, own", [
     ("scan_00001_exp", 35), ("scan_00002_log", 67), ("scan_00004_sin", 148)])
 def test_pool_scan_integrates_only_the_cells_that_can_win(monkeypatch, name, own):
@@ -1067,11 +1091,18 @@ def test_pool_scan_integrates_only_the_cells_that_can_win(monkeypatch, name, own
     inputs = _perfbench_inputs(monkeypatch)
     (cfg,) = [cfg for cfg in inputs.scan_pool() if cfg["name"] == name]
     case = load_case(cfg)
+    gaps = _gap_integrals(monkeypatch)
     sums = _counting(monkeypatch, bounds, "_simpson")
     means = _counting(monkeypatch, bounds, "_mean")
     tightness_scan(case.model, case.eta, case.model.domain, *inputs.scan_args(cfg))
     assert len(sums) == 6560
     assert len(means) == len({(a, step) for _, a, step, _ in means}) == own
+    # f is integrated once over each gap between consecutive nodes, every cell's
+    # a and end a + step, and over nothing else: no sliver from a nearest node
+    # to an end that misses an axis value by rounding (3,033 ends on exp)
+    nodes = {x for _, a, step in sums for x in (a, a + step)}
+    assert len(gaps) == len(nodes) - 1 == {
+        "scan_00001_exp": 318, "scan_00002_log": 175, "scan_00004_sin": 213}[name]
 
 
 def test_scan_matches_the_per_cell_reference_at_21_by_21(monkeypatch):
@@ -1125,6 +1156,23 @@ def test_scan_drops_a_winner_whose_own_integral_fails_and_ranks_again(monkeypatc
     assert (-1.0, 2.0) not in {(r.at_a, r.at_b) for r in got}
 
 
+def _rhs_calls(monkeypatch, theorem):
+    """The arguments of each call of the theorem's rhs, which still runs, in order."""
+    row = bounds.THEOREMS[theorem]
+    calls = []
+
+    def counting(q):
+        rhs = row.rhs_for(q)
+
+        def counted(*cell):
+            calls.append(cell)
+            return rhs(*cell)
+        return counted
+
+    monkeypatch.setitem(bounds.THEOREMS, theorem, row._replace(rhs_for=counting))
+    return calls
+
+
 def test_scan_ranks_again_once_per_round_in_which_an_own_integral_fails(monkeypatch):
     # T3.1 alone on the exp scan, every own integral failing where a <= -0.5 and
     # a + step >= 1.5 (9 cells, 8 of which can win and are integrated): each
@@ -1144,18 +1192,7 @@ def test_scan_ranks_again_once_per_round_in_which_an_own_integral_fails(monkeypa
         return real(model, a, step, tol)
 
     monkeypatch.setattr(bounds, "_mean", mean)
-    row = bounds.THEOREMS["T3.1"]
-    calls = []
-
-    def counting(q):
-        rhs = row.rhs_for(q)
-
-        def counted(*cell):
-            calls.append(cell)
-            return rhs(*cell)
-        return counted
-
-    monkeypatch.setitem(bounds.THEOREMS, "T3.1", row._replace(rhs_for=counting))
+    calls = _rhs_calls(monkeypatch, "T3.1")
     (got,) = tightness_scan(*args)
     assert len(failed) == len(set(failed)) == 8  # each fails once, and stays failed
     assert len(calls) == 5 * 80 < 684  # 4 rounds meet failures, the fifth none
@@ -1187,11 +1224,25 @@ def test_scan_integrates_the_cells_over_a_failing_gap_on_their_own(monkeypatch):
     args = (model, EtaMap.difference(), Domain(-1.0, 2.0), (0.0, 0.5), (0.75, 1.5), [1.0],
             5, ("T3.1",), runner.DEFAULT_TOLERANCES, SMALL_GRID)
     means = _counting(monkeypatch, bounds, "_mean")
+    calls = _rhs_calls(monkeypatch, "T3.1")
     got = tightness_scan(*args)
     # 3 cells are skipped: 2 whose Simpson midpoint a + step/2 is 0.625 and
     # (0.25, 0.75), whose own first panel evaluates f there; the other 23 cells
     # integrate on their own
     assert (got[0].status, got[0].skipped, len(means)) == ("ok", 3, 25 - 2)
+    # the cells that fail had no enclosure, so they pruned nothing and the one
+    # round of rankings stands: the rhs is called at the 23 cells once, not twice
+    assert len(calls) == 23
+    assert repr(got) == repr(_reference_scan(*args))
+    # f fails on (0.6, 0.65): the gap over it starts a new run of sums, and only
+    # the cells with a left of it and end right of it have no enclosure; sums
+    # that ran on past the gap as NaN would leave none right of it either (58)
+    model = _model("if(x > 0.6 and x < 0.65, log(x - x), exp(x))", "exp(x)", K=(-1.0, 2.0))
+    args = (model, EtaMap.difference(), Domain(-1.0, 2.0), (0.0, 1.0), (0.5, 2.0), [1.0, 2.0],
+            9, ("T3.1", "T3.4", "C4.1"), runner.DEFAULT_TOLERANCES, SMALL_GRID)
+    del means[:]
+    got = tightness_scan(*args)
+    assert len(means) == 39
     assert repr(got) == repr(_reference_scan(*args))
 
 

@@ -21,17 +21,20 @@ them for the length of that run:
 
 * sweeps:  the invex-set check and the hypothesis sweeps, sample plan
            included (``check_invex_set`` and ``hypothesis_pair``);
-* gaps:    the gap and sliver integrals that enclose each cell's mean
+* gaps:    the integrals of f over each gap between consecutive cell
+           ends, whose running sums enclose each cell's mean
            (``quadrature._integrate_unchecked``, outside own integrals);
-* own:     the cells' own integrals (``bounds._mean``), up front and
-           for the cells whose ratio may be a ranking's best;
+* own:     the cells' own integrals (``bounds._mean``), for the cells
+           with no finite enclosure and those whose ratio may be a
+           ranking's best;
 * cells:   the rest of the scan: each cell's step, Simpson sum and
-           enclosure, and the rankings;
+           enclosure from the table of running sums, and the rankings;
 * scan:    the whole ``tightness_scan``.
 
-and prints how many cells integrated on their own.  The wrappers add a
-little time to each stage they time, most to ``gaps`` and ``own`` on
-the models where every cell integrates on its own.
+and prints how many gap integrals it made and how many cells integrated
+on their own.  The wrappers add a little time to each stage they time,
+most to ``gaps`` and ``own`` on the models where every cell integrates
+on its own.
 
 Each stage of each case takes the least of ``--runs`` runs, so the
 figures leave out one-off costs such as compiling an expression; the
@@ -116,13 +119,13 @@ def stage_runs(case, grid=runner.DEFAULT_GRID):
     yield "to_json", clock() - start
 
 
-def scan_runs(case, config: dict, steps: int, own_cells: list):
+def scan_runs(case, config: dict, steps: int, counts: list):
     """Yield (stage, seconds) for one tightness_scan run of a scan-pool model, each
-    stage timed inside that run; append the count of cells it integrated on their
-    own to ``own_cells``."""
+    stage timed inside that run; append the counts of its gap integrals and of the
+    cells it integrated on their own to ``counts``."""
     clock = time.perf_counter
     spent = dict.fromkeys(("sweeps", "gaps", "own"), 0.0)
-    owned = [0]
+    calls = dict.fromkeys(spent, 0)
     in_own = [False]
 
     def timed(stage, fn):
@@ -130,7 +133,7 @@ def scan_runs(case, config: dict, steps: int, own_cells: list):
             if in_own[0]:  # an integral inside an own integral: timed as own
                 return fn(*args)
             in_own[0] = stage == "own"
-            owned[0] += in_own[0]
+            calls[stage] += 1
             start = clock()
             try:
                 return fn(*args)
@@ -154,7 +157,7 @@ def scan_runs(case, config: dict, steps: int, own_cells: list):
     finally:
         for (module, name, _), fn in zip(wrapped, real):
             setattr(module, name, fn)
-    own_cells.append(owned[0])
+    counts.append((calls["gaps"], calls["own"]))
     yield from spent.items()
     yield "cells", scan - sum(spent.values())
     yield "scan", scan
@@ -202,32 +205,35 @@ def totals(rows: list) -> dict:
 
 
 def scan_set(runs: int, steps: int) -> tuple:
-    """Print one line per scan-pool model in milliseconds with its count of cells
-    integrated on their own, and a total line with each stage's spread over runs;
-    return the total seconds per scan stage and each model's count."""
-    print(f"{'scan (ms)':30} " + " ".join(f"{s:>8}" for s in SCAN_STAGES) + "  own cells")
+    """Print one line per scan-pool model in milliseconds with its counts of gap
+    integrals and of cells integrated on their own, and a total line with each
+    stage's spread over runs; return the total seconds per scan stage and each
+    model's two counts."""
+    print(f"{'scan (ms)':30} " + " ".join(f"{s:>8}" for s in SCAN_STAGES)
+          + "  gap integrals  own cells")
     total = dict.fromkeys(SCAN_STAGES, 0.0)
     per_run = {stage: [0.0] * runs for stage in SCAN_STAGES}
-    owned = {}
+    gaps, owned = {}, {}
     for config in inputs.scan_pool():
-        own_cells = []
-        times = run_times(config, runs, lambda case: scan_runs(case, config, steps, own_cells))
+        name = config["name"]
+        counts = []
+        times = run_times(config, runs, lambda case: scan_runs(case, config, steps, counts))
         best = {stage: min(seconds) for stage, seconds in times.items()}
-        cells = "-"
+        shown = "-", "-"
         if len(times.get("scan", ())) == runs:  # every run reached the end
             for stage in SCAN_STAGES:
                 total[stage] += best[stage]
                 per_run[stage] = list(map(add, per_run[stage], times[stage]))
-            (owned[config["name"]],) = set(own_cells)  # the same in every run
-            cells = owned[config["name"]]
-        print(f"{config['name']:30} " + " ".join(
+            (shown,) = set(counts)  # the same in every run
+            gaps[name], owned[name] = shown
+        print(f"{name:30} " + " ".join(
             f"{1e3 * best[s]:8.2f}" if s in best else f"{'-':>8}" for s in SCAN_STAGES)
-            + f"  {cells:>9}")
+            + f"  {shown[0]:>13}  {shown[1]:>9}")
     print(f"scan total (ms, {steps}x{steps} cells, least and spread over {runs} runs): "
           + ", ".join(f"{stage} {1e3 * total[stage]:.1f} "
                       f"(spread {1e3 * (max(per_run[stage]) - min(per_run[stage])):.1f})"
                       for stage in SCAN_STAGES) + "\n")
-    return {stage: round(seconds, 6) for stage, seconds in total.items()}, owned
+    return {stage: round(seconds, 6) for stage, seconds in total.items()}, gaps, owned
 
 
 def main(argv=None, scan_steps: int = inputs.SCAN_STEPS) -> int:
@@ -253,9 +259,9 @@ def main(argv=None, scan_steps: int = inputs.SCAN_STEPS) -> int:
         print(f"{label} total (ms): " + ", ".join(
             f"{k} {1e3 * v:.1f}" if isinstance(v, float) else f"{k} {v}"
             for k, v in summary[label].items()) + "\n")
-    summary["scan"], owned = scan_set(args.runs, scan_steps)
+    summary["scan"], gaps, owned = scan_set(args.runs, scan_steps)
     print(json.dumps({"runs": args.runs, "seed": args.seed, "totals_s": summary,
-                      "own_cells": owned}))
+                      "gap_integrals": gaps, "own_cells": owned}))
     return 0
 
 
