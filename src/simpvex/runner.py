@@ -43,8 +43,10 @@ import math
 import numbers
 import time
 from array import array
+from bisect import bisect_left
 from contextlib import contextmanager
 from functools import lru_cache
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -644,6 +646,46 @@ def run_corpus(cases: Optional[Sequence[CorpusCase]] = None) -> RunReport:
 # Gautschi, BIT 40, 2000), and the rounding it allows per unit of magnitude summed
 _SAFETY = 1000.0
 _ROUNDING = 16.0 * math.ulp(1.0)
+# A ranking whose lhs is |defect| bounds the ratios of each block of _BLOCK x
+# _BLOCK axis indices at once (the side chosen with tools/stage_time.py), each
+# bound widened by _WIDEN so that an rhs a few ulps off monotone (pow need not
+# round correctly) never prunes a cell that can win
+_BLOCK = 9
+_WIDEN = 1.0 + 2.0 ** -30
+
+
+def _block_spans(at_a: array, at_b: array, steps: int) -> List[List[Tuple[int, int]]]:
+    """Per block of _BLOCK x _BLOCK axis indices, (a block, b block) in row-major
+    order, the spans (lo, hi) of its cells' indices in columns in (a, b) order whose
+    axis indices are ``at_a`` and ``at_b``, one per a index with cells there."""
+    rows = [bisect_left(at_a, i) for i in range(steps + 1)]
+    blocks = []
+    for i in range(0, steps, _BLOCK):
+        for j in range(0, steps, _BLOCK):
+            spans = []
+            for row, end in zip(rows[i:i + _BLOCK], rows[i + 1:i + _BLOCK + 1]):
+                lo = bisect_left(at_b, j, row, end)
+                hi = bisect_left(at_b, j + _BLOCK, lo, end)
+                if lo < hi:
+                    spans.append((lo, hi))
+            blocks.append(spans)
+    return blocks
+
+
+def _gather(column: array, spans: List[Tuple[int, int]]) -> list:
+    """``column``'s values over ``spans``, in order."""
+    values = []
+    for lo, hi in spans:
+        values += column[lo:hi]
+    return values
+
+
+def _box(x1s: list, x2s: list, steps: list) -> Tuple[int, tuple, tuple]:
+    """(count, least corner, largest corner) of the cells (x1, x2, step) whose
+    coordinates the columns hold; a column of one NaN stands for one not read."""
+    columns = x1s, x2s, steps
+    return (len(steps), tuple(min(c, default=math.nan) for c in columns),
+            tuple(max(c, default=math.nan) for c in columns))
 
 
 class TightnessResult(Record):
@@ -703,6 +745,26 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     differ only where a cell's own integral, over its step, lies outside its
     enclosure, or where a cell that is never integrated on its own would
     fail there though its gap integrals succeed: that cell counts as ranked.
+
+    Once a cell has its own mean, a ranking whose lhs is |defect| bounds each
+    block of _BLOCK x _BLOCK (9 x 9) axis indices at once.  Every rhs is
+    nondecreasing in |f'(a)|, |f'(b)| and step, so no ratio of a block, nor a
+    low end, exceeds the block's largest |defect| + d over the rhs at its
+    least corner, widened by _WIDEN (2^-30) against an rhs a few ulps off
+    monotone.  The corners, the least and largest (|f'(a)|, |f'(b)|, step)
+    over the cells a ranking can rank, are taken once per scan, and a block's
+    largest |defect| + d again only where an own integral has landed.  A
+    block has no bound where a cell's |defect| + d is NaN or inf (no finite
+    enclosure, or a failed own integral), or where the rhs at its least
+    corner is not > 0 or the one at its largest is not finite; else each of
+    its cells ranks.  The ranking visits the blocks by descending bound and
+    counts one whose bound lies below the best, and below the floor if it
+    holds a cell without its own mean, as ranked, with no rhs call at its
+    cells.  Exact ties go to the first cell in (a, b) order and the own
+    integrals run in (a, b) order, so every result, count and error is the
+    one a walk over every cell gives.  Before any cell has its own mean the
+    best stays -inf and no bound can prune, so a ranking then, and C4.2's,
+    walks every cell.
 
     ValueError, before any sweep, for steps < 2, an a or b range whose
     width hi - lo overflows, or a request ``_request_error`` rejects: an
@@ -835,49 +897,122 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         radii.append(radius)
         defects.append(abs(sums[k] - mean))
 
+    # the blocks, taken at the first ranking that can prune one: per block its
+    # spans, and per whether a ranking reads |f'|, its count of cells such a
+    # ranking can rank and the least and the largest (x1, x2, step) over them
+    per_row = -(-steps // _BLOCK)
+    blocks, corners = [], ([], [])
+    # per block: the largest |defect| + radius of its cells (inf if one is NaN or
+    # inf) and whether one has radius > 0, taken again in the dirty blocks, where
+    # an own integral landed since
+    block_tops, dirty = {}, set()
+    owned = radii.count(0.0)  # the cells a walk ranks by their ratio: their own means
+    whole = ((0, len(sums)),)
+
+    def bounded(rhs_of, uses_df):
+        """(bound, block) per block holding a cell the ranking ranks, by descending
+        bound: no ratio of the block's cells, nor the low end of one, lies above it.
+        A block has no bound (inf) where a cell's |defect| + radius is NaN or inf (no
+        finite enclosure, or a failed own integral), or where the rhs at the least
+        corner is not > 0 or the one at the largest is not finite; else every
+        cell's rhs, which is nondecreasing in x1, x2 and step, is in (0, inf), and
+        so each of its cells ranks."""
+        if not blocks:
+            blocks[:] = _block_spans(at_a, at_b, steps)
+            for spans in blocks:
+                span_steps = _gather(cell_steps, spans)
+                corners[0].append(_box([math.nan], [math.nan], span_steps))
+                if reads_df:
+                    columns = _gather(x1s, spans), _gather(x2s, spans), span_steps
+                    total = sum(columns[0])
+                    if total != total:  # NaN: keep the cells with |f'|
+                        usable = [cell for cell in zip(*columns) if cell[0] == cell[0]]
+                        columns = ([cell[axis] for cell in usable] for axis in range(3))
+                    corners[1].append(_box(*columns))
+            dirty.update(range(len(blocks)))
+        for b in dirty:
+            radius = _gather(radii, blocks[b])
+            top = list(map(add, _gather(defects, blocks[b]), radius))
+            block_tops[b] = (max(top, default=0.0) if sum(top) < math.inf else math.inf,
+                             any(radius))
+        dirty.clear()
+        visits = []
+        for b, (count, low, high) in enumerate(corners[uses_df]):
+            if not count:
+                continue
+            bound = block_tops[b][0]
+            if bound < math.inf:
+                try:
+                    rhs_low, rhs_high = rhs_of(*low), rhs_of(*high)
+                except OverflowError:
+                    rhs_low = rhs_high = math.nan
+                bound = (bound / rhs_low * _WIDEN if rhs_low > 0.0 and rhs_high < math.inf
+                         else math.inf)
+            visits.append((bound, b))
+        visits.sort(key=itemgetter(0), reverse=True)
+        return visits
+
     def rank():
         """Rank every ranking's cells: a cell with its own mean by its ratio, any
         other by the bounds of its ratio, and of those the ones that may be the
         best by their own means, which a cell with no finite enclosure always
-        may be; whether an own integral failed, marking its cell as no ratio."""
+        may be; whether an own integral failed, marking its cell as no ratio.
+        A ranking whose lhs is |defect| visits the blocks by descending bound once
+        a cell has its own mean (before that the best stays -inf and no bound can
+        prune), and counts a block whose bound lies below the best, and below the
+        floor if it holds a cell with no own mean, as ranked: none of its cells
+        can be the best or raise the floor."""
+        nonlocal owned
         failed = False
         for (rhs_of, lhs_of, uses_df), ranking in rankings.items():  # nothing here raises
             best, at, ranked = -math.inf, None, 0
             floor = -math.inf  # the best ratio is at least this
             # the cells without their own mean that may be the best, with rhs and top ratio
             pending, rhss, tops = array("i"), array("d"), array("d")
-            for k, (step, x1, x2, lhs, radius) in enumerate(
-                    zip(cell_steps, x1s, x2s, defects, radii)):
-                if lhs_of is not None:
-                    lhs = lhs_of(means[k], (fas[k], fmids[k], fends[k]))
-                if lhs is None or uses_df and x1 != x1:  # C4.2 unmet, or no |f'|
+            # (bound, block) per block, or one walk over every cell (block None)
+            blocked = lhs_of is None and owned
+            visits = bounded(rhs_of, uses_df) if blocked else [(math.inf, None)]
+            for bound, b in visits:
+                if bound < best and (bound < floor or not block_tops[b][1]):
+                    ranked += corners[uses_df][b][0]
                     continue
-                try:
-                    rhs = rhs_of(x1, x2, step)
-                except OverflowError:  # a power beyond the float range: no ratio, as NaN
-                    continue
-                if not rhs > 0.0:  # zero or NaN: no ratio to rank
-                    continue
-                if radius:  # with no finite enclosure (radius NaN or inf), top is inf
-                    top = (lhs + radius) / rhs if radius < math.inf else math.inf
-                    if top != top:  # NaN, as below
-                        continue
-                    low = (lhs - radius) / rhs
-                    if low > floor:
-                        floor = low
-                    if top >= floor and top >= best:  # else never the best
-                        pending.append(k)
-                        rhss.append(rhs)
-                        tops.append(top)
-                else:
-                    ratio = lhs / rhs
-                    if ratio != ratio:  # NaN: never a witness, as in invexity's sweeps
-                        continue
-                    if ratio > best:
-                        best = ratio
-                        at = k
-                ranked += 1
-            for k, rhs, top in zip(pending, rhss, tops):
+                for lo, hi in whole if b is None else blocks[b]:
+                    for k, step, x1, x2, lhs, radius in zip(
+                            range(lo, hi), cell_steps[lo:hi], x1s[lo:hi], x2s[lo:hi],
+                            defects[lo:hi], radii[lo:hi]):
+                        if lhs_of is not None:
+                            lhs = lhs_of(means[k], (fas[k], fmids[k], fends[k]))
+                        if lhs is None or uses_df and x1 != x1:  # C4.2 unmet, or no |f'|
+                            continue
+                        try:
+                            rhs = rhs_of(x1, x2, step)
+                        except OverflowError:  # a power beyond the float range: no ratio, as NaN
+                            continue
+                        if not rhs > 0.0:  # zero or NaN: no ratio to rank
+                            continue
+                        if radius:  # with no finite enclosure (radius NaN or inf), top is inf
+                            top = (lhs + radius) / rhs if radius < math.inf else math.inf
+                            if top != top:  # NaN, as below
+                                continue
+                            low = (lhs - radius) / rhs
+                            if low > floor:
+                                floor = low
+                            if top >= floor and top >= best:  # else never the best
+                                pending.append(k)
+                                rhss.append(rhs)
+                                tops.append(top)
+                        else:
+                            ratio = lhs / rhs
+                            if ratio != ratio:  # NaN: never a witness, as in invexity's sweeps
+                                continue
+                            if ratio > best or ratio == best and k < at:  # ties: the first cell
+                                best = ratio
+                                at = k
+                        ranked += 1
+            # in (a, b) order, so that the own integrals are those, in the order,
+            # of a walk over every cell
+            walked = zip(pending, rhss, tops)
+            for k, rhs, top in sorted(walked) if blocked else walked:
                 if top < floor or top < best:  # below another cell's ratio: never the best
                     continue
                 try:
@@ -887,6 +1022,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                     # with a finite enclosure its bounds may have pruned other cells
                     failed = failed or radii[k] < math.inf
                 means[k], radii[k], defects[k] = mean, 0.0, abs(sums[k] - mean)
+                owned += 1
+                dirty.add(at_a[k] // _BLOCK * per_row + at_b[k] // _BLOCK)
                 lhs = defects[k] if lhs_of is None else lhs_of(mean, (fas[k], fmids[k], fends[k]))
                 ratio = lhs / rhs
                 if ratio != ratio:  # NaN (a failed own integral, say): not ranked after all

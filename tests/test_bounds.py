@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from simpvex import bounds, kernel
+from simpvex import bounds, kernel, runner
 from simpvex.bounds import (
     BoundValue,
     FunctionModel,
@@ -479,6 +479,38 @@ def test_bound_wrappers_keep_the_old_float_operations(x1, x2, eta_val, q):
     want = (x1 * eta_val ** 4 / 2880.0).hex()
     assert bound_classical(model, 0.0, eta_val).rhs.hex() == want
     assert bounds.THEOREMS["CLASSICAL"].rhs_for(x1)(None, None, eta_val).hex() == want
+
+
+_RISES = st.sampled_from((0.0, 2.0 ** -52, 1e-9, 1e-3, 1.0, 1e6))
+
+
+@given(st.sampled_from(list(bounds.THEOREMS)), _MAGNITUDES, _MAGNITUDES, st.booleans(),
+       st.floats(1e-6, 1e3), st.tuples(_RISES, _RISES, _RISES),
+       st.one_of(st.sampled_from((1.0, 1.0000001, 2.0, 100.0, 100.5, 149.9, 1e4)),
+                 st.floats(1.0, 1e4)))
+@settings(max_examples=500)
+def test_every_rhs_is_nondecreasing_in_each_magnitude_and_the_step(
+        theorem, x1, x2, tied, step, rises, q):
+    # a scan bounds a block of cells by the rhs at its least and largest
+    # (|f'(a)|, |f'(b)|, step), so each rhs must rise with each argument; the q > 100
+    # rescale by max(x1, x2) rounds a few ulps off monotone where x1 and x2 are
+    # near each other, which runner._WIDEN covers.  An OverflowError counts as inf.
+    row = bounds.THEOREMS[theorem]
+    if row.mode is not None and not row.exponents([q]):
+        return  # q = 1 for a row that needs q > 1
+    rhs = row.rhs_for(q)  # CLASSICAL takes q as its d4sup
+    low = (x1, x1 if tied else x2, step)
+    high = tuple(v + rise * v if v else rise for v, rise in zip(low, rises))
+
+    def value(point):
+        try:
+            return rhs(*point)
+        except OverflowError:
+            return math.inf
+
+    at_low, at_high = value(low), value(high)
+    assert not (math.isnan(at_low) or math.isnan(at_high))
+    assert at_low <= at_high * runner._WIDEN, (low, high, at_low, at_high)
 
 
 # The rule functions THEOREMS rows held before they became values: the reference

@@ -127,18 +127,22 @@ def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
     assert re.fullmatch(r"scan total \(ms, 9x9 cells, least and spread over 1 runs\): "
                         + ", ".join(rf"{stage} \d+\.\d \(spread 0\.0\)" for stage in scan), total)
     # the expected raiser stops in its sweeps; every other pool model shows each
-    # stage, its gap integrals and how many of its 80 cells with a step integrated
+    # stage, its gap integrals, how many of its 80 cells with a step integrated
     # on their own (all of them where Simpson is exact, as on the cubic poly model,
     # whose cells' a and ends are the 9 a and the 9 b, which share K's middle:
-    # 17 nodes, 16 gaps)
-    assert re.fullmatch(r"scan_00003_power( +-){7}", next(
+    # 17 nodes, 16 gaps) and its rhs calls: on the cubic, T3.1's walk over the 80
+    # cells, then two corner calls and the 80 cells of the one 9 x 9 block in each
+    # of the other 18 rankings that call an rhs
+    assert re.fullmatch(r"scan_00003_power( +-){8}", next(
         line for line in lines if line.startswith("scan_00003_power ")))
-    assert re.fullmatch(r"scan_00000_poly( +\d+\.\d\d){5} +16 +80", next(
+    assert re.fullmatch(r"scan_00000_poly( +\d+\.\d\d){5} +16 +80 +1556", next(
         line for line in lines if line.startswith("scan_00000_poly ")))
     owned = summary["own_cells"]
     assert len(owned) == 6 and owned["scan_00000_poly"] == 80
     gaps = summary["gap_integrals"]
     assert list(gaps) == list(owned) and gaps["scan_00000_poly"] == 16
+    called = summary["rhs_calls"]
+    assert list(called) == list(owned) and called["scan_00000_poly"] == 80 + 18 * (2 + 80)
     assert all(0 < owned[name] < 80 for name in ("scan_00001_exp", "scan_00002_log",
                                                  "scan_00004_sin"))
     # 14 of the 15 corpus cases sweep q = 1.5, 2 and 3 besides q = 1

@@ -1041,8 +1041,8 @@ def test_midpoint_scan_integrates_each_gap_once_and_one_cell_on_its_own(monkeypa
                           (1.0, 1.5), [1.0], steps=9, theorems=("C4.2",), grid=SIN2_GRID)
     # every cell has a defect, and the 9 with b = a + 1 meet C4.2's precondition
     assert (r.status, r.cells, r.skipped) == ("ok", 81, 72)
-    # the 18 axis values are the nodes: 17 gaps, each integrated once; every
-    # a + (b - a) is b (dyadic values), so no cell needs a sliver; of the 9
+    # the nodes are the cells' a and ends a + (b - a), which on these dyadic
+    # axes are the 18 axis values: 17 gaps, each integrated once; of the 9
     # ranked cells only the winner, whose |f'| at a = 0 and b = 1 is rounding
     # and whose rhs is so tiny that the bounds of its ratio lie above every
     # other cell's, integrates on its own
@@ -1105,6 +1105,25 @@ def test_pool_scan_integrates_only_the_cells_that_can_win(monkeypatch, name, own
         "scan_00001_exp": 318, "scan_00002_log": 175, "scan_00004_sin": 213}[name]
 
 
+@pytest.mark.parametrize("name, calls", [
+    ("scan_00000_poly", 17396), ("scan_00001_exp", 24298), ("scan_00002_log", 19843),
+    ("scan_00004_sin", 6560)])
+def test_pool_scan_bounds_blocks_of_cells_with_two_rhs_calls_each(monkeypatch, name, calls):
+    # a walk over every cell in each of the 19 rankings that call an rhs would
+    # make 19 x 6,560 = 124,640 rhs calls (sin ranks CLASSICAL only: 6,560).  A
+    # ranking before any cell has its own mean walks every cell; a later one makes
+    # two calls per block of 9 x 9 cells and one per cell of each block it visits.
+    # On the cubic every cell owns its mean after T3.1's walk (6,560 calls), and
+    # CLASSICAL, whose d4sup is 0, bounds no block (162 + 6,560); each other
+    # ranking visits one block, of 80 cells: 17 x (162 + 80) = 4,114
+    inputs = _perfbench_inputs(monkeypatch)
+    (cfg,) = [cfg for cfg in inputs.scan_pool() if cfg["name"] == name]
+    case = load_case(cfg)
+    got = _rhs_calls(monkeypatch, *runner.THEOREM_IDS)
+    tightness_scan(case.model, case.eta, case.model.domain, *inputs.scan_args(cfg))
+    assert len(got) == calls
+
+
 def test_scan_matches_the_per_cell_reference_at_21_by_21(monkeypatch):
     # the scan pool's models and one generated batch, F stripped so that every
     # cell's mean comes from the gap sums, on every eta kind
@@ -1156,29 +1175,35 @@ def test_scan_drops_a_winner_whose_own_integral_fails_and_ranks_again(monkeypatc
     assert (-1.0, 2.0) not in {(r.at_a, r.at_b) for r in got}
 
 
-def _rhs_calls(monkeypatch, theorem):
-    """The arguments of each call of the theorem's rhs, which still runs, in order."""
-    row = bounds.THEOREMS[theorem]
+def _rhs_calls(monkeypatch, *theorems):
+    """The arguments of each call of the theorems' rhs, which still runs, in order;
+    one counting rhs per rhs, so the pairs that share one (T4.1 at every q and
+    C4.1) still share a ranking."""
     calls = []
+    counting = {}
 
-    def counting(q):
-        rhs = row.rhs_for(q)
-
-        def counted(*cell):
+    def counted(rhs):
+        def count(*cell):
             calls.append(cell)
             return rhs(*cell)
-        return counted
+        return counting.setdefault(rhs, count)
 
-    monkeypatch.setitem(bounds.THEOREMS, theorem, row._replace(rhs_for=counting))
+    for theorem in theorems:
+        row = bounds.THEOREMS[theorem]
+        monkeypatch.setitem(bounds.THEOREMS, theorem, row._replace(
+            rhs_for=lambda q, rhs_for=row.rhs_for: counted(rhs_for(q))))
     return calls
 
 
 def test_scan_ranks_again_once_per_round_in_which_an_own_integral_fails(monkeypatch):
     # T3.1 alone on the exp scan, every own integral failing where a <= -0.5 and
-    # a + step >= 1.5 (9 cells, 8 of which can win and are integrated): each
-    # round calls the rhs at all 80 cells with a step, a failed cell stays as
-    # one that gives no ratio, and the ranking runs again once per round that
-    # met a failure; once per failed cell, after dropping it, took
+    # a + step >= 1.5 (9 cells, 8 of which can win and are integrated): a failed
+    # cell stays as one that gives no ratio, and the ranking runs again once per
+    # round that met a failure.  The first round has no cell with its own mean,
+    # so no block bound can prune and it walks all 80 cells with a step; each
+    # later round's one 9 x 9 block holds a failed cell, whose NaN |defect|
+    # leaves the block with no bound and so with no corner call: 80 calls a
+    # round.  Once per failed cell, after dropping it, took
     # 80 + 79 + ... + 72 = 684 calls for the 8 that fail
     args = list(_exp_scan_args())
     args[7] = ("T3.1",)
@@ -1412,13 +1437,16 @@ def test_cubic_scan_integrates_every_usable_cell_and_each_gap_once(monkeypatch):
     # Simpson is exact on a cubic, so every defect is rounding, far inside its
     # enclosure, and every cell may be T3.1's best: per usable cell f(a), f(mid)
     # and f(end) for the Simpson sum and 5 evaluations for its own integral (a
-    # cubic converges on the first panel), and 5 per gap between the 9 nodes
-    # 0, 0.125, .., 0.5, 0.75, .., 1.5 (no sliver: every a + (b - a) is b)
+    # cubic converges on the first panel), and 5 per gap between the 9 nodes,
+    # the cells' a and ends a + (b - a), which on these dyadic axes are the axis
+    # values 0, 0.125, .., 0.5, 0.75, .., 1.5
     assert len(calls) == (3 + 5) * 24 + 5 * 8
 
 
 def test_scan_takes_the_shared_T4_1_rhs_once_per_usable_cell(monkeypatch):
-    # T4.1 at four q and C4.1 share one rhs function and lhs: the row is ranked once
+    # T4.1 at four q and C4.1 share one rhs function and lhs: the row is ranked
+    # once, and since no cell has its own mean before that one ranking, no block
+    # bound can prune and it walks the 25 cells with no corner call
     real = bounds._max_rhs
     calls = []
 
@@ -1436,6 +1464,68 @@ def test_scan_takes_the_shared_T4_1_rhs_once_per_usable_cell(monkeypatch):
     assert (c41.status, c41.cells, c41.skipped) == ("ok", 25, 0)
     assert len(calls) == 25
     assert repr(got) == repr(_reference_scan(*args))
+
+
+def _block_scan_args(name):
+    """The tightness_scan arguments of one block-pruning case, and the (a, step)
+    cells where bounds._mean fails."""
+    theorems = ("T3.1", "T3.2", "T3.4", "T4.1", "T4.3", "C4.1", "C4.2", "CLASSICAL")
+    if name == "nan f'":
+        # f' NaN at an a and two b values: a row and two columns of cells with no |f'|
+        model = _model("exp(x)", "exp(x)", K=(-1.0, 2.0), d4sup=8.0)
+        real = model.df_fn
+        bad = {invexity.spaced(-1.0, 0.0, 19)[9], *invexity.spaced(1.0, 2.0, 19)[9:16:6]}
+        model.__dict__["df_fn"] = lambda x: math.nan if x in bad else real(x)
+        return (model, EtaMap.difference(), Domain(-1.0, 2.0), (-1.0, 0.0), (1.0, 2.0),
+                [1.0, 2.0], 19, theorems, runner.DEFAULT_TOLERANCES, SMALL_GRID), ()
+    if name == "F":  # no cell has a finite enclosure: the first ranking owns them all
+        return (_model("x^4", "4*x^3", "(x^5)/5", K=(-1.0, 2.0), d4sup=24.0),
+                EtaMap.difference(), Domain(-1.0, 2.0), (-1.0, 0.5), (0.5, 2.0), [1.0, 3.0],
+                14, theorems, runner.DEFAULT_TOLERANCES, SMALL_GRID), ()
+    if name == "failing winners":
+        # the two cells with the largest step, which win every ranking they can,
+        # fail their own integrals: each is dropped, and every ranking runs again
+        return (_model("exp(x)", "exp(x)", K=(-1.0, 2.0), d4sup=8.0), EtaMap.difference(),
+                Domain(-1.0, 2.0), (-1.0, 0.5), (0.5, 2.0), [1.0, 1.5], 23, theorems,
+                runner.DEFAULT_TOLERANCES, SMALL_GRID), ((-1.0, 3.0), (-1.0, 2.9318181818181817))
+    # ties: f = 0 with |f'| = 1 (no model gate runs here), so every ratio is 0 and the
+    # first cell wins; a cell of a later block fails its own integral, which leaves
+    # that block with no bound, so it is visited before the block of the first cell
+    return (_model("0", "1", "0", K=(-1.0, 2.0)), EtaMap.difference(), Domain(-1.0, 2.0),
+            (-1.0, 0.5), (0.5, 2.0), [1.0, 2.0], 10, theorems, runner.DEFAULT_TOLERANCES,
+            SMALL_GRID), ((0.5, 1.5),)
+
+
+@pytest.mark.parametrize("name", ["nan f'", "F", "failing winners", "ties"])
+def test_block_pruned_scan_matches_the_per_cell_walk_and_the_reference(monkeypatch, name):
+    # 10 to 23 steps: several 9 x 9 blocks of axis indices, the last ones partial
+    args, failing = _block_scan_args(name)
+    real = bounds._mean
+    own = []
+
+    def mean(model, a, step, tol):
+        own.append((a, step))
+        if (a, step) in failing:
+            raise QuadratureError("the own integral fails here")
+        return real(model, a, step, tol)
+
+    monkeypatch.setattr(bounds, "_mean", mean)
+    calls = _rhs_calls(monkeypatch, *runner.THEOREM_IDS)
+    got = tightness_scan(*args)
+    blocked_calls, blocked_own = len(calls), own[:]
+    # one block as large as the grid: every ranking walks every cell in (a, b) order
+    monkeypatch.setattr(runner, "_BLOCK", 10 ** 6)
+    del calls[:], own[:]
+    walked = tightness_scan(*args)
+    assert repr(got) == repr(walked)
+    assert blocked_own == own  # the same own integrals, in the same order
+    assert set(failing) <= set(own)
+    # blocks were pruned, but where every ratio ties at 0 no bound lies below the best
+    assert blocked_calls < len(calls) if name != "ties" else blocked_calls > len(calls)
+    del own[:]
+    assert repr(got) == repr(_reference_scan(*args))
+    if name == "ties":
+        assert {(r.ratio, r.at_a, r.at_b) for r in got if r.status == "ok"} == {(0.0, -1.0, 0.5)}
 
 
 def _assert_bounds_match_public_wrappers(case, result):

@@ -31,10 +31,12 @@ them for the length of that run:
            enclosure from the table of running sums, and the rankings;
 * scan:    the whole ``tightness_scan``.
 
-and prints how many gap integrals it made and how many cells integrated
-on their own.  The wrappers add a little time to each stage they time,
-most to ``gaps`` and ``own`` on the models where every cell integrates
-on its own.
+and prints how many gap integrals it made, how many cells integrated on
+their own and how many times the theorems' rhs were called, counted in
+one more run with each ``THEOREMS`` row's ``rhs_for`` wrapped, which is
+left out of the timings.  The wrappers add a little time to each stage
+they time, most to ``gaps`` and ``own`` on the models where every cell
+integrates on its own.
 
 Each stage of each case takes the least of ``--runs`` runs, so the
 figures leave out one-off costs such as compiling an expression; the
@@ -163,6 +165,33 @@ def scan_runs(case, config: dict, steps: int, counts: list):
     yield "scan", scan
 
 
+def rhs_calls(config: dict, steps: int) -> int:
+    """The rhs calls of one tightness_scan run of a scan-pool model: one counting
+    rhs per rhs, so the pairs that share one (T4.1 at every q and C4.1) still
+    share a ranking."""
+    case = runner.load_case(config)
+    calls = [0]
+    counting = {}
+
+    def counted(rhs):
+        def count(*cell):
+            calls[0] += 1
+            return rhs(*cell)
+        return counting.setdefault(rhs, count)
+
+    rows = dict(bounds.THEOREMS)
+    a_range, b_range, q_list, _ = inputs.scan_args(config)
+    try:
+        for theorem, row in rows.items():
+            bounds.THEOREMS[theorem] = row._replace(
+                rhs_for=lambda q, rhs_for=row.rhs_for: counted(rhs_for(q)))
+        runner.tightness_scan(case.model, case.eta, case.model.domain, a_range, b_range,
+                              q_list, steps)
+    finally:
+        bounds.THEOREMS.update(rows)
+    return calls[0]
+
+
 def run_times(config: dict, runs: int, stages=stage_runs) -> dict:
     """Seconds per stage in each of ``runs`` runs of ``stages(case)``; the stages
     reached before a failure."""
@@ -206,34 +235,36 @@ def totals(rows: list) -> dict:
 
 def scan_set(runs: int, steps: int) -> tuple:
     """Print one line per scan-pool model in milliseconds with its counts of gap
-    integrals and of cells integrated on their own, and a total line with each
-    stage's spread over runs; return the total seconds per scan stage and each
-    model's two counts."""
+    integrals, of cells integrated on their own and of rhs calls, and a total
+    line with each stage's spread over runs; return the total seconds per scan
+    stage and each model's three counts."""
     print(f"{'scan (ms)':30} " + " ".join(f"{s:>8}" for s in SCAN_STAGES)
-          + "  gap integrals  own cells")
+          + "  gap integrals  own cells  rhs calls")
     total = dict.fromkeys(SCAN_STAGES, 0.0)
     per_run = {stage: [0.0] * runs for stage in SCAN_STAGES}
-    gaps, owned = {}, {}
+    gaps, owned, called = {}, {}, {}
     for config in inputs.scan_pool():
         name = config["name"]
         counts = []
         times = run_times(config, runs, lambda case: scan_runs(case, config, steps, counts))
         best = {stage: min(seconds) for stage, seconds in times.items()}
-        shown = "-", "-"
+        shown = "-", "-", "-"
         if len(times.get("scan", ())) == runs:  # every run reached the end
             for stage in SCAN_STAGES:
                 total[stage] += best[stage]
                 per_run[stage] = list(map(add, per_run[stage], times[stage]))
             (shown,) = set(counts)  # the same in every run
-            gaps[name], owned[name] = shown
+            shown += (rhs_calls(config, steps),)
+            gaps[name], owned[name], called[name] = shown
         print(f"{name:30} " + " ".join(
             f"{1e3 * best[s]:8.2f}" if s in best else f"{'-':>8}" for s in SCAN_STAGES)
-            + f"  {shown[0]:>13}  {shown[1]:>9}")
+            + f"  {shown[0]:>13}  {shown[1]:>9}  {shown[2]:>9}")
     print(f"scan total (ms, {steps}x{steps} cells, least and spread over {runs} runs): "
           + ", ".join(f"{stage} {1e3 * total[stage]:.1f} "
                       f"(spread {1e3 * (max(per_run[stage]) - min(per_run[stage])):.1f})"
                       for stage in SCAN_STAGES) + "\n")
-    return {stage: round(seconds, 6) for stage, seconds in total.items()}, gaps, owned
+    return ({stage: round(seconds, 6) for stage, seconds in total.items()}, gaps, owned,
+            called)
 
 
 def main(argv=None, scan_steps: int = inputs.SCAN_STEPS) -> int:
@@ -259,9 +290,9 @@ def main(argv=None, scan_steps: int = inputs.SCAN_STEPS) -> int:
         print(f"{label} total (ms): " + ", ".join(
             f"{k} {1e3 * v:.1f}" if isinstance(v, float) else f"{k} {v}"
             for k, v in summary[label].items()) + "\n")
-    summary["scan"], gaps, owned = scan_set(args.runs, scan_steps)
+    summary["scan"], gaps, owned, called = scan_set(args.runs, scan_steps)
     print(json.dumps({"runs": args.runs, "seed": args.seed, "totals_s": summary,
-                      "gap_integrals": gaps, "own_cells": owned}))
+                      "gap_integrals": gaps, "own_cells": owned, "rhs_calls": called}))
     return 0
 
 
