@@ -232,12 +232,15 @@ def _require_path(a: float, eta_val: float, domain: Domain) -> float:
     return eta_val
 
 
-def _simpson(f, a: float, step: float):
-    """((f(a), f(mid), f(end)), Simpson value) on [a, end = a + step]: the one
-    home of the Simpson sum, unchecked: the caller has checked step > 0 and
-    that a and a + step lie in the model's domain, as ``simpson_defect`` does."""
-    fa, fmid, fend = f(a), f(a + 0.5 * step), f(a + step)
-    return (fa, fmid, fend), (fa + 4.0 * fmid + fend) / 6.0
+def _simpson(f, a: float, steps: Sequence[float]):
+    """(f(a), [f(mid)], [f(end)], [Simpson value]) on [a, end = a + step] per step
+    of ``steps``, f called at a, then at each mid, then at each end: the one home
+    of the Simpson sum, unchecked: the caller has checked each step > 0 and that
+    a and a + step lie in the model's domain, as ``simpson_defect`` does."""
+    fa = f(a)
+    fmids = [f(a + 0.5 * step) for step in steps]
+    fends = [f(a + step) for step in steps]
+    return fa, fmids, fends, [(fa + 4.0 * fmid + fend) / 6.0 for fmid, fend in zip(fmids, fends)]
 
 
 def _mean(model: FunctionModel, a: float, step: float, abs_tol: float):
@@ -259,9 +262,9 @@ def simpson_defect(model: FunctionModel, a: float, eta_val: float,
     quadrature_error is 0), numeric integration otherwise.
     """
     eta_val = _require_path(a, eta_val, model.domain)
-    values, simpson_value = _simpson(model.f_fn, a, eta_val)
+    fa, (fmid,), (fend,), (simpson_value,) = _simpson(model.f_fn, a, (eta_val,))
     mean, qerr, evals = _mean(model, a, eta_val, abs_tol)
-    return SimpsonDefect(simpson_value, mean, simpson_value - mean, qerr, evals, values)
+    return SimpsonDefect(simpson_value, mean, simpson_value - mean, qerr, evals, (fa, fmid, fend))
 
 
 def lemma_rhs(model: FunctionModel, a: float, eta_val: float,
@@ -310,7 +313,7 @@ def midpoint_gap(model: FunctionModel, a: float, eta_val: float,
     Returns (gap, quadrature_error).
     """
     eta_val = _require_path(a, eta_val, model.domain)
-    (_, fmid, _), _ = _simpson(model.f_fn, a, eta_val)
+    _, (fmid,), _, _ = _simpson(model.f_fn, a, (eta_val,))
     mean, qerr, _ = _mean(model, a, eta_val, abs_tol)
     return fmid - mean, qerr
 

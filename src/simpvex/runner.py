@@ -44,9 +44,9 @@ import numbers
 import time
 from array import array
 from bisect import bisect_left
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import lru_cache
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -654,11 +654,10 @@ _BLOCK = 9
 _WIDEN = 1.0 + 2.0 ** -30
 
 
-def _block_spans(at_a: array, at_b: array, steps: int) -> List[List[Tuple[int, int]]]:
+def _block_spans(rows: List[int], at_b: array, steps: int) -> List[List[Tuple[int, int]]]:
     """Per block of _BLOCK x _BLOCK axis indices, (a block, b block) in row-major
     order, the spans (lo, hi) of its cells' indices in columns in (a, b) order whose
-    axis indices are ``at_a`` and ``at_b``, one per a index with cells there."""
-    rows = [bisect_left(at_a, i) for i in range(steps + 1)]
+    b indices are ``at_b`` and whose row i starts at rows[i], one per row with cells there."""
     blocks = []
     for i in range(0, steps, _BLOCK):
         for j in range(0, steps, _BLOCK):
@@ -683,9 +682,9 @@ def _gather(column: array, spans: List[Tuple[int, int]]) -> list:
 def _box(x1s: list, x2s: list, steps: list) -> Tuple[int, tuple, tuple]:
     """(count, least corner, largest corner) of the cells (x1, x2, step) whose
     coordinates the columns hold; a column of one NaN stands for one not read."""
-    columns = x1s, x2s, steps
-    return (len(steps), tuple(min(c, default=math.nan) for c in columns),
-            tuple(max(c, default=math.nan) for c in columns))
+    nan = math.nan
+    return (len(steps), (min(x1s, default=nan), min(x2s, default=nan), min(steps, default=nan)),
+            (max(x1s, default=nan), max(x2s, default=nan), max(steps, default=nan)))
 
 
 class TightnessResult(Record):
@@ -715,56 +714,61 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     where f or its integral fails, where f' fails or is NaN at a or b (for a
     theorem that reads it), off C4.2's precondition, and where the rhs is
     zero, NaN or overflows or the ratio is NaN.  Every cell of a q is
-    skipped whose sampled hypothesis fails or overflows, every cell of a
-    theorem with a hypothesis when K is not invex for eta (or eta fails on
-    its samples), and every cell of CLASSICAL without d4sup; a theorem with
-    no usable cell is reported with status "all_skipped".  Ties keep the
-    first cell in (q, a, b) order, so results are deterministic.
+    skipped whose sampled hypothesis fails or overflows (such a q is swept
+    once), every cell of a theorem with a hypothesis when K is not invex for
+    eta (or eta fails on its samples), and every cell of CLASSICAL without
+    d4sup; a theorem with no usable cell is reported with status
+    "all_skipped".  Ties keep the first cell in (q, a, b) order, so results
+    are deterministic.
 
-    A cell's mean is its own adaptive integral's, as ``simpson_defect``
-    takes it, but a scan runs that integral only where it can decide a
-    ranking.  The nodes are every usable cell's a and end a + step.  f is
-    integrated once over each gap between consecutive nodes, and one table
-    keeps, per node, the running sums of the gap integrals, of their
-    estimates and of their magnitudes; a gap whose integral fails starts a
-    new run of sums at its right node.  A cell whose a and end lie in one
-    run has its mean enclosed in m +- d: m the difference of the sums at its
-    end and at a, over step, and d _SAFETY (1000) times tol.oracle, the
-    estimates from a to the end and a rounding floor on the magnitudes
-    summed up to the end, over step.  Each distinct (rhs, lhs) bounds every
-    cell's ratio from its enclosure, and only a cell whose upper bound
-    reaches the best lower bound integrates on its own; that mean is kept,
-    so no cell integrates twice.  A cell with no finite enclosure (its a and
-    end lie in different runs, the step is so small that d overflows, or F
-    is given) has no upper bound, so the first ranking that can rank it
-    integrates it.  A cell whose own integral fails is marked as giving no
-    ratio; if it had a finite enclosure, its bounds may have pruned other
-    cells, so after a round of rankings in which such a cell failed, every
-    ranking runs again.  The factor assumes that no estimate is off by 1000
-    times; the result is then the one integrating every cell gives.  It can
-    differ only where a cell's own integral, over its step, lies outside its
-    enclosure, or where a cell that is never integrated on its own would
-    fail there though its gap integrals succeed: that cell counts as ranked.
+    The cells are built one row of a at a time: eta at each b, then f at a
+    once and at each usable cell's mid and end (``bounds._simpson``), then f'
+    at a and at each b.  A row where any of them raises is built again cell
+    by cell, where an EvalDomainError skips its cell and any other error
+    propagates from the first cell that raises it.  A cell's mean is its own
+    adaptive integral's, as ``simpson_defect`` takes it, but a scan runs
+    that integral only where it can decide a ranking.  The nodes are every
+    usable cell's a and end a + step.  f is integrated once over each gap
+    between consecutive nodes, and one table keeps, per node, the running
+    sums of the gap integrals, of their estimates and of their magnitudes; a
+    gap whose integral fails starts a new run of sums at its right node.  A
+    cell whose a and end lie in one run has its mean enclosed in m +- d: m
+    the difference of the sums at its end and at a, over step, and d
+    _SAFETY (1000) times tol.oracle, the estimates from a to the end and a
+    rounding floor on the magnitudes summed up to the end, over step.  Each
+    distinct (rhs, lhs) bounds every cell's ratio from its enclosure, and
+    only a cell whose upper bound reaches the best lower bound integrates on
+    its own; that mean is kept, so no cell integrates twice.  A cell with no
+    finite enclosure (its a and end lie in different runs, the step is so
+    small that d overflows, or F is given) has no upper bound, so the first
+    ranking that can rank it integrates it.  A cell whose own integral fails
+    gives no ratio; if it had a finite enclosure, its bounds may have pruned
+    other cells, so after a round of rankings in which such a cell failed,
+    every ranking runs again.  The factor assumes that no estimate is off by
+    1000 times; the result is then the one integrating every cell gives.  It
+    differs only where a cell's own integral, over its step, lies outside its
+    enclosure, or where a cell never integrated on its own would fail there
+    though its gap integrals succeed: that cell counts as ranked.
 
-    Once a cell has its own mean, a ranking whose lhs is |defect| bounds each
-    block of _BLOCK x _BLOCK (9 x 9) axis indices at once.  Every rhs is
-    nondecreasing in |f'(a)|, |f'(b)| and step, so no ratio of a block, nor a
-    low end, exceeds the block's largest |defect| + d over the rhs at its
-    least corner, widened by _WIDEN (2^-30) against an rhs a few ulps off
-    monotone.  The corners, the least and largest (|f'(a)|, |f'(b)|, step)
-    over the cells a ranking can rank, are taken once per scan, and a block's
-    largest |defect| + d again only where an own integral has landed.  A
-    block has no bound where a cell's |defect| + d is NaN or inf (no finite
-    enclosure, or a failed own integral), or where the rhs at its least
-    corner is not > 0 or the one at its largest is not finite; else each of
-    its cells ranks.  The ranking visits the blocks by descending bound and
-    counts one whose bound lies below the best, and below the floor if it
-    holds a cell without its own mean, as ranked, with no rhs call at its
-    cells.  Exact ties go to the first cell in (a, b) order and the own
-    integrals run in (a, b) order, so every result, count and error is the
-    one a walk over every cell gives.  Before any cell has its own mean the
-    best stays -inf and no bound can prune, so a ranking then, and C4.2's,
-    walks every cell.
+    A ranking whose lhs is |defect| bounds each block of _BLOCK x _BLOCK
+    (9 x 9) axis indices at once.  Every rhs is nondecreasing in |f'(a)|,
+    |f'(b)| and step, so no ratio of a block, nor a low end, exceeds the
+    block's largest |defect| + d over the rhs at its least corner, widened by
+    _WIDEN (2^-30) against an rhs a few ulps off monotone.  The corners, the
+    least and largest (|f'(a)|, |f'(b)|, step) over the cells a ranking can
+    rank, are taken once per scan, and a block's largest |defect| + d again
+    only where an own integral has landed.  A block has no bound where a
+    cell's |defect| + d is NaN or inf, or where the rhs at its least corner
+    is not > 0 or the one at its largest is not finite; else each of its
+    cells ranks.  A block whose rhs at its largest corner is 0 ranks no cell
+    and is not visited.  The ranking visits the others by descending bound
+    and counts as ranked, with no rhs call at its cells, a block whose bound
+    lies below the floor and either below the best or over no own mean, or
+    below the best over no cell without one; so the first ranking, whose best
+    stays -inf, is bounded by its floor.  C4.2's ranking walks only the cells
+    that meet its precondition, listed once per scan.  Exact ties go to the
+    first cell in (a, b) order and the own integrals run in (a, b) order, so
+    every result, count and error is the one a walk over every cell gives.
 
     ValueError, before any sweep, for steps < 2, an a or b range whose
     width hi - lo overflows, or a request ``_request_error`` rejects: an
@@ -796,6 +800,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     except EvalDomainError:  # eta fails on the samples: K is not invex for it
         invex = False
     hypothesis = _hypotheses(model, eta, K, grid, tol.invexity, [])
+    overflowed = set()  # the q whose sweep overflowed, swept once
     # (rhs, lhs, reads f') -> [best ratio, its (a, b) or None, ranked cells], one
     # per distinct rhs and lhs (T4.1 at every q and C4.1 share one); lhs None: |defect|
     rankings = {}
@@ -805,9 +810,10 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         pairs = []
         for q in row.exponents(q_list):
             try:
-                usable = (model.d4sup is not None if row.mode is None else
-                          invex and not hypothesis(row.mode, q).violated)
+                usable = (model.d4sup is not None if row.mode is None else invex and
+                          q not in overflowed and not hypothesis(row.mode, q).violated)
             except OverflowError:  # |f'|^q overflows on the samples
+                overflowed.add(q)
                 usable = False
             ranking = [-math.inf, None, 0]  # a pair that cannot rank ranks no cell
             if usable:
@@ -819,61 +825,63 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
 
     f, df = model.f_fn, model.df_fn
     reads_df = any(uses_df for _, _, uses_df in rankings)
-    df_at = {}  # |f'(x)| per axis value x, read at its first use; None where f' fails or is NaN
+    df_at = {}  # |f'(x)| per axis value x, read at its first use; NaN where f' fails
 
     def abs_df(x):
         if x not in df_at:
             try:
-                magnitude = abs(df(x))
+                df_at[x] = abs(df(x))
             except EvalDomainError:
-                magnitude = None
-            df_at[x] = magnitude if magnitude == magnitude else None  # NaN: as a failure
+                df_at[x] = math.nan
         return df_at[x]
 
-    on_domain = K == model.domain
-
-    def inside(x):  # a cell's a and a + step lie in K and in the model's domain
-        return K.contains(x) and (on_domain or model.domain.contains(x))
+    # whether a cell's a or a + step lies in K and in the model's domain
+    inside = K.contains if K == model.domain else (
+        lambda x: K.contains(x) and model.domain.contains(x))
 
     b_inside = [K.contains(b) for b in b_vals]
-    # per usable cell, in (a, b) order: its axis indices, step, Simpson sum and
-    # values, |f'(a)| and |f'(b)| (NaN where f' fails or is NaN), its mean within
-    # radius (NaN or inf with no finite enclosure, 0.0 once the mean is the cell's
-    # own, NaN if that failed) and |Simpson sum - mean|
-    at_a, at_b, cell_steps, sums, fas, fmids, fends, x1s, x2s, means, radii, defects = (
+    # per usable cell, in (a, b) order: its axis indices, step, end a + step, Simpson
+    # sum and values, |f'(a)| (NaN where f' fails or is NaN at a or b) and |f'(b)|, its
+    # mean within radius (NaN or inf with no finite enclosure, 0.0 once the mean is the
+    # cell's own, NaN if that failed) and |Simpson sum - mean|; rows[i]: row i's first cell
+    at_a, at_b, cell_steps, ends, sums, fas, fmids, fends, x1s, x2s, means, radii = (
         array("i"), array("i"), *(array("d") for _ in range(10)))
-    for i, a in enumerate(a_vals) if rankings else ():  # with nothing to rank, no cell is visited
-        a_inside = inside(a)
-        for j, b in enumerate(b_vals):
-            try:
-                step = eta(b, a)
-            except EvalDomainError:
-                continue
-            if not (step > 0.0 and a_inside and b_inside[j] and inside(a + step)):
-                continue
-            try:
-                (fa, fmid, fend), simpson_value = bounds_mod._simpson(f, a, step)
-            except EvalDomainError:
-                continue
-            x1 = x2 = math.nan
-            if reads_df and abs_df(a) is not None and abs_df(b) is not None:
-                x1, x2 = df_at[a], df_at[b]
-            at_a.append(i)
-            at_b.append(j)
-            cell_steps.append(step)
-            sums.append(simpson_value)
-            fas.append(fa)
-            fmids.append(fmid)
-            fends.append(fend)
-            x1s.append(x1)
-            x2s.append(x2)
+    rows = [0]
+
+    def extend(i, js):
+        """Extend the columns by row i's usable cells among the b indices ``js``: eta
+        at each, then f as ``bounds._simpson`` calls it, then f' at a and at each b,
+        so for one index in a walk's order.  A raise extends nothing."""
+        a = a_vals[i]
+        row_steps = [eta(b_vals[j], a) for j in js]
+        usable = [(j, step) for j, step in zip(js, row_steps)
+                  if step > 0.0 and b_inside[j] and inside(a + step)] if inside(a) else ()
+        if usable:
+            js, row_steps = map(list, zip(*usable))
+            fa, row_mids, row_ends, row_sums = bounds_mod._simpson(f, a, row_steps)
+            x1 = abs_df(a) if reads_df else math.nan
+            x2 = [abs_df(b_vals[j]) for j in js] if x1 == x1 else [math.nan] * len(js)
+            for column, values in zip(
+                    (at_a, at_b, cell_steps, ends, sums, fas, fmids, fends, x1s, x2s),
+                    ([i] * len(js), js, row_steps, [a + step for step in row_steps], row_sums,
+                     [fa] * len(js), row_mids, row_ends, [x if x != x else x1 for x in x2], x2)):
+                column.fromlist(values)  # a list: array.extend takes any iterable item by item
+
+    for i in range(steps) if rankings else ():  # with nothing to rank, no cell is visited
+        try:
+            extend(i, range(steps))
+        except Exception:  # replayed cell by cell: the first error in (a, b) order propagates
+            for j in range(steps):
+                with suppress(EvalDomainError):  # eta or f fails at the cell
+                    extend(i, (j,))
+        rows.append(len(sums))
 
     # the nodes: every usable cell's a and end a + step, ascending; none with F,
     # whose means are exact and cheap.  Per node, the run it lies in and the sums
     # from that run's first node of the gap integrals, their estimates and |values|;
     # a gap whose integral fails starts a new run at its right node
     nodes = [] if model.F_fn is not None else sorted(
-        {x for i, step in zip(at_a, cell_steps) for x in (a_vals[i], a_vals[i] + step)})
+        {*ends, *(a for a, lo, hi in zip(a_vals, rows, rows[1:]) if lo < hi)})
     run, total, err, size = 0, 0.0, 0.0, 0.0
     table = dict.fromkeys(nodes[:1], (run, total, err, size))
     for lo, hi in zip(nodes, nodes[1:]):
@@ -883,42 +891,44 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         except (EvalDomainError, QuadratureError):
             run, total, err, size = run + 1, 0.0, 0.0, 0.0
         table[hi] = run, total, err, size
-    for k, step in enumerate(cell_steps):
-        mean, radius = math.nan, math.inf  # no finite enclosure
-        if table:
-            a = a_vals[at_a[k]]
+    oracle = tol.oracle
+    for a, lo, hi in zip(a_vals, rows, rows[1:]):  # each row's enclosures, table[a] read once
+        row_means, row_radii = [math.nan] * (hi - lo), [math.inf] * (hi - lo)  # none finite
+        if table and lo < hi:
             run, total, err, _ = table[a]
-            end_run, end_total, end_err, size = table[a + step]
-            if run == end_run:
-                mean = (end_total - total) / step
-                radius = _SAFETY * ((tol.oracle + end_err - err + _ROUNDING * size) / step
-                                    + _ROUNDING * (abs(fas[k]) + abs(fmids[k]) + abs(fends[k])))
-        means.append(mean)
-        radii.append(radius)
-        defects.append(abs(sums[k] - mean))
+            magnitude = abs(fas[lo])
+            for k, step, end, fmid, fend in zip(range(hi - lo), cell_steps[lo:hi], ends[lo:hi],
+                                                fmids[lo:hi], fends[lo:hi]):
+                end_run, end_total, end_err, size = table[end]
+                if end_run == run:
+                    row_means[k] = (end_total - total) / step
+                    row_radii[k] = _SAFETY * ((oracle + end_err - err + _ROUNDING * size) / step
+                                              + _ROUNDING * (magnitude + abs(fmid) + abs(fend)))
+        means.fromlist(row_means)
+        radii.fromlist(row_radii)
+    defects = array("d", list(map(abs, map(sub, sums, means))))
 
-    # the blocks, taken at the first ranking that can prune one: per block its
+    # the blocks, taken at the first ranking whose lhs is |defect|: per block its
     # spans, and per whether a ranking reads |f'|, its count of cells such a
     # ranking can rank and the least and the largest (x1, x2, step) over them
     per_row = -(-steps // _BLOCK)
     blocks, corners = [], ([], [])
     # per block: the largest |defect| + radius of its cells (inf if one is NaN or
-    # inf) and whether one has radius > 0, taken again in the dirty blocks, where
-    # an own integral landed since
+    # inf), whether one has radius > 0 and whether one has its own mean, taken
+    # again in the dirty blocks, where an own integral landed since
     block_tops, dirty = {}, set()
-    owned = radii.count(0.0)  # the cells a walk ranks by their ratio: their own means
-    whole = ((0, len(sums)),)
+    # per lhs other than |defect| (C4.2's), the spans of the cells it ranks: those
+    # where it is not None, which do not depend on the mean
+    listed = {lhs_of: [(k, k + 1) for k, values in enumerate(zip(fas, fmids, fends))
+                       if lhs_of(math.nan, values) is not None]
+              for _, lhs_of, _ in rankings if lhs_of is not None}
 
     def bounded(rhs_of, uses_df):
         """(bound, block) per block holding a cell the ranking ranks, by descending
-        bound: no ratio of the block's cells, nor the low end of one, lies above it.
-        A block has no bound (inf) where a cell's |defect| + radius is NaN or inf (no
-        finite enclosure, or a failed own integral), or where the rhs at the least
-        corner is not > 0 or the one at the largest is not finite; else every
-        cell's rhs, which is nondecreasing in x1, x2 and step, is in (0, inf), and
-        so each of its cells ranks."""
+        bound: no ratio of its cells, nor a low end, lies above it; inf for a block
+        with no bound.  A block whose rhs at the largest corner is <= 0 is left out."""
         if not blocks:
-            blocks[:] = _block_spans(at_a, at_b, steps)
+            blocks[:] = _block_spans(rows, at_b, steps)
             for spans in blocks:
                 span_steps = _gather(cell_steps, spans)
                 corners[0].append(_box([math.nan], [math.nan], span_steps))
@@ -934,21 +944,19 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             radius = _gather(radii, blocks[b])
             top = list(map(add, _gather(defects, blocks[b]), radius))
             block_tops[b] = (max(top, default=0.0) if sum(top) < math.inf else math.inf,
-                             any(radius))
+                             any(radius), 0.0 in radius)
         dirty.clear()
         visits = []
         for b, (count, low, high) in enumerate(corners[uses_df]):
             if not count:
                 continue
-            bound = block_tops[b][0]
-            if bound < math.inf:
-                try:
-                    rhs_low, rhs_high = rhs_of(*low), rhs_of(*high)
-                except OverflowError:
-                    rhs_low = rhs_high = math.nan
-                bound = (bound / rhs_low * _WIDEN if rhs_low > 0.0 and rhs_high < math.inf
-                         else math.inf)
-            visits.append((bound, b))
+            try:
+                rhs_low, rhs_high = rhs_of(*low), rhs_of(*high)
+            except OverflowError:
+                rhs_low = rhs_high = math.nan
+            if not rhs_high <= 0.0:
+                visits.append((block_tops[b][0] / rhs_low * _WIDEN
+                               if rhs_low > 0.0 and rhs_high < math.inf else math.inf, b))
         visits.sort(key=itemgetter(0), reverse=True)
         return visits
 
@@ -957,32 +965,27 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         other by the bounds of its ratio, and of those the ones that may be the
         best by their own means, which a cell with no finite enclosure always
         may be; whether an own integral failed, marking its cell as no ratio.
-        A ranking whose lhs is |defect| visits the blocks by descending bound once
-        a cell has its own mean (before that the best stays -inf and no bound can
-        prune), and counts a block whose bound lies below the best, and below the
-        floor if it holds a cell with no own mean, as ranked: none of its cells
-        can be the best or raise the floor."""
-        nonlocal owned
+        A block counted as ranked holds no cell that can be the best, be
+        integrated or raise the floor."""
         failed = False
         for (rhs_of, lhs_of, uses_df), ranking in rankings.items():  # nothing here raises
             best, at, ranked = -math.inf, None, 0
             floor = -math.inf  # the best ratio is at least this
-            # the cells without their own mean that may be the best, with rhs and top ratio
-            pending, rhss, tops = array("i"), array("d"), array("d")
-            # (bound, block) per block, or one walk over every cell (block None)
-            blocked = lhs_of is None and owned
-            visits = bounded(rhs_of, uses_df) if blocked else [(math.inf, None)]
+            pending = {}  # (rhs, top ratio) per cell without its own mean that may be the best
+            # (bound, block) per block, or one walk over the listed cells (block None)
+            visits = bounded(rhs_of, uses_df) if lhs_of is None else [(math.inf, None)]
             for bound, b in visits:
-                if bound < best and (bound < floor or not block_tops[b][1]):
+                if b is not None and (bound < floor and (bound < best or not block_tops[b][2])
+                                      or bound < best and not block_tops[b][1]):
                     ranked += corners[uses_df][b][0]
                     continue
-                for lo, hi in whole if b is None else blocks[b]:
+                for lo, hi in listed[lhs_of] if b is None else blocks[b]:
                     for k, step, x1, x2, lhs, radius in zip(
                             range(lo, hi), cell_steps[lo:hi], x1s[lo:hi], x2s[lo:hi],
                             defects[lo:hi], radii[lo:hi]):
                         if lhs_of is not None:
                             lhs = lhs_of(means[k], (fas[k], fmids[k], fends[k]))
-                        if lhs is None or uses_df and x1 != x1:  # C4.2 unmet, or no |f'|
+                        if uses_df and x1 != x1:  # no |f'|
                             continue
                         try:
                             rhs = rhs_of(x1, x2, step)
@@ -998,9 +1001,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                             if low > floor:
                                 floor = low
                             if top >= floor and top >= best:  # else never the best
-                                pending.append(k)
-                                rhss.append(rhs)
-                                tops.append(top)
+                                pending[k] = rhs, top
                         else:
                             ratio = lhs / rhs
                             if ratio != ratio:  # NaN: never a witness, as in invexity's sweeps
@@ -1011,8 +1012,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                         ranked += 1
             # in (a, b) order, so that the own integrals are those, in the order,
             # of a walk over every cell
-            walked = zip(pending, rhss, tops)
-            for k, rhs, top in sorted(walked) if blocked else walked:
+            for k in sorted(pending):
+                rhs, top = pending[k]
                 if top < floor or top < best:  # below another cell's ratio: never the best
                     continue
                 try:
@@ -1022,7 +1023,6 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
                     # with a finite enclosure its bounds may have pruned other cells
                     failed = failed or radii[k] < math.inf
                 means[k], radii[k], defects[k] = mean, 0.0, abs(sums[k] - mean)
-                owned += 1
                 dirty.add(at_a[k] // _BLOCK * per_row + at_b[k] // _BLOCK)
                 lhs = defects[k] if lhs_of is None else lhs_of(mean, (fas[k], fmids[k], fends[k]))
                 ratio = lhs / rhs

@@ -96,3 +96,20 @@ def test_an_unreadable_report_exits_two(report_diff, tmp_path, capsys):
     (tmp_path / "list.json").write_text("[]", encoding="utf-8")
     assert report_diff.main([str(tmp_path / "list.json"), str(tmp_path / "missing.json")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {str(tmp_path / 'list.json')!r} holds")
+
+
+def _one_case(defect):
+    return {"cases": [{"case": "a", "defect": defect}]}
+
+
+def test_nan_on_both_sides_is_no_difference(report_diff):
+    assert report_diff.differences(_one_case(math.nan), _one_case(math.nan)) == []
+
+
+def test_a_zero_that_changes_sign_is_class_two(report_diff, tmp_path, capsys):
+    # -0.0 and 0.0 are equal numbers, but the report bytes differ
+    assert report_diff.differences(_one_case(0.0), _one_case(-0.0)) == [
+        (2, "a", "defect", 0.0, -0.0)]
+    code, lines = _run(report_diff, tmp_path, capsys, _one_case(0.0), _one_case(-0.0))
+    assert (code, lines) == (0, ["2 a defect: 0.0 -> -0.0",
+                                 "1 differences: 0 verdict, 1 within err, 0 beyond err"])

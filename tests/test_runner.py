@@ -801,6 +801,26 @@ def test_scan_skips_exponents_whose_sweep_overflows():
     assert (t34.status, t34.at_q, t34.cells, t34.skipped) == ("ok", 1.0, 18, 9)
 
 
+def test_scan_sweeps_an_overflowing_exponent_once(monkeypatch):
+    # every theorem at q = [149.9, 1.0]: six (theorem, q) pairs with a hypothesis
+    # take q = 149.9, whose sweep overflows; the scan remembers that and sweeps
+    # it once, as it sweeps q = 1 once
+    qs = []
+    pair = runner.hypothesis_pair
+
+    def counting_pair(model, eta, K, q, *args):
+        qs.append(q)
+        return pair(model, eta, K, q, *args)
+
+    monkeypatch.setattr(runner, "hypothesis_pair", counting_pair)
+    model = _model(STEEP["f"], STEEP["df"], STEEP["F"], K=(0.0, 2.0))
+    results = tightness_scan(model, EtaMap.difference(), Domain(0.0, 2.0), (0.0, 0.5),
+                             (1.5, 2.0), [149.9, 1.0], steps=3)
+    assert qs == [1.0, 149.9]
+    assert [r.status for r in results if r.theorem in ("T3.2", "T3.3", "T4.2", "T4.3")] == [
+        "all_skipped"] * 4
+
+
 def test_an_overflowing_exponent_keeps_no_report(monkeypatch):
     qs = []
     pair = runner.hypothesis_pair
@@ -824,9 +844,9 @@ def test_an_overflowing_exponent_keeps_no_report(monkeypatch):
 def test_scan_nan_ratio_is_skipped_and_never_the_witness(monkeypatch):
     real = bounds._simpson
 
-    def nan_sum_at_zero(f, a, step):
-        values, simpson_value = real(f, a, step)
-        return values, math.nan if a == 0.0 else simpson_value
+    def nan_sum_at_zero(f, a, steps):
+        fa, fmids, fends, sums = real(f, a, steps)
+        return fa, fmids, fends, [math.nan] * len(sums) if a == 0.0 else sums
 
     monkeypatch.setattr(bounds, "_simpson", nan_sum_at_zero)
     model = _model("x^4", "4*x^3", "(x^5)/5", K=(0.0, 2.0))
@@ -1095,27 +1115,32 @@ def test_pool_scan_integrates_only_the_cells_that_can_win(monkeypatch, name, own
     sums = _counting(monkeypatch, bounds, "_simpson")
     means = _counting(monkeypatch, bounds, "_mean")
     tightness_scan(case.model, case.eta, case.model.domain, *inputs.scan_args(cfg))
-    assert len(sums) == 6560
+    # one Simpson call per row of a, each of the 81 holding a usable cell
+    assert len(sums) == 81 and sum(len(steps) for _, _, steps in sums) == 6560
     assert len(means) == len({(a, step) for _, a, step, _ in means}) == own
     # f is integrated once over each gap between consecutive nodes, every cell's
     # a and end a + step, and over nothing else: no sliver from a nearest node
     # to an end that misses an axis value by rounding (3,033 ends on exp)
-    nodes = {x for _, a, step in sums for x in (a, a + step)}
+    nodes = {x for _, a, steps in sums for step in steps for x in (a, a + step)}
     assert len(gaps) == len(nodes) - 1 == {
         "scan_00001_exp": 318, "scan_00002_log": 175, "scan_00004_sin": 213}[name]
 
 
 @pytest.mark.parametrize("name, calls", [
-    ("scan_00000_poly", 17396), ("scan_00001_exp", 24298), ("scan_00002_log", 19843),
-    ("scan_00004_sin", 6560)])
+    ("scan_00000_poly", 10998), ("scan_00001_exp", 15632), ("scan_00002_log", 9962),
+    ("scan_00004_sin", 5507)])
 def test_pool_scan_bounds_blocks_of_cells_with_two_rhs_calls_each(monkeypatch, name, calls):
     # a walk over every cell in each of the 19 rankings that call an rhs would
-    # make 19 x 6,560 = 124,640 rhs calls (sin ranks CLASSICAL only: 6,560).  A
-    # ranking before any cell has its own mean walks every cell; a later one makes
-    # two calls per block of 9 x 9 cells and one per cell of each block it visits.
-    # On the cubic every cell owns its mean after T3.1's walk (6,560 calls), and
-    # CLASSICAL, whose d4sup is 0, bounds no block (162 + 6,560); each other
-    # ranking visits one block, of 80 cells: 17 x (162 + 80) = 4,114
+    # make 19 x 6,560 = 124,640 rhs calls (sin ranks CLASSICAL only: 6,560).  Each
+    # ranking makes two calls per block of 9 x 9 cells (81 blocks: 162) and one per
+    # cell of each block it walks; a block whose rhs at the largest corner is 0 is
+    # not walked, and one whose bound lies below the floor is not walked where it
+    # holds no cell with its own mean, so the first ranking is bounded too.  On the
+    # cubic every defect is rounding: T3.1's ranking walks every cell, which each
+    # integrate on their own (162 + 6,560), each later ranking walks one block of
+    # 80 cells (17 x (162 + 80) = 4,114), and CLASSICAL, whose d4sup is 0, none
+    # (162).  On exp each ranking but CLASSICAL walks 486 cells (18 x (162 + 486)),
+    # and CLASSICAL 3,806 (162 + 3,806); on sin CLASSICAL walks 5,345 (162 + 5,345)
     inputs = _perfbench_inputs(monkeypatch)
     (cfg,) = [cfg for cfg in inputs.scan_pool() if cfg["name"] == name]
     case = load_case(cfg)
@@ -1199,11 +1224,11 @@ def test_scan_ranks_again_once_per_round_in_which_an_own_integral_fails(monkeypa
     # T3.1 alone on the exp scan, every own integral failing where a <= -0.5 and
     # a + step >= 1.5 (9 cells, 8 of which can win and are integrated): a failed
     # cell stays as one that gives no ratio, and the ranking runs again once per
-    # round that met a failure.  The first round has no cell with its own mean,
-    # so no block bound can prune and it walks all 80 cells with a step; each
-    # later round's one 9 x 9 block holds a failed cell, whose NaN |defect|
-    # leaves the block with no bound and so with no corner call: 80 calls a
-    # round.  Once per failed cell, after dropping it, took
+    # round that met a failure.  Each round makes two corner calls for the one
+    # 9 x 9 block and walks its 80 cells with a step: in the first the block's
+    # bound lies above the floor, which starts at -inf, and in each later one it
+    # holds a failed cell, whose NaN |defect| leaves the block with no bound:
+    # 2 + 80 calls a round.  Once per failed cell, after dropping it, took
     # 80 + 79 + ... + 72 = 684 calls for the 8 that fail
     args = list(_exp_scan_args())
     args[7] = ("T3.1",)
@@ -1220,7 +1245,7 @@ def test_scan_ranks_again_once_per_round_in_which_an_own_integral_fails(monkeypa
     calls = _rhs_calls(monkeypatch, "T3.1")
     (got,) = tightness_scan(*args)
     assert len(failed) == len(set(failed)) == 8  # each fails once, and stays failed
-    assert len(calls) == 5 * 80 < 684  # 4 rounds meet failures, the fifth none
+    assert len(calls) == 5 * (2 + 80) < 684  # 4 rounds meet failures, the fifth none
     (want,) = _reference_scan(*args)
     assert (got.ratio, got.at_a, got.at_b) == (want.ratio, want.at_a, want.at_b)
 
@@ -1256,8 +1281,9 @@ def test_scan_integrates_the_cells_over_a_failing_gap_on_their_own(monkeypatch):
     # integrate on their own
     assert (got[0].status, got[0].skipped, len(means)) == ("ok", 3, 25 - 2)
     # the cells that fail had no enclosure, so they pruned nothing and the one
-    # round of rankings stands: the rhs is called at the 23 cells once, not twice
-    assert len(calls) == 23
+    # round of rankings stands: the rhs is called at the one block's two corners
+    # and, the block having no bound, at the 23 cells once, not twice
+    assert len(calls) == 2 + 23
     assert repr(got) == repr(_reference_scan(*args))
     # f fails on (0.6, 0.65): the gap over it starts a new run of sums, and only
     # the cells with a left of it and end right of it have no enclosure; sums
@@ -1284,17 +1310,27 @@ def test_scan_with_F_integrates_no_gap(monkeypatch):
     assert repr(got) == repr(_reference_scan(*args))
 
 
-def _failing_at(model, bad, exc):
-    """``model`` with an f' that raises ``exc`` at the axis value ``bad`` only."""
-    real = model.df_fn
+def _failing_at(model, bad, exc, fn="df_fn"):
+    """``model`` with an f' (or f, for fn "f_fn") that raises ``exc`` at ``bad`` only."""
+    real = getattr(model, fn)
 
-    def df(x):
+    def failing(x):
         if x == bad:
             raise exc
         return real(x)
 
-    model.__dict__["df_fn"] = df  # the compiled f' is a cached property
+    model.__dict__[fn] = failing  # the compiled f and f' are cached properties
     return model
+
+
+def _eta_raising_at(v_bad, u_bad, exc):
+    """The difference map, over a Python function that raises ``exc`` at (v_bad, u_bad) only."""
+    def eta(v, u):
+        if (v, u) == (v_bad, u_bad):
+            raise exc
+        return v - u
+
+    return EtaMap(eta, "difference, raising at one cell")
 
 
 def _scan_edge(name):
@@ -1325,6 +1361,20 @@ def _scan_edge(name):
     # a in {0, 0.375, 0.75}, b in {0.375, 1.125, 1.875}; none is a sample point
     axes = ((0.0, 0.75), (0.375, 1.875))
     model = _model(*quartic, d4sup=30.0)
+    if name.endswith("in one row"):
+        # two errors in the row a = 0, whose cells' mids are 0.1875, 0.5625 and
+        # 0.9375: the one at the earlier cell propagates.  f is read before f' at a
+        # cell, and each cell's eta before its f; no point here is a sample point
+        eta = _eta_raising_at(1.875, 0.0, ZeroDivisionError("eta raises at (1.875, 0)"))
+        if name == "f raises before eta in one row":
+            model = _failing_at(model, 0.1875, ValueError("f raises at 0.1875"), "f_fn")
+        elif name == "eta raises before f in one row":
+            eta = _eta_raising_at(0.375, 0.0, ZeroDivisionError("eta raises at (0.375, 0)"))
+            model = _failing_at(model, 0.9375, ValueError("f raises at 0.9375"), "f_fn")
+        else:  # f' raises at b = 1.125, a cell before eta's
+            model = _failing_at(model, 1.125, ValueError("f' raises at 1.125"))
+        return (model, eta, Domain(-1.0, 2.0), *axes, [1.0, 2.0], 3, runner.THEOREM_IDS,
+                runner.DEFAULT_TOLERANCES, SMALL_GRID)
     if name == "f' fails at one axis value":
         model = _failing_at(model, 0.375, EvalDomainError("f'", 0.375, "fails"))
     elif name == "f' raises at one axis value":
@@ -1340,13 +1390,18 @@ def _scan_edge(name):
     "K wider than the domain", "K narrower than the domain", "C4.2 precondition holds",
     "denormal step", "denormal step with F", "f' fails at one axis value",
     "f' raises at one axis value", "f' raises only where no cell reads it",
-    "f fails in a defect"])
+    "f fails in a defect", "f raises before eta in one row", "eta raises before f in one row",
+    "f' raises before eta in one row"])
 def test_scan_edges_match_theorem_major_reference(name):
     args = _scan_edge(name)
     got = _scan_outcome(tightness_scan, *args)
     assert got == _scan_outcome(_reference_scan, *args)
-    if name == "f' raises at one axis value":
-        assert got == "ZeroDivisionError: f' raises at 1.125"
+    raised = {"f' raises at one axis value": "ZeroDivisionError: f' raises at 1.125",
+              "f raises before eta in one row": "ValueError: f raises at 0.1875",
+              "eta raises before f in one row": "ZeroDivisionError: eta raises at (0.375, 0)",
+              "f' raises before eta in one row": "ValueError: f' raises at 1.125"}
+    if name in raised:
+        assert got == raised[name]
         return
     results = {r.theorem: r for r in tightness_scan(*args)}
     if name.startswith("K "):
@@ -1435,18 +1490,19 @@ def test_cubic_scan_integrates_every_usable_cell_and_each_gap_once(monkeypatch):
     assert (t31.status, t31.cells, t31.skipped) == ("ok", 25, 1)
     assert (midpoint.cells, len(checks)) == (25, 24)
     # Simpson is exact on a cubic, so every defect is rounding, far inside its
-    # enclosure, and every cell may be T3.1's best: per usable cell f(a), f(mid)
-    # and f(end) for the Simpson sum and 5 evaluations for its own integral (a
-    # cubic converges on the first panel), and 5 per gap between the 9 nodes,
-    # the cells' a and ends a + (b - a), which on these dyadic axes are the axis
-    # values 0, 0.125, .., 0.5, 0.75, .., 1.5
-    assert len(calls) == (3 + 5) * 24 + 5 * 8
+    # enclosure, and every cell may be T3.1's best: f(a) once per row of a, each
+    # of the 5 with a usable cell, per usable cell f(mid) and f(end) for the
+    # Simpson sum and 5 evaluations for its own integral (a cubic converges on
+    # the first panel), and 5 per gap between the 9 nodes, the cells' a and ends
+    # a + (b - a), which on these dyadic axes are the axis values 0, 0.125, ..,
+    # 0.5, 0.75, .., 1.5
+    assert len(calls) == 5 + (2 + 5) * 24 + 5 * 8
 
 
 def test_scan_takes_the_shared_T4_1_rhs_once_per_usable_cell(monkeypatch):
     # T4.1 at four q and C4.1 share one rhs function and lhs: the row is ranked
-    # once, and since no cell has its own mean before that one ranking, no block
-    # bound can prune and it walks the 25 cells with no corner call
+    # once, with two corner calls for the one 9 x 9 block, whose bound lies above
+    # the floor, which starts at -inf, and so with a walk over its 25 cells
     real = bounds._max_rhs
     calls = []
 
@@ -1462,7 +1518,7 @@ def test_scan_takes_the_shared_T4_1_rhs_once_per_usable_cell(monkeypatch):
     # every cell is usable: a step, a defect and |f'| at both ends
     assert (t41.status, t41.cells, t41.skipped) == ("ok", 100, 0)
     assert (c41.status, c41.cells, c41.skipped) == ("ok", 25, 0)
-    assert len(calls) == 25
+    assert len(calls) == 2 + 25
     assert repr(got) == repr(_reference_scan(*args))
 
 

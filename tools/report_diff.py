@@ -10,6 +10,9 @@ in one of three classes:
   3  a number moved by more than that, any other value moved (text, null,
      a list's length), or a case is in one report only.
 
+Numbers compare by their ``repr``, as the report bytes hold them: NaN
+equals NaN, and a zero that changes sign moves (class 2).
+
 The err of a number is 4 ulps of it, plus, for ``defect``,
 ``simpson_value``, ``mean_integral`` and each bound's ``slack``, its
 case's ``quadrature_error``, and for ``lemma_value`` its case's
@@ -48,7 +51,7 @@ def _err(x, key: str, case: dict) -> float:
 def _diff(old, new, path: str, key: str, cases, out: list) -> None:
     """Append (class, path, old, new) for each difference of old and new under ``path``."""
     if _number(old) and _number(new):
-        if old != new:
+        if repr(old) != repr(new):
             within = abs(new - old) <= _err(old, key, cases[0]) + _err(new, key, cases[1])
             out.append((WITHIN if within else BEYOND, path, old, new))
     elif isinstance(old, dict) and isinstance(new, dict):
