@@ -407,13 +407,18 @@ def _rhs_classical(d4sup: float):
     return lambda x1, x2, step: d4sup * step ** 4 / 2880.0
 
 
+def _midpoint_cells(fa: float, fmids: Sequence[float], fends: Sequence[float]) -> List[int]:
+    """The k where C4.2's precondition f(a) = fmids[k] = fends[k] holds within
+    _PRECONDITION_TOL, for the Simpson values of cells sharing their a."""
+    return [k for k, (fmid, fend) in enumerate(zip(fmids, fends))
+            if not (abs(fa - fmid) > _PRECONDITION_TOL or abs(fmid - fend) > _PRECONDITION_TOL)]
+
+
 def _midpoint_lhs(mean: float, values) -> Optional[float]:
     """C4.2's |f(mid) - mean|, from the sum's values, or None off its precondition
-    f(a) = f(mid) = f(end) within _PRECONDITION_TOL (``_bound`` words that)."""
+    (``_midpoint_cells``; ``_bound`` words it)."""
     fa, fmid, fend = values
-    if abs(fa - fmid) > _PRECONDITION_TOL or abs(fmid - fend) > _PRECONDITION_TOL:
-        return None
-    return abs(fmid - mean)
+    return abs(fmid - mean) if _midpoint_cells(fa, (fmid,), (fend,)) else None
 
 
 class Theorem(NamedTuple):

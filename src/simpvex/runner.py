@@ -42,16 +42,13 @@ import json
 import math
 import numbers
 import time
-from array import array
-from bisect import bisect_left
-from contextlib import contextmanager, suppress
-from functools import lru_cache
-from operator import add, itemgetter, sub
+from contextlib import contextmanager
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bounds as bounds_mod
-from . import quadrature
+from . import scan
 from .errors import (
     CaseConfigError,
     DomainError,
@@ -74,6 +71,7 @@ from .invexity import (
 )
 from .quadrature import DEFAULT_ABS_TOL, QuadratureResult
 from .record import Record, factory, replace
+from .scan import TightnessResult
 
 __all__ = [
     "Tolerances",
@@ -641,63 +639,12 @@ def run_corpus(cases: Optional[Sequence[CorpusCase]] = None) -> RunReport:
     return RunReport(results, time.perf_counter() - started)
 
 
-# How far a scan widens the enclosure of a cell's mean past the stated errors
-# (Simpson's |S2 - S1|/15 estimate is a heuristic, not a bound: Gander &
-# Gautschi, BIT 40, 2000), and the rounding it allows per unit of magnitude summed
-_SAFETY = 1000.0
-_ROUNDING = 16.0 * math.ulp(1.0)
-# A ranking whose lhs is |defect| bounds the ratios of each block of _BLOCK x
-# _BLOCK axis indices at once (the side chosen with tools/stage_time.py), each
-# bound widened by _WIDEN so that an rhs a few ulps off monotone (pow need not
-# round correctly) never prunes a cell that can win
-_BLOCK = 9
-_WIDEN = 1.0 + 2.0 ** -30
-
-
-def _block_spans(rows: List[int], at_b: array, steps: int) -> List[List[Tuple[int, int]]]:
-    """Per block of _BLOCK x _BLOCK axis indices, (a block, b block) in row-major
-    order, the spans (lo, hi) of its cells' indices in columns in (a, b) order whose
-    b indices are ``at_b`` and whose row i starts at rows[i], one per row with cells there."""
-    blocks = []
-    for i in range(0, steps, _BLOCK):
-        for j in range(0, steps, _BLOCK):
-            spans = []
-            for row, end in zip(rows[i:i + _BLOCK], rows[i + 1:i + _BLOCK + 1]):
-                lo = bisect_left(at_b, j, row, end)
-                hi = bisect_left(at_b, j + _BLOCK, lo, end)
-                if lo < hi:
-                    spans.append((lo, hi))
-            blocks.append(spans)
-    return blocks
-
-
-def _gather(column: array, spans: List[Tuple[int, int]]) -> list:
-    """``column``'s values over ``spans``, in order."""
-    values = []
-    for lo, hi in spans:
-        values += column[lo:hi]
-    return values
-
-
-def _box(x1s: list, x2s: list, steps: list) -> Tuple[int, tuple, tuple]:
-    """(count, least corner, largest corner) of the cells (x1, x2, step) whose
-    coordinates the columns hold; a column of one NaN stands for one not read."""
-    nan = math.nan
-    return (len(steps), (min(x1s, default=nan), min(x2s, default=nan), min(steps, default=nan)),
-            (max(x1s, default=nan), max(x2s, default=nan), max(steps, default=nan)))
-
-
-class TightnessResult(Record):
-    """Best |defect| / rhs ratio for one theorem over a scan grid."""
-
-    theorem: str
-    status: str  # "ok" or "all_skipped"
-    ratio: Optional[float]
-    at_a: Optional[float]
-    at_b: Optional[float]
-    at_q: Optional[float]
-    cells: int
-    skipped: int
+def _axis(rng: Tuple[float, float], name: str, steps: int) -> List[float]:
+    """``steps`` points spaced over ``rng``; ValueError where its width overflows."""
+    lo, hi = float(rng[0]), float(rng[1])
+    if not math.isfinite(hi - lo):  # as Domain refuses: the axis would hold NaN
+        raise ValueError(f"{name} width hi - lo overflows, got [{lo!r}, {hi!r}]")
+    return [lo] * steps if lo == hi else spaced(lo, hi, steps)
 
 
 def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
@@ -721,54 +668,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     "all_skipped".  Ties keep the first cell in (q, a, b) order, so results
     are deterministic.
 
-    The cells are built one row of a at a time: eta at each b, then f at a
-    once and at each usable cell's mid and end (``bounds._simpson``), then f'
-    at a and at each b.  A row where any of them raises is built again cell
-    by cell, where an EvalDomainError skips its cell and any other error
-    propagates from the first cell that raises it.  A cell's mean is its own
-    adaptive integral's, as ``simpson_defect`` takes it, but a scan runs
-    that integral only where it can decide a ranking.  The nodes are every
-    usable cell's a and end a + step.  f is integrated once over each gap
-    between consecutive nodes, and one table keeps, per node, the running
-    sums of the gap integrals, of their estimates and of their magnitudes; a
-    gap whose integral fails starts a new run of sums at its right node.  A
-    cell whose a and end lie in one run has its mean enclosed in m +- d: m
-    the difference of the sums at its end and at a, over step, and d
-    _SAFETY (1000) times tol.oracle, the estimates from a to the end and a
-    rounding floor on the magnitudes summed up to the end, over step.  Each
-    distinct (rhs, lhs) bounds every cell's ratio from its enclosure, and
-    only a cell whose upper bound reaches the best lower bound integrates on
-    its own; that mean is kept, so no cell integrates twice.  A cell with no
-    finite enclosure (its a and end lie in different runs, the step is so
-    small that d overflows, or F is given) has no upper bound, so the first
-    ranking that can rank it integrates it.  A cell whose own integral fails
-    gives no ratio; if it had a finite enclosure, its bounds may have pruned
-    other cells, so after a round of rankings in which such a cell failed,
-    every ranking runs again.  The factor assumes that no estimate is off by
-    1000 times; the result is then the one integrating every cell gives.  It
-    differs only where a cell's own integral, over its step, lies outside its
-    enclosure, or where a cell never integrated on its own would fail there
-    though its gap integrals succeed: that cell counts as ranked.
-
-    A ranking whose lhs is |defect| bounds each block of _BLOCK x _BLOCK
-    (9 x 9) axis indices at once.  Every rhs is nondecreasing in |f'(a)|,
-    |f'(b)| and step, so no ratio of a block, nor a low end, exceeds the
-    block's largest |defect| + d over the rhs at its least corner, widened by
-    _WIDEN (2^-30) against an rhs a few ulps off monotone.  The corners, the
-    least and largest (|f'(a)|, |f'(b)|, step) over the cells a ranking can
-    rank, are taken once per scan, and a block's largest |defect| + d again
-    only where an own integral has landed.  A block has no bound where a
-    cell's |defect| + d is NaN or inf, or where the rhs at its least corner
-    is not > 0 or the one at its largest is not finite; else each of its
-    cells ranks.  A block whose rhs at its largest corner is 0 ranks no cell
-    and is not visited.  The ranking visits the others by descending bound
-    and counts as ranked, with no rhs call at its cells, a block whose bound
-    lies below the floor and either below the best or over no own mean, or
-    below the best over no cell without one; so the first ranking, whose best
-    stays -inf, is bounded by its floor.  C4.2's ranking walks only the cells
-    that meet its precondition, listed once per scan.  Exact ties go to the
-    first cell in (a, b) order and the own integrals run in (a, b) order, so
-    every result, count and error is the one a walk over every cell gives.
+    A cell's mean is its own adaptive integral's, as ``simpson_defect`` takes
+    it, run only where it can decide a ranking (``scan.enclose``, ``scan.rank``).
 
     ValueError, before any sweep, for steps < 2, an a or b range whose
     width hi - lo overflows, or a request ``_request_error`` rejects: an
@@ -784,15 +685,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     if error is not None:
         raise ValueError(error[1])
     tol = tolerances
-
-    def axis(rng, name):
-        lo, hi = float(rng[0]), float(rng[1])
-        if not math.isfinite(hi - lo):  # as Domain refuses: the axis would hold NaN
-            raise ValueError(f"{name} width hi - lo overflows, got [{lo!r}, {hi!r}]")
-        return [lo] * steps if lo == hi else spaced(lo, hi, steps)
-
-    a_vals = axis(a_range, "a_range")
-    b_vals = axis(b_range, "b_range")
+    a_vals = _axis(a_range, "a_range", steps)
+    b_vals = _axis(b_range, "b_range", steps)
     n_cells = steps * steps
 
     try:
@@ -823,220 +717,11 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             pairs.append((q, ranking))
         by_theorem.append((theorem, pairs))
 
-    f, df = model.f_fn, model.df_fn
-    reads_df = any(uses_df for _, _, uses_df in rankings)
-    df_at = {}  # |f'(x)| per axis value x, read at its first use; NaN where f' fails
-
-    def abs_df(x):
-        if x not in df_at:
-            try:
-                df_at[x] = abs(df(x))
-            except EvalDomainError:
-                df_at[x] = math.nan
-        return df_at[x]
-
-    # whether a cell's a or a + step lies in K and in the model's domain
-    inside = K.contains if K == model.domain else (
-        lambda x: K.contains(x) and model.domain.contains(x))
-
-    b_inside = [K.contains(b) for b in b_vals]
-    # per usable cell, in (a, b) order: its axis indices, step, end a + step, Simpson
-    # sum and values, |f'(a)| (NaN where f' fails or is NaN at a or b) and |f'(b)|, its
-    # mean within radius (NaN or inf with no finite enclosure, 0.0 once the mean is the
-    # cell's own, NaN if that failed) and |Simpson sum - mean|; rows[i]: row i's first cell
-    at_a, at_b, cell_steps, ends, sums, fas, fmids, fends, x1s, x2s, means, radii = (
-        array("i"), array("i"), *(array("d") for _ in range(10)))
-    rows = [0]
-
-    def extend(i, js):
-        """Extend the columns by row i's usable cells among the b indices ``js``: eta
-        at each, then f as ``bounds._simpson`` calls it, then f' at a and at each b,
-        so for one index in a walk's order.  A raise extends nothing."""
-        a = a_vals[i]
-        row_steps = [eta(b_vals[j], a) for j in js]
-        usable = [(j, step) for j, step in zip(js, row_steps)
-                  if step > 0.0 and b_inside[j] and inside(a + step)] if inside(a) else ()
-        if usable:
-            js, row_steps = map(list, zip(*usable))
-            fa, row_mids, row_ends, row_sums = bounds_mod._simpson(f, a, row_steps)
-            x1 = abs_df(a) if reads_df else math.nan
-            x2 = [abs_df(b_vals[j]) for j in js] if x1 == x1 else [math.nan] * len(js)
-            for column, values in zip(
-                    (at_a, at_b, cell_steps, ends, sums, fas, fmids, fends, x1s, x2s),
-                    ([i] * len(js), js, row_steps, [a + step for step in row_steps], row_sums,
-                     [fa] * len(js), row_mids, row_ends, [x if x != x else x1 for x in x2], x2)):
-                column.fromlist(values)  # a list: array.extend takes any iterable item by item
-
-    for i in range(steps) if rankings else ():  # with nothing to rank, no cell is visited
-        try:
-            extend(i, range(steps))
-        except Exception:  # replayed cell by cell: the first error in (a, b) order propagates
-            for j in range(steps):
-                with suppress(EvalDomainError):  # eta or f fails at the cell
-                    extend(i, (j,))
-        rows.append(len(sums))
-
-    # the nodes: every usable cell's a and end a + step, ascending; none with F,
-    # whose means are exact and cheap.  Per node, the run it lies in and the sums
-    # from that run's first node of the gap integrals, their estimates and |values|;
-    # a gap whose integral fails starts a new run at its right node
-    nodes = [] if model.F_fn is not None else sorted(
-        {*ends, *(a for a, lo, hi in zip(a_vals, rows, rows[1:]) if lo < hi)})
-    run, total, err, size = 0, 0.0, 0.0, 0.0
-    table = dict.fromkeys(nodes[:1], (run, total, err, size))
-    for lo, hi in zip(nodes, nodes[1:]):
-        try:
-            value, error, _ = quadrature._integrate_unchecked(f, lo, hi, tol.oracle)
-            total, err, size = total + value, err + error, size + abs(value)
-        except (EvalDomainError, QuadratureError):
-            run, total, err, size = run + 1, 0.0, 0.0, 0.0
-        table[hi] = run, total, err, size
-    oracle = tol.oracle
-    for a, lo, hi in zip(a_vals, rows, rows[1:]):  # each row's enclosures, table[a] read once
-        row_means, row_radii = [math.nan] * (hi - lo), [math.inf] * (hi - lo)  # none finite
-        if table and lo < hi:
-            run, total, err, _ = table[a]
-            magnitude = abs(fas[lo])
-            for k, step, end, fmid, fend in zip(range(hi - lo), cell_steps[lo:hi], ends[lo:hi],
-                                                fmids[lo:hi], fends[lo:hi]):
-                end_run, end_total, end_err, size = table[end]
-                if end_run == run:
-                    row_means[k] = (end_total - total) / step
-                    row_radii[k] = _SAFETY * ((oracle + end_err - err + _ROUNDING * size) / step
-                                              + _ROUNDING * (magnitude + abs(fmid) + abs(fend)))
-        means.fromlist(row_means)
-        radii.fromlist(row_radii)
-    defects = array("d", list(map(abs, map(sub, sums, means))))
-
-    # the blocks, taken at the first ranking whose lhs is |defect|: per block its
-    # spans, and per whether a ranking reads |f'|, its count of cells such a
-    # ranking can rank and the least and the largest (x1, x2, step) over them
-    per_row = -(-steps // _BLOCK)
-    blocks, corners = [], ([], [])
-    # per block: the largest |defect| + radius of its cells (inf if one is NaN or
-    # inf), whether one has radius > 0 and whether one has its own mean, taken
-    # again in the dirty blocks, where an own integral landed since
-    block_tops, dirty = {}, set()
-    # per lhs other than |defect| (C4.2's), the spans of the cells it ranks: those
-    # where it is not None, which do not depend on the mean
-    listed = {lhs_of: [(k, k + 1) for k, values in enumerate(zip(fas, fmids, fends))
-                       if lhs_of(math.nan, values) is not None]
-              for _, lhs_of, _ in rankings if lhs_of is not None}
-
-    def bounded(rhs_of, uses_df):
-        """(bound, block) per block holding a cell the ranking ranks, by descending
-        bound: no ratio of its cells, nor a low end, lies above it; inf for a block
-        with no bound.  A block whose rhs at the largest corner is <= 0 is left out."""
-        if not blocks:
-            blocks[:] = _block_spans(rows, at_b, steps)
-            for spans in blocks:
-                span_steps = _gather(cell_steps, spans)
-                corners[0].append(_box([math.nan], [math.nan], span_steps))
-                if reads_df:
-                    columns = _gather(x1s, spans), _gather(x2s, spans), span_steps
-                    total = sum(columns[0])
-                    if total != total:  # NaN: keep the cells with |f'|
-                        usable = [cell for cell in zip(*columns) if cell[0] == cell[0]]
-                        columns = ([cell[axis] for cell in usable] for axis in range(3))
-                    corners[1].append(_box(*columns))
-            dirty.update(range(len(blocks)))
-        for b in dirty:
-            radius = _gather(radii, blocks[b])
-            top = list(map(add, _gather(defects, blocks[b]), radius))
-            block_tops[b] = (max(top, default=0.0) if sum(top) < math.inf else math.inf,
-                             any(radius), 0.0 in radius)
-        dirty.clear()
-        visits = []
-        for b, (count, low, high) in enumerate(corners[uses_df]):
-            if not count:
-                continue
-            try:
-                rhs_low, rhs_high = rhs_of(*low), rhs_of(*high)
-            except OverflowError:
-                rhs_low = rhs_high = math.nan
-            if not rhs_high <= 0.0:
-                visits.append((block_tops[b][0] / rhs_low * _WIDEN
-                               if rhs_low > 0.0 and rhs_high < math.inf else math.inf, b))
-        visits.sort(key=itemgetter(0), reverse=True)
-        return visits
-
-    def rank():
-        """Rank every ranking's cells: a cell with its own mean by its ratio, any
-        other by the bounds of its ratio, and of those the ones that may be the
-        best by their own means, which a cell with no finite enclosure always
-        may be; whether an own integral failed, marking its cell as no ratio.
-        A block counted as ranked holds no cell that can be the best, be
-        integrated or raise the floor."""
-        failed = False
-        for (rhs_of, lhs_of, uses_df), ranking in rankings.items():  # nothing here raises
-            best, at, ranked = -math.inf, None, 0
-            floor = -math.inf  # the best ratio is at least this
-            pending = {}  # (rhs, top ratio) per cell without its own mean that may be the best
-            # (bound, block) per block, or one walk over the listed cells (block None)
-            visits = bounded(rhs_of, uses_df) if lhs_of is None else [(math.inf, None)]
-            for bound, b in visits:
-                if b is not None and (bound < floor and (bound < best or not block_tops[b][2])
-                                      or bound < best and not block_tops[b][1]):
-                    ranked += corners[uses_df][b][0]
-                    continue
-                for lo, hi in listed[lhs_of] if b is None else blocks[b]:
-                    for k, step, x1, x2, lhs, radius in zip(
-                            range(lo, hi), cell_steps[lo:hi], x1s[lo:hi], x2s[lo:hi],
-                            defects[lo:hi], radii[lo:hi]):
-                        if lhs_of is not None:
-                            lhs = lhs_of(means[k], (fas[k], fmids[k], fends[k]))
-                        if uses_df and x1 != x1:  # no |f'|
-                            continue
-                        try:
-                            rhs = rhs_of(x1, x2, step)
-                        except OverflowError:  # a power beyond the float range: no ratio, as NaN
-                            continue
-                        if not rhs > 0.0:  # zero or NaN: no ratio to rank
-                            continue
-                        if radius:  # with no finite enclosure (radius NaN or inf), top is inf
-                            top = (lhs + radius) / rhs if radius < math.inf else math.inf
-                            if top != top:  # NaN, as below
-                                continue
-                            low = (lhs - radius) / rhs
-                            if low > floor:
-                                floor = low
-                            if top >= floor and top >= best:  # else never the best
-                                pending[k] = rhs, top
-                        else:
-                            ratio = lhs / rhs
-                            if ratio != ratio:  # NaN: never a witness, as in invexity's sweeps
-                                continue
-                            if ratio > best or ratio == best and k < at:  # ties: the first cell
-                                best = ratio
-                                at = k
-                        ranked += 1
-            # in (a, b) order, so that the own integrals are those, in the order,
-            # of a walk over every cell
-            for k in sorted(pending):
-                rhs, top = pending[k]
-                if top < floor or top < best:  # below another cell's ratio: never the best
-                    continue
-                try:
-                    mean = bounds_mod._mean(model, a_vals[at_a[k]], cell_steps[k], tol.oracle)[0]
-                except (EvalDomainError, QuadratureError):  # marked as giving no ratio
-                    mean = math.nan
-                    # with a finite enclosure its bounds may have pruned other cells
-                    failed = failed or radii[k] < math.inf
-                means[k], radii[k], defects[k] = mean, 0.0, abs(sums[k] - mean)
-                dirty.add(at_a[k] // _BLOCK * per_row + at_b[k] // _BLOCK)
-                lhs = defects[k] if lhs_of is None else lhs_of(mean, (fas[k], fmids[k], fends[k]))
-                ratio = lhs / rhs
-                if ratio != ratio:  # NaN (a failed own integral, say): not ranked after all
-                    ranked -= 1
-                elif ratio > best or ratio == best and k < at:  # ties: the first cell
-                    best = ratio
-                    at = k
-            ranking[:] = (best, None if at is None else (a_vals[at_a[at]], b_vals[at_b[at]]),
-                          ranked)
-        return failed
-
-    while rank():  # a failed cell's bounds may have pruned others: rank all again
-        pass
+    if rankings:  # with nothing to rank, no cell is visited
+        reads_df = any(uses_df for _, _, uses_df in rankings)
+        table = scan.cells(model, eta, K, a_vals, b_vals, reads_df)
+        scan.enclose(table, model, tol.oracle)
+        scan.rank(table, rankings, partial(scan.own_mean, model, tol.oracle))
 
     out = []
     for theorem, pairs in by_theorem:

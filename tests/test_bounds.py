@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from simpvex import bounds, kernel, runner
+from simpvex import bounds, kernel, scan
 from simpvex.bounds import (
     BoundValue,
     FunctionModel,
@@ -494,7 +494,7 @@ def test_every_rhs_is_nondecreasing_in_each_magnitude_and_the_step(
     # a scan bounds a block of cells by the rhs at its least and largest
     # (|f'(a)|, |f'(b)|, step), so each rhs must rise with each argument; the q > 100
     # rescale by max(x1, x2) rounds a few ulps off monotone where x1 and x2 are
-    # near each other, which runner._WIDEN covers.  An OverflowError counts as inf.
+    # near each other, which scan._WIDEN covers.  An OverflowError counts as inf.
     row = bounds.THEOREMS[theorem]
     if row.mode is not None and not row.exponents([q]):
         return  # q = 1 for a row that needs q > 1
@@ -510,7 +510,7 @@ def test_every_rhs_is_nondecreasing_in_each_magnitude_and_the_step(
 
     at_low, at_high = value(low), value(high)
     assert not (math.isnan(at_low) or math.isnan(at_high))
-    assert at_low <= at_high * runner._WIDEN, (low, high, at_low, at_high)
+    assert at_low <= at_high * scan._WIDEN, (low, high, at_low, at_high)
 
 
 # The rule functions THEOREMS rows held before they became values: the reference

@@ -117,11 +117,12 @@ def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
         assert list(totals) == stages
         assert all(totals[stage] > 0 for stage in stages)
     scan = summary["totals_s"]["scan"]
-    assert list(scan) == ["sweeps", "gaps", "own", "cells", "scan"]
+    assert list(scan) == ["sweeps", "gaps", "own", "build", "enclose", "rank", "rest", "scan"]
     assert all(scan[stage] > 0 for stage in scan)
-    # the stages are timed inside one scan run and add up to it
-    assert scan["scan"] == pytest.approx(
-        scan["sweeps"] + scan["gaps"] + scan["own"] + scan["cells"], abs=1e-5)
+    # the stages are timed inside one scan run, each net of those within it, and
+    # add up to it
+    assert scan["scan"] == pytest.approx(sum(scan[stage] for stage in list(scan)[:-1]),
+                                         abs=1e-5)
     # one run spreads over nothing; each stage's spread is printed beside its least
     total = next(line for line in lines if line.startswith("scan total "))
     assert re.fullmatch(r"scan total \(ms, 9x9 cells, least and spread over 1 runs\): "
@@ -134,9 +135,9 @@ def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
     # 80 cells of the one 9 x 9 block in each of the 19 rankings that call an rhs,
     # but CLASSICAL, whose d4sup is 0 and so whose rhs at the largest corner is 0,
     # walks no cell: 18 x (2 + 80) + 2 = 1,478
-    assert re.fullmatch(r"scan_00003_power( +-){8}", next(
+    assert re.fullmatch(r"scan_00003_power( +-){11}", next(
         line for line in lines if line.startswith("scan_00003_power ")))
-    assert re.fullmatch(r"scan_00000_poly( +\d+\.\d\d){5} +16 +80 +1478", next(
+    assert re.fullmatch(r"scan_00000_poly( +\d+\.\d\d){8} +16 +80 +1478", next(
         line for line in lines if line.startswith("scan_00000_poly ")))
     owned = summary["own_cells"]
     assert len(owned) == 6 and owned["scan_00000_poly"] == 80

@@ -1,4 +1,4 @@
-"""Record against its reference, ``dataclasses``: for four of the value
+"""Record against its reference, ``dataclasses``: for five of the value
 classes, a dataclass twin with the same fields must behave the same; and
 every value class's generated ``__init__`` takes its fields and class-body
 defaults."""
@@ -19,6 +19,7 @@ from simpvex.expr import Num, Var
 from simpvex.invexity import Domain, PropertyReport
 from simpvex.record import FrozenInstanceError, Record, factory, replace
 from simpvex.runner import CaseResult
+from simpvex.scan import CellTable
 
 
 def _twin(cls, fields, frozen=True):
@@ -45,6 +46,7 @@ TWINS = {
         (name, object, _none()) for name in ("eta_step", "defect", "lemma", "identity_residual")
     ] + [(name, List, _list()) for name in ("bounds", "hypotheses", "notes", "golden_failures")]
       + [("error", Optional[str], _none())], frozen=False),
+    CellTable: _twin(CellTable, list(CellTable._fields)),
 }
 
 # (positional, keyword) arguments of valid instances, two per class, unequal
@@ -56,6 +58,10 @@ VALID = {
                      (("preinvex", "violated", 0.5, (0.0, 1.0, 0.5), 10, 2.0), {})],
     CaseResult: [(("c", "pass"), {}),
                  (("c", "violation", 1.0), {"notes": ["n"], "error": "e"})],
+    # tuples for the table's lists and arrays, so that both can be hashed
+    CellTable: [(((0.0, 1.0), (2.0, 3.0), (0, 1)) + ((),) * 13, {}),
+                (((0.0,), (2.0,), (0, 1), (0.5,), (0.25,), (0,), (0,)),
+                 dict(dict.fromkeys(CellTable._fields[7:], (0.5,)), steps=(2.0,)))],
 }
 
 # argument lists the shared __init__ must refuse as a generated one does
@@ -248,4 +254,4 @@ def test_each_generated_init_takes_the_fields_and_body_defaults(cls):
 
 
 def test_every_value_class_of_the_package_is_checked():
-    assert len(_package_records()) == 18
+    assert len(_package_records()) == 19

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from jsonschema.validators import validator_for
 
-from simpvex import bounds, expr, invexity, quadrature, runner
+from simpvex import bounds, expr, invexity, quadrature, runner, scan
 from simpvex.bounds import FunctionModel
 from simpvex.cli import main
 from simpvex.errors import (
@@ -1470,6 +1470,7 @@ def test_cubic_scan_integrates_every_usable_cell_and_each_gap_once(monkeypatch):
     real = model.f_fn
     calls = []
     checks = []
+    rows = []
 
     def f(x):
         calls.append(x)
@@ -1479,16 +1480,23 @@ def test_cubic_scan_integrates_every_usable_cell_and_each_gap_once(monkeypatch):
         checks.append(values)
         return real_lhs(mean, values)
 
+    def midpoint_cells(fa, fmids, fends):
+        rows.append(len(fmids))
+        return real_cells(fa, fmids, fends)
+
     model.__dict__["f_fn"] = f  # the compiled f is a cached property
-    real_lhs = bounds._midpoint_lhs
+    real_lhs, real_cells = bounds._midpoint_lhs, bounds._midpoint_cells
     monkeypatch.setattr(bounds, "_midpoint_lhs", midpoint_lhs)
+    monkeypatch.setattr(bounds, "_midpoint_cells", midpoint_cells)
     t31, midpoint = tightness_scan(model, EtaMap.difference(), Domain(-1.0, 2.0), (0.0, 0.5),
                                    (0.5, 1.5), [1.0], steps=5, theorems=("T3.1", "C4.2"),
                                    grid=SMALL_GRID)
-    # only a = b = 0.5 has no step; C4.2 checks its precondition at each usable
-    # cell on the Simpson sum's values
+    # only a = b = 0.5 has no step; C4.2 tests its precondition once per row of a
+    # on the Simpson sum's values, each row holding 5 usable cells but the last,
+    # a = 0.5, which holds 4, and takes its lhs only at the cells that meet it:
+    # none, as x^3 is strictly increasing, so f(a) < f(mid) < f(end) at every cell
     assert (t31.status, t31.cells, t31.skipped) == ("ok", 25, 1)
-    assert (midpoint.cells, len(checks)) == (25, 24)
+    assert (midpoint.cells, midpoint.skipped, rows, len(checks)) == (25, 25, [5, 5, 5, 5, 4], 0)
     # Simpson is exact on a cubic, so every defect is rounding, far inside its
     # enclosure, and every cell may be T3.1's best: f(a) once per row of a, each
     # of the 5 with a usable cell, per usable cell f(mid) and f(end) for the
@@ -1570,7 +1578,7 @@ def test_block_pruned_scan_matches_the_per_cell_walk_and_the_reference(monkeypat
     got = tightness_scan(*args)
     blocked_calls, blocked_own = len(calls), own[:]
     # one block as large as the grid: every ranking walks every cell in (a, b) order
-    monkeypatch.setattr(runner, "_BLOCK", 10 ** 6)
+    monkeypatch.setattr(scan, "_BLOCK", 10 ** 6)
     del calls[:], own[:]
     walked = tightness_scan(*args)
     assert repr(got) == repr(walked)

@@ -1,0 +1,200 @@
+"""``scan.rank`` on synthetic cell tables, with no model, plan or sweep, against a
+per-cell reference; and the shape of the scan's code."""
+
+import ast
+import inspect
+import math
+from array import array
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from simpvex import bounds, runner, scan
+from simpvex.errors import QuadratureError
+
+nan, inf = math.nan, math.inf
+_STEPS = (0.5, 1.0, 2.0)
+# |f'| values: 0 gives a zero rhs, 1e200 overflows T3.2's cube, inf makes the
+# product rhs below NaN against a 0
+_MAGNITUDES = (0.0, 1.0, 2.0, 1e200, inf)
+_VALUES = (0.0, 0.5, 1.0, 2.0)  # sums, true means and f values, few so that ratios tie
+# a cell's enclosure: its own mean (radius 0), a failed own mean (NaN, radius 0),
+# none (radius inf or NaN), one of radius 0.25 or 1 with the true mean up to
+# three quarters of a radius off its centre, one so wide that its cell is always
+# integrated, or a tight one about a Simpson sum so large that its cell's low end
+# lifts the floor above every other ratio, off C4.2's precondition; the last two
+# fail their own integrals
+_KINDS = ("own", "failed", "none", "nan", "finite", "wide", "high")
+
+
+def _product_rhs(x1, x2, step):
+    """Nondecreasing in each argument where finite; NaN at inf * 0."""
+    return step * x1 * x2
+
+
+# (rhs, lhs or None for |defect|, reads f'), as ``runner.tightness_scan`` keys them
+_RANKINGS = (
+    (bounds._max_rhs, None, True),
+    (bounds.THEOREMS["T3.2"].rhs_for(3.0), None, True),
+    (_product_rhs, None, True),
+    (bounds.THEOREMS["CLASSICAL"].rhs_for(0.0), None, False),  # 0 at every cell
+    (bounds.THEOREMS["CLASSICAL"].rhs_for(24.0), None, False),
+    (bounds._max_rhs, bounds._midpoint_lhs, True),
+)
+
+
+@st.composite
+def _tables(draw):
+    """(table, true mean per cell, cells whose own integral fails): 2 to 12 rows of
+    10 to 12 b values, so several 9 x 9 blocks, the last ones partial.  A cell with
+    a finite enclosure fails its own integral only where every ranking that can
+    rank it integrates it: a wide or high one whose |f'| are at most 2."""
+    n_a, n_b = draw(st.integers(2, 12)), draw(st.integers(10, 12))
+    pick = draw(st.randoms(use_true_random=False)).choice  # one draw: the cells are many
+    table = scan.CellTable([0.5 * i for i in range(n_a)], [0.25 * j for j in range(n_b)],
+                           [0], [], [], array("i"), array("i"),
+                           *(array("d") for _ in range(9)))
+    truth, failing = [], set()
+    for i in range(n_a):
+        fa, x1 = pick(_VALUES), pick(_MAGNITUDES + (nan,))
+        table.fas.append(fa)
+        table.x1s.append(x1)
+        for j in range(n_b):
+            if not pick(range(8)):  # no usable cell here
+                continue
+            kind, mean, total = pick(_KINDS), pick(_VALUES), pick(_VALUES + (nan,))
+            x2 = nan if x1 != x1 else pick(_MAGNITUDES + (nan,))
+            if kind in ("wide", "high") and (x1 > 2.0 or x2 > 2.0):
+                kind = "finite"
+            radius = {"own": 0.0, "failed": 0.0, "none": inf, "nan": nan, "wide": 1e300,
+                      "finite": pick((0.25, 1.0)), "high": 0.25}[kind]
+            centre = (mean + pick((-0.75, 0.0, 0.75)) * radius if kind == "finite"
+                      else nan if kind in ("failed", "none") else mean)
+            if kind == "high" or kind in ("none", "nan", "wide") and pick((False, True)):
+                failing.add(len(truth))
+            truth.append(mean)
+            total = 1e6 if kind == "high" else total
+            step, fmid = pick(_STEPS) + j / 1024, pick((fa, fa + 1.0, nan))  # unique in its row
+            fmid = fa + 1.0 if kind == "high" else fmid
+            for column, value in zip(
+                    (table.at_a, table.at_b, table.steps, table.ends, table.sums, table.fmids,
+                     table.fends, table.x2s, table.means, table.radii, table.defects),
+                    (i, j, step, table.a_vals[i] + step, total, fmid,
+                     pick((fmid, fa, fa + 2.0)), x2, centre, radius, abs(total - centre))):
+                column.append(value)
+        table.rows.append(len(truth))
+    return table, truth, failing
+
+
+def _reference(table, truth, failing, rhs_of, lhs_of, uses_df):
+    """[best ratio, its (a, b) or None, ranked cells] of a walk over every cell in
+    order, each cell's ratio from its true mean (NaN where its own integral fails),
+    ties to the first cell."""
+    t = table
+    best, at, ranked = -inf, None, 0
+    for k in range(len(truth)):
+        i = t.at_a[k]
+        if uses_df and t.x2s[k] != t.x2s[k]:
+            continue
+        try:
+            rhs = rhs_of(t.x1s[i], t.x2s[k], t.steps[k])
+        except OverflowError:
+            continue
+        if t.radii[k] == 0.0:
+            mean = t.means[k]
+        else:
+            mean = nan if k in failing else truth[k]
+        values = (t.fas[i], t.fmids[k], t.fends[k])
+        lhs = abs(t.sums[k] - mean) if lhs_of is None else lhs_of(mean, values)
+        if lhs is None or not rhs > 0.0 or lhs / rhs != lhs / rhs:
+            continue
+        ranked += 1
+        if lhs / rhs > best:
+            best, at = lhs / rhs, k
+    return [best, None if at is None else (t.a_vals[t.at_a[at]], t.b_vals[t.at_b[at]]), ranked]
+
+
+def _rank_logged(table, truth, failing, picks):
+    """Run ``scan.rank`` over the rankings ``picks`` of _RANKINGS; return the rankings
+    and the log of its calls: ("rhs", ranking) and ("integrate", cell)."""
+    log, cell_at = [], {(table.a_vals[i], step): k
+                        for k, (i, step) in enumerate(zip(table.at_a, table.steps))}
+
+    def logged(n, rhs_of):
+        def rhs(*point):
+            log.append(("rhs", n))
+            return rhs_of(*point)
+        return rhs
+
+    def integrate(a, step):
+        k = cell_at[a, step]
+        log.append(("integrate", k))
+        if k in failing:
+            raise QuadratureError("the own integral fails here")
+        return truth[k]
+
+    rankings = {(logged(n, _RANKINGS[n][0]),) + _RANKINGS[n][1:]: [-inf, None, 0]
+                for n in picks}
+    scan.rank(table, rankings, integrate)
+    return rankings, log
+
+
+@given(_tables(), st.lists(st.integers(0, len(_RANKINGS) - 1), min_size=1, unique=True))
+@settings(max_examples=300)
+def test_rank_matches_a_walk_over_every_cell_with_true_means(drawn, picks):
+    table, truth, failing = drawn
+    want = [_reference(table, truth, failing, *_RANKINGS[n]) for n in picks]
+    rankings, log = _rank_logged(table, truth, failing, picks)
+    assert list(rankings.values()) == want
+    # no cell integrates twice, and each ranking takes its own integrals, which
+    # follow its rhs calls, in (a, b) order
+    owned = [k for event, k in log if event == "integrate"]
+    assert len(owned) == len(set(owned))
+    run = []
+    for event, k in log + [("rhs", None)]:
+        if event == "rhs":
+            assert run == sorted(run)
+            run = []
+        else:
+            run.append(k)
+
+
+def test_a_failed_cell_with_a_finite_enclosure_ranks_every_ranking_again():
+    # one row of 10 cells, every one enclosed; the last, whose enclosure is wide,
+    # fails its own integral, so the one ranking runs a second round, in which the
+    # corner calls of its two blocks come again
+    n_b = 10
+    table = scan.CellTable([0.0], [0.25 * j for j in range(n_b)], [0, n_b], [0.0], [1.0],
+                           array("i", [0] * n_b), array("i", range(n_b)),
+                           *(array("d") for _ in range(9)))
+    for j in range(n_b):
+        step = 1.0 + j / 1024
+        for column, value in zip(
+                (table.steps, table.ends, table.sums, table.fmids, table.fends, table.x2s,
+                 table.means, table.radii, table.defects),
+                (step, step, 1.0, 0.0, 0.0, 1.0, 0.0, 1e300 if j == n_b - 1 else 0.25, 1.0)):
+            column.append(value)
+    truth = [0.0] * n_b
+    picks = [0]
+    rankings, log = _rank_logged(table, truth, {n_b - 1}, picks)
+    assert list(rankings.values()) == [_reference(table, truth, {n_b - 1}, *_RANKINGS[0])]
+    owned = [k for event, k in log if event == "integrate"]
+    assert owned[-1] == n_b - 1 and len(owned) == n_b
+    # round one: 2 corner calls per block, then the cells; round two: the corners again
+    assert log[:4] == [("rhs", 0)] * 4 and log.count(("rhs", 0)) > 4 + n_b
+    assert table.radii.tolist() == [0.0] * n_b and math.isnan(table.means[-1])
+
+
+def _nested(tree):
+    """The functions and lambdas defined inside the function ``tree``."""
+    return [node for node in ast.walk(tree) if node is not tree
+            and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+
+
+def test_the_scan_defines_no_closure():
+    functions = [node for node in ast.parse(inspect.getsource(scan)).body
+                 if isinstance(node, ast.FunctionDef)]
+    assert {"cells", "enclose", "rank"} <= {node.name for node in functions}
+    scan_fn = ast.parse(inspect.getsource(runner.tightness_scan)).body[0]
+    for tree in functions + [scan_fn]:
+        assert _nested(tree) == [], tree.name

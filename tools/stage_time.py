@@ -27,8 +27,14 @@ them for the length of that run:
 * own:     the cells' own integrals (``bounds._mean``), for the cells
            with no finite enclosure and those whose ratio may be a
            ranking's best;
-* cells:   the rest of the scan: each cell's step, Simpson sum and
-           enclosure from the table of running sums, and the rankings;
+* build:   the cell table: each cell's step, Simpson sum and |f'|
+           (``scan.cells``);
+* enclose: each cell's enclosure from the table of running sums, net
+           of its gap integrals (``scan.enclose``);
+* rank:    the rankings, block bounds included, net of the own
+           integrals (``scan.rank``);
+* rest:    the rest of the scan: the request checks, the rankings'
+           set-up and the results;
 * scan:    the whole ``tightness_scan``.
 
 and prints how many gap integrals it made, how many cells integrated on
@@ -66,12 +72,12 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402  (perfbench/inputs.py: the generated cases)
-from simpvex import bounds, invexity, quadrature, runner  # noqa: E402
+from simpvex import bounds, invexity, quadrature, runner, scan  # noqa: E402
 from simpvex.errors import SimpvexError  # noqa: E402
 
 FRESH_BATCH = 28  # as one fresh_cases pass of perfbench/run.py
 STAGES = ("plan", "invex", "df", "sweeps", "defect", "bounds", "to_json")
-SCAN_STAGES = ("sweeps", "gaps", "own", "cells", "scan")
+SCAN_STAGES = ("sweeps", "gaps", "own", "build", "enclose", "rank", "rest", "scan")
 
 
 def exponents(case) -> list:
@@ -123,12 +129,14 @@ def stage_runs(case, grid=runner.DEFAULT_GRID):
 
 def scan_runs(case, config: dict, steps: int, counts: list):
     """Yield (stage, seconds) for one tightness_scan run of a scan-pool model, each
-    stage timed inside that run; append the counts of its gap integrals and of the
-    cells it integrated on their own to ``counts``."""
+    stage timed inside that run, net of the stages timed within it; append the
+    counts of its gap integrals and of the cells it integrated on their own to
+    ``counts``."""
     clock = time.perf_counter
-    spent = dict.fromkeys(("sweeps", "gaps", "own"), 0.0)
+    spent = dict.fromkeys(SCAN_STAGES[:-2], 0.0)
     calls = dict.fromkeys(spent, 0)
     in_own = [False]
+    inner = [0.0]  # the time of the timed calls within the running one
 
     def timed(stage, fn):
         def run(*args):
@@ -136,16 +144,20 @@ def scan_runs(case, config: dict, steps: int, counts: list):
                 return fn(*args)
             in_own[0] = stage == "own"
             calls[stage] += 1
+            outer, inner[0] = inner[0], 0.0
             start = clock()
             try:
                 return fn(*args)
             finally:
-                spent[stage] += clock() - start
+                elapsed = clock() - start
+                spent[stage] += elapsed - inner[0]
+                inner[0] = outer + elapsed
                 in_own[0] = False
         return run
 
     wrapped = [(runner, "check_invex_set", "sweeps"), (runner, "hypothesis_pair", "sweeps"),
-               (quadrature, "_integrate_unchecked", "gaps"), (bounds, "_mean", "own")]
+               (quadrature, "_integrate_unchecked", "gaps"), (bounds, "_mean", "own"),
+               (scan, "cells", "build"), (scan, "enclose", "enclose"), (scan, "rank", "rank")]
     real = [getattr(module, name) for module, name, _ in wrapped]
     a_range, b_range, q_list, _ = inputs.scan_args(config)
     invexity._plan.cache_clear()
@@ -155,14 +167,14 @@ def scan_runs(case, config: dict, steps: int, counts: list):
         start = clock()
         runner.tightness_scan(case.model, case.eta, case.model.domain, a_range, b_range,
                               q_list, steps)
-        scan = clock() - start
+        whole = clock() - start
     finally:
         for (module, name, _), fn in zip(wrapped, real):
             setattr(module, name, fn)
     counts.append((calls["gaps"], calls["own"]))
     yield from spent.items()
-    yield "cells", scan - sum(spent.values())
-    yield "scan", scan
+    yield "rest", whole - sum(spent.values())
+    yield "scan", whole
 
 
 def rhs_calls(config: dict, steps: int) -> int:
