@@ -414,13 +414,6 @@ def _midpoint_cells(fa: float, fmids: Sequence[float], fends: Sequence[float]) -
             if not (abs(fa - fmid) > _PRECONDITION_TOL or abs(fmid - fend) > _PRECONDITION_TOL)]
 
 
-def _midpoint_lhs(mean: float, values) -> Optional[float]:
-    """C4.2's |f(mid) - mean|, from the sum's values, or None off its precondition
-    (``_midpoint_cells``; ``_bound`` words it)."""
-    fa, fmid, fend = values
-    return abs(fmid - mean) if _midpoint_cells(fa, (fmid,), (fend,)) else None
-
-
 class Theorem(NamedTuple):
     """One bound of the paper: plain values, and the one function rhs_for.
 
@@ -483,11 +476,13 @@ def _bound(theorem: str, model: FunctionModel, a: float, b: float, eta_val: floa
     row = THEOREMS[theorem]
     eta_val = _require_step(eta_val)
     q_label, p = row.labels(q)
-    lhs = None if defect is None else (_midpoint_lhs(defect.mean_integral, defect.f_values)
-                                       if row.midpoint else abs(defect.defect))
-    if defect is not None and lhs is None:  # C4.2 off its precondition
-        raise PreconditionUnmet("midpoint bound needs f(a) = f(mid) = f(end); got "
-                                + ", ".join(map(repr, defect.f_values)))
+    lhs = None if defect is None else abs(defect.defect)
+    if defect is not None and row.midpoint:  # C4.2: |f(mid) - mean|, on its precondition
+        fa, fmid, fend = defect.f_values
+        if not _midpoint_cells(fa, (fmid,), (fend,)):
+            raise PreconditionUnmet("midpoint bound needs f(a) = f(mid) = f(end); got "
+                                    + ", ".join(map(repr, defect.f_values)))
+        lhs = abs(fmid - defect.mean_integral)
     if row.mode is None:  # CLASSICAL: d4sup in the place of q, and no f'
         q, x1, x2 = fourth_derivative_sup(model), None, None
     else:

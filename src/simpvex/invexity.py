@@ -134,8 +134,11 @@ class PropertyReport(Record):
 
 def spaced(lo: float, hi: float, n: int) -> List[float]:
     """n equally spaced points from lo to hi: lo + i * (hi - lo) / (n - 1) for i < n, or
-    lo + i / (n - 1) * (hi - lo) where i * (hi - lo) overflows, so none is infinite."""
+    lo + i / (n - 1) * (hi - lo) where i * (hi - lo) overflows, so none is infinite;
+    [lo] for n = 1, as numpy.linspace gives."""
     span, gaps = hi - lo, n - 1
+    if not gaps:
+        return [lo]
     return [lo + (w / gaps if math.isfinite(w := i * span) else i / gaps * span)
             for i in range(n)]
 

@@ -695,8 +695,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         invex = False
     hypothesis = _hypotheses(model, eta, K, grid, tol.invexity, [])
     overflowed = set()  # the q whose sweep overflowed, swept once
-    # (rhs, lhs, reads f') -> [best ratio, its (a, b) or None, ranked cells], one
-    # per distinct rhs and lhs (T4.1 at every q and C4.1 share one); lhs None: |defect|
+    # (rhs, midpoint lhs, reads f') -> [best ratio, its (a, b) or None, ranked cells],
+    # one per distinct rhs and lhs (T4.1 at every q and C4.1 share one)
     rankings = {}
     by_theorem = []  # (theorem, [(q, its ranking)])
     for theorem in theorems:
@@ -712,7 +712,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
             ranking = [-math.inf, None, 0]  # a pair that cannot rank ranks no cell
             if usable:
                 key = (row.rhs_for(model.d4sup if row.mode is None else q),
-                       bounds_mod._midpoint_lhs if row.midpoint else None, row.mode is not None)
+                       row.midpoint, row.mode is not None)
                 ranking = rankings.setdefault(key, ranking)
             pairs.append((q, ranking))
         by_theorem.append((theorem, pairs))

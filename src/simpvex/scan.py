@@ -210,12 +210,10 @@ def _bounded(table, blocks, boxes, tops, dirty, rhs_of, uses_df) -> List[Tuple[f
     low end, lies above it; inf for a block with no bound.  Takes ``tops`` again
     in the ``dirty`` blocks first."""
     for b in dirty:
-        radius, top = [], []
+        top = []
         for lo, hi in blocks[b]:
-            radius += table.radii[lo:hi]
             top += map(add, table.defects[lo:hi], table.radii[lo:hi])
-        tops[b] = (max(top, default=0.0) if sum(top) < math.inf else math.inf,
-                   any(radius), 0.0 in radius)
+        tops[b] = max(top, default=0.0) if sum(top) < math.inf else math.inf
     dirty.clear()
     visits = []
     for b, (counts, low, high) in enumerate(boxes):
@@ -226,15 +224,16 @@ def _bounded(table, blocks, boxes, tops, dirty, rhs_of, uses_df) -> List[Tuple[f
         except OverflowError:
             rhs_low = rhs_high = math.nan
         if not rhs_high <= 0.0:
-            visits.append((tops[b][0] / rhs_low * _WIDEN
+            visits.append((tops[b] / rhs_low * _WIDEN
                            if rhs_low > 0.0 and rhs_high < math.inf else math.inf, b))
     visits.sort(key=itemgetter(0), reverse=True)
     return visits
 
 
 def rank(table: CellTable, rankings: dict, integrate) -> None:
-    """Set each ranking of (rhs, lhs or None for |defect|, reads f') to [best ratio,
-    its (a, b) or None, ranked cells]; ``integrate(a, step)`` is a cell's own mean.
+    """Set each ranking of (rhs, whether its lhs is C4.2's |f(mid) - mean| rather
+    than |defect|, reads f') to [best ratio, its (a, b) or None, ranked cells];
+    ``integrate(a, step)`` is a cell's own mean.
 
     Each distinct (rhs, lhs) bounds every cell's ratio from its enclosure,
     and only a cell whose upper bound reaches the best lower bound integrates
@@ -262,48 +261,49 @@ def rank(table: CellTable, rankings: dict, integrate) -> None:
     finite; else each of its cells ranks.  A block whose rhs at its largest
     corner is 0 ranks no cell and is not visited.  The ranking visits the
     others by descending bound and counts as ranked, with no rhs call at its
-    cells, a block whose bound lies below the floor and either below the best
-    or over no own mean, or below the best over no cell without one; so the
-    first ranking, whose best stays -inf, is bounded by its floor.  C4.2's
-    ranking walks only the cells that meet its precondition, listed when
-    ranking starts.  Exact ties go to the first cell in (a, b) order and the
-    own integrals run in (a, b) order, so every result, count and error is
-    the one a walk over every cell gives.
+    cells, a block whose bound lies below the floor or below the best, the
+    prune of branch and bound: below the best no cell of it wins or may win,
+    and any floor it lifts stays below the best, which never falls; below
+    the floor what it lifts the best to stays below the own ratio of the
+    floor's cell, at least its low end under _SAFETY (a failed own integral
+    ranks all again).  So the first ranking, whose best stays -inf, is
+    bounded by its floor.  C4.2's ranking walks only the cells that meet its
+    precondition, listed when ranking starts.  Exact ties go to the first
+    cell in (a, b) order and the own integrals run in (a, b) order, so every
+    result, count and error is the one a walk over every cell gives.
     """
     t = table
     per_row = -(-len(t.b_vals) // _BLOCK)
     blocks, boxes = _blocks(t)
     # per block: the largest |defect| + radius of its cells (inf if one is NaN or
-    # inf), whether one has radius > 0 and whether one has its own mean, taken
-    # again in the dirty blocks, where an own integral landed since
+    # inf), taken again in the dirty blocks, where an own integral landed since
     tops, dirty = [None] * len(blocks), set(range(len(blocks)))
     # the spans of the cells C4.2's lhs ranks: those that meet its precondition,
     # which does not depend on the mean
     listed = [(lo + k, lo + k + 1) for fa, lo, hi in zip(t.fas, t.rows, t.rows[1:]) if lo < hi
               for k in bounds._midpoint_cells(fa, t.fmids[lo:hi], t.fends[lo:hi])
-              ] if any(lhs_of is not None for _, lhs_of, _ in rankings) else []
+              ] if any(midpoint for _, midpoint, _ in rankings) else []
     failed = True
     while failed:  # a failed cell's bounds may have pruned others: rank all again
         failed = False
-        for (rhs_of, lhs_of, uses_df), ranking in rankings.items():  # nothing here raises
+        for (rhs_of, midpoint, uses_df), ranking in rankings.items():  # nothing here raises
             best, at, ranked = -math.inf, None, 0
             floor = -math.inf  # the best ratio is at least this
             pending = {}  # (rhs, top ratio) per cell without its own mean that may be the best
             # (bound, block) per block, or one walk over the listed cells (block None)
-            visits = (_bounded(t, blocks, boxes, tops, dirty, rhs_of, uses_df)
-                      if lhs_of is None else [(math.inf, None)])
+            visits = ([(math.inf, None)] if midpoint
+                      else _bounded(t, blocks, boxes, tops, dirty, rhs_of, uses_df))
             for bound, b in visits:
-                if b is not None and (bound < floor and (bound < best or not tops[b][2])
-                                      or bound < best and not tops[b][1]):
+                if bound < floor or bound < best:  # no cell of the block can change a result
                     ranked += boxes[b][0][uses_df]
                     continue
                 for lo, hi in listed if b is None else blocks[b]:
-                    fa, x1 = t.fas[t.at_a[lo]], t.x1s[t.at_a[lo]]  # a span lies in one row
+                    x1 = t.x1s[t.at_a[lo]]  # a span lies in one row
                     for k, step, x2, lhs, radius in zip(range(lo, hi), t.steps[lo:hi],
                                                         t.x2s[lo:hi], t.defects[lo:hi],
                                                         t.radii[lo:hi]):
-                        if lhs_of is not None:
-                            lhs = lhs_of(t.means[k], (fa, t.fmids[k], t.fends[k]))
+                        if midpoint:
+                            lhs = abs(t.fmids[k] - t.means[k])
                         if uses_df and x2 != x2:  # no |f'|
                             continue
                         try:
@@ -343,9 +343,7 @@ def rank(table: CellTable, rankings: dict, integrate) -> None:
                     failed = failed or t.radii[k] < math.inf
                 t.means[k], t.radii[k], t.defects[k] = mean, 0.0, abs(t.sums[k] - mean)
                 dirty.add(t.at_a[k] // _BLOCK * per_row + t.at_b[k] // _BLOCK)
-                lhs = t.defects[k] if lhs_of is None else lhs_of(
-                    mean, (t.fas[t.at_a[k]], t.fmids[k], t.fends[k]))
-                ratio = lhs / rhs
+                ratio = (abs(t.fmids[k] - mean) if midpoint else t.defects[k]) / rhs
                 if ratio != ratio:  # NaN (a failed own integral, say): not ranked after all
                     ranked -= 1
                 elif ratio > best or ratio == best and k < at:  # ties: the first cell

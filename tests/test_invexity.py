@@ -83,6 +83,15 @@ def test_a_wide_interval_is_spaced_without_infinity():
     assert spaced(0.0, 1.0, 21) == [i / 20 for i in range(21)]
 
 
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+@example(-1.0, 2.0)
+@example(-1e308, 1e308)  # hi - lo overflows
+def test_one_point_is_lo(lo, hi):
+    # no gap to divide the span by: the formula raised ZeroDivisionError here
+    assert [x.hex() for x in spaced(lo, hi, 1)] == [lo.hex()]
+
+
 def test_default_grid_shape():
     assert DEFAULT_GRID == SampleGrid(41, 41, 21, 2000, 170167)
 

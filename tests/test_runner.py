@@ -1127,20 +1127,22 @@ def test_pool_scan_integrates_only_the_cells_that_can_win(monkeypatch, name, own
 
 
 @pytest.mark.parametrize("name, calls", [
-    ("scan_00000_poly", 10998), ("scan_00001_exp", 15632), ("scan_00002_log", 9962),
+    ("scan_00000_poly", 10998), ("scan_00001_exp", 15551), ("scan_00002_log", 9800),
     ("scan_00004_sin", 5507)])
 def test_pool_scan_bounds_blocks_of_cells_with_two_rhs_calls_each(monkeypatch, name, calls):
     # a walk over every cell in each of the 19 rankings that call an rhs would
     # make 19 x 6,560 = 124,640 rhs calls (sin ranks CLASSICAL only: 6,560).  Each
     # ranking makes two calls per block of 9 x 9 cells (81 blocks: 162) and one per
     # cell of each block it walks; a block whose rhs at the largest corner is 0 is
-    # not walked, and one whose bound lies below the floor is not walked where it
-    # holds no cell with its own mean, so the first ranking is bounded too.  On the
-    # cubic every defect is rounding: T3.1's ranking walks every cell, which each
-    # integrate on their own (162 + 6,560), each later ranking walks one block of
-    # 80 cells (17 x (162 + 80) = 4,114), and CLASSICAL, whose d4sup is 0, none
-    # (162).  On exp each ranking but CLASSICAL walks 486 cells (18 x (162 + 486)),
-    # and CLASSICAL 3,806 (162 + 3,806); on sin CLASSICAL walks 5,345 (162 + 5,345)
+    # not walked, nor one whose bound lies below the floor or below the best, so
+    # the first ranking, whose best stays -inf, is bounded too.  On the cubic every
+    # defect is rounding: T3.1's ranking walks every cell, which each integrate on
+    # their own (162 + 6,560), each later ranking walks one block of 80 cells
+    # (17 x (162 + 80) = 4,114), and CLASSICAL, whose d4sup is 0, none (162).  On
+    # exp each ranking but CLASSICAL walks 486 cells (18 x (162 + 486)), and
+    # CLASSICAL 3,725 (162 + 3,725); on log T3.1 and T3.4 at q = 1 walk 162 cells,
+    # the 16 others but CLASSICAL 243 and CLASSICAL 2,510 (19 x 162 + 2 x 162 +
+    # 16 x 243 + 2,510 = 9,800); on sin CLASSICAL walks 5,345 (162 + 5,345)
     inputs = _perfbench_inputs(monkeypatch)
     (cfg,) = [cfg for cfg in inputs.scan_pool() if cfg["name"] == name]
     case = load_case(cfg)
@@ -1469,34 +1471,28 @@ def test_cubic_scan_integrates_every_usable_cell_and_each_gap_once(monkeypatch):
     model = _model("x^3", "3*x^2", K=(-1.0, 2.0))
     real = model.f_fn
     calls = []
-    checks = []
     rows = []
 
     def f(x):
         calls.append(x)
         return real(x)
 
-    def midpoint_lhs(mean, values):
-        checks.append(values)
-        return real_lhs(mean, values)
-
     def midpoint_cells(fa, fmids, fends):
         rows.append(len(fmids))
         return real_cells(fa, fmids, fends)
 
     model.__dict__["f_fn"] = f  # the compiled f is a cached property
-    real_lhs, real_cells = bounds._midpoint_lhs, bounds._midpoint_cells
-    monkeypatch.setattr(bounds, "_midpoint_lhs", midpoint_lhs)
+    real_cells = bounds._midpoint_cells
     monkeypatch.setattr(bounds, "_midpoint_cells", midpoint_cells)
     t31, midpoint = tightness_scan(model, EtaMap.difference(), Domain(-1.0, 2.0), (0.0, 0.5),
                                    (0.5, 1.5), [1.0], steps=5, theorems=("T3.1", "C4.2"),
                                    grid=SMALL_GRID)
     # only a = b = 0.5 has no step; C4.2 tests its precondition once per row of a
     # on the Simpson sum's values, each row holding 5 usable cells but the last,
-    # a = 0.5, which holds 4, and takes its lhs only at the cells that meet it:
-    # none, as x^3 is strictly increasing, so f(a) < f(mid) < f(end) at every cell
+    # a = 0.5, which holds 4, and ranks only the cells that meet it: none, as x^3
+    # is strictly increasing, so f(a) < f(mid) < f(end) at every cell
     assert (t31.status, t31.cells, t31.skipped) == ("ok", 25, 1)
-    assert (midpoint.cells, midpoint.skipped, rows, len(checks)) == (25, 25, [5, 5, 5, 5, 4], 0)
+    assert (midpoint.cells, midpoint.skipped, rows) == (25, 25, [5, 5, 5, 5, 4])
     # Simpson is exact on a cubic, so every defect is rounding, far inside its
     # enclosure, and every cell may be T3.1's best: f(a) once per row of a, each
     # of the 5 with a usable cell, per usable cell f(mid) and f(end) for the

@@ -2,6 +2,7 @@
 per-cell reference; and the shape of the scan's code."""
 
 import ast
+import copy
 import inspect
 import math
 from array import array
@@ -32,14 +33,15 @@ def _product_rhs(x1, x2, step):
     return step * x1 * x2
 
 
-# (rhs, lhs or None for |defect|, reads f'), as ``runner.tightness_scan`` keys them
+# (rhs, whether the lhs is C4.2's |f(mid) - mean|, reads f'), as
+# ``runner.tightness_scan`` keys them
 _RANKINGS = (
-    (bounds._max_rhs, None, True),
-    (bounds.THEOREMS["T3.2"].rhs_for(3.0), None, True),
-    (_product_rhs, None, True),
-    (bounds.THEOREMS["CLASSICAL"].rhs_for(0.0), None, False),  # 0 at every cell
-    (bounds.THEOREMS["CLASSICAL"].rhs_for(24.0), None, False),
-    (bounds._max_rhs, bounds._midpoint_lhs, True),
+    (bounds._max_rhs, False, True),
+    (bounds.THEOREMS["T3.2"].rhs_for(3.0), False, True),
+    (_product_rhs, False, True),
+    (bounds.THEOREMS["CLASSICAL"].rhs_for(0.0), False, False),  # 0 at every cell
+    (bounds.THEOREMS["CLASSICAL"].rhs_for(24.0), False, False),
+    (bounds._max_rhs, True, True),
 )
 
 
@@ -86,15 +88,18 @@ def _tables(draw):
     return table, truth, failing
 
 
-def _reference(table, truth, failing, rhs_of, lhs_of, uses_df):
+def _reference(table, truth, failing, rhs_of, midpoint, uses_df):
     """[best ratio, its (a, b) or None, ranked cells] of a walk over every cell in
     order, each cell's ratio from its true mean (NaN where its own integral fails),
-    ties to the first cell."""
+    ties to the first cell; C4.2's lhs only where f(a), f(mid) and f(end) agree
+    within 1e-9 (a NaN among them agrees)."""
     t = table
     best, at, ranked = -inf, None, 0
     for k in range(len(truth)):
         i = t.at_a[k]
         if uses_df and t.x2s[k] != t.x2s[k]:
+            continue
+        if midpoint and (abs(t.fas[i] - t.fmids[k]) > 1e-9 or abs(t.fmids[k] - t.fends[k]) > 1e-9):
             continue
         try:
             rhs = rhs_of(t.x1s[i], t.x2s[k], t.steps[k])
@@ -104,9 +109,8 @@ def _reference(table, truth, failing, rhs_of, lhs_of, uses_df):
             mean = t.means[k]
         else:
             mean = nan if k in failing else truth[k]
-        values = (t.fas[i], t.fmids[k], t.fends[k])
-        lhs = abs(t.sums[k] - mean) if lhs_of is None else lhs_of(mean, values)
-        if lhs is None or not rhs > 0.0 or lhs / rhs != lhs / rhs:
+        lhs = abs((t.fmids if midpoint else t.sums)[k] - mean)
+        if not rhs > 0.0 or lhs / rhs != lhs / rhs:
             continue
         ranked += 1
         if lhs / rhs > best:
@@ -159,21 +163,74 @@ def test_rank_matches_a_walk_over_every_cell_with_true_means(drawn, picks):
             run.append(k)
 
 
+@given(_tables(), st.lists(st.integers(0, len(_RANKINGS) - 1), min_size=1, unique=True))
+@settings(max_examples=100)
+def test_rank_does_not_depend_on_the_block_size(drawn, picks):
+    table, truth, failing = drawn
+    got = []
+    real = scan._BLOCK
+    try:
+        for size in (1, 9, 13):  # 13: one block larger than any drawn table
+            scan._BLOCK = size
+            rankings, log = _rank_logged(copy.deepcopy(table), truth, failing, picks)
+            got.append((list(rankings.values()), [k for event, k in log if event == "integrate"]))
+    finally:
+        scan._BLOCK = real
+    assert got[0] == got[1] == got[2]
+
+
+def _one_row(cells):
+    """A table of one row, a = 0 with f(a) = 0 and |f'(a)| = 1, of a cell per
+    (sum, mean, radius) at b index j, with step 1 + j / 1024, f(mid) = f(end) = 0,
+    |f'(b)| = 1 and |defect| = |sum - mean|."""
+    n_b = len(cells)
+    table = scan.CellTable([0.0], [0.25 * j for j in range(n_b)], [0, n_b], [0.0], [1.0],
+                           array("i", [0] * n_b), array("i", range(n_b)),
+                           *(array("d") for _ in range(9)))
+    for j, (total, mean, radius) in enumerate(cells):
+        step = 1.0 + j / 1024
+        for column, value in zip(
+                (table.steps, table.ends, table.sums, table.fmids, table.fends, table.x2s,
+                 table.means, table.radii, table.defects),
+                (step, step, total, 0.0, 0.0, 1.0, mean, radius, abs(total - mean))):
+            column.append(value)
+    return table
+
+
+def _settled(cells, walked, owned):
+    """Rank the one row ``cells`` (``_one_row``) by _max_rhs, its first 9 cells one
+    block, the rest another, each cell's true mean its enclosure's centre; check
+    that the ranking equals the reference, that the rhs is called at the 2
+    corners of each block and then at the ``walked`` cells only, and that the
+    cells ``owned`` integrate on their own, in order."""
+    table = _one_row(cells)
+    truth = [mean for _, mean, _ in cells]
+    rankings, log = _rank_logged(table, truth, set(), [0])
+    assert list(rankings.values()) == [_reference(table, truth, set(), *_RANKINGS[0])]
+    assert log == [("rhs", 0)] * (2 * 2 + walked) + [("integrate", k) for k in owned]
+
+
+def test_a_block_of_own_means_below_the_floor_is_settled_by_its_corners():
+    # the second block is visited first: its enclosed cell lifts the floor to
+    # about 9 and its own mean sets the best to 0.5, so the first block, its 9
+    # own ratios about 1 and its bound between the best and the floor, is
+    # settled; the enclosed cell then integrates and wins
+    _settled([(1.0, 0.0, 0.0)] * 9 + [(10.0, 0.0, 1.0), (0.5, 0.0, 0.0)], walked=2, owned=[9])
+
+
+def test_an_enclosed_block_below_the_best_is_settled_by_its_corners():
+    # the first block holds the best, 10, among own means, and no enclosure, so
+    # the floor stays -inf; the second block's enclosed cells lie below the best
+    _settled([(10.0, 0.0, 0.0)] + [(0.0, 0.0, 0.0)] * 8 + [(1.0, 0.0, 0.5)] * 2, walked=9,
+             owned=[])
+
+
 def test_a_failed_cell_with_a_finite_enclosure_ranks_every_ranking_again():
     # one row of 10 cells, every one enclosed; the last, whose enclosure is wide,
     # fails its own integral, so the one ranking runs a second round, in which the
     # corner calls of its two blocks come again
     n_b = 10
-    table = scan.CellTable([0.0], [0.25 * j for j in range(n_b)], [0, n_b], [0.0], [1.0],
-                           array("i", [0] * n_b), array("i", range(n_b)),
-                           *(array("d") for _ in range(9)))
-    for j in range(n_b):
-        step = 1.0 + j / 1024
-        for column, value in zip(
-                (table.steps, table.ends, table.sums, table.fmids, table.fends, table.x2s,
-                 table.means, table.radii, table.defects),
-                (step, step, 1.0, 0.0, 0.0, 1.0, 0.0, 1e300 if j == n_b - 1 else 0.25, 1.0)):
-            column.append(value)
+    table = _one_row([(1.0, 0.0, 0.25)] * (n_b - 1) + [(1.0, 0.0, 1e300)])
     truth = [0.0] * n_b
     picks = [0]
     rankings, log = _rank_logged(table, truth, {n_b - 1}, picks)
