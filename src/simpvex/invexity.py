@@ -134,11 +134,14 @@ class PropertyReport(Record):
 
 def spaced(lo: float, hi: float, n: int) -> List[float]:
     """n equally spaced points from lo to hi: lo + i * (hi - lo) / (n - 1) for i < n, or
-    lo + i / (n - 1) * (hi - lo) where i * (hi - lo) overflows, so none is infinite;
-    [lo] for n = 1, as numpy.linspace gives."""
+    lo + i / (n - 1) * (hi - lo) where i * (hi - lo) overflows, or (1 - s) * lo + s * hi
+    with s = i / (n - 1) where hi - lo does, so none is infinite; [lo] for n = 1, as
+    numpy.linspace gives."""
     span, gaps = hi - lo, n - 1
     if not gaps:
         return [lo]
+    if not math.isfinite(span):
+        return [(1.0 - i / gaps) * lo + i / gaps * hi for i in range(n)]
     return [lo + (w / gaps if math.isfinite(w := i * span) else i / gaps * span)
             for i in range(n)]
 

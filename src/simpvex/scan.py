@@ -235,18 +235,19 @@ def rank(table: CellTable, rankings: dict, integrate) -> None:
     than |defect|, reads f') to [best ratio, its (a, b) or None, ranked cells];
     ``integrate(a, step)`` is a cell's own mean.
 
-    Each distinct (rhs, lhs) bounds every cell's ratio from its enclosure,
-    and only a cell whose upper bound reaches the best lower bound integrates
-    on its own; that mean is kept, so no cell integrates twice.  A cell with
-    no finite enclosure has no upper bound, so the first ranking that can rank
-    it integrates it.  A cell whose own integral fails gives no ratio; if it
-    had a finite enclosure, its bounds may have pruned other cells, so after
-    a round of rankings in which such a cell failed, every ranking runs
-    again.  _SAFETY assumes that no estimate is off by 1000 times; the result
-    is then the one integrating every cell gives.  It differs only where a
-    cell's own integral, over its step, lies outside its enclosure, or where a
-    cell never integrated on its own would fail there though its gap
-    integrals succeed: that cell counts as ranked.
+    Each distinct (rhs, lhs) bounds every cell's ratio from its enclosure, an
+    own mean one of radius 0, whose top and low end are its ratio.  One rule
+    ranks: a block or cell whose top lies below the floor, the largest low end
+    walked, is never the best.  A cell with no finite enclosure has no upper
+    bound, so the first ranking that can rank it integrates it.  A cell whose
+    own integral fails gives no ratio; if it had a finite enclosure, its
+    bounds may have pruned other cells, so after a round of rankings in which
+    such a cell failed, every ranking runs again.  _SAFETY assumes that no
+    estimate is off by 1000 times; the result is then the one integrating
+    every cell gives.  It differs only where a cell's own integral, over its
+    step, lies outside its enclosure, or where a cell never integrated on its
+    own would fail there though its gap integrals succeed: that cell counts as
+    ranked.
 
     A ranking whose lhs is |defect| bounds each block of _BLOCK x _BLOCK
     (9 x 9) axis indices at once.  Every rhs is nondecreasing in |f'(a)|,
@@ -261,16 +262,16 @@ def rank(table: CellTable, rankings: dict, integrate) -> None:
     finite; else each of its cells ranks.  A block whose rhs at its largest
     corner is 0 ranks no cell and is not visited.  The ranking visits the
     others by descending bound and counts as ranked, with no rhs call at its
-    cells, a block whose bound lies below the floor or below the best, the
-    prune of branch and bound: below the best no cell of it wins or may win,
-    and any floor it lifts stays below the best, which never falls; below
-    the floor what it lifts the best to stays below the own ratio of the
+    cells, a block whose bound lies below the floor, the prune of branch and
+    bound: what it could lift the best to stays below the own ratio of the
     floor's cell, at least its low end under _SAFETY (a failed own integral
-    ranks all again).  So the first ranking, whose best stays -inf, is
-    bounded by its floor.  C4.2's ranking walks only the cells that meet its
-    precondition, listed when ranking starts.  Exact ties go to the first
-    cell in (a, b) order and the own integrals run in (a, b) order, so every
-    result, count and error is the one a walk over every cell gives.
+    ranks all again).  C4.2's ranking walks only the cells that meet its
+    precondition, listed when ranking starts.  The walk lists each cell whose
+    top reaches the floor; one pass over the list in (a, b) order skips a cell
+    whose top lies below the floor or the best so far, integrates any other
+    with no own mean, kept so that no cell integrates twice, and takes the
+    best by a strict >: ties go to the first cell, and every result, count and
+    error is the one a walk over every cell gives.
     """
     t = table
     per_row = -(-len(t.b_vals) // _BLOCK)
@@ -289,12 +290,12 @@ def rank(table: CellTable, rankings: dict, integrate) -> None:
         for (rhs_of, midpoint, uses_df), ranking in rankings.items():  # nothing here raises
             best, at, ranked = -math.inf, None, 0
             floor = -math.inf  # the best ratio is at least this
-            pending = {}  # (rhs, top ratio) per cell without its own mean that may be the best
+            pending = []  # (cell, rhs, top ratio) per cell that may be the best
             # (bound, block) per block, or one walk over the listed cells (block None)
             visits = ([(math.inf, None)] if midpoint
                       else _bounded(t, blocks, boxes, tops, dirty, rhs_of, uses_df))
             for bound, b in visits:
-                if bound < floor or bound < best:  # no cell of the block can change a result
+                if bound < floor:  # no cell of the block can change a result
                     ranked += boxes[b][0][uses_df]
                     continue
                 for lo, hi in listed if b is None else blocks[b]:
@@ -312,42 +313,35 @@ def rank(table: CellTable, rankings: dict, integrate) -> None:
                             continue
                         if not rhs > 0.0:  # zero or NaN: no ratio to rank
                             continue
-                        if radius:  # with no finite enclosure (radius NaN or inf), top is inf
-                            top = (lhs + radius) / rhs if radius < math.inf else math.inf
-                            if top != top:  # NaN, as below
-                                continue
-                            low = (lhs - radius) / rhs
-                            if low > floor:
-                                floor = low
-                            if top >= floor and top >= best:  # else never the best
-                                pending[k] = rhs, top
-                        else:
-                            ratio = lhs / rhs
-                            if ratio != ratio:  # NaN: never a witness, as in invexity's sweeps
-                                continue
-                            if ratio > best or ratio == best and k < at:  # ties: the first cell
-                                best = ratio
-                                at = k
+                        # radius: 0 for an own mean; NaN or inf with no finite enclosure: top inf
+                        top = (lhs + radius) / rhs if radius < math.inf else math.inf
+                        if top != top:  # NaN: never a witness, as in invexity's sweeps
+                            continue
+                        low = (lhs - radius) / rhs
+                        if low > floor:
+                            floor = low
+                        if top >= floor:  # else never the best
+                            pending.append((k, rhs, top))
                         ranked += 1
             # in (a, b) order, so that the own integrals are those, in the order,
-            # of a walk over every cell
-            for k in sorted(pending):
-                rhs, top = pending[k]
+            # of a walk over every cell, and ties go to the first cell
+            for k, rhs, top in sorted(pending):
                 if top < floor or top < best:  # below another cell's ratio: never the best
                     continue
-                try:
-                    mean = integrate(t.a_vals[t.at_a[k]], t.steps[k])
-                except (EvalDomainError, QuadratureError):  # marked as giving no ratio
-                    mean = math.nan
-                    # with a finite enclosure its bounds may have pruned other cells
-                    failed = failed or t.radii[k] < math.inf
-                t.means[k], t.radii[k], t.defects[k] = mean, 0.0, abs(t.sums[k] - mean)
-                dirty.add(t.at_a[k] // _BLOCK * per_row + t.at_b[k] // _BLOCK)
-                ratio = (abs(t.fmids[k] - mean) if midpoint else t.defects[k]) / rhs
-                if ratio != ratio:  # NaN (a failed own integral, say): not ranked after all
-                    ranked -= 1
-                elif ratio > best or ratio == best and k < at:  # ties: the first cell
-                    best = ratio
-                    at = k
+                if t.radii[k]:  # no own mean yet; with it, top is its ratio
+                    try:
+                        mean = integrate(t.a_vals[t.at_a[k]], t.steps[k])
+                    except (EvalDomainError, QuadratureError):  # marked as giving no ratio
+                        mean = math.nan
+                        # with a finite enclosure its bounds may have pruned other cells
+                        failed = failed or t.radii[k] < math.inf
+                    t.means[k], t.radii[k], t.defects[k] = mean, 0.0, abs(t.sums[k] - mean)
+                    dirty.add(t.at_a[k] // _BLOCK * per_row + t.at_b[k] // _BLOCK)
+                    top = (abs(t.fmids[k] - mean) if midpoint else t.defects[k]) / rhs
+                    if top != top:  # NaN (a failed own integral, say): not ranked after all
+                        ranked -= 1
+                        continue
+                if top > best:
+                    best, at = top, k
             ranking[:] = (best, None if at is None else (t.a_vals[t.at_a[at]],
                                                          t.b_vals[t.at_b[at]]), ranked)

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+import sys
 import tracemalloc
 from array import array
 from itertools import chain
@@ -81,6 +82,20 @@ def test_a_wide_interval_is_spaced_without_infinity():
     assert grid[-1] == 1e307 and all(map(math.isfinite, grid))
     assert all(map(math.isfinite, spaced(0.0, 1e307, 81)))
     assert spaced(0.0, 1.0, 21) == [i / 20 for i in range(21)]
+    # hi - lo overflows: the formula gave [nan, inf, inf]
+    assert spaced(-1e308, 1e308, 3) == [-1e308, 0.0, 1e308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.9e308, sys.float_info.max), st.floats(0.9e308, sys.float_info.max),
+       st.booleans(), st.integers(2, 200))
+def test_an_interval_whose_width_overflows_is_spaced_from_its_ends(left, right, flip, n):
+    # hi - lo = inf, where the formula gave NaN and infinities
+    lo, hi = (right, -left) if flip else (-left, right)
+    points = spaced(lo, hi, n)
+    assert len(points) == n and all(map(math.isfinite, points))
+    assert points[0] == lo and points[-1] == hi
+    assert points == sorted(points, reverse=flip)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False),

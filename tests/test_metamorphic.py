@@ -1,17 +1,19 @@
-"""Two relations that leave the paper's claims as they were, on the bundled corpus.
+"""Three relations that leave the paper's claims as they were, on the bundled corpus.
 
 Reflecting x to -x (f(-x), f' -> -f'(-x), F -> -F(-x), K -> [-hi, -lo],
 (a, b) -> (-b, -a)) maps [a, a + eta] onto its mirror image under both
 built-in eta maps, and swaps |f'(a)| with |f'(b)|, which every rhs
-treats alike; doubling f, f', F and d4sup doubles the defect and every
-rhs.  So no case verdict may move under either, a reflected rhs must
-equal the original bit for bit, and a doubled one must be twice the
-original to within a few roundings of the power means.
+treats alike; shifting x by s (f, f' and F at x - s, K, a and b plus s)
+moves [a, a + eta] by s under the difference eta and keeps |f'(a)| and
+|f'(b)|; doubling f, f', F and d4sup doubles the defect and every rhs.
+So no case verdict may move under any, a reflected rhs must equal the
+original bit for bit, and a shifted one the original and a doubled one
+twice the original to within a few roundings of the power means.
 
 Each config is rewritten through its expression tree (``expr.parse``,
 substitution, ``expr.pretty``), never as a string: ``exp`` holds an
 ``x``.  The rewritten configs drop ``expected``, whose values are the
-original's.  Shifts, stretches and other scales are ROADMAP item 22's.
+original's.  Stretches and other scales are ROADMAP item 22's.
 """
 
 import json
@@ -25,7 +27,7 @@ CONFIGS = [json.loads(path.read_text(encoding="utf-8"))
            for path in sorted(runner._corpus_dir().glob("*.json"))]
 # doubling is exact in f, f' and F, but an rhs's powers and roots round differently at
 # each scale: ROADMAP item 22 measured every rhs of the corpus and the fresh ledger
-# within this relative distance of twice the original
+# within this relative distance of twice the original; a shifted rhs is held to it too
 DOUBLED_REL = 1.6e-15
 
 
@@ -63,6 +65,14 @@ def _reflected(config):
     return out
 
 
+def _shifted(config, s):
+    at_x_minus_s = lambda e: _substitute(e, Bin("-", Var("x"), Num(s)))  # noqa: E731
+    out = _rewritten(config, f=at_x_minus_s, df=at_x_minus_s, F=at_x_minus_s)
+    lo, hi = config["K"]
+    out.update(K=[lo + s, hi + s], a=config["a"] + s, b=config["b"] + s)
+    return out
+
+
 def _doubled(config):
     twice = lambda e: Bin("*", Num(2.0), e)  # noqa: E731
     out = _rewritten(config, f=twice, df=twice, F=twice)
@@ -88,6 +98,8 @@ def test_the_rewrites_go_through_the_tree():
         "exp((-x))", "(-exp((-x)))", "(-exp((-x)))", [-1, 0], -1, 0]
     assert [_doubled(exp01)[key] for key in ("f", "df", "F", "d4sup")] == [
         "(2.0 * exp(x))", "(2.0 * exp(x))", "(2.0 * exp(x))", 2 * 2.718281828459045]
+    assert [_shifted(exp01, 1.0)[key] for key in ("f", "df", "F", "K", "a", "b")] == [
+        "exp((x - 1.0))", "exp((x - 1.0))", "exp((x - 1.0))", [1.0, 2.0], 1.0, 2.0]
     assert "expected" in exp01 and "expected" not in _reflected(exp01)
 
 
@@ -99,6 +111,19 @@ def test_reflection_moves_no_verdict_and_no_rhs_bit(original):
     for name, (_, rhs) in original.items():
         assert {key: value.hex() for key, value in reflected[name][1].items()} == {
             key: value.hex() for key, value in rhs.items()}, name
+
+
+@pytest.mark.parametrize("s", [0.37, 1.0])
+def test_a_shift_moves_no_verdict_and_keeps_every_rhs(original, s):
+    # abs_example's eta is not a translate of itself, so its 2 cases sit out
+    shifted = _results(_shifted(config, s) for config in CONFIGS
+                       if config["eta"]["kind"] == "difference")
+    assert len(shifted) == 13
+    for name, (verdict, moved) in shifted.items():
+        verdict_was, rhs = original[name]
+        assert verdict == verdict_was and moved.keys() == rhs.keys(), name
+        assert [key for key, value in rhs.items()
+                if not abs(moved[key] - value) <= DOUBLED_REL * value] == [], name
 
 
 def test_doubling_moves_no_verdict_and_doubles_every_rhs(original):

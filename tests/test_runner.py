@@ -1,6 +1,7 @@
 import builtins
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -1102,12 +1103,14 @@ def _gap_integrals(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name, own", [
-    ("scan_00001_exp", 35), ("scan_00002_log", 67), ("scan_00004_sin", 148)])
-def test_pool_scan_integrates_only_the_cells_that_can_win(monkeypatch, name, own):
+@pytest.mark.parametrize("name, own, order", [
+    ("scan_00001_exp", 35, "df576da8d014"), ("scan_00002_log", 67, "c482a88d9f35"),
+    ("scan_00004_sin", 148, "0d8ac6f011fb")])
+def test_pool_scan_integrates_only_the_cells_that_can_win(monkeypatch, name, own, order):
     # the scan workload's model at its full 81 x 81 grid: 6,560 cells have a
     # step (a = b = the middle of K has none), and of those only the ones whose
-    # ratio bounds reach the best lower bound of some ranking integrate on their own
+    # ratio bound reaches the floor of some ranking integrate on their own, in
+    # an order pinned by the first 12 hex digits of the sha256 of its repr
     inputs = _perfbench_inputs(monkeypatch)
     (cfg,) = [cfg for cfg in inputs.scan_pool() if cfg["name"] == name]
     case = load_case(cfg)
@@ -1118,6 +1121,8 @@ def test_pool_scan_integrates_only_the_cells_that_can_win(monkeypatch, name, own
     # one Simpson call per row of a, each of the 81 holding a usable cell
     assert len(sums) == 81 and sum(len(steps) for _, _, steps in sums) == 6560
     assert len(means) == len({(a, step) for _, a, step, _ in means}) == own
+    cells = repr([(a, step) for _, a, step, _ in means])
+    assert hashlib.sha256(cells.encode()).hexdigest()[:12] == order
     # f is integrated once over each gap between consecutive nodes, every cell's
     # a and end a + step, and over nothing else: no sliver from a nearest node
     # to an end that misses an axis value by rounding (3,033 ends on exp)
@@ -1134,9 +1139,9 @@ def test_pool_scan_bounds_blocks_of_cells_with_two_rhs_calls_each(monkeypatch, n
     # make 19 x 6,560 = 124,640 rhs calls (sin ranks CLASSICAL only: 6,560).  Each
     # ranking makes two calls per block of 9 x 9 cells (81 blocks: 162) and one per
     # cell of each block it walks; a block whose rhs at the largest corner is 0 is
-    # not walked, nor one whose bound lies below the floor or below the best, so
-    # the first ranking, whose best stays -inf, is bounded too.  On the cubic every
-    # defect is rounding: T3.1's ranking walks every cell, which each integrate on
+    # not walked, nor one whose bound lies below the floor, the largest low end
+    # walked (an own mean's is its ratio).  On the cubic every defect is
+    # rounding: T3.1's ranking walks every cell, which each integrate on
     # their own (162 + 6,560), each later ranking walks one block of 80 cells
     # (17 x (162 + 80) = 4,114), and CLASSICAL, whose d4sup is 0, none (162).  On
     # exp each ranking but CLASSICAL walks 486 cells (18 x (162 + 486)), and
@@ -1580,7 +1585,7 @@ def test_block_pruned_scan_matches_the_per_cell_walk_and_the_reference(monkeypat
     assert repr(got) == repr(walked)
     assert blocked_own == own  # the same own integrals, in the same order
     assert set(failing) <= set(own)
-    # blocks were pruned, but where every ratio ties at 0 no bound lies below the best
+    # blocks were pruned, but where every ratio ties at 0 no bound lies below the floor
     assert blocked_calls < len(calls) if name != "ties" else blocked_calls > len(calls)
     del own[:]
     assert repr(got) == repr(_reference_scan(*args))

@@ -212,17 +212,38 @@ def _settled(cells, walked, owned):
 
 def test_a_block_of_own_means_below_the_floor_is_settled_by_its_corners():
     # the second block is visited first: its enclosed cell lifts the floor to
-    # about 9 and its own mean sets the best to 0.5, so the first block, its 9
-    # own ratios about 1 and its bound between the best and the floor, is
-    # settled; the enclosed cell then integrates and wins
+    # about 9 (its own mean, ratio 0.5, lifts it less), so the first block, its 9
+    # own ratios about 1 and its bound below the floor, is settled; the enclosed
+    # cell then integrates and wins
     _settled([(1.0, 0.0, 0.0)] * 9 + [(10.0, 0.0, 1.0), (0.5, 0.0, 0.0)], walked=2, owned=[9])
 
 
 def test_an_enclosed_block_below_the_best_is_settled_by_its_corners():
-    # the first block holds the best, 10, among own means, and no enclosure, so
-    # the floor stays -inf; the second block's enclosed cells lie below the best
+    # the first block's own means lift the floor to the best, 10; the second
+    # block's enclosed cells lie below it
     _settled([(10.0, 0.0, 0.0)] + [(0.0, 0.0, 0.0)] * 8 + [(1.0, 0.0, 0.5)] * 2, walked=9,
              owned=[])
+
+
+def test_a_tie_across_blocks_goes_to_the_first_cell_though_its_block_is_walked_last():
+    # cells 0 and 9 tie at ratio 1 / rhs(step 1); cell 10's step of 0.5 halves the
+    # second block's least corner, so its bound is twice the first's and it is
+    # walked first: cell 9's ratio lifts the floor before cell 0 is walked
+    one, zero = (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)  # (sum, mean, radius 0): own means
+    table = _one_row([one] + [zero] * 8 + [one, zero])
+    table.steps[:] = table.ends[:] = array("d", [1.0] * 10 + [0.5])
+    steps = []
+
+    def rhs(x1, x2, step):
+        steps.append(step)
+        return bounds._max_rhs(x1, x2, step)
+
+    rankings = {(rhs, False, True): [-inf, None, 0]}
+    scan.rank(table, rankings, None)  # every cell has its own mean
+    # the corners of the two blocks, then cells 9 and 10, then the first block
+    assert steps == [1.0, 1.0, 0.5, 1.0] + [1.0, 0.5] + [1.0] * 9
+    want = _reference(table, [0.0] * 11, set(), bounds._max_rhs, False, True)
+    assert list(rankings.values()) == [want] and want[1] == (0.0, 0.0)
 
 
 def test_a_failed_cell_with_a_finite_enclosure_ranks_every_ranking_again():
