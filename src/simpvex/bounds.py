@@ -74,6 +74,7 @@ __all__ = [
 ]
 
 _LARGE_EXPONENT = 100.0
+_TINY = 2.0 ** -1022  # the least normal float: a power below it has lost bits
 _PRECONDITION_TOL = 1e-9  # C4.2's f(a) = f(a + eta/2) = f(a + eta), to within this
 
 # kernel constants, taken once; float(Fraction(n, d)) == n / d exactly
@@ -341,19 +342,29 @@ def _moment_root(p: float, scale: float = 1.0) -> float:
 
 def _power_means(scale: float, w1: float, w2: float, q: float, mirrored: bool):
     """rhs(x1, x2, step) = step * scale * (w1 x1^q + w2 x2^q)^(1/q), plus the same
-    with w1, w2 swapped if ``mirrored``; x1^q, then x2^q, once per call.  For
-    q > 100 the powers are rescaled by m = max(x1, x2) so they cannot overflow;
-    m = 1.0 otherwise leaves every float operation exact (x ** 1.0 too).  The rhs
-    is 0 at m = 0 and inf at m = inf, as the unscaled formula gives."""
+    with w1, w2 swapped if ``mirrored``; x1^q, then x2^q, once per call.  The
+    powers are rescaled by m = max(x1, x2), as m * ((x1/m)^q ...)^(1/q), for
+    q > 100 and wherever a plain power leaves the normal float range: below
+    _TINY (0.0 or subnormal) from a base above 0, or inf (an overflow).  Every
+    other rhs takes the plain powers' float operations.  The rhs is 0 at m = 0
+    and inf at m = inf, as the plain formula gives."""
     r = 1.0 / q
     rescale = q > _LARGE_EXPONENT
 
     def rhs(x1, x2, step):
-        m = 1.0
-        if rescale:
-            m = max(x1, x2)
-            if m == 0.0 or m == math.inf:
-                return step * scale * m
+        if not rescale:
+            try:
+                p1 = x1 ** q
+                p2 = x2 ** q
+            except OverflowError:
+                p1 = p2 = math.inf
+            if not (p1 < _TINY and x1 > 0.0 or p2 < _TINY and x2 > 0.0
+                    or p1 == math.inf or p2 == math.inf):
+                s = (w1 * p1 + w2 * p2) ** r
+                return step * scale * (s + (w2 * p1 + w1 * p2) ** r if mirrored else s)
+        m = max(x1, x2)
+        if m == 0.0 or m == math.inf:
+            return step * scale * m
         p1 = (x1 / m) ** q
         p2 = (x2 / m) ** q
         s = m * (w1 * p1 + w2 * p2) ** r

@@ -513,7 +513,9 @@ def hypothesis_pair(model, eta: EtaMap, K: Domain, q: float,
     """Check |f'|^q for preinvexity and for prequasiinvexity on K, from one set of values.
 
     ``model`` is any object exposing a compiled derivative ``df_fn``;
-    the absolute value is applied before the exponent.
+    the absolute value is applied before the exponent.  The excesses are
+    absolute, so an |f'|^q that underflows to 0.0 at every sample is checked
+    on zeros and passes.
     """
     if not 1.0 <= q < math.inf:
         raise ValueError(f"exponent q must be finite and >= 1, got {q!r}")

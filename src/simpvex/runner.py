@@ -382,6 +382,26 @@ def _hypotheses(model, eta: EtaMap, K: Domain, grid: SampleGrid, tol: float,
     return lookup
 
 
+def _holds(hypothesis, mode: str, q: float, from_q1: bool) -> bool:
+    """Whether |f'|^q has ``mode`` on the samples, ``hypothesis`` being a
+    ``_hypotheses`` lookup.  At q > 1 with ``from_q1`` (the request lists
+    q = 1), the q = 1 reports of |f'| decide where they can, and q is swept
+    only where they leave it open.
+
+    t -> t^q is increasing on [0, inf), so |f'|^q is prequasiinvex exactly
+    when |f'| is; it is also convex there, so a preinvex |f'| gives a
+    preinvex |f'|^q (Jensen).  A preinvex g is prequasiinvex, so an |f'|^q
+    that is not prequasiinvex is not preinvex either.  Open: preinvex at q
+    where |f'| is prequasiinvex but not preinvex.
+    """
+    if q > 1.0 and from_q1:
+        if hypothesis("prequasiinvex", 1.0).violated:
+            return False
+        if mode == "prequasiinvex" or not hypothesis("preinvex", 1.0).violated:
+            return True
+    return not hypothesis(mode, q).violated
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -493,9 +513,9 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
             except EvalDomainError as exc:  # f' fails or is NaN at a or b; sweeps skip NaN
                 return _input_error(
                     result, f"EvalDomainError: {theorem} needs |f'(a)| and |f'(b)|: {exc}")
-            except OverflowError:  # a power in the rhs; the exception's text is the C library's
-                at_q = f" at q={q!r}" if row.labelled else ""
-                return _input_error(result, f"OverflowError: rhs of {theorem}{at_q} "
+            except OverflowError:  # CLASSICAL's step^4 (the power means rescale); the
+                # exception's text is the C library's
+                return _input_error(result, f"OverflowError: rhs of {theorem} "
                                             f"exceeds the float range")
 
     _check_golden(_golden(case.expected), result)
@@ -660,13 +680,26 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     or a + step lies outside K or a or a + step outside the model's domain,
     where f or its integral fails, where f' fails or is NaN at a or b (for a
     theorem that reads it), off C4.2's precondition, and where the rhs is
-    zero, NaN or overflows or the ratio is NaN.  Every cell of a q is
-    skipped whose sampled hypothesis fails or overflows (such a q is swept
-    once), every cell of a theorem with a hypothesis when K is not invex for
-    eta (or eta fails on its samples), and every cell of CLASSICAL without
-    d4sup; a theorem with no usable cell is reported with status
-    "all_skipped".  Ties keep the first cell in (q, a, b) order, so results
-    are deterministic.
+    zero, NaN or overflows or the ratio is NaN.  Every cell of a (theorem, q)
+    pair is skipped whose hypothesis on |f'|^q fails, or whose sweep
+    overflows (such a q is swept once), every cell of a theorem with a
+    hypothesis when K is not invex for eta (or eta fails on its samples), and
+    every cell of CLASSICAL without d4sup; a theorem with no usable cell is
+    reported with status "all_skipped".  Ties keep the first cell in
+    (q, a, b) order, so results are deterministic.
+
+    Where ``q_list`` holds 1, the q = 1 sweep decides each q > 1 hypothesis
+    (``_holds``): a prequasiinvex pair holds at q when |f'| is
+    prequasiinvex at q = 1, a preinvex pair when |f'| is preinvex at q = 1,
+    and neither when |f'| is not prequasiinvex at q = 1.  Only a preinvex
+    pair whose |f'| is prequasiinvex but not preinvex at q = 1 sweeps q;
+    without q = 1 in the list every q is swept.  An implied verdict carries
+    q = 1's tolerance tol: on the same samples, an excess of at most tol for
+    |f'| is one of at most q * (M + tol)^(q - 1) * tol for |f'|^q, M the
+    largest sampled |f'|, so a sweep at q may flag, by no more than that
+    and rounding, a pair the scan ranks.  An implied q is never swept, so an
+    |f'|^q beyond the float range shows only in its cells' rhs, which
+    rescales its powers (a cell whose rhs still overflows is skipped).
 
     A cell's mean is its own adaptive integral's, as ``simpson_defect`` takes
     it, run only where it can decide a ranking (``scan.enclose``, ``scan.rank``).
@@ -694,6 +727,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     except EvalDomainError:  # eta fails on the samples: K is not invex for it
         invex = False
     hypothesis = _hypotheses(model, eta, K, grid, tol.invexity, [])
+    from_q1 = 1.0 in q_list
     overflowed = set()  # the q whose sweep overflowed, swept once
     # (rhs, midpoint lhs, reads f') -> [best ratio, its (a, b) or None, ranked cells],
     # one per distinct rhs and lhs (T4.1 at every q and C4.1 share one)
@@ -705,7 +739,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         for q in row.exponents(q_list):
             try:
                 usable = (model.d4sup is not None if row.mode is None else invex and
-                          q not in overflowed and not hypothesis(row.mode, q).violated)
+                          q not in overflowed and _holds(hypothesis, row.mode, q, from_q1))
             except OverflowError:  # |f'|^q overflows on the samples
                 overflowed.add(q)
                 usable = False

@@ -309,7 +309,7 @@ def rank(table: CellTable, rankings: dict, integrate) -> None:
                             continue
                         try:
                             rhs = rhs_of(x1, x2, step)
-                        except OverflowError:  # a power beyond the float range: no ratio, as NaN
+                        except OverflowError:  # CLASSICAL's step^4 overflows: no ratio, as NaN
                             continue
                         if not rhs > 0.0:  # zero or NaN: no ratio to rank
                             continue

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from simpvex import bounds, kernel, scan
 from simpvex.bounds import (
@@ -408,11 +408,20 @@ def test_derivative_gate_samples_a_wide_domain_at_finite_points(make_model):
 
 def _old_q_mean(w1, x1, w2, x2, q):
     """(w1 x1^q + w2 x2^q)^(1/q) with the float operations the bounds used
-    before their rhs forms were prepared per q."""
+    before their rhs forms were prepared per q.  Where a plain power at
+    q <= 100 leaves the normal float range (underflows from a base above 0,
+    or overflows), the old forms lost bits, gave 0.0 or raised; the rescaled
+    form of q > 100 stands in there."""
     if q == 1.0:
         return w1 * x1 + w2 * x2
     if q <= 100.0:
-        return (w1 * x1 ** q + w2 * x2 ** q) ** (1.0 / q)
+        try:
+            p1, p2 = x1 ** q, x2 ** q
+        except OverflowError:
+            p1 = p2 = math.inf
+        tiny = 2.0 ** -1022  # the least normal float
+        if not (0.0 < x1 and p1 < tiny or 0.0 < x2 and p2 < tiny or math.inf in (p1, p2)):
+            return (w1 * x1 ** q + w2 * x2 ** q) ** (1.0 / q)
     m = max(x1, x2)
     if m == 0.0:
         return 0.0
@@ -479,6 +488,26 @@ def test_bound_wrappers_keep_the_old_float_operations(x1, x2, eta_val, q):
     want = (x1 * eta_val ** 4 / 2880.0).hex()
     assert bound_classical(model, 0.0, eta_val).rhs.hex() == want
     assert bounds.THEOREMS["CLASSICAL"].rhs_for(x1)(None, None, eta_val).hex() == want
+
+
+_WIDE_MAGNITUDES = st.one_of(st.sampled_from((0.0, 5e-324, 1e-310, 1e-200, 1e200, 1e300)),
+                             st.floats(0.0, 1e300, allow_nan=False))
+
+
+@given(st.sampled_from([t for t, row in bounds.THEOREMS.items() if row.mode is not None]),
+       _WIDE_MAGNITUDES, _WIDE_MAGNITUDES, st.floats(1e-3, 1e3),
+       st.one_of(st.sampled_from((1.0, 1.5, 2.0, 3.0, 60.0, 100.0)), st.floats(1.0, 100.0)))
+@settings(max_examples=500)
+def test_every_rhs_is_positive_and_finite_where_its_value_is(theorem, x1, x2, step, q):
+    # each row's constant factor lies within [1e-3, 10], so where max(x1, x2) *
+    # step lies within [1e-280, 1e280] the exact rhs is a positive normal float;
+    # a power x^q that underflows or overflows on the way must not make it 0 or inf
+    row = bounds.THEOREMS[theorem]
+    if not row.exponents([q]):
+        return  # q = 1 for a row that needs q > 1
+    assume(1e-280 <= max(x1, x2) * step <= 1e280)
+    rhs = row.rhs_for(q)(x1, x2, step)
+    assert 0.0 < rhs < math.inf, (x1, x2, step, q, rhs)
 
 
 _RISES = st.sampled_from((0.0, 2.0 ** -52, 1e-9, 1e-3, 1.0, 1e6))

@@ -134,10 +134,11 @@ def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
     # 17 nodes, 16 gaps) and its rhs calls: on the cubic, two corner calls and the
     # 80 cells of the one 9 x 9 block in each of the 19 rankings that call an rhs,
     # but CLASSICAL, whose d4sup is 0 and so whose rhs at the largest corner is 0,
-    # walks no cell: 18 x (2 + 80) + 2 = 1,478
-    assert re.fullmatch(r"scan_00003_power( +-){11}", next(
+    # walks no cell: 18 x (2 + 80) + 2 = 1,478; and its sweeps: q = 1 alone, which
+    # implies q = 1.5, 2 and 3
+    assert re.fullmatch(r"scan_00003_power( +-){12}", next(
         line for line in lines if line.startswith("scan_00003_power ")))
-    assert re.fullmatch(r"scan_00000_poly( +\d+\.\d\d){8} +16 +80 +1478", next(
+    assert re.fullmatch(r"scan_00000_poly( +\d+\.\d\d){8} +16 +80 +1478 +1", next(
         line for line in lines if line.startswith("scan_00000_poly ")))
     owned = summary["own_cells"]
     assert len(owned) == 6 and owned["scan_00000_poly"] == 80
@@ -145,6 +146,10 @@ def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
     assert list(gaps) == list(owned) and gaps["scan_00000_poly"] == 16
     called = summary["rhs_calls"]
     assert list(called) == list(owned) and called["scan_00000_poly"] == 18 * (2 + 80) + 2
+    # one sweep per model but eta_expr, whose |f'| is prequasiinvex and not
+    # preinvex at q = 1, so its preinvex pairs sweep q = 1.5, 2 and 3
+    assert summary["sweeps"] == {name: 4 if name.endswith("eta_expr") else 1
+                                 for name in owned}
     assert all(0 < owned[name] < 80 for name in ("scan_00001_exp", "scan_00002_log",
                                                  "scan_00004_sin"))
     # 14 of the 15 corpus cases sweep q = 1.5, 2 and 3 besides q = 1

@@ -11,6 +11,7 @@ rescales the powers so they cannot overflow.
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -21,6 +22,7 @@ mp = pytest.importorskip("mpmath")
 DPS = 40
 ULPS = 16
 DRAWS = 100  # per row
+_MAX = sys.float_info.max
 Q_SET = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 7.0)
 
 
@@ -98,3 +100,47 @@ def test_rhs_matches_its_formula_to_40_digits(theorem):
             err = abs(mp.mpf(got) - want)
             ulps = float(err / math.ulp(float(want))) if want else float(err)
         assert ulps <= ULPS, (theorem, q, x1, x2, eta, got, want)
+
+
+@pytest.mark.parametrize("theorem", ["T3.2", "T3.3", "T3.4"])
+def test_rhs_whose_plain_powers_leave_the_float_range_matches_its_formula(theorem):
+    # magnitudes from 1e-300 to 1e300 at q up to 7, kept where x1^q or x2^q
+    # underflows below the least normal float or overflows: there the powers are
+    # rescaled by max(x1, x2)
+    row = bounds.THEOREMS[theorem]
+    rng = random.Random(f"rhs-oracle-range-{theorem}")
+    for _ in range(DRAWS):
+        while True:
+            q = rng.choice([q for q in Q_SET if row.exponents([q])])
+            x1, x2 = (0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-300.0, 300.0)
+                      for _ in range(2))
+            if any(x and not 2.0 ** -1022 <= mp.mpf(x) ** q <= mp.mpf(_MAX) for x in (x1, x2)):
+                break
+        eta = 10.0 ** rng.uniform(-2.0, 1.0)
+        got = row.rhs_for(q)(x1, x2, eta)
+        with mp.workdps(DPS):
+            mq = mp.mpf(q)
+            p = mq / (mq - 1) if q > 1.0 else None
+            want = FORMULAS[theorem](mp.mpf(x1), mp.mpf(x2), mp.mpf(eta), mq, p)
+            ulps = float(abs(mp.mpf(got) - want) / math.ulp(float(want))) if want else got
+        assert ulps <= ULPS, (theorem, q, x1, x2, eta, got, want)
+
+
+@pytest.mark.parametrize("q2", [60.0, 100.0])
+def test_run_case_passes_where_the_powers_of_t3_2_underflow(q2):
+    # |f'| = 1e-6 e^x on [0, 1]: |f'|^q2 underflows to 0.0 at every sample for
+    # q2 >= 60, where an rhs of 0.0 once read as a violation
+    from simpvex import runner
+
+    cfg = {"name": "tiny_exp", "f": "1e-6*exp(x)", "df": "1e-6*exp(x)", "F": "1e-6*exp(x)",
+           "eta": {"kind": "difference"}, "K": [0, 1], "a": 0, "b": 1, "q": [1, q2],
+           "theorems": ["T3.2"]}
+    case = runner.load_case(cfg)
+    result = runner.run_case(case)
+    (bound,) = result.bounds
+    assert (result.verdict, bound.q) == ("pass", q2)
+    x1, x2 = abs(case.model.df_fn(0.0)), abs(case.model.df_fn(1.0))
+    with mp.workdps(DPS):
+        mq = mp.mpf(q2)
+        want = FORMULAS["T3.2"](mp.mpf(x1), mp.mpf(x2), mp.mpf(1.0), mq, mq / (mq - 1))
+        assert abs(mp.mpf(bound.rhs) - want) <= 4 * math.ulp(float(want))

@@ -11,10 +11,11 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
-import jsonschema
 import pytest
 from hypothesis import given, settings
-from jsonschema.validators import validator_for
+
+# jsonschema is imported inside the tests that use it, so an interpreter without its
+# compiled parts fails only those tests, and the rest of the module still runs
 
 from simpvex import bounds, expr, invexity, quadrature, runner, scan
 from simpvex.bounds import FunctionModel
@@ -92,6 +93,7 @@ def test_corpus_filter_selects_substring():
 
 
 def test_corpus_filter_without_match_is_empty():
+    import jsonschema
     report = run_corpus(cases=load_corpus("no_such_case"))
     assert report.results == []
     assert report.counts["cases"] == 0
@@ -105,6 +107,7 @@ def test_corpus_runs_are_byte_identical():
 
 
 def test_report_json_is_sorted_and_schema_valid(corpus_report):
+    import jsonschema
     text = corpus_report.to_json()
     doc = json.loads(text)
     jsonschema.validate(doc, runner.report_schema())
@@ -125,6 +128,7 @@ def _report_cases():
 
 
 def test_every_report_the_program_writes_passes_the_report_schema(tmp_path, capsys):
+    import jsonschema
     # the program never checks the reports it writes; this test does, with jsonschema
     validator = jsonschema.Draft202012Validator(runner.report_schema())
     results = [run_case(load_case(cfg)) for cfg in _report_cases()]
@@ -237,6 +241,7 @@ def _schema_rejections():
 
 
 def test_load_case_schema_messages_match_jsonschema_validate():
+    import jsonschema
     for bad in _schema_rejections():
         with pytest.raises(jsonschema.ValidationError) as want:
             jsonschema.validate(bad, runner.case_schema())
@@ -655,6 +660,7 @@ def test_aggregate_exit_codes():
 
 
 def test_case_schema_accepts_bundled_corpus():
+    import jsonschema
     schema = runner.case_schema()
     raw_docs = [json.loads(entry.read_text(encoding="utf-8"))
                 for entry in runner._corpus_dir().iterdir()
@@ -673,6 +679,7 @@ def test_run_case_with_custom_grid_is_faster_but_consistent():
 
 
 def test_bundled_schemas_pass_their_metaschema():
+    from jsonschema.validators import validator_for
     schema_dir = runner._PACKAGE_DIR / "schemas"
     names = sorted(e.name for e in schema_dir.iterdir() if e.name.endswith(".json"))
     assert names == ["case_schema.json", "report_schema.json"]
@@ -693,15 +700,21 @@ def test_run_case_turns_an_overflowing_rhs_into_input_error():
     result = run_case(load_case(square_case(**WIDE_LINE)), grid=SampleGrid(5, 5, 3, 20))
     assert result.verdict == "input_error"
     assert result.error == "OverflowError: rhs of CLASSICAL exceeds the float range"
-    # a labelled bound names its q: |f'(b)|^2 overflows at b, which is no sample
-    # point and, with eta(b, a) = (b - a) / 2, not on the path the lemma integrates
+
+
+def test_run_case_rescales_a_power_mean_whose_power_overflows():
+    # |f'(b)|^2 overflows at b, which is no sample point and, with
+    # eta(b, a) = (b - a) / 2, not on the path the lemma integrates; T3.4's rhs
+    # at q = 2 rescales its powers by max(|f'(a)|, |f'(b)|) and stays finite
     model = _model("x", "1", "(x^2)/2", K=(0.0, 1.0))
     model.__dict__["df_fn"] = lambda x: 1e200 if x == 0.9 else 1.0  # a cached property
     case = runner.CorpusCase("huge_df_at_b", model, EtaMap.from_expression("0.5*(v-u)"), 0.1,
                              0.9, (1.0, 2.0), ("T3.4",), runner.DEFAULT_TOLERANCES)
     result = run_case(case, grid=SampleGrid(5, 5, 3, 20))
-    assert (result.verdict, [bv.q for bv in result.bounds]) == ("input_error", [1.0])
-    assert result.error == "OverflowError: rhs of T3.4 at q=2.0 exceeds the float range"
+    assert (result.verdict, [bv.q for bv in result.bounds]) == ("pass", [1.0, 2.0])
+    # (w x1^2 + w' x2^2)^(1/2) = sqrt(w') 1e200 to within 1e-400 relative, x1 = 1
+    want = 0.4 * bounds._M1 ** 0.5 * 1e200 * (bounds._W_FAR ** 0.5 + bounds._W_END ** 0.5)
+    assert result.bounds[1].rhs == pytest.approx(want, rel=1e-15)
 
 
 def test_run_case_turns_sweep_overflow_into_input_error():
@@ -794,18 +807,22 @@ def test_run_case_turns_a_bad_hand_built_q_into_input_error(q):
 
 def test_scan_skips_exponents_whose_sweep_overflows():
     model = _model(STEEP["f"], STEEP["df"], STEEP["F"], K=(0.0, 2.0))
-    results = tightness_scan(model, EtaMap.difference(), Domain(0.0, 2.0),
-                             (0.0, 0.5), (1.5, 2.0), [149.9, 1.0], steps=3,
-                             theorems=("T3.2", "T3.4"))
-    t32, t34 = results
+    args = (model, EtaMap.difference(), Domain(0.0, 2.0), (0.0, 0.5), (1.5, 2.0))
+    t32, t34 = tightness_scan(*args, [149.9], steps=3, theorems=("T3.2", "T3.4"))
     assert (t32.status, t32.cells, t32.skipped) == ("all_skipped", 9, 9)
-    assert (t34.status, t34.at_q, t34.cells, t34.skipped) == ("ok", 1.0, 18, 9)
+    assert (t34.status, t34.cells, t34.skipped) == ("all_skipped", 9, 9)
+    # with q = 1 listed, q = 1's sweep implies q = 149.9's hypotheses, which is not
+    # swept: its cells rank on the rescaled rhs
+    t32, t34 = tightness_scan(*args, [149.9, 1.0], steps=3, theorems=("T3.2", "T3.4"))
+    assert (t32.status, t32.at_q, t32.cells, t32.skipped) == ("ok", 149.9, 9, 0)
+    assert (t34.status, t34.at_q, t34.cells, t34.skipped) == ("ok", 149.9, 18, 0)
 
 
 def test_scan_sweeps_an_overflowing_exponent_once(monkeypatch):
-    # every theorem at q = [149.9, 1.0]: six (theorem, q) pairs with a hypothesis
-    # take q = 149.9, whose sweep overflows; the scan remembers that and sweeps
-    # it once, as it sweeps q = 1 once
+    # every theorem at q = [149.9]: six (theorem, q) pairs with a hypothesis take
+    # q = 149.9, whose sweep overflows; the scan remembers that and sweeps it
+    # once, as it sweeps q = 1 (T3.1, C4.1 and C4.2) once.  The list holds no
+    # q = 1, so q = 1 implies nothing
     qs = []
     pair = runner.hypothesis_pair
 
@@ -816,7 +833,7 @@ def test_scan_sweeps_an_overflowing_exponent_once(monkeypatch):
     monkeypatch.setattr(runner, "hypothesis_pair", counting_pair)
     model = _model(STEEP["f"], STEEP["df"], STEEP["F"], K=(0.0, 2.0))
     results = tightness_scan(model, EtaMap.difference(), Domain(0.0, 2.0), (0.0, 0.5),
-                             (1.5, 2.0), [149.9, 1.0], steps=3)
+                             (1.5, 2.0), [149.9], steps=3)
     assert qs == [1.0, 149.9]
     assert [r.status for r in results if r.theorem in ("T3.2", "T3.3", "T4.2", "T4.3")] == [
         "all_skipped"] * 4
@@ -896,9 +913,10 @@ def _reference_scan(model, eta, K, a_range, b_range, q_list, steps, theorems,
                     tolerances=runner.DEFAULT_TOLERANCES, grid=runner.DEFAULT_GRID):
     """The theorem -> q -> a -> b scan that the cell-major scan replaced.
 
-    Three lines differ from it on purpose, marked below: a q whose sweep
-    overflows is skipped, an overflowing rhs is a skipped cell, and a NaN
-    ratio is a skipped cell.
+    Four lines differ from it on purpose, marked below: q = 1, when listed,
+    decides a q > 1 hypothesis where it can, a q whose sweep overflows is
+    skipped, an overflowing rhs is a skipped cell, and a NaN ratio is a
+    skipped cell.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -926,8 +944,14 @@ def _reference_scan(model, eta, K, a_range, b_range, q_list, steps, theorems,
         return defect_cache[key]
 
     def unmet(mode, q):
+        if invex_report.violated:
+            return True
+        if q > 1.0 and 1.0 in q_list:  # changed: by t -> t^q increasing and convex
+            pre, quasi = hypothesis("preinvex", 1.0), hypothesis("prequasiinvex", 1.0)
+            if quasi.violated or mode == "prequasiinvex" or not pre.violated:
+                return quasi.violated
         try:
-            return invex_report.violated or hypothesis(mode, q).violated
+            return hypothesis(mode, q).violated
         except OverflowError:  # changed: an overflowing sweep skips its q
             return True
 
@@ -1452,15 +1476,15 @@ def test_scan_rejects_a_range_whose_width_overflows(monkeypatch, a_range, b_rang
 
 def test_scan_skips_a_cell_whose_rhs_overflows():
     # T3.4 at q = 2 squares |f'(0.375)| = 1e200, an axis value and no sample point:
-    # the row a = 0.375 and the column b = 0.375 hold 3 usable cells, each skipped
-    # there, and 2 cells have no step; at q = 1 only those 2 are skipped
+    # the row a = 0.375 and the column b = 0.375 hold 3 usable cells, whose rhs
+    # rescales its powers and ranks; at each q the 2 cells with no step are skipped
     args = list(_scan_edge("f' raises at one axis value"))
     args[0] = _model("x^4", "4*x^3", K=(-1.0, 2.0))
     real = args[0].df_fn
     args[0].__dict__["df_fn"] = lambda x: 1e200 if x == 0.375 else real(x)
     args[7] = ("T3.4",)
     (t34,) = got = tightness_scan(*args)
-    assert (t34.status, t34.at_q, t34.cells, t34.skipped) == ("ok", 1.0, 18, 2 + 5)
+    assert (t34.status, t34.at_q, t34.cells, t34.skipped) == ("ok", 1.0, 18, 2 + 2)
     assert repr(got) == repr(_reference_scan(*args))
     # CLASSICAL's step^4 overflows for the steps 5e99 and 1e100, not for 1
     model = _model("x", "1", K=(0.0, 1e100), d4sup=1.0)

@@ -15,7 +15,7 @@ from simpvex.errors import QuadratureError
 
 nan, inf = math.nan, math.inf
 _STEPS = (0.5, 1.0, 2.0)
-# |f'| values: 0 gives a zero rhs, 1e200 overflows T3.2's cube, inf makes the
+# |f'| values: 0 gives a zero rhs, 1e200's cube makes T3.2 rescale, inf makes the
 # product rhs below NaN against a 0
 _MAGNITUDES = (0.0, 1.0, 2.0, 1e200, inf)
 _VALUES = (0.0, 0.5, 1.0, 2.0)  # sums, true means and f values, few so that ratios tie

@@ -38,11 +38,12 @@ them for the length of that run:
 * scan:    the whole ``tightness_scan``.
 
 and prints how many gap integrals it made, how many cells integrated on
-their own and how many times the theorems' rhs were called, counted in
-one more run with each ``THEOREMS`` row's ``rhs_for`` wrapped, which is
-left out of the timings.  The wrappers add a little time to each stage
-they time, most to ``gaps`` and ``own`` on the models where every cell
-integrates on its own.
+their own, how many times the theorems' rhs were called, counted in one
+more run with each ``THEOREMS`` row's ``rhs_for`` wrapped, which is left
+out of the timings, and how many hypothesis sweeps it made (one per q it
+sweeps; q = 1 implies the others where it can).  The wrappers add a
+little time to each stage they time, most to ``gaps`` and ``own`` on the
+models where every cell integrates on its own.
 
 Each stage of each case takes the least of ``--runs`` runs, so the
 figures leave out one-off costs such as compiling an expression; the
@@ -130,20 +131,19 @@ def stage_runs(case, grid=runner.DEFAULT_GRID):
 def scan_runs(case, config: dict, steps: int, counts: list):
     """Yield (stage, seconds) for one tightness_scan run of a scan-pool model, each
     stage timed inside that run, net of the stages timed within it; append the
-    counts of its gap integrals and of the cells it integrated on their own to
-    ``counts``."""
+    counts of its gap integrals, of the cells it integrated on their own and of
+    its hypothesis sweeps to ``counts``."""
     clock = time.perf_counter
     spent = dict.fromkeys(SCAN_STAGES[:-2], 0.0)
-    calls = dict.fromkeys(spent, 0)
     in_own = [False]
     inner = [0.0]  # the time of the timed calls within the running one
 
-    def timed(stage, fn):
+    def timed(stage, name, fn):
         def run(*args):
             if in_own[0]:  # an integral inside an own integral: timed as own
                 return fn(*args)
             in_own[0] = stage == "own"
-            calls[stage] += 1
+            calls[name] += 1
             outer, inner[0] = inner[0], 0.0
             start = clock()
             try:
@@ -159,11 +159,12 @@ def scan_runs(case, config: dict, steps: int, counts: list):
                (quadrature, "_integrate_unchecked", "gaps"), (bounds, "_mean", "own"),
                (scan, "cells", "build"), (scan, "enclose", "enclose"), (scan, "rank", "rank")]
     real = [getattr(module, name) for module, name, _ in wrapped]
+    calls = {name: 0 for _, name, _ in wrapped}
     a_range, b_range, q_list, _ = inputs.scan_args(config)
     invexity._plan.cache_clear()
     try:
         for (module, name, stage), fn in zip(wrapped, real):
-            setattr(module, name, timed(stage, fn))
+            setattr(module, name, timed(stage, name, fn))
         start = clock()
         runner.tightness_scan(case.model, case.eta, case.model.domain, a_range, b_range,
                               q_list, steps)
@@ -171,7 +172,7 @@ def scan_runs(case, config: dict, steps: int, counts: list):
     finally:
         for (module, name, _), fn in zip(wrapped, real):
             setattr(module, name, fn)
-    counts.append((calls["gaps"], calls["own"]))
+    counts.append((calls["_integrate_unchecked"], calls["_mean"], calls["hypothesis_pair"]))
     yield from spent.items()
     yield "rest", whole - sum(spent.values())
     yield "scan", whole
@@ -247,36 +248,36 @@ def totals(rows: list) -> dict:
 
 def scan_set(runs: int, steps: int) -> tuple:
     """Print one line per scan-pool model in milliseconds with its counts of gap
-    integrals, of cells integrated on their own and of rhs calls, and a total
-    line with each stage's spread over runs; return the total seconds per scan
-    stage and each model's three counts."""
+    integrals, of cells integrated on their own, of rhs calls and of sweeps, and
+    a total line with each stage's spread over runs; return the total seconds
+    per scan stage and each model's four counts."""
     print(f"{'scan (ms)':30} " + " ".join(f"{s:>8}" for s in SCAN_STAGES)
-          + "  gap integrals  own cells  rhs calls")
+          + "  gap integrals  own cells  rhs calls  sweeps")
     total = dict.fromkeys(SCAN_STAGES, 0.0)
     per_run = {stage: [0.0] * runs for stage in SCAN_STAGES}
-    gaps, owned, called = {}, {}, {}
+    gaps, owned, called, swept = {}, {}, {}, {}
     for config in inputs.scan_pool():
         name = config["name"]
         counts = []
         times = run_times(config, runs, lambda case: scan_runs(case, config, steps, counts))
         best = {stage: min(seconds) for stage, seconds in times.items()}
-        shown = "-", "-", "-"
+        shown = "-", "-", "-", "-"
         if len(times.get("scan", ())) == runs:  # every run reached the end
             for stage in SCAN_STAGES:
                 total[stage] += best[stage]
                 per_run[stage] = list(map(add, per_run[stage], times[stage]))
-            (shown,) = set(counts)  # the same in every run
-            shown += (rhs_calls(config, steps),)
-            gaps[name], owned[name], called[name] = shown
+            ((gap_count, own_count, sweeps),) = set(counts)  # the same in every run
+            shown = gap_count, own_count, rhs_calls(config, steps), sweeps
+            gaps[name], owned[name], called[name], swept[name] = shown
         print(f"{name:30} " + " ".join(
             f"{1e3 * best[s]:8.2f}" if s in best else f"{'-':>8}" for s in SCAN_STAGES)
-            + f"  {shown[0]:>13}  {shown[1]:>9}  {shown[2]:>9}")
+            + f"  {shown[0]:>13}  {shown[1]:>9}  {shown[2]:>9}  {shown[3]:>6}")
     print(f"scan total (ms, {steps}x{steps} cells, least and spread over {runs} runs): "
           + ", ".join(f"{stage} {1e3 * total[stage]:.1f} "
                       f"(spread {1e3 * (max(per_run[stage]) - min(per_run[stage])):.1f})"
                       for stage in SCAN_STAGES) + "\n")
     return ({stage: round(seconds, 6) for stage, seconds in total.items()}, gaps, owned,
-            called)
+            called, swept)
 
 
 def main(argv=None, scan_steps: int = inputs.SCAN_STEPS) -> int:
@@ -302,9 +303,10 @@ def main(argv=None, scan_steps: int = inputs.SCAN_STEPS) -> int:
         print(f"{label} total (ms): " + ", ".join(
             f"{k} {1e3 * v:.1f}" if isinstance(v, float) else f"{k} {v}"
             for k, v in summary[label].items()) + "\n")
-    summary["scan"], gaps, owned, called = scan_set(args.runs, scan_steps)
+    summary["scan"], gaps, owned, called, swept = scan_set(args.runs, scan_steps)
     print(json.dumps({"runs": args.runs, "seed": args.seed, "totals_s": summary,
-                      "gap_integrals": gaps, "own_cells": owned, "rhs_calls": called}))
+                      "gap_integrals": gaps, "own_cells": owned, "rhs_calls": called,
+                      "sweeps": swept}))
     return 0
 
 
