@@ -382,11 +382,10 @@ def _hypotheses(model, eta: EtaMap, K: Domain, grid: SampleGrid, tol: float,
     return lookup
 
 
-def _holds(hypothesis, mode: str, q: float, from_q1: bool) -> bool:
+def _holds(hypothesis, mode: str, q: float) -> bool:
     """Whether |f'|^q has ``mode`` on the samples, ``hypothesis`` being a
-    ``_hypotheses`` lookup.  At q > 1 with ``from_q1`` (the request lists
-    q = 1), the q = 1 reports of |f'| decide where they can, and q is swept
-    only where they leave it open.
+    ``_hypotheses`` lookup.  At q > 1 the q = 1 reports of |f'| decide where
+    they can, and q is swept only where they leave it open.
 
     t -> t^q is increasing on [0, inf), so |f'|^q is prequasiinvex exactly
     when |f'| is; it is also convex there, so a preinvex |f'| gives a
@@ -394,7 +393,7 @@ def _holds(hypothesis, mode: str, q: float, from_q1: bool) -> bool:
     that is not prequasiinvex is not preinvex either.  Open: preinvex at q
     where |f'| is prequasiinvex but not preinvex.
     """
-    if q > 1.0 and from_q1:
+    if q > 1.0:
         if hypothesis("prequasiinvex", 1.0).violated:
             return False
         if mode == "prequasiinvex" or not hypothesis("preinvex", 1.0).violated:
@@ -688,12 +687,12 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     reported with status "all_skipped".  Ties keep the first cell in
     (q, a, b) order, so results are deterministic.
 
-    Where ``q_list`` holds 1, the q = 1 sweep decides each q > 1 hypothesis
-    (``_holds``): a prequasiinvex pair holds at q when |f'| is
+    The q = 1 sweep decides each q > 1 hypothesis (``_holds``), whether or
+    not ``q_list`` holds 1: a prequasiinvex pair holds at q when |f'| is
     prequasiinvex at q = 1, a preinvex pair when |f'| is preinvex at q = 1,
     and neither when |f'| is not prequasiinvex at q = 1.  Only a preinvex
-    pair whose |f'| is prequasiinvex but not preinvex at q = 1 sweeps q;
-    without q = 1 in the list every q is swept.  An implied verdict carries
+    pair whose |f'| is prequasiinvex but not preinvex at q = 1 sweeps q, and
+    any q > 1 hypothesis sweeps q = 1 first.  An implied verdict carries
     q = 1's tolerance tol: on the same samples, an excess of at most tol for
     |f'| is one of at most q * (M + tol)^(q - 1) * tol for |f'|^q, M the
     largest sampled |f'|, so a sweep at q may flag, by no more than that
@@ -727,7 +726,6 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     except EvalDomainError:  # eta fails on the samples: K is not invex for it
         invex = False
     hypothesis = _hypotheses(model, eta, K, grid, tol.invexity, [])
-    from_q1 = 1.0 in q_list
     overflowed = set()  # the q whose sweep overflowed, swept once
     # (rhs, midpoint lhs, reads f') -> [best ratio, its (a, b) or None, ranked cells],
     # one per distinct rhs and lhs (T4.1 at every q and C4.1 share one)
@@ -739,7 +737,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         for q in row.exponents(q_list):
             try:
                 usable = (model.d4sup is not None if row.mode is None else invex and
-                          q not in overflowed and _holds(hypothesis, row.mode, q, from_q1))
+                          q not in overflowed and _holds(hypothesis, row.mode, q))
             except OverflowError:  # |f'|^q overflows on the samples
                 overflowed.add(q)
                 usable = False

@@ -49,19 +49,15 @@ def test_q1_decides_every_gate_but_preinvex_where_only_preinvex_fails(
                 swept.append((m, q))
                 return _report(m, swept_fails, q)
 
-            got = runner._holds(lookup, mode, 2.0, True)
+            got = runner._holds(lookup, mode, 2.0)
             want = implied[mode]
             assert got == (not swept_fails if want is None else want)
             assert swept == ([] if want is not None else [(mode, 2.0)])
-            # without q = 1 in the request, q's own sweep decides
-            swept.clear()
-            assert runner._holds(lookup, mode, 2.0, False) == (not swept_fails)
-            assert swept == [(mode, 2.0)]
         # q = 1 itself is always its own sweep
-        assert runner._holds(lambda m, q: at_q1[m], mode, 1.0, True) == (not at_q1[mode].violated)
+        assert runner._holds(lambda m, q: at_q1[m], mode, 1.0) == (not at_q1[mode].violated)
 
 
-def _swept_q(monkeypatch, cfg, q_list, steps=9):
+def _swept_q(monkeypatch, cfg, q_list, steps=9, theorems=runner.THEOREM_IDS):
     """The q of each ``hypothesis_pair`` call of the config's scan, and its
     outcome: the results, or the type of what it raised."""
     qs = []
@@ -76,7 +72,7 @@ def _swept_q(monkeypatch, cfg, q_list, steps=9):
     a_range, b_range, _, _ = inputs.scan_args(cfg)
     try:
         outcome = runner.tightness_scan(case.model, case.eta, case.model.domain, a_range,
-                                        b_range, q_list, steps)
+                                        b_range, q_list, steps, theorems)
     except Exception as exc:  # the raise is the outcome
         outcome = type(exc).__name__
     return qs, outcome
@@ -97,21 +93,24 @@ def test_pool_models_sweep_only_the_q_that_q1_leaves_open(monkeypatch, name, qs)
     assert (outcome == "EvalDomainError") == name.endswith("_power")
 
 
-def test_a_request_without_q1_sweeps_every_q_it_lists(monkeypatch):
-    # T3.1, C4.1 and C4.2 sweep q = 1 for their own gates, but q = 1 is not
-    # listed, so it implies nothing: each listed q is swept, in first-use order
+def test_a_request_without_q1_takes_its_gates_from_the_q1_sweep(monkeypatch):
+    # q = 1 is not listed, but every q > 1 gate sweeps it first, as T3.1, C4.1
+    # and C4.2 do for their own; the poly model's |f'| passes both modes there,
+    # so no listed q is swept
     (cfg,) = [cfg for cfg in inputs.scan_pool() if cfg["name"] == "scan_00000_poly"]
     qs, outcome = _swept_q(monkeypatch, cfg, [1.5, 2.0, 3.0])
-    assert qs == [1.0, 1.5, 2.0, 3.0] and not isinstance(outcome, str)
+    assert qs == [1.0] and not isinstance(outcome, str)
+    qs, outcome = _swept_q(monkeypatch, cfg, [1.5, 2.0, 3.0], theorems=("T3.2", "T4.2"))
+    assert qs == [1.0] and not isinstance(outcome, str)
 
 
 def test_an_implied_q_that_would_overflow_ranks_on_the_rescaled_rhs():
     # |f'|^2 = 1e400 leaves the float range, so a sweep at q = 2 overflows, and
-    # run_case, which sweeps every q, gives input_error; a scan without q = 1
-    # sweeps q = 2 and skips its 81 cells, and one with q = 1 takes q = 2 from
-    # it and ranks each cell on T3.2's and T3.3's rescaled rhs, skipping only
-    # the cells T3.1 and T3.4 skip at q = 1 (no step at a = b, or an own
-    # integral whose absolute tolerance these magnitudes cannot reach)
+    # run_case, which sweeps every q, gives input_error; a scan takes q = 2
+    # from the q = 1 sweep, q = 1 listed or not, and ranks each cell on T3.2's
+    # and T3.3's rescaled rhs, skipping only the cells T3.1 and T3.4 skip at
+    # q = 1 (no step at a = b, or an own integral whose absolute tolerance
+    # these magnitudes cannot reach)
     cfg = dict(name="huge_line", f="1e200*x", df="1e200", K=[0, 1], a=0, b=1,
                eta={"kind": "difference"}, q=[1, 2], theorems=["T3.2", "T3.3"])
     case = runner.load_case(cfg)
@@ -120,13 +119,12 @@ def test_an_implied_q_that_would_overflow_ranks_on_the_rescaled_rhs():
         "input_error", "OverflowError: hypothesis sweep of |f'|^q at q=2.0: "
                        "|f'|^q exceeds the float range")
     args = (case.model, case.eta, case.model.domain, (0.0, 0.5), (0.5, 1.0))
-    for result in runner.tightness_scan(*args, [2.0], 9, ("T3.2", "T3.3")):
-        assert (result.status, result.cells, result.skipped) == ("all_skipped", 81, 81)
     at_q1 = runner.tightness_scan(*args, [1.0], 9, ("T3.1", "T3.4"))
-    implied = runner.tightness_scan(*args, [1.0, 2.0], 9, ("T3.2", "T3.3"))
-    assert [(r.status, r.at_q, r.cells) for r in implied] == [("ok", 2.0, 81)] * 2
-    assert [r.skipped for r in implied] == [r.skipped for r in at_q1] == [20, 20]
-    assert all(0.0 < r.ratio < 1.0 for r in implied)
+    for q_list in ([2.0], [1.0, 2.0]):
+        implied = runner.tightness_scan(*args, q_list, 9, ("T3.2", "T3.3"))
+        assert [(r.status, r.at_q, r.cells) for r in implied] == [("ok", 2.0, 81)] * 2
+        assert [r.skipped for r in implied] == [r.skipped for r in at_q1] == [20, 20]
+        assert all(0.0 < r.ratio < 1.0 for r in implied)
 
 
 def _carried_band(q, M, tol):
@@ -151,8 +149,7 @@ def _differing_modes(cfg, q):
     sampled = dict(zip(_MODES, invexity.hypothesis_pair(model, eta, K, q)))
     differing = []
     for mode in _MODES:
-        implied = runner._holds(lambda m, p: at_q1[m] if p == 1.0 else sampled[m],
-                                mode, q, True)
+        implied = runner._holds(lambda m, p: at_q1[m] if p == 1.0 else sampled[m], mode, q)
         holds = not sampled[mode].violated
         if implied and not holds:
             # q = 1 passes within tol: the sweep at q flags no more than the carry

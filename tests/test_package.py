@@ -49,7 +49,8 @@ def _unused_imports(path):
 
 def test_no_module_keeps_an_unused_import():
     package = Path(simpvex.__file__).parent
-    assert [found for path in sorted(package.rglob("*.py")) if path.name != "__init__.py"
+    paths = [path for path in sorted(package.rglob("*.py")) if path.name != "__init__.py"]
+    assert [found for path in paths + sorted((ROOT / "tools").glob("*.py"))
             for found in _unused_imports(path)] == []
 
 
@@ -110,12 +111,27 @@ def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     summary = json.loads(lines[-1])
     assert (summary["runs"], list(summary["totals_s"])) == (1, ["corpus", "fresh_cases", "scan"])
-    stages = ["plan", "invex", "df", "defect", "bounds", "to_json", "sweeps_q1",
-              "sweeps_q_gt_1", "sweep_pairs_q_gt_1"]
+    stages = ["plan", "invex", "df", "defect", "bounds", "rest", "run_case", "to_json",
+              "sweeps_q1", "sweeps_q_gt_1", "sweep_pairs_q_gt_1"]
     for label in ("corpus", "fresh_cases"):
         totals = summary["totals_s"][label]
         assert list(totals) == stages
         assert all(totals[stage] > 0 for stage in stages)
+        # each case's stages are timed inside its run_case, each net of those
+        # within it, and add up, with the rest, to it
+        for name, case in summary["cases_s"][label].items():
+            parts = [s for s in case if s not in ("run_case", "to_json")]
+            assert case["run_case"] == pytest.approx(sum(case[s] for s in parts), abs=1e-5)
+            assert case["to_json"] > 0
+    # the fresh power draw's f' fails at 0 in its run: it shows no stage
+    assert "fresh_1_00003_power" not in summary["cases_s"]["fresh_cases"]
+    assert len(summary["cases_s"]["corpus"]) == 15
+    assert re.fullmatch(r"fresh_1_00003_power( +-){9}", next(
+        line for line in lines if line.startswith("fresh_1_00003_power ")))
+    # consecutive corpus cases on one K and eta share a plan, as in simpvex
+    # corpus: 8 plans a run, not 15; every fresh case is on its own K
+    assert summary["plans"]["corpus"] == {"built": 8, "lookups": 72}
+    assert summary["plans"]["fresh_cases"]["built"] == 28
     scan = summary["totals_s"]["scan"]
     assert list(scan) == ["sweeps", "gaps", "own", "build", "enclose", "rank", "rest", "scan"]
     assert all(scan[stage] > 0 for stage in scan)
@@ -152,8 +168,8 @@ def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
                                  for name in owned}
     assert all(0 < owned[name] < 80 for name in ("scan_00001_exp", "scan_00002_log",
                                                  "scan_00004_sin"))
-    # 14 of the 15 corpus cases sweep q = 1.5, 2 and 3 besides q = 1
+    # run_case sweeps q = 1.5, 2 and 3 besides q = 1 on 14 of the 15 corpus cases
     assert summary["totals_s"]["corpus"]["sweep_pairs_q_gt_1"] == 42
     corpus = next(line for line in lines if line.startswith("poly_x2 "))
     assert re.fullmatch(r"poly_x2 +(\d+\.\d\d +){3}q=1:[\d.]+ q=1\.5:[\d.]+ q=2:[\d.]+ "
-                        r"q=3:[\d.]+ +(\d+\.\d\d +){2}\d+\.\d\d", corpus)
+                        r"q=3:[\d.]+ +(\d+\.\d\d +){4}\d+\.\d\d", corpus)

@@ -72,7 +72,8 @@ def test_a_flipped_verdict_is_class_one(report_diff, corpus_doc, tmp_path, capsy
 @pytest.mark.parametrize("move, cls, code", [
     (lambda rhs: math.nextafter(math.nextafter(rhs, math.inf), math.inf), 2, 0),
     (lambda rhs: rhs * (1.0 + 1e-9), 3, 1),
-], ids=["two_ulps", "relative_1e-9"])
+    (lambda rhs: math.inf, 3, 1),
+], ids=["two_ulps", "relative_1e-9", "to_inf"])
 def test_a_moved_bound_rhs_is_weighed_in_ulps(report_diff, corpus_doc, tmp_path, capsys,
                                               move, cls, code):
     new = copy.deepcopy(corpus_doc)
@@ -104,6 +105,15 @@ def _one_case(defect):
 
 def test_nan_on_both_sides_is_no_difference(report_diff):
     assert report_diff.differences(_one_case(math.nan), _one_case(math.nan)) == []
+
+
+@pytest.mark.parametrize("old, new", [(-math.inf, 0.5), (math.inf, 2.0), (0.5, -math.inf),
+                                      (math.inf, -math.inf), (math.nan, math.inf)])
+def test_a_move_to_or_from_an_infinity_is_class_three(report_diff, old, new):
+    # ulp(inf) is inf, so no err bounds such a move; a report holds Infinity
+    # where, say, an expression eta's step overflows
+    assert report_diff.differences(_one_case(old), _one_case(new)) == [
+        (3, "a", "defect", old, new)]
 
 
 def test_a_zero_that_changes_sign_is_class_two(report_diff, tmp_path, capsys):

@@ -689,6 +689,9 @@ def test_bundled_schemas_pass_their_metaschema():
 
 
 STEEP = dict(f="100*x^3", df="300*x^2", F="25*x^4", K=[0, 2], a=0, b=2)
+# on K = [0, 1], |f'| = 10 sqrt(x) is prequasiinvex (increasing) but not preinvex
+# (concave), so a scan sweeps each q > 1 of its preinvex pairs
+ROOT_LAW = dict(f="20/3*x^1.5", df="10*sqrt(x)", F="8/3*x^2.5")
 
 
 # f = x on K = [0, 1e100]: CLASSICAL's step^4 overflows for the step 1e100
@@ -806,23 +809,30 @@ def test_run_case_turns_a_bad_hand_built_q_into_input_error(q):
 
 
 def test_scan_skips_exponents_whose_sweep_overflows():
+    # the root law's preinvex pairs sweep q = 400, where |f'|^q = 1e400 x^200
+    # overflows
+    model = _model(ROOT_LAW["f"], ROOT_LAW["df"], ROOT_LAW["F"], K=(0.0, 1.0))
+    args = (model, EtaMap.difference(), Domain(0.0, 1.0), (0.0, 0.25), (0.75, 1.0))
+    t32, t34 = tightness_scan(*args, [400.0], steps=3, theorems=("T3.2", "T3.4"))
+    assert (t32.status, t32.cells, t32.skipped) == ("all_skipped", 9, 9)
+    assert (t34.status, t34.cells, t34.skipped) == ("all_skipped", 9, 9)
+    # STEEP's |f'| = 300 x^2 is preinvex at q = 1, which implies q = 149.9's
+    # hypotheses, q = 1 listed or not: q = 149.9 is not swept, and its cells
+    # rank on the rescaled rhs
     model = _model(STEEP["f"], STEEP["df"], STEEP["F"], K=(0.0, 2.0))
     args = (model, EtaMap.difference(), Domain(0.0, 2.0), (0.0, 0.5), (1.5, 2.0))
     t32, t34 = tightness_scan(*args, [149.9], steps=3, theorems=("T3.2", "T3.4"))
-    assert (t32.status, t32.cells, t32.skipped) == ("all_skipped", 9, 9)
-    assert (t34.status, t34.cells, t34.skipped) == ("all_skipped", 9, 9)
-    # with q = 1 listed, q = 1's sweep implies q = 149.9's hypotheses, which is not
-    # swept: its cells rank on the rescaled rhs
+    assert (t32.status, t32.at_q, t32.cells, t32.skipped) == ("ok", 149.9, 9, 0)
+    assert (t34.status, t34.at_q, t34.cells, t34.skipped) == ("ok", 149.9, 9, 0)
     t32, t34 = tightness_scan(*args, [149.9, 1.0], steps=3, theorems=("T3.2", "T3.4"))
     assert (t32.status, t32.at_q, t32.cells, t32.skipped) == ("ok", 149.9, 9, 0)
     assert (t34.status, t34.at_q, t34.cells, t34.skipped) == ("ok", 149.9, 18, 0)
 
 
 def test_scan_sweeps_an_overflowing_exponent_once(monkeypatch):
-    # every theorem at q = [149.9]: six (theorem, q) pairs with a hypothesis take
-    # q = 149.9, whose sweep overflows; the scan remembers that and sweeps it
-    # once, as it sweeps q = 1 (T3.1, C4.1 and C4.2) once.  The list holds no
-    # q = 1, so q = 1 implies nothing
+    # every theorem at q = [400]: the root law's three preinvex pairs at
+    # q = 400 are swept there, and the sweep overflows; the scan remembers that
+    # and sweeps it once, as it sweeps q = 1 once
     qs = []
     pair = runner.hypothesis_pair
 
@@ -831,12 +841,12 @@ def test_scan_sweeps_an_overflowing_exponent_once(monkeypatch):
         return pair(model, eta, K, q, *args)
 
     monkeypatch.setattr(runner, "hypothesis_pair", counting_pair)
-    model = _model(STEEP["f"], STEEP["df"], STEEP["F"], K=(0.0, 2.0))
-    results = tightness_scan(model, EtaMap.difference(), Domain(0.0, 2.0), (0.0, 0.5),
-                             (1.5, 2.0), [149.9], steps=3)
-    assert qs == [1.0, 149.9]
-    assert [r.status for r in results if r.theorem in ("T3.2", "T3.3", "T4.2", "T4.3")] == [
-        "all_skipped"] * 4
+    model = _model(ROOT_LAW["f"], ROOT_LAW["df"], ROOT_LAW["F"], K=(0.0, 1.0))
+    results = tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.0), (0.0, 0.25),
+                             (0.75, 1.0), [400.0], steps=3)
+    assert qs == [1.0, 400.0]
+    assert [r.status for r in results if r.theorem in ("T3.2", "T3.3", "T3.4")] == [
+        "all_skipped"] * 3
 
 
 def test_an_overflowing_exponent_keeps_no_report(monkeypatch):
@@ -913,8 +923,8 @@ def _reference_scan(model, eta, K, a_range, b_range, q_list, steps, theorems,
                     tolerances=runner.DEFAULT_TOLERANCES, grid=runner.DEFAULT_GRID):
     """The theorem -> q -> a -> b scan that the cell-major scan replaced.
 
-    Four lines differ from it on purpose, marked below: q = 1, when listed,
-    decides a q > 1 hypothesis where it can, a q whose sweep overflows is
+    Four lines differ from it on purpose, marked below: q = 1 decides a
+    q > 1 hypothesis where it can, listed or not, a q whose sweep overflows is
     skipped, an overflowing rhs is a skipped cell, and a NaN ratio is a
     skipped cell.
     """
@@ -946,7 +956,7 @@ def _reference_scan(model, eta, K, a_range, b_range, q_list, steps, theorems,
     def unmet(mode, q):
         if invex_report.violated:
             return True
-        if q > 1.0 and 1.0 in q_list:  # changed: by t -> t^q increasing and convex
+        if q > 1.0:  # changed: by t -> t^q increasing and convex
             pre, quasi = hypothesis("preinvex", 1.0), hypothesis("prequasiinvex", 1.0)
             if quasi.violated or mode == "prequasiinvex" or not pre.violated:
                 return quasi.violated

@@ -6,9 +6,10 @@ Cases are matched by their ``case`` name.  Each difference is one line,
 in one of three classes:
 
   1  a verdict moved (a case's, or a hypothesis report's);
-  2  a number moved by at most old err + new err;
-  3  a number moved by more than that, any other value moved (text, null,
-     a list's length), or a case is in one report only.
+  2  a finite number moved by at most old err + new err to another;
+  3  a number moved by more than that, or to or from an infinity or NaN,
+     any other value moved (text, null, a list's length), or a case is in
+     one report only.
 
 Numbers compare by their ``repr``, as the report bytes hold them: NaN
 equals NaN, and a zero that changes sign moves (class 2).
@@ -52,7 +53,8 @@ def _diff(old, new, path: str, key: str, cases, out: list) -> None:
     """Append (class, path, old, new) for each difference of old and new under ``path``."""
     if _number(old) and _number(new):
         if repr(old) != repr(new):
-            within = abs(new - old) <= _err(old, key, cases[0]) + _err(new, key, cases[1])
+            within = (math.isfinite(old) and math.isfinite(new) and
+                      abs(new - old) <= _err(old, key, cases[0]) + _err(new, key, cases[1]))
             out.append((WITHIN if within else BEYOND, path, old, new))
     elif isinstance(old, dict) and isinstance(new, dict):
         for k in sorted(set(old) | set(new)):

@@ -1,23 +1,29 @@
-"""Time each stage of ``run_case`` per case, in process, best of N runs.
+"""Time the stages of real run_case and tightness_scan calls, in process, best of N runs.
 
-For every bundled corpus case and one batch of generated cases (the
-``fresh_cases`` generator of ``perfbench/inputs.py``, 28 cases), it
-times the stages ``run_case`` goes through, each on its own:
+One function, ``timed_run``, times every set: it wraps a table's functions
+for the length of one real call, each stage net of those within it.
 
-* plan:    the sample plan of (K, eta, grid), built from scratch;
-* invex:   the invex-set check on that plan;
-* df:      the |f'| pass over the plan's points, the values each
-           hypothesis sweep of the case reads;
+The bundled corpus and one batch of generated cases (the ``fresh_cases``
+generator of ``perfbench/inputs.py``, 28 cases) each run their cases in
+order, after one ``_plan.cache_clear()`` per run, so consecutive cases on
+one K and eta share a sample plan as in ``simpvex corpus``.  The stages
+of each ``run_case``:
+
+* plan:    the sample plan lookups of (K, eta, grid), builds included
+           (``invexity._plan``);
+* invex:   the invex-set check on that plan (``check_invex_set``);
+* df:      the |f'| passes over a plan's points (``SamplePlan.values``),
+           the values each hypothesis sweep of the case reads;
 * q=...:   each exponent's hypothesis sweep pair (preinvex and
-           prequasiinvex of |f'|^q), on the values the df pass left;
+           prequasiinvex of |f'|^q) that ``run_case`` makes;
 * defect:  the Simpson defect and the kernel-identity (lemma) integral;
-* bounds:  every bound the case lists, at each of its exponents;
-* to_json: the case's one-case report, serialised.
+* bounds:  each bound ``run_case`` evaluates (``bounds._bound``);
+* rest, run_case: the rest of ``run_case`` (checks, notes, the verdict), the whole;
+* to_json: the case's one-case report, serialised, timed on its own.
 
-For each scan-pool model of ``perfbench/inputs.py`` (the ``scan``
-workload's ``tightness_scan`` over ``scan_args``), it times these stages
-inside one ``tightness_scan`` run, by wrapping the functions that do
-them for the length of that run:
+and how many plans a run built in how many lookups.  For each scan-pool
+model of ``perfbench/inputs.py`` (the ``scan`` workload's
+``tightness_scan`` over ``scan_args``), the stages of one scan:
 
 * sweeps:  the invex-set check and the hypothesis sweeps, sample plan
            included (``check_invex_set`` and ``hypothesis_pair``);
@@ -33,28 +39,25 @@ them for the length of that run:
            of its gap integrals (``scan.enclose``);
 * rank:    the rankings, block bounds included, net of the own
            integrals (``scan.rank``);
-* rest:    the rest of the scan: the request checks, the rankings'
-           set-up and the results;
-* scan:    the whole ``tightness_scan``.
+* rest, scan: the rest of the scan (the request checks, the rankings'
+           set-up and the results), the whole ``tightness_scan``.
 
 and prints how many gap integrals it made, how many cells integrated on
 their own, how many times the theorems' rhs were called, counted in one
 more run with each ``THEOREMS`` row's ``rhs_for`` wrapped, which is left
 out of the timings, and how many hypothesis sweeps it made (one per q it
 sweeps; q = 1 implies the others where it can).  The wrappers add a
-little time to each stage they time, most to ``gaps`` and ``own`` on the
-models where every cell integrates on its own.
+little time to each stage they time, most to ``plan`` and ``df`` (mostly
+lookups and memo hits) and to ``gaps`` and ``own`` on the models where
+every cell integrates on its own.
 
 Each stage of each case takes the least of ``--runs`` runs, so the
 figures leave out one-off costs such as compiling an expression; the
 scan total line gives each stage's spread too, the largest less the
-least of its per-run totals.  Every case pays for its own plan here,
-where a corpus run shares one between consecutive cases on the same K
-and eta; every exponent and bound is timed, where ``run_case`` skips
-those after a failed hypothesis.  A case
-that fails at load, or a stage that raises, shows ``-`` for what is
-left of that case.  Prints one line per case in milliseconds, a total
-line per set, and last one JSON object of the totals:
+least of its per-run totals.  A case that fails at load, or whose run
+raises, shows ``-``.  Prints one line per case in milliseconds, a total
+line per set, and last one JSON object of the totals and of each corpus
+and fresh case's seconds per stage:
 
     python3 tools/stage_time.py [--runs 5] [--seed 1]
 
@@ -66,6 +69,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from operator import add
 from pathlib import Path
 
@@ -77,146 +81,99 @@ from simpvex import bounds, invexity, quadrature, runner, scan  # noqa: E402
 from simpvex.errors import SimpvexError  # noqa: E402
 
 FRESH_BATCH = 28  # as one fresh_cases pass of perfbench/run.py
-STAGES = ("plan", "invex", "df", "sweeps", "defect", "bounds", "to_json")
+FAILURES = (SimpvexError, ArithmeticError, ValueError)
+# (owner, attribute, stage): a stage is a name, or a function of the call's arguments
+CASE_TABLE = [(invexity, "_plan", "plan"), (invexity.SamplePlan, "values", "df"),
+              (runner, "check_invex_set", "invex"),
+              (runner, "hypothesis_pair", lambda model, eta, K, q, *rest: f"q={q:g}"),
+              (bounds, "simpson_defect", "defect"), (bounds, "lemma_rhs", "defect"),
+              (bounds, "_bound", "bounds")]
+SCAN_TABLE = [(runner, "check_invex_set", "sweeps"), (runner, "hypothesis_pair", "sweeps"),
+              (quadrature, "_integrate_unchecked", "gaps"), (bounds, "_mean", "own"),
+              (scan, "cells", "build"), (scan, "enclose", "enclose"), (scan, "rank", "rank")]
+STAGES = ("plan", "invex", "df", "sweeps", "defect", "bounds", "rest", "run_case", "to_json")
 SCAN_STAGES = ("sweeps", "gaps", "own", "build", "enclose", "rank", "rest", "scan")
 
 
-def exponents(case) -> list:
-    """The exponents the case's hypothesis sweeps run at, in first-use order."""
-    qs = []
-    for theorem in case.theorems:
-        row = bounds.THEOREMS[theorem]
-        if row.mode is not None:
-            qs += [q for q in row.exponents(case.q_list) if q not in qs]
-    return qs
-
-
-def stage_runs(case, grid=runner.DEFAULT_GRID):
-    """Yield (stage, seconds) for one run of the case's stages, in order."""
+def timed_run(table, call, whole: str, opaque=()):
+    """Call ``call()`` once with each (owner, attribute, stage) of ``table``
+    wrapped for the length of the call.  Return its result, the seconds per
+    stage, each net of the wrapped calls within it, with ``rest`` (the call's
+    time outside every stage) and ``whole`` (the call's time), and the calls
+    per attribute.  A wrapped call made within one whose stage is in
+    ``opaque`` is that stage's, neither timed nor counted apart."""
     clock = time.perf_counter
-    model, eta, K, tol = case.model, case.eta, case.model.domain, case.tolerances
-    invexity._plan.cache_clear()
-    start = clock()
-    plan = invexity._plan(K, eta, grid)
-    yield "plan", clock() - start
-    start = clock()
-    invexity.check_invex_set(K, eta, grid, tol.invexity)
-    yield "invex", clock() - start
-    start = clock()
-    plan.values(model.df_fn)
-    yield "df", clock() - start
-    for q in exponents(case):
-        start = clock()
-        invexity.hypothesis_pair(model, eta, K, q, grid, tol.invexity)
-        yield f"q={q:g}", clock() - start
-    step = eta(case.b, case.a)
-    start = clock()
-    defect = bounds.simpson_defect(model, case.a, step, tol.oracle)
-    bounds.lemma_rhs(model, case.a, step, tol.oracle)
-    yield "defect", clock() - start
-    start = clock()
-    for theorem in case.theorems:
-        for q in bounds.THEOREMS[theorem].exponents(case.q_list):
-            try:
-                bounds._bound(theorem, model, case.a, case.b, step, q, defect)
-            except SimpvexError:  # a precondition unmet, or f' failing at a or b
-                pass
-    yield "bounds", clock() - start
-    report = runner.RunReport([runner.run_case(case)], 0.0)
-    start = clock()
-    report.to_json()
-    yield "to_json", clock() - start
-
-
-def scan_runs(case, config: dict, steps: int, counts: list):
-    """Yield (stage, seconds) for one tightness_scan run of a scan-pool model, each
-    stage timed inside that run, net of the stages timed within it; append the
-    counts of its gap integrals, of the cells it integrated on their own and of
-    its hypothesis sweeps to ``counts``."""
-    clock = time.perf_counter
-    spent = dict.fromkeys(SCAN_STAGES[:-2], 0.0)
-    in_own = [False]
+    spent = {stage: 0.0 for _, _, stage in table if isinstance(stage, str)}
+    calls = {name: 0 for _, name, _ in table}
     inner = [0.0]  # the time of the timed calls within the running one
+    held = [False]  # within an opaque stage's call
 
-    def timed(stage, name, fn):
-        def run(*args):
-            if in_own[0]:  # an integral inside an own integral: timed as own
-                return fn(*args)
-            in_own[0] = stage == "own"
+    def wrap(stage, name, fn):
+        def run(*args, **kwargs):
+            if held[0]:
+                return fn(*args, **kwargs)
+            label = stage if isinstance(stage, str) else stage(*args)
+            held[0] = label in opaque
             calls[name] += 1
             outer, inner[0] = inner[0], 0.0
             start = clock()
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
                 elapsed = clock() - start
-                spent[stage] += elapsed - inner[0]
+                spent[label] = spent.get(label, 0.0) + elapsed - inner[0]
                 inner[0] = outer + elapsed
-                in_own[0] = False
+                held[0] = False
         return run
 
-    wrapped = [(runner, "check_invex_set", "sweeps"), (runner, "hypothesis_pair", "sweeps"),
-               (quadrature, "_integrate_unchecked", "gaps"), (bounds, "_mean", "own"),
-               (scan, "cells", "build"), (scan, "enclose", "enclose"), (scan, "rank", "rank")]
-    real = [getattr(module, name) for module, name, _ in wrapped]
-    calls = {name: 0 for _, name, _ in wrapped}
-    a_range, b_range, q_list, _ = inputs.scan_args(config)
-    invexity._plan.cache_clear()
+    real = [getattr(owner, name) for owner, name, _ in table]
     try:
-        for (module, name, stage), fn in zip(wrapped, real):
-            setattr(module, name, timed(stage, name, fn))
+        for (owner, name, stage), fn in zip(table, real):
+            setattr(owner, name, wrap(stage, name, fn))
         start = clock()
-        runner.tightness_scan(case.model, case.eta, case.model.domain, a_range, b_range,
-                              q_list, steps)
-        whole = clock() - start
+        out = call()
+        elapsed = clock() - start
     finally:
-        for (module, name, _), fn in zip(wrapped, real):
-            setattr(module, name, fn)
-    counts.append((calls["_integrate_unchecked"], calls["_mean"], calls["hypothesis_pair"]))
-    yield from spent.items()
-    yield "rest", whole - sum(spent.values())
-    yield "scan", whole
+        for (owner, name, _), fn in zip(table, real):
+            setattr(owner, name, fn)
+    spent.update(rest=elapsed - sum(spent.values()), **{whole: elapsed})
+    return out, spent, calls
 
 
-def rhs_calls(config: dict, steps: int) -> int:
-    """The rhs calls of one tightness_scan run of a scan-pool model: one counting
-    rhs per rhs, so the pairs that share one (T4.1 at every q and C4.1) still
-    share a ranking."""
-    case = runner.load_case(config)
-    calls = [0]
-    counting = {}
+def case_set(configs: list, runs: int) -> tuple:
+    """Run the loaded configs' cases in order ``runs`` times, each run after one
+    ``_plan.cache_clear()``; return each case's least seconds per stage over
+    the runs (None for a case that fails at load or whose run raises) and the
+    plans one run built and the plan lookups it made."""
+    loaded, measured = {}, {}
+    for config in configs:
+        try:
+            loaded[config["name"]] = runner.load_case(config)
+            measured[config["name"]] = []
+        except FAILURES:
+            measured[config["name"]] = None
+    for _ in range(runs):
+        invexity._plan.cache_clear()
+        lookups = 0
+        for name, case in loaded.items():
+            try:
+                result, spent, calls = timed_run(CASE_TABLE, partial(runner.run_case, case),
+                                                 "run_case")
+            except FAILURES:  # as in every run
+                measured[name] = None
+                continue
+            lookups += calls["_plan"]
+            start = time.perf_counter()
+            runner.RunReport([result], 0.0).to_json()
+            spent["to_json"] = time.perf_counter() - start
+            measured[name].append(spent)
+        plans = invexity._plan.cache_info().misses
+    return {name: spents and least(spents) for name, spents in measured.items()}, plans, lookups
 
-    def counted(rhs):
-        def count(*cell):
-            calls[0] += 1
-            return rhs(*cell)
-        return counting.setdefault(rhs, count)
 
-    rows = dict(bounds.THEOREMS)
-    a_range, b_range, q_list, _ = inputs.scan_args(config)
-    try:
-        for theorem, row in rows.items():
-            bounds.THEOREMS[theorem] = row._replace(
-                rhs_for=lambda q, rhs_for=row.rhs_for: counted(rhs_for(q)))
-        runner.tightness_scan(case.model, case.eta, case.model.domain, a_range, b_range,
-                              q_list, steps)
-    finally:
-        bounds.THEOREMS.update(rows)
-    return calls[0]
-
-
-def run_times(config: dict, runs: int, stages=stage_runs) -> dict:
-    """Seconds per stage in each of ``runs`` runs of ``stages(case)``; the stages
-    reached before a failure."""
-    times = {}
-    try:
-        case = runner.load_case(config)
-        for _ in range(runs):
-            for stage, seconds in stages(case):
-                times.setdefault(stage, []).append(seconds)
-    except (SimpvexError, ArithmeticError, ValueError):
-        pass
-    return times
+def least(spents: list) -> dict:
+    """Each stage's least seconds over runs."""
+    return {stage: min(spent[stage] for spent in spents) for stage in spents[0]}
 
 
 def line(name: str, best: dict) -> str:
@@ -246,6 +203,33 @@ def totals(rows: list) -> dict:
     return {k: round(v, 6) if isinstance(v, float) else v for k, v in out.items()}
 
 
+def rhs_calls(config: dict, steps: int) -> int:
+    """The rhs calls of one tightness_scan run of a scan-pool model: one counting
+    rhs per rhs, so the pairs that share one (T4.1 at every q and C4.1) still
+    share a ranking."""
+    case = runner.load_case(config)
+    calls = [0]
+    counting = {}
+
+    def counted(rhs):
+        def count(*cell):
+            calls[0] += 1
+            return rhs(*cell)
+        return counting.setdefault(rhs, count)
+
+    rows = dict(bounds.THEOREMS)
+    a_range, b_range, q_list, _ = inputs.scan_args(config)
+    try:
+        for theorem, row in rows.items():
+            bounds.THEOREMS[theorem] = row._replace(
+                rhs_for=lambda q, rhs_for=row.rhs_for: counted(rhs_for(q)))
+        runner.tightness_scan(case.model, case.eta, case.model.domain, a_range, b_range,
+                              q_list, steps)
+    finally:
+        bounds.THEOREMS.update(rows)
+    return calls[0]
+
+
 def scan_set(runs: int, steps: int) -> tuple:
     """Print one line per scan-pool model in milliseconds with its counts of gap
     integrals, of cells integrated on their own, of rhs calls and of sweeps, and
@@ -258,15 +242,27 @@ def scan_set(runs: int, steps: int) -> tuple:
     gaps, owned, called, swept = {}, {}, {}, {}
     for config in inputs.scan_pool():
         name = config["name"]
-        counts = []
-        times = run_times(config, runs, lambda case: scan_runs(case, config, steps, counts))
-        best = {stage: min(seconds) for stage, seconds in times.items()}
-        shown = "-", "-", "-", "-"
-        if len(times.get("scan", ())) == runs:  # every run reached the end
+        a_range, b_range, q_list, _ = inputs.scan_args(config)
+        measured = []
+        try:
+            case = runner.load_case(config)
+            for _ in range(runs):
+                invexity._plan.cache_clear()
+                measured.append(timed_run(SCAN_TABLE, partial(
+                    runner.tightness_scan, case.model, case.eta, case.model.domain, a_range,
+                    b_range, q_list, steps), "scan", opaque=("own",)))
+        except FAILURES:
+            measured = []
+        best, shown = {}, ("-",) * 4
+        if measured:
+            best = least([spent for _, spent, _ in measured])
             for stage in SCAN_STAGES:
                 total[stage] += best[stage]
-                per_run[stage] = list(map(add, per_run[stage], times[stage]))
-            ((gap_count, own_count, sweeps),) = set(counts)  # the same in every run
+                per_run[stage] = list(map(add, per_run[stage],
+                                          [spent[stage] for _, spent, _ in measured]))
+            ((gap_count, own_count, sweeps),) = {  # the same in every run
+                (calls["_integrate_unchecked"], calls["_mean"], calls["hypothesis_pair"])
+                for _, _, calls in measured}
             shown = gap_count, own_count, rhs_calls(config, steps), sweeps
             gaps[name], owned[name], called[name], swept[name] = shown
         print(f"{name:30} " + " ".join(
@@ -291,22 +287,24 @@ def main(argv=None, scan_steps: int = inputs.SCAN_STEPS) -> int:
             "fresh_cases": inputs.fresh_cases(args.seed, 0, FRESH_BATCH)[0]}
     header = " ".join([f"{'case (ms)':30}"] + [f"{s:36}" if s == "sweeps" else f"{s:>8}"
                                                 for s in STAGES])
-    summary = {}
+    summary, per_case, plans = {}, {}, {}
     for label, configs in sets.items():
         print(header)
-        rows = []
-        for config in configs:
-            rows.append({stage: min(seconds)
-                         for stage, seconds in run_times(config, args.runs).items()})
-            print(line(config["name"], rows[-1]))
-        summary[label] = totals(rows)
+        best, built, lookups = case_set(configs, args.runs)
+        for name, stages in best.items():
+            print(line(name, stages or {}))
+        summary[label] = totals([stages for stages in best.values() if stages])
+        per_case[label] = {name: {stage: round(s, 6) for stage, s in stages.items()}
+                           for name, stages in best.items() if stages}
+        plans[label] = {"built": built, "lookups": lookups}
         print(f"{label} total (ms): " + ", ".join(
             f"{k} {1e3 * v:.1f}" if isinstance(v, float) else f"{k} {v}"
-            for k, v in summary[label].items()) + "\n")
+            for k, v in summary[label].items())
+            + f"; {built} plans built in {lookups} plan lookups a run\n")
     summary["scan"], gaps, owned, called, swept = scan_set(args.runs, scan_steps)
     print(json.dumps({"runs": args.runs, "seed": args.seed, "totals_s": summary,
-                      "gap_integrals": gaps, "own_cells": owned, "rhs_calls": called,
-                      "sweeps": swept}))
+                      "plans": plans, "gap_integrals": gaps, "own_cells": owned,
+                      "rhs_calls": called, "sweeps": swept, "cases_s": per_case}))
     return 0
 
 
