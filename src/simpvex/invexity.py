@@ -84,6 +84,7 @@ __all__ = [
     "check_invex_set",
     "check_pair",
     "hypothesis_pair",
+    "preinvex_excess",
     "spaced",
 ]
 
@@ -493,6 +494,17 @@ def _pair(plan: SamplePlan, h: array, tol: float,
     return (_report("preinvex", plan.worst(pre_tops, pre_row, pre), plan.samples, tol, q),
             _report("prequasiinvex", plan.worst(quasi_tops, quasi_row, quasi), plan.samples,
                     tol, q))
+
+
+def preinvex_excess(fn: Callable[[float], float], eta: EtaMap,
+                    sample: Tuple[float, float, float], q: float) -> float:
+    """g(x) - ((1 - t) g(u) + t g(v)) for g = |fn|^q at one plan sample (u, v, t),
+    x = u + t*eta(v, u): what a preinvex sweep of |fn|^q reads there, by the
+    same arithmetic.  OverflowError where |fn|^q leaves the float range at u,
+    v or x."""
+    u, v, t = sample
+    gu, gv, gx = (abs(fn(y)) ** q for y in (u, v, u + t * eta(v, u)))
+    return gx - ((1.0 - t) * gu + t * gv)
 
 
 def check_pair(g: Callable[[float], float], eta: EtaMap, K: Domain,

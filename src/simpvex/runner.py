@@ -67,6 +67,7 @@ from .invexity import (
     SampleGrid,
     check_invex_set,
     hypothesis_pair,
+    preinvex_excess,
     spaced,
 )
 from .quadrature import DEFAULT_ABS_TOL, QuadratureResult
@@ -382,23 +383,38 @@ def _hypotheses(model, eta: EtaMap, K: Domain, grid: SampleGrid, tol: float,
     return lookup
 
 
-def _holds(hypothesis, mode: str, q: float) -> bool:
+def _holds(hypothesis, exceeds, mode: str, q: float) -> bool:
     """Whether |f'|^q has ``mode`` on the samples, ``hypothesis`` being a
-    ``_hypotheses`` lookup.  At q > 1 the q = 1 reports of |f'| decide where
-    they can, and q is swept only where they leave it open.
+    ``_hypotheses`` lookup and ``exceeds(witness, q)`` whether |f'|^q's
+    preinvex excess at one plan sample exceeds tol.  At q > 1 the q = 1
+    reports of |f'| decide where they can, then the q = 1 preinvex witness,
+    and q is swept only where both leave it open.
 
     t -> t^q is increasing on [0, inf), so |f'|^q is prequasiinvex exactly
     when |f'| is; it is also convex there, so a preinvex |f'| gives a
     preinvex |f'|^q (Jensen).  A preinvex g is prequasiinvex, so an |f'|^q
     that is not prequasiinvex is not preinvex either.  Open: preinvex at q
-    where |f'| is prequasiinvex but not preinvex.
+    where |f'| is prequasiinvex but not preinvex.  There the q = 1 preinvex
+    report's witness is one sample of the sweep at q, so an excess above
+    tol at it fails the gate exactly, with no sweep; an OverflowError at it
+    is the sweep's own, which raises at any overflowing sample.
     """
     if q > 1.0:
         if hypothesis("prequasiinvex", 1.0).violated:
             return False
-        if mode == "prequasiinvex" or not hypothesis("preinvex", 1.0).violated:
+        pre = hypothesis("preinvex", 1.0)
+        if mode == "prequasiinvex" or not pre.violated:
             return True
+        if exceeds(pre.witness, q):
+            return False
     return not hypothesis(mode, q).violated
+
+
+def _exceeds(model, eta: EtaMap, tol: float, overflowed: set, witness, q: float) -> bool:
+    """Whether |f'|^q's preinvex excess at the plan sample ``witness`` exceeds
+    tol; True at once for a q in ``overflowed``, whose witness or sweep
+    overflowed (a gate that sweeps q reads its witness first)."""
+    return q in overflowed or preinvex_excess(model.df_fn, eta, witness, q) > tol
 
 
 def _fmt(x: float) -> str:
@@ -680,8 +696,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     where f or its integral fails, where f' fails or is NaN at a or b (for a
     theorem that reads it), off C4.2's precondition, and where the rhs is
     zero, NaN or overflows or the ratio is NaN.  Every cell of a (theorem, q)
-    pair is skipped whose hypothesis on |f'|^q fails, or whose sweep
-    overflows (such a q is swept once), every cell of a theorem with a
+    pair is skipped whose hypothesis on |f'|^q fails, or whose witness or
+    sweep overflows (such a q is read once), every cell of a theorem with a
     hypothesis when K is not invex for eta (or eta fails on its samples), and
     every cell of CLASSICAL without d4sup; a theorem with no usable cell is
     reported with status "all_skipped".  Ties keep the first cell in
@@ -690,9 +706,13 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     The q = 1 sweep decides each q > 1 hypothesis (``_holds``), whether or
     not ``q_list`` holds 1: a prequasiinvex pair holds at q when |f'| is
     prequasiinvex at q = 1, a preinvex pair when |f'| is preinvex at q = 1,
-    and neither when |f'| is not prequasiinvex at q = 1.  Only a preinvex
-    pair whose |f'| is prequasiinvex but not preinvex at q = 1 sweeps q, and
-    any q > 1 hypothesis sweeps q = 1 first.  An implied verdict carries
+    and neither when |f'| is not prequasiinvex at q = 1.  A preinvex pair
+    whose |f'| is prequasiinvex but not preinvex at q = 1 reads |f'|^q at
+    the q = 1 preinvex witness first: an excess above tol there fails it
+    exactly, since the sweep at q reads that sample too, and only an excess
+    within tol sweeps q.  Any q > 1 hypothesis sweeps q = 1 first.  Only a
+    pair that witnesses or sweeps q is skipped for an overflow at q; an
+    implied pair at that q still ranks.  An implied verdict carries
     q = 1's tolerance tol: on the same samples, an excess of at most tol for
     |f'| is one of at most q * (M + tol)^(q - 1) * tol for |f'|^q, M the
     largest sampled |f'|, so a sweep at q may flag, by no more than that
@@ -726,7 +746,8 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     except EvalDomainError:  # eta fails on the samples: K is not invex for it
         invex = False
     hypothesis = _hypotheses(model, eta, K, grid, tol.invexity, [])
-    overflowed = set()  # the q whose sweep overflowed, swept once
+    overflowed = set()  # the q whose witness or sweep overflowed, read once
+    exceeds = partial(_exceeds, model, eta, tol.invexity, overflowed)
     # (rhs, midpoint lhs, reads f') -> [best ratio, its (a, b) or None, ranked cells],
     # one per distinct rhs and lhs (T4.1 at every q and C4.1 share one)
     rankings = {}
@@ -737,7 +758,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         for q in row.exponents(q_list):
             try:
                 usable = (model.d4sup is not None if row.mode is None else invex and
-                          q not in overflowed and _holds(hypothesis, row.mode, q))
+                          _holds(hypothesis, exceeds, row.mode, q))
             except OverflowError:  # |f'|^q overflows on the samples
                 overflowed.add(q)
                 usable = False

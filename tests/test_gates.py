@@ -2,6 +2,7 @@
 q are swept, and the implied verdicts against the sampled ones."""
 
 import importlib.util
+import itertools
 import math
 import random
 from pathlib import Path
@@ -37,24 +38,33 @@ def _report(mode, violated, q=1.0):
 ])
 def test_q1_decides_every_gate_but_preinvex_where_only_preinvex_fails(
         pre_fails, quasi_fails, implied):
+    # the open gate reads the q = 1 preinvex witness at q: an excess above tol
+    # there fails it with no sweep, and one within tol sweeps q
     at_q1 = {"preinvex": _report("preinvex", pre_fails),
              "prequasiinvex": _report("prequasiinvex", quasi_fails)}
-    for mode in _MODES:
-        for swept_fails in (False, True):
-            swept = []
+    for mode, swept_fails, witness_fails in itertools.product(_MODES, (False, True),
+                                                                (False, True)):
+        swept, witnessed = [], []
 
-            def lookup(m, q):
-                if q == 1.0:
-                    return at_q1[m]
-                swept.append((m, q))
-                return _report(m, swept_fails, q)
+        def lookup(m, q):
+            if q == 1.0:
+                return at_q1[m]
+            swept.append((m, q))
+            return _report(m, swept_fails, q)
 
-            got = runner._holds(lookup, mode, 2.0)
-            want = implied[mode]
-            assert got == (not swept_fails if want is None else want)
-            assert swept == ([] if want is not None else [(mode, 2.0)])
-        # q = 1 itself is always its own sweep
-        assert runner._holds(lambda m, q: at_q1[m], mode, 1.0) == (not at_q1[mode].violated)
+        def exceeds(witness, q):
+            witnessed.append((witness, q))
+            return witness_fails
+
+        got = runner._holds(lookup, exceeds, mode, 2.0)
+        want = implied[mode]
+        opened = want is None and not witness_fails  # the witness leaves q open
+        assert got == (not swept_fails if opened else bool(want))
+        assert swept == ([(mode, 2.0)] if opened else [])
+        assert witnessed == ([((0.0, 1.0, 0.5), 2.0)] if want is None else [])
+    for mode in _MODES:  # q = 1 itself is always its own sweep
+        assert runner._holds(lambda m, q: at_q1[m], None, mode, 1.0) == (
+            not at_q1[mode].violated)
 
 
 def _swept_q(monkeypatch, cfg, q_list, steps=9, theorems=runner.THEOREM_IDS):
@@ -81,12 +91,14 @@ def _swept_q(monkeypatch, cfg, q_list, steps=9, theorems=runner.THEOREM_IDS):
 @pytest.mark.parametrize("name, qs", [
     ("scan_00000_poly", [1.0]), ("scan_00001_exp", [1.0]), ("scan_00002_log", [1.0]),
     ("scan_00003_power", [1.0]), ("scan_00004_sin", [1.0]), ("scan_00005_abs", [1.0]),
-    ("scan_00006_eta_expr", [1.0, 1.5, 2.0, 3.0])])
+    ("scan_00006_eta_expr", [1.0])])
 def test_pool_models_sweep_only_the_q_that_q1_leaves_open(monkeypatch, name, qs):
     # poly, exp, log and abs pass both modes at q = 1 and sin fails
     # prequasiinvex there, so q = 1 decides every gate; eta_expr's |f'| is
-    # prequasiinvex but not preinvex, so its preinvex pairs sweep each q > 1.
-    # The power model's f' fails at 0, in its q = 1 sweep
+    # prequasiinvex but not preinvex, so its preinvex pairs read the q = 1
+    # witness at each q > 1, which fails them all (excess 5.75, 10.4 and 33.5
+    # at q = 1.5, 2 and 3) with no sweep.  The power model's f' fails at 0, in
+    # its q = 1 sweep
     (cfg,) = [cfg for cfg in inputs.scan_pool() if cfg["name"] == name]
     got, outcome = _swept_q(monkeypatch, cfg, list(inputs.SCAN_Q))
     assert got == qs
@@ -127,6 +139,62 @@ def test_an_implied_q_that_would_overflow_ranks_on_the_rescaled_rhs():
         assert all(0.0 < r.ratio < 1.0 for r in implied)
 
 
+# the families whose |f'| is drawn prequasiinvex but not preinvex at q = 1 for
+# some seeds: power and sin on the difference eta, eta_expr on an expression eta
+_OPEN = [i for i, family in enumerate(inputs.FAMILIES) if family in ("power", "sin", "eta_expr")]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(_OPEN), st.integers(0, 3),
+       st.sampled_from((1.5, 2.0, 3.0)))
+@settings(max_examples=60)
+def test_a_gate_the_witness_fails_fails_its_sweep_too(seed, family, lap, q):
+    # the q = 1 preinvex witness is one sample of the sweep at q, so wherever its
+    # excess fails the gate, the sweep flags |f'|^q by at least that excess
+    index = family + lap * len(inputs.FAMILIES)
+    cfg = inputs.generate_case(random.Random(seed), index, "gate", False, [1.0, q])
+    case = runner.load_case(cfg)
+    model, eta, K = case.model, case.eta, case.model.domain
+    try:
+        at_q1 = dict(zip(_MODES, invexity.hypothesis_pair(model, eta, K, 1.0)))
+    except EvalDomainError:  # f' fails on the samples (a power law at 0)
+        assume(False)
+    excesses, swept = [], []
+
+    def exceeds(witness, p):
+        excesses.append(invexity.preinvex_excess(model.df_fn, eta, witness, p))
+        return excesses[-1] > DEFAULT_TOL
+
+    def lookup(mode, p):
+        if p != 1.0:
+            swept.append(p)
+        return at_q1[mode]
+
+    try:
+        held = runner._holds(lookup, exceeds, "preinvex", q)
+    except OverflowError:  # at the witness: the sweep overflows too
+        with pytest.raises(OverflowError):
+            invexity.hypothesis_pair(model, eta, K, q)
+        return
+    assume(excesses and not swept)  # the witness settled the gate
+    sampled = invexity.hypothesis_pair(model, eta, K, q)[0]
+    assert not held and sampled.violated and sampled.worst_violation >= excesses[0]
+
+
+def test_the_witness_fails_every_open_gate_of_the_eta_expr_pool_model():
+    # its |f'| is prequasiinvex but not preinvex at q = 1, and the excess at
+    # the q = 1 witness, above tol at each q > 1, is at most the sweep's worst
+    (cfg,) = [cfg for cfg in inputs.scan_pool() if cfg["name"] == "scan_00006_eta_expr"]
+    case = runner.load_case(cfg)
+    model, eta, K = case.model, case.eta, case.model.domain
+    pre, quasi = invexity.hypothesis_pair(model, eta, K, 1.0)
+    assert pre.violated and not quasi.violated
+    assert [round(x, 3) for x in pre.witness] == [2.201, 0.248, 1.0]
+    for q, want in ((1.5, 5.75), (2.0, 10.4), (3.0, 33.5)):
+        excess = invexity.preinvex_excess(model.df_fn, eta, pre.witness, q)
+        assert excess == pytest.approx(want, rel=1e-2)
+        assert excess <= invexity.hypothesis_pair(model, eta, K, q)[0].worst_violation
+
+
 def _carried_band(q, M, tol):
     """How far a sweep of |f'|^q may exceed tol where |f'| passes at q = 1 on the
     same samples: an excess of at most tol, raised to q, is one of at most
@@ -149,7 +217,9 @@ def _differing_modes(cfg, q):
     sampled = dict(zip(_MODES, invexity.hypothesis_pair(model, eta, K, q)))
     differing = []
     for mode in _MODES:
-        implied = runner._holds(lambda m, p: at_q1[m] if p == 1.0 else sampled[m], mode, q)
+        implied = runner._holds(lambda m, p: at_q1[m] if p == 1.0 else sampled[m],
+                                lambda w, p: invexity.preinvex_excess(model.df_fn, eta, w, p) > tol,
+                                mode, q)
         holds = not sampled[mode].violated
         if implied and not holds:
             # q = 1 passes within tol: the sweep at q flags no more than the carry

@@ -103,6 +103,23 @@ def test_import_time_tool_reports_both_modes():
     assert refused.stderr.endswith("error: --runs must be at least 2\n")
 
 
+def test_versions_tool_matches_every_digest_on_the_running_interpreter(monkeypatch):
+    tool = [sys.executable, str(ROOT / "tools" / "versions.py"), sys.executable]
+    run = subprocess.run(tool, capture_output=True, text=True, timeout=300)
+    version = ".".join(map(str, sys.version_info[:3]))
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == (f"{sys.executable} ({version}): corpus report and 15 cases, "
+                          f"6 scans, 1 raisers: all match\n")
+    # a digest that differs, or one recorded on one side only, is named
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    versions = importlib.import_module("versions")
+    want = json.loads(versions.DIGESTS.read_text(encoding="utf-8"))
+    got = json.loads(json.dumps(want))
+    got["corpus_cases"]["poly_x2"] = "0" * 64
+    del got["scan"]["scan_00000_poly"]
+    assert versions.mismatches(got, want) == ["corpus_cases/poly_x2", "scan/scan_00000_poly"]
+
+
 def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
     # in process, so the scan set can run on a 9 x 9 grid; sys.path is restored after
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
@@ -150,11 +167,12 @@ def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
     # 17 nodes, 16 gaps) and its rhs calls: on the cubic, two corner calls and the
     # 80 cells of the one 9 x 9 block in each of the 19 rankings that call an rhs,
     # but CLASSICAL, whose d4sup is 0 and so whose rhs at the largest corner is 0,
-    # walks no cell: 18 x (2 + 80) + 2 = 1,478; and its sweeps: q = 1 alone, which
-    # implies q = 1.5, 2 and 3
-    assert re.fullmatch(r"scan_00003_power( +-){12}", next(
+    # walks no cell: 18 x (2 + 80) + 2 = 1,478; its sweeps: q = 1 alone, which
+    # implies q = 1.5, 2 and 3; and its gates, implied/witness/swept: the 18 at
+    # q > 1 implied, the 5 at q = 1 (T3.1, T3.4, T4.1, C4.1, C4.2) swept
+    assert re.fullmatch(r"scan_00003_power( +-){13}", next(
         line for line in lines if line.startswith("scan_00003_power ")))
-    assert re.fullmatch(r"scan_00000_poly( +\d+\.\d\d){8} +16 +80 +1478 +1", next(
+    assert re.fullmatch(r"scan_00000_poly( +\d+\.\d\d){8} +16 +80 +1478 +1 +18/0/5", next(
         line for line in lines if line.startswith("scan_00000_poly ")))
     owned = summary["own_cells"]
     assert len(owned) == 6 and owned["scan_00000_poly"] == 80
@@ -162,10 +180,15 @@ def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
     assert list(gaps) == list(owned) and gaps["scan_00000_poly"] == 16
     called = summary["rhs_calls"]
     assert list(called) == list(owned) and called["scan_00000_poly"] == 18 * (2 + 80) + 2
-    # one sweep per model but eta_expr, whose |f'| is prequasiinvex and not
-    # preinvex at q = 1, so its preinvex pairs sweep q = 1.5, 2 and 3
-    assert summary["sweeps"] == {name: 4 if name.endswith("eta_expr") else 1
-                                 for name in owned}
+    # one sweep per model: eta_expr's |f'| is prequasiinvex and not preinvex at
+    # q = 1, and its 9 preinvex gates at q = 1.5, 2 and 3 fail at the q = 1
+    # witness with no sweep
+    assert summary["sweeps"] == dict.fromkeys(owned, 1)
+    gates = {name: [18, 0, 5] for name in owned}
+    gates["scan_00006_eta_expr"] = [9, 9, 5]
+    assert {name: list(rules.values()) for name, rules in summary["gates"].items()} == gates
+    assert all(list(rules) == ["implied", "witness", "swept"]
+               for rules in summary["gates"].values())
     assert all(0 < owned[name] < 80 for name in ("scan_00001_exp", "scan_00002_log",
                                                  "scan_00004_sin"))
     # run_case sweeps q = 1.5, 2 and 3 besides q = 1 on 14 of the 15 corpus cases

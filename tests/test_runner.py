@@ -829,24 +829,53 @@ def test_scan_skips_exponents_whose_sweep_overflows():
     assert (t34.status, t34.at_q, t34.cells, t34.skipped) == ("ok", 149.9, 18, 0)
 
 
+# on K = [0, 2], |f'| = sqrt(x) + x^6/8 is increasing (prequasiinvex) and
+# concave near 0 (not preinvex); its q = 1 preinvex witness, (0.0, 0.95, 0.2),
+# reads a negative excess at q = 400, while |f'(2)|^400 = 9.4^400 overflows
+SPIKE = dict(f="2/3*x^1.5 + x^7/56", df="sqrt(x) + x^6/8", F="4/15*x^2.5 + x^8/448")
+
+
 def test_scan_sweeps_an_overflowing_exponent_once(monkeypatch):
-    # every theorem at q = [400]: the root law's three preinvex pairs at
-    # q = 400 are swept there, and the sweep overflows; the scan remembers that
-    # and sweeps it once, as it sweeps q = 1 once
-    qs = []
-    pair = runner.hypothesis_pair
+    # every theorem at q = [400]: the three preinvex pairs at q = 400 pass their
+    # witness, so the first is swept there, and the sweep overflows; the scan
+    # remembers that and neither witnesses nor sweeps it again, as it sweeps
+    # q = 1 once; the prequasiinvex pairs, implied by q = 1, still rank
+    sweeps = _counting(monkeypatch, runner, "hypothesis_pair")
+    witnesses = _counting(monkeypatch, runner, "preinvex_excess")
+    model = _model(SPIKE["f"], SPIKE["df"], SPIKE["F"], K=(0.0, 2.0))
+    results = tightness_scan(model, EtaMap.difference(), Domain(0.0, 2.0), (0.0, 0.5),
+                             (1.5, 2.0), [400.0], steps=3)
+    assert ([c[3] for c in sweeps], [c[3] for c in witnesses]) == ([1.0, 400.0], [400.0])
+    status = {r.theorem: r.status for r in results}
+    assert [status[t] for t in ("T3.2", "T3.3", "T3.4")] == ["all_skipped"] * 3
+    assert [status[t] for t in ("T4.1", "T4.2", "T4.3")] == ["ok"] * 3
 
-    def counting_pair(model, eta, K, q, *args):
-        qs.append(q)
-        return pair(model, eta, K, q, *args)
 
-    monkeypatch.setattr(runner, "hypothesis_pair", counting_pair)
+def test_scan_witnesses_an_overflowing_exponent_once(monkeypatch):
+    # the root law's q = 1 preinvex witness, (0.0, 1.0, 0.25), reads |f'(1)|^400
+    # = 10^400, which overflows: the first preinvex pair at q = 400 fails there
+    # with no sweep, and the other two fail without reading it again
+    sweeps = _counting(monkeypatch, runner, "hypothesis_pair")
+    witnesses = _counting(monkeypatch, runner, "preinvex_excess")
     model = _model(ROOT_LAW["f"], ROOT_LAW["df"], ROOT_LAW["F"], K=(0.0, 1.0))
     results = tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.0), (0.0, 0.25),
                              (0.75, 1.0), [400.0], steps=3)
-    assert qs == [1.0, 400.0]
+    assert ([c[3] for c in sweeps], [c[3] for c in witnesses]) == ([1.0], [400.0])
     assert [r.status for r in results if r.theorem in ("T3.2", "T3.3", "T3.4")] == [
         "all_skipped"] * 3
+
+
+def test_an_overflow_at_q_skips_only_the_pairs_that_read_q():
+    # T4.2 is implied by q = 1 and never reads q = 400, so T3.2's overflow there
+    # leaves its ranking as it is when T4.2 is requested alone
+    model = _model(ROOT_LAW["f"], ROOT_LAW["df"], K=(0.0, 1.0))
+    args = (model, EtaMap.difference(), Domain(0.0, 1.0), (0.0, 0.25), (0.75, 1.0),
+            [400.0], 3)
+    (alone,) = tightness_scan(*args, ("T4.2",))
+    t32, t42 = tightness_scan(*args, ("T3.2", "T4.2"))
+    assert (alone.status, alone.ratio, alone.skipped) == ("ok", 0.011364107602030738, 0)
+    assert t42 == alone
+    assert (t32.status, t32.skipped) == ("all_skipped", 9)
 
 
 def test_an_overflowing_exponent_keeps_no_report(monkeypatch):

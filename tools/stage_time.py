@@ -43,11 +43,14 @@ model of ``perfbench/inputs.py`` (the ``scan`` workload's
            set-up and the results), the whole ``tightness_scan``.
 
 and prints how many gap integrals it made, how many cells integrated on
-their own, how many times the theorems' rhs were called, counted in one
-more run with each ``THEOREMS`` row's ``rhs_for`` wrapped, which is left
-out of the timings, and how many hypothesis sweeps it made (one per q it
-sweeps; q = 1 implies the others where it can).  The wrappers add a
-little time to each stage they time, most to ``plan`` and ``df`` (mostly
+their own, how many times the theorems' rhs were called, how many
+hypothesis sweeps it made (one per q it sweeps; q = 1 implies the others
+where it can, and its preinvex witness fails most of the rest) and how
+many of its hypothesis gates were implied by q = 1, failed at the q = 1
+witness and swept (``i/w/s``).  The rhs calls and the gates are counted
+in one more run with each ``THEOREMS`` row's ``rhs_for`` and
+``runner._holds`` wrapped, which is left out of the timings.  The
+wrappers add a little time to each stage they time, most to ``plan`` and ``df`` (mostly
 lookups and memo hits) and to ``gaps`` and ``own`` on the models where
 every cell integrates on its own.
 
@@ -93,6 +96,7 @@ SCAN_TABLE = [(runner, "check_invex_set", "sweeps"), (runner, "hypothesis_pair",
               (scan, "cells", "build"), (scan, "enclose", "enclose"), (scan, "rank", "rank")]
 STAGES = ("plan", "invex", "df", "sweeps", "defect", "bounds", "rest", "run_case", "to_json")
 SCAN_STAGES = ("sweeps", "gaps", "own", "build", "enclose", "rank", "rest", "scan")
+GATE_RULES = ("implied", "witness", "swept")  # how a scan's hypothesis gate was settled
 
 
 def timed_run(table, call, whole: str, opaque=()):
@@ -203,13 +207,17 @@ def totals(rows: list) -> dict:
     return {k: round(v, 6) if isinstance(v, float) else v for k, v in out.items()}
 
 
-def rhs_calls(config: dict, steps: int) -> int:
-    """The rhs calls of one tightness_scan run of a scan-pool model: one counting
-    rhs per rhs, so the pairs that share one (T4.1 at every q and C4.1) still
-    share a ranking."""
+def counted_scan(config: dict, steps: int) -> tuple:
+    """The rhs calls of one tightness_scan run of a scan-pool model, and how many
+    of its hypothesis gates each of ``GATE_RULES`` settled.  One counting rhs
+    per rhs, so the pairs that share one (T4.1 at every q and C4.1) still
+    share a ranking; a gate is ``swept`` where it reads its own q's reports
+    (every gate at q = 1), else ``witness`` where it reads the q = 1
+    preinvex witness at q, else ``implied`` by the q = 1 reports."""
     case = runner.load_case(config)
     calls = [0]
     counting = {}
+    gates = dict.fromkeys(GATE_RULES, 0)
 
     def counted(rhs):
         def count(*cell):
@@ -217,29 +225,49 @@ def rhs_calls(config: dict, steps: int) -> int:
             return rhs(*cell)
         return counting.setdefault(rhs, count)
 
-    rows = dict(bounds.THEOREMS)
+    def holds(hypothesis, exceeds, mode, q):
+        read = []
+
+        def lookup(m, p):
+            if p == q:
+                read.append("swept")
+            return hypothesis(m, p)
+
+        def witness(sample, p):
+            read.append("witness")
+            return exceeds(sample, p)
+
+        try:
+            return real_holds(lookup, witness, mode, q)
+        finally:
+            gates["swept" if "swept" in read else "witness" if read else "implied"] += 1
+
+    rows, real_holds = dict(bounds.THEOREMS), runner._holds
     a_range, b_range, q_list, _ = inputs.scan_args(config)
     try:
         for theorem, row in rows.items():
             bounds.THEOREMS[theorem] = row._replace(
                 rhs_for=lambda q, rhs_for=row.rhs_for: counted(rhs_for(q)))
+        runner._holds = holds
         runner.tightness_scan(case.model, case.eta, case.model.domain, a_range, b_range,
                               q_list, steps)
     finally:
         bounds.THEOREMS.update(rows)
-    return calls[0]
+        runner._holds = real_holds
+    return calls[0], gates
 
 
 def scan_set(runs: int, steps: int) -> tuple:
     """Print one line per scan-pool model in milliseconds with its counts of gap
-    integrals, of cells integrated on their own, of rhs calls and of sweeps, and
-    a total line with each stage's spread over runs; return the total seconds
-    per scan stage and each model's four counts."""
+    integrals, of cells integrated on their own, of rhs calls, of sweeps and of
+    the gates each rule settled (implied/witness/swept), and a total line with
+    each stage's spread over runs; return the total seconds per scan stage and
+    each model's five counts."""
     print(f"{'scan (ms)':30} " + " ".join(f"{s:>8}" for s in SCAN_STAGES)
-          + "  gap integrals  own cells  rhs calls  sweeps")
+          + "  gap integrals  own cells  rhs calls  sweeps  gates i/w/s")
     total = dict.fromkeys(SCAN_STAGES, 0.0)
     per_run = {stage: [0.0] * runs for stage in SCAN_STAGES}
-    gaps, owned, called, swept = {}, {}, {}, {}
+    gaps, owned, called, swept, gated = {}, {}, {}, {}, {}
     for config in inputs.scan_pool():
         name = config["name"]
         a_range, b_range, q_list, _ = inputs.scan_args(config)
@@ -253,7 +281,7 @@ def scan_set(runs: int, steps: int) -> tuple:
                     b_range, q_list, steps), "scan", opaque=("own",)))
         except FAILURES:
             measured = []
-        best, shown = {}, ("-",) * 4
+        best, shown = {}, ("-",) * 5
         if measured:
             best = least([spent for _, spent, _ in measured])
             for stage in SCAN_STAGES:
@@ -263,17 +291,19 @@ def scan_set(runs: int, steps: int) -> tuple:
             ((gap_count, own_count, sweeps),) = {  # the same in every run
                 (calls["_integrate_unchecked"], calls["_mean"], calls["hypothesis_pair"])
                 for _, _, calls in measured}
-            shown = gap_count, own_count, rhs_calls(config, steps), sweeps
-            gaps[name], owned[name], called[name], swept[name] = shown
+            rhs_count, gated[name] = counted_scan(config, steps)
+            shown = (gap_count, own_count, rhs_count, sweeps,
+                     "/".join(str(gated[name][rule]) for rule in GATE_RULES))
+            gaps[name], owned[name], called[name], swept[name] = shown[:4]
         print(f"{name:30} " + " ".join(
             f"{1e3 * best[s]:8.2f}" if s in best else f"{'-':>8}" for s in SCAN_STAGES)
-            + f"  {shown[0]:>13}  {shown[1]:>9}  {shown[2]:>9}  {shown[3]:>6}")
+            + f"  {shown[0]:>13}  {shown[1]:>9}  {shown[2]:>9}  {shown[3]:>6}  {shown[4]:>11}")
     print(f"scan total (ms, {steps}x{steps} cells, least and spread over {runs} runs): "
           + ", ".join(f"{stage} {1e3 * total[stage]:.1f} "
                       f"(spread {1e3 * (max(per_run[stage]) - min(per_run[stage])):.1f})"
                       for stage in SCAN_STAGES) + "\n")
     return ({stage: round(seconds, 6) for stage, seconds in total.items()}, gaps, owned,
-            called, swept)
+            called, swept, gated)
 
 
 def main(argv=None, scan_steps: int = inputs.SCAN_STEPS) -> int:
@@ -301,10 +331,11 @@ def main(argv=None, scan_steps: int = inputs.SCAN_STEPS) -> int:
             f"{k} {1e3 * v:.1f}" if isinstance(v, float) else f"{k} {v}"
             for k, v in summary[label].items())
             + f"; {built} plans built in {lookups} plan lookups a run\n")
-    summary["scan"], gaps, owned, called, swept = scan_set(args.runs, scan_steps)
+    summary["scan"], gaps, owned, called, swept, gated = scan_set(args.runs, scan_steps)
     print(json.dumps({"runs": args.runs, "seed": args.seed, "totals_s": summary,
                       "plans": plans, "gap_integrals": gaps, "own_cells": owned,
-                      "rhs_calls": called, "sweeps": swept, "cases_s": per_case}))
+                      "rhs_calls": called, "sweeps": swept, "gates": gated,
+                      "cases_s": per_case}))
     return 0
 
 
