@@ -233,10 +233,9 @@ def _failure(instance, schema: dict, path: tuple = ()) -> Optional[Tuple[str, st
                 found = _failure(item, items, path + (i,))
                 if found is not None:
                     return found
-    elif isinstance(instance, str):
+    elif isinstance(instance, str):  # jsonschema's wording for minLength 1, the only value used
         if len(instance) < schema.get("minLength", 0):
-            return _fail(path, f"{instance!r} should be non-empty" if schema["minLength"] == 1
-                         else f"{instance!r} is too short")
+            return _fail(path, f"{instance!r} should be non-empty")
     return None
 
 
@@ -383,12 +382,12 @@ def _hypotheses(model, eta: EtaMap, K: Domain, grid: SampleGrid, tol: float,
     return lookup
 
 
-def _holds(hypothesis, exceeds, mode: str, q: float) -> bool:
+def _holds(hypothesis, df, eta: EtaMap, tol: float, mode: str, q: float) -> bool:
     """Whether |f'|^q has ``mode`` on the samples, ``hypothesis`` being a
-    ``_hypotheses`` lookup and ``exceeds(witness, q)`` whether |f'|^q's
-    preinvex excess at one plan sample exceeds tol.  At q > 1 the q = 1
-    reports of |f'| decide where they can, then the q = 1 preinvex witness,
-    and q is swept only where both leave it open.
+    ``_hypotheses`` lookup and ``df`` f'.  At q > 1 the q = 1 reports of |f'|
+    decide where they can, then |f'|^q's preinvex excess at the q = 1
+    preinvex witness (``preinvex_excess``), and q is swept only where both
+    leave it open.
 
     t -> t^q is increasing on [0, inf), so |f'|^q is prequasiinvex exactly
     when |f'| is; it is also convex there, so a preinvex |f'| gives a
@@ -405,16 +404,9 @@ def _holds(hypothesis, exceeds, mode: str, q: float) -> bool:
         pre = hypothesis("preinvex", 1.0)
         if mode == "prequasiinvex" or not pre.violated:
             return True
-        if exceeds(pre.witness, q):
+        if preinvex_excess(df, eta, pre.witness, q) > tol:
             return False
     return not hypothesis(mode, q).violated
-
-
-def _exceeds(model, eta: EtaMap, tol: float, overflowed: set, witness, q: float) -> bool:
-    """Whether |f'|^q's preinvex excess at the plan sample ``witness`` exceeds
-    tol; True at once for a q in ``overflowed``, whose witness or sweep
-    overflowed (a gate that sweeps q reads its witness first)."""
-    return q in overflowed or preinvex_excess(model.df_fn, eta, witness, q) > tol
 
 
 def _fmt(x: float) -> str:
@@ -696,29 +688,26 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     where f or its integral fails, where f' fails or is NaN at a or b (for a
     theorem that reads it), off C4.2's precondition, and where the rhs is
     zero, NaN or overflows or the ratio is NaN.  Every cell of a (theorem, q)
-    pair is skipped whose hypothesis on |f'|^q fails, or whose witness or
-    sweep overflows (such a q is read once), every cell of a theorem with a
-    hypothesis when K is not invex for eta (or eta fails on its samples), and
-    every cell of CLASSICAL without d4sup; a theorem with no usable cell is
-    reported with status "all_skipped".  Ties keep the first cell in
-    (q, a, b) order, so results are deterministic.
+    pair is skipped whose hypothesis gate on |f'|^q fails (below), every cell
+    of a theorem with a hypothesis when K is not invex for eta (or eta fails
+    on its samples), and every cell of CLASSICAL without d4sup; a theorem
+    with no usable cell is reported with status "all_skipped".  Ties keep
+    the first cell in (q, a, b) order, so results are deterministic.
 
-    The q = 1 sweep decides each q > 1 hypothesis (``_holds``), whether or
-    not ``q_list`` holds 1: a prequasiinvex pair holds at q when |f'| is
-    prequasiinvex at q = 1, a preinvex pair when |f'| is preinvex at q = 1,
-    and neither when |f'| is not prequasiinvex at q = 1.  A preinvex pair
-    whose |f'| is prequasiinvex but not preinvex at q = 1 reads |f'|^q at
-    the q = 1 preinvex witness first: an excess above tol there fails it
-    exactly, since the sweep at q reads that sample too, and only an excess
-    within tol sweeps q.  Any q > 1 hypothesis sweeps q = 1 first.  Only a
-    pair that witnesses or sweeps q is skipped for an overflow at q; an
-    implied pair at that q still ranks.  An implied verdict carries
-    q = 1's tolerance tol: on the same samples, an excess of at most tol for
-    |f'| is one of at most q * (M + tol)^(q - 1) * tol for |f'|^q, M the
-    largest sampled |f'|, so a sweep at q may flag, by no more than that
-    and rounding, a pair the scan ranks.  An implied q is never swept, so an
-    |f'|^q beyond the float range shows only in its cells' rhs, which
-    rescales its powers (a cell whose rhs still overflows is skipped).
+    Each gate is decided once per (mode, q), by ``_holds``, and every pair
+    of that mode and q reads that one decision.  Any q > 1 gate sweeps q = 1
+    first, whether or not ``q_list`` holds 1, and is settled there unless it
+    is preinvex and |f'| is prequasiinvex but not preinvex at q = 1; only
+    such a gate reads |f'|^q, at the q = 1 preinvex witness and, where that
+    leaves it open, in a sweep at q.  An OverflowError there fails that gate
+    alone: an implied prequasiinvex pair at an overflowing q still ranks.
+    An implied verdict carries q = 1's tolerance tol: on the same samples,
+    an excess of at most tol for |f'| is one of at most
+    q * (M + tol)^(q - 1) * tol for |f'|^q, M the largest sampled |f'|, so
+    a sweep at q may flag, by no more than that and rounding, a pair the
+    scan ranks.  An implied q is never swept, so an |f'|^q beyond the float
+    range shows only in its cells' rhs, which rescales its powers (a cell
+    whose rhs still overflows is skipped).
 
     A cell's mean is its own adaptive integral's, as ``simpson_defect`` takes
     it, run only where it can decide a ranking (``scan.enclose``, ``scan.rank``).
@@ -746,8 +735,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     except EvalDomainError:  # eta fails on the samples: K is not invex for it
         invex = False
     hypothesis = _hypotheses(model, eta, K, grid, tol.invexity, [])
-    overflowed = set()  # the q whose witness or sweep overflowed, read once
-    exceeds = partial(_exceeds, model, eta, tol.invexity, overflowed)
+    gates = {}  # (mode, q) -> whether |f'|^q has mode on the samples, decided once
     # (rhs, midpoint lhs, reads f') -> [best ratio, its (a, b) or None, ranked cells],
     # one per distinct rhs and lhs (T4.1 at every q and C4.1 share one)
     rankings = {}
@@ -756,12 +744,13 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         row = bounds_mod.THEOREMS[theorem]
         pairs = []
         for q in row.exponents(q_list):
-            try:
-                usable = (model.d4sup is not None if row.mode is None else invex and
-                          _holds(hypothesis, exceeds, row.mode, q))
-            except OverflowError:  # |f'|^q overflows on the samples
-                overflowed.add(q)
-                usable = False
+            if row.mode is not None and (row.mode, q) not in gates:
+                try:
+                    gates[row.mode, q] = invex and _holds(hypothesis, model.df_fn, eta,
+                                                          tol.invexity, row.mode, q)
+                except OverflowError:  # |f'|^q overflows at the witness or on the samples
+                    gates[row.mode, q] = False
+            usable = model.d4sup is not None if row.mode is None else gates[row.mode, q]
             ranking = [-math.inf, None, 0]  # a pair that cannot rank ranks no cell
             if usable:
                 key = (row.rhs_for(model.d4sup if row.mode is None else q),
@@ -774,7 +763,7 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
         reads_df = any(uses_df for _, _, uses_df in rankings)
         table = scan.cells(model, eta, K, a_vals, b_vals, reads_df)
         scan.enclose(table, model, tol.oracle)
-        scan.rank(table, rankings, partial(scan.own_mean, model, tol.oracle))
+        scan.rank(table, rankings, partial(bounds_mod._mean, model), tol.oracle)
 
     out = []
     for theorem, pairs in by_theorem:

@@ -1,7 +1,7 @@
 """The cell half of ``runner.tightness_scan``: ``cells`` builds one table of its
 grid's cells, ``enclose`` encloses each cell's mean and ``rank`` ranks the cells.
-Integrals go through ``quadrature._integrate_unchecked`` and ``bounds._mean``,
-looked up at each call."""
+Gap integrals go through ``quadrature._integrate_unchecked``, looked up at each
+call; ``rank`` takes a cell's own mean from the function it is passed."""
 
 from __future__ import annotations
 
@@ -172,11 +172,6 @@ def enclose(table: CellTable, model, abs_tol: float) -> None:
     t.defects.fromlist(list(map(abs, map(sub, t.sums, t.means))))
 
 
-def own_mean(model, abs_tol: float, a: float, step: float) -> float:
-    """``bounds._mean``'s mean of f on [a, a + step]: partial(own_mean, model, abs_tol)."""
-    return bounds._mean(model, a, step, abs_tol)[0]
-
-
 def _blocks(table: CellTable) -> Tuple[list, list]:
     """Per block of _BLOCK x _BLOCK axis indices, (a block, b block) in row-major
     order, the spans (lo, hi) of its cells' indices, one per row with cells there,
@@ -230,10 +225,11 @@ def _bounded(table, blocks, boxes, tops, dirty, rhs_of, uses_df) -> List[Tuple[f
     return visits
 
 
-def rank(table: CellTable, rankings: dict, integrate) -> None:
+def rank(table: CellTable, rankings: dict, integrate, abs_tol: float) -> None:
     """Set each ranking of (rhs, whether its lhs is C4.2's |f(mid) - mean| rather
     than |defect|, reads f') to [best ratio, its (a, b) or None, ranked cells];
-    ``integrate(a, step)`` is a cell's own mean.
+    ``integrate(a, step, abs_tol)[0]`` is a cell's own mean, as ``bounds._mean``
+    with its model bound gives it.
 
     Each distinct (rhs, lhs) bounds every cell's ratio from its enclosure, an
     own mean one of radius 0, whose top and low end are its ratio.  One rule
@@ -330,7 +326,7 @@ def rank(table: CellTable, rankings: dict, integrate) -> None:
                     continue
                 if t.radii[k]:  # no own mean yet; with it, top is its ratio
                     try:
-                        mean = integrate(t.a_vals[t.at_a[k]], t.steps[k])
+                        mean = integrate(t.a_vals[t.at_a[k]], t.steps[k], abs_tol)[0]
                     except (EvalDomainError, QuadratureError):  # marked as giving no ratio
                         mean = math.nan
                         # with a finite enclosure its bounds may have pruned other cells

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 import simpvex
 from simpvex import quadrature, runner
 from simpvex.cli import main
-from simpvex.errors import CaseConfigError
+from simpvex.errors import BudgetExhausted, CaseConfigError
 
 TWO_PI = "6.283185307179586"
 
@@ -540,6 +540,34 @@ def test_an_expression_too_deep_to_compile_exits_three_without_a_traceback(tmp_p
         assert main(argv) == 3
         assert capsys.readouterr().err == (
             f"error: {subject} 'deep': an expression is nested too deeply\n")
+
+
+def test_parentheses_nested_too_deeply_exit_three_without_a_traceback(capsys):
+    f = "(" * 400 + "x" + ")" * 400
+    with pytest.raises(CaseConfigError) as info:
+        runner.load_case(dict(square_config(), name="deep", f=f, df="1", F=None))
+    assert str(info.value) == "case 'deep': an expression is nested too deeply"
+    assert main(["scan", "--f", f, "--df", "1", "--K", "0,1",
+                 "--a-range", "0,0", "--b-range", "1,1", "--steps", "2"]) == 3
+    assert capsys.readouterr().err == "error: model 'scan': an expression is nested too deeply\n"
+
+
+def test_a_simpvex_error_from_a_scan_exits_three_with_one_line(monkeypatch, capsys):
+    def exhausted(*args):
+        raise BudgetExhausted(5)
+
+    monkeypatch.setattr(runner, "tightness_scan", exhausted)
+    assert main(["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1",
+                 "--a-range", "0,0", "--b-range", "1,1", "--steps", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "error: BudgetExhausted: evaluation budget exhausted after 5 calls\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_an_output_that_cannot_be_written_exits_three_with_one_line(capsys):
+    assert main(["corpus", "--filter", "poly_x1", "--quiet", "--out", "/dev/full"]) == 3
+    assert capsys.readouterr().err == (
+        "error: cannot write '/dev/full': No space left on device\n")
 
 
 def _child_env():

@@ -37,11 +37,13 @@ def _report(mode, violated, q=1.0):
     (True, True, {"preinvex": False, "prequasiinvex": False}),
 ])
 def test_q1_decides_every_gate_but_preinvex_where_only_preinvex_fails(
-        pre_fails, quasi_fails, implied):
-    # the open gate reads the q = 1 preinvex witness at q: an excess above tol
-    # there fails it with no sweep, and one within tol sweeps q
+        monkeypatch, pre_fails, quasi_fails, implied):
+    # the open gate reads |f'|^q's preinvex excess at the q = 1 preinvex
+    # witness: an excess above tol there fails it with no sweep, and one
+    # within tol sweeps q
     at_q1 = {"preinvex": _report("preinvex", pre_fails),
              "prequasiinvex": _report("prequasiinvex", quasi_fails)}
+    df, eta, tol = object(), object(), 0.5
     for mode, swept_fails, witness_fails in itertools.product(_MODES, (False, True),
                                                                 (False, True)):
         swept, witnessed = [], []
@@ -52,19 +54,22 @@ def test_q1_decides_every_gate_but_preinvex_where_only_preinvex_fails(
             swept.append((m, q))
             return _report(m, swept_fails, q)
 
-        def exceeds(witness, q):
-            witnessed.append((witness, q))
-            return witness_fails
+        def excess(fn, eta_map, witness, q):
+            witnessed.append((fn, eta_map, witness, q))
+            return 2.0 * tol if witness_fails else tol
 
-        got = runner._holds(lookup, exceeds, mode, 2.0)
+        monkeypatch.setattr(runner, "preinvex_excess", excess)
+        got = runner._holds(lookup, df, eta, tol, mode, 2.0)
         want = implied[mode]
         opened = want is None and not witness_fails  # the witness leaves q open
         assert got == (not swept_fails if opened else bool(want))
         assert swept == ([(mode, 2.0)] if opened else [])
-        assert witnessed == ([((0.0, 1.0, 0.5), 2.0)] if want is None else [])
-    for mode in _MODES:  # q = 1 itself is always its own sweep
-        assert runner._holds(lambda m, q: at_q1[m], None, mode, 1.0) == (
+        assert witnessed == ([(df, eta, (0.0, 1.0, 0.5), 2.0)] if want is None else [])
+    for mode in _MODES:  # q = 1 itself is always its own sweep, with no witness
+        witnessed.clear()
+        assert runner._holds(lambda m, q: at_q1[m], df, eta, tol, mode, 1.0) == (
             not at_q1[mode].violated)
+        assert witnessed == []
 
 
 def _swept_q(monkeypatch, cfg, q_list, steps=9, theorems=runner.THEOREM_IDS):
@@ -103,6 +108,32 @@ def test_pool_models_sweep_only_the_q_that_q1_leaves_open(monkeypatch, name, qs)
     got, outcome = _swept_q(monkeypatch, cfg, list(inputs.SCAN_Q))
     assert got == qs
     assert (outcome == "EvalDomainError") == name.endswith("_power")
+
+
+@pytest.mark.parametrize("name, witnessed", [("scan_00000_poly", []),
+                                              ("scan_00006_eta_expr", [1.5, 2.0, 3.0])])
+def test_a_pool_scan_decides_each_gate_once_per_mode_and_q(monkeypatch, name, witnessed):
+    # 23 (theorem, q) pairs with a hypothesis read 8 (mode, q) gates, each
+    # decided once; eta_expr's three preinvex theorems share one witness read
+    # per q > 1 and the cubic poly model's q = 1 sweep settles every gate
+    decided, read = [], []
+    holds, excess = runner._holds, runner.preinvex_excess
+
+    def counted_holds(hypothesis, df, eta, tol, mode, q):
+        decided.append((mode, q))
+        return holds(hypothesis, df, eta, tol, mode, q)
+
+    def counted_excess(df, eta, witness, q):
+        read.append(q)
+        return excess(df, eta, witness, q)
+
+    monkeypatch.setattr(runner, "_holds", counted_holds)
+    monkeypatch.setattr(runner, "preinvex_excess", counted_excess)
+    (cfg,) = [cfg for cfg in inputs.scan_pool() if cfg["name"] == name]
+    qs, outcome = _swept_q(monkeypatch, cfg, list(inputs.SCAN_Q))
+    assert not isinstance(outcome, str)
+    assert sorted(decided) == sorted(itertools.product(_MODES, inputs.SCAN_Q))
+    assert (qs, read) == ([1.0], witnessed)
 
 
 def test_a_request_without_q1_takes_its_gates_from_the_q1_sweep(monkeypatch):
@@ -160,9 +191,9 @@ def test_a_gate_the_witness_fails_fails_its_sweep_too(seed, family, lap, q):
         assume(False)
     excesses, swept = [], []
 
-    def exceeds(witness, p):
-        excesses.append(invexity.preinvex_excess(model.df_fn, eta, witness, p))
-        return excesses[-1] > DEFAULT_TOL
+    def excess(*args):
+        excesses.append(invexity.preinvex_excess(*args))
+        return excesses[-1]
 
     def lookup(mode, p):
         if p != 1.0:
@@ -170,7 +201,9 @@ def test_a_gate_the_witness_fails_fails_its_sweep_too(seed, family, lap, q):
         return at_q1[mode]
 
     try:
-        held = runner._holds(lookup, exceeds, "preinvex", q)
+        with pytest.MonkeyPatch.context() as patch:  # no fixture: Hypothesis reruns the body
+            patch.setattr(runner, "preinvex_excess", excess)
+            held = runner._holds(lookup, model.df_fn, eta, DEFAULT_TOL, "preinvex", q)
     except OverflowError:  # at the witness: the sweep overflows too
         with pytest.raises(OverflowError):
             invexity.hypothesis_pair(model, eta, K, q)
@@ -218,8 +251,7 @@ def _differing_modes(cfg, q):
     differing = []
     for mode in _MODES:
         implied = runner._holds(lambda m, p: at_q1[m] if p == 1.0 else sampled[m],
-                                lambda w, p: invexity.preinvex_excess(model.df_fn, eta, w, p) > tol,
-                                mode, q)
+                                model.df_fn, eta, tol, mode, q)
         holds = not sampled[mode].violated
         if implied and not holds:
             # q = 1 passes within tol: the sweep at q flags no more than the carry

@@ -168,11 +168,11 @@ def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
     # 80 cells of the one 9 x 9 block in each of the 19 rankings that call an rhs,
     # but CLASSICAL, whose d4sup is 0 and so whose rhs at the largest corner is 0,
     # walks no cell: 18 x (2 + 80) + 2 = 1,478; its sweeps: q = 1 alone, which
-    # implies q = 1.5, 2 and 3; and its gates, implied/witness/swept: the 18 at
-    # q > 1 implied, the 5 at q = 1 (T3.1, T3.4, T4.1, C4.1, C4.2) swept
-    assert re.fullmatch(r"scan_00003_power( +-){13}", next(
+    # implies q = 1.5, 2 and 3; its gates: one per (mode, q), 2 modes at 4 q,
+    # for the 23 (theorem, q) pairs with a hypothesis; and no witness read
+    assert re.fullmatch(r"scan_00003_power( +-){14}", next(
         line for line in lines if line.startswith("scan_00003_power ")))
-    assert re.fullmatch(r"scan_00000_poly( +\d+\.\d\d){8} +16 +80 +1478 +1 +18/0/5", next(
+    assert re.fullmatch(r"scan_00000_poly( +\d+\.\d\d){8} +16 +80 +1478 +1 +8 +0", next(
         line for line in lines if line.startswith("scan_00000_poly ")))
     owned = summary["own_cells"]
     assert len(owned) == 6 and owned["scan_00000_poly"] == 80
@@ -181,14 +181,13 @@ def test_stage_time_tool_reports_every_stage_of_both_sets(monkeypatch, capsys):
     called = summary["rhs_calls"]
     assert list(called) == list(owned) and called["scan_00000_poly"] == 18 * (2 + 80) + 2
     # one sweep per model: eta_expr's |f'| is prequasiinvex and not preinvex at
-    # q = 1, and its 9 preinvex gates at q = 1.5, 2 and 3 fail at the q = 1
-    # witness with no sweep
+    # q = 1, and its preinvex gates at q = 1.5, 2 and 3 fail at the q = 1
+    # witness, read once per q, with no sweep
     assert summary["sweeps"] == dict.fromkeys(owned, 1)
-    gates = {name: [18, 0, 5] for name in owned}
-    gates["scan_00006_eta_expr"] = [9, 9, 5]
-    assert {name: list(rules.values()) for name, rules in summary["gates"].items()} == gates
-    assert all(list(rules) == ["implied", "witness", "swept"]
-               for rules in summary["gates"].values())
+    assert summary["gates"] == dict.fromkeys(owned, 8)
+    witness_reads = dict.fromkeys(owned, 0)
+    witness_reads["scan_00006_eta_expr"] = 3
+    assert summary["witness_reads"] == witness_reads
     assert all(0 < owned[name] < 80 for name in ("scan_00001_exp", "scan_00002_log",
                                                  "scan_00004_sin"))
     # run_case sweeps q = 1.5, 2 and 3 besides q = 1 on 14 of the 15 corpus cases

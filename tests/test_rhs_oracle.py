@@ -126,6 +126,21 @@ def test_rhs_whose_plain_powers_leave_the_float_range_matches_its_formula(theore
         assert ulps <= ULPS, (theorem, q, x1, x2, eta, got, want)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+def test_rhs_whose_power_sum_lies_far_from_1_matches_its_formula():
+    # the plain path (q <= 100, no power out of range) rounds r = 1/q, and the
+    # error of sum^r grows with ln(sum): T3.4 here is 193 ulps off, T3.2 45
+    off = {}
+    for theorem, q, x1, x2 in (("T3.4", 1.5, 2.055e-104, 4.689e202),
+                               ("T3.2", 3.0, 2.91e56, 8.82e-35)):
+        got = bounds.THEOREMS[theorem].rhs_for(q)(x1, x2, 1.0)
+        with mp.workdps(DPS):
+            mq = mp.mpf(q)
+            want = FORMULAS[theorem](mp.mpf(x1), mp.mpf(x2), mp.mpf(1), mq, mq / (mq - 1))
+            off[theorem] = float(abs(mp.mpf(got) - want) / math.ulp(float(want)))
+    assert max(off.values()) <= ULPS, off
+
+
 @pytest.mark.parametrize("q2", [60.0, 100.0])
 def test_run_case_passes_where_the_powers_of_t3_2_underflow(q2):
     # |f'| = 1e-6 e^x on [0, 1]: |f'|^q2 underflows to 0.0 at every sample for

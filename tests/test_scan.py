@@ -130,16 +130,17 @@ def _rank_logged(table, truth, failing, picks):
             return rhs_of(*point)
         return rhs
 
-    def integrate(a, step):
+    def integrate(a, step, abs_tol):  # the mean first, as bounds._mean
+        assert abs_tol == 1e-12  # rank's own, passed through
         k = cell_at[a, step]
         log.append(("integrate", k))
         if k in failing:
             raise QuadratureError("the own integral fails here")
-        return truth[k]
+        return truth[k], 0.0, 0
 
     rankings = {(logged(n, _RANKINGS[n][0]),) + _RANKINGS[n][1:]: [-inf, None, 0]
                 for n in picks}
-    scan.rank(table, rankings, integrate)
+    scan.rank(table, rankings, integrate, 1e-12)
     return rankings, log
 
 
@@ -239,7 +240,7 @@ def test_a_tie_across_blocks_goes_to_the_first_cell_though_its_block_is_walked_l
         return bounds._max_rhs(x1, x2, step)
 
     rankings = {(rhs, False, True): [-inf, None, 0]}
-    scan.rank(table, rankings, None)  # every cell has its own mean
+    scan.rank(table, rankings, None, 1e-12)  # every cell has its own mean
     # the corners of the two blocks, then cells 9 and 10, then the first block
     assert steps == [1.0, 1.0, 0.5, 1.0] + [1.0, 0.5] + [1.0] * 9
     want = _reference(table, [0.0] * 11, set(), bounds._max_rhs, False, True)

@@ -268,6 +268,9 @@ def test_the_case_schema_uses_only_keywords_the_checker_handles():
         assert set([types] if isinstance(types, str) else types) <= set(runner._TYPES)
         for key in ("additionalProperties", "items"):
             assert isinstance(schema.get(key, {}), (bool, dict))
+        # the checker words these keywords as jsonschema does for these values only
+        assert schema.get("minLength", 1) == 1
+        assert schema.get("minItems", 2) > 1 and schema.get("maxItems", 1) > 0
 
 
 def test_every_keyword_the_checker_handles_is_used_by_the_case_schema():
