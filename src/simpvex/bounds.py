@@ -328,8 +328,8 @@ def fourth_derivative_sup(model: FunctionModel) -> float:
 
 
 def _conjugate(q: float) -> float:
-    if not q > 1.0:
-        raise ValueError(f"this bound needs q > 1, got {q!r}")
+    if not 1.0 < q < math.inf:
+        raise ValueError(f"this bound needs a finite q > 1, got {q!r}")
     return q / (q - 1.0)
 
 
@@ -453,8 +453,8 @@ class Theorem(NamedTuple):
             return None, None
         if self.qs == ">1":
             return q, _conjugate(q)
-        if q < 1.0:
-            raise ValueError(f"this bound needs q >= 1, got {q!r}")
+        if not 1.0 <= q < math.inf:
+            raise ValueError(f"this bound needs a finite q >= 1, got {q!r}")
         return q, None
 
 

@@ -54,8 +54,8 @@ def log_moment_p(p: float) -> float:
     p-th roots of the moment when p is huge (q close to 1), where the
     moment itself underflows to zero.
     """
-    if p < 1.0:
-        raise ValueError("moment order must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"moment order must be finite and >= 1, got {p!r}")
     log_num = (p + 1.0) * math.log(2.0) + math.log1p(2.0 ** (-(p + 1.0)))
     log_den = (p + 1.0) * math.log(6.0) + math.log(p + 1.0)
     return log_num - log_den
@@ -72,8 +72,8 @@ def moment_p(p: float) -> float:
     overflow long before the value itself underflows.  Past p = 671 both
     routes give 0.0, and the exact one costs time quadratic in p.
     """
-    if p < 1.0:
-        raise ValueError("moment order must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"moment order must be finite and >= 1, got {p!r}")
     if p == math.floor(p) and p <= _EXACT_MAX:
         return float(moment_p_exact(int(p)))
     if p > 50.0:

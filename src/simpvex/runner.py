@@ -31,8 +31,8 @@ keywords the case schema uses (draft 2020-12 semantics), which also
 words each rejection as jsonschema does; the program has no runtime
 dependency.  The case schema checks a config's shape only; each rule on
 its values has one home in code, shared by every entry point:
-``_case_error`` (``_request_error`` for the q and theorem lists) and the
-``from_config`` and ``merged`` steps ``load_case`` calls.
+``_case_error`` (``_request_error`` for the q and theorem lists), the
+``from_config`` steps ``load_case`` calls and ``Tolerances`` itself.
 """
 
 from __future__ import annotations
@@ -135,6 +135,9 @@ class Tolerances(Record):
     slack: a bound counts as violated only below -(2*quadrature_error + slack).
     invexity: sampled property checks flag excesses above this.
     identity: defect-vs-kernel-integral budget before quadrature errors.
+
+    CaseConfigError unless oracle, slack and invexity are each finite and
+    > 0, however the set is built: default, merged, replaced or by hand.
     """
 
     oracle: float = DEFAULT_ABS_TOL
@@ -142,14 +145,16 @@ class Tolerances(Record):
     invexity: float = DEFAULT_TOL
     identity = 1e-9  # not annotated: a constant no case or flag sets, not a field
 
-    def merged(self, overrides: Optional[dict]) -> "Tolerances":
-        """This set with ``overrides`` applied, a None override counting as absent;
-        CaseConfigError unless each applied value is finite and > 0."""
-        values = {k: bounds_mod._config_float(v, f"tolerance {k}")
-                  for k, v in (overrides or {}).items() if v is not None}
-        for key, value in values.items():
+    def __post_init__(self):
+        for key in self._fields:
+            value = getattr(self, key)
             if not (math.isfinite(value) and value > 0.0):
                 raise CaseConfigError(f"tolerance {key} must be finite and > 0, got {value!r}")
+
+    def merged(self, overrides: Optional[dict]) -> "Tolerances":
+        """This set with ``overrides`` applied, a None override counting as absent."""
+        values = {k: bounds_mod._config_float(v, f"tolerance {k}")
+                  for k, v in (overrides or {}).items() if v is not None}
         return replace(self, **values) if values else self
 
 
@@ -667,10 +672,11 @@ def run_corpus(cases: Optional[Sequence[CorpusCase]] = None) -> RunReport:
 
 
 def _axis(rng: Tuple[float, float], name: str, steps: int) -> List[float]:
-    """``steps`` points spaced over ``rng``; ValueError where its width overflows."""
+    """``steps`` points spaced over ``rng``; ValueError unless its ends and width are finite."""
     lo, hi = float(rng[0]), float(rng[1])
     if not math.isfinite(hi - lo):  # as Domain refuses: the axis would hold NaN
-        raise ValueError(f"{name} width hi - lo overflows, got [{lo!r}, {hi!r}]")
+        raise ValueError(f"{name} needs finite ends and a finite width hi - lo, "
+                         f"got [{lo!r}, {hi!r}]")
     return [lo] * steps if lo == hi else spaced(lo, hi, steps)
 
 
@@ -712,16 +718,16 @@ def tightness_scan(model: bounds_mod.FunctionModel, eta: EtaMap, K: Domain,
     A cell's mean is its own adaptive integral's, as ``simpson_defect`` takes
     it, run only where it can decide a ranking (``scan.enclose``, ``scan.rank``).
 
-    ValueError, before any sweep, for steps < 2, an a or b range whose
-    width hi - lo overflows, or a request ``_request_error`` rejects: an
-    empty q or theorem list, a q that is not finite or is below 1, an
-    unknown theorem id, or a theorem id or q listed twice.  Any other error
+    ValueError, before any sweep, for steps < 2, an a or b range with an
+    end or width hi - lo that is not finite, or a request ``_request_error``
+    rejects: an empty q or theorem list, a q that is not finite or is below
+    1, an unknown theorem id, or a theorem id or q listed twice.  Any other error
     that eta, f or f' raises at a cell propagates: the first in (a, b) order,
     then one from the gap integrals, left to right, and then one from the own
     integrals, in the order the rankings take them.
     """
     if steps < 2:
-        raise ValueError("steps must be at least 2")
+        raise ValueError(f"steps must be at least 2, got {steps!r}")
     error = _request_error(q_list, theorems)
     if error is not None:
         raise ValueError(error[1])

@@ -543,7 +543,8 @@ def test_every_rhs_is_nondecreasing_in_each_magnitude_and_the_step(
 
 
 # The rule functions THEOREMS rows held before they became values: the reference
-# for Theorem.exponents and Theorem.labels.
+# for Theorem.exponents and Theorem.labels.  The label rules since refuse a NaN
+# or infinite q, as _request_error does, in words that say so.
 def _q_one(q_list):
     return [1.0]
 
@@ -565,14 +566,14 @@ def _no_labels(q):
 
 
 def _q_and_conjugate(q):
-    if not q > 1.0:
-        raise ValueError(f"this bound needs q > 1, got {q!r}")
+    if not 1.0 < q < math.inf:
+        raise ValueError(f"this bound needs a finite q > 1, got {q!r}")
     return q, q / (q - 1.0)
 
 
 def _q_at_least_one(q):
-    if q < 1.0:
-        raise ValueError(f"this bound needs q >= 1, got {q!r}")
+    if not 1.0 <= q < math.inf:
+        raise ValueError(f"this bound needs a finite q >= 1, got {q!r}")
     return q, None
 
 
@@ -606,19 +607,31 @@ def test_theorem_rows_take_and_label_q_as_the_former_rule_functions(theorem):
         for q_list in itertools.permutations(_Q_POOL, n):
             assert row.exponents(q_list) == exponents(q_list), q_list
             assert row.exponents(list(q_list)) == exponents(list(q_list)), q_list
-    for q in _Q_POOL + (None, 0.5, 0.9999999, -2.0):
+    for q in _Q_POOL + (None, 0.5, 0.9999999, -2.0, math.nan, math.inf):
         assert _rule_outcome(row.labels, q) == _rule_outcome(labels, q), q
 
 
 def test_theorem_labels_raise_for_q_out_of_range():
     for theorem in ("T3.2", "T3.3", "T4.2", "T4.3"):
         for q in (1.0, 0.5):
-            with pytest.raises(ValueError, match=f"this bound needs q > 1, got {q!r}"):
+            with pytest.raises(ValueError, match=f"this bound needs a finite q > 1, got {q!r}"):
                 bounds.THEOREMS[theorem].labels(q)
     for theorem in ("T3.4", "T4.1", "C4.1"):
         assert bounds.THEOREMS[theorem].labels(1.0) == (1.0, None)
-        with pytest.raises(ValueError, match="this bound needs q >= 1, got 0.9999999"):
+        with pytest.raises(ValueError, match="this bound needs a finite q >= 1, got 0.9999999"):
             bounds.THEOREMS[theorem].labels(0.9999999)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+@pytest.mark.parametrize("wrapper, at_least", [
+    (bounds.bound_T3_2, "> 1"), (bounds.bound_T3_3, "> 1"), (bounds.bound_T3_4, ">= 1"),
+    (bounds.bound_T4_1, ">= 1"), (bounds.bound_T4_2, "> 1"), (bounds.bound_T4_3, "> 1")])
+def test_bound_wrappers_reject_a_q_that_is_not_finite(sin_model, wrapper, at_least, q):
+    # T4.1 once returned a value labelled q=nan, T3.4 one labelled q=inf, and
+    # others raised from math.floor or as a negative rhs
+    with pytest.raises(ValueError) as info:
+        wrapper(sin_model, 0.2, 0.8, 0.6, q)
+    assert str(info.value) == f"this bound needs a finite q {at_least}, got {q!r}"
 
 
 def test_theorem_rows_hold_no_function_but_rhs_for():

@@ -390,8 +390,8 @@ def test_scan_rejects_a_range_whose_width_overflows(capsys):
     # its axis would hold NaN where 0 lies, and every cell would be skipped
     assert main(["scan", "--f", "x^2", "--df", "2*x", "--K=-1,1",
                  "--a-range=-1e308,1e308", "--b-range", "0,1", "--steps", "3"]) == 3
-    assert capsys.readouterr().err == (
-        "error: --a-range width hi - lo overflows, got '-1e308,1e308'\n")
+    assert capsys.readouterr().err == ("error: a_range needs finite ends and a finite width "
+                                       "hi - lo, got [-1e+308, 1e+308]\n")
 
 
 def test_scan_rejects_bad_range(capsys):
@@ -405,10 +405,21 @@ SCAN_SQUARE = ["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1",
 
 
 @pytest.mark.parametrize("argv, message", [
-    (SCAN_SQUARE + ["--steps", "1"], "--steps must be at least 2, got 1"),
+    (SCAN_SQUARE + ["--steps", "1"], "steps must be at least 2, got 1"),
     (SCAN_SQUARE + ["--q", "0.5"], "every q must be finite and >= 1, got [0.5]"),
-    (SCAN_SQUARE + ["--q", "1,nan"], "--q expects finite numbers, got '1,nan'"),
-    (["moments", "--p", "nan"], "--p expects finite numbers, got 'nan'"),
+    (SCAN_SQUARE + ["--q", "1,nan"], "every q must be finite and >= 1, got [1.0, nan]"),
+    (SCAN_SQUARE + ["--q", "inf"], "every q must be finite and >= 1, got [inf]"),
+    (SCAN_SQUARE + ["--K", "0,inf"], "bad K in case 'scan': domain needs lo < hi, got [0.0, inf]"),
+    (SCAN_SQUARE + ["--K", "nan,1"], "bad K in case 'scan': domain needs lo < hi, got [nan, 1.0]"),
+    (SCAN_SQUARE + ["--a-range", "nan,0.4"],
+     "a_range needs finite ends and a finite width hi - lo, got [nan, 0.4]"),
+    (SCAN_SQUARE + ["--a-range", "0,inf"],
+     "a_range needs finite ends and a finite width hi - lo, got [0.0, inf]"),
+    (SCAN_SQUARE + ["--b-range=-inf,1"],
+     "b_range needs finite ends and a finite width hi - lo, got [-inf, 1.0]"),
+    (["moments", "--p", "nan"], "moment order must be >= 1, got nan"),
+    (["moments", "--p", "inf"], "moment order inf is too large: (1/3)^p underflows"),
+    (["moments", "--p", "0.5"], "moment order must be >= 1, got 0.5"),
     (["corpus", "--tol-oracle", "nan"], "tolerance oracle must be finite and > 0, got nan"),
     (["corpus", "--tol-oracle", "-1"], "tolerance oracle must be finite and > 0, got -1.0"),
     (["corpus", "--tol-slack", "nan"], "tolerance slack must be finite and > 0, got nan"),

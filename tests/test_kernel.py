@@ -82,6 +82,15 @@ def test_moment_p_rejects_small_order():
         log_moment_p(0.9)
 
 
+@pytest.mark.parametrize("fn", [moment_p, log_moment_p])
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_moment_orders_that_are_not_finite_are_rejected(fn, p):
+    # moment_p raised from math.floor or overflowed, and log_moment_p returned nan
+    with pytest.raises(ValueError) as info:
+        fn(p)
+    assert str(info.value) == f"moment order must be finite and >= 1, got {p!r}"
+
+
 def _split_integral(g, lo, kink, hi):
     """The integral of g over [lo, hi], one call per side of its kink, 5e-14 each."""
     return (quadrature.integrate(g, lo, kink, 5e-14).value

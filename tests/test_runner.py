@@ -449,6 +449,28 @@ def test_tolerances_merge():
             Tolerances().merged({"slack": bad})
 
 
+@pytest.mark.parametrize("field", Tolerances._fields)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerances_check_themselves_however_built(field, bad):
+    # hand-built or replaced sets meet the rule merged sets meet
+    message = f"tolerance {field} must be finite and > 0, got {bad!r}"
+    for build in (lambda: Tolerances(**{field: bad}),
+                  lambda: replace(Tolerances(), **{field: bad})):
+        with pytest.raises(CaseConfigError) as info:
+            build()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_sin_midpoint_cannot_be_made_to_pass_through_its_tolerances(bad):
+    # a NaN invexity tolerance flagged no excess, so C4.2's unmet hypothesis passed
+    case = load_corpus("sin_midpoint")[0]
+    assert run_case(case).verdict == "hypothesis_unmet"
+    for field in Tolerances._fields:
+        with pytest.raises(CaseConfigError, match=f"tolerance {field} must be finite and > 0"):
+            replace(case, tolerances=Tolerances(**{field: bad}))
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"K": [1, 0]}, "domain needs lo < hi, got [1.0, 0.0]"),
     ({"K": [0, math.inf]}, "domain needs lo < hi, got [0.0, inf]"),
@@ -1498,9 +1520,14 @@ def test_scan_edges_match_theorem_major_reference(name):
 
 
 @pytest.mark.parametrize("a_range, b_range, message", [
-    ((-1e308, 1e308), (0.0, 1.0), "a_range width hi - lo overflows, got [-1e+308, 1e+308]"),
-    ((0.0, 0.0), (1e308, -1e308), "b_range width hi - lo overflows, got [1e+308, -1e+308]"),
-    ((math.inf, math.inf), (0.0, 1.0), "a_range width hi - lo overflows, got [inf, inf]"),
+    ((-1e308, 1e308), (0.0, 1.0),
+     "a_range needs finite ends and a finite width hi - lo, got [-1e+308, 1e+308]"),
+    ((0.0, 0.0), (1e308, -1e308),
+     "b_range needs finite ends and a finite width hi - lo, got [1e+308, -1e+308]"),
+    ((math.inf, math.inf), (0.0, 1.0),
+     "a_range needs finite ends and a finite width hi - lo, got [inf, inf]"),
+    ((math.nan, 0.4), (0.0, 1.0),
+     "a_range needs finite ends and a finite width hi - lo, got [nan, 0.4]"),
 ])
 def test_scan_rejects_a_range_whose_width_overflows(monkeypatch, a_range, b_range, message):
     def no_sweep(*args, **kwargs):
@@ -1709,28 +1736,37 @@ def test_run_case_turns_hand_built_lists_load_case_rejects_into_input_error(chan
     assert result.hypotheses == [] and result.bounds == []
 
 
-# bad (q list, theorem list) requests: kind and message of the one rule they break
+# bad requests: what each changes in a good one (q list [2.0], theorem list
+# ["T3.2"] and, for a scan, 3 steps and an a range [0, 0.4]), and the kind and
+# message of the one rule it breaks; a scan's steps and ranges have no kind
 BAD_REQUESTS = {
-    "unknown_id": ([2.0], ["T3.2", "T9"], "InvalidTheorem", "unknown theorem id 'T9'"),
-    "repeated_id": ([2.0], ["T3.2", "T4.1", "T3.2"], "InvalidTheorem",
+    "unknown_id": (dict(theorems=["T3.2", "T9"]), "InvalidTheorem", "unknown theorem id 'T9'"),
+    "repeated_id": (dict(theorems=["T3.2", "T4.1", "T3.2"]), "InvalidTheorem",
                     "theorem 'T3.2' is listed more than once"),
-    "repeated_q": ([2.0, 2.0], ["T3.2"], "InvalidExponent", "q 2.0 is listed more than once"),
-    "q_below_one": ([1.0, 0.5], ["T3.2"], "InvalidExponent",
+    "repeated_q": (dict(q_list=[2.0, 2.0]), "InvalidExponent", "q 2.0 is listed more than once"),
+    "q_below_one": (dict(q_list=[1.0, 0.5]), "InvalidExponent",
                     "every q must be finite and >= 1, got [1.0, 0.5]"),
-    "q_infinite": ([1.0, math.inf], ["T3.2"], "InvalidExponent",
+    "q_infinite": (dict(q_list=[1.0, math.inf]), "InvalidExponent",
                    "every q must be finite and >= 1, got [1.0, inf]"),
-    "no_q": ([], ["T3.2"], "InvalidExponent", "the case lists no q"),
-    "no_theorem": ([2.0], [], "InvalidTheorem", "the case lists no theorem"),
+    "no_q": (dict(q_list=[]), "InvalidExponent", "the case lists no q"),
+    "no_theorem": (dict(theorems=[]), "InvalidTheorem", "the case lists no theorem"),
+    "one_step": (dict(steps=1), None, "steps must be at least 2, got 1"),
+    "nan_range_end": (dict(a_range=(math.nan, 0.4)), None,
+                      "a_range needs finite ends and a finite width hi - lo, got [nan, 0.4]"),
+    "wide_range": (dict(a_range=(-1e308, 1e308)), None,
+                   "a_range needs finite ends and a finite width hi - lo, "
+                   "got [-1e+308, 1e+308]"),
 }
+SCAN_ONLY = ("one_step", "nan_range_end", "wide_range")
 
 
-def _load_case_text(q_list, theorems):
+def _load_case_text(q_list=(2.0,), theorems=("T3.2",)):
     with pytest.raises(CaseConfigError) as info:
-        load_case(square_case(q=q_list, theorems=theorems))
+        load_case(square_case(q=list(q_list), theorems=list(theorems)))
     return str(info.value)
 
 
-def _run_case_text(q_list, theorems):
+def _run_case_text(q_list=(2.0,), theorems=("T3.2",)):
     case = replace(load_corpus("poly_x2")[0], q_list=tuple(q_list),
                    theorems=tuple(theorems))
     result = run_case(case, grid=SampleGrid(5, 5, 3, 20))
@@ -1739,29 +1775,30 @@ def _run_case_text(q_list, theorems):
     return result.error
 
 
-def _tightness_scan_text(q_list, theorems):
+def _tightness_scan_text(q_list=(2.0,), theorems=("T3.2",), steps=3, a_range=(0.0, 0.4)):
     model = _model("x^2", "2*x", "(x^3)/3", K=(0.0, 1.0))
     with pytest.raises(ValueError) as info:
-        tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.0), (0.0, 0.4), (0.6, 1.0),
-                       q_list, steps=3, theorems=theorems)
+        tightness_scan(model, EtaMap.difference(), Domain(0.0, 1.0), a_range, (0.6, 1.0),
+                       q_list, steps=steps, theorems=theorems)
     return str(info.value)
 
 
-def _cli_check_text(q_list, theorems):
+def _cli_check_text(q_list=(2.0,), theorems=("T3.2",)):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "case.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(square_case(q=q_list, theorems=theorems), fh)
+            json.dump(square_case(q=list(q_list), theorems=list(theorems)), fh)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert main(["--quiet", "check", path]) == 3
     return err.getvalue()
 
 
-def _cli_scan_text(q_list, theorems):
-    argv = ["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1", "--a-range", "0,0.4",
-            "--b-range", "0.6,1", "--q", ",".join(map(repr, q_list)),
-            "--theorems", ",".join(theorems)]
+def _cli_scan_text(q_list=(2.0,), theorems=("T3.2",), steps=3, a_range=(0.0, 0.4)):
+    argv = ["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1",
+            "--a-range=" + ",".join(map(repr, a_range)), "--b-range", "0.6,1",
+            "--q", ",".join(map(repr, q_list)), "--theorems", ",".join(theorems),
+            "--steps", str(steps)]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         assert main(argv) == 3
@@ -1769,16 +1806,16 @@ def _cli_scan_text(q_list, theorems):
 
 
 # entry point -> (its text for a bad request, that text's shape, the requests
-# that reach the shared rule there); --q rejects inf and an empty list, and an
-# empty --theorems means every theorem
+# that reach the shared rule there); --q rejects an empty list as text
+CASE_REQUESTS = tuple(r for r in BAD_REQUESTS if r not in SCAN_ONLY)
 ENTRY_POINTS = {
-    "load_case": (_load_case_text, "case 'unit_square': {message}", tuple(BAD_REQUESTS)),
-    "run_case": (_run_case_text, "{kind}: {message}", tuple(BAD_REQUESTS)),
+    "load_case": (_load_case_text, "case 'unit_square': {message}", CASE_REQUESTS),
+    "run_case": (_run_case_text, "{kind}: {message}", CASE_REQUESTS),
     "tightness_scan": (_tightness_scan_text, "{message}", tuple(BAD_REQUESTS)),
     "simpvex_check": (_cli_check_text, "error: case 'unit_square': {message}\n",
-                      tuple(BAD_REQUESTS)),
+                      CASE_REQUESTS),
     "simpvex_scan": (_cli_scan_text, "error: {message}\n",
-                     ("unknown_id", "repeated_id", "repeated_q", "q_below_one")),
+                     tuple(r for r in BAD_REQUESTS if r != "no_q")),
 }
 
 
@@ -1786,9 +1823,9 @@ ENTRY_POINTS = {
     (entry, request_id) for entry, (_, _, requests) in ENTRY_POINTS.items()
     for request_id in requests])
 def test_every_entry_point_rejects_a_bad_request_with_the_same_message(entry, request_id):
-    q_list, theorems, kind, message = BAD_REQUESTS[request_id]
+    request, kind, message = BAD_REQUESTS[request_id]
     text, shape, _ = ENTRY_POINTS[entry]
-    assert text(q_list, theorems) == shape.format(kind=kind, message=message)
+    assert text(**request) == shape.format(kind=kind, message=message)
 
 
 def test_run_case_turns_f_prime_failing_at_b_into_input_error():
