@@ -20,6 +20,10 @@ inequalities that dominate |defect| under sampled hypotheses on |f'|^q:
     C4.2           midpoint-vs-mean gap when f(a) = f(mid) = f(end)
     CLASSICAL      sup|f''''| eta^4 / 2880
 
+Every entry taking (a, eta) first checks the path a + t*eta, t in [0, 1], by
+one rule, ``_require_path``: InvalidEta unless the step is finite and > 0,
+then DomainError unless a and a + eta lie in the model's domain K.
+
 Each BoundValue carries slack = rhs - lhs - quadrature_error, lhs being
 |defect| (C4.2: |f(a + eta/2) - mean of f|).  Without an antiderivative,
 quadrature_error is the adaptive quadrature's |S2 - S1|/15 panel
@@ -216,16 +220,12 @@ class BoundValue(Record):
                 "rhs": self.rhs, "slack": self.slack}
 
 
-def _require_step(eta_val: float) -> float:
+def _require_path(a: float, eta_val: float, domain: Domain) -> float:
+    """The checked step, by the one path rule: InvalidEta unless it is finite
+    and > 0, then DomainError unless a and a + step lie in ``domain``."""
     eta_val = float(eta_val)
     if not (math.isfinite(eta_val) and eta_val > 0.0):
-        raise InvalidEta(f"eta step must be positive, got {eta_val!r}")
-    return eta_val
-
-
-def _require_path(a: float, eta_val: float, domain: Domain) -> float:
-    """The checked step; DomainError unless a and a + step lie in ``domain``."""
-    eta_val = _require_step(eta_val)
+        raise InvalidEta(f"eta step must be finite and > 0, got {eta_val!r}")
     for endpoint in (a, a + eta_val):
         if not domain.contains(endpoint):
             raise DomainError(
@@ -478,14 +478,14 @@ def _bound(theorem: str, model: FunctionModel, a: float, b: float, eta_val: floa
            q: Optional[float], defect: Optional[SimpsonDefect]) -> BoundValue:
     """The BoundValue of THEOREMS[theorem], the one home of a bound's lhs and slack.
 
-    Checks the step, then q, then, given a defect, takes |defect| or C4.2's
-    midpoint gap (PreconditionUnmet off its precondition), then reads f'
-    (EvalDomainError naming a or b where |f'| is NaN there), or for
-    CLASSICAL (q None) d4sup (MissingFourthDerivative without one).
+    Checks the path (``_require_path``), then q, then, given a defect, takes
+    |defect| or C4.2's midpoint gap (PreconditionUnmet off its precondition),
+    then reads f' (EvalDomainError naming a or b where |f'| is NaN there), or
+    for CLASSICAL (q None) d4sup (MissingFourthDerivative without one).
     slack = rhs - lhs - defect.quadrature_error; None without a defect.
     """
     row = THEOREMS[theorem]
-    eta_val = _require_step(eta_val)
+    eta_val = _require_path(a, eta_val, model.domain)
     q_label, p = row.labels(q)
     lhs = None if defect is None else abs(defect.defect)
     if defect is not None and row.midpoint:  # C4.2: |f(mid) - mean|, on its precondition

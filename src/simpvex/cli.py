@@ -22,7 +22,7 @@ from typing import List, Optional, TextIO
 
 from . import bounds as bounds_mod
 from . import kernel, quadrature, runner
-from .errors import CaseConfigError, SimpvexError
+from .errors import CaseConfigError, ParseError, SimpvexError
 from .invexity import EtaMap
 from .runner import EXIT_INPUT_ERROR, EXIT_PASS
 
@@ -124,20 +124,23 @@ def _parse_eta(text: str) -> EtaMap:
     except ValueError:
         raise CaseConfigError(f"--eta expects 'difference', 'abs_example' or "
                               f"'expression:<expr>', got {text!r}") from None
+    except ParseError as exc:
+        raise CaseConfigError(f"--eta {text!r}: {exc}") from None
 
 
 def cmd_moments(args, out: TextIO) -> int:
     ps = _parse_floats(args.p, "--p")
     rows = ["p,closed_form,numeric,abs_diff"]
     for p in ps:
-        if not p >= 1.0:
-            raise CaseConfigError(f"moment order must be >= 1, got {p!r}")
+        try:  # the kernel words the order rule
+            closed = kernel.moment_p(p)
+        except ValueError as exc:
+            raise CaseConfigError(str(exc)) from None
         # |t - 1/6|^p peaks at (1/3)^p on [0, 1/2]; in units of that peak the
         # moment is about 1/(3(p+1)), so tol is about 3e-12 of it at every p
         scale = (1.0 / 3.0) ** p
         if scale < sys.float_info.min:
             raise CaseConfigError(f"moment order {p!r} is too large: (1/3)^p underflows")
-        closed = kernel.moment_p(p)
         g = lambda t: abs(t - 1.0 / 6.0) ** p / scale
         tol = 1e-12 / (p + 1.0)
         # one integral per side of the kink at 1/6

@@ -53,6 +53,7 @@ from .errors import (
     CaseConfigError,
     DomainError,
     EvalDomainError,
+    InvalidEta,
     MissingFourthDerivative,
     ParseError,
     PreconditionUnmet,
@@ -321,14 +322,11 @@ def load_case(config: dict, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Corp
         error = _case_error(case)
         if error is not None:
             raise CaseConfigError(f"case {name!r}: {error[1]}")
-        # the F gate uses the case interval when the step is usable
-        f_interval = None
+        # the F gate uses the case interval when the path is usable
         try:
-            step = eta(b, a)
-            if step > 0.0 and model.domain.contains(a) and model.domain.contains(a + step):
-                f_interval = (a, a + step)
-        except EvalDomainError:
-            pass
+            f_interval = (a, a + bounds_mod._require_path(a, eta(b, a), model.domain))
+        except (EvalDomainError, InvalidEta, DomainError):
+            f_interval = None
         model.validate(interval=f_interval, quad_tol=case.tolerances.oracle)
     return case
 
@@ -449,19 +447,14 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
     if error is not None:
         return _input_error(result, "%s: %s" % error)
 
-    # eta step and interval membership; failures here are input errors
+    # the path [a, a + eta(b, a)], then b, which is not on it; failures are input errors
     try:
-        step = case.eta(case.b, case.a)
-    except EvalDomainError as exc:
-        return _input_error(result, f"EvalDomainError: {exc}")
-    if not step > 0.0:
-        return _input_error(result, f"InvalidEta: eta(b, a) = {step!r} must be positive "
-                                    f"for a = {case.a!r}, b = {case.b!r}")
+        step = bounds_mod._require_path(case.a, case.eta(case.b, case.a), K)
+    except (EvalDomainError, InvalidEta, DomainError) as exc:
+        return _input_error(result, f"{type(exc).__name__}: {exc}")
+    if not K.contains(case.b):
+        return _input_error(result, f"DomainError: b = {case.b!r} outside [{K.lo!r}, {K.hi!r}]")
     result.eta_step = step
-    for label, x in (("a", case.a), ("b", case.b), ("a + eta(b, a)", case.a + step)):
-        if not K.contains(x):
-            return _input_error(
-                result, f"DomainError: {label} = {x!r} outside K = [{K.lo!r}, {K.hi!r}]")
 
     try:
         invex_report = check_invex_set(K, case.eta, grid, tol.invexity)
@@ -478,7 +471,7 @@ def run_case(case: CorpusCase, grid: SampleGrid = DEFAULT_GRID) -> CaseResult:
     try:
         defect = bounds_mod.simpson_defect(model, case.a, step, tol.oracle)
         lemma = bounds_mod.lemma_rhs(model, case.a, step, tol.oracle)
-    except (EvalDomainError, DomainError, QuadratureError) as exc:
+    except (EvalDomainError, QuadratureError) as exc:
         return _input_error(result, f"{type(exc).__name__}: {exc}")
     result.defect = defect
     result.lemma = lemma

@@ -81,7 +81,9 @@ def _abs_df(df, df_at: dict, x: float) -> float:
 def _extend(table: CellTable, model, eta, K, i, js, b_inside, df_at, reads_df) -> None:
     """Extend the columns by row i's usable cells among the b indices ``js``: eta
     at each, then f as ``bounds._simpson`` calls it, then f' at a and at each b,
-    so for one index in a walk's order.  A raise extends nothing."""
+    so for one index in a walk's order.  A raise extends nothing.  A cell is usable
+    where ``bounds._require_path`` passes its path and b lies in K, checked row by
+    row with no call per cell."""
     a, b_vals, domain = table.a_vals[i], table.b_vals, model.domain
     same = K == domain  # whether a point of K needs no second check
     row_steps = [eta(b_vals[j], a) for j in js]

@@ -73,7 +73,8 @@ def test_criterion_3_domination_everywhere(corpus_report):
 
 def test_criterion_4_cross_bound_identities():
     rng = random.Random(97)
-    stub = lambda x1, x2: SimpleNamespace(df_fn=lambda x: x1 if x == 0.0 else x2)
+    stub = lambda x1, x2: SimpleNamespace(df_fn=lambda x: x1 if x == 0.0 else x2,
+                                          domain=Domain(0.0, 1.0))
     for _ in range(20):
         s = stub(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
         one = bounds.bound_T3_4(s, 0.0, 1.0, 1.0, 1.0).rhs

@@ -34,13 +34,15 @@ from simpvex.errors import (
     PreconditionUnmet,
     QuadratureError,
 )
+from simpvex.invexity import Domain
 
 TWO_PI = 6.283185307179586
 
 
 def endpoint_stub(x1, x2, a=0.0, b=1.0):
-    """Model stand-in exposing just |f'| magnitudes at the endpoints."""
-    return SimpleNamespace(df_fn=lambda x: x1 if x == a else x2)
+    """Model stand-in exposing just |f'| magnitudes at the endpoints, on a domain
+    holding every path [a, a + step] these tests read, step <= 10."""
+    return SimpleNamespace(df_fn=lambda x: x1 if x == a else x2, domain=Domain(a, a + 10.0))
 
 
 @pytest.fixture
@@ -484,7 +486,7 @@ def test_bound_wrappers_keep_the_old_float_operations(x1, x2, eta_val, q):
     for theorem in ("C4.1", "C4.2"):
         assert outcome(prepared[theorem]) == outcome(lambda: _REFERENCE_RHS["T4.1"](
             x1, x2, eta_val, q)), theorem
-    model = SimpleNamespace(d4sup=x1, name="m")
+    model = SimpleNamespace(d4sup=x1, name="m", domain=Domain(0.0, 10.0))
     want = (x1 * eta_val ** 4 / 2880.0).hex()
     assert bound_classical(model, 0.0, eta_val).rhs.hex() == want
     assert bounds.THEOREMS["CLASSICAL"].rhs_for(x1)(None, None, eta_val).hex() == want

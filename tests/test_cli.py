@@ -372,6 +372,16 @@ def test_scan_rejects_a_value_on_a_builtin_eta_and_an_expression_without_one(cap
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("eta, message", [
+    ("expression:", "parse error at offset 0: expected an operand"),
+    ("expression:u-", "parse error at offset 2: expected an operand"),
+])
+def test_scan_names_eta_where_its_expression_does_not_parse(capsys, eta, message):
+    assert main(["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1",
+                 "--a-range", "0,0", "--b-range", "1,1", "--eta", eta]) == 3
+    assert capsys.readouterr().err == f"error: --eta {eta!r}: {message}\n"
+
+
 @pytest.mark.parametrize("theorems", ["", " , "])
 def test_scan_rejects_an_empty_theorem_list(capsys, theorems):
     # --theorems "" lists no theorem, as " , " does: it does not mean every theorem
@@ -417,9 +427,10 @@ SCAN_SQUARE = ["scan", "--f", "x^2", "--df", "2*x", "--K", "0,1",
      "a_range needs finite ends and a finite width hi - lo, got [0.0, inf]"),
     (SCAN_SQUARE + ["--b-range=-inf,1"],
      "b_range needs finite ends and a finite width hi - lo, got [-inf, 1.0]"),
-    (["moments", "--p", "nan"], "moment order must be >= 1, got nan"),
-    (["moments", "--p", "inf"], "moment order inf is too large: (1/3)^p underflows"),
-    (["moments", "--p", "0.5"], "moment order must be >= 1, got 0.5"),
+    # the order rule and its wording are kernel.moment_p's
+    (["moments", "--p", "nan"], "moment order must be finite and >= 1, got nan"),
+    (["moments", "--p", "inf"], "moment order must be finite and >= 1, got inf"),
+    (["moments", "--p", "0.5"], "moment order must be finite and >= 1, got 0.5"),
     (["corpus", "--tol-oracle", "nan"], "tolerance oracle must be finite and > 0, got nan"),
     (["corpus", "--tol-oracle", "-1"], "tolerance oracle must be finite and > 0, got -1.0"),
     (["corpus", "--tol-slack", "nan"], "tolerance slack must be finite and > 0, got nan"),

@@ -9,13 +9,14 @@ with q near 1 (p in the thousands) and q above 100, where ``bounds``
 rescales the powers so they cannot overflow.
 """
 
+import json
 import math
 import random
 import sys
 
 import pytest
 
-from simpvex import bounds
+from simpvex import bounds, runner
 
 mp = pytest.importorskip("mpmath")
 
@@ -100,6 +101,30 @@ def test_rhs_matches_its_formula_to_40_digits(theorem):
             err = abs(mp.mpf(got) - want)
             ulps = float(err / math.ulp(float(want))) if want else float(err)
         assert ulps <= ULPS, (theorem, q, x1, x2, eta, got, want)
+
+
+def test_each_rhs_the_corpus_report_prints_matches_its_formula_at_its_case(corpus_report):
+    # the printed rhs against the 40-digit formula at the case's own |f'(a)|,
+    # |f'(b)| and printed step, with d4sup in the place of |f'(a)| for CLASSICAL
+    cases = {case.name: case for case in runner.load_corpus()}
+    off, checked = [], 0
+    for row in json.loads(corpus_report.to_json())["cases"]:
+        case = cases[row["case"]]
+        magnitudes = [abs(case.model.df_fn(x)) for x in (case.a, case.b)]
+        for bound in row["bounds"]:
+            theorem, q = bound["theorem"], bound["q"]
+            x1, x2 = (case.model.d4sup, None) if theorem == "CLASSICAL" else magnitudes
+            with mp.workdps(DPS):
+                mq = None if q is None else mp.mpf(q)
+                p = mq / (mq - 1) if q is not None and q > 1.0 else None
+                want = FORMULAS[theorem](mp.mpf(x1), None if x2 is None else mp.mpf(x2),
+                                         mp.mpf(row["eta_step"]), mq, p)
+                ulps = float(abs(mp.mpf(bound["rhs"]) - want) / math.ulp(float(want)))
+            if ulps > ULPS:
+                off.append((case.name, theorem, q, ulps))
+            checked += 1
+    assert off == []
+    assert checked == sum(len(result.bounds) for result in corpus_report.results) > 100
 
 
 @pytest.mark.parametrize("theorem", ["T3.2", "T3.3", "T3.4"])

@@ -134,7 +134,7 @@ def test_every_report_the_program_writes_passes_the_report_schema(tmp_path, caps
     results = [run_case(load_case(cfg)) for cfg in _report_cases()]
     assert [r.verdict for r in results] == [
         "pass", "hypothesis_unmet", "violation", "input_error", "pass"]
-    assert results[3].error == "InvalidEta: eta(b, a) = -1.0 must be positive for a = 0.0, b = 1.0"
+    assert results[3].error == "InvalidEta: eta step must be finite and > 0, got -1.0"
     assert results[4].golden_failures == ["T3.1: bound was not evaluated"]
     assert results[4].notes == ["T3.2 needs q > 1 but the case lists none"]
     validator.validate(json.loads(runner.RunReport(results, 0.0).to_json()))
@@ -340,6 +340,85 @@ def test_run_case_flags_point_outside_domain():
     result = run_case(case)
     assert result.verdict == "input_error"
     assert result.error.startswith("DomainError")
+
+
+# bad paths on K = [0, 1] as (a, eta, what each entry raises): each eta is a
+# constant, so eta(b, a) is that one step at every b
+_BAD_PATHS = [
+    (0.25, "0", "InvalidEta: eta step must be finite and > 0, got 0.0"),
+    (0.25, "-0.25", "InvalidEta: eta step must be finite and > 0, got -0.25"),
+    (0.25, "1e308*10 - 1e308*10", "InvalidEta: eta step must be finite and > 0, got nan"),
+    (0.25, "1e308*10", "InvalidEta: eta step must be finite and > 0, got inf"),
+    (5.0, "2", "DomainError: path endpoint 5.0 outside [0.0, 1.0]"),
+    (-2.0, "1", "DomainError: path endpoint -2.0 outside [0.0, 1.0]"),
+    (0.5, "1", "DomainError: path endpoint 1.5 outside [0.0, 1.0]"),
+]
+# every public entry taking (a, step), called with b = 0.5 and q = 2 where it takes them
+_PATH_ENTRIES = {
+    "simpson_defect": lambda m, a, b, step: bounds.simpson_defect(m, a, step),
+    "lemma_rhs": lambda m, a, b, step: bounds.lemma_rhs(m, a, step),
+    "midpoint_gap": lambda m, a, b, step: bounds.midpoint_gap(m, a, step),
+    "bound_T3_1": lambda m, a, b, step: bounds.bound_T3_1(m, a, b, step),
+    "bound_T3_2": lambda m, a, b, step: bounds.bound_T3_2(m, a, b, step, 2.0),
+    "bound_T3_3": lambda m, a, b, step: bounds.bound_T3_3(m, a, b, step, 2.0),
+    "bound_T3_4": lambda m, a, b, step: bounds.bound_T3_4(m, a, b, step, 2.0),
+    "bound_T4_1": lambda m, a, b, step: bounds.bound_T4_1(m, a, b, step, 2.0),
+    "bound_T4_2": lambda m, a, b, step: bounds.bound_T4_2(m, a, b, step, 2.0),
+    "bound_T4_3": lambda m, a, b, step: bounds.bound_T4_3(m, a, b, step, 2.0),
+    "bound_C4_2_midpoint": lambda m, a, b, step: bounds.bound_C4_2_midpoint(m, a, b, step),
+    "bound_classical": lambda m, a, b, step: bounds.bound_classical(m, a, step),
+}
+
+
+@pytest.mark.parametrize("a, eta, error", _BAD_PATHS)
+def test_every_entry_taking_a_step_rejects_a_bad_path_alike(a, eta, error):
+    # one path rule (bounds._require_path): the same exception and wording from
+    # every bound entry, the defect's building blocks and run_case's error field
+    assert {name for name in bounds.__all__ if name.startswith("bound_")} <= set(_PATH_ENTRIES)
+    model = _model("x^4", "4*x^3", "(x^5)/5", K=(0.0, 1.0), d4sup=24.0)
+    eta_map = EtaMap.from_expression(eta)
+    raised = {}
+    for name, entry in _PATH_ENTRIES.items():
+        with pytest.raises(SimpvexError) as info:
+            entry(model, a, 0.5, eta_map(0.5, a))
+        raised[name] = f"{type(info.value).__name__}: {info.value}"
+    case = runner.CorpusCase("path", model, eta_map, a, 0.5, (1.0, 2.0),
+                             runner.THEOREM_IDS, runner.DEFAULT_TOLERANCES)
+    raised["run_case"] = run_case(case).error
+    assert raised == dict.fromkeys(raised, error)
+
+
+def test_run_case_checks_b_after_the_path():
+    # b is not on the path [a, a + eta(b, a)]; the path's own failure comes first
+    result = run_case(load_case(square_case(eta={"kind": "expression", "value": "0.5"},
+                                            a=0.25, b=1.5)))
+    assert (result.verdict, result.error, result.eta_step) == (
+        "input_error", "DomainError: b = 1.5 outside [0.0, 1.0]", None)
+    result = run_case(load_case(square_case(a=0.5, b=1.5)))
+    assert result.error == "DomainError: path endpoint 1.5 outside [0.0, 1.0]"
+
+
+_EIGHTHS = st.integers(-12, 12).map(lambda k: k / 8.0)
+
+
+@given(_EIGHTHS, _EIGHTHS,
+       st.sampled_from(["v-u", "u-v", "0.5*(v-u)", "2*(v-u)", "v-u+0.25", "0*(v-u)"]))
+@settings(max_examples=150)
+def test_a_one_cell_scan_ranks_classical_exactly_where_run_case_finds_the_path_usable(
+        a, b, eta):
+    # a and b in eighths of [-1.5, 1.5], K = [-1, 1]: some paths leave K and some
+    # steps are <= 0, and no step is so small that d4sup step^4 / 2880 underflows,
+    # so the path alone decides whether the cell ranks
+    model = _model("x^4", "4*x^3", "(x^5)/5", K=(-1.0, 1.0), d4sup=24.0)
+    eta_map = EtaMap.from_expression(eta)
+    case = runner.CorpusCase("cell", model, eta_map, a, b, (1.0,), ("CLASSICAL",),
+                             runner.DEFAULT_TOLERANCES)
+    error = run_case(case).error
+    (result,) = tightness_scan(model, eta_map, model.domain, (a, a), (b, b), [1.0], 2,
+                               ["CLASSICAL"])
+    assert (result.status == "ok") == (error is None), (result, error)
+    if error is None:
+        assert (result.at_a, result.at_b) == (a, b) and result.ratio > 0.0
 
 
 def test_run_case_notes_missing_large_exponent():
